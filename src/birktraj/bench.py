@@ -40,7 +40,6 @@ from .birkhoff import (
 )
 from .dual import (
     DualVariant,
-    default_tolerance,
     map_covectors,
     solve_indirect,
     verified_variant,
@@ -256,10 +255,7 @@ def convergence_study(
             costate_err = float(
                 np.max(np.abs(dual.costates[:, :n_base] - reference["costate"](t).T))
             )
-            report = verify_pontryagin(
-                ocp, primal, dual, sys, verified_variant(form),
-                tol=default_tolerance(sys),
-            )
+            report = verify_pontryagin(ocp, primal, dual, sys, verified_variant(form))
             residual = report.worst_block()[1]
         except UnsupportedMappingError as exc:
             note = str(exc)

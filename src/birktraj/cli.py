@@ -35,7 +35,6 @@ from .bench import (
 from .birkhoff import build_birkhoff
 from .dual import (
     DualVariant,
-    default_tolerance,
     map_covectors,
     solve_indirect,
     verified_variant,
@@ -207,8 +206,7 @@ def cmd_solve(config: RunConfig, args=None) -> int:
     try:
         dual = map_covectors(res, form, system)
         variant = _verification_variant(config, form)
-        tol = config.tol_verify if config.tol_verify is not None else default_tolerance(system)
-        report = verify_pontryagin(ocp, primal, dual, system, variant, tol=tol)
+        report = verify_pontryagin(ocp, primal, dual, system, variant, tol=config.tol_verify)
     except UnsupportedMappingError:
         pass  # forms without a proven route solve fine but skip verification
     except _CONFIG_ERRORS as exc:
@@ -264,8 +262,7 @@ def cmd_verify(config: RunConfig, args=None) -> int:
         return EXIT_SOLVER_FAILURE
     primal = extract_primal(nlp, res.z)
     dual = map_covectors(res, form, system)
-    tol = config.tol_verify if config.tol_verify is not None else default_tolerance(system)
-    report = verify_pontryagin(ocp, primal, dual, system, variant, tol=tol)
+    report = verify_pontryagin(ocp, primal, dual, system, variant, tol=config.tol_verify)
 
     _write_json(_out_path(config, "report.json"), report.to_json_dict())
     for name in sorted(report.blocks):

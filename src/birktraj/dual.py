@@ -2,8 +2,13 @@
 
 The discretized first-order system has two anchoring choices on the state side
 and two on the costate side, each in a plain (pointwise) or weighted (Galerkin)
-flavor — sixteen variants in all, built here from one parameterized assembler.
-Three of them are reachable from a converged NLP by relabeling multipliers:
+flavor — sixteen variants in all.  One square system, :class:`_IndirectSystem`,
+holds all of them: each side's anchored rows come from the same
+:class:`~birktraj.transcription.AnchoredBlock` the primal NLP uses, and the
+Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
+root; :func:`verify_pontryagin` evaluates its residual once at a given
+(primal, dual) pair and reads the report blocks off the row slices.
+Three variants are reachable from a converged NLP by relabeling multipliers:
 
     form a (plain)      ->  variant (a, b_star)
     form a_star         ->  variant (a_star, b_star)
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,20 +39,25 @@ from .errors import (
     UnsupportedMappingError,
     UnsupportedProblemError,
 )
-from .ocp import ConstraintKind, OcpDefinition, complementarity_violation, prepared
+from .ocp import (
+    ConstraintKind,
+    OcpDefinition,
+    _central_jacobian,
+    complementarity_violation,
+    prepared,
+)
 from .solver import NlpResult
 from .transcription import (
+    AnchoredBlock,
     FormTag,
     PrimalForm,
     PrimalSolution,
+    consecutive_slices,
     endpoint_seed,
+    set_node_blocks,
 )
 
 Array = np.ndarray
-
-_STARRED = (FormTag.A_STAR, FormTag.B_STAR)
-_LEFT_ANCHORED = (FormTag.A, FormTag.A_STAR)
-
 
 @dataclass(frozen=True)
 class DualVariant:
@@ -220,16 +231,8 @@ def default_tolerance(sys: BirkhoffSystem, floor: float = 1e-6) -> float:
     return max(floor, 10.0 * ibp_defect_norm(sys))
 
 
-def _node_tables(ocp: OcpDefinition, X: Array, U: Array):
-    m = X.shape[0]
-    f_tab = np.empty_like(X)
-    fx_tab = np.empty((m, X.shape[1], X.shape[1]))
-    fu_tab = np.empty((m, X.shape[1], U.shape[1]))
-    for i in range(m):
-        f_tab[i] = ocp.dynamics(X[i], U[i])
-        fx_tab[i] = ocp.jac_fx(X[i], U[i])
-        fu_tab[i] = ocp.jac_fu(X[i], U[i])
-    return f_tab, fx_tab, fu_tab
+def _inf_norm(a: Array) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def verify_pontryagin(
@@ -240,7 +243,11 @@ def verify_pontryagin(
     variant: DualVariant,
     tol: Optional[float] = None,
 ) -> PontryaginReport:
-    """Evaluate one variant's root system at (primal, dual) and report norms."""
+    """Evaluate one variant's root system at (primal, dual) and report norms.
+
+    The blocks are read off the rows of the residual that :func:`solve_indirect`
+    drives to zero; endpoint rows count only where they are violated.
+    """
     p = prepared(ocp)
     m, n = sys.N + 1, p.n_x
     if primal.X.shape != (m, n) or dual.costates.shape != (m, n):
@@ -250,76 +257,25 @@ def verify_pontryagin(
         )
     if tol is None:
         tol = default_tolerance(sys)
-    w = sys.w_B
-    theta, phi = variant.state_form, variant.costate_form
+    system = _IndirectSystem(p, sys, variant)
+    unweighted, f_tab = system.evaluate(system.pack_solution(primal, dual))
+    r = unweighted * system.row_scale
 
-    X, U, V = primal.X, primal.U, primal.V
-    lam, om = dual.costates, dual.costate_derivs
-    f_tab, fx_tab, fu_tab = _node_tables(p, X, U)
-
-    # state side
-    if theta in _LEFT_ANCHORED:
-        r_interp = X - primal.x_a[None, :] - sys.B_a @ V
-    else:
-        r_interp = X - primal.x_b[None, :] - sys.B_b @ V
-    r_dyn = V - f_tab
-    if theta in _STARRED:
-        r_interp = w[:, None] * r_interp
-        r_dyn = w[:, None] * r_dyn
-    r_state_eq = primal.x_b - primal.x_a - w @ V
-
-    # costate side
-    if phi in _LEFT_ANCHORED:
-        r_costate = lam - dual.costate_initial[None, :] - sys.B_a @ om
-    else:
-        r_costate = lam - dual.costate_final[None, :] - sys.B_b @ om
-    r_adjoint = om + np.einsum("ijk,ij->ik", fx_tab, lam)
-    r_control = np.einsum("ijk,ij->ik", fu_tab, lam)
-    if phi in _STARRED:
-        r_costate = w[:, None] * r_costate
-        r_adjoint = w[:, None] * r_adjoint
-        r_control = w[:, None] * r_control
-    r_costate_eq = dual.costate_final - dual.costate_initial - w @ om
-
-    # endpoint block with the constraint terms folded into the endpoint cost
+    parts = {name: r[rows] for name, rows in system.rows.items()}
+    e_vals = parts["endpoint_feasibility"]
     con = p.constraints
-    e_vals = np.asarray(con.fun(primal.x_a, primal.x_b), dtype=float)
-    eq = con.equality_mask()
-    r_endpoint = np.where(eq, np.abs(e_vals), np.maximum(e_vals, 0.0)) if e_vals.size else e_vals
-    nu = dual.endpoint
-    g_xa = np.asarray(p.grad_cost_xa(primal.x_a, primal.x_b), dtype=float)
-    g_xb = np.asarray(p.grad_cost_xb(primal.x_a, primal.x_b), dtype=float)
-    if e_vals.size:
-        g_xa = g_xa + np.asarray(con.jac_xa(primal.x_a, primal.x_b), dtype=float).T @ nu
-        g_xb = g_xb + np.asarray(con.jac_xb(primal.x_a, primal.x_b), dtype=float).T @ nu
-    r_trans_a = dual.costate_initial + g_xa
-    r_trans_b = dual.costate_final - g_xb
+    parts["endpoint_feasibility"] = np.where(
+        con.equality_mask(), np.abs(e_vals), np.maximum(e_vals, 0.0)
+    )
+    blocks = {name: _inf_norm(a) for name, a in parts.items()}
+    blocks["complementarity"] = complementarity_violation(dual.endpoint, e_vals, con.kinds)
 
-    ham = np.einsum("ij,ij->i", lam, f_tab)
-    ham_dev = float(np.max(np.abs(ham - np.mean(ham)))) if m else 0.0
-
-    def norm(a) -> float:
-        a = np.asarray(a, dtype=float)
-        return float(np.max(np.abs(a))) if a.size else 0.0
-
-    blocks = {
-        "state_interpolation": norm(r_interp),
-        "dynamics": norm(r_dyn),
-        "state_equivalency": norm(r_state_eq),
-        "costate_interpolation": norm(r_costate),
-        "adjoint": norm(r_adjoint),
-        "control_stationarity": norm(r_control),
-        "costate_equivalency": norm(r_costate_eq),
-        "endpoint_feasibility": norm(r_endpoint),
-        "transversality_initial": norm(r_trans_a),
-        "transversality_final": norm(r_trans_b),
-        "complementarity": complementarity_violation(nu, e_vals, con.kinds),
-    }
+    ham = np.einsum("ij,ij->i", dual.costates, f_tab)
     return PontryaginReport(
         variant=variant,
         tolerance=float(tol),
         blocks=blocks,
-        hamiltonian_constancy=ham_dev,
+        hamiltonian_constancy=_inf_norm(ham - np.mean(ham)),
         experimental=variant.experimental,
     )
 
@@ -337,7 +293,6 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     U = np.zeros((m, k))
     if k == 0:
         return U
-    h = 1e-6
     for i in range(m):
         u = np.zeros(k)
 
@@ -348,14 +303,8 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
             g = grad(u)
             if np.max(np.abs(g)) <= 1e-12:
                 break
-            hess = np.empty((k, k))
-            for j in range(k):
-                up, um = u.copy(), u.copy()
-                up[j] += h
-                um[j] -= h
-                hess[:, j] = (grad(up) - grad(um)) / (2.0 * h)
             try:
-                step = np.linalg.solve(hess, -g)
+                step = np.linalg.solve(_central_jacobian(grad, u, 1e-6), -g)
             except np.linalg.LinAlgError:
                 raise UnsupportedProblemError(
                     "Hamiltonian is not regular: stationarity not solvable for the control"
@@ -366,184 +315,138 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
 
 
 class _IndirectSystem:
-    """Square root-finding system for one (ocp, grid, variant) triple."""
+    """Square root-finding system for one (ocp, grid, variant) triple.
+
+    The residual is :meth:`evaluate`'s unweighted rows times ``row_scale``,
+    the quadrature weights on the rows of each starred side.
+    """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, variant: DualVariant):
         self.ocp = ocp
         self.sys = sys
-        self.variant = variant
         m, n, k, n_e = sys.N + 1, ocp.n_x, ocp.n_u, ocp.n_e
-        self.m, self.n, self.k, self.n_e = m, n, k, n_e
-        sizes = [m * n, m * k, m * n, m * n, m * n, n, n, n, n, n_e]
-        names = ["X", "U", "V", "lam", "om", "x_a", "x_b", "lam_a", "lam_b", "nu"]
-        edges = np.concatenate([[0], np.cumsum(sizes)])
-        self.sl = {nm: slice(int(a), int(b)) for nm, a, b in zip(names, edges[:-1], edges[1:])}
-        self.n_y = int(edges[-1])
-        # rows share the unknown layout sizes: interp, dyn, seq, ci, adj, ctl,
-        # ceq, endpoint, trans_a, trans_b
-        row_sizes = [m * n, m * n, n, m * n, m * n, m * k, n, n_e, n, n]
-        row_names = ["interp", "dyn", "seq", "ci", "adj", "ctl", "ceq", "end", "tva", "tvb"]
-        redges = np.concatenate([[0], np.cumsum(row_sizes)])
-        self.rows = {
-            nm: slice(int(a), int(b)) for nm, a, b in zip(row_names, redges[:-1], redges[1:])
+        self.m, self.n, self.n_e = m, n, n_e
+        node, end = (m, n), (n,)
+        self._shapes = {
+            "X": node, "U": (m, k), "V": node, "lam": node, "om": node,
+            "x_a": end, "x_b": end, "lam_a": end, "lam_b": end, "nu": (n_e,),
         }
-        assert int(redges[-1]) == self.n_y
+        self.sl = consecutive_slices({nm: math.prod(s) for nm, s in self._shapes.items()})
+        self.n_y = self.sl["nu"].stop
+        # row blocks, named as in the verification report
+        self.rows = consecutive_slices({
+            "state_interpolation": m * n, "dynamics": m * n, "state_equivalency": n,
+            "costate_interpolation": m * n, "adjoint": m * n, "control_stationarity": m * k,
+            "costate_equivalency": n,
+            "endpoint_feasibility": n_e, "transversality_initial": n, "transversality_final": n,
+        })
+        assert self.rows["transversality_final"].stop == self.n_y
 
-        w = sys.w_B
-        self.w = w
-        self.th_scale = w if variant.state_form in _STARRED else np.ones(m)
-        self.ph_scale = w if variant.costate_form in _STARRED else np.ones(m)
-        self.B_state = sys.B_a if variant.state_form in _LEFT_ANCHORED else sys.B_b
-        self.B_costate = sys.B_a if variant.costate_form in _LEFT_ANCHORED else sys.B_b
-        self.state_anchor = "x_a" if variant.state_form in _LEFT_ANCHORED else "x_b"
-        self.costate_anchor = "lam_a" if variant.costate_form in _LEFT_ANCHORED else "lam_b"
+        rows, sl = self.rows, self.sl
+        self.state = AnchoredBlock(sys, variant.state_form, n)
+        self.costate = AnchoredBlock(sys, variant.costate_form, n)
+        self._state_layout = (
+            (rows["state_interpolation"], rows["state_equivalency"]),
+            (sl["X"], sl["V"], sl["x_a"], sl["x_b"]),
+        )
+        self._costate_layout = (
+            (rows["costate_interpolation"], rows["costate_equivalency"]),
+            (sl["lam"], sl["om"], sl["lam_a"], sl["lam_b"]),
+        )
+        self._weighted = []  # row blocks that carry their node's quadrature weight
+        if variant.state_form.starred:
+            self._weighted += [rows["state_interpolation"], rows["dynamics"]]
+        if variant.costate_form.starred:
+            self._weighted += [
+                rows[name] for name in ("costate_interpolation", "adjoint", "control_stationarity")
+            ]
+        self.row_scale = np.ones(self.n_y)
+        for s in self._weighted:
+            self.row_scale[s] = np.repeat(sys.w_B, (s.stop - s.start) // m)
 
     def split(self, y: Array):
-        m, n, k = self.m, self.n, self.k
-        parts = {nm: y[s] for nm, s in self.sl.items()}
-        return (
-            parts["X"].reshape(m, n),
-            parts["U"].reshape(m, k),
-            parts["V"].reshape(m, n),
-            parts["lam"].reshape(m, n),
-            parts["om"].reshape(m, n),
-            parts["x_a"],
-            parts["x_b"],
-            parts["lam_a"],
-            parts["lam_b"],
-            parts["nu"],
+        """(X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu) as views into ``y``."""
+        return tuple(y[self.sl[nm]].reshape(shape) for nm, shape in self._shapes.items())
+
+    def pack(self, *blocks) -> Array:
+        """Inverse of :meth:`split`: the ten blocks, in its order, as one vector."""
+        y = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
+        if y.shape != (self.n_y,):
+            raise ShapeError(f"unknowns have {y.size} entries, expected {self.n_y}")
+        return y
+
+    def pack_solution(self, primal: PrimalSolution, dual: DualTrajectory) -> Array:
+        return self.pack(
+            primal.X, primal.U, primal.V, dual.costates, dual.costate_derivs,
+            primal.x_a, primal.x_b, dual.costate_initial, dual.costate_final, dual.endpoint,
         )
 
-    def _endpoint_grads(self, x_a, x_b, nu):
-        p = self.ocp
-        g_xa = np.asarray(p.grad_cost_xa(x_a, x_b), dtype=float)
-        g_xb = np.asarray(p.grad_cost_xb(x_a, x_b), dtype=float)
-        if self.n_e:
-            con = p.constraints
-            g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b), dtype=float).T @ nu
-            g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
-        return g_xa, g_xb
+    def evaluate(self, y: Array):
+        """(unweighted residual rows, dynamics table) at ``y``."""
+        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
+        p, rows, n = self.ocp, self.rows, self.n
+        f_tab = p.dynamics_table(X, U)
+        fx_tab, fu_tab = p.jacobian_tables(X, U)
+        r = np.empty(self.n_y)
+        r[rows["state_interpolation"]], r[rows["state_equivalency"]] = self.state.residual(
+            X, V, x_a, x_b
+        )
+        r[rows["dynamics"]] = (V - f_tab).ravel()
+        r[rows["costate_interpolation"]], r[rows["costate_equivalency"]] = (
+            self.costate.residual(lam, om, lam_a, lam_b)
+        )
+        r[rows["adjoint"]] = (om + np.einsum("ijk,ij->ik", fx_tab, lam)).ravel()
+        r[rows["control_stationarity"]] = np.einsum("ijk,ij->ik", fu_tab, lam).ravel()
+        r[rows["endpoint_feasibility"]] = p.constraints.fun(x_a, x_b)
+        g = p.endpoint_lagrangian_gradient(x_a, x_b, nu)
+        r[rows["transversality_initial"]] = lam_a + g[:n]
+        r[rows["transversality_final"]] = lam_b - g[n:]
+        return r, f_tab
 
     def residual(self, y: Array) -> Array:
-        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
-        p, w = self.ocp, self.w
-        f_tab, fx_tab, fu_tab = _node_tables(p, X, U)
-        anchor_s = x_a if self.state_anchor == "x_a" else x_b
-        anchor_c = lam_a if self.costate_anchor == "lam_a" else lam_b
-        r = np.empty(self.n_y)
-        ths, phs = self.th_scale[:, None], self.ph_scale[:, None]
-        r[self.rows["interp"]] = (ths * (X - anchor_s[None, :] - self.B_state @ V)).ravel()
-        r[self.rows["dyn"]] = (ths * (V - f_tab)).ravel()
-        r[self.rows["seq"]] = x_b - x_a - w @ V
-        r[self.rows["ci"]] = (
-            phs * (lam - anchor_c[None, :] - self.B_costate @ om)
-        ).ravel()
-        adj = om + np.einsum("ijk,ij->ik", fx_tab, lam)
-        r[self.rows["adj"]] = (phs * adj).ravel()
-        if self.k:
-            ctl = np.einsum("ijk,ij->ik", fu_tab, lam)
-            r[self.rows["ctl"]] = (phs * ctl).ravel()
-        r[self.rows["ceq"]] = lam_b - lam_a - w @ om
-        if self.n_e:
-            r[self.rows["end"]] = p.constraints.fun(x_a, x_b)
-        g_xa, g_xb = self._endpoint_grads(x_a, x_b, nu)
-        r[self.rows["tva"]] = lam_a + g_xa
-        r[self.rows["tvb"]] = lam_b - g_xb
-        return r
+        return self.evaluate(y)[0] * self.row_scale
 
     def jacobian(self, y: Array, fd_step: float = 1e-6) -> Array:
-        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
-        p, w = self.ocp, self.w
-        m, n, k = self.m, self.n, self.k
-        _, fx_tab, fu_tab = _node_tables(p, X, U)
+        X, U, _, lam, _, x_a, x_b, _, _, nu = self.split(y)
+        p, sl, rows, n = self.ocp, self.sl, self.rows, self.n
+        fx_tab, fu_tab = p.jacobian_tables(X, U)
         jac = np.zeros((self.n_y, self.n_y))
-        sl, rows = self.sl, self.rows
-        eye_n = np.eye(n)
-        ths = np.repeat(self.th_scale, n)
-        phs = np.repeat(self.ph_scale, n)
+        self.state.write_partials(jac, *self._state_layout)
+        self.costate.write_partials(jac, *self._costate_layout)
 
-        jac[rows["interp"], sl["X"]] = np.diag(ths)
-        jac[rows["interp"], sl["V"]] = -np.kron(self.B_state, eye_n) * ths[:, None]
-        jac[rows["interp"], sl[self.state_anchor]] = -np.tile(eye_n, (m, 1)) * ths[:, None]
-
-        jac[rows["dyn"], sl["V"]] = np.diag(ths)
-        for i in range(m):
-            rr = slice(rows["dyn"].start + i * n, rows["dyn"].start + (i + 1) * n)
-            cx = slice(sl["X"].start + i * n, sl["X"].start + (i + 1) * n)
-            jac[rr, cx] = -self.th_scale[i] * fx_tab[i]
-            if k:
-                cu = slice(sl["U"].start + i * k, sl["U"].start + (i + 1) * k)
-                jac[rr, cu] = -self.th_scale[i] * fu_tab[i]
-
-        jac[rows["seq"], sl["x_b"]] = eye_n
-        jac[rows["seq"], sl["x_a"]] = -eye_n
-        jac[rows["seq"], sl["V"]] = -np.kron(w[None, :], eye_n)
-
-        jac[rows["ci"], sl["lam"]] = np.diag(phs)
-        jac[rows["ci"], sl["om"]] = -np.kron(self.B_costate, eye_n) * phs[:, None]
-        jac[rows["ci"], sl[self.costate_anchor]] = -np.tile(eye_n, (m, 1)) * phs[:, None]
+        r_dyn = rows["dynamics"].start
+        np.fill_diagonal(jac[rows["dynamics"], sl["V"]], 1.0)
+        set_node_blocks(jac, r_dyn, sl["X"].start, -fx_tab)
+        set_node_blocks(jac, r_dyn, sl["U"].start, -fu_tab)
 
         # adjoint and control rows: lam enters linearly, (x, u) through the
         # dynamics Jacobians; differentiate those products numerically
-        jac[rows["adj"], sl["om"]] = np.diag(phs)
-        for i in range(m):
-            rr = slice(rows["adj"].start + i * n, rows["adj"].start + (i + 1) * n)
-            jac[rr, sl["lam"].start + i * n : sl["lam"].start + (i + 1) * n] = (
-                self.ph_scale[i] * fx_tab[i].T
-            )
-            if k:
-                rc = slice(rows["ctl"].start + i * k, rows["ctl"].start + (i + 1) * k)
-                jac[rc, sl["lam"].start + i * n : sl["lam"].start + (i + 1) * n] = (
-                    self.ph_scale[i] * fu_tab[i].T
-                )
+        r_adj, r_ctl = rows["adjoint"].start, rows["control_stationarity"].start
+        np.fill_diagonal(jac[rows["adjoint"], sl["om"]], 1.0)
+        set_node_blocks(jac, r_adj, sl["lam"].start, fx_tab.transpose(0, 2, 1))
+        set_node_blocks(jac, r_ctl, sl["lam"].start, fu_tab.transpose(0, 2, 1))
+        curv = p.hamiltonian_curvatures(X, U, lam, fd_step)
+        set_node_blocks(jac, r_adj, sl["X"].start, curv[:, :n, :n])
+        set_node_blocks(jac, r_adj, sl["U"].start, curv[:, :n, n:])
+        set_node_blocks(jac, r_ctl, sl["X"].start, curv[:, n:, :n])
+        set_node_blocks(jac, r_ctl, sl["U"].start, curv[:, n:, n:])
 
-            def node_term(x_, u_):
-                gx = np.asarray(p.jac_fx(x_, u_), dtype=float).T @ lam[i]
-                if k:
-                    gu = np.asarray(p.jac_fu(x_, u_), dtype=float).T @ lam[i]
-                    return np.concatenate([gx, gu])
-                return gx
+        tva, tvb = rows["transversality_initial"], rows["transversality_final"]
+        j_xa = np.asarray(p.constraints.jac_xa(x_a, x_b), dtype=float)
+        j_xb = np.asarray(p.constraints.jac_xb(x_a, x_b), dtype=float)
+        jac[rows["endpoint_feasibility"], sl["x_a"]] = j_xa
+        jac[rows["endpoint_feasibility"], sl["x_b"]] = j_xb
+        jac[tva, sl["nu"]] = j_xa.T
+        jac[tvb, sl["nu"]] = -j_xb.T
+        np.fill_diagonal(jac[tva, sl["lam_a"]], 1.0)
+        np.fill_diagonal(jac[tvb, sl["lam_b"]], 1.0)
 
-            y0 = np.concatenate([X[i], U[i]])
-            for j in range(n + k):
-                h = fd_step * max(1.0, abs(y0[j]))
-                yp, ym = y0.copy(), y0.copy()
-                yp[j] += h
-                ym[j] -= h
-                col = (node_term(yp[:n], yp[n:]) - node_term(ym[:n], ym[n:])) / (2.0 * h)
-                tgt = (
-                    sl["X"].start + i * n + j if j < n else sl["U"].start + i * k + (j - n)
-                )
-                jac[rr, tgt] += self.ph_scale[i] * col[:n]
-                if k:
-                    rc = slice(rows["ctl"].start + i * k, rows["ctl"].start + (i + 1) * k)
-                    jac[rc, tgt] += self.ph_scale[i] * col[n:]
-
-        jac[rows["ceq"], sl["lam_b"]] = eye_n
-        jac[rows["ceq"], sl["lam_a"]] = -eye_n
-        jac[rows["ceq"], sl["om"]] = -np.kron(w[None, :], eye_n)
-
-        if self.n_e:
-            con = p.constraints
-            jac[rows["end"], sl["x_a"]] = np.asarray(con.jac_xa(x_a, x_b), dtype=float)
-            jac[rows["end"], sl["x_b"]] = np.asarray(con.jac_xb(x_a, x_b), dtype=float)
-            jac[rows["tva"], sl["nu"]] = np.asarray(con.jac_xa(x_a, x_b), dtype=float).T
-            jac[rows["tvb"], sl["nu"]] = -np.asarray(con.jac_xb(x_a, x_b), dtype=float).T
-        jac[rows["tva"], sl["lam_a"]] = eye_n
-        jac[rows["tvb"], sl["lam_b"]] = eye_n
-
-        # curvature of the endpoint Lagrangian, by central differences
-        y0 = np.concatenate([x_a, x_b])
-        for j in range(2 * n):
-            h = fd_step * max(1.0, abs(y0[j]))
-            yp, ym = y0.copy(), y0.copy()
-            yp[j] += h
-            ym[j] -= h
-            gp_a, gp_b = self._endpoint_grads(yp[:n], yp[n:], nu)
-            gm_a, gm_b = self._endpoint_grads(ym[:n], ym[n:], nu)
-            tgt = sl["x_a"].start + j if j < n else sl["x_b"].start + (j - n)
-            jac[rows["tva"], tgt] += (gp_a - gm_a) / (2.0 * h)
-            jac[rows["tvb"], tgt] += -(gp_b - gm_b) / (2.0 * h)
+        curv = p.endpoint_lagrangian_curvature(x_a, x_b, nu, fd_step)
+        x_ab = slice(sl["x_a"].start, sl["x_b"].stop)
+        jac[tva, x_ab] += curv[:n]
+        jac[tvb, x_ab] -= curv[n:]
+        for s in self._weighted:
+            jac[s] *= self.row_scale[s, None]
         return jac
 
 
@@ -555,26 +458,11 @@ def _default_indirect_init(system: _IndirectSystem) -> Array:
     theta = (sys.grid.nodes - t0) / (tf - t0)
     X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
     V = np.tile((x_b - x_a) / (tf - t0), (m, 1))
-    nu = np.zeros(system.n_e)
     lam_b = np.asarray(p.grad_cost_xb(x_a, x_b), dtype=float)
     lam = np.tile(lam_b, (m, 1))
-    om = np.zeros((m, n))
     U = _recover_controls(p, X, lam)
-    y = np.empty(system.n_y)
-    for nm, val in [
-        ("X", X.ravel()),
-        ("U", U.ravel()),
-        ("V", V.ravel()),
-        ("lam", lam.ravel()),
-        ("om", om.ravel()),
-        ("x_a", x_a),
-        ("x_b", x_b),
-        ("lam_a", lam_b.copy()),
-        ("lam_b", lam_b),
-        ("nu", nu),
-    ]:
-        y[system.sl[nm]] = val
-    return y
+    om, nu = np.zeros((m, n)), np.zeros(system.n_e)
+    return system.pack(X, U, V, lam, om, x_a, x_b, lam_b, lam_b, nu)
 
 
 def solve_indirect(
@@ -599,28 +487,9 @@ def solve_indirect(
             "indirect solve requires all endpoint constraints to be equalities"
         )
     system = _IndirectSystem(p, sys, variant)
-
-    if init is None:
-        y = _default_indirect_init(system)
-    else:
-        primal0, dual0 = init
-        y = np.empty(system.n_y)
-        for nm, val in [
-            ("X", primal0.X.ravel()),
-            ("U", primal0.U.ravel()),
-            ("V", primal0.V.ravel()),
-            ("lam", dual0.costates.ravel()),
-            ("om", dual0.costate_derivs.ravel()),
-            ("x_a", primal0.x_a),
-            ("x_b", primal0.x_b),
-            ("lam_a", dual0.costate_initial),
-            ("lam_b", dual0.costate_final),
-            ("nu", dual0.endpoint),
-        ]:
-            y[system.sl[nm]] = val
+    y = _default_indirect_init(system) if init is None else system.pack_solution(*init)
     if not np.all(np.isfinite(y)):
         raise ShapeError("indirect initial point must be finite")
-
     r = system.residual(y)
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
@@ -657,13 +526,10 @@ def solve_indirect(
         )
 
     X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = system.split(y)
-    f_tab, _, _ = _node_tables(p, X, U)
-    feas = max(
-        float(np.max(np.abs(X - (x_a if system.state_anchor == "x_a" else x_b)[None, :] - system.B_state @ V))),
-        float(np.max(np.abs(V - f_tab))),
-        float(np.max(np.abs(x_b - x_a - sys.w_B @ V))),
-        float(np.max(np.abs(p.constraints.fun(x_a, x_b)))) if system.n_e else 0.0,
-    )
+    # the primal feasibility reads the unweighted state-side and endpoint rows
+    unweighted, _ = system.evaluate(y)
+    rows = system.rows
+    state_side = np.r_[0 : rows["state_equivalency"].stop, rows["endpoint_feasibility"]]
     primal = PrimalSolution(
         X=X.copy(),
         U=U.copy(),
@@ -671,7 +537,7 @@ def solve_indirect(
         x_a=x_a.copy(),
         x_b=x_b.copy(),
         objective=float(p.endpoint_cost(x_a, x_b)),
-        feasibility=feas,
+        feasibility=_inf_norm(unweighted[state_side]),
     )
     dual = DualTrajectory(
         costates=lam.copy(),

@@ -130,6 +130,67 @@ class OcpDefinition:
     def n_e(self) -> int:
         return self.constraints.n_e
 
+    def dynamics_table(self, X: Array, U: Array) -> Array:
+        """f at every node: row i is f(X[i], U[i])."""
+        f = np.empty(X.shape)
+        for i, (x, u) in enumerate(zip(X, U)):
+            f[i] = self.dynamics(x, u)
+        return f
+
+    def jacobian_tables(self, X: Array, U: Array) -> tuple[Array, Array]:
+        """f_x and f_u at every node, shaped (m, n_x, n_x) and (m, n_x, n_u)."""
+        m = len(X)
+        fx = np.empty((m, self.n_x, self.n_x))
+        fu = np.zeros((m, self.n_x, self.n_u))
+        for i, (x, u) in enumerate(zip(X, U)):
+            fx[i] = self.jac_fx(x, u)
+            if self.n_u:
+                fu[i] = self.jac_fu(x, u)
+        return fx, fu
+
+    def hamiltonian_gradient(self, x: Array, u: Array, lam: Array) -> Array:
+        """Gradient [f_x^T lam; f_u^T lam] of lam . f(x, u) with respect to (x, u)."""
+        gx = np.asarray(self.jac_fx(x, u), dtype=float).T @ lam
+        if not self.n_u:
+            return gx
+        return np.concatenate([gx, np.asarray(self.jac_fu(x, u), dtype=float).T @ lam])
+
+    def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array, step: float) -> Array:
+        """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
+        node, shaped (m, n_x + n_u, n_x + n_u); zero where lam[i] is."""
+        n = self.n_x
+        out = np.zeros((len(X), n + self.n_u, n + self.n_u))
+        for i, (x, u, lam_i) in enumerate(zip(X, U, lam)):
+            if np.any(lam_i):
+                out[i] = _central_jacobian(
+                    lambda y: self.hamiltonian_gradient(y[:n], y[n:], lam_i),
+                    np.concatenate([x, u]),
+                    step,
+                )
+        return out
+
+    def endpoint_lagrangian_gradient(self, x_a: Array, x_b: Array, nu: Array) -> Array:
+        """Gradient [grad_xa; grad_xb] of E(x_a, x_b) + nu . e(x_a, x_b)."""
+        g_xa = np.asarray(self.grad_cost_xa(x_a, x_b), dtype=float)
+        g_xb = np.asarray(self.grad_cost_xb(x_a, x_b), dtype=float)
+        if self.n_e:
+            con = self.constraints
+            g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b), dtype=float).T @ nu
+            g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
+        return np.concatenate([g_xa, g_xb])
+
+    def endpoint_lagrangian_curvature(
+        self, x_a: Array, x_b: Array, nu: Array, step: float
+    ) -> Array:
+        """Central-difference Jacobian of :meth:`endpoint_lagrangian_gradient`
+        with respect to (x_a, x_b)."""
+        n = self.n_x
+        return _central_jacobian(
+            lambda y: self.endpoint_lagrangian_gradient(y[:n], y[n:], nu),
+            np.concatenate([x_a, x_b]),
+            step,
+        )
+
 
 def augment_running_cost(
     ocp: OcpDefinition, running: RunningCost | None = None
@@ -212,16 +273,17 @@ def augment_running_cost(
 
 
 def _central_jacobian(fun: Callable[[Array], Array], x: Array, step: float) -> Array:
+    """Central differences of ``fun`` at a non-empty ``x``: two evaluations per
+    column, with step ``step * max(1, |x_j|)`` in column j."""
     x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
-    jac = np.zeros((f0.size, x.size))
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
+    cols = []
+    for j in range(x.size):
+        h = step * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h)
-    return jac
+        xp[j] += h
+        xm[j] -= h
+        cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -537,8 +599,14 @@ def load_problem(source) -> OcpDefinition:
     """Build an OcpDefinition from a JSON file path, JSON text, or dict."""
     if isinstance(source, dict):
         data = source
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        # JSON text; a path is never stat-ed for it (long text is no file name)
+        data = json.loads(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise NotFoundError(f"cannot read problem file {str(source)!r}: {exc}") from None
         data = json.loads(text)
     try:
         n_x, n_u = int(data["n_x"]), int(data["n_u"])

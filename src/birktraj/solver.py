@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
+from .ocp import _central_jacobian
 from .transcription import CovectorMultipliers
 
 Array = np.ndarray
@@ -81,14 +82,7 @@ def _fd_lagrangian_hessian(nlp, z: Array, mu: Array, step: float = 1e-6) -> Arra
         r_jac = nlp.jacobian(zz)
         return g + np.asarray(r_jac).T @ mu if mu.size else g
 
-    n = z.size
-    hess = np.zeros((n, n))
-    for j in range(n):
-        h = step * max(1.0, abs(z[j]))
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        hess[:, j] = (grad_l(zp) - grad_l(zm)) / (2.0 * h)
+    hess = _central_jacobian(grad_l, z, step)
     return 0.5 * (hess + hess.T)
 
 

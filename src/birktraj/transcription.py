@@ -23,11 +23,11 @@ Constraint rows, in order:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .birkhoff import BirkhoffSystem
 from .errors import (
@@ -55,6 +55,15 @@ class FormTag(str, Enum):
     A_STAR = "a_star"
     B_STAR = "b_star"
 
+    @property
+    def starred(self) -> bool:
+        """Rows premultiplied by the quadrature weights (Galerkin weighting)."""
+        return self in (FormTag.A_STAR, FormTag.B_STAR)
+
+    @property
+    def anchored_left(self) -> bool:
+        return self in (FormTag.A, FormTag.A_STAR)
+
 
 @dataclass(frozen=True)
 class PrimalForm:
@@ -70,11 +79,7 @@ class PrimalForm:
 
     @property
     def starred(self) -> bool:
-        return self.tag in (FormTag.A_STAR, FormTag.B_STAR)
-
-    @property
-    def anchored_left(self) -> bool:
-        return self.tag in (FormTag.A, FormTag.A_STAR)
+        return self.tag.starred
 
     def __str__(self):
         return self.tag.value + ("+scaled" if self.scaled else "")
@@ -121,6 +126,70 @@ class PrimalSolution:
         }
 
 
+def consecutive_slices(sizes: dict) -> dict:
+    """Back-to-back slices with the given sizes, by name."""
+    edges = np.cumsum([0, *sizes.values()]).tolist()
+    return {nm: slice(a, b) for nm, a, b in zip(sizes, edges, edges[1:])}
+
+
+def set_node_blocks(out: Array, row0: int, col0: int, blocks: Array) -> None:
+    """Write ``blocks[i]`` (p x q) as the i-th diagonal block of ``out`` whose
+    first block starts at (row0, col0)."""
+    m, p, q = blocks.shape
+    i = np.arange(m)[:, None, None]
+    out[row0 + i * p + np.arange(p)[:, None], col0 + i * q + np.arange(q)] = blocks
+
+
+class AnchoredBlock:
+    """Anchored interpolation rows of one side, with their constant partials.
+
+    For node values ``Y`` (N+1, n), node derivatives ``D`` and endpoint values
+    ``left``/``right``: interpolation rows ``Y - anchor 1 - B D`` (node-major)
+    and equivalency rows ``right - left - w^T D``, anchored at ``left`` with
+    B_a for a/a_star and at ``right`` with B_b for b/b_star.  The NLP's state
+    side and both sides of the indirect system use it; Galerkin weighting is
+    the caller's row scaling.
+    """
+
+    def __init__(self, sys: BirkhoffSystem, tag: FormTag, n: int):
+        self.anchored_left = FormTag(tag).anchored_left
+        self.B = sys.B_a if self.anchored_left else sys.B_b
+        self.w = sys.w_B
+        self.n = n
+
+    def residual(self, values: Array, derivs: Array, left: Array, right: Array):
+        """(interpolation rows, equivalency rows), both flat."""
+        anchor = left if self.anchored_left else right
+        return (
+            (values - anchor[None, :] - self.B @ derivs).ravel(),
+            right - left - self.w @ derivs,
+        )
+
+    @cached_property
+    def _partials(self):
+        # constant; built on the first Jacobian, never for a residual alone
+        eye = np.eye(self.n)
+        return (
+            eye,
+            -np.kron(self.B, eye),
+            -np.tile(eye, (self.w.size, 1)),
+            -np.kron(self.w[None, :], eye),
+        )
+
+    def write_partials(self, jac: Array, rows, cols) -> None:
+        """Write the partials into ``jac`` at ``rows`` = (interpolation,
+        equivalency) and ``cols`` = (values, derivs, left, right) slices."""
+        interp, equiv = rows
+        values, derivs, left, right = cols
+        eye, d_interp, d_anchor, d_equiv = self._partials
+        np.fill_diagonal(jac[interp, values], 1.0)
+        jac[interp, derivs] = d_interp
+        jac[interp, left if self.anchored_left else right] = d_anchor
+        jac[equiv, right] = eye
+        jac[equiv, left] = -eye
+        jac[equiv, derivs] = d_equiv
+
+
 class DiscretizedNlp:
     """Dense NLP view of one problem/grid/form triple.
 
@@ -149,23 +218,15 @@ class DiscretizedNlp:
         self.n_nodes = sys.N + 1
 
         m, n = self.n_nodes, self.n_x
-        self.n_z = m * (2 * n + self.n_u) + 2 * n
-        i_x = m * n
-        i_u = i_x + m * self.n_u
-        i_v = i_u + m * n
-        self.slice_x = slice(0, i_x)
-        self.slice_u = slice(i_x, i_u)
-        self.slice_v = slice(i_u, i_v)
-        self.slice_xa = slice(i_v, i_v + n)
-        self.slice_xb = slice(i_v + n, i_v + 2 * n)
-
-        # constraint rows
-        self.n_eq_core = 2 * m * n + n  # interpolation + dynamics + equivalency
-        self.n_rows = self.n_eq_core + self.n_e
-        self.row_interp = slice(0, m * n)
-        self.row_dyn = slice(m * n, 2 * m * n)
-        self.row_equiv = slice(2 * m * n, 2 * m * n + n)
-        self.row_endpoint = slice(2 * m * n + n, self.n_rows)
+        self.slice_x, self.slice_u, self.slice_v, self.slice_xa, self.slice_xb = (
+            consecutive_slices({"X": m * n, "U": m * self.n_u, "V": m * n, "x_a": n, "x_b": n})
+        ).values()
+        self.n_z = self.slice_xb.stop
+        self.row_interp, self.row_dyn, self.row_equiv, self.row_endpoint = (
+            consecutive_slices({"interp": m * n, "dyn": m * n, "equiv": n, "end": self.n_e})
+        ).values()
+        self.n_eq_core = self.row_equiv.stop  # interpolation + dynamics + equivalency
+        self.n_rows = self.row_endpoint.stop
 
         mask = np.ones(self.n_rows, dtype=bool)
         mask[self.row_endpoint] = ocp.constraints.equality_mask()
@@ -184,12 +245,21 @@ class DiscretizedNlp:
             scale[self.row_dyn] = self._w_rep
         self._row_scale = scale
 
-        anchor = sys.B_a if form.anchored_left else sys.B_b
-        eye_n = np.eye(n)
-        self._anchor_matrix = anchor
-        self._jac_interp_v = -np.kron(anchor, eye_n)
-        self._jac_interp_anchor = -np.tile(eye_n, (m, 1))
-        self._jac_equiv_v = -np.kron(w[None, :], eye_n)
+        # stored variables are w o (X, U, V) when scaled: derivatives wrt them
+        # carry the inverse weights
+        self._col_scale = None
+        if form.scaled:
+            col = np.ones(self.n_z)
+            col[self.slice_x] = 1.0 / self._w_rep
+            col[self.slice_v] = 1.0 / self._w_rep
+            col[self.slice_u] = np.repeat(1.0 / w, self.n_u)
+            self._col_scale = col
+
+        self.state = AnchoredBlock(sys, form.tag, n)
+        self._state_layout = (
+            (self.row_interp, self.row_equiv),
+            (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
+        )
 
     # --- variable packing -----------------------------------------------------
 
@@ -236,63 +306,38 @@ class DiscretizedNlp:
 
     # --- constraints --------------------------------------------------------------
 
-    def _dynamics_table(self, X, U) -> Array:
-        out = np.empty_like(X)
-        for i in range(self.n_nodes):
-            fi = np.asarray(self.ocp.dynamics(X[i], U[i]), dtype=float)
-            if not np.all(np.isfinite(fi)):
-                raise EvaluationError(f"dynamics returned non-finite values at node {i}")
-            out[i] = fi
-        return out
-
     def constraints(self, z: Array) -> Array:
         X, U, V, x_a, x_b = self.unpack(z)
-        anchor_val = x_a if self.form.anchored_left else x_b
+        f = self.ocp.dynamics_table(X, U)
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():
+            raise EvaluationError(
+                f"dynamics returned non-finite values at node {int(np.argmax(bad))}"
+            )
         r = np.empty(self.n_rows)
-        r[self.row_interp] = (X - anchor_val[None, :] - self._anchor_matrix @ V).ravel()
-        r[self.row_dyn] = (V - self._dynamics_table(X, U)).ravel()
-        r[self.row_equiv] = x_b - x_a - self._w @ V
+        r[self.row_interp], r[self.row_equiv] = self.state.residual(X, V, x_a, x_b)
+        r[self.row_dyn] = (V - f).ravel()
         r[self.row_endpoint] = self.ocp.constraints.fun(x_a, x_b)
         return r * self._row_scale
 
     def jacobian(self, z: Array) -> Array:
         """Dense Jacobian of the (row-scaled) constraints wrt stored variables."""
-        X, U, V, x_a, x_b = self.unpack(z)
-        m, n, n_u = self.n_nodes, self.n_x, self.n_u
+        X, U, _, x_a, x_b = self.unpack(z)
         jac = np.zeros((self.n_rows, self.n_z))
+        self.state.write_partials(jac, *self._state_layout)
 
-        jac[self.row_interp, self.slice_x] = np.eye(m * n)
-        jac[self.row_interp, self.slice_v] = self._jac_interp_v
-        anchor_slice = self.slice_xa if self.form.anchored_left else self.slice_xb
-        jac[self.row_interp, anchor_slice] = self._jac_interp_anchor
+        np.fill_diagonal(jac[self.row_dyn, self.slice_v], 1.0)
+        fx, fu = self.ocp.jacobian_tables(X, U)
+        set_node_blocks(jac, self.row_dyn.start, self.slice_x.start, -fx)
+        set_node_blocks(jac, self.row_dyn.start, self.slice_u.start, -fu)
 
-        jac[self.row_dyn, self.slice_v] = np.eye(m * n)
-        for i in range(m):
-            rows = slice(self.row_dyn.start + i * n, self.row_dyn.start + (i + 1) * n)
-            fx = np.asarray(self.ocp.jac_fx(X[i], U[i]), dtype=float)
-            jac[rows, self.slice_x.start + i * n : self.slice_x.start + (i + 1) * n] = -fx
-            if n_u:
-                fu = np.asarray(self.ocp.jac_fu(X[i], U[i]), dtype=float)
-                jac[rows, self.slice_u.start + i * n_u : self.slice_u.start + (i + 1) * n_u] = -fu
-
-        jac[self.row_equiv, self.slice_xb] = np.eye(n)
-        jac[self.row_equiv, self.slice_xa] = -np.eye(n)
-        jac[self.row_equiv, self.slice_v] = self._jac_equiv_v
-
-        if self.n_e:
-            con = self.ocp.constraints
-            jac[self.row_endpoint, self.slice_xa] = con.jac_xa(x_a, x_b)
-            jac[self.row_endpoint, self.slice_xb] = con.jac_xb(x_a, x_b)
+        con = self.ocp.constraints
+        jac[self.row_endpoint, self.slice_xa] = con.jac_xa(x_a, x_b)
+        jac[self.row_endpoint, self.slice_xb] = con.jac_xb(x_a, x_b)
 
         jac *= self._row_scale[:, None]
-        if self.form.scaled:
-            col = np.ones(self.n_z)
-            inv = 1.0 / self._w_rep
-            col[self.slice_x] = inv
-            col[self.slice_v] = inv
-            if n_u:
-                col[self.slice_u] = np.repeat(1.0 / self._w, n_u)
-            jac *= col[None, :]
+        if self._col_scale is not None:
+            jac *= self._col_scale[None, :]
         return jac
 
     # --- Lagrangian pieces used by the solver ------------------------------------
@@ -305,77 +350,26 @@ class DiscretizedNlp:
         central differences of the analytic Jacobians, the endpoint terms a
         single (x_a, x_b) block.
         """
-        X, U, V, x_a, x_b = self.unpack(z)
-        m, n, n_u = self.n_nodes, self.n_x, self.n_u
+        X, U, _, x_a, x_b = self.unpack(z)
+        n = self.n_x
         hess = np.zeros((self.n_z, self.n_z))
-        mu_dyn = (mu[self.row_dyn] * self._row_scale[self.row_dyn]).reshape(m, n)
+        # dynamics rows carry -f
+        mu_dyn = -(mu[self.row_dyn] * self._row_scale[self.row_dyn]).reshape(X.shape)
+        blocks = self.ocp.hamiltonian_curvatures(X, U, mu_dyn, fd_step)
+        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        x0, u0 = self.slice_x.start, self.slice_u.start
+        set_node_blocks(hess, x0, x0, blocks[:, :n, :n])
+        set_node_blocks(hess, x0, u0, blocks[:, :n, n:])
+        set_node_blocks(hess, u0, x0, blocks[:, n:, :n])
+        set_node_blocks(hess, u0, u0, blocks[:, n:, n:])
 
-        def node_grad(x, u, w_vec):
-            # gradient wrt (x, u) of  w_vec . f(x, u)
-            gx = np.asarray(self.ocp.jac_fx(x, u), dtype=float).T @ w_vec
-            if n_u:
-                gu = np.asarray(self.ocp.jac_fu(x, u), dtype=float).T @ w_vec
-                return np.concatenate([gx, gu])
-            return gx
-
-        for i in range(m):
-            w_vec = -mu_dyn[i]  # dynamics rows carry -f
-            if not np.any(w_vec):
-                continue
-            y0 = np.concatenate([X[i], U[i]])
-            k = y0.size
-            block = np.zeros((k, k))
-            for j in range(k):
-                h = fd_step * max(1.0, abs(y0[j]))
-                yp, ym = y0.copy(), y0.copy()
-                yp[j] += h
-                ym[j] -= h
-                gp = node_grad(yp[:n], yp[n:], w_vec)
-                gm = node_grad(ym[:n], ym[n:], w_vec)
-                block[:, j] = (gp - gm) / (2.0 * h)
-            block = 0.5 * (block + block.T)
-            ix = slice(self.slice_x.start + i * n, self.slice_x.start + (i + 1) * n)
-            hess[ix, ix] = block[:n, :n]
-            if n_u:
-                iu = slice(self.slice_u.start + i * n_u, self.slice_u.start + (i + 1) * n_u)
-                hess[ix, iu] = block[:n, n:]
-                hess[iu, ix] = block[n:, :n]
-                hess[iu, iu] = block[n:, n:]
-
-        mu_e = mu[self.row_endpoint]
-
-        def endpoint_grad(y):
-            xa, xb = y[:n], y[n:]
-            g = np.concatenate(
-                [self.ocp.grad_cost_xa(xa, xb), self.ocp.grad_cost_xb(xa, xb)]
-            )
-            if self.n_e:
-                con = self.ocp.constraints
-                g[:n] += np.asarray(con.jac_xa(xa, xb), dtype=float).T @ mu_e
-                g[n:] += np.asarray(con.jac_xb(xa, xb), dtype=float).T @ mu_e
-            return g
-
-        y0 = np.concatenate([x_a, x_b])
-        block = np.zeros((2 * n, 2 * n))
-        for j in range(2 * n):
-            h = fd_step * max(1.0, abs(y0[j]))
-            yp, ym = y0.copy(), y0.copy()
-            yp[j] += h
-            ym[j] -= h
-            block[:, j] = (endpoint_grad(yp) - endpoint_grad(ym)) / (2.0 * h)
-        block = 0.5 * (block + block.T)
+        block = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.row_endpoint], fd_step)
         iab = slice(self.slice_xa.start, self.slice_xb.stop)
-        hess[iab, iab] += block
+        hess[iab, iab] += 0.5 * (block + block.T)
 
-        if self.form.scaled:
-            col = np.ones(self.n_z)
-            inv = 1.0 / self._w_rep
-            col[self.slice_x] = inv
-            col[self.slice_v] = inv
-            if n_u:
-                col[self.slice_u] = np.repeat(1.0 / self._w, n_u)
-            hess *= col[:, None]
-            hess *= col[None, :]
+        if self._col_scale is not None:
+            hess *= self._col_scale[:, None]
+            hess *= self._col_scale[None, :]
         return hess
 
     # --- multiplier relabeling ------------------------------------------------
@@ -491,19 +485,6 @@ def transcribe(
             f"grid domain {tuple(dom)} does not match problem horizon {ocp.horizon}"
         )
     return DiscretizedNlp(prepared(ocp), sys, form, feas_tol=feas_tol)
-
-
-def residual_and_jacobian(nlp: DiscretizedNlp, z: Array):
-    """(residuals, sparse Jacobian, objective, objective gradient) at z."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ShapeError("decision vector must be finite")
-    return (
-        nlp.constraints(z),
-        scipy.sparse.csr_matrix(nlp.jacobian(z)),
-        nlp.objective(z),
-        nlp.objective_gradient(z),
-    )
 
 
 # --- initial guesses ---------------------------------------------------------

@@ -24,6 +24,7 @@ from birktraj import (
     default_tolerance,
     ibp_defect_norm,
     initial_guess,
+    load_problem,
     make_grid,
     map_covectors,
     prepared,
@@ -372,12 +373,14 @@ def test_indirect_rejects_irregular_hamiltonian():
         solve_indirect(ocp, sys, DualVariant("a", "b_star"))
 
 
-def test_indirect_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("costate", ["a", "b", "a_star", "b_star"])
+@pytest.mark.parametrize("state", ["a", "b", "a_star", "b_star"])
+def test_indirect_jacobian_matches_finite_differences(state, costate):
     from birktraj.dual import _IndirectSystem, _default_indirect_init
 
     ocp = prepared(registry("double-integrator-energy"))
     sys = build_birkhoff(make_grid("lgl", 4, ocp.horizon))
-    system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
+    system = _IndirectSystem(ocp, sys, DualVariant(state, costate))
     rng = np.random.default_rng(21)
     y = _default_indirect_init(system) + 0.3 * rng.normal(size=system.n_y)
     jac = system.jacobian(y)
@@ -390,6 +393,39 @@ def test_indirect_jacobian_matches_finite_differences():
         fd[:, j] = (system.residual(yp) - system.residual(ym)) / (2 * h)
     err = np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
     assert err <= 1e-5
+
+
+@pytest.mark.parametrize("form", ["a", "a_star"])
+def test_verification_meets_inequality_endpoint_rows(form):
+    # steer x from 0 to at least 1 (active row) and at most 5 (inactive row)
+    ocp = prepared(
+        load_problem(
+            {
+                "name": "scalar-lq-inequality",
+                "n_x": 1,
+                "n_u": 1,
+                "horizon": [0.0, 1.0],
+                "dynamics": {"A": [[0.0]], "B": [[1.0]]},
+                "running_cost": {"R": [[1.0]]},
+                "constraints": [
+                    {"kind": "equality", "a": [1.0], "rhs": 0.0},
+                    {"kind": "inequality", "b": [-1.0], "rhs": -1.0},
+                    {"kind": "inequality", "b": [1.0], "rhs": 5.0},
+                ],
+            }
+        )
+    )
+    sys = build_birkhoff(make_grid("lgl", 8, ocp.horizon))
+    nlp = transcribe(ocp, sys, PrimalForm(form))
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged
+    dual = map_covectors(res, nlp.form, sys)
+    report = verify_pontryagin(
+        ocp, nlp_extract(nlp, res), dual, sys, verified_variant(nlp.form)
+    )
+    assert report.passed, report.blocks
+    active, inactive = dual.endpoint[1], dual.endpoint[2]
+    assert active > 0.0 and inactive == 0.0
 
 
 def test_dual_trajectory_csv(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from birktraj import (
     registry_solution,
     validate,
 )
-from birktraj.ocp import _poly_eval, _poly_grad, complementarity_violation
+from birktraj.ocp import _central_jacobian, _poly_eval, _poly_grad, complementarity_violation
 
 
 def test_registry_names():
@@ -248,6 +249,37 @@ def test_load_problem_rejects_bad_schema():
                 "constraints": [{"kind": "pinned", "a": [1.0]}],
             }
         )
+
+
+def test_load_problem_tells_json_text_from_a_path(tmp_path):
+    # text longer than any file name must not be taken for one
+    text = json.dumps(
+        {
+            "name": "x" * 400,
+            "n_x": 1,
+            "n_u": 1,
+            "horizon": [0.0, 1.0],
+            "dynamics": {"A": [[0.0]], "B": [[1.0]]},
+        }
+    )
+    assert load_problem(text).name == "x" * 400
+    with pytest.raises(NotFoundError):
+        load_problem(str(tmp_path / "missing.json"))
+
+
+def test_central_jacobian_exact_on_quadratic_two_calls_per_column():
+    a_mat = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [1.5, 0.0, -4.0]])
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return a_mat @ x + 0.5 * x**2
+
+    x = np.array([0.3, -2.0, 4.0])
+    jac = _central_jacobian(fun, x, 1e-6)
+    # central differences have no truncation error on a quadratic
+    np.testing.assert_allclose(jac, a_mat + np.diag(x), rtol=0, atol=1e-8)
+    assert len(calls) == 2 * x.size
 
 
 @st.composite

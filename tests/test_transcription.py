@@ -18,7 +18,6 @@ from birktraj import (
     make_grid,
     prepared,
     registry,
-    residual_and_jacobian,
     transcribe,
 )
 from birktraj.ocp import pinned_endpoints
@@ -171,17 +170,23 @@ def test_linear_dynamics_jacobian_is_constant():
     assert np.array_equal(j1[:, mask], j2[:, mask])
 
 
-def test_residual_and_jacobian_bundle():
-    nlp = make_nlp(N=4)
-    z = initial_guess(nlp, "linear-endpoint-interpolation")
-    r, jac, obj, grad = residual_and_jacobian(nlp, z)
-    assert jac.shape == (nlp.n_rows, nlp.n_z)
-    assert np.allclose(jac.toarray(), nlp.jacobian(z))
-    assert r.shape == (nlp.n_rows,)
-    assert obj == nlp.objective(z)
-    assert grad.shape == (nlp.n_z,)
-    with pytest.raises(ShapeError):
-        residual_and_jacobian(nlp, np.full(nlp.n_z, np.nan))
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
+@pytest.mark.parametrize(
+    "form, scaled",
+    [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True), ("b", True)],
+)
+def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
+    from birktraj.solver import _fd_lagrangian_hessian
+
+    nlp = make_nlp(name, form=form, scaled=scaled, N=5)
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
+    mu = rng.normal(size=nlp.n_rows)
+    hess = nlp.lagrangian_hessian(z, mu)
+    fd = _fd_lagrangian_hessian(nlp, z, mu)
+    assert np.array_equal(hess, hess.T)
+    err = np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd)))
+    assert err < 1e-6
 
 
 def test_evaluation_error_reports_node():
