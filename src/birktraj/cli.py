@@ -316,10 +316,14 @@ def cmd_bench(config: RunConfig, args) -> int:
             csv = _out_path(config, "conditioning.csv")
             write_cond_csv(rows, csv)
             write_cond_gnuplot(csv, _out_path(config, "conditioning.gp"))
-            names = [r.N for r in rows]
-            print(f"wrote {csv}; slopes: B_a core "
-                  f"{loglog_slope(names, [r.cond_B_a for r in rows]):+.4f}, "
-                  f"D {loglog_slope(names, [r.cond_D for r in rows]):+.4f}")
+            built = [r for r in rows if np.isfinite(r.cond_B_a)]
+            if len(built) < 2:  # a slope needs two built orders
+                print(f"wrote {csv}; {len(built)} order(s) built, no slopes")
+            else:
+                names = [r.N for r in built]
+                print(f"wrote {csv}; slopes: B_a core "
+                      f"{loglog_slope(names, [r.cond_B_a for r in built]):+.4f}, "
+                      f"D {loglog_slope(names, [r.cond_D for r in built]):+.4f}")
         else:
             if config.problem is None:
                 raise NotFoundError("convergence study needs --problem")

@@ -44,6 +44,7 @@ from .ocp import (
     OcpDefinition,
     _central_jacobian,
     complementarity_violation,
+    constraint_violation,
     prepared,
 )
 from .solver import NlpResult
@@ -264,9 +265,7 @@ def verify_pontryagin(
     parts = {name: r[rows] for name, rows in system.rows.items()}
     e_vals = parts["endpoint_feasibility"]
     con = p.constraints
-    parts["endpoint_feasibility"] = np.where(
-        con.equality_mask(), np.abs(e_vals), np.maximum(e_vals, 0.0)
-    )
+    parts["endpoint_feasibility"] = constraint_violation(e_vals, con.equality_mask())
     blocks = {name: _inf_norm(a) for name, a in parts.items()}
     blocks["complementarity"] = complementarity_violation(dual.endpoint, e_vals, con.kinds)
 
@@ -284,33 +283,35 @@ def verify_pontryagin(
 
 
 def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
-    """Per-node Newton on the Hamiltonian stationarity condition, from u = 0.
+    """Newton on the Hamiltonian stationarity condition f_u^T lam = 0, from
+    u = 0, on every node at once; a node leaves once its gradient is at most
+    1e-12.
 
     The second derivative is probed by finite differences; a singular one at
     the seed point means the stationarity condition cannot be solved for u.
     """
-    m, k = X.shape[0], ocp.n_u
-    U = np.zeros((m, k))
-    if k == 0:
+    U = np.zeros((len(X), ocp.n_u))
+    if ocp.n_u == 0:
         return U
-    for i in range(m):
-        u = np.zeros(k)
 
-        def grad(u_):
-            return np.asarray(ocp.jac_fu(X[i], u_), dtype=float).T @ lam[i]
+    def grad(nodes, U_nodes):  # f_u^T lam at the given nodes
+        return (lam[nodes, None, :] @ ocp.jac_fu(X[nodes], U_nodes))[:, 0]
 
-        for _ in range(25):
-            g = grad(u)
-            if np.max(np.abs(g)) <= 1e-12:
-                break
-            try:
-                step = np.linalg.solve(_central_jacobian(grad, u, 1e-6), -g)
-            except np.linalg.LinAlgError:
-                raise UnsupportedProblemError(
-                    "Hamiltonian is not regular: stationarity not solvable for the control"
-                ) from None
-            u = u + step
-        U[i] = u
+    live = np.arange(len(X))
+    for _ in range(25):
+        g = grad(live, U[live])
+        keep = np.max(np.abs(g), axis=1) > 1e-12
+        live, g = live[keep], g[keep]
+        if not live.size:
+            break
+        curv = _central_jacobian(lambda U_live: grad(live, U_live), U[live], 1e-6)
+        try:
+            step = np.linalg.solve(curv, -g[:, :, None])
+        except np.linalg.LinAlgError:
+            raise UnsupportedProblemError(
+                "Hamiltonian is not regular: stationarity not solvable for the control"
+            ) from None
+        U[live] += step[:, :, 0]
     return U
 
 
@@ -385,8 +386,8 @@ class _IndirectSystem:
         """(unweighted residual rows, dynamics table) at ``y``."""
         X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
         p, rows, n = self.ocp, self.rows, self.n
-        f_tab = p.dynamics_table(X, U)
-        fx_tab, fu_tab = p.jacobian_tables(X, U)
+        f_tab = p.dynamics(X, U)
+        g_ham = p.hamiltonian_gradient(X, U, lam)
         r = np.empty(self.n_y)
         r[rows["state_interpolation"]], r[rows["state_equivalency"]] = self.state.residual(
             X, V, x_a, x_b
@@ -395,8 +396,8 @@ class _IndirectSystem:
         r[rows["costate_interpolation"]], r[rows["costate_equivalency"]] = (
             self.costate.residual(lam, om, lam_a, lam_b)
         )
-        r[rows["adjoint"]] = (om + np.einsum("ijk,ij->ik", fx_tab, lam)).ravel()
-        r[rows["control_stationarity"]] = np.einsum("ijk,ij->ik", fu_tab, lam).ravel()
+        r[rows["adjoint"]] = (om + g_ham[:, :n]).ravel()
+        r[rows["control_stationarity"]] = g_ham[:, n:].ravel()
         r[rows["endpoint_feasibility"]] = p.constraints.fun(x_a, x_b)
         g = p.endpoint_lagrangian_gradient(x_a, x_b, nu)
         r[rows["transversality_initial"]] = lam_a + g[:n]
@@ -409,22 +410,24 @@ class _IndirectSystem:
     def jacobian(self, y: Array, fd_step: float = 1e-6) -> Array:
         X, U, _, lam, _, x_a, x_b, _, _, nu = self.split(y)
         p, sl, rows, n = self.ocp, self.sl, self.rows, self.n
-        fx_tab, fu_tab = p.jacobian_tables(X, U)
         jac = np.zeros((self.n_y, self.n_y))
         self.state.write_partials(jac, *self._state_layout)
         self.costate.write_partials(jac, *self._costate_layout)
 
-        r_dyn = rows["dynamics"].start
+        # dynamics rows carry -f; adjoint and control rows carry f_x^T lam and
+        # f_u^T lam: lam enters linearly, (x, u) through the dynamics
+        # Jacobians, whose products are differentiated numerically
+        r_dyn, r_adj = rows["dynamics"].start, rows["adjoint"].start
+        r_ctl = rows["control_stationarity"].start
         np.fill_diagonal(jac[rows["dynamics"], sl["V"]], 1.0)
-        set_node_blocks(jac, r_dyn, sl["X"].start, -fx_tab)
-        set_node_blocks(jac, r_dyn, sl["U"].start, -fu_tab)
-
-        # adjoint and control rows: lam enters linearly, (x, u) through the
-        # dynamics Jacobians; differentiate those products numerically
-        r_adj, r_ctl = rows["adjoint"].start, rows["control_stationarity"].start
         np.fill_diagonal(jac[rows["adjoint"], sl["om"]], 1.0)
+        fx_tab = p.jac_fx(X, U)
+        set_node_blocks(jac, r_dyn, sl["X"].start, -fx_tab)
         set_node_blocks(jac, r_adj, sl["lam"].start, fx_tab.transpose(0, 2, 1))
-        set_node_blocks(jac, r_ctl, sl["lam"].start, fu_tab.transpose(0, 2, 1))
+        if p.n_u:
+            fu_tab = p.jac_fu(X, U)
+            set_node_blocks(jac, r_dyn, sl["U"].start, -fu_tab)
+            set_node_blocks(jac, r_ctl, sl["lam"].start, fu_tab.transpose(0, 2, 1))
         curv = p.hamiltonian_curvatures(X, U, lam, fd_step)
         set_node_blocks(jac, r_adj, sl["X"].start, curv[:, :n, :n])
         set_node_blocks(jac, r_adj, sl["U"].start, curv[:, :n, n:])

@@ -8,6 +8,25 @@ endpoint cost at the right end).  All derivative information is supplied as
 callbacks and can be checked against central finite differences with
 :func:`validate`.
 
+Node tables are the callback convention for the dynamics and the running
+cost: ``X`` (m, n_x) and ``U`` (m, n_u) hold one node per row, and every
+result has one row per node.  Endpoint callbacks take single points.  Steering
+``xdot = u`` from 0 to 1 at least effort::
+
+    OcpDefinition(
+        "steer", n_x=1, n_u=1, horizon=(0.0, 1.0),
+        dynamics=lambda X, U: U.copy(),                # (m, n_x)
+        jac_fx=lambda X, U: np.zeros((len(X), 1, 1)),  # (m, n_x, n_x)
+        jac_fu=lambda X, U: np.ones((len(X), 1, 1)),   # (m, n_x, n_u)
+        endpoint_cost=lambda x_a, x_b: 0.0,
+        grad_cost_xa=lambda x_a, x_b: np.zeros(1),
+        grad_cost_xb=lambda x_a, x_b: np.zeros(1),
+        constraints=pinned_endpoints(1, x_a_fixed=[0.0], x_b_fixed=[1.0]),
+        running_cost=RunningCost(  # L = u^2: (m,), (m, n_x), (m, n_u)
+            lambda X, U: U[:, 0] ** 2, lambda X, U: 0.0 * X, lambda X, U: 2.0 * U
+        ),
+    )
+
 Callbacks must be pure: they are re-evaluated freely by transcriptions,
 solvers, and verification, and results are assumed reproducible.
 """
@@ -55,16 +74,6 @@ class EndpointConstraints:
         return np.array([k is ConstraintKind.EQUALITY for k in self.kinds], dtype=bool)
 
 
-def no_constraints(n_x: int) -> EndpointConstraints:
-    zero_rows = np.zeros((0, n_x))
-    return EndpointConstraints(
-        fun=lambda x_a, x_b: np.zeros(0),
-        jac_xa=lambda x_a, x_b: zero_rows,
-        jac_xb=lambda x_a, x_b: zero_rows,
-        kinds=(),
-    )
-
-
 def pinned_endpoints(
     n_x: int, x_a_fixed: Array | None = None, x_b_fixed: Array | None = None
 ) -> EndpointConstraints:
@@ -95,15 +104,23 @@ def pinned_endpoints(
 
 @dataclass(frozen=True)
 class RunningCost:
-    """Integrand L(x, u) staged for Mayer reduction; gradients required to augment."""
+    """Integrand L(x, u) on node tables, staged for Mayer reduction: ``fun``
+    returns (m,), ``grad_x`` (m, n_x), ``grad_u`` (m, n_u); both gradients are
+    required to augment."""
 
-    fun: Callable[[Array, Array], float]
+    fun: Callable[[Array, Array], Array]
     grad_x: Callable[[Array, Array], Array] | None = None
     grad_u: Callable[[Array, Array], Array] | None = None
 
 
 @dataclass(frozen=True)
 class OcpDefinition:
+    """Dynamics callbacks take node tables ``X`` (m, n_x) and ``U`` (m, n_u):
+    ``dynamics`` returns (m, n_x), ``jac_fx`` (m, n_x, n_x), ``jac_fu``
+    (m, n_x, n_u), e.g. ``dynamics=lambda X, U: X @ A.T + U @ B.T`` with
+    ``jac_fx=lambda X, U: np.broadcast_to(A, (len(X), n_x, n_x))``.  Endpoint
+    callbacks take the single points ``x_a``, ``x_b``."""
+
     name: str
     n_x: int
     n_u: int
@@ -130,44 +147,25 @@ class OcpDefinition:
     def n_e(self) -> int:
         return self.constraints.n_e
 
-    def dynamics_table(self, X: Array, U: Array) -> Array:
-        """f at every node: row i is f(X[i], U[i])."""
-        f = np.empty(X.shape)
-        for i, (x, u) in enumerate(zip(X, U)):
-            f[i] = self.dynamics(x, u)
-        return f
-
-    def jacobian_tables(self, X: Array, U: Array) -> tuple[Array, Array]:
-        """f_x and f_u at every node, shaped (m, n_x, n_x) and (m, n_x, n_u)."""
-        m = len(X)
-        fx = np.empty((m, self.n_x, self.n_x))
-        fu = np.zeros((m, self.n_x, self.n_u))
-        for i, (x, u) in enumerate(zip(X, U)):
-            fx[i] = self.jac_fx(x, u)
-            if self.n_u:
-                fu[i] = self.jac_fu(x, u)
-        return fx, fu
-
-    def hamiltonian_gradient(self, x: Array, u: Array, lam: Array) -> Array:
-        """Gradient [f_x^T lam; f_u^T lam] of lam . f(x, u) with respect to (x, u)."""
-        gx = np.asarray(self.jac_fx(x, u), dtype=float).T @ lam
+    def hamiltonian_gradient(self, X: Array, U: Array, lam: Array) -> Array:
+        """Gradient [f_x^T lam; f_u^T lam] of lam . f(x, u) with respect to
+        (x, u) at every node, shaped (m, n_x + n_u)."""
+        # stacked matmul repeats the single-node f_x^T lam arithmetic exactly
+        lam_rows = lam[:, None, :]
+        gx = (lam_rows @ self.jac_fx(X, U))[:, 0]
         if not self.n_u:
             return gx
-        return np.concatenate([gx, np.asarray(self.jac_fu(x, u), dtype=float).T @ lam])
+        return np.concatenate([gx, (lam_rows @ self.jac_fu(X, U))[:, 0]], axis=1)
 
     def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array, step: float) -> Array:
         """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
-        node, shaped (m, n_x + n_u, n_x + n_u); zero where lam[i] is."""
+        node, shaped (m, n_x + n_u, n_x + n_u)."""
         n = self.n_x
-        out = np.zeros((len(X), n + self.n_u, n + self.n_u))
-        for i, (x, u, lam_i) in enumerate(zip(X, U, lam)):
-            if np.any(lam_i):
-                out[i] = _central_jacobian(
-                    lambda y: self.hamiltonian_gradient(y[:n], y[n:], lam_i),
-                    np.concatenate([x, u]),
-                    step,
-                )
-        return out
+        return _central_jacobian(
+            lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam),
+            np.concatenate([X, U], axis=1),
+            step,
+        )
 
     def endpoint_lagrangian_gradient(self, x_a: Array, x_b: Array, nu: Array) -> Array:
         """Gradient [grad_xa; grad_xb] of E(x_a, x_b) + nu . e(x_a, x_b)."""
@@ -186,10 +184,10 @@ class OcpDefinition:
         with respect to (x_a, x_b)."""
         n = self.n_x
         return _central_jacobian(
-            lambda y: self.endpoint_lagrangian_gradient(y[:n], y[n:], nu),
-            np.concatenate([x_a, x_b]),
+            lambda Y: self.endpoint_lagrangian_gradient(Y[0, :n], Y[0, n:], nu)[None],
+            np.concatenate([x_a, x_b])[None],
             step,
-        )
+        )[0]
 
 
 def augment_running_cost(
@@ -209,17 +207,20 @@ def augment_running_cost(
         )
     n = ocp.n_x
 
-    def dynamics(x, u):
-        return np.concatenate([ocp.dynamics(x[:n], u), [running.fun(x[:n], u)]])
+    def dynamics(X, U):
+        return np.column_stack([ocp.dynamics(X[:, :n], U), running.fun(X[:, :n], U)])
 
-    def jac_fx(x, u):
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = ocp.jac_fx(x[:n], u)
-        out[n, :n] = running.grad_x(x[:n], u)
+    def jac_fx(X, U):
+        out = np.zeros((len(X), n + 1, n + 1))
+        out[:, :n, :n] = ocp.jac_fx(X[:, :n], U)
+        out[:, n, :n] = running.grad_x(X[:, :n], U)
         return out
 
-    def jac_fu(x, u):
-        return np.vstack([ocp.jac_fu(x[:n], u), running.grad_u(x[:n], u)[None, :]])
+    def jac_fu(X, U):
+        out = np.empty((len(X), n + 1, ocp.n_u))
+        out[:, :n] = ocp.jac_fu(X[:, :n], U)
+        out[:, n] = running.grad_u(X[:, :n], U)
+        return out
 
     def endpoint_cost(x_a, x_b):
         return ocp.endpoint_cost(x_a[:n], x_b[:n]) + x_b[n]
@@ -272,18 +273,23 @@ def augment_running_cost(
 # --- finite-difference validation -------------------------------------------
 
 
-def _central_jacobian(fun: Callable[[Array], Array], x: Array, step: float) -> Array:
-    """Central differences of ``fun`` at a non-empty ``x``: two evaluations per
-    column, with step ``step * max(1, |x_j|)`` in column j."""
-    x = np.asarray(x, dtype=float)
+def _central_jacobian(fun: Callable[[Array], Array], Y: Array, step: float) -> Array:
+    """Row-batched central differences.
+
+    ``fun`` maps an (m, p) table to an (m, q) table row by row; the result is
+    the (m, q, p) stack of row Jacobians at ``Y`` (p >= 1).  Two evaluations
+    per column cover every row; row i steps ``step * max(1, |Y[i, j]|)`` in
+    column j.
+    """
+    Y = np.asarray(Y, dtype=float)
+    H = step * np.maximum(1.0, np.abs(Y))
     cols = []
-    for j in range(x.size):
-        h = step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    for j in range(Y.shape[1]):
+        Yp, Ym = Y.copy(), Y.copy()
+        Yp[:, j] += H[:, j]
+        Ym[:, j] -= H[:, j]
+        cols.append((fun(Yp) - fun(Ym)) / (2.0 * H[:, j, None]))
+    return np.stack(cols, axis=2)
 
 
 @dataclass(frozen=True)
@@ -316,65 +322,47 @@ def validate(
     of random evaluation points; deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
+    n, k = ocp.n_x, ocp.n_u
+    # one point per row: x, u, x_a, x_b drawn in that order
+    X, U, XA, XB = np.split(
+        rng.uniform(-1.0, 1.0, (n_points, 3 * n + k)), [n, n + k, 2 * n + k], axis=1
+    )
     worst: dict[str, float] = {}
 
-    def record(block: str, user: Array, fd: Array):
-        user = np.atleast_2d(np.asarray(user, dtype=float))
-        fd = np.atleast_2d(fd)
-        err = np.max(np.abs(user - fd)) / max(1.0, float(np.max(np.abs(fd))))
-        worst[block] = max(worst.get(block, 0.0), float(err))
+    def check(block: str, user, fun, at: Array):
+        # user and FD Jacobians as (n_points, q, p) tables; worst point kept
+        fd = _central_jacobian(fun, at, step)
+        err = np.max(np.abs(np.asarray(user) - fd), axis=(1, 2))
+        worst[block] = float(np.max(err / np.maximum(1.0, np.max(np.abs(fd), axis=(1, 2)))))
 
-    for _ in range(n_points):
-        x = rng.uniform(-1.0, 1.0, ocp.n_x)
-        u = rng.uniform(-1.0, 1.0, ocp.n_u)
-        x_a = rng.uniform(-1.0, 1.0, ocp.n_x)
-        x_b = rng.uniform(-1.0, 1.0, ocp.n_x)
-        record(
-            "dynamics/x",
-            ocp.jac_fx(x, u),
-            _central_jacobian(lambda xx: ocp.dynamics(xx, u), x, step),
+    check("dynamics/x", ocp.jac_fx(X, U), lambda Y: ocp.dynamics(Y, U), X)
+    if k:
+        check("dynamics/u", ocp.jac_fu(X, U), lambda Y: ocp.dynamics(X, Y), U)
+    endpoint = [
+        (
+            "endpoint_cost",
+            lambda x_a, x_b: [ocp.endpoint_cost(x_a, x_b)],
+            lambda x_a, x_b: [ocp.grad_cost_xa(x_a, x_b)],
+            lambda x_a, x_b: [ocp.grad_cost_xb(x_a, x_b)],
         )
-        if ocp.n_u:
-            record(
-                "dynamics/u",
-                ocp.jac_fu(x, u),
-                _central_jacobian(lambda uu: ocp.dynamics(x, uu), u, step),
-            )
-        record(
-            "endpoint_cost/x_a",
-            ocp.grad_cost_xa(x_a, x_b)[None, :],
-            _central_jacobian(lambda xx: np.array([ocp.endpoint_cost(xx, x_b)]), x_a, step),
-        )
-        record(
-            "endpoint_cost/x_b",
-            ocp.grad_cost_xb(x_a, x_b)[None, :],
-            _central_jacobian(lambda xx: np.array([ocp.endpoint_cost(x_a, xx)]), x_b, step),
-        )
-        if ocp.n_e:
-            con = ocp.constraints
-            record(
-                "constraints/x_a",
-                con.jac_xa(x_a, x_b),
-                _central_jacobian(lambda xx: con.fun(xx, x_b), x_a, step),
-            )
-            record(
-                "constraints/x_b",
-                con.jac_xb(x_a, x_b),
-                _central_jacobian(lambda xx: con.fun(x_a, xx), x_b, step),
-            )
-        if ocp.running_cost is not None and ocp.running_cost.grad_x is not None:
-            rc = ocp.running_cost
-            record(
-                "running_cost/x",
-                rc.grad_x(x, u)[None, :],
-                _central_jacobian(lambda xx: np.array([rc.fun(xx, u)]), x, step),
-            )
-            if ocp.n_u:
-                record(
-                    "running_cost/u",
-                    rc.grad_u(x, u)[None, :],
-                    _central_jacobian(lambda uu: np.array([rc.fun(x, uu)]), u, step),
-                )
+    ]
+    if ocp.n_e:
+        con = ocp.constraints
+        endpoint.append(("constraints", con.fun, con.jac_xa, con.jac_xb))
+
+    def by_point(cb):
+        # a single-point endpoint callback mapped over the rows of (x_a, x_b)
+        return lambda A, B: np.array([np.asarray(cb(a, b), dtype=float) for a, b in zip(A, B)])
+
+    for name, *callbacks in endpoint:
+        fun, jac_xa, jac_xb = map(by_point, callbacks)
+        check(f"{name}/x_a", jac_xa(XA, XB), lambda Y: fun(Y, XB), XA)
+        check(f"{name}/x_b", jac_xb(XA, XB), lambda Y: fun(XA, Y), XB)
+    rc = ocp.running_cost
+    if rc is not None and rc.grad_x is not None:
+        check("running_cost/x", rc.grad_x(X, U)[:, None], lambda Y: rc.fun(Y, U)[:, None], X)
+        if k:
+            check("running_cost/u", rc.grad_u(X, U)[:, None], lambda Y: rc.fun(X, Y)[:, None], U)
     return ValidationReport(tolerance=tol, worst=worst)
 
 
@@ -389,17 +377,17 @@ def _double_integrator_energy() -> OcpDefinition:
         n_x=2,
         n_u=1,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: a_mat @ x + b_mat @ u,
-        jac_fx=lambda x, u: a_mat,
-        jac_fu=lambda x, u: b_mat,
+        dynamics=lambda X, U: X @ a_mat.T + U @ b_mat.T,
+        jac_fx=lambda X, U: np.broadcast_to(a_mat, (len(X), 2, 2)),
+        jac_fu=lambda X, U: np.broadcast_to(b_mat, (len(X), 2, 1)),
         endpoint_cost=lambda x_a, x_b: 0.0,
         grad_cost_xa=lambda x_a, x_b: np.zeros(2),
         grad_cost_xb=lambda x_a, x_b: np.zeros(2),
         constraints=pinned_endpoints(2, x_a_fixed=[0.0, 0.0], x_b_fixed=[1.0, 0.0]),
         running_cost=RunningCost(
-            fun=lambda x, u: 0.5 * float(u[0]) ** 2,
-            grad_x=lambda x, u: np.zeros(2),
-            grad_u=lambda x, u: np.array([u[0]]),
+            fun=lambda X, U: 0.5 * U[:, 0] ** 2,
+            grad_x=lambda X, U: np.zeros((len(X), 2)),
+            grad_u=lambda X, U: U.copy(),
         ),
     )
 
@@ -410,17 +398,17 @@ def _scalar_lq() -> OcpDefinition:
         n_x=1,
         n_u=1,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: u.copy(),
-        jac_fx=lambda x, u: np.zeros((1, 1)),
-        jac_fu=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda X, U: U.copy(),
+        jac_fx=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_fu=lambda X, U: np.ones((len(X), 1, 1)),
         endpoint_cost=lambda x_a, x_b: 0.0,
         grad_cost_xa=lambda x_a, x_b: np.zeros(1),
         grad_cost_xb=lambda x_a, x_b: np.zeros(1),
         constraints=pinned_endpoints(1, x_a_fixed=[0.0], x_b_fixed=[1.0]),
         running_cost=RunningCost(
-            fun=lambda x, u: float(u[0]) ** 2,
-            grad_x=lambda x, u: np.zeros(1),
-            grad_u=lambda x, u: 2.0 * u,
+            fun=lambda X, U: U[:, 0] ** 2,
+            grad_x=lambda X, U: np.zeros((len(X), 1)),
+            grad_u=lambda X, U: 2.0 * U,
         ),
     )
 
@@ -431,17 +419,17 @@ def _nonlinear_scalar() -> OcpDefinition:
         n_x=1,
         n_u=1,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: np.array([-x[0] ** 3 + u[0]]),
-        jac_fx=lambda x, u: np.array([[-3.0 * x[0] ** 2]]),
-        jac_fu=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda X, U: -X**3 + U,
+        jac_fx=lambda X, U: (-3.0 * X**2)[:, :, None],
+        jac_fu=lambda X, U: np.ones((len(X), 1, 1)),
         endpoint_cost=lambda x_a, x_b: 0.0,
         grad_cost_xa=lambda x_a, x_b: np.zeros(1),
         grad_cost_xb=lambda x_a, x_b: np.zeros(1),
         constraints=pinned_endpoints(1, x_a_fixed=[1.0]),
         running_cost=RunningCost(
-            fun=lambda x, u: 0.5 * (float(u[0]) ** 2 + float(x[0]) ** 2),
-            grad_x=lambda x, u: x.copy(),
-            grad_u=lambda x, u: u.copy(),
+            fun=lambda X, U: 0.5 * (U[:, 0] ** 2 + X[:, 0] ** 2),
+            grad_x=lambda X, U: X.copy(),
+            grad_u=lambda X, U: U.copy(),
         ),
     )
 
@@ -452,9 +440,9 @@ def _zero_dynamics() -> OcpDefinition:
         n_x=1,
         n_u=0,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: np.zeros(1),
-        jac_fx=lambda x, u: np.zeros((1, 1)),
-        jac_fu=lambda x, u: np.zeros((1, 0)),
+        dynamics=lambda X, U: np.zeros((len(X), 1)),
+        jac_fx=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_fu=lambda X, U: np.zeros((len(X), 1, 0)),
         endpoint_cost=lambda x_a, x_b: float(x_b[0]) ** 2,
         grad_cost_xa=lambda x_a, x_b: np.zeros(1),
         grad_cost_xb=lambda x_a, x_b: np.array([2.0 * x_b[0]]),
@@ -555,15 +543,21 @@ def registry_solution(name: str) -> AnalyticSolution | None:
 #     meaning  a . x_a + b . x_b - rhs  (=0 or <=0)
 
 
-def _term_value(coef: float, powers: Array, values: Array) -> float:
+def _term_value(coef, powers: Array, values: Array):
+    """coef * prod(values ** powers) along the last axis: one value per row of
+    a node table, or one for a single point."""
     mask = powers > 0
     if not mask.any():
         return coef
-    return coef * float(np.prod(values[mask] ** powers[mask]))
+    base = values[..., mask]
+    # a full exponent table: numpy's power rounds differently for a broadcast
+    # (stride-0) exponent, and a table row must match the single point exactly
+    exps = np.broadcast_to(powers[mask], base.shape).copy()
+    return coef * np.prod(base**exps, axis=-1)
 
 
-def _poly_eval(terms, x: Array, u: Array) -> float:
-    total = 0.0
+def _poly_eval(terms, x: Array, u: Array) -> Array:
+    total = np.zeros(x.shape[:-1])
     for coef, px, pu in terms:
         total += _term_value(_term_value(coef, px, x), pu, u)
     return total
@@ -571,26 +565,40 @@ def _poly_eval(terms, x: Array, u: Array) -> float:
 
 def _poly_grad(terms, x: Array, u: Array, wrt: str) -> Array:
     target, other_val = (x, u) if wrt == "x" else (u, x)
-    grad = np.zeros(target.size)
+    grad = np.zeros(target.shape)
     for coef, px, pu in terms:
         p_t, p_o = (px, pu) if wrt == "x" else (pu, px)
         base = _term_value(coef, p_o, other_val)
-        for j in range(target.size):
-            if p_t[j] == 0:
-                continue
+        for j in np.flatnonzero(p_t):
             rest = p_t.copy()
             rest[j] -= 1
-            grad[j] += base * p_t[j] * _term_value(1.0, rest, target)
+            grad[..., j] += base * p_t[j] * _term_value(1.0, rest, target)
     return grad
 
 
-def _parse_terms(raw, n_x: int, n_u: int):
+# Row-by-row products (stacked matmul): each node's arithmetic is that of a
+# single-node evaluation, whatever the number of rows in the table.
+def _rowwise(mat: Array, Y: Array) -> Array:
+    """mat @ y for every row y of Y."""
+    return (mat @ Y[:, :, None])[:, :, 0]
+
+
+def _quadratic(mat: Array, Y: Array) -> Array:
+    """y @ mat @ y for every row y of Y."""
+    return (Y[:, None, :] @ mat @ Y[:, :, None])[:, 0, 0]
+
+
+def _parse_terms(raw, n_x: int, n_u: int, keys=("x", "u")):
     terms = []
     for entry in raw:
-        px = np.asarray(entry.get("x", [0] * n_x), dtype=int)
-        pu = np.asarray(entry.get("u", [0] * n_u), dtype=int)
-        if px.size != n_x or pu.size != n_u:
-            raise UnsupportedProblemError("term power lists must match n_x/n_u")
+        if "coef" not in entry:
+            raise UnsupportedProblemError(f"term {entry} has no 'coef'")
+        px = np.asarray(entry.get(keys[0], [0] * n_x), dtype=int)
+        pu = np.asarray(entry.get(keys[1], [0] * n_u), dtype=int)
+        if px.shape != (n_x,) or pu.shape != (n_u,):
+            raise UnsupportedProblemError(
+                f"term power lists {keys[0]!r}/{keys[1]!r} need {n_x}/{n_u} entries"
+            )
         terms.append((float(entry["coef"]), px, pu))
     return terms
 
@@ -615,21 +623,23 @@ def load_problem(source) -> OcpDefinition:
         name = str(data.get("name", "json-problem"))
     except KeyError as missing:
         raise UnsupportedProblemError(f"problem description missing {missing}") from None
+    if len(horizon) != 2:
+        raise UnsupportedProblemError(f"horizon needs two entries [t0, tf], got {len(horizon)}")
 
     if "A" in dyn:
         a_mat = np.asarray(dyn["A"], dtype=float).reshape(n_x, n_x)
         b_mat = np.asarray(dyn.get("B", np.zeros((n_x, n_u))), dtype=float).reshape(n_x, n_u)
         c_vec = np.asarray(dyn.get("c", np.zeros(n_x)), dtype=float).reshape(n_x)
-        dynamics = lambda x, u: a_mat @ x + b_mat @ u + c_vec  # noqa: E731
-        jac_fx = lambda x, u: a_mat  # noqa: E731
-        jac_fu = lambda x, u: b_mat  # noqa: E731
+        dynamics = lambda X, U: _rowwise(a_mat, X) + _rowwise(b_mat, U) + c_vec  # noqa: E731
+        jac_fx = lambda X, U: np.broadcast_to(a_mat, (len(X), n_x, n_x))  # noqa: E731
+        jac_fu = lambda X, U: np.broadcast_to(b_mat, (len(X), n_x, n_u))  # noqa: E731
     elif "terms" in dyn:
         rows = [_parse_terms(row, n_x, n_u) for row in dyn["terms"]]
         if len(rows) != n_x:
             raise UnsupportedProblemError("dynamics needs one term list per state")
-        dynamics = lambda x, u: np.array([_poly_eval(r, x, u) for r in rows])  # noqa: E731
-        jac_fx = lambda x, u: np.array([_poly_grad(r, x, u, "x") for r in rows])  # noqa: E731
-        jac_fu = lambda x, u: np.array([_poly_grad(r, x, u, "u") for r in rows])  # noqa: E731
+        dynamics = lambda X, U: np.stack([_poly_eval(r, X, U) for r in rows], axis=1)  # noqa: E731
+        jac_fx = lambda X, U: np.stack([_poly_grad(r, X, U, "x") for r in rows], axis=1)  # noqa: E731
+        jac_fu = lambda X, U: np.stack([_poly_grad(r, X, U, "u") for r in rows], axis=1)  # noqa: E731
     else:
         raise UnsupportedProblemError("dynamics must give either 'A' or 'terms'")
 
@@ -639,61 +649,39 @@ def load_problem(source) -> OcpDefinition:
         if "Q" in rc or "R" in rc:
             q_mat = np.asarray(rc.get("Q", np.zeros((n_x, n_x))), dtype=float).reshape(n_x, n_x)
             r_mat = np.asarray(rc.get("R", np.zeros((n_u, n_u))), dtype=float).reshape(n_u, n_u)
+            q_sym, r_sym = q_mat + q_mat.T, r_mat + r_mat.T
             running = RunningCost(
-                fun=lambda x, u: float(x @ q_mat @ x + u @ r_mat @ u),
-                grad_x=lambda x, u: (q_mat + q_mat.T) @ x,
-                grad_u=lambda x, u: (r_mat + r_mat.T) @ u,
+                fun=lambda X, U: _quadratic(q_mat, X) + _quadratic(r_mat, U),
+                grad_x=lambda X, U: _rowwise(q_sym, X),
+                grad_u=lambda X, U: _rowwise(r_sym, U),
             )
         else:
             terms = _parse_terms(rc["terms"], n_x, n_u)
             running = RunningCost(
-                fun=lambda x, u: _poly_eval(terms, x, u),
-                grad_x=lambda x, u: _poly_grad(terms, x, u, "x"),
-                grad_u=lambda x, u: _poly_grad(terms, x, u, "u"),
+                fun=lambda X, U: _poly_eval(terms, X, U),
+                grad_x=lambda X, U: _poly_grad(terms, X, U, "x"),
+                grad_u=lambda X, U: _poly_grad(terms, X, U, "u"),
             )
 
-    ec = data.get("endpoint_cost")
-    if ec is None:
-        endpoint_cost = lambda x_a, x_b: 0.0  # noqa: E731
-        grad_xa = lambda x_a, x_b: np.zeros(n_x)  # noqa: E731
-        grad_xb = lambda x_a, x_b: np.zeros(n_x)  # noqa: E731
-    else:
-        eterms = [
-            (
-                float(t["coef"]),
-                np.asarray(t.get("xa", [0] * n_x), dtype=int),
-                np.asarray(t.get("xb", [0] * n_x), dtype=int),
-            )
-            for t in ec["terms"]
-        ]
-        endpoint_cost = lambda x_a, x_b: _poly_eval(eterms, x_a, x_b)  # noqa: E731
-        grad_xa = lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "x")  # noqa: E731
-        grad_xb = lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "u")  # noqa: E731
+    eterms = _parse_terms(
+        data.get("endpoint_cost", {"terms": []})["terms"], n_x, n_x, keys=("xa", "xb")
+    )
 
-    con_rows = data.get("constraints", [])
-    if con_rows:
-        kinds = []
-        a_rows, b_rows, rhs = [], [], []
-        for row in con_rows:
-            kind = str(row.get("kind", "equality"))
-            try:
-                kinds.append(ConstraintKind(kind))
-            except ValueError:
-                raise UnsupportedProblemError(f"unknown constraint kind {kind!r}") from None
-            a_rows.append(np.asarray(row.get("a", [0.0] * n_x), dtype=float))
-            b_rows.append(np.asarray(row.get("b", [0.0] * n_x), dtype=float))
-            rhs.append(float(row.get("rhs", 0.0)))
-        a_mat_c = np.vstack(a_rows)
-        b_mat_c = np.vstack(b_rows)
-        rhs_v = np.array(rhs)
-        constraints = EndpointConstraints(
-            fun=lambda x_a, x_b: a_mat_c @ x_a + b_mat_c @ x_b - rhs_v,
-            jac_xa=lambda x_a, x_b: a_mat_c,
-            jac_xb=lambda x_a, x_b: b_mat_c,
-            kinds=tuple(kinds),
-        )
-    else:
-        constraints = no_constraints(n_x)
+    kinds, a_rows, b_rows, rhs = [], [], [], []
+    for row in data.get("constraints", []):
+        kind = str(row.get("kind", "equality"))
+        try:
+            kinds.append(ConstraintKind(kind))
+        except ValueError:
+            raise UnsupportedProblemError(f"unknown constraint kind {kind!r}") from None
+        a_rows.append(np.asarray(row.get("a", [0.0] * n_x), dtype=float))
+        b_rows.append(np.asarray(row.get("b", [0.0] * n_x), dtype=float))
+        if a_rows[-1].shape != (n_x,) or b_rows[-1].shape != (n_x,):
+            raise UnsupportedProblemError(f"constraint 'a'/'b' need {n_x} entries each")
+        rhs.append(float(row.get("rhs", 0.0)))
+    a_mat_c = np.array(a_rows).reshape(len(kinds), n_x)
+    b_mat_c = np.array(b_rows).reshape(len(kinds), n_x)
+    rhs_v = np.array(rhs)
 
     return OcpDefinition(
         name=name,
@@ -703,10 +691,15 @@ def load_problem(source) -> OcpDefinition:
         dynamics=dynamics,
         jac_fx=jac_fx,
         jac_fu=jac_fu,
-        endpoint_cost=endpoint_cost,
-        grad_cost_xa=grad_xa,
-        grad_cost_xb=grad_xb,
-        constraints=constraints,
+        endpoint_cost=lambda x_a, x_b: float(_poly_eval(eterms, x_a, x_b)),
+        grad_cost_xa=lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "x"),
+        grad_cost_xb=lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "u"),
+        constraints=EndpointConstraints(
+            fun=lambda x_a, x_b: a_mat_c @ x_a + b_mat_c @ x_b - rhs_v,
+            jac_xa=lambda x_a, x_b: a_mat_c,
+            jac_xb=lambda x_a, x_b: b_mat_c,
+            kinds=tuple(kinds),
+        ),
         running_cost=running,
     )
 
@@ -714,6 +707,12 @@ def load_problem(source) -> OcpDefinition:
 def prepared(ocp: OcpDefinition) -> OcpDefinition:
     """Absorb any staged running cost; idempotent otherwise."""
     return augment_running_cost(ocp) if ocp.running_cost is not None else ocp
+
+
+def constraint_violation(r: Array, eq: Array) -> Array:
+    """Row-wise violation of constraint values ``r``: |r| on equality rows
+    (``eq``), max(r, 0) on inequality rows r <= 0."""
+    return np.where(eq, np.abs(r), np.maximum(r, 0.0))
 
 
 def complementarity_violation(

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
-from .ocp import _central_jacobian
+from .ocp import _central_jacobian, constraint_violation
 from .transcription import CovectorMultipliers
 
 Array = np.ndarray
@@ -82,7 +82,7 @@ def _fd_lagrangian_hessian(nlp, z: Array, mu: Array, step: float = 1e-6) -> Arra
         r_jac = nlp.jacobian(zz)
         return g + np.asarray(r_jac).T @ mu if mu.size else g
 
-    hess = _central_jacobian(grad_l, z, step)
+    hess = _central_jacobian(lambda Z: grad_l(Z[0])[None], z[None], step)[0]
     return 0.5 * (hess + hess.T)
 
 
@@ -93,32 +93,32 @@ def _lagrangian_hessian(nlp, z, mu):
     return _fd_lagrangian_hessian(nlp, z, mu)
 
 
+def _kkt_measures(g: Array, jac: Array, r: Array, mu: Array, eq: Array):
+    """(stationarity, feasibility, complementarity) infinity norms; the
+    complementarity covers the inequality rows."""
+    stat = float(np.max(np.abs(g + jac.T @ mu))) if mu.size else float(np.max(np.abs(g)))
+    feas = float(np.max(constraint_violation(r, eq))) if r.size else 0.0
+    comp = 0.0
+    if (~eq).any():
+        mu_in, r_in = mu[~eq], r[~eq]
+        comp = float(max(np.max(-mu_in, initial=0.0), np.max(np.abs(mu_in * r_in))))
+    return stat, feas, comp
+
+
 def kkt_residual(nlp, z: Array, multipliers) -> float:
     """max of stationarity, feasibility, complementarity infinity norms."""
     if isinstance(multipliers, CovectorMultipliers):
         multipliers = nlp.unrelabel(multipliers)
     mu = np.asarray(multipliers, dtype=float)
-    r = nlp.constraints(z)
-    jac = np.asarray(nlp.jacobian(z))
-    g = nlp.objective_gradient(z)
     eq = np.asarray(nlp.equality_mask, dtype=bool)
-    stat = np.max(np.abs(g + jac.T @ mu)) if mu.size else np.max(np.abs(g))
-    feas = 0.0
-    comp = 0.0
-    if r.size:
-        viol = np.where(eq, np.abs(r), np.maximum(r, 0.0))
-        feas = float(np.max(viol))
-        if (~eq).any():
-            mu_in, r_in = mu[~eq], r[~eq]
-            comp = float(max(np.max(-mu_in, initial=0.0), np.max(np.abs(mu_in * r_in))))
-    return float(max(stat, feas, comp))
+    g, jac = nlp.objective_gradient(z), np.asarray(nlp.jacobian(z))
+    return float(max(_kkt_measures(g, jac, nlp.constraints(z), mu, eq)))
 
 
 def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
     if not r.size:
         return f
-    viol = np.where(eq, np.abs(r), np.maximum(r, 0.0))
-    return f + rho * float(np.sum(viol))
+    return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
 def _solve_kkt(hess: Array, jac_w: Array, g: Array, r_w: Array, floor: float):
@@ -200,13 +200,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         if working.any():
             mu_w, *_ = np.linalg.lstsq(jac_w.T, -g, rcond=None)
             mu_full[working] = mu_w
-        stat = float(np.max(np.abs(g + jac.T @ mu_full))) if n_rows else float(np.max(np.abs(g)))
-        viol = np.where(eq, np.abs(r), np.maximum(r, 0.0)) if n_rows else np.zeros(0)
-        feas = float(np.max(viol)) if n_rows else 0.0
-        comp = 0.0
-        if ineq_idx.size:
-            mu_in, r_in = mu_full[ineq_idx], r[ineq_idx]
-            comp = float(max(np.max(-mu_in, initial=0.0), np.max(np.abs(mu_in * r_in))))
+        stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= opts.tol_comp:
             status = SolveStatus.CONVERGED

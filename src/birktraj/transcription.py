@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedGridError,
     UnsupportedProblemError,
 )
-from .ocp import OcpDefinition, prepared
+from .ocp import OcpDefinition, constraint_violation, prepared
 
 Array = np.ndarray
 
@@ -308,7 +308,7 @@ class DiscretizedNlp:
 
     def constraints(self, z: Array) -> Array:
         X, U, V, x_a, x_b = self.unpack(z)
-        f = self.ocp.dynamics_table(X, U)
+        f = self.ocp.dynamics(X, U)
         bad = ~np.isfinite(f).all(axis=1)
         if bad.any():
             raise EvaluationError(
@@ -327,9 +327,9 @@ class DiscretizedNlp:
         self.state.write_partials(jac, *self._state_layout)
 
         np.fill_diagonal(jac[self.row_dyn, self.slice_v], 1.0)
-        fx, fu = self.ocp.jacobian_tables(X, U)
-        set_node_blocks(jac, self.row_dyn.start, self.slice_x.start, -fx)
-        set_node_blocks(jac, self.row_dyn.start, self.slice_u.start, -fu)
+        set_node_blocks(jac, self.row_dyn.start, self.slice_x.start, -self.ocp.jac_fx(X, U))
+        if self.n_u:
+            set_node_blocks(jac, self.row_dyn.start, self.slice_u.start, -self.ocp.jac_fu(X, U))
 
         con = self.ocp.constraints
         jac[self.row_endpoint, self.slice_xa] = con.jac_xa(x_a, x_b)
@@ -546,8 +546,7 @@ def initial_guess(nlp: DiscretizedNlp, strategy: str = "constant-midpoint", user
 
 def extract_primal(nlp: DiscretizedNlp, z: Array) -> PrimalSolution:
     X, U, V, x_a, x_b = nlp.unpack(z)
-    r = nlp.constraints(z)
-    viol = np.where(nlp.equality_mask, np.abs(r), np.maximum(r, 0.0))
+    viol = constraint_violation(nlp.constraints(z), nlp.equality_mask)
     return PrimalSolution(
         X=X,
         U=U,

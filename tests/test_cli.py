@@ -172,6 +172,21 @@ def test_solve_json_problem_file(tmp_path):
     assert abs(data["primal"]["objective"] - 1.0) <= 1e-8  # same optimum as scalar-lq
 
 
+def test_solve_malformed_json_problem_exits_64(tmp_path):
+    # a constraint row longer than n_x is refused on loading, not in the solve
+    spec = {
+        "n_x": 1,
+        "n_u": 1,
+        "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.0]], "B": [[1.0]]},
+        "constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 0.0}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code = run("solve", "--problem", str(path), "--N", "8", "--out", str(tmp_path))
+    assert code == EXIT_BAD_CONFIG
+
+
 # --- verify / indirect -----------------------------------------------------------
 
 
@@ -224,6 +239,15 @@ def test_bench_cond_outputs(tmp_path):
     assert lines[0] == "kind,N,cond_B_a,cond_D,cond_kkt,note"
     assert len(lines) == 4
     assert "conditioning.csv" in (tmp_path / "conditioning.gp").read_text()
+
+
+@pytest.mark.parametrize("kind, orders", [("lgl", "8"), ("uniform", "32,64,128")])
+def test_bench_cond_with_one_built_order_has_no_slopes(tmp_path, capsys, kind, orders):
+    code = run("bench", "--study", "cond", "--grid", kind, "--orders", orders,
+               "--out", str(tmp_path))
+    assert code == EXIT_OK
+    assert "slopes:" not in capsys.readouterr().out
+    assert (tmp_path / "conditioning.gp").exists()
 
 
 def test_bench_convergence_needs_problem(tmp_path):

@@ -360,9 +360,9 @@ def test_indirect_rejects_irregular_hamiltonian():
         n_x=1,
         n_u=1,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: u.copy(),
-        jac_fx=lambda x, u: np.zeros((1, 1)),
-        jac_fu=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda X, U: U.copy(),
+        jac_fx=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_fu=lambda X, U: np.ones((len(X), 1, 1)),
         endpoint_cost=lambda x_a, x_b: float(x_b[0]),
         grad_cost_xa=lambda x_a, x_b: np.zeros(1),
         grad_cost_xb=lambda x_a, x_b: np.ones(1),
@@ -393,6 +393,38 @@ def test_indirect_jacobian_matches_finite_differences(state, costate):
         fd[:, j] = (system.residual(yp) - system.residual(ym)) / (2 * h)
     err = np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
     assert err <= 1e-5
+
+
+def test_callbacks_take_whole_node_tables():
+    # one dynamics call per constraint evaluation, and a fixed number of
+    # Jacobian calls per Hessian or indirect Jacobian, whatever the grid order
+    from birktraj.dual import _IndirectSystem, _default_indirect_init
+
+    jac_fx_calls = {}
+    for N in (8, 64):
+        calls = {"dynamics": 0, "jac_fx": 0}
+
+        def counted(name, fn):
+            def callback(X, U):
+                calls[name] += 1
+                return fn(X, U)
+
+            return callback
+
+        ocp, sys = system_for("nonlinear-scalar", N)
+        ocp = dataclasses.replace(ocp, **{nm: counted(nm, getattr(ocp, nm)) for nm in calls})
+        nlp = transcribe(ocp, sys, PrimalForm("a"))
+        z = initial_guess(nlp, "linear-endpoint-interpolation")
+        nlp.constraints(z)
+        assert calls["dynamics"] == 1
+        nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
+        system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
+        y = _default_indirect_init(system)
+        after_hessian = calls["jac_fx"]
+        system.jacobian(y)
+        jac_fx_calls[N] = (after_hessian, calls["jac_fx"] - after_hessian)
+    n_cols = ocp.n_x + ocp.n_u  # two Hamiltonian gradients per column
+    assert jac_fx_calls[8] == jac_fx_calls[64] == (2 * n_cols, 1 + 2 * n_cols)
 
 
 @pytest.mark.parametrize("form", ["a", "a_star"])

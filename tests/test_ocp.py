@@ -95,14 +95,14 @@ def test_augmentation_shapes_and_cost_state():
     aug = prepared(ocp)
     assert (aug.n_x, aug.n_u, aug.n_x_base) == (3, 1, 2)
     assert aug.running_cost is None
-    x = np.array([0.3, -0.2, 5.0])
-    u = np.array([4.0])
+    x = np.array([[0.3, -0.2, 5.0]])
+    u = np.array([[4.0]])
     f = aug.dynamics(x, u)
     # appended state integrates the running cost, here u^2/2
-    assert f[2] == pytest.approx(8.0)
-    assert np.allclose(f[:2], ocp.dynamics(x[:2], u))
-    assert aug.jac_fx(x, u)[:, 2] == pytest.approx(0.0)
-    assert aug.jac_fu(x, u)[2, 0] == pytest.approx(4.0)
+    assert f[0, 2] == pytest.approx(8.0)
+    assert np.allclose(f[:, :2], ocp.dynamics(x[:, :2], u))
+    assert aug.jac_fx(x, u)[0, :, 2] == pytest.approx(0.0)
+    assert aug.jac_fu(x, u)[0, 2, 0] == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize(
@@ -126,7 +126,9 @@ def test_augmentation_requires_gradients():
     ocp = registry("zero-dynamics")
     with pytest.raises(IncompleteDerivativesError):
         augment_running_cost(ocp)  # nothing staged
-    halfdone = RunningCost(fun=lambda x, u: 0.0, grad_x=lambda x, u: np.zeros(1))
+    halfdone = RunningCost(
+        fun=lambda X, U: np.zeros(len(X)), grad_x=lambda X, U: np.zeros((len(X), 1))
+    )
     with pytest.raises(IncompleteDerivativesError):
         augment_running_cost(ocp, halfdone)
 
@@ -134,14 +136,14 @@ def test_augmentation_requires_gradients():
 def test_zero_running_cost_appends_inert_state():
     ocp = registry("zero-dynamics")
     zero = RunningCost(
-        fun=lambda x, u: 0.0,
-        grad_x=lambda x, u: np.zeros(1),
-        grad_u=lambda x, u: np.zeros(0),
+        fun=lambda X, U: np.zeros(len(X)),
+        grad_x=lambda X, U: np.zeros((len(X), 1)),
+        grad_u=lambda X, U: np.zeros((len(X), 0)),
     )
     aug = augment_running_cost(ocp, zero)
     x = np.array([1.7, 0.0])
     u = np.zeros(0)
-    assert np.all(aug.dynamics(x, u) == 0.0)
+    assert np.all(aug.dynamics(x[None], u[None]) == 0.0)
     assert aug.endpoint_cost(x, x) == ocp.endpoint_cost(x[:1], x[:1])
     assert validate(aug).passed
 
@@ -161,10 +163,9 @@ def test_analytic_solution_satisfies_dynamics(name):
     t = np.linspace(0.05, 0.95, 7)
     h = 1e-6
     xdot_fd = (sol.state(t + h) - sol.state(t - h)) / (2 * h)
-    states, controls = sol.state(t), sol.control(t)
-    for k in range(t.size):
-        f = ocp.dynamics(states[:, k], controls[:, k])
-        assert np.max(np.abs(f - xdot_fd[:, k])) < 1e-8
+    f = ocp.dynamics(sol.state(t).T, sol.control(t).T)
+    assert f.shape == (t.size, ocp.n_x)
+    assert np.max(np.abs(f - xdot_fd.T)) < 1e-8
 
 
 def test_analytic_solution_boundary_values():
@@ -200,13 +201,12 @@ def test_load_linear_problem_matches_registry():
     }
     loaded = load_problem(data)
     ref = registry("scalar-lq")
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        x, u = rng.normal(size=1), rng.normal(size=1)
-        assert loaded.dynamics(x, u) == pytest.approx(ref.dynamics(x, u))
-        assert loaded.running_cost.fun(x, u) == pytest.approx(ref.running_cost.fun(x, u))
-        xa, xb = rng.normal(size=1), rng.normal(size=1)
-        assert loaded.constraints.fun(xa, xb) == pytest.approx(ref.constraints.fun(xa, xb))
+    # four points, one per row: columns x, u, x_a, x_b
+    x, u, xa, xb = np.split(np.random.default_rng(3).normal(size=(4, 4)), 4, axis=1)
+    assert loaded.dynamics(x, u) == pytest.approx(ref.dynamics(x, u))
+    assert loaded.running_cost.fun(x, u) == pytest.approx(ref.running_cost.fun(x, u))
+    for a, b in zip(xa, xb):
+        assert loaded.constraints.fun(a, b) == pytest.approx(ref.constraints.fun(a, b))
     assert validate(loaded).passed
 
 
@@ -227,10 +227,10 @@ def test_load_polynomial_problem(tmp_path):
     path.write_text(__import__("json").dumps(data))
     loaded = load_problem(path)
     ref = registry("nonlinear-scalar")
-    x, u = np.array([0.7]), np.array([-0.4])
+    x, u = np.array([[0.7]]), np.array([[-0.4]])
     assert loaded.dynamics(x, u) == pytest.approx(ref.dynamics(x, u))
     assert loaded.running_cost.fun(x, u) == pytest.approx(ref.running_cost.fun(x, u))
-    assert loaded.endpoint_cost(x, x) == pytest.approx(2.0 * 0.49)
+    assert loaded.endpoint_cost(x[0], x[0]) == pytest.approx(2.0 * 0.49)
     assert validate(loaded).passed
 
 
@@ -249,6 +249,15 @@ def test_load_problem_rejects_bad_schema():
                 "constraints": [{"kind": "pinned", "a": [1.0]}],
             }
         )
+    good = {"n_x": 1, "n_u": 1, "horizon": [0, 1], "dynamics": {"A": [[0.0]], "B": [[1.0]]}}
+    for bad in (
+        {**good, "dynamics": {"terms": [[{"u": [1]}]]}},  # term without coef
+        {**good, "horizon": [1.0]},
+        {**good, "constraints": [{"a": [1.0, 0.0], "rhs": 0.0}]},  # a longer than n_x
+        {**good, "endpoint_cost": {"terms": [{"coef": 1.0, "xb": [2, 0]}]}},
+    ):
+        with pytest.raises(UnsupportedProblemError):
+            load_problem(bad)
 
 
 def test_load_problem_tells_json_text_from_a_path(tmp_path):
@@ -271,15 +280,19 @@ def test_central_jacobian_exact_on_quadratic_two_calls_per_column():
     a_mat = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [1.5, 0.0, -4.0]])
     calls = []
 
-    def fun(x):
-        calls.append(x.copy())
-        return a_mat @ x + 0.5 * x**2
+    def fun(Y):
+        calls.append(Y.copy())
+        return Y @ a_mat.T + 0.5 * Y**2
 
-    x = np.array([0.3, -2.0, 4.0])
-    jac = _central_jacobian(fun, x, 1e-6)
+    Y = np.array([[0.3, -2.0, 4.0], [-30.0, 0.1, 2.5], [0.0, 0.0, 0.0]])
+    jac = _central_jacobian(fun, Y, 1e-6)
+    assert jac.shape == (3, 3, 3)
     # central differences have no truncation error on a quadratic
-    np.testing.assert_allclose(jac, a_mat + np.diag(x), rtol=0, atol=1e-8)
-    assert len(calls) == 2 * x.size
+    for y, jac_row in zip(Y, jac):
+        np.testing.assert_allclose(jac_row, a_mat + np.diag(y), rtol=0, atol=1e-8)
+    # two calls per column for all rows; each row steps 1e-6 * max(1, |y_j|)
+    assert len(calls) == 2 * Y.shape[1]
+    np.testing.assert_allclose(calls[0][:, 0] - Y[:, 0], [1e-6, 30e-6, 1e-6], rtol=1e-9)
 
 
 @st.composite
@@ -301,21 +314,28 @@ def _poly_terms(draw):
 def test_polynomial_gradients_match_fd(spec, seed):
     n_x, n_u, terms = spec
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.2, 1.2, n_x)  # away from 0 so FD scale is sane
-    u = rng.uniform(0.2, 1.2, n_u)
+    x = rng.uniform(0.2, 1.2, (3, n_x))  # three points as rows, away from 0 so FD scale is sane
+    u = rng.uniform(0.2, 1.2, (3, n_u))
     h = 1e-6
     for j in range(n_x):
         xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
+        xp[:, j] += h
+        xm[:, j] -= h
         fd = (_poly_eval(terms, xp, u) - _poly_eval(terms, xm, u)) / (2 * h)
-        assert _poly_grad(terms, x, u, "x")[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        assert _poly_grad(terms, x, u, "x")[:, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
     for j in range(n_u):
         up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
+        up[:, j] += h
+        um[:, j] -= h
         fd = (_poly_eval(terms, x, up) - _poly_eval(terms, x, um)) / (2 * h)
-        assert _poly_grad(terms, x, u, "u")[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        assert _poly_grad(terms, x, u, "u")[:, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    # a table row evaluates exactly like the single point (the endpoint-cost shape)
+    for i in range(3):
+        assert _poly_eval(terms, x[i], u[i]) == _poly_eval(terms, x, u)[i]
+        for wrt in ("x", "u"):
+            np.testing.assert_array_equal(
+                _poly_grad(terms, x[i], u[i], wrt), _poly_grad(terms, x, u, wrt)[i]
+            )
 
 
 def test_complementarity_violation():

@@ -30,9 +30,9 @@ def scalar_mayer():
         n_x=1,
         n_u=1,
         horizon=(0.0, 1.0),
-        dynamics=lambda x, u: u.copy(),
-        jac_fx=lambda x, u: np.zeros((1, 1)),
-        jac_fu=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda X, U: U.copy(),
+        jac_fx=lambda X, U: np.zeros((len(X), 1, 1)),
+        jac_fu=lambda X, U: np.ones((len(X), 1, 1)),
         endpoint_cost=lambda x_a, x_b: float(x_b[0]),
         grad_cost_xa=lambda x_a, x_b: np.zeros(1),
         grad_cost_xb=lambda x_a, x_b: np.ones(1),
@@ -104,7 +104,7 @@ def test_dynamics_rows_vanish_when_v_matches_f():
     m, n = nlp.n_nodes, nlp.n_x
     X = rng.normal(size=(m, n))
     U = rng.normal(size=(m, nlp.n_u))
-    V = np.array([nlp.ocp.dynamics(X[i], U[i]) for i in range(m)])
+    V = nlp.ocp.dynamics(X, U)
     z = nlp.pack(X, U, V, rng.normal(size=n), rng.normal(size=n))
     r = nlp.constraints(z)
     assert np.max(np.abs(r[nlp.row_dyn])) == 0.0
@@ -193,8 +193,8 @@ def test_evaluation_error_reports_node():
     ocp = registry("nonlinear-scalar")
     bad = prepared(ocp)
 
-    def exploding(x, u):
-        return np.array([np.inf])
+    def exploding(X, U):
+        return np.full(X.shape, np.inf)
 
     import dataclasses
 
