@@ -54,12 +54,7 @@ from .errors import (
 from .grid import make_grid
 from .ocp import load_problem, prepared, registry, registry_names
 from .solver import SolverOptions
-from .transcription import (
-    DEFAULT_FEASIBILITY_TOL,
-    PrimalForm,
-    extract_primal,
-    transcribe,
-)
+from .transcription import PrimalForm, extract_primal, transcribe
 
 __all__ = ["RunConfig", "main"]
 
@@ -97,7 +92,7 @@ class RunConfig:
     form: str = "a"
     scaled: bool = False
     variant: str | None = None
-    tol_feas: float = DEFAULT_FEASIBILITY_TOL
+    tol_feas: float = SolverOptions.tol_feas
     tol_stat: float = 1e-9
     tol_verify: float | None = None
     max_iter: int = 60
@@ -190,12 +185,13 @@ def cmd_solve(config: RunConfig, args=None) -> int:
         ocp = _load_ocp(config)
         system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
         form = PrimalForm(config.form, scaled=config.scaled)
-        nlp = transcribe(ocp, system, form, feas_tol=config.tol_feas)
+        nlp = transcribe(ocp, system, form)
+        options = config.solver_options()
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BAD_CONFIG
 
-    res = solve_with_fallback(nlp, config.solver_options())
+    res = solve_with_fallback(nlp, options)
     if not res.converged:
         print(f"solver failed: {res.status.value} after {res.iterations} iterations",
               file=_sys.stderr)
@@ -249,14 +245,15 @@ def cmd_verify(config: RunConfig, args=None) -> int:
         ocp = _load_ocp(config)
         system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
         form = PrimalForm(config.form, scaled=config.scaled)
-        nlp = transcribe(ocp, system, form, feas_tol=config.tol_feas)
+        nlp = transcribe(ocp, system, form)
+        options = config.solver_options()
         variant = _verification_variant(config, form)
         verified_variant(form)  # forms without a route are a config error here
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BAD_CONFIG
 
-    res = solve_with_fallback(nlp, config.solver_options())
+    res = solve_with_fallback(nlp, options)
     if not res.converged:
         print(f"solver failed: {res.status.value}", file=_sys.stderr)
         return EXIT_SOLVER_FAILURE

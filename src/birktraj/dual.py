@@ -8,7 +8,8 @@ holds all of them: each side's anchored rows come from the same
 Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
 root; :func:`verify_pontryagin` evaluates its residual once at a given
 (primal, dual) pair and reads the report blocks off the row slices.
-Three variants are reachable from a converged NLP by relabeling multipliers:
+Three variants are reachable from a converged NLP, whose multipliers
+:func:`map_covectors` reads as costates with one rule:
 
     form a (plain)      ->  variant (a, b_star)
     form a_star         ->  variant (a_star, b_star)
@@ -60,6 +61,14 @@ from .transcription import (
 
 Array = np.ndarray
 
+# the proven multiplier-to-costate routes: (form tag, scaled) -> (state, costate) variant
+_ROUTES = {
+    (FormTag.A, False): (FormTag.A, FormTag.B_STAR),
+    (FormTag.A_STAR, False): (FormTag.A_STAR, FormTag.B_STAR),
+    (FormTag.A, True): (FormTag.A, FormTag.B),
+}
+
+
 @dataclass(frozen=True)
 class DualVariant:
     """Anchor/weighting choice for the state side and the costate side."""
@@ -73,11 +82,7 @@ class DualVariant:
 
     @property
     def verified(self) -> bool:
-        return (self.state_form, self.costate_form) in (
-            (FormTag.A, FormTag.B_STAR),
-            (FormTag.A_STAR, FormTag.B_STAR),
-            (FormTag.A, FormTag.B),
-        )
+        return (self.state_form, self.costate_form) in _ROUTES.values()
 
     @property
     def experimental(self) -> bool:
@@ -126,7 +131,7 @@ class DualTrajectory:
             + [f"costate_deriv_{j}" for j in range(n)]
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for i in range(m):
                 row = [i] + [f"{v:.17g}" for v in self.costates[i]]
@@ -136,52 +141,51 @@ class DualTrajectory:
 
 def verified_variant(form: PrimalForm) -> DualVariant:
     """The dual variant whose root system a converged solve of ``form``
-    satisfies after relabeling (the three proven pairings)."""
-    if form.tag is FormTag.A and not form.scaled:
-        return DualVariant(FormTag.A, FormTag.B_STAR)
-    if form.tag is FormTag.A_STAR:
-        return DualVariant(FormTag.A_STAR, FormTag.B_STAR)
-    if form.tag is FormTag.A and form.scaled:
-        return DualVariant(FormTag.A, FormTag.B)
-    raise UnsupportedMappingError(
-        f"no verified multiplier-to-costate map for form {form}"
-    )
+    satisfies after :func:`map_covectors` (the three proven routes)."""
+    route = _ROUTES.get((form.tag, form.scaled))
+    if route is None:
+        raise UnsupportedMappingError(
+            f"no verified multiplier-to-costate map for form {form}"
+        )
+    return DualVariant(*route)
 
 
 def map_covectors(result: NlpResult, form: PrimalForm, sys: BirkhoffSystem) -> DualTrajectory:
-    """Relabel converged KKT multipliers as discrete costates.
+    """Read discrete costates off converged KKT multipliers.
 
-    The dynamics multipliers become the costates, the state-interpolation
-    multipliers the costate derivatives; the grid-equivalency multiplier is
-    the right-endpoint costate and the left one follows from the costate
-    grid-equivalency identity.  With scaled variables the costate is the
-    weight-normalized dynamics multiplier.
+    One rule serves the three proven routes.  Let omega = w on the plain and
+    scaled forms and omega = 1 on the starred forms, whose rows already carry
+    w.  The costates are -(dynamics multipliers)/omega, the costate
+    derivatives Omega = (interpolation multipliers)/omega; the right-endpoint
+    costate is lam_b = -(equivalency multipliers) and the left one follows
+    from the costate grid-equivalency identity lam_a = lam_b - w^T Omega.
+    The scaled form has the plain form's constraint rows, so it follows the
+    plain rule.
     """
-    variant = verified_variant(form)  # raises for the unverified pairings
+    verified_variant(form)  # raises for the unverified pairings
     if not result.converged:
         raise NoConvergenceError(
             f"covector mapping needs a converged result, got status {result.status.value!r}"
         )
-    cov = result.covectors
-    if cov is None:
-        raise ShapeError("result carries no relabeled multipliers")
+    rows = result.rows
+    if not rows:
+        raise ShapeError("result carries no constraint row layout")
     w = sys.w_B
-    if form.scaled:
-        if np.any(w == 0.0):
-            raise DegenerateWeightError("zero quadrature weight in costate normalization")
-        costates = cov.dynamics / w[:, None]
+    if form.starred:
+        omega = np.ones_like(w)  # exactly 1.0: dividing by it changes no bit
+    elif np.any(w == 0.0):
+        raise DegenerateWeightError("zero quadrature weight in costate normalization")
     else:
-        costates = cov.dynamics.copy()
-    derivs = cov.state_interp.copy()
-    lam_b = cov.equivalency.copy()
-    lam_a = lam_b - w @ derivs
-    assert variant.verified
+        omega = w
+    mu, m = result.multipliers, w.size
+    derivs = mu[rows["state_interpolation"]].reshape(m, -1) / omega[:, None]
+    lam_b = -mu[rows["grid_equivalency"]]
     return DualTrajectory(
-        costates=costates,
+        costates=-mu[rows["dynamics"]].reshape(m, -1) / omega[:, None],
         costate_derivs=derivs,
-        costate_initial=lam_a,
+        costate_initial=lam_b - w @ derivs,
         costate_final=lam_b,
-        endpoint=cov.endpoint.copy(),
+        endpoint=mu[rows["endpoint"]].copy(),
     )
 
 
@@ -263,11 +267,10 @@ def verify_pontryagin(
     r = unweighted * system.row_scale
 
     parts = {name: r[rows] for name, rows in system.rows.items()}
-    e_vals = parts["endpoint_feasibility"]
-    con = p.constraints
-    parts["endpoint_feasibility"] = constraint_violation(e_vals, con.equality_mask())
+    e_vals, eq = parts["endpoint_feasibility"], p.constraints.equality_mask()
+    parts["endpoint_feasibility"] = constraint_violation(e_vals, eq)
     blocks = {name: _inf_norm(a) for name, a in parts.items()}
-    blocks["complementarity"] = complementarity_violation(dual.endpoint, e_vals, con.kinds)
+    blocks["complementarity"] = complementarity_violation(dual.endpoint, e_vals, eq)
 
     ham = np.einsum("ij,ij->i", dual.costates, f_tab)
     return PontryaginReport(

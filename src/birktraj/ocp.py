@@ -618,13 +618,14 @@ def load_problem(source) -> OcpDefinition:
         data = json.loads(text)
     try:
         n_x, n_u = int(data["n_x"]), int(data["n_u"])
-        horizon = tuple(float(t) for t in data["horizon"])
+        horizon = data["horizon"]
         dyn = data["dynamics"]
         name = str(data.get("name", "json-problem"))
     except KeyError as missing:
         raise UnsupportedProblemError(f"problem description missing {missing}") from None
-    if len(horizon) != 2:
-        raise UnsupportedProblemError(f"horizon needs two entries [t0, tf], got {len(horizon)}")
+    if not isinstance(horizon, (list, tuple)) or len(horizon) != 2:
+        raise UnsupportedProblemError(f"horizon needs two entries [t0, tf], got {horizon!r}")
+    horizon = tuple(float(t) for t in horizon)
 
     if "A" in dyn:
         a_mat = np.asarray(dyn["A"], dtype=float).reshape(n_x, n_x)
@@ -655,13 +656,15 @@ def load_problem(source) -> OcpDefinition:
                 grad_x=lambda X, U: _rowwise(q_sym, X),
                 grad_u=lambda X, U: _rowwise(r_sym, U),
             )
-        else:
+        elif "terms" in rc:
             terms = _parse_terms(rc["terms"], n_x, n_u)
             running = RunningCost(
                 fun=lambda X, U: _poly_eval(terms, X, U),
                 grad_x=lambda X, U: _poly_grad(terms, X, U, "x"),
                 grad_u=lambda X, U: _poly_grad(terms, X, U, "u"),
             )
+        else:
+            raise UnsupportedProblemError("running_cost must give 'Q'/'R' or 'terms'")
 
     eterms = _parse_terms(
         data.get("endpoint_cost", {"terms": []})["terms"], n_x, n_x, keys=("xa", "xb")
@@ -715,13 +718,11 @@ def constraint_violation(r: Array, eq: Array) -> Array:
     return np.where(eq, np.abs(r), np.maximum(r, 0.0))
 
 
-def complementarity_violation(
-    nu: Array, e_vals: Array, kinds: tuple[ConstraintKind, ...]
-) -> float:
-    """Worst violation of nu_i >= 0 and nu_i * e_i = 0 over inequality rows."""
-    worst = 0.0
-    for i, kind in enumerate(kinds):
-        if kind is ConstraintKind.EQUALITY:
-            continue
-        worst = max(worst, -float(nu[i]), abs(float(nu[i] * e_vals[i])))
-    return worst
+def complementarity_violation(mu: Array, r: Array, eq: Array) -> float:
+    """Worst violation of mu_i >= 0 and mu_i r_i = 0 over the inequality rows
+    (``~eq``) of constraint values ``r``; 0.0 without inequality rows."""
+    mu_in, r_in = mu[~eq], r[~eq]
+    negative = np.max(-mu_in, initial=0.0)
+    slack = np.max(np.abs(mu_in * r_in), initial=0.0)
+    # 0.0 first: a tie returns +0.0, never the -0.0 that mu_i = 0.0 gives
+    return float(max(0.0, negative, slack))

@@ -2,9 +2,11 @@
 
 Works against a small structural interface: ``n_z``, ``objective``,
 ``objective_gradient``, ``constraints``, ``jacobian``, ``equality_mask`` and
-(optionally) ``lagrangian_hessian`` / ``relabel``.  The multiplier convention
-is L = F + mu^T c over the constraint rows exactly as the problem emits them;
-inequality rows are c <= 0 with mu >= 0 at a solution.
+(optionally) ``lagrangian_hessian`` and ``rows``, a name -> slice map of the
+constraint row blocks that the result carries along with its multipliers.
+The multiplier convention is L = F + mu^T c over the constraint rows exactly
+as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
+solution.
 
 The algorithm is a textbook exact-Hessian Newton-KKT iteration with an
 l1-merit backtracking line search and an active-set treatment of the (few)
@@ -21,11 +23,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EvaluationError, ShapeError
-from .ocp import _central_jacobian, constraint_violation
-from .transcription import CovectorMultipliers
+from .errors import EvaluationError, ShapeError, UnsupportedProblemError
+from .ocp import _central_jacobian, complementarity_violation, constraint_violation
 
 Array = np.ndarray
+
+# equality rows are met to a tolerance, never exactly; anything tighter than
+# sqrt(machine eps) is refused
+MIN_FEASIBILITY_TOL = float(np.sqrt(np.finfo(float).eps))
+COMPLEMENTARITY_TOL = 1e-9
+REGULARIZATION_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,9 +40,12 @@ class SolverOptions:
     max_iter: int = 60
     tol_stat: float = 1e-9
     tol_feas: float = 2e-8
-    tol_comp: float = 1e-9
-    regularization_floor: float = 1e-8
-    verbose: bool = False
+
+    def __post_init__(self):
+        if self.tol_feas < MIN_FEASIBILITY_TOL:
+            raise UnsupportedProblemError(
+                f"feasibility tolerance {self.tol_feas:g} below sqrt(machine eps)"
+            )
 
 
 class SolveStatus(str, Enum):
@@ -52,7 +62,7 @@ class NlpResult:
     iterations: int
     kkt_residual: float
     multipliers: Array  # one per constraint row, solver convention
-    covectors: CovectorMultipliers | None
+    rows: dict = field(default_factory=dict)  # the problem's row blocks, by name
     log: list[dict] = field(default_factory=list)
 
     @property
@@ -94,21 +104,14 @@ def _lagrangian_hessian(nlp, z, mu):
 
 
 def _kkt_measures(g: Array, jac: Array, r: Array, mu: Array, eq: Array):
-    """(stationarity, feasibility, complementarity) infinity norms; the
-    complementarity covers the inequality rows."""
+    """(stationarity, feasibility, complementarity) infinity norms."""
     stat = float(np.max(np.abs(g + jac.T @ mu))) if mu.size else float(np.max(np.abs(g)))
     feas = float(np.max(constraint_violation(r, eq))) if r.size else 0.0
-    comp = 0.0
-    if (~eq).any():
-        mu_in, r_in = mu[~eq], r[~eq]
-        comp = float(max(np.max(-mu_in, initial=0.0), np.max(np.abs(mu_in * r_in))))
-    return stat, feas, comp
+    return stat, feas, complementarity_violation(mu, r, eq)
 
 
-def kkt_residual(nlp, z: Array, multipliers) -> float:
+def kkt_residual(nlp, z: Array, multipliers: Array) -> float:
     """max of stationarity, feasibility, complementarity infinity norms."""
-    if isinstance(multipliers, CovectorMultipliers):
-        multipliers = nlp.unrelabel(multipliers)
     mu = np.asarray(multipliers, dtype=float)
     eq = np.asarray(nlp.equality_mask, dtype=bool)
     g, jac = nlp.objective_gradient(z), np.asarray(nlp.jacobian(z))
@@ -166,14 +169,13 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
     status = SolveStatus.MAX_ITER
 
     def finish(status_, kkt):
-        covectors = nlp.relabel(mu_full) if hasattr(nlp, "relabel") else None
         return NlpResult(
             z=z,
             status=status_,
             iterations=iters,
             kkt_residual=kkt,
             multipliers=mu_full,
-            covectors=covectors,
+            rows=dict(getattr(nlp, "rows", {})),
             log=log,
         )
 
@@ -202,14 +204,14 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             mu_full[working] = mu_w
         stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
-        if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= opts.tol_comp:
+        if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:
             status = SolveStatus.CONVERGED
             break
         # release an active row whose multiplier went negative
         if ineq_idx.size and active.any() and drops <= 2 * n_rows + 10:
             act = np.flatnonzero(active)
             worst = act[np.argmin(mu_full[act])]
-            if mu_full[worst] < -opts.tol_comp and r[worst] < opts.tol_feas:
+            if mu_full[worst] < -COMPLEMENTARITY_TOL and r[worst] < opts.tol_feas:
                 active[worst] = False
                 drops += 1
                 continue
@@ -219,7 +221,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
 
         hess = _lagrangian_hessian(nlp, z, mu_full)
         dz = mu_w_new = None
-        floor = opts.regularization_floor
+        floor = REGULARIZATION_FLOOR
         for _ in range(4):
             dz, mu_w_new, shift = _solve_kkt(hess, jac_w, g, r_w, floor)
             if dz is None:
@@ -269,11 +271,6 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
                 "complementarity": comp,
             }
         )
-        if opts.verbose:
-            print(
-                f"[{iters:3d}] merit={merit0:.6e} step={alpha:.3e} "
-                f"stat={stat:.3e} feas={feas:.3e} comp={comp:.3e}"
-            )
 
     kkt = max(stat, feas, comp)
     return finish(status, kkt)
@@ -282,7 +279,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
 def write_iteration_log(result: NlpResult, path) -> None:
     fields = ["iter", "merit", "step", "stationarity", "feasibility", "complementarity"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for row in result.log:
             writer.writerow(

@@ -43,11 +43,6 @@ from .ocp import OcpDefinition, constraint_violation, prepared
 
 Array = np.ndarray
 
-# equality constraints are imposed to this tolerance, never exactly;
-# anything tighter than sqrt(machine eps) is refused
-DEFAULT_FEASIBILITY_TOL = 2e-8
-MIN_FEASIBILITY_TOL = float(np.sqrt(np.finfo(float).eps))
-
 
 class FormTag(str, Enum):
     A = "a"
@@ -83,22 +78,6 @@ class PrimalForm:
 
     def __str__(self):
         return self.tag.value + ("+scaled" if self.scaled else "")
-
-
-@dataclass(frozen=True)
-class CovectorMultipliers:
-    """Multipliers in the weighted-Lagrangian convention.
-
-    ``state_interp`` and ``dynamics`` are (N+1, n_x); ``equivalency`` and
-    ``endpoint`` are flat.  When built from a solver multiplier vector the
-    original vector is retained so the inverse relabeling is exact.
-    """
-
-    state_interp: Array
-    dynamics: Array
-    equivalency: Array
-    endpoint: Array
-    raw: Array | None = None
 
 
 @dataclass(frozen=True)
@@ -197,21 +176,10 @@ class DiscretizedNlp:
     and reentrant (dynamics callbacks are assumed pure).
     """
 
-    def __init__(
-        self,
-        ocp: OcpDefinition,
-        sys: BirkhoffSystem,
-        form: PrimalForm,
-        feas_tol: float = DEFAULT_FEASIBILITY_TOL,
-    ):
-        if feas_tol < MIN_FEASIBILITY_TOL:
-            raise UnsupportedProblemError(
-                f"feasibility tolerance {feas_tol:g} below sqrt(machine eps)"
-            )
+    def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm):
         self.ocp = ocp
         self.sys = sys
         self.form = form
-        self.feas_tol = float(feas_tol)
         self.n_x = ocp.n_x
         self.n_u = ocp.n_u
         self.n_e = ocp.n_e
@@ -222,14 +190,16 @@ class DiscretizedNlp:
             consecutive_slices({"X": m * n, "U": m * self.n_u, "V": m * n, "x_a": n, "x_b": n})
         ).values()
         self.n_z = self.slice_xb.stop
-        self.row_interp, self.row_dyn, self.row_equiv, self.row_endpoint = (
-            consecutive_slices({"interp": m * n, "dyn": m * n, "equiv": n, "end": self.n_e})
-        ).values()
-        self.n_eq_core = self.row_equiv.stop  # interpolation + dynamics + equivalency
-        self.n_rows = self.row_endpoint.stop
+        # row blocks by name; the solver hands this layout on with its multipliers
+        self.rows = rows = consecutive_slices({
+            "state_interpolation": m * n, "dynamics": m * n, "grid_equivalency": n,
+            "endpoint": self.n_e,
+        })
+        self.n_eq_core = rows["grid_equivalency"].stop  # interpolation + dynamics + equivalency
+        self.n_rows = rows["endpoint"].stop
 
         mask = np.ones(self.n_rows, dtype=bool)
-        mask[self.row_endpoint] = ocp.constraints.equality_mask()
+        mask[rows["endpoint"]] = ocp.constraints.equality_mask()
         self.equality_mask = mask
 
         w = sys.w_B
@@ -241,8 +211,8 @@ class DiscretizedNlp:
         # scaled path multiplies by exactly 1.0 and stays bit-identical
         scale = np.ones(self.n_rows)
         if form.starred:
-            scale[self.row_interp] = self._w_rep
-            scale[self.row_dyn] = self._w_rep
+            scale[rows["state_interpolation"]] = self._w_rep
+            scale[rows["dynamics"]] = self._w_rep
         self._row_scale = scale
 
         # stored variables are w o (X, U, V) when scaled: derivatives wrt them
@@ -257,7 +227,7 @@ class DiscretizedNlp:
 
         self.state = AnchoredBlock(sys, form.tag, n)
         self._state_layout = (
-            (self.row_interp, self.row_equiv),
+            (rows["state_interpolation"], rows["grid_equivalency"]),
             (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
         )
 
@@ -314,10 +284,13 @@ class DiscretizedNlp:
             raise EvaluationError(
                 f"dynamics returned non-finite values at node {int(np.argmax(bad))}"
             )
+        rows = self.rows
         r = np.empty(self.n_rows)
-        r[self.row_interp], r[self.row_equiv] = self.state.residual(X, V, x_a, x_b)
-        r[self.row_dyn] = (V - f).ravel()
-        r[self.row_endpoint] = self.ocp.constraints.fun(x_a, x_b)
+        r[rows["state_interpolation"]], r[rows["grid_equivalency"]] = self.state.residual(
+            X, V, x_a, x_b
+        )
+        r[rows["dynamics"]] = (V - f).ravel()
+        r[rows["endpoint"]] = self.ocp.constraints.fun(x_a, x_b)
         return r * self._row_scale
 
     def jacobian(self, z: Array) -> Array:
@@ -326,14 +299,15 @@ class DiscretizedNlp:
         jac = np.zeros((self.n_rows, self.n_z))
         self.state.write_partials(jac, *self._state_layout)
 
-        np.fill_diagonal(jac[self.row_dyn, self.slice_v], 1.0)
-        set_node_blocks(jac, self.row_dyn.start, self.slice_x.start, -self.ocp.jac_fx(X, U))
+        dyn, end = self.rows["dynamics"], self.rows["endpoint"]
+        np.fill_diagonal(jac[dyn, self.slice_v], 1.0)
+        set_node_blocks(jac, dyn.start, self.slice_x.start, -self.ocp.jac_fx(X, U))
         if self.n_u:
-            set_node_blocks(jac, self.row_dyn.start, self.slice_u.start, -self.ocp.jac_fu(X, U))
+            set_node_blocks(jac, dyn.start, self.slice_u.start, -self.ocp.jac_fu(X, U))
 
         con = self.ocp.constraints
-        jac[self.row_endpoint, self.slice_xa] = con.jac_xa(x_a, x_b)
-        jac[self.row_endpoint, self.slice_xb] = con.jac_xb(x_a, x_b)
+        jac[end, self.slice_xa] = con.jac_xa(x_a, x_b)
+        jac[end, self.slice_xb] = con.jac_xb(x_a, x_b)
 
         jac *= self._row_scale[:, None]
         if self._col_scale is not None:
@@ -354,7 +328,8 @@ class DiscretizedNlp:
         n = self.n_x
         hess = np.zeros((self.n_z, self.n_z))
         # dynamics rows carry -f
-        mu_dyn = -(mu[self.row_dyn] * self._row_scale[self.row_dyn]).reshape(X.shape)
+        dyn = self.rows["dynamics"]
+        mu_dyn = -(mu[dyn] * self._row_scale[dyn]).reshape(X.shape)
         blocks = self.ocp.hamiltonian_curvatures(X, U, mu_dyn, fd_step)
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         x0, u0 = self.slice_x.start, self.slice_u.start
@@ -363,7 +338,9 @@ class DiscretizedNlp:
         set_node_blocks(hess, u0, x0, blocks[:, n:, :n])
         set_node_blocks(hess, u0, u0, blocks[:, n:, n:])
 
-        block = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.row_endpoint], fd_step)
+        block = self.ocp.endpoint_lagrangian_curvature(
+            x_a, x_b, mu[self.rows["endpoint"]], fd_step
+        )
         iab = slice(self.slice_xa.start, self.slice_xb.stop)
         hess[iab, iab] += 0.5 * (block + block.T)
 
@@ -371,61 +348,6 @@ class DiscretizedNlp:
             hess *= self._col_scale[:, None]
             hess *= self._col_scale[None, :]
         return hess
-
-    # --- multiplier relabeling ------------------------------------------------
-
-    def relabel(self, mu: Array) -> CovectorMultipliers:
-        """Solver multipliers (L = F + mu^T c over stored rows) -> weighted
-        Lagrangian convention.
-
-        Plain forms divide the node blocks by the quadrature weights (the
-        reference Lagrangian weights those rows); starred forms already carry
-        the weights in the rows, so only signs change.  With scaled variables
-        only the interpolation block is reweighted.
-        """
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.n_rows,):
-            raise ShapeError(f"expected one multiplier per constraint row ({self.n_rows})")
-        m, n = self.n_nodes, self.n_x
-        mu_i = mu[self.row_interp].reshape(m, n)
-        mu_d = mu[self.row_dyn].reshape(m, n)
-        if self.form.starred:
-            state_interp = mu_i.copy()
-            dynamics = -mu_d
-        elif self.form.scaled:
-            state_interp = mu_i / self._w[:, None]
-            dynamics = -mu_d
-        else:
-            state_interp = mu_i / self._w[:, None]
-            dynamics = -mu_d / self._w[:, None]
-        return CovectorMultipliers(
-            state_interp=state_interp,
-            dynamics=dynamics,
-            equivalency=-mu[self.row_equiv],
-            endpoint=mu[self.row_endpoint].copy(),
-            raw=mu.copy(),
-        )
-
-    def unrelabel(self, cov: CovectorMultipliers) -> Array:
-        """Inverse of :meth:`relabel`; exact when the container carries the
-        original vector, algebraic otherwise."""
-        if cov.raw is not None:
-            return cov.raw.copy()
-        mu = np.empty(self.n_rows)
-        if self.form.starred:
-            mu_i = cov.state_interp
-            mu_d = -cov.dynamics
-        elif self.form.scaled:
-            mu_i = cov.state_interp * self._w[:, None]
-            mu_d = -cov.dynamics
-        else:
-            mu_i = cov.state_interp * self._w[:, None]
-            mu_d = -cov.dynamics * self._w[:, None]
-        mu[self.row_interp] = mu_i.ravel()
-        mu[self.row_dyn] = mu_d.ravel()
-        mu[self.row_equiv] = -cov.equivalency
-        mu[self.row_endpoint] = cov.endpoint
-        return mu
 
     # --- serialization -----------------------------------------------------------
 
@@ -452,13 +374,7 @@ class DiscretizedNlp:
                 "x_a": span(self.slice_xa),
                 "x_b": span(self.slice_xb),
             },
-            "rows": {
-                "state_interpolation": span(self.row_interp),
-                "dynamics": span(self.row_dyn),
-                "grid_equivalency": span(self.row_equiv),
-                "endpoint": span(self.row_endpoint),
-            },
-            "tolerances": {"feasibility": self.feas_tol},
+            "rows": {name: span(s) for name, s in self.rows.items()},
             # the constant blocks are fully determined by the grid
             "constant_matrices": "by reference: rebuild from the grid entry",
             "grid": self.sys.grid.to_json_dict(),
@@ -470,12 +386,7 @@ class DiscretizedNlp:
             fh.write("\n")
 
 
-def transcribe(
-    ocp: OcpDefinition,
-    sys: BirkhoffSystem,
-    form: PrimalForm,
-    feas_tol: float = DEFAULT_FEASIBILITY_TOL,
-) -> DiscretizedNlp:
+def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:
     """Discretize; staged running costs are absorbed into a cost state first."""
     if not sys.grid.endpoint_inclusive:
         raise UnsupportedGridError("transcription requires an endpoint-inclusive grid")
@@ -484,7 +395,7 @@ def transcribe(
         raise DomainMismatchError(
             f"grid domain {tuple(dom)} does not match problem horizon {ocp.horizon}"
         )
-    return DiscretizedNlp(prepared(ocp), sys, form, feas_tol=feas_tol)
+    return DiscretizedNlp(prepared(ocp), sys, form)
 
 
 # --- initial guesses ---------------------------------------------------------

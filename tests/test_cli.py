@@ -148,6 +148,8 @@ def test_solve_iteration_starved_solver_exits_1(tmp_path):
 def test_solve_overtight_feasibility_tolerance_is_config_error(tmp_path):
     assert run("solve", "--problem", "scalar-lq", "--tol-feas", "1e-12",
                "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+    assert run("verify", "--problem", "scalar-lq", "--tol-feas", "1e-12",
+               "--out", str(tmp_path)) == EXIT_BAD_CONFIG
 
 
 def test_solve_json_problem_file(tmp_path):
@@ -172,17 +174,22 @@ def test_solve_json_problem_file(tmp_path):
     assert abs(data["primal"]["objective"] - 1.0) <= 1e-8  # same optimum as scalar-lq
 
 
-def test_solve_malformed_json_problem_exits_64(tmp_path):
-    # a constraint row longer than n_x is refused on loading, not in the solve
-    spec = {
-        "n_x": 1,
-        "n_u": 1,
-        "horizon": [0.0, 1.0],
-        "dynamics": {"A": [[0.0]], "B": [[1.0]]},
-        "constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 0.0}],
-    }
+_STEER = {"n_x": 1, "n_u": 1, "horizon": [0.0, 1.0], "dynamics": {"A": [[0.0]], "B": [[1.0]]}}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 0.0}]},
+        {"running_cost": {"S": [[1.0]]}},
+        {"horizon": 5},
+    ],
+    ids=["constraint-row-too-long", "running-cost-without-terms", "scalar-horizon"],
+)
+def test_solve_malformed_json_problem_exits_64(tmp_path, bad):
+    # a malformed problem is refused on loading, not in the solve
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps({**_STEER, **bad}))
     code = run("solve", "--problem", str(path), "--N", "8", "--out", str(tmp_path))
     assert code == EXIT_BAD_CONFIG
 

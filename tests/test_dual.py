@@ -7,7 +7,7 @@ import pytest
 
 from birktraj import (
     ConstraintKind,
-    CovectorMultipliers,
+    DegenerateWeightError,
     DualTrajectory,
     DualVariant,
     FormTag,
@@ -37,6 +37,7 @@ from birktraj import (
     verify_pontryagin,
 )
 from birktraj.ocp import pinned_endpoints
+from birktraj.transcription import consecutive_slices
 
 
 def system_for(name, N, kind="lgl"):
@@ -52,16 +53,18 @@ def solved(name, N=8, form="a", scaled=False, kind="lgl"):
     return nlp, sys, res
 
 
-def fake_result(cov):
-    n_rows = sum(np.asarray(getattr(cov, f)).size for f in
-                 ("state_interp", "dynamics", "equivalency", "endpoint"))
+def fake_result(interp, dyn):
+    """A converged one-state result with the given interpolation and dynamics
+    multipliers, a zero equivalency multiplier and no endpoint rows."""
+    blocks = {"state_interpolation": interp, "dynamics": dyn, "grid_equivalency": [0.0],
+              "endpoint": []}
     return NlpResult(
         z=np.zeros(1),
         status=SolveStatus.CONVERGED,
         iterations=1,
         kkt_residual=0.0,
-        multipliers=np.zeros(n_rows),
-        covectors=cov,
+        multipliers=np.concatenate([np.asarray(b, dtype=float) for b in blocks.values()]),
+        rows=consecutive_slices({name: len(b) for name, b in blocks.items()}),
         log=[],
     )
 
@@ -97,15 +100,11 @@ def test_verified_variant_per_form():
 
 
 def test_mapping_identity_for_plain_form():
-    # the dynamics multipliers ARE the costates for the plain left-anchored form
+    # with unit weights the negated dynamics multipliers ARE the costates for
+    # the plain left-anchored form
     sys = build_birkhoff(make_grid("lgl", 1, (-1.0, 1.0)))
-    cov = CovectorMultipliers(
-        state_interp=np.zeros((2, 1)),
-        dynamics=np.array([[2.0], [3.0]]),
-        equivalency=np.zeros(1),
-        endpoint=np.zeros(0),
-    )
-    dual = map_covectors(fake_result(cov), PrimalForm("a"), sys)
+    assert np.array_equal(sys.w_B, [1.0, 1.0])
+    dual = map_covectors(fake_result(np.zeros(2), [-2.0, -3.0]), PrimalForm("a"), sys)
     assert np.array_equal(dual.costates, [[2.0], [3.0]])
     assert np.array_equal(dual.costate_derivs, np.zeros((2, 1)))
     assert np.array_equal(dual.costate_final, [0.0])
@@ -115,14 +114,51 @@ def test_mapping_identity_for_plain_form():
 def test_mapping_divides_by_weights_for_scaled_form():
     sys = build_birkhoff(make_grid("lgl", 1, (-1.0, 1.0)))
     sys = dataclasses.replace(sys, w_B=np.array([0.5, 2.0]))
-    cov = CovectorMultipliers(
-        state_interp=np.zeros((2, 1)),
-        dynamics=np.array([[1.0], [4.0]]),
-        equivalency=np.zeros(1),
-        endpoint=np.zeros(0),
-    )
-    dual = map_covectors(fake_result(cov), PrimalForm("a", scaled=True), sys)
+    res = fake_result(np.zeros(2), [-1.0, -4.0])
+    dual = map_covectors(res, PrimalForm("a", scaled=True), sys)
     assert np.array_equal(dual.costates, [[2.0], [2.0]])
+
+
+def test_mapping_refuses_zero_weight_where_it_divides():
+    sys = build_birkhoff(make_grid("lgl", 1, (-1.0, 1.0)))
+    sys = dataclasses.replace(sys, w_B=np.array([0.0, 2.0]))
+    res = fake_result(np.zeros(2), [-1.0, -4.0])
+    for form in (PrimalForm("a"), PrimalForm("a", scaled=True)):
+        with pytest.raises(DegenerateWeightError):
+            map_covectors(res, form, sys)
+    # the starred rows already carry w: nothing is divided, nothing refused
+    dual = map_covectors(res, PrimalForm("a_star"), sys)
+    assert np.array_equal(dual.costates, [[1.0], [4.0]])
+
+
+@pytest.mark.parametrize(
+    "form", [PrimalForm("a"), PrimalForm("a_star"), PrimalForm("a", scaled=True)], ids=str
+)
+def test_map_covectors_rule_per_route(form):
+    # costates -mu_dyn/omega, derivatives mu_interp/omega, lam_b = -mu_equiv,
+    # lam_a = lam_b - w^T Omega; omega = w except on the starred form, where
+    # nothing is divided
+    ocp, sys = system_for("double-integrator-energy", 5)
+    nlp = transcribe(ocp, sys, form)
+    mu = np.random.default_rng(9).normal(size=nlp.n_rows)
+    res = NlpResult(
+        z=np.zeros(nlp.n_z), status=SolveStatus.CONVERGED, iterations=1,
+        kkt_residual=0.0, multipliers=mu, rows=nlp.rows,
+    )
+    dual = map_covectors(res, form, sys)
+    m, w = nlp.n_nodes, sys.w_B[:, None]
+    mu_i = mu[nlp.rows["state_interpolation"]].reshape(m, -1)
+    mu_d = mu[nlp.rows["dynamics"]].reshape(m, -1)
+    if form.starred:
+        assert np.array_equal(dual.costates, -mu_d)
+        assert np.array_equal(dual.costate_derivs, mu_i)
+    else:
+        assert np.array_equal(dual.costates, -mu_d / w)
+        assert np.array_equal(dual.costate_derivs, mu_i / w)
+    lam_b = -mu[nlp.rows["grid_equivalency"]]
+    assert np.array_equal(dual.costate_final, lam_b)
+    assert np.array_equal(dual.costate_initial, lam_b - sys.w_B @ dual.costate_derivs)
+    assert np.array_equal(dual.endpoint, mu[nlp.rows["endpoint"]])
 
 
 def test_mapping_preconditions():
@@ -132,9 +168,9 @@ def test_mapping_preconditions():
     bad = dataclasses.replace(res, status=SolveStatus.MAX_ITER)
     with pytest.raises(NoConvergenceError):
         map_covectors(bad, PrimalForm("a"), sys)
-    no_cov = dataclasses.replace(res, covectors=None)
+    no_rows = dataclasses.replace(res, rows={})
     with pytest.raises(ShapeError):
-        map_covectors(no_cov, PrimalForm("a"), sys)
+        map_covectors(no_rows, PrimalForm("a"), sys)
 
 
 def test_mapped_dual_satisfies_costate_equivalency():
@@ -464,6 +500,7 @@ def test_dual_trajectory_csv(tmp_path):
     _, _, _, dual = zero_dynamics_point(N=4)
     path = tmp_path / "dual.csv"
     dual.write_csv(path)
+    assert b"\r" not in path.read_bytes()
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["node", "costate_0", "costate_deriv_0"]

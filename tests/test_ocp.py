@@ -255,6 +255,8 @@ def test_load_problem_rejects_bad_schema():
         {**good, "horizon": [1.0]},
         {**good, "constraints": [{"a": [1.0, 0.0], "rhs": 0.0}]},  # a longer than n_x
         {**good, "endpoint_cost": {"terms": [{"coef": 1.0, "xb": [2, 0]}]}},
+        {**good, "running_cost": {"S": [[1.0]]}},  # neither Q/R nor terms
+        {**good, "horizon": 5},
     ):
         with pytest.raises(UnsupportedProblemError):
             load_problem(bad)
@@ -339,9 +341,11 @@ def test_polynomial_gradients_match_fd(spec, seed):
 
 
 def test_complementarity_violation():
-    kinds = (ConstraintKind.EQUALITY, ConstraintKind.INEQUALITY)
+    eq = np.array([True, False])
     nu = np.array([5.0, 0.0])
     e = np.array([0.3, -2.0])  # equality residual is ignored here
-    assert complementarity_violation(nu, e, kinds) == 0.0
+    assert complementarity_violation(nu, e, eq) == 0.0
+    assert not np.signbit(complementarity_violation(nu, e, eq))  # +0.0, not -0.0
     nu_bad = np.array([5.0, -1e-3])
-    assert complementarity_violation(nu_bad, e, kinds) == pytest.approx(2e-3)
+    assert complementarity_violation(nu_bad, e, eq) == pytest.approx(2e-3)
+    assert complementarity_violation(nu_bad, e, np.array([True, True])) == 0.0

@@ -10,6 +10,7 @@ from birktraj import (
     OcpDefinition,
     PrimalForm,
     ShapeError,
+    SolverOptions,
     UnsupportedGridError,
     UnsupportedProblemError,
     build_birkhoff,
@@ -80,12 +81,10 @@ def test_domain_and_grid_preconditions():
 
 
 def test_feasibility_tolerance_floor():
-    nlp = make_nlp()
-    assert nlp.feas_tol == 2e-8
-    ocp = prepared(registry("scalar-lq"))
-    sys = build_birkhoff(make_grid("lgl", 4, ocp.horizon))
+    # the solver options are the one home of the feasibility tolerance
+    assert SolverOptions().tol_feas == 2e-8
     with pytest.raises(UnsupportedProblemError):
-        transcribe(ocp, sys, PrimalForm("a"), feas_tol=1e-9)
+        SolverOptions(tol_feas=1e-9)
 
 
 def test_zero_dynamics_feasible_point_has_zero_residuals():
@@ -107,7 +106,7 @@ def test_dynamics_rows_vanish_when_v_matches_f():
     V = nlp.ocp.dynamics(X, U)
     z = nlp.pack(X, U, V, rng.normal(size=n), rng.normal(size=n))
     r = nlp.constraints(z)
-    assert np.max(np.abs(r[nlp.row_dyn])) == 0.0
+    assert np.max(np.abs(r[nlp.rows["dynamics"]])) == 0.0
 
 
 @pytest.mark.parametrize("plain, starred", [("a", "a_star"), ("b", "b_star")])
@@ -120,8 +119,8 @@ def test_starred_residuals_are_weighted_plain_residuals(plain, starred):
     r_s = nlp_s.constraints(z)
     w_rows = np.ones(nlp_p.n_rows)
     w_rep = np.repeat(nlp_p.sys.w_B, nlp_p.n_x)
-    w_rows[nlp_p.row_interp] = w_rep
-    w_rows[nlp_p.row_dyn] = w_rep
+    w_rows[nlp_p.rows["state_interpolation"]] = w_rep
+    w_rows[nlp_p.rows["dynamics"]] = w_rep
     # bit-for-bit: the starred path is the plain path times the weights
     assert np.array_equal(r_s, w_rows * r_p)
 
@@ -253,36 +252,6 @@ def test_pack_unpack_roundtrip_scaled():
     assert np.array_equal(xa2, x_a) and np.array_equal(xb2, x_b)
 
 
-def test_relabel_algebra_per_form():
-    rng = np.random.default_rng(9)
-    for form, scaled in [("a", False), ("a_star", False), ("a", True)]:
-        nlp = make_nlp(form=form, scaled=scaled, N=5)
-        mu = rng.normal(size=nlp.n_rows)
-        cov = nlp.relabel(mu)
-        m, n = nlp.n_nodes, nlp.n_x
-        mu_i = mu[nlp.row_interp].reshape(m, n)
-        mu_d = mu[nlp.row_dyn].reshape(m, n)
-        w = nlp.sys.w_B[:, None]
-        if form == "a_star":
-            assert np.array_equal(cov.state_interp, mu_i)
-            assert np.array_equal(cov.dynamics, -mu_d)
-        elif scaled:
-            assert np.array_equal(cov.state_interp, mu_i / w)
-            assert np.array_equal(cov.dynamics, -mu_d)
-        else:
-            assert np.array_equal(cov.state_interp, mu_i / w)
-            assert np.array_equal(cov.dynamics, -mu_d / w)
-        assert np.array_equal(cov.equivalency, -mu[nlp.row_equiv])
-        assert np.array_equal(cov.endpoint, mu[nlp.row_endpoint])
-        # exact round trip via the retained vector
-        assert np.array_equal(nlp.unrelabel(cov), mu)
-        # algebraic inverse agrees to rounding when the vector is dropped
-        import dataclasses
-
-        bare = dataclasses.replace(cov, raw=None)
-        assert np.allclose(nlp.unrelabel(bare), mu, rtol=1e-14, atol=1e-300)
-
-
 def test_extract_primal_feasibility_and_gap():
     ocp = registry("zero-dynamics")
     sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
@@ -303,4 +272,5 @@ def test_dump_round_trips_as_json(tmp_path):
     assert blob["form"] == {"tag": "b_star", "scaled": False}
     assert blob["sizes"]["decision"] == nlp.n_z
     assert blob["layout"]["x_b"][1] == nlp.n_z
-    assert blob["tolerances"]["feasibility"] == nlp.feas_tol
+    assert blob["rows"] == {name: [s.start, s.stop] for name, s in nlp.rows.items()}
+    assert list(nlp.rows) == ["state_interpolation", "dynamics", "grid_equivalency", "endpoint"]
