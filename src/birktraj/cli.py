@@ -1,24 +1,27 @@
 """Command-line front end: solve, verify, indirect, bench, grids.
 
-Every command reads one :class:`RunConfig` resolved in three layers —
-documented defaults, then command-line flags, then an optional JSON config
-file (the file wins where both are given).  Outputs are UTF-8 JSON/CSV with
-fixed field order and no timestamps, so re-running a command with the same
-configuration reproduces the files byte for byte.
+Each command takes only the flags it reads (``_COMMANDS``), plus ``--config
+FILE``.  Settings resolve in three layers: the defaults in ``_FLAGS``, then
+the command-line flags, then the JSON config file.  The file's keys are the
+flags' destinations (``kind`` for ``--grid``, ``tol_feas`` for
+``--tol-feas``, ...); :func:`parse_args` turns them into flags and parses
+them after the command line with the same parser, so the file wins and its
+values pass the same checks.  Outputs are UTF-8 JSON/CSV with fixed field
+order and no timestamps, so re-running a command with the same configuration
+reproduces the files byte for byte.
 
-Exit codes: 0 solved (and verified, where verification applies); 1 the
-numerical work itself failed; 2 solved but the optimality check did not pass;
-64 the configuration is unusable.
+Exit codes, all mapped in :func:`main`: 0 solved (and verified, where
+verification applies); 1 the numerical work itself failed, a grid whose basis
+cannot be built included; 2 solved but the optimality check did not pass; 64
+the configuration is unusable.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys as _sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +43,13 @@ from .dual import (
     verified_variant,
     verify_pontryagin,
 )
-from .errors import (
-    BirktrajError,
-    DomainMismatchError,
-    InvalidDomainError,
-    InvalidOrderError,
-    NotFoundError,
-    ShapeError,
-    UnsupportedGridError,
-    UnsupportedMappingError,
-    UnsupportedProblemError,
-)
+from .errors import BirktrajError, NotFoundError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import load_problem, prepared, registry, registry_names
 from .solver import SolverOptions
 from .transcription import PrimalForm, extract_primal, transcribe
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main", "parse_args"]
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 1
@@ -67,75 +60,12 @@ _KINDS = ("cgl", "lgl", "uniform")
 _FORMS = ("a", "b", "a_star", "b_star")
 
 # errors that mean "this configuration cannot be run", as opposed to a
-# computation that ran and failed
-_CONFIG_ERRORS = (
-    NotFoundError,
-    UnsupportedGridError,
-    UnsupportedProblemError,
-    UnsupportedMappingError,
-    InvalidOrderError,
-    InvalidDomainError,
-    DomainMismatchError,
-    ShapeError,
-    ValueError,
-)
+# computation that ran and failed; the package's own (UnsupportedProblemError,
+# ShapeError, InvalidOrderError, ...) are ValueErrors, NotFoundError a KeyError
+_CONFIG_ERRORS = (NotFoundError, ValueError, OSError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's worth of settings; every field has a usable default
-    except ``problem``, which solve-like commands require."""
-
-    problem: str | None = None
-    kind: str = "lgl"
-    N: int = 32
-    form: str = "a"
-    scaled: bool = False
-    variant: str | None = None
-    tol_feas: float = SolverOptions.tol_feas
-    tol_stat: float = 1e-9
-    tol_verify: float | None = None
-    max_iter: int = 60
-    out: str = "."
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"grid kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "scaled", bool(self.scaled))
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            max_iter=self.max_iter, tol_stat=self.tol_stat, tol_feas=self.tol_feas
-        )
-
-
-def resolve_config(args) -> RunConfig:
-    """defaults < flags < config file, per the documented precedence."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    merged = {
-        k: v for k, v in vars(args).items() if k in fields and v is not None
-    }
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - fields)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        merged.update(raw)
-    return RunConfig(**merged)
-
-
-def _load_ocp(config: RunConfig):
+def _load_ocp(config):
     if config.problem is None:
         raise NotFoundError(
             f"no problem given; pass --problem with a registry name "
@@ -146,7 +76,7 @@ def _load_ocp(config: RunConfig):
     return prepared(registry(config.problem))
 
 
-def _out_path(config: RunConfig, name: str) -> str:
+def _out_path(config, name: str) -> str:
     os.makedirs(config.out, exist_ok=True)
     return os.path.join(config.out, name)
 
@@ -171,26 +101,29 @@ def _write_trajectory_csv(path, nodes, X, U, costates=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _verification_variant(config: RunConfig, form: PrimalForm) -> DualVariant:
+def _verification_variant(config, form: PrimalForm) -> DualVariant:
     if config.variant is not None:
         return DualVariant.parse(config.variant)
     return verified_variant(form)
 
 
+def _transcribed(config):
+    """The set-up shared by solve and verify: load, build, form, options,
+    transcribe."""
+    ocp = _load_ocp(config)
+    system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
+    form = PrimalForm(config.form, scaled=config.scaled)
+    options = SolverOptions(
+        max_iter=config.max_iter, tol_stat=config.tol_stat, tol_feas=config.tol_feas
+    )
+    return ocp, system, form, options, transcribe(ocp, system, form)
+
+
 # --- commands --------------------------------------------------------------------
 
 
-def cmd_solve(config: RunConfig, args=None) -> int:
-    try:
-        ocp = _load_ocp(config)
-        system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
-        form = PrimalForm(config.form, scaled=config.scaled)
-        nlp = transcribe(ocp, system, form)
-        options = config.solver_options()
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
-
+def cmd_solve(config) -> int:
+    ocp, system, form, options, nlp = _transcribed(config)
     res = solve_with_fallback(nlp, options)
     if not res.converged:
         print(f"solver failed: {res.status.value} after {res.iterations} iterations",
@@ -205,9 +138,6 @@ def cmd_solve(config: RunConfig, args=None) -> int:
         report = verify_pontryagin(ocp, primal, dual, system, variant, tol=config.tol_verify)
     except UnsupportedMappingError:
         pass  # forms without a proven route solve fine but skip verification
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
 
     payload = {
         "problem": ocp.name,
@@ -240,18 +170,10 @@ def cmd_solve(config: RunConfig, args=None) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def cmd_verify(config: RunConfig, args=None) -> int:
-    try:
-        ocp = _load_ocp(config)
-        system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
-        form = PrimalForm(config.form, scaled=config.scaled)
-        nlp = transcribe(ocp, system, form)
-        options = config.solver_options()
-        variant = _verification_variant(config, form)
-        verified_variant(form)  # forms without a route are a config error here
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_verify(config) -> int:
+    ocp, system, form, options, nlp = _transcribed(config)
+    variant = _verification_variant(config, form)
+    verified_variant(form)  # forms without a route are a config error here
 
     res = solve_with_fallback(nlp, options)
     if not res.converged:
@@ -269,24 +191,12 @@ def cmd_verify(config: RunConfig, args=None) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def cmd_indirect(config: RunConfig, args=None) -> int:
-    try:
-        ocp = _load_ocp(config)
-        system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
-        variant = (DualVariant.parse(config.variant)
-                   if config.variant is not None else DualVariant("a", "b_star"))
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
-        primal, dual = solve_indirect(ocp, system, variant)
-    except UnsupportedProblemError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
-    except BirktrajError as exc:
-        print(f"indirect solve failed: {exc}", file=_sys.stderr)
-        return EXIT_SOLVER_FAILURE
+def cmd_indirect(config) -> int:
+    ocp = _load_ocp(config)
+    system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
+    variant = (DualVariant.parse(config.variant)
+               if config.variant is not None else DualVariant("a", "b_star"))
+    primal, dual = solve_indirect(ocp, system, variant)
 
     payload = {
         "problem": ocp.name,
@@ -305,53 +215,41 @@ def cmd_indirect(config: RunConfig, args=None) -> int:
     return EXIT_OK
 
 
-def cmd_bench(config: RunConfig, args) -> int:
-    try:
-        if args.study == "cond":
-            orders = args.orders or [8, 16, 32, 64, 128, 256, 512]
-            rows = cond_study(config.kind, orders, include_kkt=args.include_kkt)
-            csv = _out_path(config, "conditioning.csv")
-            write_cond_csv(rows, csv)
-            write_cond_gnuplot(csv, _out_path(config, "conditioning.gp"))
-            built = [r for r in rows if np.isfinite(r.cond_B_a)]
-            if len(built) < 2:  # a slope needs two built orders
-                print(f"wrote {csv}; {len(built)} order(s) built, no slopes")
-            else:
-                names = [r.N for r in built]
-                print(f"wrote {csv}; slopes: B_a core "
-                      f"{loglog_slope(names, [r.cond_B_a for r in built]):+.4f}, "
-                      f"D {loglog_slope(names, [r.cond_D for r in built]):+.4f}")
+def cmd_bench(config) -> int:
+    if config.study == "cond":
+        orders = config.orders or [8, 16, 32, 64, 128, 256, 512]
+        rows = cond_study(config.kind, orders, include_kkt=config.include_kkt)
+        csv = _out_path(config, "conditioning.csv")
+        write_cond_csv(rows, csv)
+        write_cond_gnuplot(csv, _out_path(config, "conditioning.gp"))
+        built = [r for r in rows if np.isfinite(r.cond_B_a)]
+        if len(built) < 2:  # a slope needs two built orders
+            print(f"wrote {csv}; {len(built)} order(s) built, no slopes")
         else:
-            if config.problem is None:
-                raise NotFoundError("convergence study needs --problem")
-            orders = args.orders or [4, 8, 16, 32]
-            form = PrimalForm(config.form, scaled=config.scaled)
-            rows = convergence_study(
-                config.problem, form, config.kind, orders,
-                oracle_order=args.oracle_order,
-            )
-            csv = _out_path(config, "convergence.csv")
-            write_convergence_csv(rows, csv)
-            write_convergence_gnuplot(csv, _out_path(config, "convergence.gp"))
-            done = sum(r.converged for r in rows)
-            print(f"wrote {csv}; {done}/{len(rows)} orders converged")
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
+            names = [r.N for r in built]
+            print(f"wrote {csv}; slopes: B_a core "
+                  f"{loglog_slope(names, [r.cond_B_a for r in built]):+.4f}, "
+                  f"D {loglog_slope(names, [r.cond_D for r in built]):+.4f}")
+    else:
+        if config.problem is None:
+            raise NotFoundError("convergence study needs --problem")
+        orders = config.orders or [4, 8, 16, 32]
+        form = PrimalForm(config.form, scaled=config.scaled)
+        rows = convergence_study(
+            config.problem, form, config.kind, orders,
+            oracle_order=config.oracle_order,
+        )
+        csv = _out_path(config, "convergence.csv")
+        write_convergence_csv(rows, csv)
+        write_convergence_gnuplot(csv, _out_path(config, "convergence.gp"))
+        done = sum(r.converged for r in rows)
+        print(f"wrote {csv}; {done}/{len(rows)} orders converged")
     return EXIT_OK
 
 
-def cmd_grids(config: RunConfig, args) -> int:
-    try:
-        grid = make_grid(config.kind, config.N, args.domain)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        system = build_birkhoff(grid)
-    except BirktrajError as exc:
-        print(f"build failed: {exc}", file=_sys.stderr)
-        return EXIT_SOLVER_FAILURE
+def cmd_grids(config) -> int:
+    grid = make_grid(config.kind, config.N, config.domain)
+    system = build_birkhoff(grid)
     path = _out_path(config, "system.json")
     _write_json(path, system.to_json_dict())
     print(f"wrote {path} ({config.kind}, N={config.N}, "
@@ -379,24 +277,56 @@ def _domain(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
-def _add_common(sub: argparse.ArgumentParser, with_problem: bool = True) -> None:
-    if with_problem:
-        sub.add_argument("--problem", help="registry name or JSON problem path")
-    sub.add_argument("--grid", dest="kind", choices=_KINDS, help="grid family")
-    sub.add_argument("--N", type=int, help="grid order (default 32)")
-    sub.add_argument("--form", choices=_FORMS, help="primal form (default a)")
-    sub.add_argument("--scaled", action=argparse.BooleanOptionalAction,
-                     help="weight the node constraint blocks")
-    sub.add_argument("--variant", help="verification variant, e.g. 'a,b_star'")
-    sub.add_argument("--tol-feas", type=float, dest="tol_feas",
-                     help="feasibility tolerance")
-    sub.add_argument("--tol-stat", type=float, dest="tol_stat",
-                     help="stationarity tolerance")
-    sub.add_argument("--tol-verify", type=float, dest="tol_verify",
-                     help="optimality-check tolerance (default: defect-budgeted)")
-    sub.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
-    sub.add_argument("--out", help="output directory (default '.')")
-    sub.add_argument("--config", help="JSON config file; overrides flags")
+_BOOL = argparse.BooleanOptionalAction
+
+# destination (the config-file key) -> flag and its add_argument arguments
+_FLAGS = {
+    "problem": ("--problem", {"help": "registry name or JSON problem path"}),
+    "study": ("--study", {"choices": ("cond", "convergence"), "default": "cond",
+                        "help": "which study (default cond)"}),
+    "kind": ("--grid", {"choices": _KINDS, "default": "lgl", "help": "grid family"}),
+    "N": ("--N", {"type": int, "default": 32, "help": "grid order (default 32)"}),
+    "orders": ("--orders", {"type": _orders,
+                            "help": "comma-separated ascending grid orders"}),
+    "domain": ("--domain", {"type": _domain, "default": (-1.0, 1.0),
+                            "help": "'t0,tf' (default reference domain)"}),
+    "form": ("--form", {"choices": _FORMS, "default": "a",
+                        "help": "primal form (default a)"}),
+    "scaled": ("--scaled", {"action": _BOOL, "default": False,
+                            "help": "scale the node variables by the quadrature weights"}),
+    "include_kkt": ("--include-kkt", {"action": _BOOL, "default": False,
+                                      "help": "add the (expensive) KKT conditioning "
+                                              "column (cond study)"}),
+    "oracle_order": ("--oracle-order", {"type": int,
+                                        "help": "grid order of the indirect reference "
+                                                "solve (convergence study)"}),
+    "variant": ("--variant", {"help": "verification variant, e.g. 'a,b_star'"}),
+    "tol_feas": ("--tol-feas", {"type": float, "default": SolverOptions.tol_feas,
+                                "help": "feasibility tolerance"}),
+    "tol_stat": ("--tol-stat", {"type": float, "default": SolverOptions.tol_stat,
+                                "help": "stationarity tolerance"}),
+    "tol_verify": ("--tol-verify", {"type": float, "help": "optimality-check "
+                                    "tolerance (default: defect-budgeted)"}),
+    "max_iter": ("--max-iter", {"type": int, "default": SolverOptions.max_iter,
+                                "help": "iteration cap"}),
+    "out": ("--out", {"default": ".", "help": "output directory (default '.')"}),
+}
+
+_SOLVE_FLAGS = ("problem", "kind", "N", "form", "scaled", "variant",
+                "tol_feas", "tol_stat", "tol_verify", "max_iter", "out")
+
+# command -> handler, help text, the flags it reads
+_COMMANDS = {
+    "solve": (cmd_solve, "transcribe, solve, verify", _SOLVE_FLAGS),
+    "verify": (cmd_verify, "solve and report optimality blocks", _SOLVE_FLAGS),
+    "indirect": (cmd_indirect, "root-find the discretized optimality system",
+                 ("problem", "kind", "N", "variant", "out")),
+    "bench": (cmd_bench, "conditioning / convergence studies",
+              ("study", "kind", "orders", "include_kkt", "problem", "form", "scaled",
+               "oracle_order", "out")),
+    "grids": (cmd_grids, "build and dump one Birkhoff system",
+              ("kind", "N", "domain", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,49 +335,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trajectory optimization on Birkhoff-interpolation grids.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    solve = commands.add_parser("solve", parents=[], help="transcribe, solve, verify")
-    _add_common(solve)
-    solve.set_defaults(handler=cmd_solve)
-
-    verify = commands.add_parser("verify", help="solve and report optimality blocks")
-    _add_common(verify)
-    verify.set_defaults(handler=cmd_verify)
-
-    indirect = commands.add_parser(
-        "indirect", help="root-find the discretized optimality system"
-    )
-    _add_common(indirect)
-    indirect.set_defaults(handler=cmd_indirect)
-
-    bench = commands.add_parser("bench", help="conditioning / convergence studies")
-    _add_common(bench)
-    bench.add_argument("--study", choices=("cond", "convergence"), default="cond")
-    bench.add_argument("--orders", type=_orders,
-                       help="comma-separated ascending grid orders")
-    bench.add_argument("--include-kkt", action="store_true", dest="include_kkt",
-                       help="add the (expensive) KKT conditioning column")
-    bench.add_argument("--oracle-order", type=int, dest="oracle_order",
-                       help="grid order of the indirect reference solve")
-    bench.set_defaults(handler=cmd_bench)
-
-    grids = commands.add_parser("grids", help="build and dump one Birkhoff system")
-    _add_common(grids, with_problem=False)
-    grids.add_argument("--domain", type=_domain, default=(-1.0, 1.0),
-                       help="'t0,tf' (default reference domain)")
-    grids.set_defaults(handler=cmd_grids)
-
+    for name, (handler, text, dests) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        for dest in dests:
+            flag, kwargs = _FLAGS[dest]
+            sub.add_argument(flag, dest=dest, **kwargs)
+        sub.add_argument("--config", help="JSON config file keyed by flag "
+                         "destination; overrides flags")
+        sub.set_defaults(handler=handler)
     return parser
 
 
+def _config_flags(path: str, command: str) -> list[str]:
+    """The settings of a JSON config file, written as ``command``'s flags."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(raw) - set(_COMMANDS[command][2]))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} for {command}")
+    flags = []
+    for dest, value in raw.items():
+        flag, kwargs = _FLAGS[dest]
+        boolean = kwargs.get("action") is _BOOL
+        if boolean and type(value) is bool:
+            flags.append(flag if value else "--no-" + flag[2:])
+        elif not boolean and type(value) in (str, int, float, list):
+            text = ",".join(map(str, value)) if type(value) is list else str(value)
+            flags.append(f"{flag}={text}")  # '=': a value may start with '-'
+        else:
+            raise ValueError(f"config key {dest!r} cannot take {value!r}")
+    return flags
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Defaults < command-line flags < the ``--config`` file."""
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args(argv + _config_flags(args.config, args.command))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        args = parse_args(argv)
+        return args.handler(args)
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BAD_CONFIG
-    return args.handler(config, args)
+    except BirktrajError as exc:
+        print(f"failed: {exc}", file=_sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -178,6 +178,12 @@ def map_covectors(result: NlpResult, form: PrimalForm, sys: BirkhoffSystem) -> D
     else:
         omega = w
     mu, m = result.multipliers, w.size
+    n_dyn, n_x = mu[rows["dynamics"]].size, mu[rows["grid_equivalency"]].size
+    if n_dyn != m * n_x:
+        raise ShapeError(
+            f"result has {n_dyn // n_x} nodes, the Birkhoff system {m}; "
+            f"map with the system the problem was transcribed on"
+        )
     derivs = mu[rows["state_interpolation"]].reshape(m, -1) / omega[:, None]
     lam_b = -mu[rows["grid_equivalency"]]
     return DualTrajectory(

@@ -8,7 +8,6 @@ accuracy degrades on them as N grows).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -101,9 +100,6 @@ class Grid:
             "nodes": self.nodes.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(data: dict) -> "Grid":
         return Grid(
@@ -111,10 +107,6 @@ class Grid:
             nodes=np.asarray(data["nodes"], dtype=float),
             domain=(float(data["domain"][0]), float(data["domain"][1])),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "Grid":
-        return Grid.from_json_dict(json.loads(text))
 
 
 def _cgl_reference_nodes(n: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BirktrajError,
     IncompleteDerivativesError,
     InvalidDomainError,
     NotFoundError,
@@ -604,7 +605,11 @@ def _parse_terms(raw, n_x: int, n_u: int, keys=("x", "u")):
 
 
 def load_problem(source) -> OcpDefinition:
-    """Build an OcpDefinition from a JSON file path, JSON text, or dict."""
+    """Build an OcpDefinition from a JSON file path, JSON text, or dict.
+
+    A description with a missing field or a field of the wrong type raises
+    UnsupportedProblemError.
+    """
     if isinstance(source, dict):
         data = source
     elif isinstance(source, str) and source.lstrip().startswith("{"):
@@ -617,12 +622,20 @@ def load_problem(source) -> OcpDefinition:
             raise NotFoundError(f"cannot read problem file {str(source)!r}: {exc}") from None
         data = json.loads(text)
     try:
-        n_x, n_u = int(data["n_x"]), int(data["n_u"])
-        horizon = data["horizon"]
-        dyn = data["dynamics"]
-        name = str(data.get("name", "json-problem"))
+        return _problem_from_dict(data)
+    except BirktrajError:
+        raise
     except KeyError as missing:
         raise UnsupportedProblemError(f"problem description missing {missing}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UnsupportedProblemError(f"malformed problem description: {exc}") from None
+
+
+def _problem_from_dict(data: dict) -> OcpDefinition:
+    n_x, n_u = int(data["n_x"]), int(data["n_u"])
+    horizon = data["horizon"]
+    dyn = data["dynamics"]
+    name = str(data.get("name", "json-problem"))
     if not isinstance(horizon, (list, tuple)) or len(horizon) != 2:
         raise UnsupportedProblemError(f"horizon needs two entries [t0, tf], got {horizon!r}")
     horizon = tuple(float(t) for t in horizon)

@@ -42,6 +42,8 @@ class SolverOptions:
     tol_feas: float = 2e-8
 
     def __post_init__(self):
+        if self.max_iter < 0:
+            raise UnsupportedProblemError(f"iteration cap {self.max_iter} below 0")
         if self.tol_feas < MIN_FEASIBILITY_TOL:
             raise UnsupportedProblemError(
                 f"feasibility tolerance {self.tol_feas:g} below sqrt(machine eps)"

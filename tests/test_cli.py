@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, exit codes, output files."""
 
+import argparse
 import json
 
 import numpy as np
@@ -10,10 +11,9 @@ from birktraj.cli import (
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
     EXIT_VERIFY_FAILED,
-    RunConfig,
     build_parser,
     main,
-    resolve_config,
+    parse_args,
 )
 
 
@@ -21,33 +21,36 @@ def run(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    """The process exit code: main's return, or argparse's SystemExit."""
+    try:
+        return run(*argv)
+    except SystemExit as stop:
+        return stop.code
+
+
 # --- configuration ---------------------------------------------------------------
 
 
 def test_run_config_defaults():
-    config = RunConfig()
+    config = parse_args(["solve"])
     assert config.problem is None
     assert config.kind == "lgl" and config.N == 32
     assert config.form == "a" and config.scaled is False
     assert config.out == "."
 
 
-def test_run_config_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        RunConfig(kind="legendre")
-    with pytest.raises(ValueError):
-        RunConfig(form="c")
-    with pytest.raises(ValueError):
-        RunConfig(N=0)
-    with pytest.raises(ValueError):
-        RunConfig(max_iter=-1)
+def test_run_config_rejects_bad_fields(tmp_path):
+    for bad in (["--grid", "legendre"], ["--form", "c"], ["--N", "0"], ["--max-iter", "-1"]):
+        assert exit_code("solve", "--problem", "scalar-lq", *bad,
+                         "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+    assert not list(tmp_path.iterdir())  # refused before any output
 
 
 def test_flags_override_defaults():
-    args = build_parser().parse_args(
+    config = parse_args(
         ["solve", "--problem", "scalar-lq", "--N", "8", "--form", "b", "--scaled"]
     )
-    config = resolve_config(args)
     assert config.problem == "scalar-lq"
     assert config.N == 8 and config.form == "b" and config.scaled is True
     assert config.kind == "lgl"  # untouched default
@@ -56,11 +59,84 @@ def test_flags_override_defaults():
 def test_config_file_overrides_flags(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"N": 4, "problem": "zero-dynamics"}))
-    args = build_parser().parse_args(
+    config = parse_args(
         ["solve", "--problem", "scalar-lq", "--N", "16", "--config", str(path)]
     )
-    config = resolve_config(args)
     assert config.N == 4 and config.problem == "zero-dynamics"
+
+
+def test_config_file_boolean_overrides_flag(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scaled": False, "include_kkt": False}))
+    config = parse_args(["bench", "--scaled", "--include-kkt", "--config", str(path)])
+    assert config.scaled is False and config.include_kkt is False
+
+
+_SOLVE_FLAGS = {"problem", "kind", "N", "form", "scaled", "variant", "tol_feas",
+                "tol_stat", "tol_verify", "max_iter", "out", "config"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", _SOLVE_FLAGS),
+        ("verify", _SOLVE_FLAGS),
+        ("indirect", {"problem", "kind", "N", "variant", "out", "config"}),
+        ("bench", {"study", "kind", "orders", "include_kkt", "problem", "form",
+                   "scaled", "oracle_order", "out", "config"}),
+        ("grids", {"kind", "N", "domain", "out", "config"}),
+    ],
+)
+def test_each_command_takes_only_the_flags_it_reads(command, flags):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = commands.choices[command]
+    assert {a.dest for a in sub._actions} - {"help"} == flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grids", "--variant", "a,a"],
+        ["bench", "--study", "cond", "--max-iter", "0"],
+        ["indirect", "--problem", "scalar-lq", "--tol-feas", "1e-14"],
+        ["bench", "--study", "convergence", "--problem", "scalar-lq", "--tol-stat", "1"],
+    ],
+    ids=["grids-variant", "cond-max-iter", "indirect-tol-feas", "convergence-tol-stat"],
+)
+def test_flags_a_command_does_not_read_exit_64(tmp_path, argv):
+    assert exit_code(*argv, "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"scaled": "false"}, {"tol_feas": "abc"}, {"N": True}, {"variant": None}],
+    ids=["string-boolean", "string-tolerance", "boolean-order", "null-variant"],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, setting):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(setting))
+    assert exit_code("solve", "--problem", "scalar-lq", "--N", "8", "--config",
+                     str(path), "--out", str(tmp_path / "out")) == EXIT_BAD_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_sets_bench_orders_and_grid(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"orders": [4, 8], "kind": "cgl"}))
+    assert run("bench", "--study", "cond", "--config", str(path),
+               "--out", str(tmp_path)) == EXIT_OK
+    lines = (tmp_path / "conditioning.csv").read_text().splitlines()
+    assert len(lines) == 3 and all(row.startswith("cgl,") for row in lines[1:])
+
+
+def test_config_file_sets_grids_domain(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"domain": [0, 2], "N": 4}))
+    assert run("grids", "--config", str(path), "--out", str(tmp_path)) == EXIT_OK
+    data = json.loads((tmp_path / "system.json").read_text())
+    assert data["grid"]["domain"] == [0.0, 2.0] and data["grid"]["N"] == 4
 
 
 def test_unknown_config_key_is_bad_config(tmp_path):
@@ -183,8 +259,12 @@ _STEER = {"n_x": 1, "n_u": 1, "horizon": [0.0, 1.0], "dynamics": {"A": [[0.0]], 
         {"constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 0.0}]},
         {"running_cost": {"S": [[1.0]]}},
         {"horizon": 5},
+        {"n_x": None},
+        {"constraints": [5]},
+        {"endpoint_cost": [1]},
     ],
-    ids=["constraint-row-too-long", "running-cost-without-terms", "scalar-horizon"],
+    ids=["constraint-row-too-long", "running-cost-without-terms", "scalar-horizon",
+         "null-state-count", "constraint-not-an-object", "endpoint-cost-not-an-object"],
 )
 def test_solve_malformed_json_problem_exits_64(tmp_path, bad):
     # a malformed problem is refused on loading, not in the solve
@@ -287,3 +367,11 @@ def test_grids_dumps_system(tmp_path):
 def test_grids_unbuildable_system_exits_1(tmp_path):
     assert run("grids", "--grid", "uniform", "--N", "64",
                "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "indirect"])
+def test_unbuildable_grid_exits_1(tmp_path, capsys, command):
+    assert run(command, "--problem", "scalar-lq", "--grid", "uniform", "--N", "64",
+               "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())

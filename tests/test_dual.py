@@ -173,6 +173,13 @@ def test_mapping_preconditions():
         map_covectors(no_rows, PrimalForm("a"), sys)
 
 
+def test_mapping_refuses_another_grids_system():
+    nlp, sys, res = solved("scalar-lq", N=8)
+    _, other = system_for("scalar-lq", 6)
+    with pytest.raises(ShapeError, match="9 nodes.* 7"):
+        map_covectors(res, PrimalForm("a"), other)
+
+
 def test_mapped_dual_satisfies_costate_equivalency():
     nlp, sys, res = solved("double-integrator-energy", N=10)
     dual = map_covectors(res, nlp.form, sys)

@@ -257,6 +257,9 @@ def test_load_problem_rejects_bad_schema():
         {**good, "endpoint_cost": {"terms": [{"coef": 1.0, "xb": [2, 0]}]}},
         {**good, "running_cost": {"S": [[1.0]]}},  # neither Q/R nor terms
         {**good, "horizon": 5},
+        {**good, "n_x": None},
+        {**good, "constraints": [5]},
+        {**good, "endpoint_cost": [1]},
     ):
         with pytest.raises(UnsupportedProblemError):
             load_problem(bad)

@@ -87,6 +87,13 @@ def test_feasibility_tolerance_floor():
         SolverOptions(tol_feas=1e-9)
 
 
+def test_negative_iteration_cap_refused():
+    assert SolverOptions().max_iter == 60
+    SolverOptions(max_iter=0)  # no iterations is a valid cap
+    with pytest.raises(UnsupportedProblemError):
+        SolverOptions(max_iter=-1)
+
+
 def test_zero_dynamics_feasible_point_has_zero_residuals():
     ocp = registry("zero-dynamics")
     sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
