@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 
 import numpy as np
@@ -369,9 +370,26 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
+# a value such as '-1,1' or '-1e-3': argparse takes any word that starts with
+# '-' and is not a plain number for an option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1,1`` -> ``--flag=-1,1``, so a value may start with '-'."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and _NEGATIVE_VALUE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Defaults < command-line flags < the ``--config`` file."""
-    argv = _sys.argv[1:] if argv is None else list(argv)
+    argv = _attach_negative_values(_sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:

@@ -40,6 +40,9 @@ class IncompleteDerivativesError(BirktrajError, ValueError):
 class NotFoundError(BirktrajError, KeyError):
     """Unknown registry name."""
 
+    # KeyError's str() is the repr of its key; the message reads as written
+    __str__ = Exception.__str__
+
 
 class EvaluationError(BirktrajError, ArithmeticError):
     """A user callback produced non-finite values."""

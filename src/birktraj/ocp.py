@@ -34,6 +34,7 @@ solvers, and verification, and results are assumed reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -631,8 +632,15 @@ def load_problem(source) -> OcpDefinition:
         raise UnsupportedProblemError(f"malformed problem description: {exc}") from None
 
 
+def _count(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UnsupportedProblemError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _problem_from_dict(data: dict) -> OcpDefinition:
-    n_x, n_u = int(data["n_x"]), int(data["n_u"])
+    n_x, n_u = _count(data, "n_x"), _count(data, "n_u")
     horizon = data["horizon"]
     dyn = data["dynamics"]
     name = str(data.get("name", "json-problem"))

@@ -12,6 +12,14 @@ The algorithm is a textbook exact-Hessian Newton-KKT iteration with an
 l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
+
+The optimality test on each iteration uses least-squares multipliers,
+argmin ||g + J_w^T mu|| over the working rows.  They come from a Cholesky
+factor of J_w J_w^T with one correction step (the corrected semi-normal
+equations), which is as accurate as QR while J_w is well conditioned, as the
+Birkhoff rows keep it.  When the factorization fails or the condition
+estimate of J_w J_w^T is below GRAM_RCOND_MIN (rank-deficient or nearly
+dependent working rows), pivoted QR gives the minimum-norm multipliers.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import lapack, lstsq
 
 from .errors import EvaluationError, ShapeError, UnsupportedProblemError
 from .ocp import _central_jacobian, complementarity_violation, constraint_violation
@@ -33,6 +42,9 @@ Array = np.ndarray
 MIN_FEASIBILITY_TOL = float(np.sqrt(np.finfo(float).eps))
 COMPLEMENTARITY_TOL = 1e-9
 REGULARIZATION_FLOOR = 1e-8
+# below this reciprocal condition estimate of J_w J_w^T the multipliers come
+# from pivoted QR instead of the (squared-condition) normal equations
+GRAM_RCOND_MIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,30 @@ def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
     return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
+def _multiplier_estimate(jac_w: Array, g: Array) -> Array:
+    """Least-squares multipliers, argmin ||g + J_w^T mu||, of the working rows.
+
+    Fast route: Cholesky on G = J_w J_w^T, solve G mu = -J_w g, then one
+    correction step mu += G^-1 J_w (-g - J_w^T mu) with the same factor (the
+    corrected semi-normal equations, Bjorck 1987), which takes away the error
+    of the squared condition number.  When G is not positive definite or its
+    reciprocal condition estimate is below GRAM_RCOND_MIN, rank-revealing
+    pivoted QR (LAPACK gelsy) gives the minimum-norm solution instead.
+    """
+    gram = jac_w @ jac_w.T
+    norm_1 = lapack.dlange("1", gram)
+    # G is symmetric, so its transpose is G in the Fortran order LAPACK
+    # factors in place, without a copy
+    factor, info = lapack.dpotrf(gram.T, overwrite_a=True)
+    if info == 0:
+        rcond, info = lapack.dpocon(factor, norm_1)
+        if info == 0 and rcond >= GRAM_RCOND_MIN:
+            mu = lapack.dpotrs(factor, -(jac_w @ g))[0]
+            return mu + lapack.dpotrs(factor, jac_w @ (-g - jac_w.T @ mu))[0]
+    cutoff = np.finfo(float).eps * max(jac_w.shape)
+    return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
+
+
 def _solve_kkt(hess: Array, jac_w: Array, g: Array, r_w: Array, floor: float):
     """Newton step: [[H, J^T], [J, 0]] [dz, mu] = [-g, -r], with a doubling
     diagonal shift on H when the system is singular.  Returns (dz, mu, shift)
@@ -202,8 +238,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         # least-squares multipliers for the optimality test
         mu_full = np.zeros(n_rows)
         if working.any():
-            mu_w, *_ = np.linalg.lstsq(jac_w.T, -g, rcond=None)
-            mu_full[working] = mu_w
+            mu_full[working] = _multiplier_estimate(jac_w, g)
         stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:

@@ -167,9 +167,13 @@ def test_solve_analytic_problem(tmp_path):
     assert header.startswith("t,x_0,x_1,x_2,u_0,costate_0")
 
 
-def test_solve_unknown_problem_exits_64(tmp_path):
+def test_solve_unknown_problem_exits_64(tmp_path, capsys):
     assert run("solve", "--problem", "no-such-thing",
                "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        "error: unknown problem 'no-such-thing'; available: ['double-integrator-energy', "
+        "'nonlinear-scalar', 'scalar-lq', 'zero-dynamics']\n"
+    )
 
 
 def test_solve_missing_problem_exits_64(tmp_path):
@@ -362,6 +366,14 @@ def test_grids_dumps_system(tmp_path):
     assert data["grid"]["domain"] == [0.0, 2.0]
     assert np.isclose(sum(data["w_B"]), 2.0)
     assert len(data["B_a"]) == 5 and len(data["B_a"][0]) == 5
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (-2.5, -0.5)])
+def test_grids_domain_may_start_negative(tmp_path, domain):
+    text = f"{domain[0]:g},{domain[1]:g}"
+    assert run("grids", "--domain", text, "--N", "4", "--out", str(tmp_path)) == EXIT_OK
+    data = json.loads((tmp_path / "system.json").read_text())
+    assert data["grid"]["domain"] == list(domain)
 
 
 def test_grids_unbuildable_system_exits_1(tmp_path):

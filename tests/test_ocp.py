@@ -258,6 +258,9 @@ def test_load_problem_rejects_bad_schema():
         {**good, "running_cost": {"S": [[1.0]]}},  # neither Q/R nor terms
         {**good, "horizon": 5},
         {**good, "n_x": None},
+        {**good, "n_x": 1.7},  # a count is a whole number, never truncated
+        {**good, "n_u": 1.0},
+        {**good, "n_u": True},
         {**good, "constraints": [5]},
         {**good, "endpoint_cost": [1]},
     ):

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.linalg import lstsq as scipy_lstsq
 
 from birktraj import (
     PrimalForm,
@@ -18,6 +19,7 @@ from birktraj import (
     registry,
     registry_solution,
     solve,
+    solver,
     transcribe,
     write_iteration_log,
 )
@@ -128,6 +130,72 @@ def test_bad_initial_point_rejected():
         solve(unconstrained_qp(), np.zeros(2))
     with pytest.raises(ShapeError):
         solve(unconstrained_qp(), np.array([np.nan]))
+
+
+# --- multiplier estimate ---------------------------------------------------------
+
+
+def test_multiplier_estimate_matches_svd_least_squares(monkeypatch):
+    monkeypatch.setattr(solver, "lstsq", None)  # the Cholesky route only
+    nlp = make_nlp("double-integrator-energy", N=64)
+    z = initial_guess(nlp, "constant-midpoint")
+    jac = np.asarray(nlp.jacobian(z))[nlp.equality_mask]
+    g = nlp.objective_gradient(z)
+    ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
+    mu = solver._multiplier_estimate(jac, g)
+    assert np.linalg.norm(mu - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_duplicated_row_takes_qr_route_to_minimum_norm_multipliers(monkeypatch):
+    # rows 0 and 2 are one constraint twice: J_w J_w^T is singular
+    a, c = np.array([1.0, 0.3, -0.7]), np.array([0.2, -1.1, 0.5])
+    jac = np.array([a, [0.0, 1.0, 0.0], a])
+    nlp = SimpleNlp(
+        n_z=3,
+        objective=lambda z: float((z - c) @ (z - c)),
+        objective_gradient=lambda z: 2.0 * (z - c),
+        constraints=lambda z: jac @ z - np.array([1.0, 0.4, 1.0]),
+        jacobian=lambda z: jac,
+        equality_mask=np.ones(3, dtype=bool),
+    )
+    qr_calls = []
+
+    def counted_lstsq(*args, **kwargs):
+        qr_calls.append(kwargs["lapack_driver"])
+        return scipy_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lstsq", counted_lstsq)
+    res = solve(nlp, np.zeros(3))
+    assert res.converged, res.status
+    assert qr_calls and set(qr_calls) == {"gelsy"}
+    ref = np.linalg.lstsq(jac.T, -nlp.objective_gradient(res.z), rcond=None)[0]
+    assert np.allclose(res.multipliers, ref, rtol=1e-12, atol=1e-12)
+    # minimum norm splits the constraint's multiplier evenly between its copies
+    assert res.multipliers[0] == pytest.approx(res.multipliers[2], abs=1e-12)
+
+
+def test_nearly_dependent_rows_skip_the_normal_equations():
+    # cond(J_w) ~ 1e7: Cholesky succeeds on J_w J_w^T but the condition
+    # estimate sends the estimate to QR; the normal equations, corrected
+    # once, would be off by ~2e-4 here
+    rng = np.random.default_rng(0)
+    jac = rng.standard_normal((5, 9))
+    jac[4] = jac[0] + 1e-7 * rng.standard_normal(9)
+    g = rng.standard_normal(9)
+    ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
+    mu = solver._multiplier_estimate(jac, g)
+    assert np.linalg.norm(mu - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+def test_corrected_multipliers_reach_closed_form_costates():
+    # one correction step takes the squared condition number out of the
+    # normal equations; without it this error is ~3e-10
+    nlp = make_nlp("double-integrator-energy", N=128)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged
+    lam = map_covectors(res, nlp.form, nlp.sys).costates
+    costates = registry_solution("double-integrator-energy").costate(nlp.sys.grid.nodes)
+    assert np.max(np.abs(lam[:, :2] - costates.T)) <= 1e-10
 
 
 # --- KKT residual probe ---------------------------------------------------------
