@@ -41,6 +41,7 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .ocp import (
+    FD_STEP,
     ConstraintKind,
     OcpDefinition,
     _central_jacobian,
@@ -48,7 +49,7 @@ from .ocp import (
     constraint_violation,
     prepared,
 )
-from .solver import NlpResult
+from .solver import NlpResult, check_tolerance, regularized_solve
 from .transcription import (
     AnchoredBlock,
     FormTag,
@@ -60,6 +61,10 @@ from .transcription import (
 )
 
 Array = np.ndarray
+
+TOLERANCE_FLOOR = 1e-6  # no default verification tolerance is tighter
+# residual infinity norm the indirect Newton iteration stops at, its iteration cap
+INDIRECT_TOL, INDIRECT_MAX_ITER = 1e-10, 100
 
 # the proven multiplier-to-costate routes: (form tag, scaled) -> (state, costate) variant
 _ROUTES = {
@@ -236,10 +241,10 @@ class PontryaginReport:
             fh.write("\n")
 
 
-def default_tolerance(sys: BirkhoffSystem, floor: float = 1e-6) -> float:
+def default_tolerance(sys: BirkhoffSystem) -> float:
     """Costate residuals inherit the integration-by-parts defect; anything
     below ten times its norm is indistinguishable from that budget."""
-    return max(floor, 10.0 * ibp_defect_norm(sys))
+    return max(TOLERANCE_FLOOR, 10.0 * ibp_defect_norm(sys))
 
 
 def _inf_norm(a: Array) -> float:
@@ -268,6 +273,7 @@ def verify_pontryagin(
         )
     if tol is None:
         tol = default_tolerance(sys)
+    check_tolerance(tol, "verification")
     system = _IndirectSystem(p, sys, variant)
     unweighted, f_tab = system.evaluate(system.pack_solution(primal, dual))
     r = unweighted * system.row_scale
@@ -313,7 +319,7 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
         live, g = live[keep], g[keep]
         if not live.size:
             break
-        curv = _central_jacobian(lambda U_live: grad(live, U_live), U[live], 1e-6)
+        curv = _central_jacobian(lambda U_live: grad(live, U_live), U[live], FD_STEP)
         try:
             step = np.linalg.solve(curv, -g[:, :, None])
         except np.linalg.LinAlgError:
@@ -416,7 +422,7 @@ class _IndirectSystem:
     def residual(self, y: Array) -> Array:
         return self.evaluate(y)[0] * self.row_scale
 
-    def jacobian(self, y: Array, fd_step: float = 1e-6) -> Array:
+    def jacobian(self, y: Array) -> Array:
         X, U, _, lam, _, x_a, x_b, _, _, nu = self.split(y)
         p, sl, rows, n = self.ocp, self.sl, self.rows, self.n
         jac = np.zeros((self.n_y, self.n_y))
@@ -437,7 +443,7 @@ class _IndirectSystem:
             fu_tab = p.jac_fu(X, U)
             set_node_blocks(jac, r_dyn, sl["U"].start, -fu_tab)
             set_node_blocks(jac, r_ctl, sl["lam"].start, fu_tab.transpose(0, 2, 1))
-        curv = p.hamiltonian_curvatures(X, U, lam, fd_step)
+        curv = p.hamiltonian_curvatures(X, U, lam)
         set_node_blocks(jac, r_adj, sl["X"].start, curv[:, :n, :n])
         set_node_blocks(jac, r_adj, sl["U"].start, curv[:, :n, n:])
         set_node_blocks(jac, r_ctl, sl["X"].start, curv[:, n:, :n])
@@ -453,7 +459,7 @@ class _IndirectSystem:
         np.fill_diagonal(jac[tva, sl["lam_a"]], 1.0)
         np.fill_diagonal(jac[tvb, sl["lam_b"]], 1.0)
 
-        curv = p.endpoint_lagrangian_curvature(x_a, x_b, nu, fd_step)
+        curv = p.endpoint_lagrangian_curvature(x_a, x_b, nu)
         x_ab = slice(sl["x_a"].start, sl["x_b"].stop)
         jac[tva, x_ab] += curv[:n]
         jac[tvb, x_ab] -= curv[n:]
@@ -482,8 +488,6 @@ def solve_indirect(
     sys: BirkhoffSystem,
     variant: DualVariant,
     init=None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ):
     """Damped-Newton root of the variant's full first-order system.
 
@@ -503,21 +507,11 @@ def solve_indirect(
     if not np.all(np.isfinite(y)):
         raise ShapeError("indirect initial point must be finite")
     r = system.residual(y)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
+    for _ in range(INDIRECT_MAX_ITER):
+        if np.max(np.abs(r)) <= INDIRECT_TOL:
             break
-        jac = system.jacobian(y)
-        dy = None
-        shift = 0.0
-        for _attempt in range(8):
-            try:
-                dy = np.linalg.solve(jac + shift * np.eye(system.n_y), -r)
-            except np.linalg.LinAlgError:
-                dy = None
-            if dy is not None and np.all(np.isfinite(dy)):
-                break
-            shift = 1e-10 if shift == 0.0 else shift * 100.0
-        if dy is None or not np.all(np.isfinite(dy)):
+        dy = regularized_solve(system.jacobian(y), -r, np.ones(system.n_y))
+        if dy is None:
             raise NoConvergenceError("singular Newton matrix in indirect solve")
         norm0 = float(np.linalg.norm(r))
         alpha = 1.0
@@ -532,9 +526,9 @@ def solve_indirect(
             alpha *= 0.5
         else:
             raise NoConvergenceError("indirect line search made no progress")
-    if np.max(np.abs(r)) > tol:
+    if np.max(np.abs(r)) > INDIRECT_TOL:
         raise NoConvergenceError(
-            f"indirect solve did not reach {tol:g} in {max_iter} iterations"
+            f"indirect solve did not reach {INDIRECT_TOL:g} in {INDIRECT_MAX_ITER} iterations"
         )
 
     X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = system.split(y)

@@ -52,6 +52,8 @@ from .errors import (
 
 Array = np.ndarray
 
+FD_STEP = 1e-6  # relative step of every central difference the package takes
+
 
 class ConstraintKind(str, Enum):
     EQUALITY = "equality"
@@ -159,14 +161,14 @@ class OcpDefinition:
             return gx
         return np.concatenate([gx, (lam_rows @ self.jac_fu(X, U))[:, 0]], axis=1)
 
-    def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array, step: float) -> Array:
+    def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array) -> Array:
         """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
         node, shaped (m, n_x + n_u, n_x + n_u)."""
         n = self.n_x
         return _central_jacobian(
             lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam),
             np.concatenate([X, U], axis=1),
-            step,
+            FD_STEP,
         )
 
     def endpoint_lagrangian_gradient(self, x_a: Array, x_b: Array, nu: Array) -> Array:
@@ -179,16 +181,14 @@ class OcpDefinition:
             g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
         return np.concatenate([g_xa, g_xb])
 
-    def endpoint_lagrangian_curvature(
-        self, x_a: Array, x_b: Array, nu: Array, step: float
-    ) -> Array:
+    def endpoint_lagrangian_curvature(self, x_a: Array, x_b: Array, nu: Array) -> Array:
         """Central-difference Jacobian of :meth:`endpoint_lagrangian_gradient`
         with respect to (x_a, x_b)."""
         n = self.n_x
         return _central_jacobian(
             lambda Y: self.endpoint_lagrangian_gradient(Y[0, :n], Y[0, n:], nu)[None],
             np.concatenate([x_a, x_b])[None],
-            step,
+            FD_STEP,
         )[0]
 
 
@@ -315,7 +315,7 @@ def validate(
     ocp: OcpDefinition,
     tol: float = 1e-5,
     n_points: int = 5,
-    step: float = 1e-6,
+    step: float = FD_STEP,
     seed: int = 0,
 ) -> ValidationReport:
     """Check every user Jacobian against central finite differences.

@@ -20,6 +20,12 @@ equations), which is as accurate as QR while J_w is well conditioned, as the
 Birkhoff rows keep it.  When the factorization fails or the condition
 estimate of J_w J_w^T is below GRAM_RCOND_MIN (rank-deficient or nearly
 dependent working rows), pivoted QR gives the minimum-norm multipliers.
+
+The Newton step solves [[H, J_w^T], [J_w, 0]] by LU; only when that fails is
+it shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
+REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
+whose -dI block makes dependent working rows solvable).  The indirect solver
+shares this rule, :func:`regularized_solve`, with +dI throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from scipy.linalg import lapack, lstsq
 
 from .errors import EvaluationError, ShapeError, UnsupportedProblemError
-from .ocp import _central_jacobian, complementarity_violation, constraint_violation
+from .ocp import FD_STEP, _central_jacobian, complementarity_violation, constraint_violation
 
 Array = np.ndarray
 
@@ -42,9 +48,16 @@ Array = np.ndarray
 MIN_FEASIBILITY_TOL = float(np.sqrt(np.finfo(float).eps))
 COMPLEMENTARITY_TOL = 1e-9
 REGULARIZATION_FLOOR = 1e-8
+REGULARIZATION_SHIFTS = 10
 # below this reciprocal condition estimate of J_w J_w^T the multipliers come
 # from pivoted QR instead of the (squared-condition) normal equations
 GRAM_RCOND_MIN = 1e-10
+
+
+def check_tolerance(tol: float, what: str) -> None:
+    """Refuse nan, infinite and non-positive tolerances (nan passes any < test)."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise UnsupportedProblemError(f"{what} tolerance {tol:g} is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 0:
             raise UnsupportedProblemError(f"iteration cap {self.max_iter} below 0")
+        check_tolerance(self.tol_stat, "stationarity")
+        check_tolerance(self.tol_feas, "feasibility")
         if self.tol_feas < MIN_FEASIBILITY_TOL:
             raise UnsupportedProblemError(
                 f"feasibility tolerance {self.tol_feas:g} below sqrt(machine eps)"
@@ -100,13 +115,13 @@ class SimpleNlp:
             object.__setattr__(self, "jacobian", lambda z: np.zeros((0, self.n_z)))
 
 
-def _fd_lagrangian_hessian(nlp, z: Array, mu: Array, step: float = 1e-6) -> Array:
+def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
     def grad_l(zz):
         g = nlp.objective_gradient(zz)
         r_jac = nlp.jacobian(zz)
         return g + np.asarray(r_jac).T @ mu if mu.size else g
 
-    hess = _central_jacobian(lambda Z: grad_l(Z[0])[None], z[None], step)[0]
+    hess = _central_jacobian(lambda Z: grad_l(Z[0])[None], z[None], FD_STEP)[0]
     return 0.5 * (hess + hess.T)
 
 
@@ -162,29 +177,32 @@ def _multiplier_estimate(jac_w: Array, g: Array) -> Array:
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
 
 
-def _solve_kkt(hess: Array, jac_w: Array, g: Array, r_w: Array, floor: float):
-    """Newton step: [[H, J^T], [J, 0]] [dz, mu] = [-g, -r], with a doubling
-    diagonal shift on H when the system is singular.  Returns (dz, mu, shift)
-    or (None, None, None) after ten failed shifts."""
-    n, m = g.size, r_w.size
-    rhs = np.concatenate([-g, -r_w])
-    shift = 0.0
-    for attempt in range(11):
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = hess + shift * np.eye(n)
-        if m:
-            kkt[:n, n:] = jac_w.T
-            kkt[n:, :n] = jac_w
+def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
+    """Solve ``matrix @ x = rhs`` by LU.  Only when LU fails (a singular
+    matrix, a non-finite x, or a backward error above 1e-8 (1 + ||rhs||_inf))
+    retry with ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at
+    most REGULARIZATION_SHIFTS times.  Returns x, or None if every try fails."""
+    tol = 1e-8 * (1.0 + np.max(np.abs(rhs)))
+    for shift in (0.0, *REGULARIZATION_FLOOR * 2.0 ** np.arange(REGULARIZATION_SHIFTS)):
+        shifted = matrix + np.diag(shift * signs) if shift else matrix
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            sol = np.linalg.solve(shifted, rhs)
         except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None and np.all(np.isfinite(sol)):
-            backward = np.max(np.abs(kkt @ sol - rhs))
-            if backward <= 1e-8 * (1.0 + np.max(np.abs(rhs))):
-                return sol[:n], sol[n:], shift
-        shift = floor if shift == 0.0 else 2.0 * shift
-    return None, None, None
+            continue
+        if np.all(np.isfinite(sol)) and np.max(np.abs(shifted @ sol - rhs)) <= tol:
+            return sol
+    return None
+
+
+def _solve_kkt(hess: Array, jac_w: Array, g: Array, r_w: Array):
+    """Newton step: [[H, J^T], [J, 0]] [dz, mu] = [-g, -r], shifted to
+    [[H + dI, J^T], [J, -dI]] only when it is singular.  Returns (dz, mu),
+    or (None, None) when no shift makes it solvable."""
+    n, m = g.size, r_w.size
+    kkt = np.block([[hess, jac_w.T], [jac_w, np.zeros((m, m))]])
+    signs = np.concatenate([np.ones(n), -np.ones(m)])
+    sol = regularized_solve(kkt, np.concatenate([-g, -r_w]), signs)
+    return (None, None) if sol is None else (sol[:n], sol[n:])
 
 
 def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
@@ -256,23 +274,11 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        hess = _lagrangian_hessian(nlp, z, mu_full)
-        dz = mu_w_new = None
-        floor = REGULARIZATION_FLOOR
-        for _ in range(4):
-            dz, mu_w_new, shift = _solve_kkt(hess, jac_w, g, r_w, floor)
-            if dz is None:
-                break
-            descent = float(g @ dz) - rho * float(np.sum(np.abs(r_w)))
-            if descent < -1e-16 or not r_w.size:
-                break
-            # not a descent direction for the merit: convexify harder
-            hess = hess + max(floor, 1e-4) * np.eye(nlp.n_z)
-            floor *= 16.0
+        dz, mu_w_new = _solve_kkt(_lagrangian_hessian(nlp, z, mu_full), jac_w, g, r_w)
         if dz is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
 
-        if mu_w_new is not None and mu_w_new.size:
+        if mu_w_new.size:
             rho = max(rho, 2.0 * float(np.max(np.abs(mu_w_new))) + 1.0)
         merit0 = _merit(f, r, eq, rho)
         descent = float(g @ dz) - rho * float(np.sum(np.abs(r_w)))

@@ -316,7 +316,7 @@ class DiscretizedNlp:
 
     # --- Lagrangian pieces used by the solver ------------------------------------
 
-    def lagrangian_hessian(self, z: Array, mu: Array, fd_step: float = 1e-6) -> Array:
+    def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
         """Hessian of F + mu^T c wrt stored variables.
 
         Interpolation and equivalency rows are linear and drop out; the
@@ -330,7 +330,7 @@ class DiscretizedNlp:
         # dynamics rows carry -f
         dyn = self.rows["dynamics"]
         mu_dyn = -(mu[dyn] * self._row_scale[dyn]).reshape(X.shape)
-        blocks = self.ocp.hamiltonian_curvatures(X, U, mu_dyn, fd_step)
+        blocks = self.ocp.hamiltonian_curvatures(X, U, mu_dyn)
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         x0, u0 = self.slice_x.start, self.slice_u.start
         set_node_blocks(hess, x0, x0, blocks[:, :n, :n])
@@ -338,9 +338,7 @@ class DiscretizedNlp:
         set_node_blocks(hess, u0, x0, blocks[:, n:, :n])
         set_node_blocks(hess, u0, u0, blocks[:, n:, n:])
 
-        block = self.ocp.endpoint_lagrangian_curvature(
-            x_a, x_b, mu[self.rows["endpoint"]], fd_step
-        )
+        block = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
         iab = slice(self.slice_xa.start, self.slice_xb.stop)
         hess[iab, iab] += 0.5 * (block + block.T)
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from birktraj import dual
 from birktraj.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -41,7 +42,9 @@ def test_run_config_defaults():
 
 
 def test_run_config_rejects_bad_fields(tmp_path):
-    for bad in (["--grid", "legendre"], ["--form", "c"], ["--N", "0"], ["--max-iter", "-1"]):
+    for bad in (["--grid", "legendre"], ["--form", "c"], ["--N", "0"], ["--max-iter", "-1"],
+                ["--tol-feas", "nan"], ["--tol-stat", "-1"], ["--tol-stat", "nan"],
+                ["--tol-verify", "nan"], ["--tol-verify", "-1"]):
         assert exit_code("solve", "--problem", "scalar-lq", *bad,
                          "--out", str(tmp_path)) == EXIT_BAD_CONFIG
     assert not list(tmp_path.iterdir())  # refused before any output
@@ -317,6 +320,14 @@ def test_indirect_solves_and_writes(tmp_path):
     lines = (tmp_path / "indirect_trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,x_0") and "costate_0" in lines[0]
     assert len(lines) == 10  # header + 9 nodes
+
+
+def test_indirect_singular_newton_matrix_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dual, "regularized_solve", lambda *args: None)
+    assert run("indirect", "--problem", "scalar-lq", "--N", "8",
+               "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
+    assert "singular Newton matrix" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # --- bench / grids ---------------------------------------------------------------

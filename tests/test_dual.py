@@ -36,6 +36,7 @@ from birktraj import (
     verified_variant,
     verify_pontryagin,
 )
+from birktraj import dual as dual_module
 from birktraj.ocp import pinned_endpoints
 from birktraj.transcription import consecutive_slices
 
@@ -414,6 +415,13 @@ def test_indirect_rejects_irregular_hamiltonian():
     sys = build_birkhoff(make_grid("lgl", 6, (0.0, 1.0)))
     with pytest.raises(UnsupportedProblemError):
         solve_indirect(ocp, sys, DualVariant("a", "b_star"))
+
+
+def test_indirect_singular_newton_matrix_raises(monkeypatch):
+    monkeypatch.setattr(dual_module, "regularized_solve", lambda *args: None)
+    _, sys = system_for("scalar-lq", 8)
+    with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
+        solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
 
 
 @pytest.mark.parametrize("costate", ["a", "b", "a_star", "b_star"])

@@ -132,6 +132,57 @@ def test_bad_initial_point_rejected():
         solve(unconstrained_qp(), np.array([np.nan]))
 
 
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),
+     ([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [1.0, 0.0, 1.0])],
+    ids=["twice", "twice-around-another"],
+)
+def test_dependent_equality_rows_converge(rows, rhs):
+    # z0 + z1 = 1 written twice: the unshifted KKT matrix is singular
+    jac, rhs = np.array(rows), np.array(rhs)
+    nlp = SimpleNlp(
+        n_z=2,
+        objective=lambda z: float(z @ z),
+        objective_gradient=lambda z: 2.0 * z,
+        constraints=lambda z: jac @ z - rhs,
+        jacobian=lambda z: jac,
+        equality_mask=np.ones(len(rhs), dtype=bool),
+    )
+    res = solve(nlp, np.zeros(2))
+    assert res.converged, res.status
+    # the shifted step stops O(REGULARIZATION_FLOOR) short, inside tol_feas
+    assert np.max(np.abs(res.z - 0.5)) <= 1e-8
+    # the constraint's multiplier -1, split evenly between its copies
+    assert res.multipliers[0] == pytest.approx(-0.5, abs=1e-8)
+    assert res.multipliers[-1] == pytest.approx(-0.5, abs=1e-8)
+
+
+# --- regularized Newton solve ----------------------------------------------------
+
+
+def test_duplicated_constraint_row_solves_only_through_the_shift():
+    jac = np.array([[1.0, 1.0], [1.0, 1.0]])
+    kkt = np.block([[2.0 * np.eye(2), jac.T], [jac, np.zeros((2, 2))]])
+    rhs = np.array([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt, rhs)
+    # a shift on the H block alone leaves the two equal rows singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt + np.diag([1.0, 1.0, 0.0, 0.0]), rhs)
+    sol = solver.regularized_solve(kkt, rhs, np.array([1.0, 1.0, -1.0, -1.0]))
+    assert sol is not None
+    assert np.allclose(sol, [0.5, 0.5, -0.5, -0.5], atol=1e-7)
+
+
+def test_regularized_solve_gives_up_when_no_shift_helps():
+    # eigenvalues 0 and -d for every shift d tried: each try is exactly singular
+    shifts = solver.REGULARIZATION_FLOOR * 2.0 ** np.arange(solver.REGULARIZATION_SHIFTS)
+    matrix = np.diag(np.concatenate([[0.0], -shifts]))
+    ones = np.ones(len(matrix))
+    assert solver.regularized_solve(matrix, ones, ones) is None
+
+
 # --- multiplier estimate ---------------------------------------------------------
 
 

@@ -87,6 +87,13 @@ def test_feasibility_tolerance_floor():
         SolverOptions(tol_feas=1e-9)
 
 
+@pytest.mark.parametrize("field", ["tol_stat", "tol_feas"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(UnsupportedProblemError, match="not a finite positive number"):
+        SolverOptions(**{field: value})
+
+
 def test_negative_iteration_cap_refused():
     assert SolverOptions().max_iter == 60
     SolverOptions(max_iter=0)  # no iterations is a valid cap
