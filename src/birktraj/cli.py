@@ -47,7 +47,7 @@ from .dual import (
 from .errors import BirktrajError, NotFoundError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import load_problem, prepared, registry, registry_names
-from .solver import SolverOptions
+from .solver import SolverOptions, check_tolerance
 from .transcription import PrimalForm, extract_primal, transcribe
 
 __all__ = ["main", "parse_args"]
@@ -102,29 +102,31 @@ def _write_trajectory_csv(path, nodes, X, U, costates=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _verification_variant(config, form: PrimalForm) -> DualVariant:
-    if config.variant is not None:
-        return DualVariant.parse(config.variant)
-    return verified_variant(form)
+def _verification_variant(variant: DualVariant | None, form: PrimalForm) -> DualVariant:
+    return variant if variant is not None else verified_variant(form)
 
 
 def _transcribed(config):
     """The set-up shared by solve and verify: load, build, form, options,
-    transcribe."""
+    the --variant given (or None), transcribe.  Every setting is checked
+    here, before any solve."""
     ocp = _load_ocp(config)
     system = build_birkhoff(make_grid(config.kind, config.N, ocp.horizon))
     form = PrimalForm(config.form, scaled=config.scaled)
     options = SolverOptions(
         max_iter=config.max_iter, tol_stat=config.tol_stat, tol_feas=config.tol_feas
     )
-    return ocp, system, form, options, transcribe(ocp, system, form)
+    if config.tol_verify is not None:
+        check_tolerance(config.tol_verify, "verification")
+    variant = DualVariant.parse(config.variant) if config.variant is not None else None
+    return ocp, system, form, options, variant, transcribe(ocp, system, form)
 
 
 # --- commands --------------------------------------------------------------------
 
 
 def cmd_solve(config) -> int:
-    ocp, system, form, options, nlp = _transcribed(config)
+    ocp, system, form, options, variant, nlp = _transcribed(config)
     res = solve_with_fallback(nlp, options)
     if not res.converged:
         print(f"solver failed: {res.status.value} after {res.iterations} iterations",
@@ -135,7 +137,7 @@ def cmd_solve(config) -> int:
     dual = report = None
     try:
         dual = map_covectors(res, form, system)
-        variant = _verification_variant(config, form)
+        variant = _verification_variant(variant, form)
         report = verify_pontryagin(ocp, primal, dual, system, variant, tol=config.tol_verify)
     except UnsupportedMappingError:
         pass  # forms without a proven route solve fine but skip verification
@@ -172,8 +174,8 @@ def cmd_solve(config) -> int:
 
 
 def cmd_verify(config) -> int:
-    ocp, system, form, options, nlp = _transcribed(config)
-    variant = _verification_variant(config, form)
+    ocp, system, form, options, variant, nlp = _transcribed(config)
+    variant = _verification_variant(variant, form)
     verified_variant(form)  # forms without a route are a config error here
 
     res = solve_with_fallback(nlp, options)

@@ -1,9 +1,10 @@
-"""Dense Newton-KKT solver for the transcribed problems.
+"""Newton-KKT solver for the transcribed problems.
 
 Works against a small structural interface: ``n_z``, ``objective``,
 ``objective_gradient``, ``constraints``, ``jacobian``, ``equality_mask`` and
-(optionally) ``lagrangian_hessian`` and ``rows``, a name -> slice map of the
-constraint row blocks that the result carries along with its multipliers.
+(optionally) ``lagrangian_hessian``, ``newton_step`` and ``rows``, a name ->
+slice map of the constraint row blocks that the result carries along with
+its multipliers.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
 as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
 solution.
@@ -21,8 +22,12 @@ Birkhoff rows keep it.  When the factorization fails or the condition
 estimate of J_w J_w^T is below GRAM_RCOND_MIN (rank-deficient or nearly
 dependent working rows), pivoted QR gives the minimum-norm multipliers.
 
-The Newton step solves [[H, J_w^T], [J_w, 0]] by LU; only when that fails is
-it shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
+The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  A
+problem may supply it structured, as ``newton_step(hess, jac, g, r,
+working) -> (dz, mu_w) | None``; DiscretizedNlp condenses it through the
+identity blocks of its rows and factors only small matrices.  Without that
+method, or when it returns None, the dense matrix is solved by LU; only when
+that fails is it shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
 REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
 whose -dI block makes dependent working rows solvable).  The indirect solver
 shares this rule, :func:`regularized_solve`, with +dI throughout.
@@ -177,19 +182,26 @@ def _multiplier_estimate(jac_w: Array, g: Array) -> Array:
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
 
 
-def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
-    """Solve ``matrix @ x = rhs`` by LU.  Only when LU fails (a singular
-    matrix, a non-finite x, or a backward error above 1e-8 (1 + ||rhs||_inf))
-    retry with ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at
-    most REGULARIZATION_SHIFTS times.  Returns x, or None if every try fails."""
+def checked_solve(matrix: Array, rhs: Array) -> Array | None:
+    """x with ``matrix @ x = rhs`` by LU, or None when LU fails: a singular
+    matrix, a non-finite x, or a backward error above 1e-8 (1 + ||rhs||_inf)."""
+    try:
+        sol = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return None
     tol = 1e-8 * (1.0 + np.max(np.abs(rhs)))
+    if np.all(np.isfinite(sol)) and np.max(np.abs(matrix @ sol - rhs)) <= tol:
+        return sol
+    return None
+
+
+def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
+    """:func:`checked_solve`, and only when that fails retry with
+    ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at most
+    REGULARIZATION_SHIFTS times.  Returns x, or None if every try fails."""
     for shift in (0.0, *REGULARIZATION_FLOOR * 2.0 ** np.arange(REGULARIZATION_SHIFTS)):
-        shifted = matrix + np.diag(shift * signs) if shift else matrix
-        try:
-            sol = np.linalg.solve(shifted, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(sol)) and np.max(np.abs(shifted @ sol - rhs)) <= tol:
+        sol = checked_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
+        if sol is not None:
             return sol
     return None
 
@@ -213,6 +225,9 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
     if not np.all(np.isfinite(z)):
         raise ShapeError("initial point must be finite")
 
+    # a problem-specific Newton step; None from it (or no such method) means
+    # the dense _solve_kkt, which alone regularizes
+    structured_step = getattr(nlp, "newton_step", None)
     eq = np.asarray(nlp.equality_mask, dtype=bool)
     n_rows = eq.size
     ineq_idx = np.flatnonzero(~eq)
@@ -274,7 +289,9 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        dz, mu_w_new = _solve_kkt(_lagrangian_hessian(nlp, z, mu_full), jac_w, g, r_w)
+        hess = _lagrangian_hessian(nlp, z, mu_full)
+        step = structured_step(hess, jac, g, r, working) if structured_step else None
+        dz, mu_w_new = step if step is not None else _solve_kkt(hess, jac_w, g, r_w)
         if dz is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
 

@@ -18,6 +18,15 @@ Constraint rows, in order:
     dynamics              (N+1) n_x   V - f(X, U)
     grid equivalency            n_x   x_b - x_a - w^T V
     endpoint rows               n_e   e(x_a, x_b)   (equality or <= 0)
+
+Each row block but the endpoint rows is the identity in one variable block
+(X, V and the endpoint opposite the anchor), so
+:meth:`DiscretizedNlp.newton_step` eliminates those variables from the
+solver's Newton-KKT system: it factors M = I - (B (x) I) F_x, of order
+(N+1) n_x and conditioned like the O(1)-norm Birkhoff matrix B, and a
+reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
+of multiple shooting, Bock and Plitt 1984).  When M or the reduced KKT is
+singular it returns None and the solver takes its dense, regularized step.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .birkhoff import BirkhoffSystem
 from .errors import (
@@ -40,6 +50,7 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .ocp import OcpDefinition, constraint_violation, prepared
+from .solver import checked_solve
 
 Array = np.ndarray
 
@@ -111,12 +122,21 @@ def consecutive_slices(sizes: dict) -> dict:
     return {nm: slice(a, b) for nm, a, b in zip(sizes, edges, edges[1:])}
 
 
+def _node_block_index(m: int, p: int, q: int, row0: int, col0: int):
+    i = np.arange(m)[:, None, None]
+    return row0 + i * p + np.arange(p)[:, None], col0 + i * q + np.arange(q)
+
+
 def set_node_blocks(out: Array, row0: int, col0: int, blocks: Array) -> None:
     """Write ``blocks[i]`` (p x q) as the i-th diagonal block of ``out`` whose
     first block starts at (row0, col0)."""
-    m, p, q = blocks.shape
-    i = np.arange(m)[:, None, None]
-    out[row0 + i * p + np.arange(p)[:, None], col0 + i * q + np.arange(q)] = blocks
+    out[_node_block_index(*blocks.shape, row0, col0)] = blocks
+
+
+def node_blocks(mat: Array, row0: int, col0: int, m: int, p: int, q: int) -> Array:
+    """The m diagonal blocks (p x q) of ``mat`` from (row0, col0): the inverse
+    of :func:`set_node_blocks`."""
+    return mat[_node_block_index(m, p, q, row0, col0)]
 
 
 class AnchoredBlock:
@@ -346,6 +366,116 @@ class DiscretizedNlp:
             hess *= self._col_scale[:, None]
             hess *= self._col_scale[None, :]
         return hess
+
+    # --- condensed Newton step -----------------------------------------------------
+
+    def _dynamics_blocks(self, jac: Array):
+        """Node blocks (F_x, F_u) of the dynamics Jacobian, in physical
+        variables, read off the dynamics rows of the stored Jacobian."""
+        m, n, nu = self.n_nodes, self.n_x, self.n_u
+        row0 = self.rows["dynamics"].start
+        # minus the row weight (starred) times the column weight (scaled) of each node
+        weight = -self._row_scale[row0:row0 + m * n:n]
+        if self._col_scale is not None:
+            weight = weight / self._w
+        fx = node_blocks(jac, row0, self.slice_x.start, m, n, n) / weight[:, None, None]
+        fu = node_blocks(jac, row0, self.slice_u.start, m, n, nu) / weight[:, None, None]
+        return fx, fu
+
+    def condensing_matrix(self, jac: Array) -> Array:
+        """M = I - (B (x) I) F_x, the matrix the condensed Newton step factors;
+        its conditioning follows that of the Birkhoff matrix B."""
+        fx, _ = self._dynamics_blocks(jac)
+        mn = self.n_nodes * self.n_x
+        return np.eye(mn) - np.einsum("ij,jab->iajb", self.state.B, fx).reshape(mn, mn)
+
+    def newton_step(self, hess: Array, jac: Array, g: Array, r: Array, working: Array):
+        """The Newton-KKT step [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w]
+        of the solver, condensed through the identity blocks of the rows.
+
+        The dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation
+        rows M dX = 1 dx_anchor + (B (x) I)(F_u dU - r2) - r1 and the
+        equivalency rows the other endpoint, so dz = T p + t in the free
+        unknowns p = (dU, dx_anchor).  Only M, of order (N+1) n_x, and the
+        reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
+        endpoint rows E are factored; the eliminated multipliers follow by
+        back-substitution in the columns of x_other, X and V.  Works in
+        physical variables, since the solution does not depend on the row
+        and column scaling.  Returns (dz, mu_w), or None when M is singular,
+        the reduced KKT fails :func:`solver.checked_solve` or a result is not
+        finite; the solver then takes its dense, regularized step.
+        """
+        if not np.all(self._row_scale):
+            return None  # a zero Galerkin weight: the weighted rows are void
+        m, n, nu = self.n_nodes, self.n_x, self.n_u
+        mn, n_p = m * n, m * nu + n
+        rows, col = self.rows, self._col_scale
+        r = r / self._row_scale
+        if col is not None:
+            g = g / col
+            hess = hess / np.outer(col, col)
+        r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
+        ends = rows["endpoint"].start + np.flatnonzero(working[rows["endpoint"]])
+        B, w = self.state.B, self._w
+        fx, fu = self._dynamics_blocks(jac)
+        lu, piv, info = lapack.dgetrf(self.condensing_matrix(jac))
+        if info != 0:
+            return None
+        if self.state.anchored_left:
+            anchor, other, sign = self.slice_xa, self.slice_xb, 1.0
+        else:
+            anchor, other, sign = self.slice_xb, self.slice_xa, -1.0
+
+        # columns of T: dU, dx_anchor, then t (the step at p = 0) last
+        v_free = np.zeros((mn, n_p + 1))  # dV - F_x dX
+        set_node_blocks(v_free, 0, 0, fu)
+        v_free[:, n_p] = -r2
+        rhs_x = (B @ v_free.reshape(m, -1)).reshape(m, n, n_p + 1)
+        rhs_x[:, :, m * nu:n_p] += np.eye(n)
+        rhs_x[:, :, n_p] -= r1.reshape(m, n)
+        t_x, _ = lapack.dgetrs(lu, piv, rhs_x.reshape(mn, n_p + 1))
+        t_v = np.einsum("iab,ibp->iap", fx, t_x.reshape(m, n, n_p + 1))
+        t_v += v_free.reshape(m, n, n_p + 1)
+        T = np.zeros((self.n_z, n_p + 1))
+        T[self.slice_x] = t_x
+        T[self.slice_u, :m * nu] = np.eye(m * nu)
+        T[self.slice_v] = t_v.reshape(mn, n_p + 1)
+        T[anchor, m * nu:n_p] = np.eye(n)
+        T[other] = T[anchor] + sign * np.tensordot(w, t_v, 1)
+        T[other, n_p] -= sign * r3
+
+        # H is zero outside the rows/columns the curvature reaches; the
+        # endpoint rows and the x_a, x_b columns carry no scaling
+        hit = np.flatnonzero(np.any(hess, axis=0))
+        ht = hess[np.ix_(hit, hit)] @ T[hit]
+        t_hit = T[hit, :n_p]
+        e_rows = jac[ends]
+        e_t = e_rows @ T
+        kkt = np.block([
+            [t_hit.T @ ht[:, :n_p], e_t[:, :n_p].T],
+            [e_t[:, :n_p], np.zeros((ends.size, ends.size))],
+        ])
+        rhs = -np.concatenate([t_hit.T @ ht[:, n_p] + T[:, :n_p].T @ g, r[ends] + e_t[:, n_p]])
+        sol = checked_solve(kkt, rhs)
+        if sol is None:
+            return None
+        p, mu4 = sol[:n_p], sol[n_p:]
+        dz = T[:, :n_p] @ p + T[:, n_p]
+
+        s = g.copy()  # H dz + g
+        s[hit] += ht[:, :n_p] @ p + ht[:, n_p]
+        mu3 = -sign * (s[other] + e_rows[:, other].T @ mu4)
+        s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
+        w_mu3 = np.outer(w, mu3)
+        y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
+        mu1, _ = lapack.dgetrs(lu, piv, y.ravel(), trans=1)
+        mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
+        mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
+        if col is not None:
+            dz = dz / col
+        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(mu))):
+            return None
+        return dz, mu
 
     # --- serialization -----------------------------------------------------------
 

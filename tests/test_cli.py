@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from birktraj import dual
+from birktraj import cli, dual
 from birktraj.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -309,6 +309,22 @@ def test_verify_explicit_variant(tmp_path):
 def test_verify_garbage_variant_exits_64(tmp_path):
     assert run("verify", "--problem", "scalar-lq", "--variant", "a,q",
                "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "bad", [["--tol-verify", "nan"], ["--tol-verify", "-1"], ["--variant", "zzz"],
+            ["--variant", "a,zzz"]],
+    ids=["tol-nan", "tol-negative", "variant-one-word", "variant-bad-costate"],
+)
+def test_verification_settings_refused_before_the_solve(command, bad, tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the settings were checked")
+
+    monkeypatch.setattr(cli, "solve_with_fallback", no_solve)
+    assert run(command, "--problem", "scalar-lq", *bad, "--out", str(tmp_path)) \
+        == EXIT_BAD_CONFIG
+    assert not list(tmp_path.iterdir())
 
 
 def test_indirect_solves_and_writes(tmp_path):

@@ -17,6 +17,7 @@ from birktraj import (
     map_covectors,
     prepared,
     registry,
+    registry_names,
     registry_solution,
     solve,
     solver,
@@ -313,6 +314,55 @@ def test_double_integrator_matches_analytic_solution():
     assert np.max(np.abs(lam[:, 0] - costates[0])) <= 1e-5
     assert np.max(np.abs(lam[:, 1] - costates[1])) <= 1e-5
     assert np.max(np.abs(lam[:, 2] - 1.0)) <= 1e-5
+
+
+class DenseOnly:
+    """An NLP without its structured Newton step; everything else forwarded."""
+
+    def __init__(self, nlp):
+        self._nlp = nlp
+
+    def __getattr__(self, name):
+        if name == "newton_step":
+            raise AttributeError(name)
+        return getattr(self._nlp, name)
+
+
+def counting_dense_steps(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return dense(*args)
+
+    dense = solver._solve_kkt
+    monkeypatch.setattr(solver, "_solve_kkt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_condensed_and_dense_steps_take_the_same_iteration(name, monkeypatch):
+    dense_calls = counting_dense_steps(monkeypatch)
+    nlp = make_nlp(name, N=32)
+    z0 = initial_guess(nlp, "linear-endpoint-interpolation")
+    condensed = solve(nlp, z0)
+    assert condensed.converged and not dense_calls  # every step was condensed
+    dense = solve(DenseOnly(nlp), z0)
+    assert dense.converged and len(dense_calls) == dense.iterations
+    assert condensed.iterations == dense.iterations
+    assert [row["step"] for row in condensed.log] == [row["step"] for row in dense.log]
+    assert np.max(np.abs(condensed.z - dense.z)) <= 1e-10
+    assert np.max(np.abs(condensed.multipliers - dense.multipliers)) <= 1e-10
+
+
+def test_solve_converges_through_the_dense_fallback(monkeypatch):
+    dense_calls = counting_dense_steps(monkeypatch)
+    nlp = make_nlp("double-integrator-energy", N=16)
+    monkeypatch.setattr(type(nlp), "newton_step", lambda self, *args: None)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert len(dense_calls) == res.iterations > 0
+    assert res.kkt_residual <= SolverOptions().tol_feas
 
 
 def test_scaled_form_reaches_same_objective():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from birktraj import (
+    DiscretizedNlp,
     DomainMismatchError,
     EvaluationError,
     NotFoundError,
@@ -16,9 +17,13 @@ from birktraj import (
     build_birkhoff,
     extract_primal,
     initial_guess,
+    load_problem,
+    loglog_slope,
     make_grid,
     prepared,
     registry,
+    registry_names,
+    solve,
     transcribe,
 )
 from birktraj.ocp import pinned_endpoints
@@ -288,3 +293,83 @@ def test_dump_round_trips_as_json(tmp_path):
     assert blob["layout"]["x_b"][1] == nlp.n_z
     assert blob["rows"] == {name: [s.start, s.stop] for name, s in nlp.rows.items()}
     assert list(nlp.rows) == ["state_interpolation", "dynamics", "grid_equivalency", "endpoint"]
+
+
+# --- condensed Newton step ---------------------------------------------------------
+
+FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True),
+         ("b", True)]
+
+# x' = u, running cost u^2, x(0) = 0 pinned, x(1) >= 1 as the inequality -x_b + 1 <= 0
+BOUNDED_REACH = {
+    "name": "bounded-reach",
+    "n_x": 1,
+    "n_u": 1,
+    "horizon": [0.0, 1.0],
+    "dynamics": {"A": [[0.0]], "B": [[1.0]]},
+    "running_cost": {"R": [[1.0]]},
+    "constraints": [
+        {"kind": "equality", "a": [1.0], "rhs": 0.0},
+        {"kind": "inequality", "b": [-1.0], "rhs": -1.0},
+    ],
+}
+
+
+def assert_step_matches_dense(nlp, seed=0):
+    from birktraj.solver import _solve_kkt
+
+    rng = np.random.default_rng(seed)
+    z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
+    mu = rng.normal(size=nlp.n_rows)  # a non-optimal iterate: no multiplier fits
+    hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
+    g, r = nlp.objective_gradient(z), nlp.constraints(z)
+    working = nlp.equality_mask | (r > 0.0)
+    dz_ref, mu_ref = _solve_kkt(hess, jac[working], g, r[working])
+    dz, mu_w = nlp.newton_step(hess, jac, g, r, working)
+    assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
+    assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
+    return working
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+@pytest.mark.parametrize("name", registry_names())
+def test_newton_step_is_the_dense_kkt_step(name, kind, form, scaled):
+    assert_step_matches_dense(make_nlp(name, N=12, form=form, scaled=scaled, kind=kind))
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
+def test_newton_step_with_a_working_inequality_row(form, scaled):
+    ocp = prepared(load_problem(BOUNDED_REACH))
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 12, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    working = assert_step_matches_dense(nlp)
+    assert working[nlp.rows["endpoint"]].all()  # the violated bound joined the working set
+
+
+def test_singular_condensing_matrix_gives_no_step(monkeypatch):
+    nlp = make_nlp(N=8)
+    z = initial_guess(nlp, "constant-midpoint")
+    mu = np.random.default_rng(1).normal(size=nlp.n_rows)
+    args = (nlp.lagrangian_hessian(z, mu), nlp.jacobian(z),
+            nlp.objective_gradient(z), nlp.constraints(z), nlp.equality_mask)
+    assert nlp.newton_step(*args) is not None
+    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix",
+                        lambda self, jac: np.zeros((self.n_nodes * self.n_x,) * 2))
+    assert nlp.newton_step(*args) is None
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
+def test_condensing_matrix_conditioning_stays_bounded(name, kind):
+    # the paper's claim, on the matrix the Newton step factors: B stays O(1)
+    # in norm, so cond(I - (B (x) I) F_x) does not grow with N
+    orders = [8, 16, 32, 64, 128]
+    conds = []
+    for N in orders:
+        nlp = make_nlp(name, N=N, kind=kind)
+        res = solve(nlp, initial_guess(nlp, "linear-endpoint-interpolation"))
+        assert res.converged, (N, res.status)
+        conds.append(np.linalg.cond(nlp.condensing_matrix(nlp.jacobian(res.z))))
+    assert max(conds) < 3.0, conds
+    assert abs(loglog_slope(orders, conds)) <= 0.1, conds
