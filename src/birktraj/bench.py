@@ -48,6 +48,7 @@ from .dual import (
 from .errors import BirktrajError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import prepared, registry, registry_solution
+from .output import write_csv
 from .solver import SolverOptions, solve
 from .transcription import PrimalForm, extract_primal, initial_guess, transcribe
 
@@ -327,24 +328,9 @@ def _reference_functions(problem, ocp, n_base, orders, oracle_order):
 # --- reproducible output --------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _write_rows(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_cond_csv(rows, path) -> None:
     ordered = sorted(rows, key=lambda r: (r.kind, r.N))
-    _write_rows(
+    write_csv(
         path,
         ["kind", "N", "cond_B_a", "cond_D", "cond_kkt", "note"],
         [(r.kind, r.N, r.cond_B_a, r.cond_D, r.cond_kkt, r.note) for r in ordered],
@@ -353,7 +339,7 @@ def write_cond_csv(rows, path) -> None:
 
 def write_convergence_csv(rows, path) -> None:
     ordered = sorted(rows, key=lambda r: (r.kind, r.N))
-    _write_rows(
+    write_csv(
         path,
         [
             "kind",

@@ -47,6 +47,7 @@ from .dual import (
 from .errors import BirktrajError, NotFoundError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import load_problem, prepared, registry, registry_names
+from .output import write_csv, write_json
 from .solver import SolverOptions, check_tolerance
 from .transcription import PrimalForm, extract_primal, transcribe
 
@@ -82,24 +83,12 @@ def _out_path(config, name: str) -> str:
     return os.path.join(config.out, name)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_trajectory_csv(path, nodes, X, U, costates=None) -> None:
-    header = ["t"]
-    header += [f"x_{j}" for j in range(X.shape[1])]
-    header += [f"u_{j}" for j in range(U.shape[1])]
-    cols = [np.asarray(nodes), *X.T, *U.T]
+    tables = {"x": X, "u": U}
     if costates is not None:
-        header += [f"costate_{j}" for j in range(costates.shape[1])]
-        cols += list(costates.T)
-    lines = [",".join(header)]
-    for i in range(len(nodes)):
-        lines.append(",".join(format(float(c[i]), ".17g") for c in cols))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        tables["costate"] = costates
+    header = ["t"] + [f"{name}_{j}" for name, tab in tables.items() for j in range(tab.shape[1])]
+    write_csv(path, header, np.column_stack([nodes, *tables.values()]))
 
 
 def _verification_variant(variant: DualVariant | None, form: PrimalForm) -> DualVariant:
@@ -153,7 +142,7 @@ def cmd_solve(config) -> int:
         "dual": dual.to_json_dict() if dual is not None else None,
         "verification": report.to_json_dict() if report is not None else None,
     }
-    _write_json(_out_path(config, "solution.json"), payload)
+    write_json(_out_path(config, "solution.json"), payload)
     _write_trajectory_csv(
         _out_path(config, "trajectory.csv"),
         system.grid.nodes,
@@ -186,7 +175,7 @@ def cmd_verify(config) -> int:
     dual = map_covectors(res, form, system)
     report = verify_pontryagin(ocp, primal, dual, system, variant, tol=config.tol_verify)
 
-    _write_json(_out_path(config, "report.json"), report.to_json_dict())
+    write_json(_out_path(config, "report.json"), report.to_json_dict())
     for name in sorted(report.blocks):
         print(f"  {name:24s} {report.blocks[name]:.6e}")
     print(f"verification {'PASS' if report.passed else 'FAIL'} at tolerance "
@@ -208,7 +197,7 @@ def cmd_indirect(config) -> int:
         "primal": primal.to_json_dict(),
         "dual": dual.to_json_dict(),
     }
-    _write_json(_out_path(config, "indirect.json"), payload)
+    write_json(_out_path(config, "indirect.json"), payload)
     _write_trajectory_csv(
         _out_path(config, "indirect_trajectory.csv"),
         system.grid.nodes, primal.X, primal.U, dual.costates,
@@ -254,7 +243,7 @@ def cmd_grids(config) -> int:
     grid = make_grid(config.kind, config.N, config.domain)
     system = build_birkhoff(grid)
     path = _out_path(config, "system.json")
-    _write_json(path, system.to_json_dict())
+    write_json(path, system.to_json_dict())
     print(f"wrote {path} ({config.kind}, N={config.N}, "
           f"domain [{grid.domain[0]:g}, {grid.domain[1]:g}])")
     return EXIT_OK

@@ -24,8 +24,6 @@ defect built in (see :func:`default_tolerance`).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -128,21 +126,6 @@ class DualTrajectory:
             "endpoint": self.endpoint.tolist(),
         }
 
-    def write_csv(self, path) -> None:
-        m, n = self.costates.shape
-        header = (
-            ["node"]
-            + [f"costate_{j}" for j in range(n)]
-            + [f"costate_deriv_{j}" for j in range(n)]
-        )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(m):
-                row = [i] + [f"{v:.17g}" for v in self.costates[i]]
-                row += [f"{v:.17g}" for v in self.costate_derivs[i]]
-                writer.writerow(row)
-
 
 def verified_variant(form: PrimalForm) -> DualVariant:
     """The dual variant whose root system a converged solve of ``form``
@@ -234,11 +217,6 @@ class PontryaginReport:
             "experimental": self.experimental,
             "passed": self.passed,
         }
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def default_tolerance(sys: BirkhoffSystem) -> float:

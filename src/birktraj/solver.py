@@ -35,7 +35,6 @@ shares this rule, :func:`regularized_solve`, with +dI throughout.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +44,7 @@ from scipy.linalg import lapack, lstsq
 
 from .errors import EvaluationError, ShapeError, UnsupportedProblemError
 from .ocp import FD_STEP, _central_jacobian, complementarity_violation, constraint_violation
+from .output import write_csv
 
 Array = np.ndarray
 
@@ -338,10 +338,4 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
 
 def write_iteration_log(result: NlpResult, path) -> None:
     fields = ["iter", "merit", "step", "stationarity", "feasibility", "complementarity"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in result.log:
-            writer.writerow(
-                [row["iter"]] + [f"{row[k]:.17g}" for k in fields[1:]]
-            )
+    write_csv(path, fields, ([row[k] for k in fields] for row in result.log))

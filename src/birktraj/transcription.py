@@ -31,7 +31,6 @@ singular it returns None and the solver takes its dense, regularized step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -507,11 +506,6 @@ class DiscretizedNlp:
             "constant_matrices": "by reference: rebuild from the grid entry",
             "grid": self.sys.grid.to_json_dict(),
         }
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 
@@ -38,6 +37,7 @@ from birktraj import (
 )
 from birktraj import dual as dual_module
 from birktraj.ocp import pinned_endpoints
+from birktraj.output import write_json
 from birktraj.transcription import consecutive_slices
 
 
@@ -246,7 +246,7 @@ def test_report_serialization(tmp_path):
     report = verify_pontryagin(ocp, primal, dual, sys, DualVariant("b", "a"))
     assert report.experimental
     path = tmp_path / "report.json"
-    report.dump(path)
+    write_json(path, report.to_json_dict())
     blob = json.loads(path.read_text())
     assert blob["variant"] == "b,a"
     assert blob["experimental"] is True
@@ -509,15 +509,3 @@ def test_verification_meets_inequality_endpoint_rows(form):
     assert report.passed, report.blocks
     active, inactive = dual.endpoint[1], dual.endpoint[2]
     assert active > 0.0 and inactive == 0.0
-
-
-def test_dual_trajectory_csv(tmp_path):
-    _, _, _, dual = zero_dynamics_point(N=4)
-    path = tmp_path / "dual.csv"
-    dual.write_csv(path)
-    assert b"\r" not in path.read_bytes()
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["node", "costate_0", "costate_deriv_0"]
-    assert len(rows) == 1 + 5
-    assert float(rows[1][1]) == 2.0

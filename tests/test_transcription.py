@@ -27,6 +27,7 @@ from birktraj import (
     transcribe,
 )
 from birktraj.ocp import pinned_endpoints
+from birktraj.output import write_json
 
 
 def scalar_mayer():
@@ -286,7 +287,7 @@ def test_extract_primal_feasibility_and_gap():
 def test_dump_round_trips_as_json(tmp_path):
     nlp = make_nlp(N=4, form="b_star")
     path = tmp_path / "nlp.json"
-    nlp.dump(path)
+    write_json(path, nlp.to_json_dict())
     blob = json.loads(path.read_text())
     assert blob["form"] == {"tag": "b_star", "scaled": False}
     assert blob["sizes"]["decision"] == nlp.n_z
