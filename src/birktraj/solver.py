@@ -54,9 +54,6 @@ MIN_FEASIBILITY_TOL = float(np.sqrt(np.finfo(float).eps))
 COMPLEMENTARITY_TOL = 1e-9
 REGULARIZATION_FLOOR = 1e-8
 REGULARIZATION_SHIFTS = 10
-# below this reciprocal condition estimate of J_w J_w^T the multipliers come
-# from pivoted QR instead of the (squared-condition) normal equations
-GRAM_RCOND_MIN = 1e-10
 
 
 def check_tolerance(tol: float, what: str) -> None:
@@ -158,50 +155,62 @@ def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
     return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
-def _multiplier_estimate(jac_w: Array, g: Array) -> Array:
+def _multiplier_estimate(structured_step, jac: Array, g: Array, working: Array) -> Array:
     """Least-squares multipliers, argmin ||g + J_w^T mu||, of the working rows.
 
-    Fast route: Cholesky on G = J_w J_w^T, solve G mu = -J_w g, then one
-    correction step mu += G^-1 J_w (-g - J_w^T mu) with the same factor (the
-    corrected semi-normal equations, Bjorck 1987), which takes away the error
-    of the squared condition number.  When G is not positive definite or its
-    reciprocal condition estimate is below GRAM_RCOND_MIN, rank-revealing
-    pivoted QR (LAPACK gelsy) gives the minimum-norm solution instead.
+    They are the mu-part of [[I, J_w^T], [J_w, 0]] [d, mu] = [-g, 0], so the
+    problem's own Newton step with H = I gives them (Bjorck 1996, 2.9).  When
+    the problem has no such step or it returns None (dependent working rows,
+    among others), rank-revealing pivoted QR (LAPACK gelsy) gives the
+    minimum-norm solution.
     """
-    gram = jac_w @ jac_w.T
-    norm_1 = lapack.dlange("1", gram)
-    # G is symmetric, so its transpose is G in the Fortran order LAPACK
-    # factors in place, without a copy
-    factor, info = lapack.dpotrf(gram.T, overwrite_a=True)
-    if info == 0:
-        rcond, info = lapack.dpocon(factor, norm_1)
-        if info == 0 and rcond >= GRAM_RCOND_MIN:
-            mu = lapack.dpotrs(factor, -(jac_w @ g))[0]
-            return mu + lapack.dpotrs(factor, jac_w @ (-g - jac_w.T @ mu))[0]
+    if structured_step is not None:
+        step = structured_step(np.ones(g.size), jac, g, np.zeros(working.size), working)
+        if step is not None:
+            return step[1]
+    jac_w = jac[working]
     cutoff = np.finfo(float).eps * max(jac_w.shape)
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
 
 
-def checked_solve(matrix: Array, rhs: Array) -> Array | None:
-    """x with ``matrix @ x = rhs`` by LU, or None when LU fails: a singular
-    matrix, a non-finite x, or a backward error above 1e-8 (1 + ||rhs||_inf)."""
-    try:
-        sol = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
+def _refined_lu_solve(matrix: Array, rhs: Array):
+    """x with ``matrix @ x = rhs`` by LU and one step of iterative
+    refinement with the same factor, as (x, (lu, piv)); None when LU meets a
+    zero pivot, x is not finite, or the backward error is above
+    1e-8 (1 + ||rhs||_inf)."""
+    lu, piv, info = lapack.dgetrf(matrix)
+    if info != 0:
         return None
+    sol = lapack.dgetrs(lu, piv, rhs)[0]
+    if not np.all(np.isfinite(sol)):
+        return None
+    sol += lapack.dgetrs(lu, piv, rhs - matrix @ sol)[0]
     tol = 1e-8 * (1.0 + np.max(np.abs(rhs)))
     if np.all(np.isfinite(sol)) and np.max(np.abs(matrix @ sol - rhs)) <= tol:
-        return sol
+        return sol, (lu, piv)
     return None
+
+
+def checked_solve(matrix: Array, rhs: Array) -> Array | None:
+    """x with ``matrix @ x = rhs`` by LU, refined once with the same factor,
+    or None when that fails: a zero pivot, a non-finite x, or a backward
+    error above 1e-8 (1 + ||rhs||_inf)."""
+    solved = _refined_lu_solve(matrix, rhs)
+    return None if solved is None else solved[0]
 
 
 def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
     """:func:`checked_solve`, and only when that fails retry with
     ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at most
-    REGULARIZATION_SHIFTS times.  Returns x, or None if every try fails."""
+    REGULARIZATION_SHIFTS times.  A shifted solution, O(d |x|) off the
+    system asked for, is refined once against ``matrix`` with the shifted
+    factor.  Returns x, or None if every try fails."""
     for shift in (0.0, *REGULARIZATION_FLOOR * 2.0 ** np.arange(REGULARIZATION_SHIFTS)):
-        sol = checked_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
-        if sol is not None:
+        solved = _refined_lu_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
+        if solved is not None:
+            sol, (lu, piv) = solved
+            if shift:
+                sol += lapack.dgetrs(lu, piv, rhs - matrix @ sol)[0]
             return sol
     return None
 
@@ -271,7 +280,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         # least-squares multipliers for the optimality test
         mu_full = np.zeros(n_rows)
         if working.any():
-            mu_full[working] = _multiplier_estimate(jac_w, g)
+            mu_full[working] = _multiplier_estimate(structured_step, jac, g, working)
         stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:

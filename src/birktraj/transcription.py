@@ -400,7 +400,9 @@ class DiscretizedNlp:
         endpoint rows E are factored; the eliminated multipliers follow by
         back-substitution in the columns of x_other, X and V.  Works in
         physical variables, since the solution does not depend on the row
-        and column scaling.  Returns (dz, mu_w), or None when M is singular,
+        and column scaling.  A 1-D ``hess`` is the diagonal of H; with
+        H = I and r = 0, mu_w are the least-squares multipliers
+        argmin ||g + J_w^T mu||.  Returns (dz, mu_w), or None when M is singular,
         the reduced KKT fails :func:`solver.checked_solve` or a result is not
         finite; the solver then takes its dense, regularized step.
         """
@@ -412,7 +414,7 @@ class DiscretizedNlp:
         r = r / self._row_scale
         if col is not None:
             g = g / col
-            hess = hess / np.outer(col, col)
+            hess = hess / (col * col if hess.ndim == 1 else np.outer(col, col))
         r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
         ends = rows["endpoint"].start + np.flatnonzero(working[rows["endpoint"]])
         B, w = self.state.B, self._w
@@ -445,8 +447,12 @@ class DiscretizedNlp:
 
         # H is zero outside the rows/columns the curvature reaches; the
         # endpoint rows and the x_a, x_b columns carry no scaling
-        hit = np.flatnonzero(np.any(hess, axis=0))
-        ht = hess[np.ix_(hit, hit)] @ T[hit]
+        if hess.ndim == 1:  # the diagonal of H
+            hit = np.flatnonzero(hess)
+            ht = hess[hit, None] * T[hit]
+        else:
+            hit = np.flatnonzero(np.any(hess, axis=0))
+            ht = hess[np.ix_(hit, hit)] @ T[hit]
         t_hit = T[hit, :n_p]
         e_rows = jac[ends]
         e_t = e_rows @ T

@@ -11,8 +11,10 @@ from birktraj import (
     SolveStatus,
     SolverOptions,
     build_birkhoff,
+    extract_primal,
     initial_guess,
     kkt_residual,
+    load_problem,
     make_grid,
     map_covectors,
     prepared,
@@ -20,10 +22,18 @@ from birktraj import (
     registry_names,
     registry_solution,
     solve,
+    solve_with_fallback,
     solver,
     transcribe,
+    verified_variant,
+    verify_pontryagin,
     write_iteration_log,
 )
+
+
+FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False),
+         ("a", True), ("b", True)]
+FORM_IDS = ["a", "b", "a_star", "b_star", "a+scaled", "b+scaled"]
 
 
 def make_nlp(name, N=8, form="a", scaled=False, kind="lgl"):
@@ -187,15 +197,45 @@ def test_regularized_solve_gives_up_when_no_shift_helps():
 # --- multiplier estimate ---------------------------------------------------------
 
 
+def structured_estimate_only(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the estimate fell back to pivoted QR")
+
+    monkeypatch.setattr(solver, "lstsq", no_qr)
+
+
 def test_multiplier_estimate_matches_svd_least_squares(monkeypatch):
-    monkeypatch.setattr(solver, "lstsq", None)  # the Cholesky route only
+    structured_estimate_only(monkeypatch)
     nlp = make_nlp("double-integrator-energy", N=64)
     z = initial_guess(nlp, "constant-midpoint")
-    jac = np.asarray(nlp.jacobian(z))[nlp.equality_mask]
+    jac, eq = np.asarray(nlp.jacobian(z)), nlp.equality_mask
     g = nlp.objective_gradient(z)
-    ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
-    mu = solver._multiplier_estimate(jac, g)
+    ref = np.linalg.lstsq(jac[eq].T, -g, rcond=None)[0]
+    mu = solver._multiplier_estimate(nlp.newton_step, jac, g, eq)
     assert np.linalg.norm(mu - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+@pytest.mark.parametrize("name", registry_names())
+def test_structured_multiplier_estimate_on_every_form(monkeypatch, name, kind, form, scaled):
+    structured_estimate_only(monkeypatch)
+    nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind)
+    z = initial_guess(nlp, "constant-midpoint")
+    jac, eq = np.asarray(nlp.jacobian(z)), nlp.equality_mask
+    g = nlp.objective_gradient(z)
+    ref = np.linalg.lstsq(jac[eq].T, -g, rcond=None)[0]
+    mu = solver._multiplier_estimate(nlp.newton_step, jac, g, eq)
+    # relative, or absolute where the reference is zero
+    assert np.linalg.norm(mu - ref) <= 1e-10 * (np.linalg.norm(ref) or 1.0)
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("name", registry_names())
+def test_registry_solves_on_lgl_never_call_pivoted_qr(monkeypatch, name, form, scaled):
+    structured_estimate_only(monkeypatch)
+    nlp = make_nlp(name, N=16, form=form, scaled=scaled)
+    solve(nlp, initial_guess(nlp, "constant-midpoint"))
 
 
 def test_duplicated_row_takes_qr_route_to_minimum_norm_multipliers(monkeypatch):
@@ -226,22 +266,23 @@ def test_duplicated_row_takes_qr_route_to_minimum_norm_multipliers(monkeypatch):
     assert res.multipliers[0] == pytest.approx(res.multipliers[2], abs=1e-12)
 
 
-def test_nearly_dependent_rows_skip_the_normal_equations():
-    # cond(J_w) ~ 1e7: Cholesky succeeds on J_w J_w^T but the condition
-    # estimate sends the estimate to QR; the normal equations, corrected
-    # once, would be off by ~2e-4 here
+def test_nearly_dependent_rows_take_pivoted_qr_without_a_structured_step():
+    # cond(J_w) ~ 1e7 and no newton_step: pivoted QR matches the SVD
+    # solution where the normal equations, corrected once, would be off by
+    # ~2e-4
     rng = np.random.default_rng(0)
     jac = rng.standard_normal((5, 9))
     jac[4] = jac[0] + 1e-7 * rng.standard_normal(9)
     g = rng.standard_normal(9)
     ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
-    mu = solver._multiplier_estimate(jac, g)
+    mu = solver._multiplier_estimate(None, jac, g, np.ones(5, dtype=bool))
     assert np.linalg.norm(mu - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
 def test_corrected_multipliers_reach_closed_form_costates():
-    # one correction step takes the squared condition number out of the
-    # normal equations; without it this error is ~3e-10
+    # the multipliers come from the condensed step with H = I, whose LU
+    # solves are refined once; the costates then match the closed form to
+    # within the discretization error
     nlp = make_nlp("double-integrator-energy", N=128)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.converged
@@ -399,3 +440,53 @@ def test_iteration_log_csv(tmp_path):
         assert int(row[0]) >= 1
         for cell in row[1:]:
             assert np.isfinite(float(cell))
+
+
+# --- dependent and nearly dependent endpoint rows --------------------------------
+
+
+def solve_and_verify(problem: dict, kind: str, N: int):
+    ocp = prepared(load_problem(problem))
+    sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
+    nlp = transcribe(ocp, sys, PrimalForm("a"))
+    res = solve_with_fallback(nlp)
+    assert res.converged, (res.status, res.iterations)
+    primal = extract_primal(nlp, res.z)
+    dual = map_covectors(res, nlp.form, sys)
+    report = verify_pontryagin(ocp, primal, dual, sys, verified_variant(nlp.form))
+    assert report.passed, report.blocks
+    return primal, dual
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 32])
+def test_duplicated_endpoint_row_converges_at_every_order(N):
+    # x_b = 1 written twice: the condensed step is singular, and the shifted
+    # dense step stops short unless it is refined against the unshifted matrix
+    problem = {
+        "n_x": 1, "n_u": 1, "horizon": [0, 1],
+        "dynamics": {"A": [[0]], "B": [[1]]},
+        "running_cost": {"Q": [[0]], "R": [[1]]},
+        "constraints": [{"a": [1], "rhs": 0}, {"b": [1], "rhs": 1}, {"b": [1], "rhs": 1}],
+    }
+    primal, _ = solve_and_verify(problem, "lgl", N)
+    assert primal.objective == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+def test_nearly_dependent_endpoint_rows_converge_and_verify(kind, N):
+    # (1, 0) x_b = 1 and (1, 1e-4) x_b = 1 pin x_b = (1, 0) through rows
+    # 1e-4 apart; the refinement in every LU solve keeps the estimate and
+    # the step accurate
+    problem = {
+        "n_x": 2, "n_u": 1, "horizon": [0, 1],
+        "dynamics": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]},
+        "running_cost": {"R": [[0.5]]},
+        "constraints": [
+            {"a": [1, 0], "rhs": 0}, {"a": [0, 1], "rhs": 0},
+            {"b": [1, 0], "rhs": 1}, {"b": [1, 1e-4], "rhs": 1},
+        ],
+    }
+    primal, dual = solve_and_verify(problem, kind, N)
+    assert primal.objective == pytest.approx(6.0, rel=1e-8)
+    assert np.allclose(dual.endpoint, [12.0, 6.0, -60012.0, 60000.0, -1.0], rtol=1e-6)
