@@ -296,6 +296,11 @@ class DiscretizedNlp:
     # --- constraints --------------------------------------------------------------
 
     def constraints(self, z: Array) -> Array:
+        return self.unweighted_constraints(z) * self._row_scale
+
+    def unweighted_constraints(self, z: Array) -> Array:
+        """The constraint rows before the Galerkin weighting of the starred
+        forms: the same residuals on every form."""
         X, U, V, x_a, x_b = self.unpack(z)
         f = self.ocp.dynamics(X, U)
         bad = ~np.isfinite(f).all(axis=1)
@@ -310,7 +315,7 @@ class DiscretizedNlp:
         )
         r[rows["dynamics"]] = (V - f).ravel()
         r[rows["endpoint"]] = self.ocp.constraints.fun(x_a, x_b)
-        return r * self._row_scale
+        return r
 
     def jacobian(self, z: Array) -> Array:
         """Dense Jacobian of the (row-scaled) constraints wrt stored variables."""
@@ -584,8 +589,11 @@ def initial_guess(nlp: DiscretizedNlp, strategy: str = "constant-midpoint", user
 
 
 def extract_primal(nlp: DiscretizedNlp, z: Array) -> PrimalSolution:
+    """The node tables and endpoints of ``z``, its objective and its
+    feasibility: the worst violation of the unweighted rows, so every form
+    reports it on one scale."""
     X, U, V, x_a, x_b = nlp.unpack(z)
-    viol = constraint_violation(nlp.constraints(z), nlp.equality_mask)
+    viol = constraint_violation(nlp.unweighted_constraints(z), nlp.equality_mask)
     return PrimalSolution(
         X=X,
         U=U,

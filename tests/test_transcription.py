@@ -284,6 +284,17 @@ def test_extract_primal_feasibility_and_gap():
     assert sol.equivalency_gap(sys.w_B) == 0.0
 
 
+def test_extract_primal_feasibility_is_unweighted_on_starred_forms():
+    ocp = prepared(registry("nonlinear-scalar"))
+    sys = build_birkhoff(make_grid("cgl", 32, ocp.horizon))
+    plain, starred = (transcribe(ocp, sys, PrimalForm(tag)) for tag in ("a", "a_star"))
+    z = initial_guess(plain, "linear-endpoint-interpolation")
+    assert np.array_equal(z, initial_guess(starred, "linear-endpoint-interpolation"))
+    feas = extract_primal(starred, z).feasibility
+    assert feas == extract_primal(plain, z).feasibility
+    assert feas == pytest.approx(1.0)  # weighted by w, the rows read 0.045
+
+
 def test_dump_round_trips_as_json(tmp_path):
     nlp = make_nlp(N=4, form="b_star")
     path = tmp_path / "nlp.json"
