@@ -49,8 +49,14 @@ from .errors import BirktrajError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import prepared, registry, registry_solution
 from .output import write_csv
-from .solver import SolverOptions, solve
-from .transcription import PrimalForm, extract_primal, initial_guess, transcribe
+from .solver import solve
+from .transcription import (
+    GUESS_STRATEGIES,
+    PrimalForm,
+    extract_primal,
+    initial_guess,
+    transcribe,
+)
 
 __all__ = [
     "CondStudyRow",
@@ -114,7 +120,7 @@ def solve_with_fallback(nlp, options=None):
     """Try the guess strategies in a fixed order; return the first converged
     result (or the last attempt)."""
     res = None
-    for strategy in ("constant-midpoint", "linear-endpoint-interpolation"):
+    for strategy in GUESS_STRATEGIES:
         res = solve(nlp, initial_guess(nlp, strategy), options)
         if res.converged:
             return res
@@ -210,7 +216,6 @@ def convergence_study(
     kind: str,
     N_list,
     oracle_order: int | None = None,
-    options: SolverOptions | None = None,
 ) -> list[ConvergenceRow]:
     """Solve ``problem`` at each order and measure errors against a reference.
 
@@ -238,7 +243,7 @@ def convergence_study(
         except BirktrajError as exc:
             rows.append(_failed_row(kind, N, f"skipped: {exc}"))
             continue
-        res = solve_with_fallback(nlp, options)
+        res = solve_with_fallback(nlp)
         if not res.converged:
             rows.append(_failed_row(kind, N, f"solver ended {res.status.value}"))
             continue

@@ -54,8 +54,8 @@ from .transcription import (
     PrimalForm,
     PrimalSolution,
     consecutive_slices,
-    endpoint_seed,
     set_node_blocks,
+    straight_line,
 )
 
 Array = np.ndarray
@@ -447,13 +447,8 @@ class _IndirectSystem:
 
 
 def _default_indirect_init(system: _IndirectSystem) -> Array:
-    p, sys = system.ocp, system.sys
-    m, n = system.m, system.n
-    x_a, x_b = endpoint_seed(p.constraints, n)
-    t0, tf = p.horizon
-    theta = (sys.grid.nodes - t0) / (tf - t0)
-    X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
-    V = np.tile((x_b - x_a) / (tf - t0), (m, 1))
+    p, m, n = system.ocp, system.m, system.n
+    X, V, x_a, x_b = straight_line(p, system.sys.grid.nodes)
     lam_b = np.asarray(p.grad_cost_xb(x_a, x_b), dtype=float)
     lam = np.tile(lam_b, (m, 1))
     U = _recover_controls(p, X, lam)

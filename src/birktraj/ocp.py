@@ -192,15 +192,13 @@ class OcpDefinition:
         )[0]
 
 
-def augment_running_cost(
-    ocp: OcpDefinition, running: RunningCost | None = None
-) -> OcpDefinition:
+def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
     """Mayer reduction: append a state integrating L, add it to the endpoint cost.
 
     The new state starts at zero (appended equality row) and obeys
     xdot_{n_x} = L(x, u); the endpoint cost gains x_b[n_x].
     """
-    running = running if running is not None else ocp.running_cost
+    running = ocp.running_cost
     if running is None:
         raise IncompleteDerivativesError(f"problem {ocp.name!r} has no running cost to absorb")
     if running.grad_x is None or running.grad_u is None:
@@ -606,16 +604,13 @@ def _parse_terms(raw, n_x: int, n_u: int, keys=("x", "u")):
 
 
 def load_problem(source) -> OcpDefinition:
-    """Build an OcpDefinition from a JSON file path, JSON text, or dict.
+    """Build an OcpDefinition from a JSON file path or a dict.
 
     A description with a missing field or a field of the wrong type raises
     UnsupportedProblemError.
     """
     if isinstance(source, dict):
         data = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        # JSON text; a path is never stat-ed for it (long text is no file name)
-        data = json.loads(source)
     else:
         try:
             text = Path(source).read_text()

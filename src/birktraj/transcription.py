@@ -533,7 +533,7 @@ def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> Dis
 
 # --- initial guesses ---------------------------------------------------------
 
-GUESS_STRATEGIES = ("constant-midpoint", "linear-endpoint-interpolation", "user-supplied")
+GUESS_STRATEGIES = ("constant-midpoint", "linear-endpoint-interpolation")
 
 
 def endpoint_seed(con, n: int):
@@ -559,31 +559,26 @@ def endpoint_seed(con, n: int):
     return x_a, x_b
 
 
-def initial_guess(nlp: DiscretizedNlp, strategy: str = "constant-midpoint", user=None) -> Array:
-    if strategy == "user-supplied":
-        z = np.asarray(user, dtype=float)
-        if z.shape != (nlp.n_z,):
-            raise ShapeError(
-                f"user guess has shape {z.shape}, expected ({nlp.n_z},)"
-            )
-        if not np.all(np.isfinite(z)):
-            raise ShapeError("user guess contains non-finite entries")
-        return z.copy()
+def straight_line(ocp: OcpDefinition, nodes: Array):
+    """The straight line between the endpoint seed values over ``nodes``:
+    (X, V, x_a, x_b), with the node table X and its constant slope V."""
+    x_a, x_b = endpoint_seed(ocp.constraints, ocp.n_x)
+    t0, tf = ocp.horizon
+    theta = (nodes - t0) / (tf - t0)
+    X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
+    V = np.tile((x_b - x_a) / (tf - t0), (len(nodes), 1))
+    return X, V, x_a, x_b
+
+
+def initial_guess(nlp: DiscretizedNlp, strategy: str = "constant-midpoint") -> Array:
     if strategy not in GUESS_STRATEGIES:
         raise NotFoundError(f"unknown guess strategy {strategy!r}; use one of {GUESS_STRATEGIES}")
-
-    m, n = nlp.n_nodes, nlp.n_x
-    x_a, x_b = endpoint_seed(nlp.ocp.constraints, n)
-    U = np.zeros((m, nlp.n_u))
+    m = nlp.n_nodes
+    X, V, x_a, x_b = straight_line(nlp.ocp, nlp.sys.grid.nodes)
     if strategy == "constant-midpoint":
         X = np.tile(0.5 * (x_a + x_b), (m, 1))
-        V = np.zeros((m, n))
-    else:
-        t0, tf = nlp.ocp.horizon
-        theta = (nlp.sys.grid.nodes - t0) / (tf - t0)
-        X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
-        V = np.tile((x_b - x_a) / (tf - t0), (m, 1))
-    z = nlp.pack(X, U, V, x_a, x_b)
+        V = np.zeros((m, nlp.n_x))
+    z = nlp.pack(X, np.zeros((m, nlp.n_u)), V, x_a, x_b)
     assert np.all(np.isfinite(z))
     return z
 

@@ -12,7 +12,8 @@ from birktraj.bench import (
     write_convergence_csv,
     write_convergence_gnuplot,
 )
-from birktraj.solver import SolverOptions
+from birktraj import bench
+from birktraj.solver import SolverOptions, solve
 
 
 # --- conditioning ----------------------------------------------------------------
@@ -138,10 +139,12 @@ def test_convergence_uniform_grid_degrades_at_moderate_order():
         assert u.note != "" and np.isnan(u.state_error)
 
 
-def test_convergence_solver_failure_recorded_not_raised():
-    rows = convergence_study(
-        "nonlinear-scalar", "a", "lgl", [8], options=SolverOptions(max_iter=1)
-    )
+def test_convergence_solver_failure_recorded_not_raised(monkeypatch):
+    def one_iteration(nlp, z0, options=None):
+        return solve(nlp, z0, SolverOptions(max_iter=1))
+
+    monkeypatch.setattr(bench, "solve", one_iteration)
+    rows = convergence_study("nonlinear-scalar", "a", "lgl", [8])
     assert not rows[0].converged
     assert "max-iter" in rows[0].note
     assert np.isnan(rows[0].cost_error)
