@@ -14,14 +14,6 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-The optimality test on each iteration uses least-squares multipliers,
-argmin ||g + J_w^T mu|| over the working rows.  They come from a Cholesky
-factor of J_w J_w^T with one correction step (the corrected semi-normal
-equations), which is as accurate as QR while J_w is well conditioned, as the
-Birkhoff rows keep it.  When the factorization fails or the condition
-estimate of J_w J_w^T is below GRAM_RCOND_MIN (rank-deficient or nearly
-dependent working rows), pivoted QR gives the minimum-norm multipliers.
-
 The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  A
 problem may supply it structured, as ``newton_step(hess, jac, g, r,
 working) -> (dz, mu_w) | None``; DiscretizedNlp condenses it through the
@@ -29,8 +21,18 @@ identity blocks of its rows and factors only small matrices.  Without that
 method, or when it returns None, the dense matrix is solved by LU; only when
 that fails is it shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
 REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
-whose -dI block makes dependent working rows solvable).  The indirect solver
-shares this rule, :func:`regularized_solve`, with +dI throughout.
+whose -dI block makes dependent working rows solvable), and the shifted
+solution is refined once against the unshifted matrix.  The indirect solver
+shares this rule, :func:`regularized_solve`, with +dI throughout.  Every LU
+solve is refined once with its own factor.
+
+The optimality test on each iteration uses least-squares multipliers,
+argmin ||g + J_w^T mu|| over the working rows.  They are the mu-part of the
+same KKT system with H = I and r = 0, so ``newton_step(ones, jac, g, zeros,
+working)`` gives them through the same condensed factorizations (a 1-D
+``hess`` is the diagonal of H).  Without that method, or when it returns
+None (dependent working rows, among others), pivoted QR gives the
+minimum-norm multipliers.
 """
 
 from __future__ import annotations
@@ -173,11 +175,8 @@ def _multiplier_estimate(structured_step, jac: Array, g: Array, working: Array) 
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
 
 
-def _refined_lu_solve(matrix: Array, rhs: Array):
-    """x with ``matrix @ x = rhs`` by LU and one step of iterative
-    refinement with the same factor, as (x, (lu, piv)); None when LU meets a
-    zero pivot, x is not finite, or the backward error is above
-    1e-8 (1 + ||rhs||_inf)."""
+def _lu_solve(matrix: Array, rhs: Array):
+    """:func:`checked_solve`'s x together with its factor, as (x, (lu, piv))."""
     lu, piv, info = lapack.dgetrf(matrix)
     if info != 0:
         return None
@@ -195,7 +194,7 @@ def checked_solve(matrix: Array, rhs: Array) -> Array | None:
     """x with ``matrix @ x = rhs`` by LU, refined once with the same factor,
     or None when that fails: a zero pivot, a non-finite x, or a backward
     error above 1e-8 (1 + ||rhs||_inf)."""
-    solved = _refined_lu_solve(matrix, rhs)
+    solved = _lu_solve(matrix, rhs)
     return None if solved is None else solved[0]
 
 
@@ -206,7 +205,7 @@ def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
     system asked for, is refined once against ``matrix`` with the shifted
     factor.  Returns x, or None if every try fails."""
     for shift in (0.0, *REGULARIZATION_FLOOR * 2.0 ** np.arange(REGULARIZATION_SHIFTS)):
-        solved = _refined_lu_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
+        solved = _lu_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
         if solved is not None:
             sol, (lu, piv) = solved
             if shift:
