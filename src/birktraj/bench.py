@@ -48,7 +48,7 @@ from .dual import (
 from .errors import BirktrajError, UnsupportedMappingError
 from .grid import make_grid
 from .ocp import prepared, registry, registry_solution
-from .output import write_csv
+from .output import write_csv, write_text
 from .solver import solve
 from .transcription import (
     GUESS_STRATEGIES,
@@ -399,13 +399,12 @@ pause -1
 
 
 def _write_gnuplot(template: str, csv_path, script_path) -> None:
-    with open(script_path, "w", newline="") as fh:
-        fh.write(
-            template.format(
-                csv=os.path.basename(str(csv_path)),
-                script=os.path.basename(str(script_path)),
-            )
-        )
+    write_text(
+        script_path,
+        template.format(
+            csv=os.path.basename(str(csv_path)), script=os.path.basename(str(script_path))
+        ),
+    )
 
 
 def write_cond_gnuplot(csv_path, script_path) -> None:

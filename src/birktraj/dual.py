@@ -159,7 +159,7 @@ def map_covectors(result: NlpResult, form: PrimalForm, sys: BirkhoffSystem) -> D
     if not rows:
         raise ShapeError("result carries no constraint row layout")
     w = sys.w_B
-    if form.starred:
+    if form.tag.starred:
         omega = np.ones_like(w)  # exactly 1.0: dividing by it changes no bit
     elif np.any(w == 0.0):
         raise DegenerateWeightError("zero quadrature weight in costate normalization")

@@ -8,7 +8,7 @@ accuracy degrades on them as N grows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,21 +24,12 @@ class GridKind(str, Enum):
     UNIFORM = "uniform"
 
 
-_KIND_ALIASES = {
-    "cgl": GridKind.CHEBYSHEV_GAUSS_LOBATTO,
-    "chebyshev-gauss-lobatto": GridKind.CHEBYSHEV_GAUSS_LOBATTO,
-    "lgl": GridKind.LEGENDRE_GAUSS_LOBATTO,
-    "legendre-gauss-lobatto": GridKind.LEGENDRE_GAUSS_LOBATTO,
-    "uniform": GridKind.UNIFORM,
-}
-
-
 def _as_kind(kind) -> GridKind:
     if isinstance(kind, GridKind):
         return kind
     try:
-        return _KIND_ALIASES[str(kind).lower()]
-    except KeyError:
+        return GridKind(str(kind).lower())
+    except ValueError:
         raise UnsupportedGridError(f"unknown grid kind {kind!r}") from None
 
 
@@ -51,9 +42,6 @@ class AffineMap:
 
     def to_reference(self, tau):
         return (np.asarray(tau, dtype=float) - self.center) / self.scale
-
-    def to_physical(self, s):
-        return self.center + self.scale * np.asarray(s, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -99,14 +87,6 @@ class Grid:
             "domain": [self.domain[0], self.domain[1]],
             "nodes": self.nodes.tolist(),
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Grid":
-        return Grid(
-            kind=_as_kind(data["kind"]),
-            nodes=np.asarray(data["nodes"], dtype=float),
-            domain=(float(data["domain"][0]), float(data["domain"][1])),
-        )
 
 
 def _cgl_reference_nodes(n: int) -> np.ndarray:

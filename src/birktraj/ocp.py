@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -301,13 +301,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(v <= self.tolerance for v in self.worst.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_relative_error": dict(sorted(self.worst.items())),
-        }
-
 
 def validate(
     ocp: OcpDefinition,
@@ -532,7 +525,7 @@ def registry_solution(name: str) -> AnalyticSolution | None:
 
 # --- JSON problem descriptions ------------------------------------------------
 #
-# Schema (all matrices row-major lists):
+# Schema (a UTF-8 file; all matrices row-major lists):
 #   name, n_x, n_u, horizon: [t0, tf]
 #   dynamics: {"A": .., "B": .., "c": ..}            linear sugar, or
 #             {"terms": [[term, ...] per state]}      polynomial rows
@@ -604,7 +597,7 @@ def _parse_terms(raw, n_x: int, n_u: int, keys=("x", "u")):
 
 
 def load_problem(source) -> OcpDefinition:
-    """Build an OcpDefinition from a JSON file path or a dict.
+    """Build an OcpDefinition from a UTF-8 JSON file path or a dict.
 
     A description with a missing field or a field of the wrong type raises
     UnsupportedProblemError.
@@ -613,7 +606,7 @@ def load_problem(source) -> OcpDefinition:
         data = source
     else:
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             raise NotFoundError(f"cannot read problem file {str(source)!r}: {exc}") from None
         data = json.loads(text)

@@ -1,10 +1,10 @@
 """Newton-KKT solver for the transcribed problems.
 
-Works against a small structural interface: ``n_z``, ``objective``,
-``objective_gradient``, ``constraints``, ``jacobian``, ``equality_mask`` and
-(optionally) ``lagrangian_hessian``, ``newton_step`` and ``rows``, a name ->
-slice map of the constraint row blocks that the result carries along with
-its multipliers.
+Works against a small structural interface, with no optional members:
+``n_z``, ``objective``, ``objective_gradient``, ``constraints``,
+``jacobian``, ``equality_mask``, ``lagrangian_hessian``, ``newton_step`` and
+``rows``, a name -> slice map of the constraint row blocks that the result
+carries along with its multipliers.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
 as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
 solution.
@@ -14,12 +14,12 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  A
-problem may supply it structured, as ``newton_step(hess, jac, g, r,
-working) -> (dz, mu_w) | None``; DiscretizedNlp condenses it through the
-identity blocks of its rows and factors only small matrices.  Without that
-method, or when it returns None, the dense matrix is solved by LU; only when
-that fails is it shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
+The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  The
+problem's ``newton_step(hess, jac, g, r, working) -> (dz, mu_w) | None`` may
+solve it structured; DiscretizedNlp condenses it through the identity blocks
+of its rows and factors only small matrices.  When it returns None (SimpleNlp
+always does), the dense matrix is solved by LU; only when that fails is it
+shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
 REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
 whose -dI block makes dependent working rows solvable), and the shifted
 solution is refined once against the unshifted matrix.  The indirect solver
@@ -30,9 +30,8 @@ The optimality test on each iteration uses least-squares multipliers,
 argmin ||g + J_w^T mu|| over the working rows.  They are the mu-part of the
 same KKT system with H = I and r = 0, so ``newton_step(ones, jac, g, zeros,
 working)`` gives them through the same condensed factorizations (a 1-D
-``hess`` is the diagonal of H).  Without that method, or when it returns
-None (dependent working rows, among others), pivoted QR gives the
-minimum-norm multipliers.
+``hess`` is the diagonal of H).  When it returns None (dependent working
+rows, among others), pivoted QR gives the minimum-norm multipliers.
 """
 
 from __future__ import annotations
@@ -113,10 +112,17 @@ class SimpleNlp:
     constraints: Callable[[Array], Array] = lambda z: np.zeros(0)
     jacobian: Callable[[Array], Array] | None = None
     equality_mask: Array = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    rows: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.jacobian is None:
             object.__setattr__(self, "jacobian", lambda z: np.zeros((0, self.n_z)))
+
+    def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
+        return _fd_lagrangian_hessian(self, z, mu)
+
+    def newton_step(self, hess, jac, g, r, working):
+        return None  # the solver's dense KKT step
 
 
 def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
@@ -127,13 +133,6 @@ def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
 
     hess = _central_jacobian(lambda Z: grad_l(Z[0])[None], z[None], FD_STEP)[0]
     return 0.5 * (hess + hess.T)
-
-
-def _lagrangian_hessian(nlp, z, mu):
-    fn = getattr(nlp, "lagrangian_hessian", None)
-    if fn is not None:
-        return fn(z, mu)
-    return _fd_lagrangian_hessian(nlp, z, mu)
 
 
 def _kkt_measures(g: Array, jac: Array, r: Array, mu: Array, eq: Array):
@@ -157,19 +156,17 @@ def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
     return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
-def _multiplier_estimate(structured_step, jac: Array, g: Array, working: Array) -> Array:
+def _multiplier_estimate(newton_step, jac: Array, g: Array, working: Array) -> Array:
     """Least-squares multipliers, argmin ||g + J_w^T mu||, of the working rows.
 
     They are the mu-part of [[I, J_w^T], [J_w, 0]] [d, mu] = [-g, 0], so the
     problem's own Newton step with H = I gives them (Bjorck 1996, 2.9).  When
-    the problem has no such step or it returns None (dependent working rows,
-    among others), rank-revealing pivoted QR (LAPACK gelsy) gives the
-    minimum-norm solution.
+    that step returns None (dependent working rows, among others),
+    rank-revealing pivoted QR (LAPACK gelsy) gives the minimum-norm solution.
     """
-    if structured_step is not None:
-        step = structured_step(np.ones(g.size), jac, g, np.zeros(working.size), working)
-        if step is not None:
-            return step[1]
+    step = newton_step(np.ones(g.size), jac, g, np.zeros(working.size), working)
+    if step is not None:
+        return step[1]
     jac_w = jac[working]
     cutoff = np.finfo(float).eps * max(jac_w.shape)
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
@@ -233,9 +230,6 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
     if not np.all(np.isfinite(z)):
         raise ShapeError("initial point must be finite")
 
-    # a problem-specific Newton step; None from it (or no such method) means
-    # the dense _solve_kkt, which alone regularizes
-    structured_step = getattr(nlp, "newton_step", None)
     eq = np.asarray(nlp.equality_mask, dtype=bool)
     n_rows = eq.size
     ineq_idx = np.flatnonzero(~eq)
@@ -254,7 +248,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             iterations=iters,
             kkt_residual=kkt,
             multipliers=mu_full,
-            rows=dict(getattr(nlp, "rows", {})),
+            rows=dict(nlp.rows),
             log=log,
         )
 
@@ -279,7 +273,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         # least-squares multipliers for the optimality test
         mu_full = np.zeros(n_rows)
         if working.any():
-            mu_full[working] = _multiplier_estimate(structured_step, jac, g, working)
+            mu_full[working] = _multiplier_estimate(nlp.newton_step, jac, g, working)
         stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:
@@ -297,8 +291,10 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        hess = _lagrangian_hessian(nlp, z, mu_full)
-        step = structured_step(hess, jac, g, r, working) if structured_step else None
+        hess = nlp.lagrangian_hessian(z, mu_full)
+        # None from the problem's own step means the dense _solve_kkt, which
+        # alone regularizes
+        step = nlp.newton_step(hess, jac, g, r, working)
         dz, mu_w_new = step if step is not None else _solve_kkt(hess, jac_w, g, r_w)
         if dz is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))

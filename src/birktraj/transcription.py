@@ -82,10 +82,6 @@ class PrimalForm:
                 "variable scaling is defined only for the plain a/b forms"
             )
 
-    @property
-    def starred(self) -> bool:
-        return self.tag.starred
-
     def __str__(self):
         return self.tag.value + ("+scaled" if self.scaled else "")
 
@@ -99,9 +95,6 @@ class PrimalSolution:
     x_b: Array
     objective: float
     feasibility: float
-
-    def equivalency_gap(self, w_B: Array) -> float:
-        return float(np.max(np.abs(self.x_b - self.x_a - w_B @ self.V)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,7 +207,6 @@ class DiscretizedNlp:
             "state_interpolation": m * n, "dynamics": m * n, "grid_equivalency": n,
             "endpoint": self.n_e,
         })
-        self.n_eq_core = rows["grid_equivalency"].stop  # interpolation + dynamics + equivalency
         self.n_rows = rows["endpoint"].stop
 
         mask = np.ones(self.n_rows, dtype=bool)
@@ -229,7 +221,7 @@ class DiscretizedNlp:
         # Galerkin row weighting for the starred forms; ones elsewhere so the
         # scaled path multiplies by exactly 1.0 and stays bit-identical
         scale = np.ones(self.n_rows)
-        if form.starred:
+        if form.tag.starred:
             scale[rows["state_interpolation"]] = self._w_rep
             scale[rows["dynamics"]] = self._w_rep
         self._row_scale = scale
@@ -486,37 +478,6 @@ class DiscretizedNlp:
         if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(mu))):
             return None
         return dz, mu
-
-    # --- serialization -----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def span(s: slice):
-            return [s.start or 0, s.stop]
-
-        return {
-            "problem": self.ocp.name,
-            "form": {"tag": self.form.tag.value, "scaled": self.form.scaled},
-            "sizes": {
-                "N": self.sys.N,
-                "n_x": self.n_x,
-                "n_u": self.n_u,
-                "n_e": self.n_e,
-                "decision": self.n_z,
-                "constraint_rows": self.n_rows,
-                "equality_rows": int(np.count_nonzero(self.equality_mask)),
-            },
-            "layout": {
-                "X": span(self.slice_x),
-                "U": span(self.slice_u),
-                "V": span(self.slice_v),
-                "x_a": span(self.slice_xa),
-                "x_b": span(self.slice_xb),
-            },
-            "rows": {name: span(s) for name, s in self.rows.items()},
-            # the constant blocks are fully determined by the grid
-            "constant_matrices": "by reference: rebuild from the grid entry",
-            "grid": self.sys.grid.to_json_dict(),
-        }
 
 
 def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:

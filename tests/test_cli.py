@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,27 @@ def test_solve_json_problem_file(tmp_path):
 
 
 _STEER = {"n_x": 1, "n_u": 1, "horizon": [0.0, 1.0], "dynamics": {"A": [[0.0]], "B": [[1.0]]}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--problem", "steer.json", "--N", "8"],
+     ["bench", "--study", "cond", "--orders", "8,16"]],
+    ids=["solve-json-problem", "bench-cond"],
+)
+def test_files_open_with_an_explicit_encoding(tmp_path, argv):
+    # an open() that falls back to the locale's encoding is an
+    # EncodingWarning, raised as an error here
+    problem = {**_STEER, "running_cost": {"R": [[1.0]]},
+               "constraints": [{"a": [1.0], "rhs": 0.0}, {"b": [1.0], "rhs": 1.0}]}
+    (tmp_path / "steer.json").write_text(json.dumps(problem), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "birktraj.cli", *argv, "--out", "."],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 @pytest.mark.parametrize(

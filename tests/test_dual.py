@@ -150,7 +150,7 @@ def test_map_covectors_rule_per_route(form):
     m, w = nlp.n_nodes, sys.w_B[:, None]
     mu_i = mu[nlp.rows["state_interpolation"]].reshape(m, -1)
     mu_d = mu[nlp.rows["dynamics"]].reshape(m, -1)
-    if form.starred:
+    if form.tag.starred:
         assert np.array_equal(dual.costates, -mu_d)
         assert np.array_equal(dual.costate_derivs, mu_i)
     else:

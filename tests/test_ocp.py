@@ -63,10 +63,9 @@ def test_validate_flags_wrong_jacobian():
 
 def test_validate_report_json_shape():
     report = validate(registry("scalar-lq"))
-    blob = report.to_json_dict()
-    assert blob["passed"] is True
-    assert blob["tolerance"] == 1e-5
-    assert set(blob["worst_relative_error"]) == {
+    assert report.passed is True
+    assert report.tolerance == 1e-5
+    assert set(report.worst) == {
         "dynamics/x",
         "dynamics/u",
         "endpoint_cost/x_a",
