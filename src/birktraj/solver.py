@@ -17,14 +17,17 @@ produce bit-identical iterates.
 The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  The
 problem's ``newton_step(hess, jac, g, r, working) -> (dz, mu_w) | None`` may
 solve it structured; DiscretizedNlp condenses it through the identity blocks
-of its rows and factors only small matrices.  When it returns None (SimpleNlp
-always does), the dense matrix is solved by LU; only when that fails is it
-shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
-REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
-whose -dI block makes dependent working rows solvable), and the shifted
-solution is refined once against the unshifted matrix.  The indirect solver
-shares this rule, :func:`regularized_solve`, with +dI throughout.  Every LU
-solve is refined once with its own factor.
+of its rows and factors only small matrices, one condensation per Jacobian:
+the multiplier estimate and the step of an iteration share it, and while the
+dynamics blocks do not change (linear dynamics) one factor serves the whole
+solve.  When it returns None (SimpleNlp always does), the dense matrix is
+solved by LU; only when that fails is it shifted to
+[[H + dI, J_w^T], [J_w, -dI]], d doubling from REGULARIZATION_FLOOR (the
+primal-dual shift of Waechter and Biegler 2006, whose -dI block makes
+dependent working rows solvable), and the shifted solution is refined once
+against the unshifted matrix.  The indirect solver shares this rule,
+:func:`regularized_solve`, with +dI throughout.  Every LU solve is refined
+once with its own factor.
 
 The optimality test on each iteration uses least-squares multipliers,
 argmin ||g + J_w^T mu|| over the working rows.  They are the mu-part of the
@@ -267,7 +270,6 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         if ineq_idx.size:
             active[ineq_idx] |= r[ineq_idx] > opts.tol_feas
         working = eq | active
-        jac_w = jac[working]
         r_w = r[working]
 
         # least-squares multipliers for the optimality test
@@ -295,7 +297,8 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         # None from the problem's own step means the dense _solve_kkt, which
         # alone regularizes
         step = nlp.newton_step(hess, jac, g, r, working)
-        dz, mu_w_new = step if step is not None else _solve_kkt(hess, jac_w, g, r_w)
+        dz, mu_w_new = step if step is not None else _solve_kkt(hess, jac[working], g, r_w)
+        del hess  # so the next Hessian is built without this one alive
         if dz is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
 

@@ -25,8 +25,9 @@ Each row block but the endpoint rows is the identity in one variable block
 solver's Newton-KKT system: it factors M = I - (B (x) I) F_x, of order
 (N+1) n_x and conditioned like the O(1)-norm Birkhoff matrix B, and a
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
-of multiple shooting, Bock and Plitt 1984).  When M or the reduced KKT is
-singular it returns None and the solver takes its dense, regularized step.
+of multiple shooting, Bock and Plitt 1984).  The factor of M is kept while
+the dynamics blocks F_x do not change.  When M or the reduced KKT is singular
+it returns None and the solver takes its dense, regularized step.
 """
 
 from __future__ import annotations
@@ -184,8 +185,14 @@ class AnchoredBlock:
 class DiscretizedNlp:
     """Dense NLP view of one problem/grid/form triple.
 
-    Immutable after construction; residual and Jacobian evaluation are pure
-    and reentrant (dynamics callbacks are assumed pure).
+    Residual and derivative evaluation are pure and reentrant (dynamics
+    callbacks are assumed pure).  The one state kept across calls is a
+    one-slot memo of :meth:`newton_step`: the F_x/F_u blocks of the last
+    Jacobian it condensed, the LU factor of M and the r-free columns of T,
+    never the Jacobian or the Hessian.  Those are functions of the blocks
+    alone and are reused only when the blocks are bitwise the same, so every
+    result has the bits a fresh NLP gives; the slot holds one tuple, replaced
+    whole, so concurrent calls each read a consistent entry.
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm):
@@ -237,6 +244,11 @@ class DiscretizedNlp:
             self._col_scale = col
 
         self.state = AnchoredBlock(sys, form.tag, n)
+        if form.tag.anchored_left:
+            self._anchor_other = (self.slice_xa, self.slice_xb, 1.0)
+        else:
+            self._anchor_other = (self.slice_xb, self.slice_xa, -1.0)
+        self._memo = None  # the condensation of the last F_x/F_u: see newton_step
         self._state_layout = (
             (rows["state_interpolation"], rows["grid_equivalency"]),
             (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
@@ -385,6 +397,43 @@ class DiscretizedNlp:
         mn = self.n_nodes * self.n_x
         return np.eye(mn) - np.einsum("ij,jab->iajb", self.state.B, fx).reshape(mn, mn)
 
+    def _condensation(self, jac: Array):
+        """(F_x, F_u, lu, piv, T) of ``jac``: its dynamics blocks, the LU
+        factor of M and the r-free columns of T (the dU and dx_anchor
+        columns).  Taken from the memo while F_x is bitwise the one it holds
+        (the factor) and F_u too (T); None when M is singular, which is never
+        memoized."""
+        fx, fu = self._dynamics_blocks(jac)
+        memo = self._memo
+        if memo is not None and fx.tobytes() == memo[0].tobytes():
+            if fu.tobytes() == memo[1].tobytes():
+                return memo
+            lu, piv = memo[2], memo[3]
+        else:
+            self._memo = memo = None  # the old factor and T go before new ones are built
+            lu, piv, info = lapack.dgetrf(self.condensing_matrix(jac))
+            if info != 0:
+                return None
+        m, n, nu = self.n_nodes, self.n_x, self.n_u
+        mn, n_p = m * n, m * nu + n
+        v_free = np.zeros((mn, n_p))  # dV - F_x dX
+        set_node_blocks(v_free, 0, 0, fu)
+        rhs_x = (self.state.B @ v_free.reshape(m, -1)).reshape(m, n, n_p)
+        rhs_x[:, :, m * nu:] += np.eye(n)
+        t_x, _ = lapack.dgetrs(lu, piv, rhs_x.reshape(mn, n_p))
+        t_v = np.einsum("iab,ibp->iap", fx, t_x.reshape(m, n, n_p))
+        t_v += v_free.reshape(m, n, n_p)
+        anchor, other, sign = self._anchor_other
+        T = np.zeros((self.n_z, n_p))
+        T[self.slice_x] = t_x
+        T[self.slice_u, :m * nu] = np.eye(m * nu)
+        T[self.slice_v] = t_v.reshape(mn, n_p)
+        T[anchor, m * nu:] = np.eye(n)
+        T[other] = T[anchor] + sign * np.tensordot(self._w, t_v, 1)
+        memo = (fx, fu, lu, piv, T)
+        self._memo = memo  # swapped whole: a concurrent call sees one entry
+        return memo
+
     def newton_step(self, hess: Array, jac: Array, g: Array, r: Array, working: Array):
         """The Newton-KKT step [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w]
         of the solver, condensed through the identity blocks of the rows.
@@ -395,18 +444,25 @@ class DiscretizedNlp:
         unknowns p = (dU, dx_anchor).  Only M, of order (N+1) n_x, and the
         reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
         endpoint rows E are factored; the eliminated multipliers follow by
-        back-substitution in the columns of x_other, X and V.  Works in
-        physical variables, since the solution does not depend on the row
-        and column scaling.  A 1-D ``hess`` is the diagonal of H; with
-        H = I and r = 0, mu_w are the least-squares multipliers
-        argmin ||g + J_w^T mu||.  Returns (dz, mu_w), or None when M is singular,
-        the reduced KKT fails :func:`solver.checked_solve` or a result is not
-        finite; the solver then takes its dense, regularized step.
+        back-substitution in the columns of x_other, X and V.  M and T depend
+        on the Jacobian only through its F_x/F_u blocks, so the factor of M is
+        reused while F_x is unchanged and T while F_u is unchanged too (the
+        NLP's one-slot memo); t, the step at p = 0, takes one solve with that
+        factor per call.  Works in physical variables, since the solution
+        does not depend on the row and column scaling.  A 1-D ``hess`` is the
+        diagonal of H; with H = I and r = 0, mu_w are the least-squares
+        multipliers argmin ||g + J_w^T mu||.  Returns (dz, mu_w), or None when
+        M is singular, the reduced KKT fails :func:`solver.checked_solve` or a
+        result is not finite; the solver then takes its dense, regularized
+        step.
         """
         if not np.all(self._row_scale):
             return None  # a zero Galerkin weight: the weighted rows are void
-        m, n, nu = self.n_nodes, self.n_x, self.n_u
-        mn, n_p = m * n, m * nu + n
+        condensed = self._condensation(jac)
+        if condensed is None:
+            return None
+        fx, _, lu, piv, T = condensed
+        m, n = self.n_nodes, self.n_x
         rows, col = self.rows, self._col_scale
         r = r / self._row_scale
         if col is not None:
@@ -415,57 +471,39 @@ class DiscretizedNlp:
         r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
         ends = rows["endpoint"].start + np.flatnonzero(working[rows["endpoint"]])
         B, w = self.state.B, self._w
-        fx, fu = self._dynamics_blocks(jac)
-        lu, piv, info = lapack.dgetrf(self.condensing_matrix(jac))
-        if info != 0:
-            return None
-        if self.state.anchored_left:
-            anchor, other, sign = self.slice_xa, self.slice_xb, 1.0
-        else:
-            anchor, other, sign = self.slice_xb, self.slice_xa, -1.0
+        _, other, sign = self._anchor_other
 
-        # columns of T: dU, dx_anchor, then t (the step at p = 0) last
-        v_free = np.zeros((mn, n_p + 1))  # dV - F_x dX
-        set_node_blocks(v_free, 0, 0, fu)
-        v_free[:, n_p] = -r2
-        rhs_x = (B @ v_free.reshape(m, -1)).reshape(m, n, n_p + 1)
-        rhs_x[:, :, m * nu:n_p] += np.eye(n)
-        rhs_x[:, :, n_p] -= r1.reshape(m, n)
-        t_x, _ = lapack.dgetrs(lu, piv, rhs_x.reshape(mn, n_p + 1))
-        t_v = np.einsum("iab,ibp->iap", fx, t_x.reshape(m, n, n_p + 1))
-        t_v += v_free.reshape(m, n, n_p + 1)
-        T = np.zeros((self.n_z, n_p + 1))
-        T[self.slice_x] = t_x
-        T[self.slice_u, :m * nu] = np.eye(m * nu)
-        T[self.slice_v] = t_v.reshape(mn, n_p + 1)
-        T[anchor, m * nu:n_p] = np.eye(n)
-        T[other] = T[anchor] + sign * np.tensordot(w, t_v, 1)
-        T[other, n_p] -= sign * r3
+        # t, the step at p = 0: the one column of the condensation that r enters
+        r2 = r2.reshape(m, n)
+        t_x, _ = lapack.dgetrs(lu, piv, (B @ -r2 - r1.reshape(m, n)).ravel())
+        t_v = np.einsum("iab,ib->ia", fx, t_x.reshape(m, n)) - r2
+        t = np.zeros(self.n_z)
+        t[self.slice_x] = t_x
+        t[self.slice_v] = t_v.ravel()
+        t[other] = sign * (w @ t_v - r3)
 
         # H is zero outside the rows/columns the curvature reaches; the
         # endpoint rows and the x_a, x_b columns carry no scaling
+        hit = np.flatnonzero(hess if hess.ndim == 1 else np.any(hess, axis=0))
+        t_hit = T[hit]
         if hess.ndim == 1:  # the diagonal of H
-            hit = np.flatnonzero(hess)
-            ht = hess[hit, None] * T[hit]
+            h_hit = hess[hit]
+            ht, ht_t = h_hit[:, None] * t_hit, h_hit * t[hit]
         else:
-            hit = np.flatnonzero(np.any(hess, axis=0))
-            ht = hess[np.ix_(hit, hit)] @ T[hit]
-        t_hit = T[hit, :n_p]
+            h_hit = hess[np.ix_(hit, hit)]
+            ht, ht_t = h_hit @ t_hit, h_hit @ t[hit]
         e_rows = jac[ends]
         e_t = e_rows @ T
-        kkt = np.block([
-            [t_hit.T @ ht[:, :n_p], e_t[:, :n_p].T],
-            [e_t[:, :n_p], np.zeros((ends.size, ends.size))],
-        ])
-        rhs = -np.concatenate([t_hit.T @ ht[:, n_p] + T[:, :n_p].T @ g, r[ends] + e_t[:, n_p]])
+        kkt = np.block([[t_hit.T @ ht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
+        rhs = -np.concatenate([t_hit.T @ ht_t + T.T @ g, r[ends] + e_rows @ t])
         sol = checked_solve(kkt, rhs)
         if sol is None:
             return None
-        p, mu4 = sol[:n_p], sol[n_p:]
-        dz = T[:, :n_p] @ p + T[:, n_p]
+        p, mu4 = sol[:T.shape[1]], sol[T.shape[1]:]
+        dz = T @ p + t
 
         s = g.copy()  # H dz + g
-        s[hit] += ht[:, :n_p] @ p + ht[:, n_p]
+        s[hit] += ht @ p + ht_t
         mu3 = -sign * (s[other] + e_rows[:, other].T @ mu4)
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)

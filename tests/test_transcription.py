@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -338,16 +341,105 @@ def test_newton_step_with_a_working_inequality_row(form, scaled):
     assert working[nlp.rows["endpoint"]].all()  # the violated bound joined the working set
 
 
+def step_args(nlp, z, mu):
+    """The solver's newton_step arguments at z: (step, multiplier estimate)."""
+    hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
+    g, r = nlp.objective_gradient(z), nlp.constraints(z)
+    working = nlp.equality_mask | (r > 0.0)
+    return (hess, jac, g, r, working), (np.ones(nlp.n_z), jac, g, np.zeros(r.size), working)
+
+
 def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     nlp = make_nlp(N=8)
     z = initial_guess(nlp, "constant-midpoint")
-    mu = np.random.default_rng(1).normal(size=nlp.n_rows)
-    args = (nlp.lagrangian_hessian(z, mu), nlp.jacobian(z),
-            nlp.objective_gradient(z), nlp.constraints(z), nlp.equality_mask)
-    assert nlp.newton_step(*args) is not None
+    args, _ = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
     monkeypatch.setattr(DiscretizedNlp, "condensing_matrix",
                         lambda self, jac: np.zeros((self.n_nodes * self.n_x,) * 2))
     assert nlp.newton_step(*args) is None
+    assert nlp.newton_step(*args) is None
+    monkeypatch.undo()
+    assert nlp.newton_step(*args) is not None  # the failed factor was not kept
+
+
+def counted_condensations(monkeypatch, nlp):
+    """The list that grows by one on each condensing_matrix call of ``nlp``."""
+    calls, original = [], DiscretizedNlp.condensing_matrix
+
+    def counted(self, jac):
+        if self is nlp:
+            calls.append(1)
+        return original(self, jac)
+
+    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("form", ["a", "b_star"])
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "nonlinear-scalar"])
+def test_one_condensation_per_dynamics_jacobian(monkeypatch, name, form):
+    # F_x of the linear problems (cost state included) never changes: one
+    # factor of M serves the whole solve; nonlinear-scalar's moves with X, so
+    # each iteration's estimate and step share one, and the final test one more
+    nlp = make_nlp(name, N=32, form=form)
+    calls = counted_condensations(monkeypatch, nlp)
+    res = solve(nlp, initial_guess(nlp))
+    assert res.converged and res.iterations > 1
+    assert len(calls) == (res.iterations + 1 if name == "nonlinear-scalar" else 1)
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, form, scaled):
+    def fresh():
+        return make_nlp("nonlinear-scalar", N=12, form=form, scaled=scaled, kind=kind)
+
+    nlp = fresh()
+    calls = counted_condensations(monkeypatch, nlp)
+    rng = np.random.default_rng(3)
+    z1 = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
+    z2 = z1 + 0.1 * rng.normal(size=nlp.n_z)  # another F_x: evicts z1's
+    z3 = z1.copy()
+    z3[nlp.slice_u] += 0.1  # z1's F_x with another F_u: the factor is kept, T is not
+    mu = rng.normal(size=nlp.n_rows)
+    for z in (z1, z2, z1, z3):
+        for args in step_args(nlp, z, mu):  # the second call reuses the first's
+            got, want = nlp.newton_step(*args), fresh().newton_step(*args)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert len(calls) == 3
+
+
+def test_concurrent_steps_read_a_consistent_condensation():
+    # threads that alternate between two F_x on one NLP evict each other's
+    # memo; each step must still have the bits of a single-threaded one
+    nlp = make_nlp("nonlinear-scalar", N=12)
+    rng = np.random.default_rng(4)
+    z0 = initial_guess(nlp, "linear-endpoint-interpolation")
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[0]
+             for _ in range(2)]
+    want = [make_nlp("nonlinear-scalar", N=12).newton_step(*args) for args in calls]
+    bad = []
+
+    def worker(k):
+        for i in range(200):
+            try:
+                got = nlp.newton_step(*calls[(i + k) % 2])
+            except Exception as exc:  # noqa: BLE001 - a thread's failure is the test's
+                bad.append(exc)
+                return
+            bad.extend(i for a, b in zip(got, want[(i + k) % 2]) if not np.array_equal(a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not bad
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
