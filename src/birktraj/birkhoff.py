@@ -152,6 +152,17 @@ def _cheb_moments(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 2.0 / den, 0.0)
 
 
+def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
+    """L_j(s) for every cardinal antiderivative j, as one Vandermonde product.
+
+    Returns shape ``np.shape(s) + (N+1,)``; a scalar ``s`` gives one row.
+    """
+    s = np.asarray(s, dtype=float)
+    coeffs = modal.antiderivative_coeffs
+    vander = cheb.chebvander(s.ravel(), coeffs.shape[0] - 1)
+    return (vander @ coeffs).reshape(s.shape + (coeffs.shape[1],))
+
+
 def build_modal_basis(grid: Grid) -> ModalBasis:
     """Transform node space to Chebyshev coefficient space for ``grid``.
 
@@ -211,21 +222,16 @@ def build_birkhoff(grid: Grid) -> BirkhoffSystem:
     s = ref.nodes
     h = amap.scale
 
-    b_a_ref = cheb.chebval(s, modal.antiderivative_coeffs).T
+    b_a_ref = _antiderivative_basis(modal, s)
     b_a_ref[0, :] = 0.0  # L_j(-1) = 0 by construction; pin the anchor row
-    w_ref = cheb.chebval(1.0, modal.antiderivative_coeffs)
+    # s[-1] is exactly 1.0 and T_k(1) = 1 exactly, so the last row is the
+    # endpoint sum L_j(1), the integral of each cardinal function
+    w_ref = b_a_ref[-1]
 
-    # weights must reproduce the last row of B_a
-    crosscheck = float(np.max(np.abs(b_a_ref[-1, :] - w_ref)))
-    if crosscheck > WEIGHT_CROSSCHECK_TOL:
-        raise IllConditionedBasisError(
-            f"quadrature weights disagree with the last row of B_a by {crosscheck:.3e}"
-        )
-    b_a_ref[-1, :] = w_ref  # same quantity; keep the identity exact
-
-    # independent route: weights as Chebyshev moments of the cardinal series.
-    # Both routes are linear in the coefficients, so the budget scales with
-    # the basis residual (storage roundoff dominates on equispaced grids).
+    # independent route: weights as Chebyshev moments of the cardinal series,
+    # which never pass through the antiderivative coefficients.  Both routes
+    # are linear in the coefficients, so the budget scales with the basis
+    # residual (storage roundoff dominates on equispaced grids).
     w_alt = _cheb_moments(grid.N) @ modal.cardinal_coeffs
     moment_tol = max(WEIGHT_CROSSCHECK_TOL, (grid.N + 1.0) * modal.residual)
     moment_gap = float(np.max(np.abs(w_alt - w_ref)))
@@ -273,19 +279,13 @@ def _reference_coords(sys: BirkhoffSystem, tau) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
-def _basis_matmul(basis: np.ndarray, coeffs_per_node: np.ndarray):
-    # basis has shape (N+1,) + s.shape; contract the leading axis
-    return np.moveaxis(basis, 0, -1) @ coeffs_per_node
-
-
 def eval_state_interpolant(x_a: float, V: np.ndarray, sys: BirkhoffSystem, tau):
     """a-form interpolant x_a + sum_j V_j B_j^a(tau), evaluated modally."""
     V = np.asarray(V, dtype=float)
     if V.shape != (sys.N + 1,):
         raise ShapeError(f"V must have shape ({sys.N + 1},), got {V.shape}")
     s = _reference_coords(sys, tau)
-    basis = cheb.chebval(s, sys.modal.antiderivative_coeffs)
-    return x_a + sys.scale * _basis_matmul(basis, V)
+    return x_a + sys.scale * (_antiderivative_basis(sys.modal, s) @ V)
 
 
 def eval_costate_interpolant(lam_b: float, Omega: np.ndarray, sys: BirkhoffSystem, tau):
@@ -294,7 +294,4 @@ def eval_costate_interpolant(lam_b: float, Omega: np.ndarray, sys: BirkhoffSyste
     if Omega.shape != (sys.N + 1,):
         raise ShapeError(f"Omega must have shape ({sys.N + 1},), got {Omega.shape}")
     s = _reference_coords(sys, tau)
-    w_ref = cheb.chebval(1.0, sys.modal.antiderivative_coeffs)
-    basis = cheb.chebval(s, sys.modal.antiderivative_coeffs)
-    basis = basis - w_ref.reshape(w_ref.shape + (1,) * np.ndim(s))
-    return lam_b + sys.scale * _basis_matmul(basis, Omega)
+    return lam_b + (sys.scale * _antiderivative_basis(sys.modal, s) - sys.w_B) @ Omega

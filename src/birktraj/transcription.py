@@ -182,6 +182,14 @@ class AnchoredBlock:
         jac[equiv, derivs] = d_equiv
 
 
+def _lu_solve(lu: Array, piv: Array, b: Array, trans: int = 0) -> Array:
+    """``dgetrs`` on a copy of ``piv``: scipy's wrapper shifts the pivots to
+    1-based indices in place for the duration of the call, so a memoized
+    ``piv`` shared between threads would be read shifted by one."""
+    x, _ = lapack.dgetrs(lu, piv.copy(), b, trans=trans)
+    return x
+
+
 class DiscretizedNlp:
     """Dense NLP view of one problem/grid/form triple.
 
@@ -192,7 +200,9 @@ class DiscretizedNlp:
     never the Jacobian or the Hessian.  Those are functions of the blocks
     alone and are reused only when the blocks are bitwise the same, so every
     result has the bits a fresh NLP gives; the slot holds one tuple, replaced
-    whole, so concurrent calls each read a consistent entry.
+    whole, so concurrent calls each read a consistent entry.  No call writes
+    into an entry: the triangular solves pass LAPACK a copy of the pivots
+    (see :func:`_lu_solve`), since scipy's ``dgetrs`` shifts them in place.
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm):
@@ -420,7 +430,7 @@ class DiscretizedNlp:
         set_node_blocks(v_free, 0, 0, fu)
         rhs_x = (self.state.B @ v_free.reshape(m, -1)).reshape(m, n, n_p)
         rhs_x[:, :, m * nu:] += np.eye(n)
-        t_x, _ = lapack.dgetrs(lu, piv, rhs_x.reshape(mn, n_p))
+        t_x = _lu_solve(lu, piv, rhs_x.reshape(mn, n_p))
         t_v = np.einsum("iab,ibp->iap", fx, t_x.reshape(m, n, n_p))
         t_v += v_free.reshape(m, n, n_p)
         anchor, other, sign = self._anchor_other
@@ -475,7 +485,7 @@ class DiscretizedNlp:
 
         # t, the step at p = 0: the one column of the condensation that r enters
         r2 = r2.reshape(m, n)
-        t_x, _ = lapack.dgetrs(lu, piv, (B @ -r2 - r1.reshape(m, n)).ravel())
+        t_x = _lu_solve(lu, piv, (B @ -r2 - r1.reshape(m, n)).ravel())
         t_v = np.einsum("iab,ib->ia", fx, t_x.reshape(m, n)) - r2
         t = np.zeros(self.n_z)
         t[self.slice_x] = t_x
@@ -508,7 +518,7 @@ class DiscretizedNlp:
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1, _ = lapack.dgetrs(lu, piv, y.ravel(), trans=1)
+        mu1 = _lu_solve(lu, piv, y.ravel(), trans=1)
         mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
         mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
         if col is not None:

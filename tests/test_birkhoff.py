@@ -10,6 +10,7 @@ from birktraj import (
     IllConditionedBasisError,
     ShapeError,
     UnsupportedGridError,
+    birkhoff,
     build_birkhoff,
     build_diff_matrix,
     eval_costate_interpolant,
@@ -76,6 +77,67 @@ def test_diff_matrix_basics():
         d = build_diff_matrix(g)
         np.testing.assert_allclose(d @ np.ones(13), 0.0, atol=1e-12)
         np.testing.assert_allclose(d @ g.nodes, np.ones(13), atol=1e-11)
+
+
+# --- Vandermonde evaluation against a Clenshaw reference ---------------------
+
+
+def _clenshaw_reference(sys):
+    # the antiderivative series summed by Clenshaw's recurrence, node by node
+    s = np.asarray(sys.to_reference_coord(sys.grid.nodes), dtype=float)
+    b_a = cheb.chebval(s, sys.modal.antiderivative_coeffs).T
+    b_a[0] = 0.0
+    w = sys.scale * cheb.chebval(1.0, sys.modal.antiderivative_coeffs)
+    b_a = sys.scale * b_a
+    return b_a, b_a - w[None, :], w
+
+
+@pytest.mark.parametrize(
+    "kind, n, rel",
+    [(k, n, False) for k in KINDS for n in (1, 4, 16, 64, 256)]
+    + [("uniform", n, True) for n in (8, 16, 24, 32)],
+)
+def test_vandermonde_matches_clenshaw(kind, n, rel):
+    sys = build_birkhoff(make_grid(kind, n))
+    b_a, b_b, w = _clenshaw_reference(sys)
+    tol = 1e-15 * (np.max(np.abs(w)) if rel else 1.0)
+    assert np.max(np.abs(sys.B_a - b_a)) <= tol
+    assert np.max(np.abs(sys.B_b - b_b)) <= tol
+    assert np.max(np.abs(sys.w_B - w)) <= tol
+
+
+def test_moment_crosscheck_fires_on_corrupted_antiderivative(monkeypatch):
+    chebint = cheb.chebint
+
+    def corrupted(*args, **kwargs):
+        anti = chebint(*args, **kwargs)
+        anti[3, 2] += 1e-9
+        return anti
+
+    grid = make_grid("lgl", 16)
+    build_birkhoff(grid)
+    monkeypatch.setattr(birkhoff.cheb, "chebint", corrupted)
+    with pytest.raises(IllConditionedBasisError, match="cross-check"):
+        build_birkhoff(grid)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_interpolants_keep_the_shape_of_tau(shape):
+    sys = build_birkhoff(make_grid("lgl", 10, domain=(0.0, 2.0)))
+    v = np.cos(sys.grid.nodes)
+    tau = np.linspace(0.0, 2.0, int(np.prod(shape))).reshape(shape)
+    if not shape:
+        tau = float(tau)
+    x = eval_state_interpolant(0.5, v, sys, tau)
+    lam = eval_costate_interpolant(-0.5, v, sys, tau)
+    assert np.shape(x) == shape and np.shape(lam) == shape
+    flat = np.ravel(tau)
+    np.testing.assert_allclose(
+        np.ravel(x), [eval_state_interpolant(0.5, v, sys, t) for t in flat], atol=1e-14
+    )
+    np.testing.assert_allclose(
+        np.ravel(lam), [eval_costate_interpolant(-0.5, v, sys, t) for t in flat], atol=1e-14
+    )
 
 
 # --- quadrature -----------------------------------------------------------
