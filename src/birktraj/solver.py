@@ -14,27 +14,21 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-The Newton step solves [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w].  The
-problem's ``newton_step(hess, jac, g, r, working) -> (dz, mu_w) | None`` may
-solve it structured; DiscretizedNlp condenses it through the identity blocks
-of its rows and factors only small matrices, one condensation per Jacobian:
-the multiplier estimate and the step of an iteration share it, and while the
-dynamics blocks do not change (linear dynamics) one factor serves the whole
-solve.  When it returns None (SimpleNlp always does), the dense matrix is
-solved by LU; only when that fails is it shifted to
+Each problem owns its whole Newton-KKT solve:
+``newton_step(hess, jac, g, r, working) -> (dz, mu_w) | None`` solves
+[[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w] over the working rows, and
+None means that no step exists; the solve then ends
+``line-search-failure``.  A 1-D ``hess`` is the multiplier-estimate call,
+H = I and r = 0: its mu_w are the least-squares multipliers
+argmin ||g + J_w^T mu|| of the optimality test.  DiscretizedNlp condenses
+both calls through the identity blocks of its rows; SimpleNlp takes
+:func:`dense_newton_step`.  A singular system is shifted to
 [[H + dI, J_w^T], [J_w, -dI]], d doubling from REGULARIZATION_FLOOR (the
 primal-dual shift of Waechter and Biegler 2006, whose -dI block makes
 dependent working rows solvable), and the shifted solution is refined once
-against the unshifted matrix.  The indirect solver shares this rule,
-:func:`regularized_solve`, with +dI throughout.  Every LU solve is refined
-once with its own factor.
-
-The optimality test on each iteration uses least-squares multipliers,
-argmin ||g + J_w^T mu|| over the working rows.  They are the mu-part of the
-same KKT system with H = I and r = 0, so ``newton_step(ones, jac, g, zeros,
-working)`` gives them through the same condensed factorizations (a 1-D
-``hess`` is the diagonal of H).  When it returns None (dependent working
-rows, among others), pivoted QR gives the minimum-norm multipliers.
+against the unshifted matrix: :func:`regularized_solve`, which the indirect
+solver shares with +dI throughout.  Every LU solve is refined once with its
+own factor.
 """
 
 from __future__ import annotations
@@ -125,7 +119,7 @@ class SimpleNlp:
         return _fd_lagrangian_hessian(self, z, mu)
 
     def newton_step(self, hess, jac, g, r, working):
-        return None  # the solver's dense KKT step
+        return dense_newton_step(hess, jac, g, r, working)
 
 
 def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
@@ -159,24 +153,11 @@ def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
     return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
-def _multiplier_estimate(newton_step, jac: Array, g: Array, working: Array) -> Array:
-    """Least-squares multipliers, argmin ||g + J_w^T mu||, of the working rows.
-
-    They are the mu-part of [[I, J_w^T], [J_w, 0]] [d, mu] = [-g, 0], so the
-    problem's own Newton step with H = I gives them (Bjorck 1996, 2.9).  When
-    that step returns None (dependent working rows, among others),
-    rank-revealing pivoted QR (LAPACK gelsy) gives the minimum-norm solution.
-    """
-    step = newton_step(np.ones(g.size), jac, g, np.zeros(working.size), working)
-    if step is not None:
-        return step[1]
-    jac_w = jac[working]
-    cutoff = np.finfo(float).eps * max(jac_w.shape)
-    return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
-
-
 def _lu_solve(matrix: Array, rhs: Array):
-    """:func:`checked_solve`'s x together with its factor, as (x, (lu, piv))."""
+    """x with ``matrix @ x = rhs`` by LU, refined once with the same factor,
+    together with that factor, as (x, (lu, piv)); None when that fails: a
+    zero pivot, a non-finite x, or a backward error above
+    1e-8 (1 + ||rhs||_inf)."""
     lu, piv, info = lapack.dgetrf(matrix)
     if info != 0:
         return None
@@ -190,16 +171,8 @@ def _lu_solve(matrix: Array, rhs: Array):
     return None
 
 
-def checked_solve(matrix: Array, rhs: Array) -> Array | None:
-    """x with ``matrix @ x = rhs`` by LU, refined once with the same factor,
-    or None when that fails: a zero pivot, a non-finite x, or a backward
-    error above 1e-8 (1 + ||rhs||_inf)."""
-    solved = _lu_solve(matrix, rhs)
-    return None if solved is None else solved[0]
-
-
 def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
-    """:func:`checked_solve`, and only when that fails retry with
+    """:func:`_lu_solve`'s x, and only when that fails retry with
     ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at most
     REGULARIZATION_SHIFTS times.  A shifted solution, O(d |x|) off the
     system asked for, is refined once against ``matrix`` with the shifted
@@ -214,15 +187,21 @@ def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
     return None
 
 
-def _solve_kkt(hess: Array, jac_w: Array, g: Array, r_w: Array):
-    """Newton step: [[H, J^T], [J, 0]] [dz, mu] = [-g, -r], shifted to
-    [[H + dI, J^T], [J, -dI]] only when it is singular.  Returns (dz, mu),
-    or (None, None) when no shift makes it solvable."""
-    n, m = g.size, r_w.size
+def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Array):
+    """The Newton-KKT step on the full matrices by :func:`regularized_solve`;
+    the estimate call takes mu_w by rank-revealing pivoted QR (LAPACK gelsy),
+    minimum-norm on dependent rows, and dz = -(g + J_w^T mu_w).  Returns
+    (dz, mu_w), or None when no shift makes the matrix solvable."""
+    jac_w = jac[working]
+    if hess.ndim == 1:
+        cutoff = np.finfo(float).eps * max(jac_w.shape)
+        mu = lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
+        return -(g + jac_w.T @ mu), mu
+    m, n = jac_w.shape
     kkt = np.block([[hess, jac_w.T], [jac_w, np.zeros((m, m))]])
     signs = np.concatenate([np.ones(n), -np.ones(m)])
-    sol = regularized_solve(kkt, np.concatenate([-g, -r_w]), signs)
-    return (None, None) if sol is None else (sol[:n], sol[n:])
+    sol = regularized_solve(kkt, np.concatenate([-g, -r[working]]), signs)
+    return None if sol is None else (sol[:n], sol[n:])
 
 
 def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
@@ -275,7 +254,10 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         # least-squares multipliers for the optimality test
         mu_full = np.zeros(n_rows)
         if working.any():
-            mu_full[working] = _multiplier_estimate(nlp.newton_step, jac, g, working)
+            estimate = nlp.newton_step(np.ones(z.size), jac, g, np.zeros(n_rows), working)
+            if estimate is None:
+                return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
+            mu_full[working] = estimate[1]
         stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
 
         if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:
@@ -294,13 +276,11 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             break
 
         hess = nlp.lagrangian_hessian(z, mu_full)
-        # None from the problem's own step means the dense _solve_kkt, which
-        # alone regularizes
         step = nlp.newton_step(hess, jac, g, r, working)
-        dz, mu_w_new = step if step is not None else _solve_kkt(hess, jac[working], g, r_w)
         del hess  # so the next Hessian is built without this one alive
-        if dz is None:
+        if step is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
+        dz, mu_w_new = step
 
         if mu_w_new.size:
             rho = max(rho, 2.0 * float(np.max(np.abs(mu_w_new))) + 1.0)

@@ -26,8 +26,10 @@ solver's Newton-KKT system: it factors M = I - (B (x) I) F_x, of order
 (N+1) n_x and conditioned like the O(1)-norm Birkhoff matrix B, and a
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
 of multiple shooting, Bock and Plitt 1984).  The factor of M is kept while
-the dynamics blocks F_x do not change.  When M or the reduced KKT is singular
-it returns None and the solver takes its dense, regularized step.
+the dynamics blocks F_x do not change.  The reduced KKT is shifted by the
+solver's :func:`regularized_solve` when it is singular, as on dependent
+endpoint rows, so this is the NLP's only Newton step: it gives none only when
+M has an exactly zero pivot or a result is not finite.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .ocp import OcpDefinition, constraint_violation, prepared
-from .solver import checked_solve
+from .solver import regularized_solve
 
 Array = np.ndarray
 
@@ -231,8 +233,10 @@ class DiscretizedNlp:
         self.equality_mask = mask
 
         w = sys.w_B
-        if form.scaled and np.any(w == 0.0):
-            raise DegenerateWeightError("zero quadrature weight; cannot scale variables")
+        if (form.scaled or form.tag.starred) and np.any(w == 0.0):
+            raise DegenerateWeightError(
+                f"zero quadrature weight; form {form} divides by the weights"
+            )
         self._w = w
         self._w_rep = np.repeat(w, n)  # node-major broadcast per state
         # Galerkin row weighting for the starred forms; ones elsewhere so the
@@ -459,15 +463,12 @@ class DiscretizedNlp:
         reused while F_x is unchanged and T while F_u is unchanged too (the
         NLP's one-slot memo); t, the step at p = 0, takes one solve with that
         factor per call.  Works in physical variables, since the solution
-        does not depend on the row and column scaling.  A 1-D ``hess`` is the
-        diagonal of H; with H = I and r = 0, mu_w are the least-squares
-        multipliers argmin ||g + J_w^T mu||.  Returns (dz, mu_w), or None when
-        M is singular, the reduced KKT fails :func:`solver.checked_solve` or a
-        result is not finite; the solver then takes its dense, regularized
-        step.
+        does not depend on the row and column scaling.  A 1-D ``hess`` is read
+        as the diagonal of H.  The reduced KKT is solved by :func:`solver.regularized_solve`, shifted
+        +d on p and -d on the endpoint rows only when it is singular.
+        Returns (dz, mu_w), or None when M has an exactly zero pivot, no shift
+        makes the reduced KKT solvable or a result is not finite.
         """
-        if not np.all(self._row_scale):
-            return None  # a zero Galerkin weight: the weighted rows are void
         condensed = self._condensation(jac)
         if condensed is None:
             return None
@@ -506,10 +507,11 @@ class DiscretizedNlp:
         e_t = e_rows @ T
         kkt = np.block([[t_hit.T @ ht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
         rhs = -np.concatenate([t_hit.T @ ht_t + T.T @ g, r[ends] + e_rows @ t])
-        sol = checked_solve(kkt, rhs)
+        n_p = T.shape[1]
+        sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(ends.size)]))
         if sol is None:
             return None
-        p, mu4 = sol[:T.shape[1]], sol[T.shape[1]:]
+        p, mu4 = sol[:n_p], sol[n_p:]
         dz = T @ p + t
 
         s = g.copy()  # H dz + g

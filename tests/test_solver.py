@@ -199,7 +199,7 @@ def test_regularized_solve_gives_up_when_no_shift_helps():
 
 def structured_estimate_only(monkeypatch):
     def no_qr(*args, **kwargs):
-        raise AssertionError("the estimate fell back to pivoted QR")
+        raise AssertionError("a DiscretizedNlp path reached pivoted QR")
 
     monkeypatch.setattr(solver, "lstsq", no_qr)
 
@@ -212,7 +212,7 @@ def estimate_error(nlp) -> float:
     jac, eq = np.asarray(nlp.jacobian(z)), nlp.equality_mask
     g = nlp.objective_gradient(z)
     ref = np.linalg.lstsq(jac[eq].T, -g, rcond=None)[0]
-    mu = solver._multiplier_estimate(nlp.newton_step, jac, g, eq)
+    _, mu = nlp.newton_step(np.ones(nlp.n_z), jac, g, np.zeros(eq.size), eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
@@ -266,15 +266,15 @@ def test_duplicated_row_takes_qr_route_to_minimum_norm_multipliers(monkeypatch):
 
 
 def test_nearly_dependent_rows_take_pivoted_qr_without_a_structured_step():
-    # cond(J_w) ~ 1e7 and a newton_step that returns None: pivoted QR
-    # matches the SVD solution where the normal equations, corrected once,
-    # would be off by ~2e-4
+    # cond(J_w) ~ 1e7 and the dense estimate: pivoted QR matches the SVD
+    # solution where the normal equations, corrected once, would be off by
+    # ~2e-4
     rng = np.random.default_rng(0)
     jac = rng.standard_normal((5, 9))
     jac[4] = jac[0] + 1e-7 * rng.standard_normal(9)
     g = rng.standard_normal(9)
     ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
-    mu = solver._multiplier_estimate(lambda *a: None, jac, g, np.ones(5, dtype=bool))
+    _, mu = solver.dense_newton_step(np.ones(9), jac, g, np.zeros(5), np.ones(5, dtype=bool))
     assert np.linalg.norm(mu - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
@@ -357,14 +357,14 @@ def test_double_integrator_matches_analytic_solution():
 
 
 class DenseOnly:
-    """An NLP whose structured Newton step always returns None; everything
-    else forwarded."""
+    """An NLP that takes the solver's dense Newton step; everything else
+    forwarded."""
 
     def __init__(self, nlp):
         self._nlp = nlp
 
     def newton_step(self, *args):
-        return None
+        return solver.dense_newton_step(*args)
 
     def __getattr__(self, name):
         return getattr(self._nlp, name)
@@ -377,8 +377,8 @@ def counting_dense_steps(monkeypatch):
         calls.append(1)
         return dense(*args)
 
-    dense = solver._solve_kkt
-    monkeypatch.setattr(solver, "_solve_kkt", counted)
+    dense = solver.dense_newton_step
+    monkeypatch.setattr(solver, "dense_newton_step", counted)
     return calls
 
 
@@ -390,20 +390,22 @@ def test_condensed_and_dense_steps_take_the_same_iteration(name, monkeypatch):
     condensed = solve(nlp, z0)
     assert condensed.converged and not dense_calls  # every step was condensed
     dense = solve(DenseOnly(nlp), z0)
-    assert dense.converged and len(dense_calls) == dense.iterations
+    # an estimate and a step per iteration, and the final estimate
+    assert dense.converged and len(dense_calls) == 2 * dense.iterations + 1
     assert condensed.iterations == dense.iterations
     assert [row["step"] for row in condensed.log] == [row["step"] for row in dense.log]
     assert np.max(np.abs(condensed.z - dense.z)) <= 1e-10
     assert np.max(np.abs(condensed.multipliers - dense.multipliers)) <= 1e-10
 
 
-def test_solve_converges_through_the_dense_fallback(monkeypatch):
+def test_solve_converges_with_the_dense_step(monkeypatch):
     dense_calls = counting_dense_steps(monkeypatch)
     nlp = make_nlp("double-integrator-energy", N=16)
-    monkeypatch.setattr(type(nlp), "newton_step", lambda self, *args: None)
+    monkeypatch.setattr(type(nlp), "newton_step",
+                        lambda self, *args: solver.dense_newton_step(*args))
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.converged, res.status
-    assert len(dense_calls) == res.iterations > 0
+    assert res.iterations > 0 and len(dense_calls) == 2 * res.iterations + 1
     assert res.kkt_residual <= SolverOptions().tol_feas
 
 
@@ -461,16 +463,21 @@ def solve_and_verify(problem: dict, kind: str, N: int):
 
 @pytest.mark.parametrize("N", [4, 8, 16, 32])
 def test_duplicated_endpoint_row_converges_at_every_order(N):
-    # x_b = 1 written twice: the condensed step is singular, and the shifted
-    # dense step stops short unless it is refined against the unshifted matrix
+    # x_b = 1 written twice: the reduced KKT of the condensed step is
+    # singular, and its shifted solution stops short unless it is refined
+    # against the unshifted matrix
+    once = {"b": [1], "rhs": 1}
     problem = {
         "n_x": 1, "n_u": 1, "horizon": [0, 1],
         "dynamics": {"A": [[0]], "B": [[1]]},
         "running_cost": {"Q": [[0]], "R": [[1]]},
-        "constraints": [{"a": [1], "rhs": 0}, {"b": [1], "rhs": 1}, {"b": [1], "rhs": 1}],
+        "constraints": [{"a": [1], "rhs": 0}, once, once],
     }
-    primal, _ = solve_and_verify(problem, "lgl", N)
+    primal, dual = solve_and_verify(problem, "lgl", N)
     assert primal.objective == pytest.approx(1.0, abs=1e-8)
+    # the split between the copies is arbitrary; their sum is the one row's
+    _, single = solve_and_verify({**problem, "constraints": problem["constraints"][:2]}, "lgl", N)
+    assert dual.endpoint[1] + dual.endpoint[2] == pytest.approx(single.endpoint[1], abs=1e-8)
 
 
 @pytest.mark.parametrize("N", [16, 64])

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from birktraj import (
+    DegenerateWeightError,
     DiscretizedNlp,
     DomainMismatchError,
     EvaluationError,
@@ -12,6 +14,7 @@ from birktraj import (
     OcpDefinition,
     PrimalForm,
     SolverOptions,
+    SolveStatus,
     UnsupportedGridError,
     UnsupportedProblemError,
     build_birkhoff,
@@ -73,8 +76,6 @@ def test_form_validation():
 
 
 def test_domain_and_grid_preconditions():
-    import dataclasses
-
     from birktraj import Grid
 
     ocp = registry("zero-dynamics")
@@ -84,6 +85,18 @@ def test_domain_and_grid_preconditions():
     interior = Grid(kind=sys.grid.kind, nodes=0.25 + 0.5 * sys.grid.nodes, domain=(0.0, 1.0))
     with pytest.raises(UnsupportedGridError):
         transcribe(ocp, dataclasses.replace(sys, grid=interior), PrimalForm("a"))
+
+
+@pytest.mark.parametrize("form, scaled", [("a_star", False), ("b_star", False), ("a", True),
+                                          ("b", True)])
+def test_zero_weight_is_refused_where_the_form_weights_by_it(form, scaled):
+    # no make_grid grid has a zero weight: only a hand-built system reaches it
+    ocp = prepared(registry("double-integrator-energy"))
+    sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
+    sys = dataclasses.replace(sys, w_B=np.where(np.arange(7) == 3, 0.0, sys.w_B))
+    with pytest.raises(DegenerateWeightError, match="zero quadrature weight"):
+        transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
+    transcribe(ocp, sys, PrimalForm(form[0]))  # the plain rows carry no weight
 
 
 def test_feasibility_tolerance_floor():
@@ -215,8 +228,6 @@ def test_evaluation_error_reports_node():
     def exploding(X, U):
         return np.full(X.shape, np.inf)
 
-    import dataclasses
-
     bad = dataclasses.replace(bad, dynamics=exploding)
     sys = build_birkhoff(make_grid("lgl", 4, ocp.horizon))
     nlp = transcribe(bad, sys, PrimalForm("a"))
@@ -310,7 +321,7 @@ BOUNDED_REACH = {
 
 
 def assert_step_matches_dense(nlp, seed=0):
-    from birktraj.solver import _solve_kkt
+    from birktraj.solver import dense_newton_step
 
     rng = np.random.default_rng(seed)
     z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
@@ -318,7 +329,7 @@ def assert_step_matches_dense(nlp, seed=0):
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    dz_ref, mu_ref = _solve_kkt(hess, jac[working], g, r[working])
+    dz_ref, mu_ref = dense_newton_step(hess, jac, g, r, working)
     dz, mu_w = nlp.newton_step(hess, jac, g, r, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
@@ -359,6 +370,16 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     assert nlp.newton_step(*args) is None
     monkeypatch.undo()
     assert nlp.newton_step(*args) is not None  # the failed factor was not kept
+
+
+def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
+    # no other route takes the step: the first estimate finds none
+    nlp = make_nlp(N=8)
+    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix",
+                        lambda self, jac: np.zeros((self.n_nodes * self.n_x,) * 2))
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert res.iterations == 0 and not res.log
 
 
 def counted_condensations(monkeypatch, nlp):
