@@ -6,7 +6,9 @@ flavor — sixteen variants in all.  One square system, :class:`_IndirectSystem`
 holds all of them: each side's anchored rows come from the same
 :class:`~birktraj.transcription.AnchoredBlock` the primal NLP uses, and the
 Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
-root; :func:`verify_pontryagin` evaluates its residual once at a given
+root by Newton steps condensed through the identity blocks of both sides'
+anchored rows, as the primal NLP's are, so it never builds the square
+Jacobian; :func:`verify_pontryagin` evaluates its residual once at a given
 (primal, dual) pair and reads the report blocks off the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
 :func:`map_covectors` reads as costates with one rule:
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .birkhoff import BirkhoffSystem, ibp_defect_norm
 from .errors import (
@@ -54,7 +57,6 @@ from .transcription import (
     PrimalForm,
     PrimalSolution,
     consecutive_slices,
-    set_node_blocks,
     straight_line,
 )
 
@@ -308,11 +310,25 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     return U
 
 
+def _anchored_rows(block: AnchoredBlock, values, derivs, left, right):
+    """``block``'s rows for node tables with a trailing axis of columns, as
+    (interpolation, equivalency) row blocks of those columns.  The rows are
+    linear, so at a direction they are also the Jacobian times it."""
+    m, c = values.shape[0], values.shape[-1]
+    interp, equiv = block.residual(
+        values.reshape(m, -1), derivs.reshape(m, -1), left.ravel(), right.ravel()
+    )
+    return interp.reshape(-1, c), equiv.reshape(-1, c)
+
+
 class _IndirectSystem:
     """Square root-finding system for one (ocp, grid, variant) triple.
 
     The residual is :meth:`evaluate`'s unweighted rows times ``row_scale``,
-    the quadrature weights on the rows of each starred side.
+    the quadrature weights on the rows of each starred side.  Its Jacobian is
+    never built: :meth:`derivatives` evaluates the node blocks once,
+    :meth:`jvp` multiplies by them and :meth:`newton_step` solves with them,
+    condensed through the identity blocks of both sides' anchored rows.
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, variant: DualVariant):
@@ -325,42 +341,55 @@ class _IndirectSystem:
             "X": node, "U": (m, k), "V": node, "lam": node, "om": node,
             "x_a": end, "x_b": end, "lam_a": end, "lam_b": end, "nu": (n_e,),
         }
-        self.sl = consecutive_slices({nm: math.prod(s) for nm, s in self._shapes.items()})
-        self.n_y = self.sl["nu"].stop
+        self.sl = sl = consecutive_slices({nm: math.prod(s) for nm, s in self._shapes.items()})
+        self.n_y = sl["nu"].stop
         # row blocks, named as in the verification report
-        self.rows = consecutive_slices({
+        self.rows = rows = consecutive_slices({
             "state_interpolation": m * n, "dynamics": m * n, "state_equivalency": n,
             "costate_interpolation": m * n, "adjoint": m * n, "control_stationarity": m * k,
             "costate_equivalency": n,
             "endpoint_feasibility": n_e, "transversality_initial": n, "transversality_final": n,
         })
-        assert self.rows["transversality_final"].stop == self.n_y
+        assert rows["transversality_final"].stop == self.n_y
 
-        rows, sl = self.rows, self.sl
         self.state = AnchoredBlock(sys, variant.state_form, n)
         self.costate = AnchoredBlock(sys, variant.costate_form, n)
-        self._state_layout = (
-            (rows["state_interpolation"], rows["state_equivalency"]),
-            (sl["X"], sl["V"], sl["x_a"], sl["x_b"]),
-        )
-        self._costate_layout = (
-            (rows["costate_interpolation"], rows["costate_equivalency"]),
-            (sl["lam"], sl["om"], sl["lam_a"], sl["lam_b"]),
-        )
-        self._weighted = []  # row blocks that carry their node's quadrature weight
+
+        def ends(block, left, right):  # (anchor, opposite endpoint, sign of the equivalency row)
+            return (left, right, 1.0) if block.anchored_left else (right, left, -1.0)
+
+        self._state_ends = ends(self.state, "x_a", "x_b")
+        self._costate_ends = ends(self.costate, "lam_a", "lam_b")
+        # what the condensed step leaves: the unknowns p = (U, x_anchor,
+        # lam_anchor, nu) and the rows that no side eliminates
+        self._free = np.r_[
+            sl["U"], sl[self._state_ends[0]], sl[self._costate_ends[0]], sl["nu"]
+        ]
+        self._reduced_rows = np.r_[
+            rows["control_stationarity"], rows["endpoint_feasibility"].start:self.n_y
+        ]
+
+        weighted = []  # row blocks that carry their node's quadrature weight
         if variant.state_form.starred:
-            self._weighted += [rows["state_interpolation"], rows["dynamics"]]
+            weighted += [rows["state_interpolation"], rows["dynamics"]]
         if variant.costate_form.starred:
-            self._weighted += [
+            weighted += [
                 rows[name] for name in ("costate_interpolation", "adjoint", "control_stationarity")
             ]
+        if weighted and np.any(sys.w_B == 0.0):
+            raise DegenerateWeightError(
+                f"zero quadrature weight; variant {variant} divides by the weights"
+            )
         self.row_scale = np.ones(self.n_y)
-        for s in self._weighted:
+        for s in weighted:
             self.row_scale[s] = np.repeat(sys.w_B, (s.stop - s.start) // m)
 
     def split(self, y: Array):
-        """(X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu) as views into ``y``."""
-        return tuple(y[self.sl[nm]].reshape(shape) for nm, shape in self._shapes.items())
+        """(X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu) as views into ``y``;
+        a trailing axis of ``y`` (columns of unknowns) stays trailing."""
+        return tuple(
+            y[self.sl[nm]].reshape(shape + y.shape[1:]) for nm, shape in self._shapes.items()
+        )
 
     def pack(self, *blocks) -> Array:
         """Inverse of :meth:`split`: the ten blocks, in its order, as one vector."""
@@ -400,50 +429,127 @@ class _IndirectSystem:
     def residual(self, y: Array) -> Array:
         return self.evaluate(y)[0] * self.row_scale
 
-    def jacobian(self, y: Array) -> Array:
+    def derivatives(self, y: Array):
+        """The blocks of the Jacobian at ``y`` that depend on it: F_x, F_u, the
+        Hamiltonian curvatures (node blocks), the endpoint rows' Jacobians
+        and the endpoint Lagrangian's curvature.  Every callback the
+        Jacobian needs, called once."""
         X, U, _, lam, _, x_a, x_b, _, _, nu = self.split(y)
-        p, sl, rows, n = self.ocp, self.sl, self.rows, self.n
-        jac = np.zeros((self.n_y, self.n_y))
-        self.state.write_partials(jac, *self._state_layout)
-        self.costate.write_partials(jac, *self._costate_layout)
+        p, con = self.ocp, self.ocp.constraints
+        return (
+            p.jac_fx(X, U),
+            p.jac_fu(X, U) if p.n_u else np.zeros((self.m, self.n, 0)),
+            p.hamiltonian_curvatures(X, U, lam),
+            np.asarray(con.jac_xa(x_a, x_b), dtype=float),
+            np.asarray(con.jac_xb(x_a, x_b), dtype=float),
+            p.endpoint_lagrangian_curvature(x_a, x_b, nu),
+        )
 
+    def jvp(self, blocks, dy: Array) -> Array:
+        """J dy for the unweighted rows of :meth:`evaluate`, with J from the
+        ``blocks`` of :meth:`derivatives`; the columns of a 2-D ``dy`` are
+        taken one by one."""
+        fx, fu, curv, j_xa, j_xb, k_end = blocks
+        cols = dy.reshape(self.n_y, -1)
+        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(cols)
+        rows, n, c = self.rows, self.n, cols.shape[1]
         # dynamics rows carry -f; adjoint and control rows carry f_x^T lam and
-        # f_u^T lam: lam enters linearly, (x, u) through the dynamics
-        # Jacobians, whose products are differentiated numerically
-        r_dyn, r_adj = rows["dynamics"].start, rows["adjoint"].start
-        r_ctl = rows["control_stationarity"].start
-        np.fill_diagonal(jac[rows["dynamics"], sl["V"]], 1.0)
-        np.fill_diagonal(jac[rows["adjoint"], sl["om"]], 1.0)
-        fx_tab = p.jac_fx(X, U)
-        set_node_blocks(jac, r_dyn, sl["X"].start, -fx_tab)
-        set_node_blocks(jac, r_adj, sl["lam"].start, fx_tab.transpose(0, 2, 1))
-        if p.n_u:
-            fu_tab = p.jac_fu(X, U)
-            set_node_blocks(jac, r_dyn, sl["U"].start, -fu_tab)
-            set_node_blocks(jac, r_ctl, sl["lam"].start, fu_tab.transpose(0, 2, 1))
-        curv = p.hamiltonian_curvatures(X, U, lam)
-        set_node_blocks(jac, r_adj, sl["X"].start, curv[:, :n, :n])
-        set_node_blocks(jac, r_adj, sl["U"].start, curv[:, :n, n:])
-        set_node_blocks(jac, r_ctl, sl["X"].start, curv[:, n:, :n])
-        set_node_blocks(jac, r_ctl, sl["U"].start, curv[:, n:, n:])
+        # f_u^T lam: linear in lam, curved in (x, u)
+        XU = np.concatenate([X, U], axis=1)
+        out = np.empty(cols.shape)
+        out[rows["state_interpolation"]], out[rows["state_equivalency"]] = _anchored_rows(
+            self.state, X, V, x_a, x_b
+        )
+        out[rows["dynamics"]] = (V - fx @ X - fu @ U).reshape(-1, c)
+        out[rows["costate_interpolation"]], out[rows["costate_equivalency"]] = _anchored_rows(
+            self.costate, lam, om, lam_a, lam_b
+        )
+        out[rows["adjoint"]] = (om + fx.transpose(0, 2, 1) @ lam + curv[:, :n] @ XU).reshape(-1, c)
+        out[rows["control_stationarity"]] = (
+            fu.transpose(0, 2, 1) @ lam + curv[:, n:] @ XU
+        ).reshape(-1, c)
+        x_ab = np.concatenate([x_a, x_b])
+        out[rows["endpoint_feasibility"]] = j_xa @ x_a + j_xb @ x_b
+        out[rows["transversality_initial"]] = lam_a + k_end[:n] @ x_ab + j_xa.T @ nu
+        out[rows["transversality_final"]] = lam_b - k_end[n:] @ x_ab - j_xb.T @ nu
+        return out.reshape(dy.shape)
 
-        tva, tvb = rows["transversality_initial"], rows["transversality_final"]
-        j_xa = np.asarray(p.constraints.jac_xa(x_a, x_b), dtype=float)
-        j_xb = np.asarray(p.constraints.jac_xb(x_a, x_b), dtype=float)
-        jac[rows["endpoint_feasibility"], sl["x_a"]] = j_xa
-        jac[rows["endpoint_feasibility"], sl["x_b"]] = j_xb
-        jac[tva, sl["nu"]] = j_xa.T
-        jac[tvb, sl["nu"]] = -j_xb.T
-        np.fill_diagonal(jac[tva, sl["lam_a"]], 1.0)
-        np.fill_diagonal(jac[tvb, sl["lam_b"]], 1.0)
+    def newton_step(self, y: Array, r: Array) -> Array:
+        """The Newton step dy, J dy = -r, for the residual ``r`` at ``y``.
 
-        curv = p.endpoint_lagrangian_curvature(x_a, x_b, nu)
-        x_ab = slice(sl["x_a"].start, sl["x_b"].stop)
-        jac[tva, x_ab] += curv[:n]
-        jac[tvb, x_ab] -= curv[n:]
-        for s in self._weighted:
-            jac[s] *= self.row_scale[s, None]
-        return jac
+        It is found on the unweighted rows, since a square system's Newton
+        step does not depend on the row scaling, and condensed through the
+        identity blocks of the rows.  The dynamics rows give
+        dV = F_x dX + F_u dU - r_dyn and the adjoint rows
+        dom = -F_x^T dlam - H_xx dX - H_xu dU - r_adj; the state side then
+        takes one LU of M_s = I - (B_s (x) I) F_x for dX, the costate side
+        one of M_c = I + (B_c (x) I) F_x^T for dlam, and each side's
+        equivalency rows give its endpoint opposite the anchor.  What is left
+        is square in p = (dU, x_anchor, lam_anchor, nu) over the control
+        stationarity, endpoint and transversality rows, of order
+        (N+1) n_u + 2 n_x + n_e, and is solved by
+        :func:`solver.regularized_solve` (+d where singular).  The step must
+        meet |J dy + r| <= 1e-8 (1 + |r|) on the row-scaled rows.  Raises
+        NoConvergenceError on a zero pivot of M_s or M_c, an unsolvable
+        reduced system or a step that fails that check or is not finite.
+        """
+        blocks = self.derivatives(y)
+        fx, fu, curv = blocks[:3]
+        m, n, n_p = self.m, self.n, self._free.size
+        unweighted = r / self.row_scale
+        r_of = {name: unweighted[s] for name, s in self.rows.items()}
+        # a unit step in each free unknown, then the step at p = 0, where r enters
+        cols = np.zeros((self.n_y, n_p + 1))
+        cols[self._free, np.arange(n_p)] = 1.0
+        part = dict(zip(self._shapes, self.split(cols)))
+        X, U, V, lam, om = (part[nm] for nm in ("X", "U", "V", "lam", "om"))
+
+        V[...] = fu @ U
+        V[..., -1] -= r_of["dynamics"].reshape(m, n)
+        anchor, other, sign = self._state_ends
+        _condense_side(
+            self.state, fx, X, V, part[anchor], part[other], sign,
+            r_of["state_interpolation"], r_of["state_equivalency"],
+        )
+        om[...] = -(curv[:, :n] @ np.concatenate([X, U], axis=1))
+        om[..., -1] -= r_of["adjoint"].reshape(m, n)
+        anchor, other, sign = self._costate_ends
+        _condense_side(
+            self.costate, -fx.transpose(0, 2, 1), lam, om, part[anchor], part[other], sign,
+            r_of["costate_interpolation"], r_of["costate_equivalency"],
+        )
+
+        reduced = self.jvp(blocks, cols)[self._reduced_rows]
+        reduced[:, -1] += unweighted[self._reduced_rows]
+        p = regularized_solve(reduced[:, :-1], -reduced[:, -1], np.ones(n_p))
+        if p is None:
+            raise NoConvergenceError("singular Newton matrix in indirect solve")
+        dy = cols[:, :-1] @ p + cols[:, -1]
+        # a non-finite dy fails the test too
+        backward = np.max(np.abs(self.jvp(blocks, dy) * self.row_scale + r))
+        if not backward <= 1e-8 * (1.0 + np.max(np.abs(r))):
+            raise NoConvergenceError("singular Newton matrix in indirect solve")
+        return dy
+
+
+def _condense_side(block, G, values, derivs, anchor, other, sign, r_interp, r_equiv):
+    """Solve one side's interpolation and equivalency rows in every column of
+    the (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
+    endpoint tables ``anchor`` and ``other``, given the anchor and the
+    derivatives as G values + the ``derivs`` on entry (G: node blocks).
+    Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
+    opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last column.
+    One LU of M = I - (B (x) I) G."""
+    lu, piv, info = lapack.dgetrf(block.condensing_matrix(G))
+    if info != 0:
+        raise NoConvergenceError("singular Newton matrix in indirect solve")
+    m, n, c = values.shape
+    rhs = anchor + np.tensordot(block.B, derivs, 1)
+    rhs[..., -1] -= r_interp.reshape(m, n)
+    values[...] = lapack.dgetrs(lu, piv, rhs.reshape(m * n, c))[0].reshape(m, n, c)
+    derivs += G @ values
+    other[...] = anchor + sign * np.tensordot(block.w, derivs, 1)
+    other[:, -1] -= sign * r_equiv
 
 
 def _default_indirect_init(system: _IndirectSystem) -> Array:
@@ -465,10 +571,13 @@ def solve_indirect(
     """Damped-Newton root of the variant's full first-order system.
 
     Independent of the NLP solver: no objective, no multipliers — just the
-    square system.  Returns ``(PrimalSolution, DualTrajectory)``.  ``init``
-    may be a ``(PrimalSolution, DualTrajectory)`` pair (e.g. a direct solve's
-    output) to warm-start; the default builds a linear-interpolation state
-    profile with costates seeded from the endpoint-cost gradient.
+    square system.  Each step is :meth:`_IndirectSystem.newton_step`, with
+    one LU per side of order (N+1) n_x and one of the reduced system over
+    (U, x_anchor, lam_anchor, nu).  Returns ``(PrimalSolution,
+    DualTrajectory)``.  ``init`` may be a ``(PrimalSolution, DualTrajectory)``
+    pair (e.g. a direct solve's output) to warm-start; the default builds a
+    linear-interpolation state profile with costates seeded from the
+    endpoint-cost gradient.
     """
     p = prepared(ocp)
     if any(kind is not ConstraintKind.EQUALITY for kind in p.constraints.kinds):
@@ -483,9 +592,7 @@ def solve_indirect(
     for _ in range(INDIRECT_MAX_ITER):
         if np.max(np.abs(r)) <= INDIRECT_TOL:
             break
-        dy = regularized_solve(system.jacobian(y), -r, np.ones(system.n_y))
-        if dy is None:
-            raise NoConvergenceError("singular Newton matrix in indirect solve")
+        dy = system.newton_step(y, r)
         norm0 = float(np.linalg.norm(r))
         alpha = 1.0
         while alpha >= 2.0**-30:

@@ -27,8 +27,8 @@ both calls through the identity blocks of its rows; SimpleNlp takes
 primal-dual shift of Waechter and Biegler 2006, whose -dI block makes
 dependent working rows solvable), and the shifted solution is refined once
 against the unshifted matrix: :func:`regularized_solve`, which the indirect
-solver shares with +dI throughout.  Every LU solve is refined once with its
-own factor.
+solver shares, with +dI throughout, for the reduced system of its condensed
+Newton step.  Every LU solve is refined once with its own factor.
 """
 
 from __future__ import annotations

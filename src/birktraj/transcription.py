@@ -183,6 +183,14 @@ class AnchoredBlock:
         jac[equiv, left] = -eye
         jac[equiv, derivs] = d_equiv
 
+    def condensing_matrix(self, blocks: Array) -> Array:
+        """I - (B (x) I) blockdiag(``blocks``), for (N+1, n, n) node blocks:
+        what is left of the interpolation rows once the node derivatives are
+        eliminated through rows that give them as ``blocks`` times the node
+        values.  Its conditioning follows that of B."""
+        mn = self.w.size * self.n
+        return np.eye(mn) - np.einsum("ij,jab->iajb", self.B, blocks).reshape(mn, mn)
+
 
 def _lu_solve(lu: Array, piv: Array, b: Array, trans: int = 0) -> Array:
     """``dgetrs`` on a copy of ``piv``: scipy's wrapper shifts the pivots to
@@ -407,9 +415,7 @@ class DiscretizedNlp:
     def condensing_matrix(self, jac: Array) -> Array:
         """M = I - (B (x) I) F_x, the matrix the condensed Newton step factors;
         its conditioning follows that of the Birkhoff matrix B."""
-        fx, _ = self._dynamics_blocks(jac)
-        mn = self.n_nodes * self.n_x
-        return np.eye(mn) - np.einsum("ij,jab->iajb", self.state.B, fx).reshape(mn, mn)
+        return self.state.condensing_matrix(self._dynamics_blocks(jac)[0])
 
     def _condensation(self, jac: Array):
         """(F_x, F_u, lu, piv, T) of ``jac``: its dynamics blocks, the LU

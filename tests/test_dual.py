@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from birktraj import (
     verify_pontryagin,
 )
 from birktraj import dual as dual_module
+from birktraj.dual import _IndirectSystem, _default_indirect_init
 from birktraj.ocp import pinned_endpoints
 from birktraj.output import write_json
-from birktraj.transcription import consecutive_slices
+from birktraj.transcription import AnchoredBlock, consecutive_slices
 
 
 def system_for(name, N, kind="lgl"):
@@ -424,33 +426,103 @@ def test_indirect_singular_newton_matrix_raises(monkeypatch):
         solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
 
 
-@pytest.mark.parametrize("costate", ["a", "b", "a_star", "b_star"])
-@pytest.mark.parametrize("state", ["a", "b", "a_star", "b_star"])
-def test_indirect_jacobian_matches_finite_differences(state, costate):
-    from birktraj.dual import _IndirectSystem, _default_indirect_init
+def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
+    def singular(self, blocks):
+        return np.zeros((blocks.shape[0] * blocks.shape[1],) * 2)
 
-    ocp = prepared(registry("double-integrator-energy"))
-    sys = build_birkhoff(make_grid("lgl", 4, ocp.horizon))
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", singular)
+    _, sys = system_for("scalar-lq", 8)
+    with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
+        solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
+
+
+def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):
+    # a reduced solution that is not one leaves the rows it should meet unmet
+    monkeypatch.setattr(dual_module, "regularized_solve", lambda m, rhs, signs: np.ones(rhs.size))
+    _, sys = system_for("scalar-lq", 8)
+    with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
+        solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
+
+
+FORMS = ["a", "b", "a_star", "b_star"]
+
+
+def perturbed_point(name, N, state, costate):
+    """An indirect system and a point off its default initial guess, with
+    the generator that drew the perturbation."""
+    ocp = prepared(registry(name))
+    sys = build_birkhoff(make_grid("lgl", N, ocp.horizon))
     system = _IndirectSystem(ocp, sys, DualVariant(state, costate))
     rng = np.random.default_rng(21)
-    y = _default_indirect_init(system) + 0.3 * rng.normal(size=system.n_y)
-    jac = system.jacobian(y)
-    h = 1e-6
-    fd = np.zeros_like(jac)
-    for j in range(system.n_y):
-        yp, ym = y.copy(), y.copy()
-        yp[j] += h
-        ym[j] -= h
-        fd[:, j] = (system.residual(yp) - system.residual(ym)) / (2 * h)
-    err = np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
-    assert err <= 1e-5
+    return system, _default_indirect_init(system) + 0.3 * rng.normal(size=system.n_y), rng
+
+
+def central_difference(system, y, d, h=1e-4):
+    return (system.residual(y + h * d) - system.residual(y - h * d)) / (2 * h)
+
+
+@pytest.mark.parametrize("costate", FORMS)
+@pytest.mark.parametrize("state", FORMS)
+def test_indirect_jacobian_matches_finite_differences(state, costate):
+    # the node-block product J dy against central differences of the
+    # residual along random directions
+    for name in ("double-integrator-energy", "nonlinear-scalar"):
+        system, y, rng = perturbed_point(name, 4, state, costate)
+        blocks = system.derivatives(y)
+        dirs = rng.normal(size=(system.n_y, 3))
+        for d in dirs.T:
+            fd = central_difference(system, y, d)
+            err = np.max(np.abs(system.jvp(blocks, d) * system.row_scale - fd))
+            assert err <= 1e-6 * max(1.0, np.max(np.abs(fd))), name
+        # the columns of a 2-D direction are taken one by one
+        np.testing.assert_allclose(
+            system.jvp(blocks, dirs)[:, 1], system.jvp(blocks, dirs[:, 1]),
+            rtol=1e-14, atol=1e-14,
+        )
+
+
+@pytest.mark.parametrize("costate", FORMS)
+@pytest.mark.parametrize("state", FORMS)
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_condensed_indirect_step_solves_the_finite_difference_jacobian(N, state, costate):
+    # the residual is at most bilinear here, so central differences give its
+    # Jacobian to rounding
+    system, y, _ = perturbed_point("double-integrator-energy", N, state, costate)
+    r = system.residual(y)
+    jac = np.column_stack([central_difference(system, y, e) for e in np.eye(system.n_y)])
+    expected = np.linalg.solve(jac, -r)
+    dy = system.newton_step(y, r)
+    assert np.max(np.abs(dy - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_indirect_newton_step_builds_no_square_jacobian():
+    system, y, _ = perturbed_point("double-integrator-energy", 128, "a", "b_star")
+    r = system.residual(y)
+    tracemalloc.start()
+    try:
+        system.newton_step(y, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense n_y x n_y Jacobian alone would take 8 n_y^2 bytes
+    assert peak < 8 * system.n_y**2 / 2
+
+
+@pytest.mark.parametrize("variant", ["a_star,b", "a,b_star", "b_star,a_star"])
+def test_indirect_system_refuses_a_zero_weight_on_a_starred_side(variant):
+    ocp, sys = system_for("scalar-lq", 6)
+    w = sys.w_B.copy()
+    w[3] = 0.0
+    degenerate = dataclasses.replace(sys, w_B=w)
+    with pytest.raises(DegenerateWeightError):
+        solve_indirect(registry("scalar-lq"), degenerate, DualVariant.parse(variant))
+    # with no starred side no row carries a weight, so nothing is refused
+    _IndirectSystem(ocp, degenerate, DualVariant("a", "b"))
 
 
 def test_callbacks_take_whole_node_tables():
     # one dynamics call per constraint evaluation, and a fixed number of
-    # Jacobian calls per Hessian or indirect Jacobian, whatever the grid order
-    from birktraj.dual import _IndirectSystem, _default_indirect_init
-
+    # Jacobian calls per Hessian or indirect Newton step, whatever the grid order
     jac_fx_calls = {}
     for N in (8, 64):
         calls = {"dynamics": 0, "jac_fx": 0}
@@ -472,8 +544,10 @@ def test_callbacks_take_whole_node_tables():
         system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
         y = _default_indirect_init(system)
         after_hessian = calls["jac_fx"]
-        system.jacobian(y)
-        jac_fx_calls[N] = (after_hessian, calls["jac_fx"] - after_hessian)
+        r = system.residual(y)
+        before_step = calls["jac_fx"]
+        system.newton_step(y, r)
+        jac_fx_calls[N] = (after_hessian, calls["jac_fx"] - before_step)
     n_cols = ocp.n_x + ocp.n_u  # two Hamiltonian gradients per column
     assert jac_fx_calls[8] == jac_fx_calls[64] == (2 * n_cols, 1 + 2 * n_cols)
 
