@@ -7,9 +7,13 @@ holds all of them: each side's anchored rows come from the same
 :class:`~birktraj.transcription.AnchoredBlock` the primal NLP uses, and the
 Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
 root by Newton steps condensed through the identity blocks of both sides'
-anchored rows, as the primal NLP's are, so it never builds the square
-Jacobian; :func:`verify_pontryagin` evaluates its residual once at a given
-(primal, dual) pair and reads the report blocks off the row slices.
+anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
+elimination the primal NLP uses, so it never builds the square Jacobian.
+Each side's block lives for the whole solve and keeps the factor of its
+condensing matrix while F_x is unchanged, so with linear dynamics M_s and
+M_c are factored once per solve.  :func:`verify_pontryagin` evaluates the
+residual once at a given (primal, dual) pair and reads the report blocks off
+the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
 :func:`map_covectors` reads as costates with one rule:
 
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .birkhoff import BirkhoffSystem, ibp_defect_norm
 from .errors import (
@@ -310,17 +313,6 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     return U
 
 
-def _anchored_rows(block: AnchoredBlock, values, derivs, left, right):
-    """``block``'s rows for node tables with a trailing axis of columns, as
-    (interpolation, equivalency) row blocks of those columns.  The rows are
-    linear, so at a direction they are also the Jacobian times it."""
-    m, c = values.shape[0], values.shape[-1]
-    interp, equiv = block.residual(
-        values.reshape(m, -1), derivs.reshape(m, -1), left.ravel(), right.ravel()
-    )
-    return interp.reshape(-1, c), equiv.reshape(-1, c)
-
-
 class _IndirectSystem:
     """Square root-finding system for one (ocp, grid, variant) triple.
 
@@ -355,8 +347,8 @@ class _IndirectSystem:
         self.state = AnchoredBlock(sys, variant.state_form, n)
         self.costate = AnchoredBlock(sys, variant.costate_form, n)
 
-        def ends(block, left, right):  # (anchor, opposite endpoint, sign of the equivalency row)
-            return (left, right, 1.0) if block.anchored_left else (right, left, -1.0)
+        def ends(block, left, right):  # (anchor, opposite endpoint)
+            return (left, right) if block.anchored_left else (right, left)
 
         self._state_ends = ends(self.state, "x_a", "x_b")
         self._costate_ends = ends(self.costate, "lam_a", "lam_b")
@@ -457,12 +449,12 @@ class _IndirectSystem:
         # f_u^T lam: linear in lam, curved in (x, u)
         XU = np.concatenate([X, U], axis=1)
         out = np.empty(cols.shape)
-        out[rows["state_interpolation"]], out[rows["state_equivalency"]] = _anchored_rows(
-            self.state, X, V, x_a, x_b
+        out[rows["state_interpolation"]], out[rows["state_equivalency"]] = self.state.residual(
+            X, V, x_a, x_b
         )
         out[rows["dynamics"]] = (V - fx @ X - fu @ U).reshape(-1, c)
-        out[rows["costate_interpolation"]], out[rows["costate_equivalency"]] = _anchored_rows(
-            self.costate, lam, om, lam_a, lam_b
+        out[rows["costate_interpolation"]], out[rows["costate_equivalency"]] = (
+            self.costate.residual(lam, om, lam_a, lam_b)
         )
         out[rows["adjoint"]] = (om + fx.transpose(0, 2, 1) @ lam + curv[:, :n] @ XU).reshape(-1, c)
         out[rows["control_stationarity"]] = (
@@ -482,9 +474,11 @@ class _IndirectSystem:
         identity blocks of the rows.  The dynamics rows give
         dV = F_x dX + F_u dU - r_dyn and the adjoint rows
         dom = -F_x^T dlam - H_xx dX - H_xu dU - r_adj; the state side then
-        takes one LU of M_s = I - (B_s (x) I) F_x for dX, the costate side
-        one of M_c = I + (B_c (x) I) F_x^T for dlam, and each side's
-        equivalency rows give its endpoint opposite the anchor.  What is left
+        solves with the LU of M_s = I - (B_s (x) I) F_x for dX, the costate
+        side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and each
+        side's equivalency rows give its endpoint opposite the anchor.  Both
+        sides are :meth:`AnchoredBlock.condense`, whose memo keeps each
+        factor while F_x is unchanged.  What is left
         is square in p = (dU, x_anchor, lam_anchor, nu) over the control
         stationarity, endpoint and transversality rows, of order
         (N+1) n_u + 2 n_x + n_e, and is solved by
@@ -506,18 +500,20 @@ class _IndirectSystem:
 
         V[...] = fu @ U
         V[..., -1] -= r_of["dynamics"].reshape(m, n)
-        anchor, other, sign = self._state_ends
-        _condense_side(
-            self.state, fx, X, V, part[anchor], part[other], sign,
+        anchor, other = self._state_ends
+        if self.state.condense(
+            fx, X, V, part[anchor], part[other],
             r_of["state_interpolation"], r_of["state_equivalency"],
-        )
+        ) is None:
+            raise NoConvergenceError("singular Newton matrix in indirect solve")
         om[...] = -(curv[:, :n] @ np.concatenate([X, U], axis=1))
         om[..., -1] -= r_of["adjoint"].reshape(m, n)
-        anchor, other, sign = self._costate_ends
-        _condense_side(
-            self.costate, -fx.transpose(0, 2, 1), lam, om, part[anchor], part[other], sign,
+        anchor, other = self._costate_ends
+        if self.costate.condense(
+            -fx.transpose(0, 2, 1), lam, om, part[anchor], part[other],
             r_of["costate_interpolation"], r_of["costate_equivalency"],
-        )
+        ) is None:
+            raise NoConvergenceError("singular Newton matrix in indirect solve")
 
         reduced = self.jvp(blocks, cols)[self._reduced_rows]
         reduced[:, -1] += unweighted[self._reduced_rows]
@@ -530,26 +526,6 @@ class _IndirectSystem:
         if not backward <= 1e-8 * (1.0 + np.max(np.abs(r))):
             raise NoConvergenceError("singular Newton matrix in indirect solve")
         return dy
-
-
-def _condense_side(block, G, values, derivs, anchor, other, sign, r_interp, r_equiv):
-    """Solve one side's interpolation and equivalency rows in every column of
-    the (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
-    endpoint tables ``anchor`` and ``other``, given the anchor and the
-    derivatives as G values + the ``derivs`` on entry (G: node blocks).
-    Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
-    opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last column.
-    One LU of M = I - (B (x) I) G."""
-    lu, piv, info = lapack.dgetrf(block.condensing_matrix(G))
-    if info != 0:
-        raise NoConvergenceError("singular Newton matrix in indirect solve")
-    m, n, c = values.shape
-    rhs = anchor + np.tensordot(block.B, derivs, 1)
-    rhs[..., -1] -= r_interp.reshape(m, n)
-    values[...] = lapack.dgetrs(lu, piv, rhs.reshape(m * n, c))[0].reshape(m, n, c)
-    derivs += G @ values
-    other[...] = anchor + sign * np.tensordot(block.w, derivs, 1)
-    other[:, -1] -= sign * r_equiv
 
 
 def _default_indirect_init(system: _IndirectSystem) -> Array:
@@ -572,8 +548,8 @@ def solve_indirect(
 
     Independent of the NLP solver: no objective, no multipliers — just the
     square system.  Each step is :meth:`_IndirectSystem.newton_step`, with
-    one LU per side of order (N+1) n_x and one of the reduced system over
-    (U, x_anchor, lam_anchor, nu).  Returns ``(PrimalSolution,
+    one LU of the reduced system over (U, x_anchor, lam_anchor, nu) and one
+    per side of order (N+1) n_x, which is kept while F_x is unchanged.  Returns ``(PrimalSolution,
     DualTrajectory)``.  ``init`` may be a ``(PrimalSolution, DualTrajectory)``
     pair (e.g. a direct solve's output) to warm-start; the default builds a
     linear-interpolation state profile with costates seeded from the

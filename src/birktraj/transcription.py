@@ -25,11 +25,13 @@ Each row block but the endpoint rows is the identity in one variable block
 solver's Newton-KKT system: it factors M = I - (B (x) I) F_x, of order
 (N+1) n_x and conditioned like the O(1)-norm Birkhoff matrix B, and a
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
-of multiple shooting, Bock and Plitt 1984).  The factor of M is kept while
-the dynamics blocks F_x do not change.  The reduced KKT is shifted by the
-solver's :func:`regularized_solve` when it is singular, as on dependent
-endpoint rows, so this is the NLP's only Newton step: it gives none only when
-M has an exactly zero pivot or a result is not finite.
+of multiple shooting, Bock and Plitt 1984).  The elimination is
+:meth:`AnchoredBlock.condense`, which the indirect solver in ``dual`` calls
+for both of its sides too; each block keeps the factor of its M in a
+one-slot memo while the node blocks F_x do not change.  The reduced KKT is
+shifted by the solver's :func:`regularized_solve` when it is singular, as on
+dependent endpoint rows, so this is the NLP's only Newton step: it gives
+none only when M has an exactly zero pivot or a result is not finite.
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ class AnchoredBlock:
     B_a for a/a_star and at ``right`` with B_b for b/b_star.  The NLP's state
     side and both sides of the indirect system use it; Galerkin weighting is
     the caller's row scaling.
+
+    :meth:`condense` is the one elimination of these rows for both Newton
+    solvers.  The one state a block keeps is a one-slot memo of the LU
+    factor of its last condensing matrix, reused only while G is bitwise the
+    same, so every result has the bits of a fresh block.  The slot holds one
+    tuple, replaced whole, so concurrent calls each read a consistent entry;
+    no call writes into an entry, since the triangular solves pass LAPACK a
+    copy of the pivots (see :func:`_lu_solve`).
     """
 
     def __init__(self, sys: BirkhoffSystem, tag: FormTag, n: int):
@@ -150,13 +160,18 @@ class AnchoredBlock:
         self.B = sys.B_a if self.anchored_left else sys.B_b
         self.w = sys.w_B
         self.n = n
+        self._memo = None  # (G's bytes, factor of its condensing matrix): see condense
 
     def residual(self, values: Array, derivs: Array, left: Array, right: Array):
-        """(interpolation rows, equivalency rows), both flat."""
+        """(interpolation rows, equivalency rows), the first flat; a trailing
+        axis of columns stays trailing.  The rows are linear, so at a
+        direction they are also the Jacobian times it."""
         anchor = left if self.anchored_left else right
+        D = derivs.reshape(len(derivs), -1)  # one row per node, its columns side by side
+        interp = values - anchor[None] - (self.B @ D).reshape(derivs.shape)
         return (
-            (values - anchor[None, :] - self.B @ derivs).ravel(),
-            right - left - self.w @ derivs,
+            interp.reshape(-1, *values.shape[2:]),
+            right - left - (self.w @ D).reshape(left.shape),
         )
 
     @cached_property
@@ -191,6 +206,35 @@ class AnchoredBlock:
         mn = self.w.size * self.n
         return np.eye(mn) - np.einsum("ij,jab->iajb", self.B, blocks).reshape(mn, mn)
 
+    def condense(self, G, values, derivs, anchor, other, r_interp, r_equiv):
+        """Solve the interpolation and equivalency rows in every column of the
+        (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
+        endpoint tables ``anchor`` and ``other``, given the anchor and the
+        derivatives as G values + the ``derivs`` on entry (G: node blocks).
+        Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
+        opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last
+        column.  One solve with the LU factor of I - (B (x) I) G, which it
+        returns, or None on an exactly zero pivot; the factor comes from the
+        block's memo while G is bitwise the one it holds."""
+        key, memo = G.tobytes(), self._memo
+        if memo is None or memo[0] != key:
+            self._memo = None  # the old factor goes before a new one is built
+            lu, piv, info = lapack.dgetrf(self.condensing_matrix(G))
+            if info != 0:
+                return None  # never memoized
+            memo = (key, (lu, piv))
+            self._memo = memo  # swapped whole: a concurrent call sees one entry
+        factor = memo[1]
+        m, n, c = values.shape
+        sign = 1.0 if self.anchored_left else -1.0  # the equivalency row gives other - anchor
+        rhs = anchor + (self.B @ derivs.reshape(m, -1)).reshape(m, n, c)
+        rhs[..., -1] -= r_interp.reshape(m, n)
+        values[...] = _lu_solve(*factor, rhs.reshape(m * n, c)).reshape(m, n, c)
+        derivs += G @ values
+        other[...] = anchor + sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
+        other[:, -1] -= sign * r_equiv
+        return factor
+
 
 def _lu_solve(lu: Array, piv: Array, b: Array, trans: int = 0) -> Array:
     """``dgetrs`` on a copy of ``piv``: scipy's wrapper shifts the pivots to
@@ -204,15 +248,15 @@ class DiscretizedNlp:
     """Dense NLP view of one problem/grid/form triple.
 
     Residual and derivative evaluation are pure and reentrant (dynamics
-    callbacks are assumed pure).  The one state kept across calls is a
-    one-slot memo of :meth:`newton_step`: the F_x/F_u blocks of the last
-    Jacobian it condensed, the LU factor of M and the r-free columns of T,
-    never the Jacobian or the Hessian.  Those are functions of the blocks
-    alone and are reused only when the blocks are bitwise the same, so every
-    result has the bits a fresh NLP gives; the slot holds one tuple, replaced
-    whole, so concurrent calls each read a consistent entry.  No call writes
-    into an entry: the triangular solves pass LAPACK a copy of the pivots
-    (see :func:`_lu_solve`), since scipy's ``dgetrs`` shifts them in place.
+    callbacks are assumed pure).  The state kept across calls is two
+    one-slot memos of :meth:`newton_step`, never the Jacobian or the Hessian:
+    the NLP's holds the F_x/F_u blocks of the last Jacobian it condensed and
+    the r-free columns of T, and ``state`` (its :class:`AnchoredBlock`) holds
+    the LU factor of M.  Those are functions of the blocks alone and are
+    reused only when the blocks are bitwise the same, so every result has the
+    bits a fresh NLP gives; each slot holds one tuple, replaced whole, so
+    concurrent calls each read a consistent entry, and no call writes into
+    an entry.
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm):
@@ -412,45 +456,29 @@ class DiscretizedNlp:
         fu = node_blocks(jac, row0, self.slice_u.start, m, n, nu) / weight[:, None, None]
         return fx, fu
 
-    def condensing_matrix(self, jac: Array) -> Array:
-        """M = I - (B (x) I) F_x, the matrix the condensed Newton step factors;
-        its conditioning follows that of the Birkhoff matrix B."""
-        return self.state.condensing_matrix(self._dynamics_blocks(jac)[0])
-
     def _condensation(self, jac: Array):
-        """(F_x, F_u, lu, piv, T) of ``jac``: its dynamics blocks, the LU
-        factor of M and the r-free columns of T (the dU and dx_anchor
-        columns).  Taken from the memo while F_x is bitwise the one it holds
-        (the factor) and F_u too (T); None when M is singular, which is never
-        memoized."""
+        """(F_x, F_u, T) of ``jac``: its dynamics blocks and the r-free
+        columns of T (the dU and dx_anchor columns), taken from the memo while
+        F_x and F_u are bitwise the ones it holds; None when M is singular,
+        which is never memoized."""
         fx, fu = self._dynamics_blocks(jac)
         memo = self._memo
-        if memo is not None and fx.tobytes() == memo[0].tobytes():
-            if fu.tobytes() == memo[1].tobytes():
-                return memo
-            lu, piv = memo[2], memo[3]
-        else:
-            self._memo = memo = None  # the old factor and T go before new ones are built
-            lu, piv, info = lapack.dgetrf(self.condensing_matrix(jac))
-            if info != 0:
-                return None
-        m, n, nu = self.n_nodes, self.n_x, self.n_u
-        mn, n_p = m * n, m * nu + n
-        v_free = np.zeros((mn, n_p))  # dV - F_x dX
-        set_node_blocks(v_free, 0, 0, fu)
-        rhs_x = (self.state.B @ v_free.reshape(m, -1)).reshape(m, n, n_p)
-        rhs_x[:, :, m * nu:] += np.eye(n)
-        t_x = _lu_solve(lu, piv, rhs_x.reshape(mn, n_p))
-        t_v = np.einsum("iab,ibp->iap", fx, t_x.reshape(m, n, n_p))
-        t_v += v_free.reshape(m, n, n_p)
-        anchor, other, sign = self._anchor_other
-        T = np.zeros((self.n_z, n_p))
-        T[self.slice_x] = t_x
-        T[self.slice_u, :m * nu] = np.eye(m * nu)
-        T[self.slice_v] = t_v.reshape(mn, n_p)
-        T[anchor, m * nu:] = np.eye(n)
-        T[other] = T[anchor] + sign * np.tensordot(self._w, t_v, 1)
-        memo = (fx, fu, lu, piv, T)
+        if memo is not None and all(a.tobytes() == b.tobytes() for a, b in zip((fx, fu), memo)):
+            return memo
+        self._memo = None  # the old T goes before a new one is built
+        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
+        n_p = n_u + n
+        U = np.eye(n_u, n_p)  # unit dU columns, then the dx_anchor columns
+        X, V = np.empty((m, n, n_p)), fu @ U.reshape(m, self.n_u, n_p)
+        anchor, other = np.eye(n, n_p, n_u), np.empty((n, n_p))
+        if self.state.condense(fx, X, V, anchor, other, np.zeros(m * n), np.zeros(n)) is None:
+            return None
+        ends = (anchor, other) if self.state.anchored_left else (other, anchor)
+        # rows in the stored order (X, U, V, x_a, x_b); built after the
+        # elimination, since a T allocated before its temporaries left the
+        # heap more fragmented (~4 MB more peak RSS on scalar-lq at N = 256)
+        T = np.concatenate([X.reshape(m * n, n_p), U, V.reshape(m * n, n_p), *ends])
+        memo = (fx, fu, T)
         self._memo = memo  # swapped whole: a concurrent call sees one entry
         return memo
 
@@ -464,21 +492,23 @@ class DiscretizedNlp:
         unknowns p = (dU, dx_anchor).  Only M, of order (N+1) n_x, and the
         reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
         endpoint rows E are factored; the eliminated multipliers follow by
-        back-substitution in the columns of x_other, X and V.  M and T depend
-        on the Jacobian only through its F_x/F_u blocks, so the factor of M is
-        reused while F_x is unchanged and T while F_u is unchanged too (the
-        NLP's one-slot memo); t, the step at p = 0, takes one solve with that
-        factor per call.  Works in physical variables, since the solution
-        does not depend on the row and column scaling.  A 1-D ``hess`` is read
-        as the diagonal of H.  The reduced KKT is solved by :func:`solver.regularized_solve`, shifted
-        +d on p and -d on the endpoint rows only when it is singular.
+        back-substitution in the columns of x_other, X and V.  T's columns and
+        t, the step at p = 0, are columns of one elimination,
+        :meth:`AnchoredBlock.condense`.  M and T depend on the Jacobian only
+        through its F_x/F_u blocks, so the factor of M is reused while F_x is
+        unchanged (the state block's memo) and T while F_u is unchanged too
+        (the NLP's); t takes one solve with that factor per call.  Works in
+        physical variables, since the solution does not depend on the row and
+        column scaling.  A 1-D ``hess`` is read as the diagonal of H.  The
+        reduced KKT is solved by :func:`solver.regularized_solve`, shifted +d
+        on p and -d on the endpoint rows only when it is singular.
         Returns (dz, mu_w), or None when M has an exactly zero pivot, no shift
         makes the reduced KKT solvable or a result is not finite.
         """
         condensed = self._condensation(jac)
         if condensed is None:
             return None
-        fx, _, lu, piv, T = condensed
+        fx, _, T = condensed
         m, n = self.n_nodes, self.n_x
         rows, col = self.rows, self._col_scale
         r = r / self._row_scale
@@ -491,13 +521,12 @@ class DiscretizedNlp:
         _, other, sign = self._anchor_other
 
         # t, the step at p = 0: the one column of the condensation that r enters
-        r2 = r2.reshape(m, n)
-        t_x = _lu_solve(lu, piv, (B @ -r2 - r1.reshape(m, n)).ravel())
-        t_v = np.einsum("iab,ib->ia", fx, t_x.reshape(m, n)) - r2
+        t_x, t_v, t_other = np.empty((m, n, 1)), -r2.reshape(m, n, 1), np.empty((n, 1))
+        factor = self.state.condense(fx, t_x, t_v, np.zeros((n, 1)), t_other, r1, r3)
+        if factor is None:
+            return None
         t = np.zeros(self.n_z)
-        t[self.slice_x] = t_x
-        t[self.slice_v] = t_v.ravel()
-        t[other] = sign * (w @ t_v - r3)
+        t[self.slice_x], t[self.slice_v], t[other] = t_x.ravel(), t_v.ravel(), t_other[:, 0]
 
         # H is zero outside the rows/columns the curvature reaches; the
         # endpoint rows and the x_a, x_b columns carry no scaling
@@ -526,7 +555,7 @@ class DiscretizedNlp:
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1 = _lu_solve(lu, piv, y.ravel(), trans=1)
+        mu1 = _lu_solve(*factor, y.ravel(), trans=1)
         mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
         mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
         if col is not None:

@@ -431,9 +431,34 @@ def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
         return np.zeros((blocks.shape[0] * blocks.shape[1],) * 2)
 
     monkeypatch.setattr(AnchoredBlock, "condensing_matrix", singular)
-    _, sys = system_for("scalar-lq", 8)
+    ocp, sys = system_for("scalar-lq", 8)
     with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
         solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
+    system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
+    y = _default_indirect_init(system)
+    r = system.residual(y)
+    with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
+        system.newton_step(y, r)
+    monkeypatch.undo()
+    assert np.all(np.isfinite(system.newton_step(y, r)))  # the failed factor was not kept
+
+
+@pytest.mark.parametrize("variant", ["a,b_star", "a_star,b_star", "a,b"])
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "zero-dynamics"])
+def test_indirect_solve_factors_each_side_once_on_linear_dynamics(monkeypatch, name, variant):
+    # F_x (cost state included) never changes, so the memo of each side's
+    # block serves every Newton step: M_s and M_c are factored once a solve
+    calls, original = [], AnchoredBlock.condensing_matrix
+
+    def counted(self, G):
+        calls.append(1)
+        return original(self, G)
+
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", counted)
+    ocp = registry(name)
+    sys = build_birkhoff(make_grid("lgl", 32, ocp.horizon))
+    solve_indirect(ocp, sys, DualVariant.parse(variant))
+    assert len(calls) == 2
 
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):
@@ -493,6 +518,19 @@ def test_condensed_indirect_step_solves_the_finite_difference_jacobian(N, state,
     expected = np.linalg.solve(jac, -r)
     dy = system.newton_step(y, r)
     assert np.max(np.abs(dy - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("state, costate", [("a", "b_star"), ("b_star", "a")])
+@pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
+def test_memo_warm_indirect_step_gives_the_bits_of_a_fresh_system(name, state, costate):
+    # alternating y evicts each side's factor where F_x moves with y
+    # (nonlinear-scalar) and reuses it where it does not
+    system, y1, rng = perturbed_point(name, 8, state, costate)
+    y2 = y1 + 0.1 * rng.normal(size=system.n_y)
+    for y in (y1, y2, y1, y2):
+        r = system.residual(y)
+        fresh = _IndirectSystem(system.ocp, system.sys, DualVariant(state, costate))
+        assert np.array_equal(system.newton_step(y, r), fresh.newton_step(y, r))
 
 
 def test_indirect_newton_step_builds_no_square_jacobian():

@@ -7,7 +7,6 @@ import pytest
 
 from birktraj import (
     DegenerateWeightError,
-    DiscretizedNlp,
     DomainMismatchError,
     EvaluationError,
     NotFoundError,
@@ -30,6 +29,7 @@ from birktraj import (
     transcribe,
 )
 from birktraj.ocp import pinned_endpoints
+from birktraj.transcription import AnchoredBlock
 
 
 def scalar_mayer():
@@ -364,8 +364,8 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     nlp = make_nlp(N=8)
     z = initial_guess(nlp, "constant-midpoint")
     args, _ = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
-    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix",
-                        lambda self, jac: np.zeros((self.n_nodes * self.n_x,) * 2))
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix",
+                        lambda self, G: np.zeros((self.w.size * self.n,) * 2))
     assert nlp.newton_step(*args) is None
     assert nlp.newton_step(*args) is None
     monkeypatch.undo()
@@ -375,23 +375,24 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
 def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
     # no other route takes the step: the first estimate finds none
     nlp = make_nlp(N=8)
-    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix",
-                        lambda self, jac: np.zeros((self.n_nodes * self.n_x,) * 2))
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix",
+                        lambda self, G: np.zeros((self.w.size * self.n,) * 2))
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.status is SolveStatus.LINE_SEARCH_FAILURE
     assert res.iterations == 0 and not res.log
 
 
 def counted_condensations(monkeypatch, nlp):
-    """The list that grows by one on each condensing_matrix call of ``nlp``."""
-    calls, original = [], DiscretizedNlp.condensing_matrix
+    """The list that grows by one on each condensing_matrix call of ``nlp``'s
+    state block."""
+    calls, original = [], AnchoredBlock.condensing_matrix
 
-    def counted(self, jac):
-        if self is nlp:
+    def counted(self, G):
+        if self is nlp.state:
             calls.append(1)
-        return original(self, jac)
+        return original(self, G)
 
-    monkeypatch.setattr(DiscretizedNlp, "condensing_matrix", counted)
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", counted)
     return calls
 
 
@@ -429,25 +430,21 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
     assert len(calls) == 3
 
 
-def test_concurrent_steps_read_a_consistent_condensation():
-    # threads that alternate between two F_x on one NLP evict each other's
-    # memo; each step must still have the bits of a single-threaded one
-    nlp = make_nlp("nonlinear-scalar", N=12)
-    rng = np.random.default_rng(4)
-    z0 = initial_guess(nlp, "linear-endpoint-interpolation")
-    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[0]
-             for _ in range(2)]
-    want = [make_nlp("nonlinear-scalar", N=12).newton_step(*args) for args in calls]
+def assert_threads_get_single_threaded_bits(call, want):
+    """Four threads call ``call(j)`` 200 times each, alternating j between 0
+    and 1 at a tiny switch interval; every result must have the bits of
+    ``want[j]``, array by array."""
     bad = []
 
     def worker(k):
         for i in range(200):
+            j = (i + k) % 2
             try:
-                got = nlp.newton_step(*calls[(i + k) % 2])
+                got = call(j)
             except Exception as exc:  # noqa: BLE001 - a thread's failure is the test's
                 bad.append(exc)
                 return
-            bad.extend(i for a, b in zip(got, want[(i + k) % 2]) if not np.array_equal(a, b))
+            bad.extend(i for a, b in zip(got, want[j]) if not np.array_equal(a, b))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -463,6 +460,39 @@ def test_concurrent_steps_read_a_consistent_condensation():
     assert not bad
 
 
+def test_concurrent_steps_read_a_consistent_condensation():
+    # threads that alternate between two F_x on one NLP evict each other's
+    # memo; each step must still have the bits of a single-threaded one
+    nlp = make_nlp("nonlinear-scalar", N=12)
+    rng = np.random.default_rng(4)
+    z0 = initial_guess(nlp, "linear-endpoint-interpolation")
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[0]
+             for _ in range(2)]
+    want = [make_nlp("nonlinear-scalar", N=12).newton_step(*args) for args in calls]
+    assert_threads_get_single_threaded_bits(lambda j: nlp.newton_step(*calls[j]), want)
+
+
+def condensed_side(block, G, derivs, r):
+    """``block.condense`` on fresh tables: (values, derivs, other, lu, piv)."""
+    m, n, c = derivs.shape
+    values, derivs, other = np.zeros(derivs.shape), derivs.copy(), np.zeros((n, c))
+    lu, piv = block.condense(G, values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:])
+    return values, derivs, other, lu, piv
+
+
+def test_concurrent_condense_reads_a_consistent_factor():
+    # threads that alternate between two G on one block evict each other's
+    # factor; each result must still have the bits of a fresh block's
+    system = build_birkhoff(make_grid("lgl", 12, (0.0, 1.0)))
+    m, n = 13, 2
+    block = AnchoredBlock(system, "b", n)
+    rng = np.random.default_rng(5)
+    Gs = [rng.normal(size=(m, n, n)) for _ in range(2)]
+    derivs, r = rng.normal(size=(m, n, 3)), rng.normal(size=m * n + n)
+    want = [condensed_side(AnchoredBlock(system, "b", n), G, derivs, r) for G in Gs]
+    assert_threads_get_single_threaded_bits(lambda j: condensed_side(block, Gs[j], derivs, r), want)
+
+
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
 @pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
 def test_condensing_matrix_conditioning_stays_bounded(name, kind):
@@ -474,6 +504,7 @@ def test_condensing_matrix_conditioning_stays_bounded(name, kind):
         nlp = make_nlp(name, N=N, kind=kind)
         res = solve(nlp, initial_guess(nlp, "linear-endpoint-interpolation"))
         assert res.converged, (N, res.status)
-        conds.append(np.linalg.cond(nlp.condensing_matrix(nlp.jacobian(res.z))))
+        X, U, *_ = nlp.unpack(res.z)
+        conds.append(np.linalg.cond(nlp.state.condensing_matrix(nlp.ocp.jac_fx(X, U))))
     assert max(conds) < 3.0, conds
     assert abs(loglog_slope(orders, conds)) <= 0.1, conds
