@@ -190,7 +190,7 @@ def _kkt_condition(kind: str, N: int) -> float:
     res = solve_with_fallback(nlp)
     if not res.converged:
         raise BirktrajError(f"LQ solve for the KKT column ended {res.status.value}")
-    H = nlp.lagrangian_hessian(res.z, res.multipliers)
+    H = nlp.dense_hessian(nlp.lagrangian_hessian(res.z, res.multipliers))
     J = nlp.jacobian(res.z)
     kkt = np.block([[H, J.T], [J, np.zeros((J.shape[0], J.shape[0]))]])
     sigma = np.linalg.svd(kkt, compute_uv=False)

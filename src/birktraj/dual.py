@@ -8,12 +8,10 @@ holds all of them: each side's anchored rows come from the same
 Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
 root by Newton steps condensed through the identity blocks of both sides'
 anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
-elimination the primal NLP uses, so it never builds the square Jacobian.
-Each side's block lives for the whole solve and keeps the factor of its
-condensing matrix while F_x is unchanged, so with linear dynamics M_s and
-M_c are factored once per solve.  :func:`verify_pontryagin` evaluates the
-residual once at a given (primal, dual) pair and reads the report blocks off
-the row slices.
+elimination the primal NLP uses, so it never builds the square Jacobian;
+each Newton step factors each side's condensing matrix once.
+:func:`verify_pontryagin` evaluates the residual once at a given
+(primal, dual) pair and reads the report blocks off the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
 :func:`map_covectors` reads as costates with one rule:
 
@@ -477,9 +475,8 @@ class _IndirectSystem:
         solves with the LU of M_s = I - (B_s (x) I) F_x for dX, the costate
         side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and each
         side's equivalency rows give its endpoint opposite the anchor.  Both
-        sides are :meth:`AnchoredBlock.condense`, whose memo keeps each
-        factor while F_x is unchanged.  What is left
-        is square in p = (dU, x_anchor, lam_anchor, nu) over the control
+        sides are :meth:`AnchoredBlock.condense`, one factor each.  What is
+        left is square in p = (dU, x_anchor, lam_anchor, nu) over the control
         stationarity, endpoint and transversality rows, of order
         (N+1) n_u + 2 n_x + n_e, and is solved by
         :func:`solver.regularized_solve` (+d where singular).  The step must
@@ -549,7 +546,7 @@ def solve_indirect(
     Independent of the NLP solver: no objective, no multipliers — just the
     square system.  Each step is :meth:`_IndirectSystem.newton_step`, with
     one LU of the reduced system over (U, x_anchor, lam_anchor, nu) and one
-    per side of order (N+1) n_x, which is kept while F_x is unchanged.  Returns ``(PrimalSolution,
+    per side of order (N+1) n_x.  Returns ``(PrimalSolution,
     DualTrajectory)``.  ``init`` may be a ``(PrimalSolution, DualTrajectory)``
     pair (e.g. a direct solve's output) to warm-start; the default builds a
     linear-interpolation state profile with costates seeded from the

@@ -132,7 +132,7 @@ def make_grid(kind, N: int, domain=(-1.0, 1.0)) -> Grid:
     endpoints assigned exactly.
     """
     kind = _as_kind(kind)
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidOrderError(f"N must be an integer >= 1, got {N!r}")
     if N > MAX_ORDER:
         raise InvalidOrderError(f"N = {N} exceeds the build cap {MAX_ORDER}")

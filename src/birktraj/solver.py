@@ -2,9 +2,9 @@
 
 Works against a small structural interface, with no optional members:
 ``n_z``, ``objective``, ``objective_gradient``, ``constraints``,
-``jacobian``, ``equality_mask``, ``lagrangian_hessian``, ``newton_step`` and
-``rows``, a name -> slice map of the constraint row blocks that the result
-carries along with its multipliers.
+``jacobian``, ``equality_mask``, ``lagrangian_hessian``, ``newton_system``
+and ``rows``, a name -> slice map of the constraint row blocks that the
+result carries along with its multipliers.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
 as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
 solution.
@@ -14,21 +14,25 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-Each problem owns its whole Newton-KKT solve:
-``newton_step(hess, jac, g, r, working) -> (dz, mu_w) | None`` solves
-[[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w] over the working rows, and
-None means that no step exists; the solve then ends
-``line-search-failure``.  A 1-D ``hess`` is the multiplier-estimate call,
-H = I and r = 0: its mu_w are the least-squares multipliers
-argmin ||g + J_w^T mu|| of the optimality test.  DiscretizedNlp condenses
-both calls through the identity blocks of its rows; SimpleNlp takes
-:func:`dense_newton_step`.  A singular system is shifted to
-[[H + dI, J_w^T], [J_w, -dI]], d doubling from REGULARIZATION_FLOOR (the
-primal-dual shift of Waechter and Biegler 2006, whose -dI block makes
-dependent working rows solvable), and the shifted solution is refined once
-against the unshifted matrix: :func:`regularized_solve`, which the indirect
-solver shares, with +dI throughout, for the reduced system of its condensed
-Newton step.  Every LU solve is refined once with its own factor.
+Each problem owns its whole Newton-KKT solve.  ``newton_system(jac)`` is
+one iterate's linearization, a step solver
+``step(hess, g, r, working) -> (dz, mu_w) | None`` that solves
+[[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w] over the working rows, with
+``hess`` as ``lagrangian_hessian`` returns it; None means that no step
+exists, and the solve then ends ``line-search-failure``.  A 1-D ``hess``
+is the multiplier-estimate call, H = I in stored variables and r = 0: its
+mu_w are the least-squares multipliers argmin ||g + J_w^T mu|| of the
+optimality test.  The estimate and the step of an iterate share its
+system, which ``solve`` releases before the next Jacobian is built.
+DiscretizedNlp condenses the system through the identity blocks of its
+rows; SimpleNlp takes :func:`dense_newton_step`.  A singular system is
+shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
+REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
+whose -dI block makes dependent working rows solvable), and the shifted
+solution is refined once against the unshifted matrix:
+:func:`regularized_solve`, which the indirect solver shares, with +dI
+throughout, for the reduced system of its condensed Newton step.  Every LU
+solve is refined once with its own factor.
 """
 
 from __future__ import annotations
@@ -118,8 +122,8 @@ class SimpleNlp:
     def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
         return _fd_lagrangian_hessian(self, z, mu)
 
-    def newton_step(self, hess, jac, g, r, working):
-        return dense_newton_step(hess, jac, g, r, working)
+    def newton_system(self, jac: Array):
+        return lambda hess, g, r, working: dense_newton_step(hess, jac, g, r, working)
 
 
 def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
@@ -244,40 +248,42 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             return finish(SolveStatus.INFEASIBLE, np.inf)
         if not (np.isfinite(f) and np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
             return finish(SolveStatus.INFEASIBLE, np.inf)
+        system = nlp.newton_system(jac)
 
         # refresh the working set: violated inequality rows join it
         if ineq_idx.size:
             active[ineq_idx] |= r[ineq_idx] > opts.tol_feas
-        working = eq | active
-        r_w = r[working]
-
-        # least-squares multipliers for the optimality test
-        mu_full = np.zeros(n_rows)
-        if working.any():
-            estimate = nlp.newton_step(np.ones(z.size), jac, g, np.zeros(n_rows), working)
-            if estimate is None:
-                return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
-            mu_full[working] = estimate[1]
-        stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
-
-        if stat <= opts.tol_stat and feas <= opts.tol_feas and comp <= COMPLEMENTARITY_TOL:
-            status = SolveStatus.CONVERGED
-            break
-        # release an active row whose multiplier went negative
-        if ineq_idx.size and active.any() and drops <= 2 * n_rows + 10:
+        while True:
+            working = eq | active
+            # least-squares multipliers for the optimality test
+            mu_full = np.zeros(n_rows)
+            if working.any():
+                estimate = system(np.ones(z.size), g, np.zeros(n_rows), working)
+                if estimate is None:
+                    return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
+                mu_full[working] = estimate[1]
+            stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
+            converged = (stat <= opts.tol_stat and feas <= opts.tol_feas
+                         and comp <= COMPLEMENTARITY_TOL)
+            if converged or not (ineq_idx.size and active.any() and drops <= 2 * n_rows + 10):
+                break
+            # release an active row whose multiplier went negative, and
+            # estimate again on the same linearization
             act = np.flatnonzero(active)
             worst = act[np.argmin(mu_full[act])]
-            if mu_full[worst] < -COMPLEMENTARITY_TOL and r[worst] < opts.tol_feas:
-                active[worst] = False
-                drops += 1
-                continue
+            if not (mu_full[worst] < -COMPLEMENTARITY_TOL and r[worst] < opts.tol_feas):
+                break
+            active[worst] = False
+            drops += 1
+        if converged:
+            status = SolveStatus.CONVERGED
+            break
         if iters >= opts.max_iter:
             status = SolveStatus.MAX_ITER
             break
 
-        hess = nlp.lagrangian_hessian(z, mu_full)
-        step = nlp.newton_step(hess, jac, g, r, working)
-        del hess  # so the next Hessian is built without this one alive
+        step = system(nlp.lagrangian_hessian(z, mu_full), g, r, working)
+        del system  # so the next linearization is built without this one alive
         if step is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
         dz, mu_w_new = step
@@ -285,7 +291,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         if mu_w_new.size:
             rho = max(rho, 2.0 * float(np.max(np.abs(mu_w_new))) + 1.0)
         merit0 = _merit(f, r, eq, rho)
-        descent = float(g @ dz) - rho * float(np.sum(np.abs(r_w)))
+        descent = float(g @ dz) - rho * float(np.sum(np.abs(r[working])))
         alpha = 1.0
         accepted = False
         while alpha >= 2.0**-40:

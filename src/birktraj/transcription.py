@@ -20,15 +20,15 @@ Constraint rows, in order:
     endpoint rows               n_e   e(x_a, x_b)   (equality or <= 0)
 
 Each row block but the endpoint rows is the identity in one variable block
-(X, V and the endpoint opposite the anchor), so
-:meth:`DiscretizedNlp.newton_step` eliminates those variables from the
-solver's Newton-KKT system: it factors M = I - (B (x) I) F_x, of order
-(N+1) n_x and conditioned like the O(1)-norm Birkhoff matrix B, and a
+(X, V and the endpoint opposite the anchor), so the solver's Newton-KKT
+system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables: at
+each iterate it factors M = I - (B (x) I) F_x once, of order (N+1) n_x and
+conditioned like the O(1)-norm Birkhoff matrix B, and each step factors a
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
 of multiple shooting, Bock and Plitt 1984).  The elimination is
 :meth:`AnchoredBlock.condense`, which the indirect solver in ``dual`` calls
-for both of its sides too; each block keeps the factor of its M in a
-one-slot memo while the node blocks F_x do not change.  The reduced KKT is
+for both of its sides too.  The Hessian of the Lagrangian is kept as node
+blocks, so no n_z x n_z matrix is built in a solve.  The reduced KKT is
 shifted by the solver's :func:`regularized_solve` when it is singular, as on
 dependent endpoint rows, so this is the NLP's only Newton step: it gives
 none only when M has an exactly zero pivot or a result is not finite.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -147,12 +147,7 @@ class AnchoredBlock:
     the caller's row scaling.
 
     :meth:`condense` is the one elimination of these rows for both Newton
-    solvers.  The one state a block keeps is a one-slot memo of the LU
-    factor of its last condensing matrix, reused only while G is bitwise the
-    same, so every result has the bits of a fresh block.  The slot holds one
-    tuple, replaced whole, so concurrent calls each read a consistent entry;
-    no call writes into an entry, since the triangular solves pass LAPACK a
-    copy of the pivots (see :func:`_lu_solve`).
+    solvers.  A block does not change after it is built.
     """
 
     def __init__(self, sys: BirkhoffSystem, tag: FormTag, n: int):
@@ -160,7 +155,6 @@ class AnchoredBlock:
         self.B = sys.B_a if self.anchored_left else sys.B_b
         self.w = sys.w_B
         self.n = n
-        self._memo = None  # (G's bytes, factor of its condensing matrix): see condense
 
     def residual(self, values: Array, derivs: Array, left: Array, right: Array):
         """(interpolation rows, equivalency rows), the first flat; a trailing
@@ -206,57 +200,38 @@ class AnchoredBlock:
         mn = self.w.size * self.n
         return np.eye(mn) - np.einsum("ij,jab->iajb", self.B, blocks).reshape(mn, mn)
 
-    def condense(self, G, values, derivs, anchor, other, r_interp, r_equiv):
+    def condense(self, G, values, derivs, anchor, other, r_interp, r_equiv, factor=None):
         """Solve the interpolation and equivalency rows in every column of the
         (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
         endpoint tables ``anchor`` and ``other``, given the anchor and the
         derivatives as G values + the ``derivs`` on entry (G: node blocks).
         Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
         opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last
-        column.  One solve with the LU factor of I - (B (x) I) G, which it
-        returns, or None on an exactly zero pivot; the factor comes from the
-        block's memo while G is bitwise the one it holds."""
-        key, memo = G.tobytes(), self._memo
-        if memo is None or memo[0] != key:
-            self._memo = None  # the old factor goes before a new one is built
+        column.  One solve with ``factor``, the LU factor of
+        I - (B (x) I) G, which is computed when not given.  Returns that
+        factor, or None on an exactly zero pivot."""
+        if factor is None:
             lu, piv, info = lapack.dgetrf(self.condensing_matrix(G))
             if info != 0:
-                return None  # never memoized
-            memo = (key, (lu, piv))
-            self._memo = memo  # swapped whole: a concurrent call sees one entry
-        factor = memo[1]
+                return None
+            factor = (lu, piv)
         m, n, c = values.shape
         sign = 1.0 if self.anchored_left else -1.0  # the equivalency row gives other - anchor
         rhs = anchor + (self.B @ derivs.reshape(m, -1)).reshape(m, n, c)
         rhs[..., -1] -= r_interp.reshape(m, n)
-        values[...] = _lu_solve(*factor, rhs.reshape(m * n, c)).reshape(m, n, c)
+        values[...] = lapack.dgetrs(*factor, rhs.reshape(m * n, c))[0].reshape(m, n, c)
         derivs += G @ values
         other[...] = anchor + sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
         other[:, -1] -= sign * r_equiv
         return factor
 
 
-def _lu_solve(lu: Array, piv: Array, b: Array, trans: int = 0) -> Array:
-    """``dgetrs`` on a copy of ``piv``: scipy's wrapper shifts the pivots to
-    1-based indices in place for the duration of the call, so a memoized
-    ``piv`` shared between threads would be read shifted by one."""
-    x, _ = lapack.dgetrs(lu, piv.copy(), b, trans=trans)
-    return x
-
-
 class DiscretizedNlp:
     """Dense NLP view of one problem/grid/form triple.
 
     Residual and derivative evaluation are pure and reentrant (dynamics
-    callbacks are assumed pure).  The state kept across calls is two
-    one-slot memos of :meth:`newton_step`, never the Jacobian or the Hessian:
-    the NLP's holds the F_x/F_u blocks of the last Jacobian it condensed and
-    the r-free columns of T, and ``state`` (its :class:`AnchoredBlock`) holds
-    the LU factor of M.  Those are functions of the blocks alone and are
-    reused only when the blocks are bitwise the same, so every result has the
-    bits a fresh NLP gives; each slot holds one tuple, replaced whole, so
-    concurrent calls each read a consistent entry, and no call writes into
-    an entry.
+    callbacks are assumed pure), and the NLP keeps no state across calls:
+    one iterate's linearization is the value :meth:`newton_system` returns.
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm):
@@ -314,7 +289,6 @@ class DiscretizedNlp:
             self._anchor_other = (self.slice_xa, self.slice_xb, 1.0)
         else:
             self._anchor_other = (self.slice_xb, self.slice_xa, -1.0)
-        self._memo = None  # the condensation of the last F_x/F_u: see newton_step
         self._state_layout = (
             (rows["state_interpolation"], rows["grid_equivalency"]),
             (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
@@ -410,36 +384,57 @@ class DiscretizedNlp:
 
     # --- Lagrangian pieces used by the solver ------------------------------------
 
-    def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
-        """Hessian of F + mu^T c wrt stored variables.
+    def lagrangian_hessian(self, z: Array, mu: Array):
+        """Hessian of F + mu^T c wrt physical variables, as node blocks
+        (K, K_end): K[i] (n_x + n_u square) over node i's (x, u) and K_end
+        (2 n_x square) over (x_a, x_b); it is zero elsewhere.
 
         Interpolation and equivalency rows are linear and drop out; the
-        dynamics rows contribute a node-block-diagonal term obtained by
-        central differences of the analytic Jacobians, the endpoint terms a
-        single (x_a, x_b) block.
+        dynamics rows contribute K, obtained by central differences of the
+        analytic Jacobians, the endpoint terms K_end.
+        :meth:`dense_hessian` assembles the matrix wrt stored variables.
         """
         X, U, _, x_a, x_b = self.unpack(z)
-        n = self.n_x
-        hess = np.zeros((self.n_z, self.n_z))
         # dynamics rows carry -f
         dyn = self.rows["dynamics"]
         mu_dyn = -(mu[dyn] * self._row_scale[dyn]).reshape(X.shape)
-        blocks = self.ocp.hamiltonian_curvatures(X, U, mu_dyn)
-        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        K = self.ocp.hamiltonian_curvatures(X, U, mu_dyn)
+        k_end = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
+        return 0.5 * (K + K.transpose(0, 2, 1)), 0.5 * (k_end + k_end.T)
+
+    def dense_hessian(self, hess) -> Array:
+        """The n_z x n_z matrix wrt stored variables of
+        :meth:`lagrangian_hessian`'s node blocks ``hess``."""
+        K, k_end = hess
+        n = self.n_x
+        out = np.zeros((self.n_z, self.n_z))
         x0, u0 = self.slice_x.start, self.slice_u.start
-        set_node_blocks(hess, x0, x0, blocks[:, :n, :n])
-        set_node_blocks(hess, x0, u0, blocks[:, :n, n:])
-        set_node_blocks(hess, u0, x0, blocks[:, n:, :n])
-        set_node_blocks(hess, u0, u0, blocks[:, n:, n:])
-
-        block = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
+        set_node_blocks(out, x0, x0, K[:, :n, :n])
+        set_node_blocks(out, x0, u0, K[:, :n, n:])
+        set_node_blocks(out, u0, x0, K[:, n:, :n])
+        set_node_blocks(out, u0, u0, K[:, n:, n:])
         iab = slice(self.slice_xa.start, self.slice_xb.stop)
-        hess[iab, iab] += 0.5 * (block + block.T)
-
+        out[iab, iab] += k_end
         if self._col_scale is not None:
-            hess *= self._col_scale[:, None]
-            hess *= self._col_scale[None, :]
-        return hess
+            out *= self._col_scale[:, None]
+            out *= self._col_scale[None, :]
+        return out
+
+    def _hessian_times(self, hess, v: Array) -> Array:
+        """H v in physical variables for an (n_z, c) ``v``; ``hess`` as in
+        :meth:`newton_system`."""
+        col = self._col_scale
+        if isinstance(hess, np.ndarray):  # the diagonal of H in stored variables
+            return (hess if col is None else hess / (col * col))[:, None] * v
+        K, k_end = hess
+        m, n, c = self.n_nodes, self.n_x, v.shape[1]
+        x, u = v[self.slice_x].reshape(m, n, c), v[self.slice_u].reshape(m, self.n_u, c)
+        kv = K[:, :, :n] @ x + K[:, :, n:] @ u
+        out = np.zeros(v.shape)
+        out[self.slice_x], out[self.slice_u] = kv[:, :n].reshape(-1, c), kv[:, n:].reshape(-1, c)
+        ab = slice(self.slice_xa.start, self.slice_xb.stop)
+        out[ab] = k_end @ v[ab]
+        return out
 
     # --- condensed Newton step -----------------------------------------------------
 
@@ -456,92 +451,73 @@ class DiscretizedNlp:
         fu = node_blocks(jac, row0, self.slice_u.start, m, n, nu) / weight[:, None, None]
         return fx, fu
 
-    def _condensation(self, jac: Array):
-        """(F_x, F_u, T) of ``jac``: its dynamics blocks and the r-free
-        columns of T (the dU and dx_anchor columns), taken from the memo while
-        F_x and F_u are bitwise the ones it holds; None when M is singular,
-        which is never memoized."""
+    def newton_system(self, jac: Array):
+        """The solver's Newton-KKT system at the iterate whose Jacobian is
+        ``jac``: a step solver ``step(hess, g, r, working) -> (dz, mu_w) |
+        None`` for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], where
+        ``hess`` is :meth:`lagrangian_hessian`'s node blocks or a 1-D
+        diagonal of H in stored variables.
+
+        The system is condensed through the identity blocks of the rows.  The
+        dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation rows
+        M dX = 1 dx_anchor + (B (x) I)(F_u dU - r2) - r1 and the equivalency
+        rows the other endpoint, so dz = T p + t in the free unknowns
+        p = (dU, dx_anchor).  M and T depend on ``jac`` only through its
+        F_x/F_u blocks, so they are built here, once per iterate: M is
+        LU-factored, of order (N+1) n_x, and T's columns come from one
+        elimination, :meth:`AnchoredBlock.condense`.  Each step adds t, the
+        step at p = 0 (one more solve with that factor), factors the reduced
+        KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint
+        rows E by :func:`solver.regularized_solve`, shifted +d on p and -d
+        on the endpoint rows only when it is singular, and recovers the
+        eliminated multipliers by back-substitution in the columns of
+        x_other, X and V.  H T and H dz are node-block products.  Works in
+        physical variables, since the solution does not depend on the row and
+        column scaling.  Every step is None when M has an exactly zero pivot;
+        otherwise a step is None when no shift makes the reduced KKT solvable
+        or a result is not finite.
+        """
         fx, fu = self._dynamics_blocks(jac)
-        memo = self._memo
-        if memo is not None and all(a.tobytes() == b.tobytes() for a, b in zip((fx, fu), memo)):
-            return memo
-        self._memo = None  # the old T goes before a new one is built
         m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
         n_p = n_u + n
         U = np.eye(n_u, n_p)  # unit dU columns, then the dx_anchor columns
         X, V = np.empty((m, n, n_p)), fu @ U.reshape(m, self.n_u, n_p)
         anchor, other = np.eye(n, n_p, n_u), np.empty((n, n_p))
-        if self.state.condense(fx, X, V, anchor, other, np.zeros(m * n), np.zeros(n)) is None:
-            return None
+        factor = self.state.condense(fx, X, V, anchor, other, np.zeros(m * n), np.zeros(n))
+        if factor is None:
+            return lambda hess, g, r, working: None
         ends = (anchor, other) if self.state.anchored_left else (other, anchor)
         # rows in the stored order (X, U, V, x_a, x_b); built after the
         # elimination, since a T allocated before its temporaries left the
         # heap more fragmented (~4 MB more peak RSS on scalar-lq at N = 256)
         T = np.concatenate([X.reshape(m * n, n_p), U, V.reshape(m * n, n_p), *ends])
-        memo = (fx, fu, T)
-        self._memo = memo  # swapped whole: a concurrent call sees one entry
-        return memo
+        return partial(self._newton_step, fx, factor, T, jac[self.rows["endpoint"]].copy())
 
-    def newton_step(self, hess: Array, jac: Array, g: Array, r: Array, working: Array):
-        """The Newton-KKT step [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w]
-        of the solver, condensed through the identity blocks of the rows.
-
-        The dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation
-        rows M dX = 1 dx_anchor + (B (x) I)(F_u dU - r2) - r1 and the
-        equivalency rows the other endpoint, so dz = T p + t in the free
-        unknowns p = (dU, dx_anchor).  Only M, of order (N+1) n_x, and the
-        reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
-        endpoint rows E are factored; the eliminated multipliers follow by
-        back-substitution in the columns of x_other, X and V.  T's columns and
-        t, the step at p = 0, are columns of one elimination,
-        :meth:`AnchoredBlock.condense`.  M and T depend on the Jacobian only
-        through its F_x/F_u blocks, so the factor of M is reused while F_x is
-        unchanged (the state block's memo) and T while F_u is unchanged too
-        (the NLP's); t takes one solve with that factor per call.  Works in
-        physical variables, since the solution does not depend on the row and
-        column scaling.  A 1-D ``hess`` is read as the diagonal of H.  The
-        reduced KKT is solved by :func:`solver.regularized_solve`, shifted +d
-        on p and -d on the endpoint rows only when it is singular.
-        Returns (dz, mu_w), or None when M has an exactly zero pivot, no shift
-        makes the reduced KKT solvable or a result is not finite.
-        """
-        condensed = self._condensation(jac)
-        if condensed is None:
-            return None
-        fx, _, T = condensed
+    def _newton_step(self, fx, factor, T, e_all, hess, g, r, working):
+        """One step of :meth:`newton_system`'s system; ``e_all`` holds the
+        Jacobian's endpoint rows."""
         m, n = self.n_nodes, self.n_x
         rows, col = self.rows, self._col_scale
         r = r / self._row_scale
         if col is not None:
             g = g / col
-            hess = hess / (col * col if hess.ndim == 1 else np.outer(col, col))
         r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
-        ends = rows["endpoint"].start + np.flatnonzero(working[rows["endpoint"]])
+        e_work = working[rows["endpoint"]]
+        ends, e_rows = rows["endpoint"].start + np.flatnonzero(e_work), e_all[e_work]
         B, w = self.state.B, self._w
         _, other, sign = self._anchor_other
 
         # t, the step at p = 0: the one column of the condensation that r enters
         t_x, t_v, t_other = np.empty((m, n, 1)), -r2.reshape(m, n, 1), np.empty((n, 1))
-        factor = self.state.condense(fx, t_x, t_v, np.zeros((n, 1)), t_other, r1, r3)
-        if factor is None:
-            return None
+        self.state.condense(fx, t_x, t_v, np.zeros((n, 1)), t_other, r1, r3, factor)
         t = np.zeros(self.n_z)
         t[self.slice_x], t[self.slice_v], t[other] = t_x.ravel(), t_v.ravel(), t_other[:, 0]
 
-        # H is zero outside the rows/columns the curvature reaches; the
-        # endpoint rows and the x_a, x_b columns carry no scaling
-        hit = np.flatnonzero(hess if hess.ndim == 1 else np.any(hess, axis=0))
-        t_hit = T[hit]
-        if hess.ndim == 1:  # the diagonal of H
-            h_hit = hess[hit]
-            ht, ht_t = h_hit[:, None] * t_hit, h_hit * t[hit]
-        else:
-            h_hit = hess[np.ix_(hit, hit)]
-            ht, ht_t = h_hit @ t_hit, h_hit @ t[hit]
-        e_rows = jac[ends]
+        # the endpoint rows and the x_a, x_b columns carry no scaling
+        ht, ht_t = self._hessian_times(hess, T), self._hessian_times(hess, t[:, None])[:, 0]
         e_t = e_rows @ T
-        kkt = np.block([[t_hit.T @ ht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
-        rhs = -np.concatenate([t_hit.T @ ht_t + T.T @ g, r[ends] + e_rows @ t])
+        kkt = np.block([[T.T @ ht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
+        rhs = -np.concatenate([T.T @ ht_t + T.T @ g, r[ends] + e_rows @ t])
         n_p = T.shape[1]
         sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(ends.size)]))
         if sol is None:
@@ -549,13 +525,12 @@ class DiscretizedNlp:
         p, mu4 = sol[:n_p], sol[n_p:]
         dz = T @ p + t
 
-        s = g.copy()  # H dz + g
-        s[hit] += ht @ p + ht_t
+        s = g + (ht @ p + ht_t)  # H dz + g
         mu3 = -sign * (s[other] + e_rows[:, other].T @ mu4)
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1 = _lu_solve(*factor, y.ravel(), trans=1)
+        mu1 = lapack.dgetrs(*factor, y.ravel(), trans=1)[0]
         mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
         mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
         if col is not None:

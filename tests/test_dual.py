@@ -446,19 +446,24 @@ def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
 @pytest.mark.parametrize("variant", ["a,b_star", "a_star,b_star", "a,b"])
 @pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "zero-dynamics"])
 def test_indirect_solve_factors_each_side_once_on_linear_dynamics(monkeypatch, name, variant):
-    # F_x (cost state included) never changes, so the memo of each side's
-    # block serves every Newton step: M_s and M_c are factored once a solve
-    calls, original = [], AnchoredBlock.condensing_matrix
+    # each Newton step factors M_s and M_c once each, and nothing else
+    calls, steps = [], []
+    condensing_matrix, newton_step = AnchoredBlock.condensing_matrix, _IndirectSystem.newton_step
 
     def counted(self, G):
         calls.append(1)
-        return original(self, G)
+        return condensing_matrix(self, G)
+
+    def counted_step(self, y, r):
+        steps.append(1)
+        return newton_step(self, y, r)
 
     monkeypatch.setattr(AnchoredBlock, "condensing_matrix", counted)
+    monkeypatch.setattr(_IndirectSystem, "newton_step", counted_step)
     ocp = registry(name)
     sys = build_birkhoff(make_grid("lgl", 32, ocp.horizon))
     solve_indirect(ocp, sys, DualVariant.parse(variant))
-    assert len(calls) == 2
+    assert steps and len(calls) == 2 * len(steps)
 
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):
@@ -523,8 +528,8 @@ def test_condensed_indirect_step_solves_the_finite_difference_jacobian(N, state,
 @pytest.mark.parametrize("state, costate", [("a", "b_star"), ("b_star", "a")])
 @pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
 def test_memo_warm_indirect_step_gives_the_bits_of_a_fresh_system(name, state, costate):
-    # alternating y evicts each side's factor where F_x moves with y
-    # (nonlinear-scalar) and reuses it where it does not
+    # steps at alternating y, where F_x moves with y (nonlinear-scalar) and
+    # where it does not: the system keeps no state from one step to the next
     system, y1, rng = perturbed_point(name, 8, state, costate)
     y2 = y1 + 0.1 * rng.normal(size=system.n_y)
     for y in (y1, y2, y1, y2):

@@ -86,6 +86,8 @@ def test_large_order_build():
         make_grid("lgl", MAX_ORDER + 1)
     with pytest.raises(InvalidOrderError):
         make_grid("cgl", 0)
+    with pytest.raises(InvalidOrderError):  # a bool is an int, but no order
+        make_grid("lgl", True)
 
 
 def test_domain_validation():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def estimate_error(nlp) -> float:
     jac, eq = np.asarray(nlp.jacobian(z)), nlp.equality_mask
     g = nlp.objective_gradient(z)
     ref = np.linalg.lstsq(jac[eq].T, -g, rcond=None)[0]
-    _, mu = nlp.newton_step(np.ones(nlp.n_z), jac, g, np.zeros(eq.size), eq)
+    _, mu = nlp.newton_system(jac)(np.ones(nlp.n_z), g, np.zeros(eq.size), eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
@@ -356,6 +357,17 @@ def test_double_integrator_matches_analytic_solution():
     assert np.max(np.abs(lam[:, 2] - 1.0)) <= 1e-5
 
 
+def dense_system(nlp, jac):
+    """``nlp``'s Newton system solved by the solver's dense Newton step on
+    the assembled Hessian."""
+
+    def step(hess, g, r, working):
+        dense = hess if isinstance(hess, np.ndarray) else nlp.dense_hessian(hess)
+        return solver.dense_newton_step(dense, jac, g, r, working)
+
+    return step
+
+
 class DenseOnly:
     """An NLP that takes the solver's dense Newton step; everything else
     forwarded."""
@@ -363,8 +375,8 @@ class DenseOnly:
     def __init__(self, nlp):
         self._nlp = nlp
 
-    def newton_step(self, *args):
-        return solver.dense_newton_step(*args)
+    def newton_system(self, jac):
+        return dense_system(self._nlp, jac)
 
     def __getattr__(self, name):
         return getattr(self._nlp, name)
@@ -401,12 +413,70 @@ def test_condensed_and_dense_steps_take_the_same_iteration(name, monkeypatch):
 def test_solve_converges_with_the_dense_step(monkeypatch):
     dense_calls = counting_dense_steps(monkeypatch)
     nlp = make_nlp("double-integrator-energy", N=16)
-    monkeypatch.setattr(type(nlp), "newton_step",
-                        lambda self, *args: solver.dense_newton_step(*args))
+    monkeypatch.setattr(type(nlp), "newton_system", dense_system)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.converged, res.status
     assert res.iterations > 0 and len(dense_calls) == 2 * res.iterations + 1
     assert res.kkt_residual <= SolverOptions().tol_feas
+
+
+def test_released_row_reuses_the_iterates_linearization(monkeypatch):
+    # x(0) = 0, x' = u, cost int u^2 + (x_b - 1)^2 and the bound x_b >= 0.2:
+    # the guess violates the bound, the first step lands on it, and there its
+    # multiplier is negative, so the row is released; the estimate is then
+    # taken again on the same linearization, with no new Jacobian
+    ocp = prepared(load_problem({
+        "n_x": 1, "n_u": 1, "horizon": [0, 1],
+        "dynamics": {"A": [[0]], "B": [[1]]},
+        "running_cost": {"R": [[1]]},
+        "endpoint_cost": {"terms": [{"coef": 1, "xb": [2]}, {"coef": -2, "xb": [1]}]},
+        "constraints": [{"a": [1], "rhs": 0}, {"kind": "inequality", "b": [-1], "rhs": -0.2}],
+    }))
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), PrimalForm("a"))
+    calls = {"jacobian": 0, "estimate": 0}
+    jacobian, newton_system = nlp.jacobian, nlp.newton_system
+
+    def counted_jacobian(z):
+        calls["jacobian"] += 1
+        return jacobian(z)
+
+    def counted_system(jac):
+        system = newton_system(jac)
+
+        def step(hess, *args):
+            calls["estimate"] += isinstance(hess, np.ndarray)
+            return system(hess, *args)
+
+        return step
+
+    monkeypatch.setattr(nlp, "jacobian", counted_jacobian)
+    monkeypatch.setattr(nlp, "newton_system", counted_system)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert nlp.unpack(res.z)[4][0] == pytest.approx(0.5, abs=1e-8)
+    assert res.multipliers[nlp.rows["endpoint"]][1] == 0.0  # released for good
+    assert calls["jacobian"] == res.iterations + 1
+    assert calls["estimate"] == calls["jacobian"] + 1  # one release
+
+
+def test_non_finite_dynamics_in_the_line_search_end_the_solve_infeasible():
+    # the dynamics turn NaN at every node with |u| > 5, and the optimum has
+    # |u| = 6 at t = 0: the line search halves past each such trial until it
+    # gives up, and the solve stops with a status instead of raising
+    base = registry("double-integrator-energy")
+    non_finite = []
+
+    def dynamics(X, U):
+        bad = np.max(np.abs(U), axis=1) > 5.0
+        non_finite.extend([1] * bool(bad.any()))
+        return np.where(bad[:, None], np.nan, base.dynamics(X, U))
+
+    ocp = prepared(dataclasses.replace(base, dynamics=dynamics))
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 16, ocp.horizon)), PrimalForm("a"))
+    res = solve(nlp, initial_guess(nlp))
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.iterations == 34 and len(non_finite) == 502
+    assert np.max(np.abs(nlp.unpack(res.z)[1])) <= 5.0
 
 
 def test_scaled_form_reaches_same_objective():

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
     rng = np.random.default_rng(13)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
     mu = rng.normal(size=nlp.n_rows)
-    hess = nlp.lagrangian_hessian(z, mu)
+    hess = nlp.dense_hessian(nlp.lagrangian_hessian(z, mu))
     fd = _fd_lagrangian_hessian(nlp, z, mu)
     assert np.array_equal(hess, hess.T)
     err = np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd)))
@@ -329,8 +330,8 @@ def assert_step_matches_dense(nlp, seed=0):
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    dz_ref, mu_ref = dense_newton_step(hess, jac, g, r, working)
-    dz, mu_w = nlp.newton_step(hess, jac, g, r, working)
+    dz_ref, mu_ref = dense_newton_step(nlp.dense_hessian(hess), jac, g, r, working)
+    dz, mu_w = nlp.newton_system(jac)(hess, g, r, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
     return working
@@ -353,23 +354,42 @@ def test_newton_step_with_a_working_inequality_row(form, scaled):
 
 
 def step_args(nlp, z, mu):
-    """The solver's newton_step arguments at z: (step, multiplier estimate)."""
+    """The Jacobian at z and the solver's arguments to its step solver there:
+    (jac, step, multiplier estimate)."""
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    return (hess, jac, g, r, working), (np.ones(nlp.n_z), jac, g, np.zeros(r.size), working)
+    return jac, (hess, g, r, working), (np.ones(nlp.n_z), g, np.zeros(r.size), working)
+
+
+def test_hessian_and_newton_steps_build_no_square_matrix():
+    nlp = make_nlp("nonlinear-scalar", N=128)
+    z = initial_guess(nlp, "linear-endpoint-interpolation")
+    jac, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
+    system = nlp.newton_system(jac)
+    tracemalloc.start()
+    try:
+        hess = nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
+        system(*estimate)
+        system(hess, *step[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense n_z x n_z Hessian alone would take 8 n_z^2 bytes
+    assert peak < 8 * nlp.n_z**2 / 2
 
 
 def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     nlp = make_nlp(N=8)
     z = initial_guess(nlp, "constant-midpoint")
-    args, _ = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
+    jac, step, estimate = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
     monkeypatch.setattr(AnchoredBlock, "condensing_matrix",
                         lambda self, G: np.zeros((self.w.size * self.n,) * 2))
-    assert nlp.newton_step(*args) is None
-    assert nlp.newton_step(*args) is None
+    system = nlp.newton_system(jac)
+    assert system(*step) is None
+    assert system(*estimate) is None
     monkeypatch.undo()
-    assert nlp.newton_step(*args) is not None  # the failed factor was not kept
+    assert nlp.newton_system(jac)(*step) is not None  # the failed factor was not kept
 
 
 def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
@@ -399,19 +419,20 @@ def counted_condensations(monkeypatch, nlp):
 @pytest.mark.parametrize("form", ["a", "b_star"])
 @pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "nonlinear-scalar"])
 def test_one_condensation_per_dynamics_jacobian(monkeypatch, name, form):
-    # F_x of the linear problems (cost state included) never changes: one
-    # factor of M serves the whole solve; nonlinear-scalar's moves with X, so
-    # each iteration's estimate and step share one, and the final test one more
+    # one linearization per iterate: each iteration's estimate and step
+    # share one factor of M, and the final test takes one more
     nlp = make_nlp(name, N=32, form=form)
     calls = counted_condensations(monkeypatch, nlp)
     res = solve(nlp, initial_guess(nlp))
     assert res.converged and res.iterations > 1
-    assert len(calls) == (res.iterations + 1 if name == "nonlinear-scalar" else 1)
+    assert len(calls) == res.iterations + 1
 
 
 @pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
 def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, form, scaled):
+    # the estimate and the step share one condensation, and each has the
+    # bits of the same call on a fresh NLP's system
     def fresh():
         return make_nlp("nonlinear-scalar", N=12, form=form, scaled=scaled, kind=kind)
 
@@ -419,15 +440,17 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
     calls = counted_condensations(monkeypatch, nlp)
     rng = np.random.default_rng(3)
     z1 = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
-    z2 = z1 + 0.1 * rng.normal(size=nlp.n_z)  # another F_x: evicts z1's
+    z2 = z1 + 0.1 * rng.normal(size=nlp.n_z)  # another F_x
     z3 = z1.copy()
-    z3[nlp.slice_u] += 0.1  # z1's F_x with another F_u: the factor is kept, T is not
+    z3[nlp.slice_u] += 0.1  # z1's F_x with another F_u
     mu = rng.normal(size=nlp.n_rows)
     for z in (z1, z2, z1, z3):
-        for args in step_args(nlp, z, mu):  # the second call reuses the first's
-            got, want = nlp.newton_step(*args), fresh().newton_step(*args)
+        jac, *args = step_args(nlp, z, mu)
+        system = nlp.newton_system(jac)
+        for call in args:
+            got, want = system(*call), fresh().newton_system(jac)(*call)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def assert_threads_get_single_threaded_bits(call, want):
@@ -461,15 +484,18 @@ def assert_threads_get_single_threaded_bits(call, want):
 
 
 def test_concurrent_steps_read_a_consistent_condensation():
-    # threads that alternate between two F_x on one NLP evict each other's
-    # memo; each step must still have the bits of a single-threaded one
+    # threads that alternate between two iterates on one NLP each build
+    # their own system; each step must have the bits of a single-threaded
+    # one, so the NLP keeps no state between them
     nlp = make_nlp("nonlinear-scalar", N=12)
     rng = np.random.default_rng(4)
     z0 = initial_guess(nlp, "linear-endpoint-interpolation")
-    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[0]
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[:2]
              for _ in range(2)]
-    want = [make_nlp("nonlinear-scalar", N=12).newton_step(*args) for args in calls]
-    assert_threads_get_single_threaded_bits(lambda j: nlp.newton_step(*calls[j]), want)
+    want = [make_nlp("nonlinear-scalar", N=12).newton_system(jac)(*step) for jac, step in calls]
+    assert_threads_get_single_threaded_bits(
+        lambda j: nlp.newton_system(calls[j][0])(*calls[j][1]), want
+    )
 
 
 def condensed_side(block, G, derivs, r):
@@ -481,8 +507,9 @@ def condensed_side(block, G, derivs, r):
 
 
 def test_concurrent_condense_reads_a_consistent_factor():
-    # threads that alternate between two G on one block evict each other's
-    # factor; each result must still have the bits of a fresh block's
+    # threads that alternate between two G on one block each factor their
+    # own; each result must have the bits of a fresh block's, so the block
+    # keeps no state between them
     system = build_birkhoff(make_grid("lgl", 12, (0.0, 1.0)))
     m, n = 13, 2
     block = AnchoredBlock(system, "b", n)
