@@ -9,7 +9,10 @@ node derivatives; the b-form mirrors this at the right endpoint.  Each basis
 function is the antiderivative of the corresponding Lagrange cardinal function,
 shifted to vanish at its anchor, which is what this module constructs — in
 Chebyshev coefficient space, so interpolants can be evaluated anywhere without
-matrix lookups.
+matrix lookups.  No node family needs an O(N^3) solve for those coefficients
+but the uniform one: CGL inverts its Vandermonde by a DCT, and LGL takes them in
+closed form from discrete Legendre orthogonality and the Legendre-to-Chebyshev
+connection coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     ShapeError,
     UnsupportedGridError,
 )
-from .grid import Grid, GridKind, MAX_ORDER, legendre_values, to_reference
+from .grid import Grid, GridKind, MAX_ORDER, to_reference
 
 # residual ceiling on the cardinal property |T c - I| of the modal transform
 MODAL_RESIDUAL_TOL = 1e-10
@@ -115,22 +118,50 @@ def _cgl_cardinal_coeffs(s: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _solved_cardinal_coeffs(s: np.ndarray, kind: GridKind, t_mat: np.ndarray) -> np.ndarray:
-    """Cardinal coefficients by a row-weighted Vandermonde solve.
+def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
+    """Cardinal coefficients on LGL nodes in closed form, without a solve.
 
-    Rows are scaled by sqrt of the interpolatory quadrature weights (LGL) so
-    the scaled Vandermonde is nearly orthogonal; iterative refinement keeps
-    the cardinal-property residual near roundoff while the solve contracts.
+    LGL quadrature is exact to degree 2N-1, so the Legendre coefficients of
+    cardinal function j are ``w_j P_k(s_j) / gamma_k`` with
+    ``gamma_k = 2/(2k+1)`` and the discrete norm ``gamma_N = 2/N``.  The
+    Legendre-to-Chebyshev connection matrix ``A`` carries them into the
+    Chebyshev basis: ``A[m, k] = (2 - delta_m0) lam[(k-m)/2] lam[(k+m)/2]``
+    for even ``k - m >= 0``, with ``lam[i] = prod_{l=1..i} (2l-1)/(2l)``, the
+    form in which the 1/pi of the Gamma-function expression cancels.
     """
     n = s.size - 1
-    if kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
-        p_n = legendre_values(n, s)
-        row_w = 2.0 / (n * (n + 1) * p_n**2)
-    else:
-        row_w = np.ones(n + 1)
-    r = np.sqrt(row_w)
-    lu = lu_factor(t_mat * r[:, None])
-    coef = lu_solve(lu, np.diag(r))
+    p = np.empty((n + 1, n + 1))
+    p[0] = 1.0
+    p[1] = s
+    for k in range(1, n):
+        p[k + 1] = ((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1)
+    w = 2.0 / (n * (n + 1) * p[n] ** 2)
+    k = np.arange(n + 1)
+    gamma = 2.0 / (2 * k + 1.0)
+    gamma[n] = 2.0 / n
+
+    lam = np.ones(n + 1)
+    lam[1:] = np.cumprod((2 * k[1:] - 1.0) / (2 * k[1:]))
+    legendre = p * (w[None, :] / gamma[:, None])
+    coef = np.empty((n + 1, n + 1))
+    for parity in (0, 1):  # A couples only degrees of equal parity
+        m = k[parity::2, None]
+        kk = k[None, parity::2]
+        a = np.where(kk >= m, lam[np.abs(kk - m) // 2] * lam[(kk + m) // 2], 0.0)
+        coef[parity::2] = a @ legendre[parity::2]
+    coef[1:] *= 2.0
+    return coef
+
+
+def _solved_cardinal_coeffs(t_mat: np.ndarray) -> np.ndarray:
+    """Cardinal coefficients on uniform nodes by a Vandermonde solve.
+
+    Iterative refinement keeps the cardinal-property residual near roundoff
+    while the solve contracts.
+    """
+    n = t_mat.shape[0] - 1
+    lu = lu_factor(t_mat)
+    coef = lu_solve(lu, np.eye(n + 1))
     best, best_err = coef, np.inf
     for _ in range(5):
         resid = np.eye(n + 1) - t_mat @ coef
@@ -140,7 +171,7 @@ def _solved_cardinal_coeffs(s: np.ndarray, kind: GridKind, t_mat: np.ndarray) ->
         best, best_err = coef, err
         if err < 64.0 * np.finfo(float).eps:
             break
-        coef = coef + lu_solve(lu, resid * r[:, None])
+        coef = coef + lu_solve(lu, resid)
     return best
 
 
@@ -166,8 +197,10 @@ def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
 def build_modal_basis(grid: Grid) -> ModalBasis:
     """Transform node space to Chebyshev coefficient space for ``grid``.
 
-    The stored residual is the root-mean-square defect of the interpolation
-    conditions over all (N+1)^2 node/column pairs; construction fails above
+    CGL coefficients come from a DCT, LGL ones in closed form, uniform ones
+    from a refined Vandermonde solve.  The stored residual is the
+    root-mean-square defect of the interpolation conditions over all
+    (N+1)^2 node/column pairs; construction fails above
     ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the per-entry defect sits at
     roundoff; equispaced grids cross the gate near N = 40 because the
     cardinal functions' coefficients outgrow what float64 storage resolves.
@@ -178,8 +211,10 @@ def build_modal_basis(grid: Grid) -> ModalBasis:
     t_mat = cheb.chebvander(s, n)
     if grid.kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
         coef = _cgl_cardinal_coeffs(s, t_mat)
+    elif grid.kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
+        coef = _lgl_cardinal_coeffs(s)
     else:
-        coef = _solved_cardinal_coeffs(s, grid.kind, t_mat)
+        coef = _solved_cardinal_coeffs(t_mat)
     resid = float(np.sqrt(np.mean((t_mat @ coef - np.eye(n + 1)) ** 2)))
     if resid > MODAL_RESIDUAL_TOL:
         raise IllConditionedBasisError(
@@ -193,20 +228,29 @@ def build_modal_basis(grid: Grid) -> ModalBasis:
 def build_diff_matrix(grid: Grid) -> np.ndarray:
     """Differentiation matrix by the barycentric formula.
 
-    Pairwise differences are capacity-scaled before the weight products so the
-    barycentric weights stay representable at large N; the diagonal uses the
+    Pairwise differences are capacity-scaled, and the weight products are
+    taken as sums of logarithms: the products themselves stay moderate, but
+    their partial products overflow from N ~ 1000.  The diagonal uses the
     negative row-sum trick.
     """
     ref, amap = to_reference(grid)
     s = ref.nodes
     diff = 2.0 * (s[:, None] - s[None, :])
     np.fill_diagonal(diff, 1.0)
-    beta = 1.0 / np.prod(diff, axis=1)
-    with np.errstate(divide="ignore"):
-        d = (beta[None, :] / beta[:, None]) / (s[:, None] - s[None, :])
+    log_prod = np.sum(np.log(np.abs(diff)), axis=1)
+    # d_ij = (prod_i / prod_j) / (s_i - s_j), built in place; the nodes
+    # ascend, so prod_i has the sign (-1)^(N - i), and (-1)^N cancels
+    sign = (-1.0) ** np.arange(s.size)
+    d = np.subtract.outer(log_prod, log_prod)
+    np.exp(d, out=d)
+    d *= sign[:, None]
+    d *= sign[None, :]
+    d *= 2.0  # diff holds 2 (s_i - s_j), and 1 on the diagonal
+    d /= diff
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -np.sum(d, axis=1))
-    return d / amap.scale
+    d /= amap.scale
+    return d
 
 
 def build_birkhoff(grid: Grid) -> BirkhoffSystem:

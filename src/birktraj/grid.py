@@ -99,29 +99,16 @@ def _lgl_reference_nodes(n: int) -> np.ndarray:
     if n == 1:
         return np.array([-1.0, 1.0])
     s = -np.cos(np.pi * np.arange(n + 1) / n)
-    p = np.zeros((n + 1, n + 1))
     for _ in range(100):
-        p[:, 0] = 1.0
-        p[:, 1] = s
+        # P_{n-1} and P_n by the three-term recurrence, keeping two rows
+        p_prev, p = np.ones_like(s), s
         for k in range(1, n):
-            p[:, k + 1] = ((2 * k + 1) * s * p[:, k] - k * p[:, k - 1]) / (k + 1)
-        step = (s * p[:, n] - p[:, n - 1]) / ((n + 1) * p[:, n])
+            p_prev, p = p, ((2 * k + 1) * s * p - k * p_prev) / (k + 1)
+        step = (s * p - p_prev) / ((n + 1) * p)
         s = s - step
         if np.max(np.abs(step)) <= 1e-15:
             break
     return s
-
-
-def legendre_values(n: int, s: np.ndarray) -> np.ndarray:
-    """P_n evaluated by the three-term recurrence."""
-    s = np.asarray(s, dtype=float)
-    if n == 0:
-        return np.ones_like(s)
-    p_prev = np.ones_like(s)
-    p = s.copy()
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * s * p - k * p_prev) / (k + 1)
-    return p
 
 
 def make_grid(kind, N: int, domain=(-1.0, 1.0)) -> Grid:

@@ -12,7 +12,7 @@ from birktraj.bench import (
     write_convergence_csv,
     write_convergence_gnuplot,
 )
-from birktraj import bench
+from birktraj import bench, build_birkhoff, make_grid
 from birktraj.solver import SolverOptions, solve
 
 
@@ -37,6 +37,33 @@ def test_cond_core_convention_matches_hand_svd():
     assert row.cond_D == pytest.approx(1.0, abs=1e-12)
     assert row.cond_kkt is None
     assert row.note == ""
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+def test_sigma_max_matches_dense_svd(kind, n):
+    sys = build_birkhoff(make_grid(kind, n))
+    for a in (sys.B_a[1:, :], sys.D):
+        dense = np.linalg.svd(a, compute_uv=False)[0]
+        got = bench._sigma_max(a)
+        assert abs(got - dense) <= 1e-14 * dense
+        assert bench._sigma_max(a) == got
+
+
+def test_sigma_max_with_constants_in_the_null_space():
+    # a constant start vector would be annihilated by both matrices
+    d1 = build_birkhoff(make_grid("lgl", 1)).D
+    assert np.array_equal(d1 @ np.ones(2), [0.0, 0.0])
+    assert bench._sigma_max(d1) == pytest.approx(1.0, rel=1e-14)
+    laplacian = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    assert bench._sigma_max(laplacian) == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+def test_cond_study_row_finite_at_large_order(kind):
+    (row,) = cond_study(kind, [1200])
+    assert row.note == ""
+    assert np.isfinite(row.cond_B_a) and np.isfinite(row.cond_D)
 
 
 def test_cond_values_frozen():

@@ -79,6 +79,41 @@ def test_diff_matrix_basics():
         np.testing.assert_allclose(d @ g.nodes, np.ones(13), atol=1e-11)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_diff_matrix_finite_past_the_weight_product_overflow(kind):
+    # taken directly, the row products of node differences overflow in their
+    # partial products from N ~ 1100, though the products themselves are
+    # moderate
+    g = make_grid(kind, 1200)
+    d = build_diff_matrix(g)
+    s = g.nodes
+    assert np.all(np.isfinite(d))
+    assert np.all(np.abs(d @ np.ones(s.size)) <= 1e-13 * np.abs(d).sum(axis=1))
+    assert np.all(np.abs(d @ s - 1.0) <= 1e-13 * (np.abs(d) @ np.abs(s)))
+
+
+# --- LGL cardinal coefficients in closed form ---------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+def test_lgl_closed_form_matches_vandermonde_solve(n):
+    sys = build_birkhoff(make_grid("lgl", n))
+    s = sys.grid.nodes
+    coef = np.linalg.solve(cheb.chebvander(s, n), np.eye(n + 1))
+    anti = cheb.chebint(coef, m=1, k=0, lbnd=-1.0, axis=0)
+    b_a = cheb.chebvander(s, n + 1) @ anti
+    b_a[0] = 0.0
+    assert np.max(np.abs(sys.B_a - b_a)) <= 1e-14
+    assert np.max(np.abs(sys.w_B - b_a[-1])) <= 1e-14
+
+
+def test_lgl_weights_exact_on_chebyshev_to_degree_2n_minus_1():
+    n = 1024
+    sys = build_birkhoff(make_grid("lgl", n))
+    got = cheb.chebvander(sys.grid.nodes, 2 * n - 1).T @ sys.w_B
+    assert np.max(np.abs(got - birkhoff._cheb_moments(2 * n - 1))) <= 1e-13
+
+
 # --- Vandermonde evaluation against a Clenshaw reference ---------------------
 
 
