@@ -9,7 +9,8 @@ Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
 root by Newton steps condensed through the identity blocks of both sides'
 anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
 elimination the primal NLP uses, so it never builds the square Jacobian;
-each Newton step factors each side's condensing matrix once.
+each Newton step factors each side's condensing matrix once, LU-factoring
+only the diagonal blocks of the states that F_x couples.
 :func:`verify_pontryagin` evaluates the residual once at a given
 (primal, dual) pair and reads the report blocks off the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
@@ -472,10 +473,11 @@ class _IndirectSystem:
         identity blocks of the rows.  The dynamics rows give
         dV = F_x dX + F_u dU - r_dyn and the adjoint rows
         dom = -F_x^T dlam - H_xx dX - H_xu dU - r_adj; the state side then
-        solves with the LU of M_s = I - (B_s (x) I) F_x for dX, the costate
-        side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and each
-        side's equivalency rows give its endpoint opposite the anchor.  Both
-        sides are :meth:`AnchoredBlock.condense`, one factor each.  What is
+        solves with the factor of M_s = I - (B_s (x) I) F_x for dX, the
+        costate side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and
+        each side's equivalency rows give its endpoint opposite the anchor.
+        Both sides are :meth:`AnchoredBlock.condense`, one factor each, block
+        lower triangular over the groups of states F_x couples.  What is
         left is square in p = (dU, x_anchor, lam_anchor, nu) over the control
         stationarity, endpoint and transversality rows, of order
         (N+1) n_u + 2 n_x + n_e, and is solved by
@@ -545,8 +547,9 @@ def solve_indirect(
 
     Independent of the NLP solver: no objective, no multipliers — just the
     square system.  Each step is :meth:`_IndirectSystem.newton_step`, with
-    one LU of the reduced system over (U, x_anchor, lam_anchor, nu) and one
-    per side of order (N+1) n_x.  Returns ``(PrimalSolution,
+    one LU of the reduced system over (U, x_anchor, lam_anchor, nu) and, per
+    side, one of order (N+1) |S| for each group S of states that F_x couples
+    (:meth:`~birktraj.transcription.AnchoredBlock.factor`).  Returns ``(PrimalSolution,
     DualTrajectory)``.  ``init`` may be a ``(PrimalSolution, DualTrajectory)``
     pair (e.g. a direct solve's output) to warm-start; the default builds a
     linear-interpolation state profile with costates seeded from the

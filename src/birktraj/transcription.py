@@ -22,8 +22,10 @@ Constraint rows, in order:
 Each row block but the endpoint rows is the identity in one variable block
 (X, V and the endpoint opposite the anchor), so the solver's Newton-KKT
 system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables: at
-each iterate it factors M = I - (B (x) I) F_x once, of order (N+1) n_x and
-conditioned like the O(1)-norm Birkhoff matrix B, and each step factors a
+each iterate it factors M = I - (B (x) I) F_x once, conditioned like the
+O(1)-norm Birkhoff matrix B and block lower triangular over the groups of
+states that F_x couples, so that only the coupled diagonal blocks, of order
+(N+1) times the group's size, are LU-factored, and each step factors a
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
 of multiple shooting, Bock and Plitt 1984).  The elimination is
 :meth:`AnchoredBlock.condense`, which the indirect solver in ``dual`` calls
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -193,12 +195,32 @@ class AnchoredBlock:
         jac[equiv, derivs] = d_equiv
 
     def condensing_matrix(self, blocks: Array) -> Array:
-        """I - (B (x) I) blockdiag(``blocks``), for (N+1, n, n) node blocks:
-        what is left of the interpolation rows once the node derivatives are
-        eliminated through rows that give them as ``blocks`` times the node
-        values.  Its conditioning follows that of B."""
-        mn = self.w.size * self.n
-        return np.eye(mn) - np.einsum("ij,jab->iajb", self.B, blocks).reshape(mn, mn)
+        """I - (B (x) I) blockdiag(``blocks``), for (N+1, k, k) node blocks:
+        what is left of the interpolation rows of k states once their node
+        derivatives are eliminated through rows that give them as ``blocks``
+        times the node values.  Its conditioning follows that of B."""
+        m, k = blocks.shape[:2]
+        return np.eye(m * k) - np.einsum("ij,jab->iajb", self.B, blocks).reshape(m * k, m * k)
+
+    def factor(self, G: Array):
+        """The :class:`CondensingFactor` of M = I - (B (x) I) blockdiag(G)
+        for (N+1, n, n) node blocks G, or None on an exactly zero pivot.
+
+        State i reads state j where some G[:, i, j] is nonzero.  The states
+        fall into the strongly connected components of that graph, and M is
+        block lower triangular over them in an order where each reads only
+        earlier ones (Duff and Reid 1978).  Only the diagonal blocks
+        I - (B (x) I) G_SS of order (N+1) |S| are LU-factored, and none where
+        G_SS is zero; a fully coupled G is one group, one LU of M."""
+        groups = []
+        for rows, coupled, cols in _solve_order(G.any(axis=0).tobytes(), G.shape[1]):
+            lu = piv = None
+            if coupled:
+                lu, piv, info = lapack.dgetrf(self.condensing_matrix(G[:, rows][:, :, rows]))
+                if info != 0:
+                    return None
+            groups.append((rows, lu, piv, cols, None if cols is None else G[:, rows][:, :, cols]))
+        return CondensingFactor(self.B, tuple(groups))
 
     def condense(self, G, values, derivs, anchor, other, r_interp, r_equiv, factor=None):
         """Solve the interpolation and equivalency rows in every column of the
@@ -207,23 +229,101 @@ class AnchoredBlock:
         derivatives as G values + the ``derivs`` on entry (G: node blocks).
         Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
         opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last
-        column.  One solve with ``factor``, the LU factor of
-        I - (B (x) I) G, which is computed when not given.  Returns that
-        factor, or None on an exactly zero pivot."""
+        column.  One solve with ``factor``, :meth:`factor` of G, which is
+        computed when not given.  Returns that factor, or None on an exactly
+        zero pivot."""
         if factor is None:
-            lu, piv, info = lapack.dgetrf(self.condensing_matrix(G))
-            if info != 0:
+            factor = self.factor(G)
+            if factor is None:
                 return None
-            factor = (lu, piv)
         m, n, c = values.shape
         sign = 1.0 if self.anchored_left else -1.0  # the equivalency row gives other - anchor
         rhs = anchor + (self.B @ derivs.reshape(m, -1)).reshape(m, n, c)
         rhs[..., -1] -= r_interp.reshape(m, n)
-        values[...] = lapack.dgetrs(*factor, rhs.reshape(m * n, c))[0].reshape(m, n, c)
+        values[...] = factor.solve(rhs)
         derivs += G @ values
         other[...] = anchor + sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
         other[:, -1] -= sign * r_equiv
         return factor
+
+
+def _span(indices: list):
+    """Sorted state ``indices`` as a slice where they are consecutive, so that
+    indexing with them takes a view, else as an index array."""
+    if indices[-1] - indices[0] == len(indices) - 1:
+        return slice(indices[0], indices[-1] + 1)
+    return np.array(indices)
+
+
+@lru_cache(maxsize=256)
+def _solve_order(pattern: bytes, n: int) -> tuple:
+    """The groups of :meth:`AnchoredBlock.factor` for the (n, n) boolean
+    coupling ``pattern`` (state i reads state j where [i, j]), as
+    (states, whether they read each other, the earlier states they read or
+    None), in solve order and without the groups that solve as I: the
+    strongly connected components of the graph, each reading only states of
+    earlier ones.  Cached, since it depends on the pattern alone."""
+    reads = np.frombuffer(pattern, dtype=bool).reshape(n, n).tolist()
+    reach = [{i} | {j for j in range(n) if reads[i][j]} for i in range(n)]
+    grown = True
+    while grown:  # transitive closure
+        grown = False
+        for r in reach:
+            wider = r.union(*(reach[j] for j in r))
+            grown |= len(wider) > len(r)
+            r |= wider
+    components, placed = [], set()
+    for i in range(n):
+        if i not in placed:
+            components.append([j for j in sorted(reach[i]) if i in reach[j]])
+            placed.update(components[-1])
+    # a group that reads another reaches strictly more states; ties keep index order
+    components.sort(key=lambda states: len(reach[states[0]]))
+    order = []
+    for states in components:
+        coupled = any(reads[i][j] for i in states for j in states)
+        sources = sorted({j for i in states for j in range(n) if reads[i][j]} - set(states))
+        if coupled or sources:
+            order.append((_span(states), coupled, _span(sources) if sources else None))
+    return tuple(order)
+
+
+class CondensingFactor:
+    """LU factor of M = I - (B (x) I) blockdiag(G), block lower triangular
+    over the groups of states that G couples; built by
+    :meth:`AnchoredBlock.factor` and not changed after.
+
+    ``groups`` holds, in solve order, (states, lu, piv, sources, coupling)
+    for every group that is not the identity: its states, the LU of its
+    diagonal block (None where G_SS is zero), the earlier states it reads
+    (None if none) and G at (states, sources).  A set of states is a slice
+    where they are consecutive, else an index array.
+    """
+
+    def __init__(self, B: Array, groups: tuple):
+        self.B = B
+        self.groups = groups
+
+    def solve(self, rhs: Array, trans: bool = False) -> Array:
+        """M^-1 rhs, or M^-T rhs when ``trans``, for an (N+1, n, c) node
+        table ``rhs``, which it may overwrite: block substitution, forward
+        or, transposed, backward over the groups.  One group of every state
+        is one LU solve with M's factor."""
+        m, c, B = len(rhs), rhs.shape[2], self.B
+        for states, lu, piv, sources, coupling in self.groups[::-1] if trans else self.groups:
+            if sources is not None and not trans:
+                rhs[:, states] += (B @ (coupling @ rhs[:, sources]).reshape(m, -1)).reshape(
+                    m, -1, c
+                )
+            if lu is not None:
+                rhs[:, states] = lapack.dgetrs(
+                    lu, piv, rhs[:, states].reshape(-1, c), trans=int(trans)
+                )[0].reshape(m, -1, c)
+            if sources is not None and trans:
+                rhs[:, sources] += coupling.transpose(0, 2, 1) @ (
+                    B.T @ rhs[:, states].reshape(m, -1)
+                ).reshape(m, -1, c)
+        return rhs
 
 
 class DiscretizedNlp:
@@ -464,8 +564,9 @@ class DiscretizedNlp:
         rows the other endpoint, so dz = T p + t in the free unknowns
         p = (dU, dx_anchor).  M and T depend on ``jac`` only through its
         F_x/F_u blocks, so they are built here, once per iterate: M is
-        LU-factored, of order (N+1) n_x, and T's columns come from one
-        elimination, :meth:`AnchoredBlock.condense`.  Each step adds t, the
+        factored by :meth:`AnchoredBlock.factor`, which LU-factors only the
+        diagonal blocks of the groups of states F_x couples, and T's columns
+        come from one elimination, :meth:`AnchoredBlock.condense`.  Each step adds t, the
         step at p = 0 (one more solve with that factor), factors the reduced
         KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint
         rows E by :func:`solver.regularized_solve`, shifted +d on p and -d
@@ -530,7 +631,7 @@ class DiscretizedNlp:
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1 = lapack.dgetrs(*factor, y.ravel(), trans=1)[0]
+        mu1 = factor.solve(y[:, :, None], trans=True).ravel()
         mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
         mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
         if col is not None:

@@ -427,13 +427,18 @@ def test_indirect_singular_newton_matrix_raises(monkeypatch):
 
 
 def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
+    # nonlinear-scalar's sides each have a coupled block to factor
+    orders = []
+
     def singular(self, blocks):
-        return np.zeros((blocks.shape[0] * blocks.shape[1],) * 2)
+        orders.append(blocks.shape[0] * blocks.shape[1])
+        return np.zeros((orders[-1],) * 2)
 
     monkeypatch.setattr(AnchoredBlock, "condensing_matrix", singular)
-    ocp, sys = system_for("scalar-lq", 8)
+    ocp, sys = system_for("nonlinear-scalar", 8)
     with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
-        solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))
+        solve_indirect(registry("nonlinear-scalar"), sys, DualVariant("a", "b_star"))
+    assert orders == [9]
     system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
     y = _default_indirect_init(system)
     r = system.residual(y)
@@ -443,27 +448,42 @@ def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
     assert np.all(np.isfinite(system.newton_step(y, r)))  # the failed factor was not kept
 
 
-@pytest.mark.parametrize("variant", ["a,b_star", "a_star,b_star", "a,b"])
-@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "zero-dynamics"])
-def test_indirect_solve_factors_each_side_once_on_linear_dynamics(monkeypatch, name, variant):
-    # each Newton step factors M_s and M_c once each, and nothing else
+def factored_orders(monkeypatch, name, variant, N=32):
+    """Solve ``name`` indirectly on LGL N; returns (Newton steps, the orders
+    of the blocks each condensing factor LU-factored, one list per factor)."""
     calls, steps = [], []
-    condensing_matrix, newton_step = AnchoredBlock.condensing_matrix, _IndirectSystem.newton_step
+    factor, newton_step = AnchoredBlock.factor, _IndirectSystem.newton_step
 
     def counted(self, G):
-        calls.append(1)
-        return condensing_matrix(self, G)
+        out = factor(self, G)
+        calls.append([lu.shape[0] for _, lu, *_ in out.groups if lu is not None])
+        return out
 
     def counted_step(self, y, r):
         steps.append(1)
         return newton_step(self, y, r)
 
-    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", counted)
+    monkeypatch.setattr(AnchoredBlock, "factor", counted)
     monkeypatch.setattr(_IndirectSystem, "newton_step", counted_step)
     ocp = registry(name)
-    sys = build_birkhoff(make_grid("lgl", 32, ocp.horizon))
-    solve_indirect(ocp, sys, DualVariant.parse(variant))
-    assert steps and len(calls) == 2 * len(steps)
+    solve_indirect(ocp, build_birkhoff(make_grid("lgl", N, ocp.horizon)), DualVariant.parse(variant))
+    return len(steps), calls
+
+
+@pytest.mark.parametrize("variant", ["a,b_star", "a_star,b_star", "a,b"])
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "zero-dynamics"])
+def test_indirect_solve_factors_each_side_once_on_linear_dynamics(monkeypatch, name, variant):
+    # each Newton step factors M_s and M_c once each, and nothing else; on
+    # these F_x is zero or nilpotent, so neither factor LU-factors a block
+    steps, calls = factored_orders(monkeypatch, name, variant)
+    assert steps and calls == [[]] * (2 * steps)
+
+
+@pytest.mark.parametrize("variant", ["a,b_star", "a_star,b_star", "a,b"])
+def test_indirect_solve_factors_one_coupled_block_per_side(monkeypatch, variant):
+    # on nonlinear-scalar only x reads itself: one block of order N + 1 a side
+    steps, calls = factored_orders(monkeypatch, "nonlinear-scalar", variant)
+    assert steps and calls == [[33]] * (2 * steps)
 
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birktraj import (
     DegenerateWeightError,
@@ -379,13 +382,28 @@ def test_hessian_and_newton_steps_build_no_square_matrix():
     assert peak < 8 * nlp.n_z**2 / 2
 
 
+def singular_blocks(monkeypatch):
+    """Make every diagonal block a condensing factor LU-factors the zero
+    matrix; returns the list of their orders, which grows on each."""
+    orders = []
+
+    def singular(self, G):
+        orders.append(G.shape[0] * G.shape[1])
+        return np.zeros((orders[-1],) * 2)
+
+    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", singular)
+    return orders
+
+
 def test_singular_condensing_matrix_gives_no_step(monkeypatch):
-    nlp = make_nlp(N=8)
+    # nonlinear-scalar's M has a coupled block to factor; the linear
+    # problems' M factors none
+    nlp = make_nlp("nonlinear-scalar", N=8)
     z = initial_guess(nlp, "constant-midpoint")
     jac, step, estimate = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
-    monkeypatch.setattr(AnchoredBlock, "condensing_matrix",
-                        lambda self, G: np.zeros((self.w.size * self.n,) * 2))
+    orders = singular_blocks(monkeypatch)
     system = nlp.newton_system(jac)
+    assert orders == [9]
     assert system(*step) is None
     assert system(*estimate) is None
     monkeypatch.undo()
@@ -394,25 +412,31 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
 
 def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
     # no other route takes the step: the first estimate finds none
-    nlp = make_nlp(N=8)
-    monkeypatch.setattr(AnchoredBlock, "condensing_matrix",
-                        lambda self, G: np.zeros((self.w.size * self.n,) * 2))
+    nlp = make_nlp("nonlinear-scalar", N=8)
+    orders = singular_blocks(monkeypatch)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert orders
     assert res.status is SolveStatus.LINE_SEARCH_FAILURE
     assert res.iterations == 0 and not res.log
 
 
-def counted_condensations(monkeypatch, nlp):
-    """The list that grows by one on each condensing_matrix call of ``nlp``'s
-    state block."""
-    calls, original = [], AnchoredBlock.condensing_matrix
+def lu_orders(factor):
+    """The orders of the diagonal blocks a condensing factor LU-factored."""
+    return [lu.shape[0] for _, lu, *_ in factor.groups if lu is not None]
+
+
+def counted_factors(monkeypatch, nlp):
+    """The list that gets, on each factor of ``nlp``'s state block, the
+    orders of the blocks it LU-factored."""
+    calls, original = [], AnchoredBlock.factor
 
     def counted(self, G):
+        factor = original(self, G)
         if self is nlp.state:
-            calls.append(1)
-        return original(self, G)
+            calls.append(lu_orders(factor))
+        return factor
 
-    monkeypatch.setattr(AnchoredBlock, "condensing_matrix", counted)
+    monkeypatch.setattr(AnchoredBlock, "factor", counted)
     return calls
 
 
@@ -420,12 +444,16 @@ def counted_condensations(monkeypatch, nlp):
 @pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "nonlinear-scalar"])
 def test_one_condensation_per_dynamics_jacobian(monkeypatch, name, form):
     # one linearization per iterate: each iteration's estimate and step
-    # share one factor of M, and the final test takes one more
-    nlp = make_nlp(name, N=32, form=form)
-    calls = counted_condensations(monkeypatch, nlp)
+    # share one factor of M, and the final test takes one more.  M is I on
+    # scalar-lq (F_x = 0) and triangular on the double integrator (F_x
+    # nilpotent); on nonlinear-scalar only x reads itself
+    N = 32
+    nlp = make_nlp(name, N=N, form=form)
+    calls = counted_factors(monkeypatch, nlp)
     res = solve(nlp, initial_guess(nlp))
     assert res.converged and res.iterations > 1
-    assert len(calls) == res.iterations + 1
+    want = [N + 1] if name == "nonlinear-scalar" else []
+    assert calls == [want] * (res.iterations + 1)
 
 
 @pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
@@ -437,7 +465,7 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
         return make_nlp("nonlinear-scalar", N=12, form=form, scaled=scaled, kind=kind)
 
     nlp = fresh()
-    calls = counted_condensations(monkeypatch, nlp)
+    calls = counted_factors(monkeypatch, nlp)
     rng = np.random.default_rng(3)
     z1 = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
     z2 = z1 + 0.1 * rng.normal(size=nlp.n_z)  # another F_x
@@ -499,11 +527,12 @@ def test_concurrent_steps_read_a_consistent_condensation():
 
 
 def condensed_side(block, G, derivs, r):
-    """``block.condense`` on fresh tables: (values, derivs, other, lu, piv)."""
+    """``block.condense`` on fresh tables: (values, derivs, other) and every
+    array of the factor's groups."""
     m, n, c = derivs.shape
     values, derivs, other = np.zeros(derivs.shape), derivs.copy(), np.zeros((n, c))
-    lu, piv = block.condense(G, values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:])
-    return values, derivs, other, lu, piv
+    factor = block.condense(G, values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:])
+    return values, derivs, other, *(a for group in factor.groups for a in group)
 
 
 def test_concurrent_condense_reads_a_consistent_factor():
@@ -518,6 +547,79 @@ def test_concurrent_condense_reads_a_consistent_factor():
     derivs, r = rng.normal(size=(m, n, 3)), rng.normal(size=m * n + n)
     want = [condensed_side(AnchoredBlock(system, "b", n), G, derivs, r) for G in Gs]
     assert_threads_get_single_threaded_bits(lambda j: condensed_side(block, Gs[j], derivs, r), want)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_system(N):
+    return build_birkhoff(make_grid("lgl", N, (0.0, 1.0)))
+
+
+def coupling_pattern(name, n):
+    """An (n, n) pattern of "state i reads state j"."""
+    pattern = np.zeros((n, n), dtype=bool)
+    if name == "triangular":
+        pattern = np.tri(n, k=-1, dtype=bool)
+    elif name == "group-feeds-cost":  # the last state reads all others, none reads it
+        pattern[:, :-1] = True
+        pattern[-1, -1] = False
+    elif name == "two-cycle":  # 0 and 1 read each other, not themselves; the rest read 1
+        pattern[0, 1] = pattern[1, 0] = True
+        pattern[2:, 1] = True
+    elif name == "dense":
+        pattern[:] = True
+    return pattern
+
+
+COUPLINGS = ["zero", "triangular", "group-feeds-cost", "two-cycle", "dense"]
+
+
+def random_blocks(draw, name):
+    """(block, G) for a drawn grid order, anchor, state count and G entries
+    on the named pattern, scaled so that |(B (x) I) G| <= 1/2 and M stays
+    well conditioned (|B| = 1 in the infinity norm on (0, 1))."""
+    N = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=2 if name == "two-cycle" else 1, max_value=4))
+    block = AnchoredBlock(unit_system(N), draw(st.sampled_from(["a", "b"])), n)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return block, rng.uniform(-0.5 / n, 0.5 / n, (N + 1, n, n)) * coupling_pattern(name, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(COUPLINGS), data=st.data())
+def test_block_solve_is_the_full_solve(name, data):
+    block, G = random_blocks(data.draw, name)
+    m, n = G.shape[:2]
+    factor, M = block.factor(G), block.condensing_matrix(G)
+    rhs = np.random.default_rng(0).normal(size=(m, n, 3))
+    for trans, full in ((False, M), (True, M.T)):
+        got = factor.solve(rhs.copy(), trans=trans)
+        want = np.linalg.solve(full, rhs.reshape(m * n, 3)).reshape(m, n, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    groups = {tuple(np.arange(n)[states]): lu is not None for states, lu, *_ in factor.groups}
+    if name == "zero":
+        assert not groups  # M = I: nothing to factor or substitute
+    elif name == "triangular":
+        assert not any(groups.values())
+    elif name == "group-feeds-cost" and n > 1:
+        assert groups == {tuple(range(n - 1)): True, (n - 1,): False}
+    elif name == "two-cycle":
+        assert groups[(0, 1)]  # one group, factored, though G_00 = G_11 = 0
+    elif name == "dense":
+        assert groups == {tuple(range(n)): True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(COUPLINGS), data=st.data())
+def test_singular_diagonal_block_gives_no_factor(name, data):
+    # the last state reads only itself, at one node j, with 1 - B[j, j] g
+    # exactly 0: row (j, last) of its diagonal block is zero
+    block, G = random_blocks(data.draw, name)
+    j = int(np.argmax(np.abs(np.diag(block.B))))
+    b = block.B[j, j]
+    g = next(g for g in 1.0 / b * (1.0 + 2.0**-52 * np.arange(-4, 5)) if b * g == 1.0)
+    G[:, -1] = 0.0
+    G[j, -1, -1] = g
+    assert block.factor(G) is None
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
