@@ -207,7 +207,7 @@ def _kkt_condition(kind: str, N: int) -> float:
     if not res.converged:
         raise BirktrajError(f"LQ solve for the KKT column ended {res.status.value}")
     H = nlp.dense_hessian(nlp.lagrangian_hessian(res.z, res.multipliers))
-    J = nlp.jacobian(res.z)
+    J = nlp.jacobian(res.z).dense()
     kkt = np.block([[H, J.T], [J, np.zeros((J.shape[0], J.shape[0]))]])
     sigma = np.linalg.svd(kkt, compute_uv=False)
     return float(sigma[0] / sigma[-1])

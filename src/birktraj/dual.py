@@ -456,14 +456,26 @@ class _IndirectSystem:
             self.costate.residual(lam, om, lam_a, lam_b)
         )
         out[rows["adjoint"]] = (om + fx.transpose(0, 2, 1) @ lam + curv[:, :n] @ XU).reshape(-1, c)
-        out[rows["control_stationarity"]] = (
-            fu.transpose(0, 2, 1) @ lam + curv[:, n:] @ XU
-        ).reshape(-1, c)
-        x_ab = np.concatenate([x_a, x_b])
-        out[rows["endpoint_feasibility"]] = j_xa @ x_a + j_xb @ x_b
-        out[rows["transversality_initial"]] = lam_a + k_end[:n] @ x_ab + j_xa.T @ nu
-        out[rows["transversality_final"]] = lam_b - k_end[n:] @ x_ab - j_xb.T @ nu
+        out[self._reduced_rows] = self._reduced_jvp(blocks, cols)
         return out.reshape(dy.shape)
+
+    def _reduced_jvp(self, blocks, cols: Array) -> Array:
+        """The rows ``_reduced_rows`` of :meth:`jvp` for the (n_y, c)
+        ``cols``: control stationarity, endpoint feasibility and
+        transversality, the rows that no side of the condensed step
+        eliminates."""
+        fx, fu, curv, j_xa, j_xb, k_end = blocks
+        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(cols)
+        n, c = self.n, cols.shape[1]
+        x_ab = np.concatenate([x_a, x_b])
+        return np.concatenate([
+            (fu.transpose(0, 2, 1) @ lam + curv[:, n:] @ np.concatenate([X, U], axis=1)).reshape(
+                -1, c
+            ),
+            j_xa @ x_a + j_xb @ x_b,
+            lam_a + k_end[:n] @ x_ab + j_xa.T @ nu,
+            lam_b - k_end[n:] @ x_ab - j_xb.T @ nu,
+        ])
 
     def newton_step(self, y: Array, r: Array) -> Array:
         """The Newton step dy, J dy = -r, for the residual ``r`` at ``y``.
@@ -477,10 +489,12 @@ class _IndirectSystem:
         costate side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and
         each side's equivalency rows give its endpoint opposite the anchor.
         Both sides are :meth:`AnchoredBlock.condense`, one factor each, block
-        lower triangular over the groups of states F_x couples.  What is
+        lower triangular over the groups of states F_x couples; the state
+        side takes the unit dU columns as F_u outer products.  What is
         left is square in p = (dU, x_anchor, lam_anchor, nu) over the control
         stationarity, endpoint and transversality rows, of order
-        (N+1) n_u + 2 n_x + n_e, and is solved by
+        (N+1) n_u + 2 n_x + n_e, is evaluated on those rows alone and is
+        solved by
         :func:`solver.regularized_solve` (+d where singular).  The step must
         meet |J dy + r| <= 1e-8 (1 + |r|) on the row-scaled rows.  Raises
         NoConvergenceError on a zero pivot of M_s or M_c, an unsolvable
@@ -497,11 +511,10 @@ class _IndirectSystem:
         part = dict(zip(self._shapes, self.split(cols)))
         X, U, V, lam, om = (part[nm] for nm in ("X", "U", "V", "lam", "om"))
 
-        V[...] = fu @ U
-        V[..., -1] -= r_of["dynamics"].reshape(m, n)
+        V[..., -1] -= r_of["dynamics"].reshape(m, n)  # F_u dU: the unit dU columns
         anchor, other = self._state_ends
         if self.state.condense(
-            fx, X, V, part[anchor], part[other],
+            fx, fu, X, V, part[anchor], part[other],
             r_of["state_interpolation"], r_of["state_equivalency"],
         ) is None:
             raise NoConvergenceError("singular Newton matrix in indirect solve")
@@ -509,12 +522,12 @@ class _IndirectSystem:
         om[..., -1] -= r_of["adjoint"].reshape(m, n)
         anchor, other = self._costate_ends
         if self.costate.condense(
-            -fx.transpose(0, 2, 1), lam, om, part[anchor], part[other],
+            -fx.transpose(0, 2, 1), np.zeros((m, n, 0)), lam, om, part[anchor], part[other],
             r_of["costate_interpolation"], r_of["costate_equivalency"],
         ) is None:
             raise NoConvergenceError("singular Newton matrix in indirect solve")
 
-        reduced = self.jvp(blocks, cols)[self._reduced_rows]
+        reduced = self._reduced_jvp(blocks, cols)
         reduced[:, -1] += unweighted[self._reduced_rows]
         p = regularized_solve(reduced[:, :-1], -reduced[:, -1], np.ones(n_p))
         if p is None:

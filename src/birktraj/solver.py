@@ -4,7 +4,12 @@ Works against a small structural interface, with no optional members:
 ``n_z``, ``objective``, ``objective_gradient``, ``constraints``,
 ``jacobian``, ``equality_mask``, ``lagrangian_hessian``, ``newton_system``
 and ``rows``, a name -> slice map of the constraint row blocks that the
-result carries along with its multipliers.
+result carries along with its multipliers.  ``jacobian(z)`` is called once
+per iterate and may return any linear operator J (a matrix, or
+DiscretizedNlp's node blocks): the solver takes only ``J.T @ mu`` from it
+and hands it to ``newton_system``.  ``constraints`` and ``jacobian`` raise
+EvaluationError where a callback gives non-finite values, and the solve
+then ends ``infeasible``.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
 as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
 solution.
@@ -25,8 +30,8 @@ mu_w are the least-squares multipliers argmin ||g + J_w^T mu|| of the
 optimality test.  The estimate and the step of an iterate share its
 system, which ``solve`` releases before the next Jacobian is built.
 DiscretizedNlp condenses the system through the identity blocks of its
-rows; SimpleNlp takes :func:`dense_newton_step`.  A singular system is
-shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
+rows; a problem with a dense Jacobian can solve it whole.  A singular
+system is shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
 REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
 whose -dI block makes dependent working rows solvable), and the shifted
 solution is refined once against the unshifted matrix:
@@ -37,15 +42,14 @@ solve is refined once with its own factor.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack, lstsq
+from scipy.linalg import lapack
 
 from .errors import EvaluationError, ShapeError, UnsupportedProblemError
-from .ocp import FD_STEP, _central_jacobian, complementarity_violation, constraint_violation
+from .ocp import complementarity_violation, constraint_violation
 from .output import write_csv
 
 Array = np.ndarray
@@ -103,39 +107,6 @@ class NlpResult:
         return self.status is SolveStatus.CONVERGED
 
 
-@dataclass(frozen=True)
-class SimpleNlp:
-    """Ad-hoc NLP for tests and experiments; same interface as DiscretizedNlp."""
-
-    n_z: int
-    objective: Callable[[Array], float]
-    objective_gradient: Callable[[Array], Array]
-    constraints: Callable[[Array], Array] = lambda z: np.zeros(0)
-    jacobian: Callable[[Array], Array] | None = None
-    equality_mask: Array = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    rows: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.jacobian is None:
-            object.__setattr__(self, "jacobian", lambda z: np.zeros((0, self.n_z)))
-
-    def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
-        return _fd_lagrangian_hessian(self, z, mu)
-
-    def newton_system(self, jac: Array):
-        return lambda hess, g, r, working: dense_newton_step(hess, jac, g, r, working)
-
-
-def _fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
-    def grad_l(zz):
-        g = nlp.objective_gradient(zz)
-        r_jac = nlp.jacobian(zz)
-        return g + np.asarray(r_jac).T @ mu if mu.size else g
-
-    hess = _central_jacobian(lambda Z: grad_l(Z[0])[None], z[None], FD_STEP)[0]
-    return 0.5 * (hess + hess.T)
-
-
 def _kkt_measures(g: Array, jac: Array, r: Array, mu: Array, eq: Array):
     """(stationarity, feasibility, complementarity) infinity norms."""
     stat = float(np.max(np.abs(g + jac.T @ mu))) if mu.size else float(np.max(np.abs(g)))
@@ -147,7 +118,7 @@ def kkt_residual(nlp, z: Array, multipliers: Array) -> float:
     """max of stationarity, feasibility, complementarity infinity norms."""
     mu = np.asarray(multipliers, dtype=float)
     eq = np.asarray(nlp.equality_mask, dtype=bool)
-    g, jac = nlp.objective_gradient(z), np.asarray(nlp.jacobian(z))
+    g, jac = nlp.objective_gradient(z), nlp.jacobian(z)
     return float(max(_kkt_measures(g, jac, nlp.constraints(z), mu, eq)))
 
 
@@ -191,23 +162,6 @@ def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
     return None
 
 
-def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Array):
-    """The Newton-KKT step on the full matrices by :func:`regularized_solve`;
-    the estimate call takes mu_w by rank-revealing pivoted QR (LAPACK gelsy),
-    minimum-norm on dependent rows, and dz = -(g + J_w^T mu_w).  Returns
-    (dz, mu_w), or None when no shift makes the matrix solvable."""
-    jac_w = jac[working]
-    if hess.ndim == 1:
-        cutoff = np.finfo(float).eps * max(jac_w.shape)
-        mu = lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
-        return -(g + jac_w.T @ mu), mu
-    m, n = jac_w.shape
-    kkt = np.block([[hess, jac_w.T], [jac_w, np.zeros((m, m))]])
-    signs = np.concatenate([np.ones(n), -np.ones(m)])
-    sol = regularized_solve(kkt, np.concatenate([-g, -r[working]]), signs)
-    return None if sol is None else (sol[:n], sol[n:])
-
-
 def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
     opts = options or SolverOptions()
     z = np.asarray(z0, dtype=float).copy()
@@ -241,12 +195,12 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
     while True:
         try:
             r = nlp.constraints(z)
-            jac = np.asarray(nlp.jacobian(z), dtype=float)
+            jac = nlp.jacobian(z)
             f = nlp.objective(z)
             g = nlp.objective_gradient(z)
         except EvaluationError:
             return finish(SolveStatus.INFEASIBLE, np.inf)
-        if not (np.isfinite(f) and np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+        if not (np.isfinite(f) and np.all(np.isfinite(r))):
             return finish(SolveStatus.INFEASIBLE, np.inf)
         system = nlp.newton_system(jac)
 

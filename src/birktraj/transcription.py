@@ -1,4 +1,4 @@
-"""Transcription of endpoint-cost problems into dense NLPs on a Birkhoff basis.
+"""Transcription of endpoint-cost problems into NLPs on a Birkhoff basis.
 
 Four anchored forms are supported.  Form ``a`` pins the state interpolant to
 the left endpoint value x_a, form ``b`` to x_b; the starred forms impose the
@@ -29,8 +29,10 @@ states that F_x couples, so that only the coupled diagonal blocks, of order
 reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
 of multiple shooting, Bock and Plitt 1984).  The elimination is
 :meth:`AnchoredBlock.condense`, which the indirect solver in ``dual`` calls
-for both of its sides too.  The Hessian of the Lagrangian is kept as node
-blocks, so no n_z x n_z matrix is built in a solve.  The reduced KKT is
+for both of its sides too.  The constraint Jacobian is a
+:class:`NodeJacobian` (F_x and F_u node blocks and the endpoint rows) and the
+Hessian of the Lagrangian node blocks too, so no n_rows x n_z or n_z x n_z
+matrix is built in a solve.  The reduced KKT is
 shifted by the solver's :func:`regularized_solve` when it is singular, as on
 dependent endpoint rows, so this is the NLP's only Newton step: it gives
 none only when M has an exactly zero pivot or a result is not finite.
@@ -43,7 +45,9 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator
 
 from .birkhoff import BirkhoffSystem
 from .errors import (
@@ -132,10 +136,17 @@ def set_node_blocks(out: Array, row0: int, col0: int, blocks: Array) -> None:
     out[_node_block_index(*blocks.shape, row0, col0)] = blocks
 
 
-def node_blocks(mat: Array, row0: int, col0: int, m: int, p: int, q: int) -> Array:
-    """The m diagonal blocks (p x q) of ``mat`` from (row0, col0): the inverse
-    of :func:`set_node_blocks`."""
-    return mat[_node_block_index(m, p, q, row0, col0)]
+def add_unit_columns(table: Array, blocks: Array) -> Array:
+    """Add (m, p, k) node ``blocks`` to an (m, p, c) node ``table`` at each
+    node's own unit control columns: ``blocks[j]`` at columns j k .. j k +
+    k - 1 of node j.  This is ``blocks`` times the first m k unit columns of
+    a table of node controls, without the product."""
+    m, p, k = blocks.shape
+    s_node, s_row, s_col = table.strides
+    # one node on is one node and k columns on: in bounds while m k <= c
+    at_units = as_strided(table, (m, p, k), (s_node + k * s_col, s_row, s_col))
+    at_units += blocks
+    return table
 
 
 class AnchoredBlock:
@@ -181,6 +192,18 @@ class AnchoredBlock:
             -np.kron(self.w[None, :], eye),
         )
 
+    def residual_transpose(self, interp: Array, equiv: Array):
+        """The transpose of :meth:`residual`'s rows applied to multipliers
+        ``interp`` (N+1, n) and ``equiv`` (n): their gradients wrt (values,
+        derivs, left, right)."""
+        anchor = -interp.sum(axis=0)
+        return (
+            interp,
+            -(self.B.T @ interp) - np.outer(self.w, equiv),
+            -equiv + anchor if self.anchored_left else -equiv,
+            equiv if self.anchored_left else equiv + anchor,
+        )
+
     def write_partials(self, jac: Array, rows, cols) -> None:
         """Write the partials into ``jac`` at ``rows`` = (interpolation,
         equivalency) and ``cols`` = (values, derivs, left, right) slices."""
@@ -222,25 +245,43 @@ class AnchoredBlock:
             groups.append((rows, lu, piv, cols, None if cols is None else G[:, rows][:, :, cols]))
         return CondensingFactor(self.B, tuple(groups))
 
-    def condense(self, G, values, derivs, anchor, other, r_interp, r_equiv, factor=None):
+    def condense(self, G, controls, values, derivs, anchor, other, r_interp, r_equiv,
+                 factor=None):
         """Solve the interpolation and equivalency rows in every column of the
         (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
         endpoint tables ``anchor`` and ``other``, given the anchor and the
         derivatives as G values + the ``derivs`` on entry (G: node blocks).
-        Fills ``values``, completes ``derivs`` and sets ``other``, the endpoint
-        opposite the anchor; ``r_interp`` and ``r_equiv`` enter the last
-        column.  One solve with ``factor``, :meth:`factor` of G, which is
-        computed when not given.  Returns that factor, or None on an exactly
-        zero pivot."""
+
+        The first (N+1) k columns are unit control columns, k =
+        ``controls.shape[2]``: their derivs on entry are ``controls`` (node
+        blocks) times those units, written here by :func:`add_unit_columns`,
+        so B takes them as the outer products B[:, j] (x) controls[j] and
+        multiplies only the other columns.  Fills ``values``, completes
+        ``derivs`` and sets ``other``, the endpoint opposite the anchor;
+        ``r_interp`` and ``r_equiv`` enter the last column.  One solve with
+        ``factor``, :meth:`factor` of G, which is computed when not given.
+        Returns that factor, or None on an exactly zero pivot."""
         if factor is None:
             factor = self.factor(G)
             if factor is None:
                 return None
         m, n, c = values.shape
+        k = controls.shape[2]
+        mk = m * k
         sign = 1.0 if self.anchored_left else -1.0  # the equivalency row gives other - anchor
-        rhs = anchor + (self.B @ derivs.reshape(m, -1)).reshape(m, n, c)
-        rhs[..., -1] -= r_interp.reshape(m, n)
-        values[...] = factor.solve(rhs)
+        # the right-hand side, built in values and solved there; B[i, j]
+        # controls[j, a, l] at column j k + l, with that axis innermost
+        np.multiply(
+            np.repeat(self.B, k, axis=1)[:, None, :],
+            controls.transpose(1, 0, 2).reshape(n, mk),
+            out=values[..., :mk],
+        )
+        values[..., mk:] = (self.B @ derivs[..., mk:].reshape(m, -1)).reshape(m, n, c - mk)
+        values += anchor
+        values[..., -1] -= r_interp.reshape(m, n)
+        factor.solve(values)
+        derivs[..., :mk] = 0.0
+        add_unit_columns(derivs, controls)
         derivs += G @ values
         other[...] = anchor + sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
         other[:, -1] -= sign * r_equiv
@@ -306,9 +347,9 @@ class CondensingFactor:
 
     def solve(self, rhs: Array, trans: bool = False) -> Array:
         """M^-1 rhs, or M^-T rhs when ``trans``, for an (N+1, n, c) node
-        table ``rhs``, which it may overwrite: block substitution, forward
-        or, transposed, backward over the groups.  One group of every state
-        is one LU solve with M's factor."""
+        table ``rhs``, written over ``rhs`` and returned: block
+        substitution, forward or, transposed, backward over the groups.  One
+        group of every state is one LU solve with M's factor."""
         m, c, B = len(rhs), rhs.shape[2], self.B
         for states, lu, piv, sources, coupling in self.groups[::-1] if trans else self.groups:
             if sources is not None and not trans:
@@ -326,8 +367,71 @@ class CondensingFactor:
         return rhs
 
 
+class NodeJacobian(LinearOperator):
+    """The constraint Jacobian of a :class:`DiscretizedNlp` at one iterate, as
+    node blocks: ``fx`` (N+1, n_x, n_x) and ``fu`` (N+1, n_x, n_u), F_x and
+    F_u in physical variables, and ``e_xa``, ``e_xb`` (n_e, n_x), the
+    endpoint rows; the other rows are constant.  As a linear operator it is
+    the matrix wrt stored variables, with the row and column scaling of the
+    form: ``J @ v`` and ``J.T @ mu`` are node-block products, and
+    :meth:`dense` assembles it.  Not changed after it is built.
+    """
+
+    def __init__(self, nlp: "DiscretizedNlp", fx: Array, fu: Array, e_xa: Array, e_xb: Array):
+        super().__init__(float, (nlp.n_rows, nlp.n_z))
+        self.nlp, self.fx, self.fu, self.e_xa, self.e_xb = nlp, fx, fu, e_xa, e_xb
+
+    def _matvec(self, v: Array) -> Array:
+        nlp = self.nlp
+        X, U, V, x_a, x_b = nlp.unpack(np.ravel(v))
+        out = np.empty(nlp.n_rows)
+        rows = nlp.rows
+        out[rows["state_interpolation"]], out[rows["grid_equivalency"]] = nlp.state.residual(
+            X, V, x_a, x_b
+        )
+        out[rows["dynamics"]] = (V - np.einsum("iab,ib->ia", self.fx, X)
+                                 - np.einsum("iab,ib->ia", self.fu, U)).ravel()
+        out[rows["endpoint"]] = self.e_xa @ x_a + self.e_xb @ x_b
+        return out * nlp._row_scale
+
+    def _rmatvec(self, mu: Array) -> Array:
+        nlp = self.nlp
+        m, n, rows = nlp.n_nodes, nlp.n_x, nlp.rows
+        mu = np.ravel(mu) * nlp._row_scale
+        dyn, end = mu[rows["dynamics"]].reshape(m, n), mu[rows["endpoint"]]
+        X, V, x_a, x_b = nlp.state.residual_transpose(
+            mu[rows["state_interpolation"]].reshape(m, n), mu[rows["grid_equivalency"]]
+        )
+        # the dynamics rows carry -f
+        out = np.concatenate([
+            (X - np.einsum("iab,ia->ib", self.fx, dyn)).ravel(),
+            -np.einsum("iab,ia->ib", self.fu, dyn).ravel(),
+            (V + dyn).ravel(),
+            x_a + self.e_xa.T @ end,
+            x_b + self.e_xb.T @ end,
+        ])
+        return out if nlp._col_scale is None else out * nlp._col_scale
+
+    def dense(self) -> Array:
+        """The n_rows x n_z matrix."""
+        nlp = self.nlp
+        jac = np.zeros(self.shape)
+        nlp.state.write_partials(jac, *nlp._state_layout)
+        dyn, end = nlp.rows["dynamics"], nlp.rows["endpoint"]
+        np.fill_diagonal(jac[dyn, nlp.slice_v], 1.0)
+        set_node_blocks(jac, dyn.start, nlp.slice_x.start, -self.fx)
+        if nlp.n_u:
+            set_node_blocks(jac, dyn.start, nlp.slice_u.start, -self.fu)
+        jac[end, nlp.slice_xa] = self.e_xa
+        jac[end, nlp.slice_xb] = self.e_xb
+        jac *= nlp._row_scale[:, None]
+        if nlp._col_scale is not None:
+            jac *= nlp._col_scale[None, :]
+        return jac
+
+
 class DiscretizedNlp:
-    """Dense NLP view of one problem/grid/form triple.
+    """NLP view of one problem/grid/form triple.
 
     Residual and derivative evaluation are pure and reentrant (dynamics
     callbacks are assumed pure), and the NLP keeps no state across calls:
@@ -385,10 +489,9 @@ class DiscretizedNlp:
             self._col_scale = col
 
         self.state = AnchoredBlock(sys, form.tag, n)
-        if form.tag.anchored_left:
-            self._anchor_other = (self.slice_xa, self.slice_xb, 1.0)
-        else:
-            self._anchor_other = (self.slice_xb, self.slice_xa, -1.0)
+        self._ab = slice(self.slice_xa.start, self.n_z)  # (x_a, x_b)
+        # the rows of the condensing T: all but those of U, which are units
+        self._t_rows = np.r_[self.slice_x, self.slice_v.start:self.n_z]
         self._state_layout = (
             (rows["state_interpolation"], rows["grid_equivalency"]),
             (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
@@ -461,26 +564,24 @@ class DiscretizedNlp:
         r[rows["endpoint"]] = self.ocp.constraints.fun(x_a, x_b)
         return r
 
-    def jacobian(self, z: Array) -> Array:
-        """Dense Jacobian of the (row-scaled) constraints wrt stored variables."""
+    def jacobian(self, z: Array) -> NodeJacobian:
+        """The Jacobian of the (row-scaled) constraints wrt stored variables,
+        as the node blocks of a :class:`NodeJacobian`.  Raises
+        EvaluationError when a block is not finite."""
         X, U, _, x_a, x_b = self.unpack(z)
-        jac = np.zeros((self.n_rows, self.n_z))
-        self.state.write_partials(jac, *self._state_layout)
-
-        dyn, end = self.rows["dynamics"], self.rows["endpoint"]
-        np.fill_diagonal(jac[dyn, self.slice_v], 1.0)
-        set_node_blocks(jac, dyn.start, self.slice_x.start, -self.ocp.jac_fx(X, U))
-        if self.n_u:
-            set_node_blocks(jac, dyn.start, self.slice_u.start, -self.ocp.jac_fu(X, U))
-
+        fx = self.ocp.jac_fx(X, U)
+        fu = self.ocp.jac_fu(X, U) if self.n_u else np.zeros((self.n_nodes, self.n_x, 0))
+        bad = ~(np.isfinite(fx).all(axis=(1, 2)) & np.isfinite(fu).all(axis=(1, 2)))
+        if bad.any():
+            raise EvaluationError(
+                f"dynamics Jacobian returned non-finite values at node {int(np.argmax(bad))}"
+            )
         con = self.ocp.constraints
-        jac[end, self.slice_xa] = con.jac_xa(x_a, x_b)
-        jac[end, self.slice_xb] = con.jac_xb(x_a, x_b)
-
-        jac *= self._row_scale[:, None]
-        if self._col_scale is not None:
-            jac *= self._col_scale[None, :]
-        return jac
+        e_xa = np.asarray(con.jac_xa(x_a, x_b), dtype=float)
+        e_xb = np.asarray(con.jac_xb(x_a, x_b), dtype=float)
+        if not (np.isfinite(e_xa).all() and np.isfinite(e_xb).all()):
+            raise EvaluationError("endpoint constraint Jacobian returned non-finite values")
+        return NodeJacobian(self, fx, fu, e_xa, e_xb)
 
     # --- Lagrangian pieces used by the solver ------------------------------------
 
@@ -513,50 +614,37 @@ class DiscretizedNlp:
         set_node_blocks(out, x0, u0, K[:, :n, n:])
         set_node_blocks(out, u0, x0, K[:, n:, :n])
         set_node_blocks(out, u0, u0, K[:, n:, n:])
-        iab = slice(self.slice_xa.start, self.slice_xb.stop)
-        out[iab, iab] += k_end
+        out[self._ab, self._ab] += k_end
         if self._col_scale is not None:
             out *= self._col_scale[:, None]
             out *= self._col_scale[None, :]
         return out
 
     def _hessian_times(self, hess, v: Array) -> Array:
-        """H v in physical variables for an (n_z, c) ``v``; ``hess`` as in
+        """H v in physical variables for a vector ``v``; ``hess`` as in
         :meth:`newton_system`."""
         col = self._col_scale
-        if isinstance(hess, np.ndarray):  # the diagonal of H in stored variables
-            return (hess if col is None else hess / (col * col))[:, None] * v
+        if isinstance(hess, np.ndarray):  # H = I in stored variables
+            return v if col is None else v / (col * col)
         K, k_end = hess
-        m, n, c = self.n_nodes, self.n_x, v.shape[1]
-        x, u = v[self.slice_x].reshape(m, n, c), v[self.slice_u].reshape(m, self.n_u, c)
-        kv = K[:, :, :n] @ x + K[:, :, n:] @ u
-        out = np.zeros(v.shape)
-        out[self.slice_x], out[self.slice_u] = kv[:, :n].reshape(-1, c), kv[:, n:].reshape(-1, c)
-        ab = slice(self.slice_xa.start, self.slice_xb.stop)
-        out[ab] = k_end @ v[ab]
+        m, n = self.n_nodes, self.n_x
+        xu = np.concatenate(
+            [v[self.slice_x].reshape(m, n), v[self.slice_u].reshape(m, self.n_u)], axis=1
+        )
+        kv = np.einsum("iab,ib->ia", K, xu)
+        out = np.zeros(self.n_z)
+        out[self.slice_x], out[self.slice_u] = kv[:, :n].ravel(), kv[:, n:].ravel()
+        out[self._ab] = k_end @ v[self._ab]
         return out
 
     # --- condensed Newton step -----------------------------------------------------
 
-    def _dynamics_blocks(self, jac: Array):
-        """Node blocks (F_x, F_u) of the dynamics Jacobian, in physical
-        variables, read off the dynamics rows of the stored Jacobian."""
-        m, n, nu = self.n_nodes, self.n_x, self.n_u
-        row0 = self.rows["dynamics"].start
-        # minus the row weight (starred) times the column weight (scaled) of each node
-        weight = -self._row_scale[row0:row0 + m * n:n]
-        if self._col_scale is not None:
-            weight = weight / self._w
-        fx = node_blocks(jac, row0, self.slice_x.start, m, n, n) / weight[:, None, None]
-        fu = node_blocks(jac, row0, self.slice_u.start, m, n, nu) / weight[:, None, None]
-        return fx, fu
-
-    def newton_system(self, jac: Array):
+    def newton_system(self, jac: NodeJacobian):
         """The solver's Newton-KKT system at the iterate whose Jacobian is
         ``jac``: a step solver ``step(hess, g, r, working) -> (dz, mu_w) |
         None`` for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], where
-        ``hess`` is :meth:`lagrangian_hessian`'s node blocks or a 1-D
-        diagonal of H in stored variables.
+        ``hess`` is :meth:`lagrangian_hessian`'s node blocks, or any 1-D
+        array for the estimate call, H = I in stored variables.
 
         The system is condensed through the identity blocks of the rows.  The
         dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation rows
@@ -566,68 +654,94 @@ class DiscretizedNlp:
         F_x/F_u blocks, so they are built here, once per iterate: M is
         factored by :meth:`AnchoredBlock.factor`, which LU-factors only the
         diagonal blocks of the groups of states F_x couples, and T's columns
-        come from one elimination, :meth:`AnchoredBlock.condense`.  Each step adds t, the
-        step at p = 0 (one more solve with that factor), factors the reduced
-        KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint
-        rows E by :func:`solver.regularized_solve`, shifted +d on p and -d
-        on the endpoint rows only when it is singular, and recovers the
-        eliminated multipliers by back-substitution in the columns of
-        x_other, X and V.  H T and H dz are node-block products.  Works in
-        physical variables, since the solution does not depend on the row and
-        column scaling.  Every step is None when M has an exactly zero pivot;
-        otherwise a step is None when no shift makes the reduced KKT solvable
-        or a result is not finite.
+        come from one elimination, :meth:`AnchoredBlock.condense`, in which
+        the dU columns enter as outer products.  T keeps the rows of X, V,
+        x_a and x_b; its dU rows are the unit columns.  Each step adds t, the
+        step at p = 0 (one more solve with that factor), and factors the
+        reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
+        endpoint rows E by :func:`solver.regularized_solve`, shifted +d on p
+        and -d on the endpoint rows only when it is singular.  T^T H T is
+        built from the rows of T that H touches: those of X and x_a, x_b for
+        the node blocks, with the dU rows added as units, and all of T, as
+        one symmetric product T^T D T, for the estimate's diagonal D.  The
+        eliminated multipliers come by back-substitution in the columns of
+        x_other, X and V.  Works in physical variables, since the solution
+        does not depend on the row and column scaling.  Every step is None
+        when M has an exactly zero pivot; otherwise a step is None when no
+        shift makes the reduced KKT solvable or a result is not finite.
         """
-        fx, fu = self._dynamics_blocks(jac)
         m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
-        n_p = n_u + n
-        U = np.eye(n_u, n_p)  # unit dU columns, then the dx_anchor columns
-        X, V = np.empty((m, n, n_p)), fu @ U.reshape(m, self.n_u, n_p)
-        anchor, other = np.eye(n, n_p, n_u), np.empty((n, n_p))
-        factor = self.state.condense(fx, X, V, anchor, other, np.zeros(m * n), np.zeros(n))
+        mn, n_p = m * n, n_u + n
+        # a unit step in each free unknown (the dU columns, then dx_anchor),
+        # solved in place in T's rows X, V, x_a, x_b; dx_anchor moves no V
+        T = np.empty((2 * mn + 2 * n, n_p))
+        X, V = T[:mn].reshape(m, n, n_p), T[mn:2 * mn].reshape(m, n, n_p)
+        V[..., n_u:] = 0.0
+        ends = T[2 * mn:].reshape(2, n, n_p)  # x_a, x_b
+        anchor, other = ends if self.state.anchored_left else ends[::-1]
+        anchor[...] = np.eye(n, n_p, n_u)
+        factor = self.state.condense(
+            jac.fx, jac.fu, X, V, anchor, other, np.zeros(mn), np.zeros(n)
+        )
         if factor is None:
             return lambda hess, g, r, working: None
-        ends = (anchor, other) if self.state.anchored_left else (other, anchor)
-        # rows in the stored order (X, U, V, x_a, x_b); built after the
-        # elimination, since a T allocated before its temporaries left the
-        # heap more fragmented (~4 MB more peak RSS on scalar-lq at N = 256)
-        T = np.concatenate([X.reshape(m * n, n_p), U, V.reshape(m * n, n_p), *ends])
-        return partial(self._newton_step, fx, factor, T, jac[self.rows["endpoint"]].copy())
+        return partial(self._newton_step, jac, factor, T)
 
-    def _newton_step(self, fx, factor, T, e_all, hess, g, r, working):
-        """One step of :meth:`newton_system`'s system; ``e_all`` holds the
-        Jacobian's endpoint rows."""
-        m, n = self.n_nodes, self.n_x
+    def _newton_step(self, jac, factor, T, hess, g, r, working):
+        """One step of :meth:`newton_system`'s system, with T's rows
+        :attr:`_t_rows`."""
+        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
+        mn, n_p = m * n, T.shape[1]
         rows, col = self.rows, self._col_scale
         r = r / self._row_scale
         if col is not None:
             g = g / col
         r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
         e_work = working[rows["endpoint"]]
-        ends, e_rows = rows["endpoint"].start + np.flatnonzero(e_work), e_all[e_work]
-        B, w = self.state.B, self._w
-        _, other, sign = self._anchor_other
+        ends = rows["endpoint"].start + np.flatnonzero(e_work)
+        e_rows = np.hstack([jac.e_xa, jac.e_xb])[e_work]  # over (x_a, x_b)
+        B, w, fx = self.state.B, self._w, jac.fx
+        # the endpoint opposite the anchor, within (x_a, x_b)
+        sign, other = (1.0, slice(n, 2 * n)) if self.state.anchored_left else (-1.0, slice(n))
 
         # t, the step at p = 0: the one column of the condensation that r enters
         t_x, t_v, t_other = np.empty((m, n, 1)), -r2.reshape(m, n, 1), np.empty((n, 1))
-        self.state.condense(fx, t_x, t_v, np.zeros((n, 1)), t_other, r1, r3, factor)
+        self.state.condense(
+            fx, np.zeros((m, n, 0)), t_x, t_v, np.zeros((n, 1)), t_other, r1, r3, factor
+        )
         t = np.zeros(self.n_z)
-        t[self.slice_x], t[self.slice_v], t[other] = t_x.ravel(), t_v.ravel(), t_other[:, 0]
+        t[self.slice_x], t[self.slice_v] = t_x.ravel(), t_v.ravel()
+        t[self._ab][other] = t_other[:, 0]
 
-        # the endpoint rows and the x_a, x_b columns carry no scaling
-        ht, ht_t = self._hessian_times(hess, T), self._hessian_times(hess, t[:, None])[:, 0]
-        e_t = e_rows @ T
-        kkt = np.block([[T.T @ ht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
-        rhs = -np.concatenate([T.T @ ht_t + T.T @ g, r[ends] + e_rows @ t])
-        n_p = T.shape[1]
+        t_end = T[2 * mn:]
+        if isinstance(hess, np.ndarray):  # D = 1 / col^2 in physical variables
+            Ts = T if col is None else T / np.abs(col[self._t_rows])[:, None]
+            tht = Ts.T @ Ts
+            u = np.arange(n_u)
+            tht[u, u] += 1.0 if col is None else 1.0 / (col[self.slice_u] * col[self.slice_u])
+        else:  # K over each node's (x, u), k_end over (x_a, x_b); zero on V
+            K, k_end = hess
+            tx = T[:mn].reshape(m, n, n_p)
+            ht_x = add_unit_columns(K[:, :n, :n] @ tx, K[:, :n, n:])
+            ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
+            tht = T[:mn].T @ ht_x.reshape(mn, n_p) + t_end.T @ (k_end @ t_end)
+            tht[:n_u] += ht_u.reshape(n_u, n_p)
+        s = self._hessian_times(hess, t) + g  # H t + g
+        t_s = T.T @ s[self._t_rows]
+        t_s[:n_u] += s[self.slice_u]
+        e_t = e_rows @ t_end
+        kkt = np.block([[tht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
+        rhs = -np.concatenate([t_s, r[ends] + e_rows @ t[self._ab]])
         sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(ends.size)]))
         if sol is None:
             return None
         p, mu4 = sol[:n_p], sol[n_p:]
-        dz = T @ p + t
+        dz = t
+        dz[self._t_rows] += T @ p
+        dz[self.slice_u] = p[:n_u]
 
-        s = g + (ht @ p + ht_t)  # H dz + g
-        mu3 = -sign * (s[other] + e_rows[:, other].T @ mu4)
+        s = self._hessian_times(hess, dz) + g  # H dz + g
+        mu3 = -sign * (s[self._ab][other] + e_rows[:, other].T @ mu4)
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)

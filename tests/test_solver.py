@@ -8,7 +8,6 @@ from scipy.linalg import lstsq as scipy_lstsq
 from birktraj import (
     PrimalForm,
     ShapeError,
-    SimpleNlp,
     SolveStatus,
     SolverOptions,
     build_birkhoff,
@@ -30,6 +29,8 @@ from birktraj import (
     verify_pontryagin,
     write_iteration_log,
 )
+import dense_oracle
+from dense_oracle import SimpleNlp
 
 
 FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False),
@@ -202,7 +203,7 @@ def structured_estimate_only(monkeypatch):
     def no_qr(*args, **kwargs):
         raise AssertionError("a DiscretizedNlp path reached pivoted QR")
 
-    monkeypatch.setattr(solver, "lstsq", no_qr)
+    monkeypatch.setattr(dense_oracle, "lstsq", no_qr)
 
 
 def estimate_error(nlp) -> float:
@@ -210,9 +211,9 @@ def estimate_error(nlp) -> float:
     constant-midpoint guess from the SVD solution, relative to it (absolute
     where it is zero)."""
     z = initial_guess(nlp, "constant-midpoint")
-    jac, eq = np.asarray(nlp.jacobian(z)), nlp.equality_mask
+    jac, eq = nlp.jacobian(z), nlp.equality_mask
     g = nlp.objective_gradient(z)
-    ref = np.linalg.lstsq(jac[eq].T, -g, rcond=None)[0]
+    ref = np.linalg.lstsq(jac.dense()[eq].T, -g, rcond=None)[0]
     _, mu = nlp.newton_system(jac)(np.ones(nlp.n_z), g, np.zeros(eq.size), eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
@@ -256,7 +257,7 @@ def test_duplicated_row_takes_qr_route_to_minimum_norm_multipliers(monkeypatch):
         qr_calls.append(kwargs["lapack_driver"])
         return scipy_lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "lstsq", counted_lstsq)
+    monkeypatch.setattr(dense_oracle, "lstsq", counted_lstsq)
     res = solve(nlp, np.zeros(3))
     assert res.converged, res.status
     assert qr_calls and set(qr_calls) == {"gelsy"}
@@ -275,7 +276,9 @@ def test_nearly_dependent_rows_take_pivoted_qr_without_a_structured_step():
     jac[4] = jac[0] + 1e-7 * rng.standard_normal(9)
     g = rng.standard_normal(9)
     ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
-    _, mu = solver.dense_newton_step(np.ones(9), jac, g, np.zeros(5), np.ones(5, dtype=bool))
+    _, mu = dense_oracle.dense_newton_step(
+        np.ones(9), jac, g, np.zeros(5), np.ones(5, dtype=bool)
+    )
     assert np.linalg.norm(mu - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
@@ -358,12 +361,13 @@ def test_double_integrator_matches_analytic_solution():
 
 
 def dense_system(nlp, jac):
-    """``nlp``'s Newton system solved by the solver's dense Newton step on
-    the assembled Hessian."""
+    """``nlp``'s Newton system solved by the dense oracle's Newton step on
+    the assembled Hessian and Jacobian."""
+    dense_jac = jac.dense()
 
     def step(hess, g, r, working):
         dense = hess if isinstance(hess, np.ndarray) else nlp.dense_hessian(hess)
-        return solver.dense_newton_step(dense, jac, g, r, working)
+        return dense_oracle.dense_newton_step(dense, dense_jac, g, r, working)
 
     return step
 
@@ -389,8 +393,8 @@ def counting_dense_steps(monkeypatch):
         calls.append(1)
         return dense(*args)
 
-    dense = solver.dense_newton_step
-    monkeypatch.setattr(solver, "dense_newton_step", counted)
+    dense = dense_oracle.dense_newton_step
+    monkeypatch.setattr(dense_oracle, "dense_newton_step", counted)
     return calls
 
 

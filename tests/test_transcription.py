@@ -33,7 +33,8 @@ from birktraj import (
     transcribe,
 )
 from birktraj.ocp import pinned_endpoints
-from birktraj.transcription import AnchoredBlock
+from birktraj.transcription import AnchoredBlock, add_unit_columns
+from dense_oracle import assembled_jacobian, dense_newton_step, fd_lagrangian_hessian
 
 
 def scalar_mayer():
@@ -183,7 +184,7 @@ def test_jacobian_matches_finite_differences(form, scaled):
     nlp = make_nlp(form=form, scaled=scaled, N=5)
     rng = np.random.default_rng(11)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
-    jac = nlp.jacobian(z)
+    jac = nlp.jacobian(z).dense()
     h = 1e-6
     fd = np.zeros_like(jac)
     for j in range(nlp.n_z):
@@ -199,11 +200,64 @@ def test_linear_dynamics_jacobian_is_constant():
     nlp = make_nlp("scalar-lq", N=6)  # augmented dynamics are quadratic in u only
     rng = np.random.default_rng(5)
     z1, z2 = rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_z)
-    j1, j2 = nlp.jacobian(z1), nlp.jacobian(z2)
+    j1, j2 = nlp.jacobian(z1).dense(), nlp.jacobian(z2).dense()
     cols_u = nlp.slice_u
     mask = np.ones(nlp.n_z, dtype=bool)
     mask[cols_u] = False
     assert np.array_equal(j1[:, mask], j2[:, mask])
+
+
+FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True),
+         ("b", True)]
+FORM_IDS = [f"{f}{'+scaled' * s}" for f, s in FORMS]
+
+
+def random_iterate(nlp, seed):
+    rng = np.random.default_rng(seed)
+    return rng, rng.normal(size=nlp.n_z) * 0.5 + 0.1
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_dense_jacobian_is_the_whole_assembly_bit_for_bit(form, scaled, name):
+    nlp = make_nlp(name, form=form, scaled=scaled, N=7)
+    _, z = random_iterate(nlp, 17)
+    assert np.array_equal(nlp.jacobian(z).dense(), assembled_jacobian(nlp, z))
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_node_block_products_match_the_dense_jacobian(form, scaled, name):
+    nlp = make_nlp(name, form=form, scaled=scaled, N=9, kind="cgl")
+    rng, z = random_iterate(nlp, 19)
+    jac = nlp.jacobian(z)
+    dense = jac.dense()
+    mu, v = rng.normal(size=nlp.n_rows), rng.normal(size=nlp.n_z)
+    for got, want in ((jac.T @ mu, dense.T @ mu), (jac @ v, dense @ v)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_finite_jacobian_blocks_raise_in_jacobian():
+    ocp = prepared(registry("double-integrator-energy"))
+    sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
+
+    def poisoned(fn, node):
+        def callback(X, U):
+            out = np.array(fn(X, U), dtype=float)
+            out[node] = np.nan
+            return out
+
+        return callback
+
+    for name in ("jac_fx", "jac_fu"):
+        bad = dataclasses.replace(ocp, **{name: poisoned(getattr(ocp, name), 3)})
+        nlp = transcribe(bad, sys, PrimalForm("a"))
+        z = initial_guess(nlp)
+        nlp.constraints(z)  # the residual itself is finite
+        with pytest.raises(EvaluationError, match="node 3"):
+            nlp.jacobian(z)
+        assert solve(nlp, z).status is SolveStatus.INFEASIBLE
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
@@ -212,14 +266,12 @@ def test_linear_dynamics_jacobian_is_constant():
     [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True), ("b", True)],
 )
 def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
-    from birktraj.solver import _fd_lagrangian_hessian
-
     nlp = make_nlp(name, form=form, scaled=scaled, N=5)
     rng = np.random.default_rng(13)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
     mu = rng.normal(size=nlp.n_rows)
     hess = nlp.dense_hessian(nlp.lagrangian_hessian(z, mu))
-    fd = _fd_lagrangian_hessian(nlp, z, mu)
+    fd = fd_lagrangian_hessian(nlp, z, mu)
     assert np.array_equal(hess, hess.T)
     err = np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd)))
     assert err < 1e-6
@@ -306,8 +358,6 @@ def test_extract_primal_feasibility_is_unweighted_on_starred_forms():
 
 # --- condensed Newton step ---------------------------------------------------------
 
-FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True),
-         ("b", True)]
 
 # x' = u, running cost u^2, x(0) = 0 pinned, x(1) >= 1 as the inequality -x_b + 1 <= 0
 BOUNDED_REACH = {
@@ -325,15 +375,13 @@ BOUNDED_REACH = {
 
 
 def assert_step_matches_dense(nlp, seed=0):
-    from birktraj.solver import dense_newton_step
-
     rng = np.random.default_rng(seed)
     z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
     mu = rng.normal(size=nlp.n_rows)  # a non-optimal iterate: no multiplier fits
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    dz_ref, mu_ref = dense_newton_step(nlp.dense_hessian(hess), jac, g, r, working)
+    dz_ref, mu_ref = dense_newton_step(nlp.dense_hessian(hess), jac.dense(), g, r, working)
     dz, mu_w = nlp.newton_system(jac)(hess, g, r, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
@@ -380,6 +428,31 @@ def test_hessian_and_newton_steps_build_no_square_matrix():
         tracemalloc.stop()
     # one dense n_z x n_z Hessian alone would take 8 n_z^2 bytes
     assert peak < 8 * nlp.n_z**2 / 2
+
+
+def test_solve_builds_no_dense_jacobian():
+    nlp = make_nlp("nonlinear-scalar", N=128)
+    z = initial_guess(nlp, "linear-endpoint-interpolation")
+    tracemalloc.start()
+    try:
+        res = solve(nlp, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.iterations > 1
+    # one dense n_rows x n_z Jacobian alone would take 8 n_rows n_z bytes
+    assert peak < 8 * nlp.n_rows * nlp.n_z
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
+def test_solve_takes_one_jacobian_per_iterate(monkeypatch, name, form, scaled):
+    nlp = make_nlp(name, N=16, form=form, scaled=scaled)
+    calls, jacobian = [], nlp.jacobian
+    monkeypatch.setattr(nlp, "jacobian", lambda z: calls.append(1) or jacobian(z))
+    res = solve(nlp, initial_guess(nlp))
+    assert res.converged and res.iterations > 1
+    assert len(calls) == res.iterations + 1
 
 
 def singular_blocks(monkeypatch):
@@ -531,7 +604,9 @@ def condensed_side(block, G, derivs, r):
     array of the factor's groups."""
     m, n, c = derivs.shape
     values, derivs, other = np.zeros(derivs.shape), derivs.copy(), np.zeros((n, c))
-    factor = block.condense(G, values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:])
+    factor = block.condense(
+        G, np.zeros((m, n, 0)), values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:]
+    )
     return values, derivs, other, *(a for group in factor.groups for a in group)
 
 
@@ -620,6 +695,32 @@ def test_singular_diagonal_block_gives_no_factor(name, data):
     G[:, -1] = 0.0
     G[j, -1, -1] = g
     assert block.factor(G) is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", COUPLINGS)
+@pytest.mark.parametrize("tag", ["a", "b"])
+def test_control_columns_condense_like_their_written_out_units(tag, name, k):
+    # the unit control columns, taken as outer products, give what the same
+    # columns give written out in derivs and multiplied by B
+    N, n = 10, 3
+    block = AnchoredBlock(unit_system(N), tag, n)
+    m, rng = N + 1, np.random.default_rng(8)
+    G = rng.uniform(-0.5 / n, 0.5 / n, (m, n, n)) * coupling_pattern(name, n)
+    controls = rng.normal(size=(m, n, k))
+    c = m * k + 4
+    derivs = rng.normal(size=(m, n, c))
+    derivs[..., :m * k] = 0.0
+    anchor, r = rng.normal(size=(n, c)), rng.normal(size=m * n + n)
+    tables = []
+    for blocks, entry in ((controls, derivs), (np.zeros((m, n, 0)), derivs.copy())):
+        if not blocks.size:
+            add_unit_columns(entry, controls)
+        values, other = np.empty((m, n, c)), np.empty((n, c))
+        block.condense(G, blocks, values, entry, anchor, other, r[:m * n], r[-n:])
+        tables.append((values, entry, other))
+    for got, want in zip(*tables):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
