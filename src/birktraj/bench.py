@@ -48,7 +48,7 @@ from .dual import (
 )
 from .errors import BirktrajError, UnsupportedMappingError
 from .grid import make_grid
-from .ocp import prepared, registry, registry_solution
+from .ocp import registry, registry_solution
 from .output import write_csv, write_text
 from .solver import solve
 from .transcription import (
@@ -200,7 +200,7 @@ def _sigma_max(a: np.ndarray) -> float:
 def _kkt_condition(kind: str, N: int) -> float:
     """sigma_max/sigma_min of [[H, J^T], [J, 0]] for the LQ registry problem,
     assembled at the converged primal-dual point."""
-    ocp = prepared(registry(_COND_PROBLEM))
+    ocp = registry(_COND_PROBLEM)
     sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
     nlp = transcribe(ocp, sys, PrimalForm("a"))
     res = solve_with_fallback(nlp)
@@ -246,10 +246,10 @@ def convergence_study(
     """
     orders = _require_ascending(N_list)
     form = form if isinstance(form, PrimalForm) else PrimalForm(form)
-    ocp = prepared(registry(problem))
-    n_base = ocp.n_x_base if ocp.n_x_base is not None else ocp.n_x
+    ocp = registry(problem)  # transcribe and verify_pontryagin prepare it
+    n_base = ocp.n_x  # the solutions carry a cost state after these columns
 
-    reference = _reference_functions(problem, ocp, n_base, orders, oracle_order)
+    reference = _reference_functions(problem, ocp, orders, oracle_order)
 
     rows = []
     for N in orders:
@@ -309,7 +309,7 @@ def _failed_row(kind: str, N: int, note: str) -> ConvergenceRow:
     )
 
 
-def _reference_functions(problem, ocp, n_base, orders, oracle_order):
+def _reference_functions(problem, ocp, orders, oracle_order):
     """Closed-form reference, or an indirect fine-grid solve shaped like one."""
     sol = registry_solution(problem)
     if sol is not None and sol.costate is not None:
@@ -329,7 +329,7 @@ def _reference_functions(problem, ocp, n_base, orders, oracle_order):
         return np.vstack(
             [
                 eval_state_interpolant(oprimal.x_a[j], oprimal.V[:, j], osys, t)
-                for j in range(n_base)
+                for j in range(ocp.n_x)
             ]
         )
 
@@ -339,7 +339,7 @@ def _reference_functions(problem, ocp, n_base, orders, oracle_order):
                 eval_costate_interpolant(
                     odual.costate_final[j], odual.costate_derivs[:, j], osys, t
                 )
-                for j in range(n_base)
+                for j in range(ocp.n_x)
             ]
         )
 

@@ -46,7 +46,7 @@ from .dual import (
 )
 from .errors import BirktrajError, NotFoundError, UnsupportedMappingError
 from .grid import make_grid
-from .ocp import load_problem, prepared, registry, registry_names
+from .ocp import load_problem, registry, registry_names
 from .output import write_csv, write_json
 from .solver import SolverOptions, check_tolerance
 from .transcription import PrimalForm, extract_primal, transcribe
@@ -74,8 +74,8 @@ def _load_ocp(config):
             f"{registry_names()} or a JSON file path"
         )
     if config.problem.endswith(".json") or os.sep in config.problem:
-        return prepared(load_problem(config.problem))
-    return prepared(registry(config.problem))
+        return load_problem(config.problem)
+    return registry(config.problem)
 
 
 def _out_path(config, name: str) -> str:

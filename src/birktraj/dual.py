@@ -10,7 +10,10 @@ root by Newton steps condensed through the identity blocks of both sides'
 anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
 elimination the primal NLP uses, so it never builds the square Jacobian;
 each Newton step factors each side's condensing matrix once, LU-factoring
-only the diagonal blocks of the states that F_x couples.
+only the diagonal blocks of the states that F_x couples.  It solves the
+problem as defined, a staged running cost L read in the Hamiltonian
+H = L + lam . f, so an LQ problem's system is linear; the cost-state columns
+of the Mayer-augmented layout are then appended in closed form.
 :func:`verify_pontryagin` evaluates the residual once at a given
 (primal, dual) pair and reads the report blocks off the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
@@ -280,9 +283,9 @@ def verify_pontryagin(
 
 
 def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
-    """Newton on the Hamiltonian stationarity condition f_u^T lam = 0, from
-    u = 0, on every node at once; a node leaves once its gradient is at most
-    1e-12.
+    """Newton on the Hamiltonian stationarity condition H_u = L_u + f_u^T lam
+    = 0 (L the staged running cost, if any), from u = 0, on every node at
+    once; a node leaves once its gradient is at most 1e-12.
 
     The second derivative is probed by finite differences; a singular one at
     the seed point means the stationarity condition cannot be solved for u.
@@ -290,9 +293,11 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     U = np.zeros((len(X), ocp.n_u))
     if ocp.n_u == 0:
         return U
+    grad_u = None if ocp.running_cost is None else ocp.running_cost.gradients()[1]
 
-    def grad(nodes, U_nodes):  # f_u^T lam at the given nodes
-        return (lam[nodes, None, :] @ ocp.jac_fu(X[nodes], U_nodes))[:, 0]
+    def grad(nodes, U_nodes):  # H_u at the given nodes
+        g = (lam[nodes, None, :] @ ocp.jac_fu(X[nodes], U_nodes))[:, 0]
+        return g if grad_u is None else g + grad_u(X[nodes], U_nodes)
 
     live = np.arange(len(X))
     for _ in range(25):
@@ -315,8 +320,14 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
 class _IndirectSystem:
     """Square root-finding system for one (ocp, grid, variant) triple.
 
-    The residual is :meth:`evaluate`'s unweighted rows times ``row_scale``,
-    the quadrature weights on the rows of each starred side.  Its Jacobian is
+    Its unknowns are (X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu) for the
+    problem's own n_x states.  The rows: both sides' interpolation and
+    equivalency rows, the dynamics V = f, the adjoint om + H_x = 0 and the
+    control stationarity H_u = 0 with H = L + lam . f (L the staged running
+    cost, none on a prepared problem), the endpoint rows and the two
+    transversality conditions.  The residual is :meth:`evaluate`'s
+    unweighted rows times ``row_scale``, the quadrature weights on the rows
+    of each starred side.  Its Jacobian is
     never built: :meth:`derivatives` evaluates the node blocks once,
     :meth:`jvp` multiplies by them and :meth:`newton_step` solves with them,
     condensed through the identity blocks of both sides' anchored rows.
@@ -389,10 +400,45 @@ class _IndirectSystem:
             raise ShapeError(f"unknowns have {y.size} entries, expected {self.n_y}")
         return y
 
-    def pack_solution(self, primal: PrimalSolution, dual: DualTrajectory) -> Array:
-        return self.pack(
+    def pack_solution(
+        self, primal: PrimalSolution, dual: DualTrajectory, cost_state: bool = False
+    ) -> Array:
+        """The unknowns at (primal, dual).  With ``cost_state`` the pair is
+        in the Mayer-augmented layout: each state table and endpoint one
+        column longer and ``dual.endpoint`` one entry longer, which are
+        dropped."""
+        given = (
             primal.X, primal.U, primal.V, dual.costates, dual.costate_derivs,
             primal.x_a, primal.x_b, dual.costate_initial, dual.costate_final, dual.endpoint,
+        )
+        blocks = []
+        for (name, shape), block in zip(self._shapes.items(), given):
+            block = np.asarray(block, dtype=float)
+            width = shape[-1] + (cost_state and name != "U")
+            if block.shape != (*shape[:-1], width):
+                raise ShapeError(
+                    f"{name} has shape {block.shape}, expected {(*shape[:-1], width)}"
+                )
+            blocks.append(block[..., : shape[-1]])
+        return self.pack(*blocks)
+
+    def with_cost_state(self, y: Array):
+        """:meth:`split` of ``y`` in the Mayer-augmented layout, as copies.
+
+        The staged running cost L is the cost state's derivative, V_y = L(X, U);
+        y_a = 0 and y_b = wᵀL, and X_y is what the state side's interpolation
+        rows give for them, so the cost state's rows hold to rounding.  Its
+        costate is lam_y = 1 with om_y = 0, and the multiplier of the
+        appended row y_a = 0 is -1."""
+        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
+        L = np.asarray(self.ocp.running_cost.fun(X, U), dtype=float)
+        y_b = self.sys.w_B @ L
+        ones, zeros = np.ones(self.m), np.zeros(self.m)
+        return (
+            np.column_stack([X, self.state.values(L, 0.0, y_b)]), U.copy(),
+            np.column_stack([V, L]), np.column_stack([lam, ones]),
+            np.column_stack([om, zeros]), np.append(x_a, 0.0), np.append(x_b, y_b),
+            np.append(lam_a, 1.0), np.append(lam_b, 1.0), np.append(nu, -1.0),
         )
 
     def evaluate(self, y: Array):
@@ -559,22 +605,35 @@ def solve_indirect(
     """Damped-Newton root of the variant's full first-order system.
 
     Independent of the NLP solver: no objective, no multipliers — just the
-    square system.  Each step is :meth:`_IndirectSystem.newton_step`, with
-    one LU of the reduced system over (U, x_anchor, lam_anchor, nu) and, per
-    side, one of order (N+1) |S| for each group S of states that F_x couples
-    (:meth:`~birktraj.transcription.AnchoredBlock.factor`).  Returns ``(PrimalSolution,
-    DualTrajectory)``.  ``init`` may be a ``(PrimalSolution, DualTrajectory)``
-    pair (e.g. a direct solve's output) to warm-start; the default builds a
-    linear-interpolation state profile with costates seeded from the
-    endpoint-cost gradient.
+    square system of :class:`_IndirectSystem` on ``ocp`` as given.  A staged
+    running cost L enters through the Hamiltonian H = L + lam . f, so on an
+    LQ problem the system is linear and one step solves it.  Each step is
+    :meth:`_IndirectSystem.newton_step`, with one LU of the reduced system
+    over (U, x_anchor, lam_anchor, nu) and, per side, one of order
+    (N+1) |S| for each group S of states that F_x couples
+    (:meth:`~birktraj.transcription.AnchoredBlock.factor`).
+
+    Returns ``(PrimalSolution, DualTrajectory)`` in the layout of
+    ``prepared(ocp)``, which :func:`verify_pontryagin` reads: with a staged L
+    the cost-state columns are appended (:meth:`_IndirectSystem.with_cost_state`)
+    and the objective is E + wᵀL.  ``init`` may be a ``(PrimalSolution,
+    DualTrajectory)`` pair in that same layout (e.g. a direct solve's output)
+    to warm-start; its cost-state columns and last endpoint multiplier are
+    dropped, and a pair of another width raises ShapeError.  The default
+    builds a linear-interpolation state profile with costates seeded from
+    the endpoint-cost gradient.
     """
-    p = prepared(ocp)
-    if any(kind is not ConstraintKind.EQUALITY for kind in p.constraints.kinds):
+    if any(kind is not ConstraintKind.EQUALITY for kind in ocp.constraints.kinds):
         raise UnsupportedProblemError(
             "indirect solve requires all endpoint constraints to be equalities"
         )
-    system = _IndirectSystem(p, sys, variant)
-    y = _default_indirect_init(system) if init is None else system.pack_solution(*init)
+    staged = ocp.running_cost is not None
+    system = _IndirectSystem(ocp, sys, variant)
+    y = (
+        _default_indirect_init(system)
+        if init is None
+        else system.pack_solution(*init, cost_state=staged)
+    )
     if not np.all(np.isfinite(y)):
         raise ShapeError("indirect initial point must be finite")
     r = system.residual(y)
@@ -600,25 +659,27 @@ def solve_indirect(
             f"indirect solve did not reach {INDIRECT_TOL:g} in {INDIRECT_MAX_ITER} iterations"
         )
 
-    X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = system.split(y)
     # the primal feasibility reads the unweighted state-side and endpoint rows
     unweighted, _ = system.evaluate(y)
     rows = system.rows
     state_side = np.r_[0 : rows["state_equivalency"].stop, rows["endpoint_feasibility"]]
+    X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = (
+        system.with_cost_state(y) if staged else [b.copy() for b in system.split(y)]
+    )
+    n = system.n
+    objective = float(ocp.endpoint_cost(x_a[:n], x_b[:n]))
+    if staged:
+        objective = float(objective + x_b[n])  # y_b = wᵀL
     primal = PrimalSolution(
-        X=X.copy(),
-        U=U.copy(),
-        V=V.copy(),
-        x_a=x_a.copy(),
-        x_b=x_b.copy(),
-        objective=float(p.endpoint_cost(x_a, x_b)),
+        X=X, U=U, V=V, x_a=x_a, x_b=x_b,
+        objective=objective,
         feasibility=_inf_norm(unweighted[state_side]),
     )
     dual = DualTrajectory(
-        costates=lam.copy(),
-        costate_derivs=om.copy(),
-        costate_initial=lam_a.copy(),
-        costate_final=lam_b.copy(),
-        endpoint=nu.copy(),
+        costates=lam,
+        costate_derivs=om,
+        costate_initial=lam_a,
+        costate_final=lam_b,
+        endpoint=nu,
     )
     return primal, dual

@@ -1,8 +1,10 @@
 """Optimal control problems in endpoint-cost form.
 
 A problem couples vector dynamics ``xdot = f(x, u)`` on a finite horizon with
-an endpoint cost ``E(x_a, x_b)`` and endpoint constraint rows; running costs
-are staged on the definition and absorbed into an extra state by
+an endpoint cost ``E(x_a, x_b)`` and endpoint constraint rows.  A running cost
+L(x, u) is staged on the definition.  The indirect solve reads it in the
+Hamiltonian H = L + lam . f (:meth:`OcpDefinition.hamiltonian_gradient`); the
+NLP and the verification first absorb it into an extra state by
 :func:`augment_running_cost` (the appended state integrates L and enters the
 endpoint cost at the right end).  All derivative information is supplied as
 callbacks and can be checked against central finite differences with
@@ -108,13 +110,19 @@ def pinned_endpoints(
 
 @dataclass(frozen=True)
 class RunningCost:
-    """Integrand L(x, u) on node tables, staged for Mayer reduction: ``fun``
-    returns (m,), ``grad_x`` (m, n_x), ``grad_u`` (m, n_u); both gradients are
-    required to augment."""
+    """Integrand L(x, u) on node tables: ``fun`` returns (m,), ``grad_x``
+    (m, n_x), ``grad_u`` (m, n_u).  The Hamiltonian H = L + lam . f and the
+    Mayer reduction both need the two gradients (:meth:`gradients`)."""
 
     fun: Callable[[Array, Array], Array]
     grad_x: Callable[[Array, Array], Array] | None = None
     grad_u: Callable[[Array, Array], Array] | None = None
+
+    def gradients(self):
+        """(grad_x, grad_u); IncompleteDerivativesError when either is missing."""
+        if self.grad_x is None or self.grad_u is None:
+            raise IncompleteDerivativesError("running-cost gradients are required")
+        return self.grad_x, self.grad_u
 
 
 @dataclass(frozen=True)
@@ -152,18 +160,22 @@ class OcpDefinition:
         return self.constraints.n_e
 
     def hamiltonian_gradient(self, X: Array, U: Array, lam: Array) -> Array:
-        """Gradient [f_x^T lam; f_u^T lam] of lam . f(x, u) with respect to
-        (x, u) at every node, shaped (m, n_x + n_u)."""
+        """Gradient [L_x + f_x^T lam; L_u + f_u^T lam] of H = L + lam . f(x, u)
+        with respect to (x, u) at every node, shaped (m, n_x + n_u).  L is
+        the staged running cost, none on a prepared problem."""
         # stacked matmul repeats the single-node f_x^T lam arithmetic exactly
         lam_rows = lam[:, None, :]
         gx = (lam_rows @ self.jac_fx(X, U))[:, 0]
-        if not self.n_u:
-            return gx
-        return np.concatenate([gx, (lam_rows @ self.jac_fu(X, U))[:, 0]], axis=1)
+        gu = (lam_rows @ self.jac_fu(X, U))[:, 0] if self.n_u else None
+        if self.running_cost is not None:
+            grad_x, grad_u = self.running_cost.gradients()
+            gx = gx + grad_x(X, U)
+            gu = None if gu is None else gu + grad_u(X, U)
+        return gx if gu is None else np.concatenate([gx, gu], axis=1)
 
     def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array) -> Array:
         """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
-        node, shaped (m, n_x + n_u, n_x + n_u)."""
+        node, shaped (m, n_x + n_u, n_x + n_u): H's curvature, L's included."""
         n = self.n_x
         return _central_jacobian(
             lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam),
@@ -201,10 +213,7 @@ def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
     running = ocp.running_cost
     if running is None:
         raise IncompleteDerivativesError(f"problem {ocp.name!r} has no running cost to absorb")
-    if running.grad_x is None or running.grad_u is None:
-        raise IncompleteDerivativesError(
-            "running-cost gradients are required for augmentation"
-        )
+    grad_x, grad_u = running.gradients()
     n = ocp.n_x
 
     def dynamics(X, U):
@@ -213,13 +222,13 @@ def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
     def jac_fx(X, U):
         out = np.zeros((len(X), n + 1, n + 1))
         out[:, :n, :n] = ocp.jac_fx(X[:, :n], U)
-        out[:, n, :n] = running.grad_x(X[:, :n], U)
+        out[:, n, :n] = grad_x(X[:, :n], U)
         return out
 
     def jac_fu(X, U):
         out = np.empty((len(X), n + 1, ocp.n_u))
         out[:, :n] = ocp.jac_fu(X[:, :n], U)
-        out[:, n] = running.grad_u(X[:, :n], U)
+        out[:, n] = grad_u(X[:, :n], U)
         return out
 
     def endpoint_cost(x_a, x_b):

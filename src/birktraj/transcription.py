@@ -181,6 +181,10 @@ class AnchoredBlock:
             right - left - (self.w @ D).reshape(left.shape),
         )
 
+    def values(self, derivs: Array, left: Array, right: Array) -> Array:
+        """The node values that zero the interpolation rows: anchor + B derivs."""
+        return (left if self.anchored_left else right) + self.B @ derivs
+
     @cached_property
     def _partials(self):
         # constant; built on the first Jacobian, never for a residual alone

@@ -11,11 +11,13 @@ from birktraj import (
     DualTrajectory,
     DualVariant,
     FormTag,
+    IncompleteDerivativesError,
     NlpResult,
     NoConvergenceError,
     OcpDefinition,
     PrimalForm,
     PrimalSolution,
+    RunningCost,
     ShapeError,
     SolveStatus,
     UnsupportedMappingError,
@@ -29,6 +31,7 @@ from birktraj import (
     map_covectors,
     prepared,
     registry,
+    registry_names,
     registry_solution,
     solve,
     solve_indirect,
@@ -484,6 +487,76 @@ def test_indirect_solve_factors_one_coupled_block_per_side(monkeypatch, variant)
     # on nonlinear-scalar only x reads itself: one block of order N + 1 a side
     steps, calls = factored_orders(monkeypatch, "nonlinear-scalar", variant)
     assert steps and calls == [[33]] * (2 * steps)
+
+
+VARIANTS = ["a,b", "a,b_star", "a_star,b_star", "b,a_star", "b_star,b"]
+RUNNING_COST_PROBLEMS = [nm for nm in registry_names() if registry(nm).running_cost is not None]
+
+
+@pytest.mark.parametrize("N", [8, 32, 64])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq", "nonlinear-scalar"])
+def test_indirect_lq_problems_take_one_newton_step(monkeypatch, name, variant, N):
+    # L enters through H = L + lam . f, not through a cost state y' = L, so
+    # an LQ problem's system is linear; nonlinear-scalar keeps its 4 steps
+    steps, _ = factored_orders(monkeypatch, name, variant, N)
+    assert steps == (4 if name == "nonlinear-scalar" else 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", RUNNING_COST_PROBLEMS)
+def test_indirect_solve_of_the_problem_as_defined_matches_the_prepared_problem(name, variant):
+    # the closed-form cost-state columns against the solved ones
+    ocp = registry(name)
+    sys = build_birkhoff(make_grid("lgl", 16, ocp.horizon))
+    variant = DualVariant.parse(variant)
+    bolza = solve_indirect(ocp, sys, variant)
+    mayer = solve_indirect(prepared(ocp), sys, variant)
+    for got, want in zip(bolza, mayer):
+        for field in dataclasses.fields(want):
+            a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+            assert a.shape == b.shape, field.name
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, field.name
+    for primal, dual in (bolza, mayer):
+        report = verify_pontryagin(ocp, primal, dual, sys, variant, tol=default_tolerance(sys))
+        assert report.passed, report.blocks
+
+
+def test_indirect_solve_needs_the_running_cost_gradients():
+    ocp = registry("scalar-lq")
+    ocp = dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
+    sys = build_birkhoff(make_grid("lgl", 8, ocp.horizon))
+    with pytest.raises(IncompleteDerivativesError):
+        solve_indirect(ocp, sys, DualVariant("a", "b_star"))
+
+
+def test_indirect_init_takes_the_layout_the_solve_returns():
+    ocp = registry("double-integrator-energy")
+    sys = build_birkhoff(make_grid("lgl", 16, ocp.horizon))
+    variant = DualVariant("a", "b_star")
+    primal, dual = solve_indirect(ocp, sys, variant)
+    # the returned pair is a root already: the same point comes back
+    again_p, again_d = solve_indirect(ocp, sys, variant, init=(primal, dual))
+    assert np.max(np.abs(again_p.X - primal.X)) <= 1e-14
+    assert np.max(np.abs(again_d.costates - dual.costates)) <= 1e-14
+    assert np.array_equal(again_d.endpoint, dual.endpoint)
+
+    def without_cost_state(a):
+        return a[..., :-1]
+
+    base = (
+        dataclasses.replace(
+            primal, **{f: without_cost_state(getattr(primal, f)) for f in ("X", "V", "x_a", "x_b")}
+        ),
+        DualTrajectory(*(without_cost_state(a) for a in dataclasses.astuple(dual))),
+    )
+    for problem, init in [
+        (ocp, base),  # the base layout is not the one returned
+        (prepared(ocp), base),  # nor the prepared problem's
+        (ocp, (primal, dataclasses.replace(dual, endpoint=dual.endpoint[:-1]))),
+    ]:
+        with pytest.raises(ShapeError):
+            solve_indirect(problem, sys, variant, init=init)
 
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):

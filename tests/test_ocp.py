@@ -151,6 +151,62 @@ def test_prepared_is_identity_without_running_cost():
     assert prepared(ocp) is ocp
 
 
+# a linear problem with a Q/R running cost, a polynomial one with "terms"
+_JSON_RUNNING_COSTS = {
+    "qr": {
+        "name": "qr", "n_x": 2, "n_u": 2, "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.3, 1.0], [-0.5, 0.1]], "B": [[1.0, 0.2], [0.0, 1.0]]},
+        "running_cost": {"Q": [[1.0, 0.3], [0.1, 2.0]], "R": [[0.5, 0.0], [0.2, 1.5]]},
+    },
+    "terms": {
+        "name": "terms", "n_x": 2, "n_u": 1, "horizon": [0.0, 1.0],
+        "dynamics": {"terms": [
+            [{"coef": 1.0, "x": [0, 1], "u": [0]}],
+            [{"coef": -1.0, "x": [3, 0], "u": [0]}, {"coef": 1.0, "x": [0, 0], "u": [1]}],
+        ]},
+        "running_cost": {"terms": [
+            {"coef": 0.5, "x": [2, 0], "u": [0]},
+            {"coef": 0.25, "x": [1, 1], "u": [2]},
+            {"coef": 1.5, "x": [0, 0], "u": [4]},
+        ]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["double-integrator-energy", "scalar-lq", "nonlinear-scalar", *_JSON_RUNNING_COSTS],
+)
+def test_hamiltonian_of_a_staged_running_cost_is_the_augmented_one_at_unit_cost_costate(source):
+    # H = L + lam . f on the problem as defined against lam . f on the
+    # augmented problem with lam_y = 1, over the base (x, u) columns
+    ocp = load_problem(_JSON_RUNNING_COSTS[source]) if source in _JSON_RUNNING_COSTS else registry(source)
+    aug = prepared(ocp)
+    n, k, m = ocp.n_x, ocp.n_u, 17
+    rng = np.random.default_rng(5)
+    X, U, lam = rng.normal(size=(m, n)), rng.normal(size=(m, k)), rng.normal(size=(m, n))
+    X_aug = np.column_stack([X, rng.normal(size=m)])
+    lam_aug = np.column_stack([lam, np.ones(m)])
+    base = np.r_[0:n, n + 1 : n + 1 + k]
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    assert close(
+        ocp.hamiltonian_gradient(X, U, lam), aug.hamiltonian_gradient(X_aug, U, lam_aug)[:, base]
+    )
+    curv_aug = aug.hamiltonian_curvatures(X_aug, U, lam_aug)[:, base][:, :, base]
+    assert close(ocp.hamiltonian_curvatures(X, U, lam), curv_aug)
+
+
+def test_hamiltonian_needs_the_running_cost_gradients():
+    ocp = registry("scalar-lq")
+    halfdone = dataclasses.replace(ocp.running_cost, grad_u=None)
+    X = np.zeros((3, 1))
+    with pytest.raises(IncompleteDerivativesError):
+        dataclasses.replace(ocp, running_cost=halfdone).hamiltonian_gradient(X, X, X)
+
+
 # --- analytic solutions -------------------------------------------------------
 
 
