@@ -10,10 +10,10 @@ root by Newton steps condensed through the identity blocks of both sides'
 anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
 elimination the primal NLP uses, so it never builds the square Jacobian;
 each Newton step factors each side's condensing matrix once, LU-factoring
-only the diagonal blocks of the states that F_x couples.  It solves the
-problem as defined, a staged running cost L read in the Hamiltonian
-H = L + lam . f, so an LQ problem's system is linear; the cost-state columns
-of the Mayer-augmented layout are then appended in closed form.
+only the diagonal blocks of the states that F_x couples.  Both solve and
+verification take the problem as defined, a staged running cost L read in
+the Hamiltonian H = L + lam . f, so an LQ problem's system is linear, and
+the (primal, dual) pairs carry the problem's own n_x states.
 :func:`verify_pontryagin` evaluates the residual once at a given
 (primal, dual) pair and reads the report blocks off the row slices.
 Three variants are reachable from a converged NLP, whose multipliers
@@ -53,7 +53,6 @@ from .ocp import (
     _central_jacobian,
     complementarity_violation,
     constraint_violation,
-    prepared,
 )
 from .solver import NlpResult, check_tolerance, regularized_solve
 from .transcription import (
@@ -247,29 +246,26 @@ def verify_pontryagin(
     """Evaluate one variant's root system at (primal, dual) and report norms.
 
     The blocks are read off the rows of the residual that :func:`solve_indirect`
-    drives to zero; endpoint rows count only where they are violated.
+    drives to zero, on ``ocp`` as given; endpoint rows count only where they
+    are violated.  ``hamiltonian_constancy`` is the spread of the node values
+    of H = L + lam . f.
     """
-    p = prepared(ocp)
-    m, n = sys.N + 1, p.n_x
-    if primal.X.shape != (m, n) or dual.costates.shape != (m, n):
-        raise ShapeError(
-            f"trajectory shapes {primal.X.shape}/{dual.costates.shape} do not match "
-            f"(N+1, n_x) = ({m}, {n})"
-        )
     if tol is None:
         tol = default_tolerance(sys)
     check_tolerance(tol, "verification")
-    system = _IndirectSystem(p, sys, variant)
+    system = _IndirectSystem(ocp, sys, variant)
     unweighted, f_tab = system.evaluate(system.pack_solution(primal, dual))
     r = unweighted * system.row_scale
 
     parts = {name: r[rows] for name, rows in system.rows.items()}
-    e_vals, eq = parts["endpoint_feasibility"], p.constraints.equality_mask()
+    e_vals, eq = parts["endpoint_feasibility"], ocp.constraints.equality_mask()
     parts["endpoint_feasibility"] = constraint_violation(e_vals, eq)
     blocks = {name: _inf_norm(a) for name, a in parts.items()}
     blocks["complementarity"] = complementarity_violation(dual.endpoint, e_vals, eq)
 
     ham = np.einsum("ij,ij->i", dual.costates, f_tab)
+    if ocp.running_cost is not None:
+        ham += ocp.running_cost.fun(primal.X, primal.U)
     return PontryaginReport(
         variant=variant,
         tolerance=float(tol),
@@ -324,7 +320,7 @@ class _IndirectSystem:
     problem's own n_x states.  The rows: both sides' interpolation and
     equivalency rows, the dynamics V = f, the adjoint om + H_x = 0 and the
     control stationarity H_u = 0 with H = L + lam . f (L the staged running
-    cost, none on a prepared problem), the endpoint rows and the two
+    cost, if any), the endpoint rows and the two
     transversality conditions.  The residual is :meth:`evaluate`'s
     unweighted rows times ``row_scale``, the quadrature weights on the rows
     of each starred side.  Its Jacobian is
@@ -400,46 +396,17 @@ class _IndirectSystem:
             raise ShapeError(f"unknowns have {y.size} entries, expected {self.n_y}")
         return y
 
-    def pack_solution(
-        self, primal: PrimalSolution, dual: DualTrajectory, cost_state: bool = False
-    ) -> Array:
-        """The unknowns at (primal, dual).  With ``cost_state`` the pair is
-        in the Mayer-augmented layout: each state table and endpoint one
-        column longer and ``dual.endpoint`` one entry longer, which are
-        dropped."""
+    def pack_solution(self, primal: PrimalSolution, dual: DualTrajectory) -> Array:
+        """The unknowns at (primal, dual); ShapeError names a block of
+        another shape."""
         given = (
             primal.X, primal.U, primal.V, dual.costates, dual.costate_derivs,
             primal.x_a, primal.x_b, dual.costate_initial, dual.costate_final, dual.endpoint,
         )
-        blocks = []
         for (name, shape), block in zip(self._shapes.items(), given):
-            block = np.asarray(block, dtype=float)
-            width = shape[-1] + (cost_state and name != "U")
-            if block.shape != (*shape[:-1], width):
-                raise ShapeError(
-                    f"{name} has shape {block.shape}, expected {(*shape[:-1], width)}"
-                )
-            blocks.append(block[..., : shape[-1]])
-        return self.pack(*blocks)
-
-    def with_cost_state(self, y: Array):
-        """:meth:`split` of ``y`` in the Mayer-augmented layout, as copies.
-
-        The staged running cost L is the cost state's derivative, V_y = L(X, U);
-        y_a = 0 and y_b = wᵀL, and X_y is what the state side's interpolation
-        rows give for them, so the cost state's rows hold to rounding.  Its
-        costate is lam_y = 1 with om_y = 0, and the multiplier of the
-        appended row y_a = 0 is -1."""
-        X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = self.split(y)
-        L = np.asarray(self.ocp.running_cost.fun(X, U), dtype=float)
-        y_b = self.sys.w_B @ L
-        ones, zeros = np.ones(self.m), np.zeros(self.m)
-        return (
-            np.column_stack([X, self.state.values(L, 0.0, y_b)]), U.copy(),
-            np.column_stack([V, L]), np.column_stack([lam, ones]),
-            np.column_stack([om, zeros]), np.append(x_a, 0.0), np.append(x_b, y_b),
-            np.append(lam_a, 1.0), np.append(lam_b, 1.0), np.append(nu, -1.0),
-        )
+            if np.shape(block) != shape:
+                raise ShapeError(f"{name} has shape {np.shape(block)}, expected {shape}")
+        return self.pack(*given)
 
     def evaluate(self, y: Array):
         """(unweighted residual rows, dynamics table) at ``y``."""
@@ -596,12 +563,7 @@ def _default_indirect_init(system: _IndirectSystem) -> Array:
     return system.pack(X, U, V, lam, om, x_a, x_b, lam_b, lam_b, nu)
 
 
-def solve_indirect(
-    ocp: OcpDefinition,
-    sys: BirkhoffSystem,
-    variant: DualVariant,
-    init=None,
-):
+def solve_indirect(ocp: OcpDefinition, sys: BirkhoffSystem, variant: DualVariant):
     """Damped-Newton root of the variant's full first-order system.
 
     Independent of the NLP solver: no objective, no multipliers — just the
@@ -613,29 +575,18 @@ def solve_indirect(
     (N+1) |S| for each group S of states that F_x couples
     (:meth:`~birktraj.transcription.AnchoredBlock.factor`).
 
-    Returns ``(PrimalSolution, DualTrajectory)`` in the layout of
-    ``prepared(ocp)``, which :func:`verify_pontryagin` reads: with a staged L
-    the cost-state columns are appended (:meth:`_IndirectSystem.with_cost_state`)
-    and the objective is E + wᵀL.  ``init`` may be a ``(PrimalSolution,
-    DualTrajectory)`` pair in that same layout (e.g. a direct solve's output)
-    to warm-start; its cost-state columns and last endpoint multiplier are
-    dropped, and a pair of another width raises ShapeError.  The default
-    builds a linear-interpolation state profile with costates seeded from
-    the endpoint-cost gradient.
+    Returns ``(PrimalSolution, DualTrajectory)`` over the problem's own
+    n_x states, the pair :func:`verify_pontryagin` reads; the objective is
+    the NLP's, E + w^T L (:meth:`~birktraj.ocp.OcpDefinition.quadrature_cost`).
+    The Newton iteration starts from a linear-interpolation state profile
+    with costates seeded from the endpoint-cost gradient.
     """
     if any(kind is not ConstraintKind.EQUALITY for kind in ocp.constraints.kinds):
         raise UnsupportedProblemError(
             "indirect solve requires all endpoint constraints to be equalities"
         )
-    staged = ocp.running_cost is not None
     system = _IndirectSystem(ocp, sys, variant)
-    y = (
-        _default_indirect_init(system)
-        if init is None
-        else system.pack_solution(*init, cost_state=staged)
-    )
-    if not np.all(np.isfinite(y)):
-        raise ShapeError("indirect initial point must be finite")
+    y = _default_indirect_init(system)
     r = system.residual(y)
     for _ in range(INDIRECT_MAX_ITER):
         if np.max(np.abs(r)) <= INDIRECT_TOL:
@@ -663,16 +614,10 @@ def solve_indirect(
     unweighted, _ = system.evaluate(y)
     rows = system.rows
     state_side = np.r_[0 : rows["state_equivalency"].stop, rows["endpoint_feasibility"]]
-    X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = (
-        system.with_cost_state(y) if staged else [b.copy() for b in system.split(y)]
-    )
-    n = system.n
-    objective = float(ocp.endpoint_cost(x_a[:n], x_b[:n]))
-    if staged:
-        objective = float(objective + x_b[n])  # y_b = wᵀL
+    X, U, V, lam, om, x_a, x_b, lam_a, lam_b, nu = (b.copy() for b in system.split(y))
     primal = PrimalSolution(
         X=X, U=U, V=V, x_a=x_a, x_b=x_b,
-        objective=objective,
+        objective=ocp.quadrature_cost(X, U, x_a, x_b, sys.w_B),
         feasibility=_inf_norm(unweighted[state_side]),
     )
     dual = DualTrajectory(

@@ -1,14 +1,15 @@
-"""Optimal control problems in endpoint-cost form.
+"""Optimal control problems in Bolza form.
 
 A problem couples vector dynamics ``xdot = f(x, u)`` on a finite horizon with
-an endpoint cost ``E(x_a, x_b)`` and endpoint constraint rows.  A running cost
-L(x, u) is staged on the definition.  The indirect solve reads it in the
-Hamiltonian H = L + lam . f (:meth:`OcpDefinition.hamiltonian_gradient`); the
-NLP and the verification first absorb it into an extra state by
-:func:`augment_running_cost` (the appended state integrates L and enters the
-endpoint cost at the right end).  All derivative information is supplied as
-callbacks and can be checked against central finite differences with
-:func:`validate`.
+an endpoint cost ``E(x_a, x_b)``, endpoint constraint rows and, optionally, a
+running cost L(x, u) staged on the definition.  Every consumer reads L in one
+Hamiltonian H = L + lam . f (:meth:`OcpDefinition.hamiltonian_gradient` and
+its curvatures): the NLP, with L weighted per node by the quadrature weights
+in its objective E + w^T L (:meth:`OcpDefinition.quadrature_cost`), the
+indirect solve and the verification.  :func:`augment_running_cost`, the Mayer
+transform into an extra state y' = L, is kept as a reference path.  All
+derivative information is supplied as callbacks and can be checked against
+central finite differences with :func:`validate`.
 
 Node tables are the callback convention for the dynamics and the running
 cost: ``X`` (m, n_x) and ``U`` (m, n_u) hold one node per row, and every
@@ -159,26 +160,42 @@ class OcpDefinition:
     def n_e(self) -> int:
         return self.constraints.n_e
 
-    def hamiltonian_gradient(self, X: Array, U: Array, lam: Array) -> Array:
-        """Gradient [L_x + f_x^T lam; L_u + f_u^T lam] of H = L + lam . f(x, u)
-        with respect to (x, u) at every node, shaped (m, n_x + n_u).  L is
-        the staged running cost, none on a prepared problem."""
+    def quadrature_cost(self, X: Array, U: Array, x_a: Array, x_b: Array, w: Array) -> float:
+        """E(x_a, x_b) + w^T L(X, U): the cost with the staged running cost L
+        integrated by the quadrature weights ``w`` over the node tables."""
+        cost = float(self.endpoint_cost(x_a, x_b))
+        if self.running_cost is not None:
+            cost += float(w @ self.running_cost.fun(X, U))
+        return cost
+
+    def hamiltonian_gradient(
+        self, X: Array, U: Array, lam: Array, cost_weight: Array | None = None
+    ) -> Array:
+        """Gradient [c L_x + f_x^T lam; c L_u + f_u^T lam] of
+        H = c L + lam . f(x, u) with respect to (x, u) at every node, shaped
+        (m, n_x + n_u).  L is the staged running cost (none on a prepared
+        problem) and c its weight at each node, ``cost_weight`` (m,), or 1
+        when None: the NLP's Lagrangian weighs L by the quadrature weights."""
         # stacked matmul repeats the single-node f_x^T lam arithmetic exactly
         lam_rows = lam[:, None, :]
         gx = (lam_rows @ self.jac_fx(X, U))[:, 0]
         gu = (lam_rows @ self.jac_fu(X, U))[:, 0] if self.n_u else None
         if self.running_cost is not None:
             grad_x, grad_u = self.running_cost.gradients()
-            gx = gx + grad_x(X, U)
-            gu = None if gu is None else gu + grad_u(X, U)
+            # 1.0 * a is a bit for bit: the indirect solve's H = L + lam . f is unchanged
+            c = 1.0 if cost_weight is None else cost_weight[:, None]
+            gx = gx + c * grad_x(X, U)
+            gu = None if gu is None else gu + c * grad_u(X, U)
         return gx if gu is None else np.concatenate([gx, gu], axis=1)
 
-    def hamiltonian_curvatures(self, X: Array, U: Array, lam: Array) -> Array:
+    def hamiltonian_curvatures(
+        self, X: Array, U: Array, lam: Array, cost_weight: Array | None = None
+    ) -> Array:
         """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
         node, shaped (m, n_x + n_u, n_x + n_u): H's curvature, L's included."""
         n = self.n_x
         return _central_jacobian(
-            lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam),
+            lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam, cost_weight),
             np.concatenate([X, U], axis=1),
             FD_STEP,
         )
@@ -726,7 +743,12 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
 
 
 def prepared(ocp: OcpDefinition) -> OcpDefinition:
-    """Absorb any staged running cost; idempotent otherwise."""
+    """Absorb any staged running cost into a Mayer cost state
+    (:func:`augment_running_cost`); idempotent otherwise.
+
+    Nothing in the package calls it: the perfbench harness prepares its
+    problems, and the tests use the prepared problem as the reference path
+    for the quadrature cost."""
     return augment_running_cost(ocp) if ocp.running_cost is not None else ocp
 
 

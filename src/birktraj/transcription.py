@@ -1,4 +1,4 @@
-"""Transcription of endpoint-cost problems into NLPs on a Birkhoff basis.
+"""Transcription of optimal control problems into NLPs on a Birkhoff basis.
 
 Four anchored forms are supported.  Form ``a`` pins the state interpolant to
 the left endpoint value x_a, form ``b`` to x_b; the starred forms impose the
@@ -12,6 +12,9 @@ Decision vector layout (stored order):
     [X.ravel()  (node-major), U.ravel(), V.ravel(), x_a, x_b]
 with X, V of shape (N+1, n_x) and U of shape (N+1, n_u); total length
 (N+1)(2 n_x + n_u) + 2 n_x.
+
+Objective: E(x_a, x_b) + w^T L(X, U), a staged running cost L by the
+quadrature weights w on every form, with no cost state.
 
 Constraint rows, in order:
     state interpolation   (N+1) n_x   X - x_anchor 1 - B_anchor V
@@ -59,7 +62,7 @@ from .errors import (
     UnsupportedGridError,
     UnsupportedProblemError,
 )
-from .ocp import OcpDefinition, constraint_violation, prepared
+from .ocp import OcpDefinition, constraint_violation
 from .solver import regularized_solve
 
 Array = np.ndarray
@@ -180,10 +183,6 @@ class AnchoredBlock:
             interp.reshape(-1, *values.shape[2:]),
             right - left - (self.w @ D).reshape(left.shape),
         )
-
-    def values(self, derivs: Array, left: Array, right: Array) -> Array:
-        """The node values that zero the interpolation rows: anchor + B derivs."""
-        return (left if self.anchored_left else right) + self.B @ derivs
 
     @cached_property
     def _partials(self):
@@ -534,14 +533,24 @@ class DiscretizedNlp:
     # --- objective --------------------------------------------------------------
 
     def objective(self, z: Array) -> float:
-        _, _, _, x_a, x_b = self.unpack(z)
-        return float(self.ocp.endpoint_cost(x_a, x_b))
+        """E(x_a, x_b) + w^T L(X, U): a staged running cost L by quadrature."""
+        X, U, _, x_a, x_b = self.unpack(z)
+        return self.ocp.quadrature_cost(X, U, x_a, x_b, self._w)
 
     def objective_gradient(self, z: Array) -> Array:
-        _, _, _, x_a, x_b = self.unpack(z)
+        """The gradient of :meth:`objective` wrt stored variables: w_i times
+        L's gradient at node i, and E's at the endpoints."""
+        X, U, _, x_a, x_b = self.unpack(z)
         g = np.zeros(self.n_z)
         g[self.slice_xa] = self.ocp.grad_cost_xa(x_a, x_b)
         g[self.slice_xb] = self.ocp.grad_cost_xb(x_a, x_b)
+        if self.ocp.running_cost is not None:
+            grad_x, grad_u = self.ocp.running_cost.gradients()
+            g[self.slice_x] = (self._w[:, None] * grad_x(X, U)).ravel()
+            if self.n_u:
+                g[self.slice_u] = (self._w[:, None] * grad_u(X, U)).ravel()
+            if self._col_scale is not None:
+                g *= self._col_scale
         return g
 
     # --- constraints --------------------------------------------------------------
@@ -594,16 +603,17 @@ class DiscretizedNlp:
         (K, K_end): K[i] (n_x + n_u square) over node i's (x, u) and K_end
         (2 n_x square) over (x_a, x_b); it is zero elsewhere.
 
-        Interpolation and equivalency rows are linear and drop out; the
-        dynamics rows contribute K, obtained by central differences of the
-        analytic Jacobians, the endpoint terms K_end.
+        Interpolation and equivalency rows are linear and drop out; K is
+        the curvature of w_i L + mu_dyn . f at each node (the running cost
+        and the dynamics rows), obtained by central differences of the
+        analytic gradients, and K_end that of the endpoint terms.
         :meth:`dense_hessian` assembles the matrix wrt stored variables.
         """
         X, U, _, x_a, x_b = self.unpack(z)
         # dynamics rows carry -f
         dyn = self.rows["dynamics"]
         mu_dyn = -(mu[dyn] * self._row_scale[dyn]).reshape(X.shape)
-        K = self.ocp.hamiltonian_curvatures(X, U, mu_dyn)
+        K = self.ocp.hamiltonian_curvatures(X, U, mu_dyn, self._w)
         k_end = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
         return 0.5 * (K + K.transpose(0, 2, 1)), 0.5 * (k_end + k_end.T)
 
@@ -760,7 +770,9 @@ class DiscretizedNlp:
 
 
 def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:
-    """Discretize; staged running costs are absorbed into a cost state first."""
+    """Discretize the problem as given; a staged running cost L enters the
+    objective as the quadrature w^T L(X, U) (:meth:`DiscretizedNlp.objective`),
+    so an LQ problem is a QP."""
     if not sys.grid.endpoint_inclusive:
         raise UnsupportedGridError("transcription requires an endpoint-inclusive grid")
     dom = sys.grid.domain
@@ -768,7 +780,9 @@ def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> Dis
         raise DomainMismatchError(
             f"grid domain {tuple(dom)} does not match problem horizon {ocp.horizon}"
         )
-    return DiscretizedNlp(prepared(ocp), sys, form)
+    if ocp.running_cost is not None:
+        ocp.running_cost.gradients()  # IncompleteDerivativesError before any solve
+    return DiscretizedNlp(ocp, sys, form)
 
 
 # --- initial guesses ---------------------------------------------------------

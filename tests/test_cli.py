@@ -171,7 +171,7 @@ def test_solve_analytic_problem(tmp_path):
     assert data["status"] == "converged"
     assert data["verification"]["passed"] is True
     header = (out / "trajectory.csv").read_text().splitlines()[0]
-    assert header.startswith("t,x_0,x_1,x_2,u_0,costate_0")
+    assert header == "t,x_0,x_1,u_0,costate_0,costate_1"  # no cost-state column
 
 
 def test_solve_unknown_problem_exits_64(tmp_path, capsys):

@@ -333,6 +333,25 @@ def test_registry_problems_converge(name):
     assert kkt_residual(nlp, res.z, res.multipliers) <= 2.0 * SolverOptions().tol_feas
 
 
+PROVEN_FORMS = [("a", False), ("a_star", False), ("a", True)]
+PROVEN_IDS = [f"{f}{'+scaled' * s}" for f, s in PROVEN_FORMS]
+
+
+@pytest.mark.parametrize("N", [8, 64, 256])
+@pytest.mark.parametrize("form, scaled", PROVEN_FORMS, ids=PROVEN_IDS)
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq"])
+def test_lq_problems_as_defined_take_one_newton_iteration(name, form, scaled, N):
+    # the running cost is the quadrature w^T L in the objective, so the NLP
+    # is an equality-constrained QP: one Newton step solves it
+    ocp = registry(name)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", N, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    assert nlp.n_x == ocp.n_x  # no cost state
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert res.iterations == 1
+
+
 def test_nonlinear_problem_converges():
     nlp = make_nlp("nonlinear-scalar", N=12)
     res = solve(nlp, initial_guess(nlp, "linear-endpoint-interpolation"))

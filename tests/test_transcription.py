@@ -13,9 +13,11 @@ from birktraj import (
     DegenerateWeightError,
     DomainMismatchError,
     EvaluationError,
+    IncompleteDerivativesError,
     NotFoundError,
     OcpDefinition,
     PrimalForm,
+    RunningCost,
     SolverOptions,
     SolveStatus,
     UnsupportedGridError,
@@ -26,13 +28,15 @@ from birktraj import (
     load_problem,
     loglog_slope,
     make_grid,
+    map_covectors,
     prepared,
     registry,
     registry_names,
     solve,
+    solve_with_fallback,
     transcribe,
 )
-from birktraj.ocp import pinned_endpoints
+from birktraj.ocp import FD_STEP, _central_jacobian, pinned_endpoints
 from birktraj.transcription import AnchoredBlock, add_unit_columns
 from dense_oracle import assembled_jacobian, dense_newton_step, fd_lagrangian_hessian
 
@@ -277,6 +281,75 @@ def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
     assert err < 1e-6
 
 
+RUNNING_COST_PROBLEMS = [nm for nm in registry_names() if registry(nm).running_cost is not None]
+
+
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_quadrature_cost_derivatives_match_finite_differences(name, form, scaled):
+    # the problem as defined: F = E + w^T L(X, U), no cost state
+    ocp = registry(name)
+    sys = build_birkhoff(make_grid("lgl", 5, ocp.horizon))
+    nlp = transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
+    assert nlp.n_x == ocp.n_x
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
+    mu = rng.normal(size=nlp.n_rows)
+    X, U, _, x_a, x_b = nlp.unpack(z)
+    assert nlp.objective(z) == ocp.endpoint_cost(x_a, x_b) + sys.w_B @ ocp.running_cost.fun(X, U)
+    g_fd = _central_jacobian(lambda Z: np.array([[nlp.objective(Z[0])]]), z[None], FD_STEP)[0, 0]
+    assert np.max(np.abs(nlp.objective_gradient(z) - g_fd)) <= 1e-7
+    hess = nlp.dense_hessian(nlp.lagrangian_hessian(z, mu))
+    fd = fd_lagrangian_hessian(nlp, z, mu)
+    assert np.array_equal(hess, hess.T)
+    assert np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
+
+
+def test_transcribe_needs_the_running_cost_gradients():
+    ocp = registry("scalar-lq")
+    ocp = dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
+    with pytest.raises(IncompleteDerivativesError):
+        transcribe(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), PrimalForm("a"))
+
+
+@pytest.mark.parametrize("form", ["a", "b"])
+def test_plain_forms_weigh_the_running_cost_by_a_zero_weight(form):
+    # L is weighted per node in the Hessian, never divided out of mu
+    ocp = registry("nonlinear-scalar")
+    sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
+    sys = dataclasses.replace(sys, w_B=np.where(np.arange(7) == 3, 0.0, sys.w_B))
+    nlp = transcribe(ocp, sys, PrimalForm(form))
+    z = initial_guess(nlp, "linear-endpoint-interpolation")
+    K, _ = nlp.lagrangian_hessian(z, np.zeros(nlp.n_rows))
+    assert np.all(np.isfinite(K))
+    assert np.all(K[3] == 0.0) and np.all(K[np.arange(7) != 3, 1, 1] != 0.0)
+    assert nlp.objective_gradient(z)[nlp.slice_u][3] == 0.0
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("form, scaled", [("a", False), ("a_star", False), ("a", True)],
+                         ids=["a", "a_star", "a+scaled"])
+@pytest.mark.parametrize("name", [*RUNNING_COST_PROBLEMS, "bounded-reach"])
+def test_quadrature_cost_solve_matches_the_prepared_problem(name, form, scaled, N):
+    # prepared(P), the Mayer cost state y' = L, is the reference path
+    ocp = load_problem(BOUNDED_REACH) if name == "bounded-reach" else registry(name)
+    sys = build_birkhoff(make_grid("lgl", N, ocp.horizon))
+    form = PrimalForm(form, scaled=scaled)
+    solutions = []
+    # the Mayer reference crawls: 62 iterations on bounded-reach at N = 64, form a
+    for problem, options in ((ocp, None), (prepared(ocp), SolverOptions(max_iter=200))):
+        nlp = transcribe(problem, sys, form)
+        res = solve_with_fallback(nlp, options)
+        assert res.converged, (problem.n_x, res.status)
+        solutions.append((extract_primal(nlp, res.z), map_covectors(res, form, sys)))
+    (primal, dual), (mayer_primal, mayer_dual) = solutions
+    n = ocp.n_x
+    assert dual.costates.shape == (N + 1, n)
+    assert abs(primal.objective - mayer_primal.objective) <= 1e-10
+    assert np.max(np.abs(dual.costates - mayer_dual.costates[:, :n])) <= 1e-10
+    assert np.max(np.abs(dual.endpoint - mayer_dual.endpoint[:-1])) <= 1e-10
+
+
 def test_evaluation_error_reports_node():
     ocp = registry("nonlinear-scalar")
     bad = prepared(ocp)
@@ -402,6 +475,24 @@ def test_newton_step_with_a_working_inequality_row(form, scaled):
                      PrimalForm(form, scaled=scaled))
     working = assert_step_matches_dense(nlp)
     assert working[nlp.rows["endpoint"]].all()  # the violated bound joined the working set
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+@pytest.mark.parametrize("name", RUNNING_COST_PROBLEMS)
+def test_newton_step_of_the_quadrature_cost_is_the_dense_kkt_step(name, kind, form, scaled):
+    ocp = registry(name)
+    sys = build_birkhoff(make_grid(kind, 12, ocp.horizon))
+    assert_step_matches_dense(transcribe(ocp, sys, PrimalForm(form, scaled=scaled)))
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_quadrature_cost_newton_step_with_a_working_inequality_row(form, scaled):
+    ocp = load_problem(BOUNDED_REACH)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 12, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    working = assert_step_matches_dense(nlp)
+    assert working[nlp.rows["endpoint"]].all()
 
 
 def step_args(nlp, z, mu):
