@@ -198,16 +198,18 @@ def _sigma_max(a: np.ndarray) -> float:
 
 
 def _kkt_condition(kind: str, N: int) -> float:
-    """sigma_max/sigma_min of [[H, J^T], [J, 0]] for the LQ registry problem,
-    assembled at the converged primal-dual point."""
+    """sigma_max/sigma_min of [[H, J^T], [J, 0]] for the LQ registry problem
+    at the converged primal-dual point, its columns the products the Newton
+    step uses: ``J @ e_j`` and ``hessian_times`` of each unit vector."""
     ocp = registry(_COND_PROBLEM)
     sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
     nlp = transcribe(ocp, sys, PrimalForm("a"))
     res = solve_with_fallback(nlp)
     if not res.converged:
         raise BirktrajError(f"LQ solve for the KKT column ended {res.status.value}")
-    H = nlp.dense_hessian(nlp.lagrangian_hessian(res.z, res.multipliers))
-    J = nlp.jacobian(res.z).dense()
+    hess, eye = nlp.lagrangian_hessian(res.z, res.multipliers), np.eye(nlp.n_z)
+    H = np.stack([nlp.hessian_times(hess, e) for e in eye], axis=1)
+    J = nlp.jacobian(res.z) @ eye
     kkt = np.block([[H, J.T], [J, np.zeros((J.shape[0], J.shape[0]))]])
     sigma = np.linalg.svd(kkt, compute_uv=False)
     return float(sigma[0] / sigma[-1])

@@ -350,8 +350,8 @@ class _IndirectSystem:
         })
         assert rows["transversality_final"].stop == self.n_y
 
-        self.state = AnchoredBlock(sys, variant.state_form, n)
-        self.costate = AnchoredBlock(sys, variant.costate_form, n)
+        self.state = AnchoredBlock(sys, variant.state_form)
+        self.costate = AnchoredBlock(sys, variant.costate_form)
 
         def ends(block, left, right):  # (anchor, opposite endpoint)
             return (left, right) if block.anchored_left else (right, left)

@@ -146,8 +146,6 @@ class OcpDefinition:
     grad_cost_xb: Callable[[Array, Array], Array]
     constraints: EndpointConstraints
     running_cost: RunningCost | None = None
-    # original state count when a cost state has been appended
-    n_x_base: int | None = None
 
     def __post_init__(self):
         t0, tf = self.horizon
@@ -292,7 +290,6 @@ def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
         grad_cost_xb=grad_cost_xb,
         constraints=constraints,
         running_cost=None,
-        n_x_base=n,
     )
 
 
@@ -328,29 +325,29 @@ class ValidationReport:
         return all(v <= self.tolerance for v in self.worst.values())
 
 
-def validate(
-    ocp: OcpDefinition,
-    tol: float = 1e-5,
-    n_points: int = 5,
-    step: float = FD_STEP,
-    seed: int = 0,
-) -> ValidationReport:
+VALIDATION_TOL = 1e-5  # largest relative error a passing derivative may have
+VALIDATION_POINTS = 5  # random evaluation points, drawn from a fixed seed
+VALIDATION_SEED = 0
+
+
+def validate(ocp: OcpDefinition) -> ValidationReport:
     """Check every user Jacobian against central finite differences.
 
-    Relative errors are max|analytic - FD| / max(1, max|FD|) over a fixed set
-    of random evaluation points; deterministic for a given seed.
+    Relative errors are max|analytic - FD| / max(1, max|FD|) over
+    VALIDATION_POINTS random evaluation points from VALIDATION_SEED, so the
+    report is deterministic; a derivative passes within VALIDATION_TOL.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     n, k = ocp.n_x, ocp.n_u
     # one point per row: x, u, x_a, x_b drawn in that order
     X, U, XA, XB = np.split(
-        rng.uniform(-1.0, 1.0, (n_points, 3 * n + k)), [n, n + k, 2 * n + k], axis=1
+        rng.uniform(-1.0, 1.0, (VALIDATION_POINTS, 3 * n + k)), [n, n + k, 2 * n + k], axis=1
     )
     worst: dict[str, float] = {}
 
     def check(block: str, user, fun, at: Array):
-        # user and FD Jacobians as (n_points, q, p) tables; worst point kept
-        fd = _central_jacobian(fun, at, step)
+        # user and FD Jacobians as (points, q, p) tables; worst point kept
+        fd = _central_jacobian(fun, at, FD_STEP)
         err = np.max(np.abs(np.asarray(user) - fd), axis=(1, 2))
         worst[block] = float(np.max(err / np.maximum(1.0, np.max(np.abs(fd), axis=(1, 2)))))
 
@@ -382,7 +379,7 @@ def validate(
         check("running_cost/x", rc.grad_x(X, U)[:, None], lambda Y: rc.fun(Y, U)[:, None], X)
         if k:
             check("running_cost/u", rc.grad_u(X, U)[:, None], lambda Y: rc.fun(X, Y)[:, None], U)
-    return ValidationReport(tolerance=tol, worst=worst)
+    return ValidationReport(tolerance=VALIDATION_TOL, worst=worst)
 
 
 # --- registry ----------------------------------------------------------------

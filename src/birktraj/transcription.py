@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -128,17 +128,6 @@ def consecutive_slices(sizes: dict) -> dict:
     return {nm: slice(a, b) for nm, a, b in zip(sizes, edges, edges[1:])}
 
 
-def _node_block_index(m: int, p: int, q: int, row0: int, col0: int):
-    i = np.arange(m)[:, None, None]
-    return row0 + i * p + np.arange(p)[:, None], col0 + i * q + np.arange(q)
-
-
-def set_node_blocks(out: Array, row0: int, col0: int, blocks: Array) -> None:
-    """Write ``blocks[i]`` (p x q) as the i-th diagonal block of ``out`` whose
-    first block starts at (row0, col0)."""
-    out[_node_block_index(*blocks.shape, row0, col0)] = blocks
-
-
 def add_unit_columns(table: Array, blocks: Array) -> Array:
     """Add (m, p, k) node ``blocks`` to an (m, p, c) node ``table`` at each
     node's own unit control columns: ``blocks[j]`` at columns j k .. j k +
@@ -153,7 +142,7 @@ def add_unit_columns(table: Array, blocks: Array) -> Array:
 
 
 class AnchoredBlock:
-    """Anchored interpolation rows of one side, with their constant partials.
+    """Anchored interpolation rows of one side.
 
     For node values ``Y`` (N+1, n), node derivatives ``D`` and endpoint values
     ``left``/``right``: interpolation rows ``Y - anchor 1 - B D`` (node-major)
@@ -166,11 +155,10 @@ class AnchoredBlock:
     solvers.  A block does not change after it is built.
     """
 
-    def __init__(self, sys: BirkhoffSystem, tag: FormTag, n: int):
+    def __init__(self, sys: BirkhoffSystem, tag: FormTag):
         self.anchored_left = FormTag(tag).anchored_left
         self.B = sys.B_a if self.anchored_left else sys.B_b
         self.w = sys.w_B
-        self.n = n
 
     def residual(self, values: Array, derivs: Array, left: Array, right: Array):
         """(interpolation rows, equivalency rows), the first flat; a trailing
@@ -184,17 +172,6 @@ class AnchoredBlock:
             right - left - (self.w @ D).reshape(left.shape),
         )
 
-    @cached_property
-    def _partials(self):
-        # constant; built on the first Jacobian, never for a residual alone
-        eye = np.eye(self.n)
-        return (
-            eye,
-            -np.kron(self.B, eye),
-            -np.tile(eye, (self.w.size, 1)),
-            -np.kron(self.w[None, :], eye),
-        )
-
     def residual_transpose(self, interp: Array, equiv: Array):
         """The transpose of :meth:`residual`'s rows applied to multipliers
         ``interp`` (N+1, n) and ``equiv`` (n): their gradients wrt (values,
@@ -206,19 +183,6 @@ class AnchoredBlock:
             -equiv + anchor if self.anchored_left else -equiv,
             equiv if self.anchored_left else equiv + anchor,
         )
-
-    def write_partials(self, jac: Array, rows, cols) -> None:
-        """Write the partials into ``jac`` at ``rows`` = (interpolation,
-        equivalency) and ``cols`` = (values, derivs, left, right) slices."""
-        interp, equiv = rows
-        values, derivs, left, right = cols
-        eye, d_interp, d_anchor, d_equiv = self._partials
-        np.fill_diagonal(jac[interp, values], 1.0)
-        jac[interp, derivs] = d_interp
-        jac[interp, left if self.anchored_left else right] = d_anchor
-        jac[equiv, right] = eye
-        jac[equiv, left] = -eye
-        jac[equiv, derivs] = d_equiv
 
     def condensing_matrix(self, blocks: Array) -> Array:
         """I - (B (x) I) blockdiag(``blocks``), for (N+1, k, k) node blocks:
@@ -376,8 +340,9 @@ class NodeJacobian(LinearOperator):
     F_u in physical variables, and ``e_xa``, ``e_xb`` (n_e, n_x), the
     endpoint rows; the other rows are constant.  As a linear operator it is
     the matrix wrt stored variables, with the row and column scaling of the
-    form: ``J @ v`` and ``J.T @ mu`` are node-block products, and
-    :meth:`dense` assembles it.  Not changed after it is built.
+    form: ``J @ v`` and ``J.T @ mu`` are node-block products, so the matrix,
+    where one is wanted, is ``J @ np.eye(n_z)``.  Not changed after it is
+    built.
     """
 
     def __init__(self, nlp: "DiscretizedNlp", fx: Array, fu: Array, e_xa: Array, e_xb: Array):
@@ -414,23 +379,6 @@ class NodeJacobian(LinearOperator):
             x_b + self.e_xb.T @ end,
         ])
         return out if nlp._col_scale is None else out * nlp._col_scale
-
-    def dense(self) -> Array:
-        """The n_rows x n_z matrix."""
-        nlp = self.nlp
-        jac = np.zeros(self.shape)
-        nlp.state.write_partials(jac, *nlp._state_layout)
-        dyn, end = nlp.rows["dynamics"], nlp.rows["endpoint"]
-        np.fill_diagonal(jac[dyn, nlp.slice_v], 1.0)
-        set_node_blocks(jac, dyn.start, nlp.slice_x.start, -self.fx)
-        if nlp.n_u:
-            set_node_blocks(jac, dyn.start, nlp.slice_u.start, -self.fu)
-        jac[end, nlp.slice_xa] = self.e_xa
-        jac[end, nlp.slice_xb] = self.e_xb
-        jac *= nlp._row_scale[:, None]
-        if nlp._col_scale is not None:
-            jac *= nlp._col_scale[None, :]
-        return jac
 
 
 class DiscretizedNlp:
@@ -491,14 +439,10 @@ class DiscretizedNlp:
             col[self.slice_u] = np.repeat(1.0 / w, self.n_u)
             self._col_scale = col
 
-        self.state = AnchoredBlock(sys, form.tag, n)
+        self.state = AnchoredBlock(sys, form.tag)
         self._ab = slice(self.slice_xa.start, self.n_z)  # (x_a, x_b)
         # the rows of the condensing T: all but those of U, which are units
         self._t_rows = np.r_[self.slice_x, self.slice_v.start:self.n_z]
-        self._state_layout = (
-            (rows["state_interpolation"], rows["grid_equivalency"]),
-            (self.slice_x, self.slice_v, self.slice_xa, self.slice_xb),
-        )
 
     # --- variable packing -----------------------------------------------------
 
@@ -607,7 +551,7 @@ class DiscretizedNlp:
         the curvature of w_i L + mu_dyn . f at each node (the running cost
         and the dynamics rows), obtained by central differences of the
         analytic gradients, and K_end that of the endpoint terms.
-        :meth:`dense_hessian` assembles the matrix wrt stored variables.
+        :meth:`hessian_times` applies them to a vector.
         """
         X, U, _, x_a, x_b = self.unpack(z)
         # dynamics rows carry -f
@@ -617,24 +561,7 @@ class DiscretizedNlp:
         k_end = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
         return 0.5 * (K + K.transpose(0, 2, 1)), 0.5 * (k_end + k_end.T)
 
-    def dense_hessian(self, hess) -> Array:
-        """The n_z x n_z matrix wrt stored variables of
-        :meth:`lagrangian_hessian`'s node blocks ``hess``."""
-        K, k_end = hess
-        n = self.n_x
-        out = np.zeros((self.n_z, self.n_z))
-        x0, u0 = self.slice_x.start, self.slice_u.start
-        set_node_blocks(out, x0, x0, K[:, :n, :n])
-        set_node_blocks(out, x0, u0, K[:, :n, n:])
-        set_node_blocks(out, u0, x0, K[:, n:, :n])
-        set_node_blocks(out, u0, u0, K[:, n:, n:])
-        out[self._ab, self._ab] += k_end
-        if self._col_scale is not None:
-            out *= self._col_scale[:, None]
-            out *= self._col_scale[None, :]
-        return out
-
-    def _hessian_times(self, hess, v: Array) -> Array:
+    def hessian_times(self, hess, v: Array) -> Array:
         """H v in physical variables for a vector ``v``; ``hess`` as in
         :meth:`newton_system`."""
         col = self._col_scale
@@ -740,7 +667,7 @@ class DiscretizedNlp:
             ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
             tht = T[:mn].T @ ht_x.reshape(mn, n_p) + t_end.T @ (k_end @ t_end)
             tht[:n_u] += ht_u.reshape(n_u, n_p)
-        s = self._hessian_times(hess, t) + g  # H t + g
+        s = self.hessian_times(hess, t) + g  # H t + g
         t_s = T.T @ s[self._t_rows]
         t_s[:n_u] += s[self.slice_u]
         e_t = e_rows @ t_end
@@ -754,7 +681,7 @@ class DiscretizedNlp:
         dz[self._t_rows] += T @ p
         dz[self.slice_u] = p[:n_u]
 
-        s = self._hessian_times(hess, dz) + g  # H dz + g
+        s = self.hessian_times(hess, dz) + g  # H dz + g
         mu3 = -sign * (s[self._ab][other] + e_rows[:, other].T @ mu4)
         s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
         w_mu3 = np.outer(w, mu3)

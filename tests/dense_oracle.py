@@ -6,7 +6,9 @@ node blocks, for the tests to compare against.
 * :func:`fd_lagrangian_hessian`, the Hessian of the Lagrangian by central
   differences of its gradient;
 * :func:`assembled_jacobian`, a DiscretizedNlp's constraint Jacobian built
-  whole from its callbacks with Kronecker products.
+  whole from its callbacks with Kronecker products;
+* :func:`assembled_hessian`, its Hessian of the Lagrangian placed whole from
+  the node blocks of ``lagrangian_hessian``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,16 @@ def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Arra
     return None if sol is None else (sol[:n], sol[n:])
 
 
+def stored_column_scale(nlp) -> Array | None:
+    """The inverse weights by which derivatives wrt the scaled variables
+    w o (X, U, V) carry, ones at (x_a, x_b); None on an unscaled form."""
+    if not nlp.form.scaled:
+        return None
+    inv, n, k = 1.0 / nlp.sys.w_B, nlp.n_x, nlp.n_u
+    return np.concatenate([np.repeat(inv, n), np.repeat(inv, k), np.repeat(inv, n),
+                           np.ones(2 * n)])
+
+
 def assembled_jacobian(nlp, z: Array) -> Array:
     """The constraint Jacobian of a DiscretizedNlp at ``z`` wrt stored
     variables: the partials of its rows (interpolation, dynamics,
@@ -101,7 +113,31 @@ def assembled_jacobian(nlp, z: Array) -> Array:
     ])
     if nlp.form.tag.starred:
         jac[: 2 * m * n] *= np.tile(np.repeat(w, n), 2)[:, None]
-    if nlp.form.scaled:
-        jac *= np.concatenate([np.repeat(1.0 / w, n), np.repeat(1.0 / w, k),
-                               np.repeat(1.0 / w, n), np.ones(2 * n)])[None, :]
+    col = stored_column_scale(nlp)
+    if col is not None:
+        jac *= col[None, :]
     return jac
+
+
+def assembled_hessian(nlp, hess) -> Array:
+    """The Hessian of the Lagrangian of a DiscretizedNlp wrt stored variables
+    from its node blocks ``hess`` = (K, K_end): the (x, u) quarters of K as
+    block diagonals over (X, U), K_end over (x_a, x_b) and zero on V, then
+    times the inverse weights of the scaled variables on both sides."""
+    K, k_end = hess
+    m, n, k = nlp.n_nodes, nlp.n_x, nlp.n_u
+    quarters = [[block_diag(*K[:, rows, cols]).reshape(m * p, m * q)
+                 for cols, q in ((slice(n), n), (slice(n, None), k))]
+                for rows, p in ((slice(n), n), (slice(n, None), k))]
+    zero = np.zeros
+    out = np.block([
+        [*quarters[0], zero((m * n, m * n + 2 * n))],
+        [*quarters[1], zero((m * k, m * n + 2 * n))],
+        [zero((m * n, nlp.n_z))],
+        [zero((2 * n, m * (2 * n + k))), k_end],
+    ])
+    col = stored_column_scale(nlp)
+    if col is not None:
+        out *= col[:, None]
+        out *= col[None, :]
+    return out

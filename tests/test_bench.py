@@ -92,6 +92,13 @@ def test_cond_kkt_column_optional_and_growing():
     assert plain[0].cond_kkt is None
 
 
+def test_cond_kkt_column_values_are_pinned():
+    # frozen values: building the KKT matrix another way must not move them
+    rows = cond_study("lgl", [8, 16, 32], include_kkt=True)
+    want = [253.86240457879984, 1227.7586941054788, 6367.3261296881956]
+    assert [r.cond_kkt for r in rows] == pytest.approx(want, rel=1e-12)
+
+
 def test_cond_unbuildable_orders_get_skip_notes():
     rows = cond_study("uniform", [8, 64])
     assert rows[0].note == "" and np.isfinite(rows[0].cond_B_a)

@@ -91,7 +91,7 @@ def test_horizon_must_be_finite_and_ordered():
 def test_augmentation_shapes_and_cost_state():
     ocp = registry("double-integrator-energy")
     aug = prepared(ocp)
-    assert (aug.n_x, aug.n_u, aug.n_x_base) == (3, 1, 2)
+    assert (aug.n_x, aug.n_u) == (3, 1)
     assert aug.running_cost is None
     x = np.array([[0.3, -0.2, 5.0]])
     u = np.array([[4.0]])

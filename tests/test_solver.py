@@ -213,7 +213,7 @@ def estimate_error(nlp) -> float:
     z = initial_guess(nlp, "constant-midpoint")
     jac, eq = nlp.jacobian(z), nlp.equality_mask
     g = nlp.objective_gradient(z)
-    ref = np.linalg.lstsq(jac.dense()[eq].T, -g, rcond=None)[0]
+    ref = np.linalg.lstsq((jac @ np.eye(nlp.n_z))[eq].T, -g, rcond=None)[0]
     _, mu = nlp.newton_system(jac)(np.ones(nlp.n_z), g, np.zeros(eq.size), eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
@@ -382,11 +382,12 @@ def test_double_integrator_matches_analytic_solution():
 def dense_system(nlp, jac):
     """``nlp``'s Newton system solved by the dense oracle's Newton step on
     the assembled Hessian and Jacobian."""
-    dense_jac = jac.dense()
+    dense_jac = jac @ np.eye(nlp.n_z)
 
     def step(hess, g, r, working):
-        dense = hess if isinstance(hess, np.ndarray) else nlp.dense_hessian(hess)
-        return dense_oracle.dense_newton_step(dense, dense_jac, g, r, working)
+        if not isinstance(hess, np.ndarray):
+            hess = dense_oracle.assembled_hessian(nlp, hess)
+        return dense_oracle.dense_newton_step(hess, dense_jac, g, r, working)
 
     return step
 

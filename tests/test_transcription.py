@@ -38,7 +38,13 @@ from birktraj import (
 )
 from birktraj.ocp import FD_STEP, _central_jacobian, pinned_endpoints
 from birktraj.transcription import AnchoredBlock, add_unit_columns
-from dense_oracle import assembled_jacobian, dense_newton_step, fd_lagrangian_hessian
+from dense_oracle import (
+    assembled_hessian,
+    assembled_jacobian,
+    dense_newton_step,
+    fd_lagrangian_hessian,
+    stored_column_scale,
+)
 
 
 def scalar_mayer():
@@ -188,7 +194,7 @@ def test_jacobian_matches_finite_differences(form, scaled):
     nlp = make_nlp(form=form, scaled=scaled, N=5)
     rng = np.random.default_rng(11)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
-    jac = nlp.jacobian(z).dense()
+    jac = nlp.jacobian(z) @ np.eye(nlp.n_z)
     h = 1e-6
     fd = np.zeros_like(jac)
     for j in range(nlp.n_z):
@@ -204,7 +210,7 @@ def test_linear_dynamics_jacobian_is_constant():
     nlp = make_nlp("scalar-lq", N=6)  # augmented dynamics are quadratic in u only
     rng = np.random.default_rng(5)
     z1, z2 = rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_z)
-    j1, j2 = nlp.jacobian(z1).dense(), nlp.jacobian(z2).dense()
+    j1, j2 = (nlp.jacobian(z) @ np.eye(nlp.n_z) for z in (z1, z2))
     cols_u = nlp.slice_u
     mask = np.ones(nlp.n_z, dtype=bool)
     mask[cols_u] = False
@@ -223,10 +229,30 @@ def random_iterate(nlp, seed):
 
 @pytest.mark.parametrize("name", registry_names())
 @pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
-def test_dense_jacobian_is_the_whole_assembly_bit_for_bit(form, scaled, name):
+def test_jacobian_products_are_the_whole_assembly(form, scaled, name):
+    # equal in value; a product may give -0.0 where the assembly has 0.0
     nlp = make_nlp(name, form=form, scaled=scaled, N=7)
     _, z = random_iterate(nlp, 17)
-    assert np.array_equal(nlp.jacobian(z).dense(), assembled_jacobian(nlp, z))
+    assert np.array_equal(nlp.jacobian(z) @ np.eye(nlp.n_z), assembled_jacobian(nlp, z))
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_hessian_products_are_the_whole_assembly(form, scaled, name):
+    # the problem as defined, so K carries w_i L; hessian_times works in
+    # physical variables: the column scale on both sides gives the matrix
+    # wrt stored variables
+    ocp = registry(name)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 7, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    rng, z = random_iterate(nlp, 23)
+    hess = nlp.lagrangian_hessian(z, rng.normal(size=nlp.n_rows))
+    cols = np.stack([nlp.hessian_times(hess, e) for e in np.eye(nlp.n_z)], axis=1)
+    col = stored_column_scale(nlp)
+    if col is not None:
+        cols *= col[:, None]
+        cols *= col[None, :]
+    assert np.array_equal(cols, assembled_hessian(nlp, hess))
 
 
 @pytest.mark.parametrize("name", registry_names())
@@ -235,7 +261,7 @@ def test_node_block_products_match_the_dense_jacobian(form, scaled, name):
     nlp = make_nlp(name, form=form, scaled=scaled, N=9, kind="cgl")
     rng, z = random_iterate(nlp, 19)
     jac = nlp.jacobian(z)
-    dense = jac.dense()
+    dense = assembled_jacobian(nlp, z)
     mu, v = rng.normal(size=nlp.n_rows), rng.normal(size=nlp.n_z)
     for got, want in ((jac.T @ mu, dense.T @ mu), (jac @ v, dense @ v)):
         assert got.shape == want.shape
@@ -274,7 +300,7 @@ def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
     rng = np.random.default_rng(13)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
     mu = rng.normal(size=nlp.n_rows)
-    hess = nlp.dense_hessian(nlp.lagrangian_hessian(z, mu))
+    hess = assembled_hessian(nlp, nlp.lagrangian_hessian(z, mu))
     fd = fd_lagrangian_hessian(nlp, z, mu)
     assert np.array_equal(hess, hess.T)
     err = np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd)))
@@ -299,7 +325,7 @@ def test_quadrature_cost_derivatives_match_finite_differences(name, form, scaled
     assert nlp.objective(z) == ocp.endpoint_cost(x_a, x_b) + sys.w_B @ ocp.running_cost.fun(X, U)
     g_fd = _central_jacobian(lambda Z: np.array([[nlp.objective(Z[0])]]), z[None], FD_STEP)[0, 0]
     assert np.max(np.abs(nlp.objective_gradient(z) - g_fd)) <= 1e-7
-    hess = nlp.dense_hessian(nlp.lagrangian_hessian(z, mu))
+    hess = assembled_hessian(nlp, nlp.lagrangian_hessian(z, mu))
     fd = fd_lagrangian_hessian(nlp, z, mu)
     assert np.array_equal(hess, hess.T)
     assert np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
@@ -454,7 +480,9 @@ def assert_step_matches_dense(nlp, seed=0):
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    dz_ref, mu_ref = dense_newton_step(nlp.dense_hessian(hess), jac.dense(), g, r, working)
+    dz_ref, mu_ref = dense_newton_step(
+        assembled_hessian(nlp, hess), assembled_jacobian(nlp, z), g, r, working
+    )
     dz, mu_w = nlp.newton_system(jac)(hess, g, r, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
@@ -707,11 +735,11 @@ def test_concurrent_condense_reads_a_consistent_factor():
     # keeps no state between them
     system = build_birkhoff(make_grid("lgl", 12, (0.0, 1.0)))
     m, n = 13, 2
-    block = AnchoredBlock(system, "b", n)
+    block = AnchoredBlock(system, "b")
     rng = np.random.default_rng(5)
     Gs = [rng.normal(size=(m, n, n)) for _ in range(2)]
     derivs, r = rng.normal(size=(m, n, 3)), rng.normal(size=m * n + n)
-    want = [condensed_side(AnchoredBlock(system, "b", n), G, derivs, r) for G in Gs]
+    want = [condensed_side(AnchoredBlock(system, "b"), G, derivs, r) for G in Gs]
     assert_threads_get_single_threaded_bits(lambda j: condensed_side(block, Gs[j], derivs, r), want)
 
 
@@ -745,7 +773,7 @@ def random_blocks(draw, name):
     well conditioned (|B| = 1 in the infinity norm on (0, 1))."""
     N = draw(st.integers(min_value=1, max_value=12))
     n = draw(st.integers(min_value=2 if name == "two-cycle" else 1, max_value=4))
-    block = AnchoredBlock(unit_system(N), draw(st.sampled_from(["a", "b"])), n)
+    block = AnchoredBlock(unit_system(N), draw(st.sampled_from(["a", "b"])))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     return block, rng.uniform(-0.5 / n, 0.5 / n, (N + 1, n, n)) * coupling_pattern(name, n)
 
@@ -795,7 +823,7 @@ def test_control_columns_condense_like_their_written_out_units(tag, name, k):
     # the unit control columns, taken as outer products, give what the same
     # columns give written out in derivs and multiplied by B
     N, n = 10, 3
-    block = AnchoredBlock(unit_system(N), tag, n)
+    block = AnchoredBlock(unit_system(N), tag)
     m, rng = N + 1, np.random.default_rng(8)
     G = rng.uniform(-0.5 / n, 0.5 / n, (m, n, n)) * coupling_pattern(name, n)
     controls = rng.normal(size=(m, n, k))
