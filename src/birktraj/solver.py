@@ -19,16 +19,14 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-Each problem owns its whole Newton-KKT solve.  ``newton_system(jac)`` is
-one iterate's linearization, a step solver
-``step(hess, g, r, working) -> (dz, mu_w) | None`` that solves
-[[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w] over the working rows, with
-``hess`` as ``lagrangian_hessian`` returns it; None means that no step
-exists, and the solve then ends ``line-search-failure``.  A 1-D ``hess``
-is the multiplier-estimate call, H = I in stored variables and r = 0: its
-mu_w are the least-squares multipliers argmin ||g + J_w^T mu|| of the
-optimality test.  The estimate and the step of an iterate share its
-system, which ``solve`` releases before the next Jacobian is built.
+Each problem owns its whole Newton-KKT solve.  ``newton_system(jac, r)``
+is one iterate's linearization, or None where it has no Newton step.  Over
+the working rows it answers ``step(hess, g, working) -> (dz, mu_w) | None``
+for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], ``hess`` as
+``lagrangian_hessian`` returns it, and ``estimate(g, working) -> mu_w |
+None``, the least-squares multipliers argmin ||g + J_w^T mu|| of the
+optimality test.  A None ends the solve ``line-search-failure``.  ``solve``
+releases an iterate's system before the next Jacobian is built.
 DiscretizedNlp condenses the system through the identity blocks of its
 rows; a problem with a dense Jacobian can solve it whole.  A singular
 system is shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
@@ -202,7 +200,9 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             return finish(SolveStatus.INFEASIBLE, np.inf)
         if not (np.isfinite(f) and np.all(np.isfinite(r))):
             return finish(SolveStatus.INFEASIBLE, np.inf)
-        system = nlp.newton_system(jac)
+        system = nlp.newton_system(jac, r)
+        if system is None:
+            return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
 
         # refresh the working set: violated inequality rows join it
         if ineq_idx.size:
@@ -212,10 +212,10 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             # least-squares multipliers for the optimality test
             mu_full = np.zeros(n_rows)
             if working.any():
-                estimate = system(np.ones(z.size), g, np.zeros(n_rows), working)
+                estimate = system.estimate(g, working)
                 if estimate is None:
                     return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
-                mu_full[working] = estimate[1]
+                mu_full[working] = estimate
             stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
             converged = (stat <= opts.tol_stat and feas <= opts.tol_feas
                          and comp <= COMPLEMENTARITY_TOL)
@@ -236,7 +236,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        step = system(nlp.lagrangian_hessian(z, mu_full), g, r, working)
+        step = system.step(nlp.lagrangian_hessian(z, mu_full), g, working)
         del system  # so the next linearization is built without this one alive
         if step is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
@@ -279,8 +279,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             }
         )
 
-    kkt = max(stat, feas, comp)
-    return finish(status, kkt)
+    return finish(status, max(stat, feas, comp))
 
 
 def write_iteration_log(result: NlpResult, path) -> None:

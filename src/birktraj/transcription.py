@@ -24,21 +24,16 @@ Constraint rows, in order:
 
 Each row block but the endpoint rows is the identity in one variable block
 (X, V and the endpoint opposite the anchor), so the solver's Newton-KKT
-system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables: at
-each iterate it factors M = I - (B (x) I) F_x once, conditioned like the
-O(1)-norm Birkhoff matrix B and block lower triangular over the groups of
-states that F_x couples, so that only the coupled diagonal blocks, of order
-(N+1) times the group's size, are LU-factored, and each step factors a
-reduced KKT over (U, x_anchor) and the working endpoint rows (the condensing
-of multiple shooting, Bock and Plitt 1984).  The elimination is
-:meth:`AnchoredBlock.condense`, which the indirect solver in ``dual`` calls
-for both of its sides too.  The constraint Jacobian is a
-:class:`NodeJacobian` (F_x and F_u node blocks and the endpoint rows) and the
-Hessian of the Lagrangian node blocks too, so no n_rows x n_z or n_z x n_z
-matrix is built in a solve.  The reduced KKT is
-shifted by the solver's :func:`regularized_solve` when it is singular, as on
-dependent endpoint rows, so this is the NLP's only Newton step: it gives
-none only when M has an exactly zero pivot or a result is not finite.
+system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables
+once per iterate by :meth:`AnchoredBlock.condense`, which the indirect solver
+in ``dual`` calls for both of its sides too: it factors M = I - (B (x) I)
+F_x, conditioned like the O(1)-norm Birkhoff matrix B, LU-factoring only the
+diagonal blocks of the groups of states that F_x couples.  The estimate and
+the step then solve one reduced KKT over (U, x_anchor) and the working
+endpoint rows (the condensing of multiple shooting, Bock and Plitt 1984).
+The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
+Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
+in a solve.
 """
 
 from __future__ import annotations
@@ -212,8 +207,7 @@ class AnchoredBlock:
             groups.append((rows, lu, piv, cols, None if cols is None else G[:, rows][:, :, cols]))
         return CondensingFactor(self.B, tuple(groups))
 
-    def condense(self, G, controls, values, derivs, anchor, other, r_interp, r_equiv,
-                 factor=None):
+    def condense(self, G, controls, values, derivs, anchor, other, r_interp, r_equiv):
         """Solve the interpolation and equivalency rows in every column of the
         (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
         endpoint tables ``anchor`` and ``other``, given the anchor and the
@@ -226,12 +220,11 @@ class AnchoredBlock:
         multiplies only the other columns.  Fills ``values``, completes
         ``derivs`` and sets ``other``, the endpoint opposite the anchor;
         ``r_interp`` and ``r_equiv`` enter the last column.  One solve with
-        ``factor``, :meth:`factor` of G, which is computed when not given.
-        Returns that factor, or None on an exactly zero pivot."""
+        :meth:`factor` of G.  Returns that factor, or None on an exactly zero
+        pivot."""
+        factor = self.factor(G)
         if factor is None:
-            factor = self.factor(G)
-            if factor is None:
-                return None
+            return None
         m, n, c = values.shape
         k = controls.shape[2]
         mk = m * k
@@ -323,9 +316,9 @@ class CondensingFactor:
                 rhs[:, states] += (B @ (coupling @ rhs[:, sources]).reshape(m, -1)).reshape(
                     m, -1, c
                 )
-            if lu is not None:
+            if lu is not None:  # dgetrs shifts piv in place; a copy lets threads share it
                 rhs[:, states] = lapack.dgetrs(
-                    lu, piv, rhs[:, states].reshape(-1, c), trans=int(trans)
+                    lu, piv.copy(), rhs[:, states].reshape(-1, c), trans=int(trans)
                 )[0].reshape(m, -1, c)
             if sources is not None and trans:
                 rhs[:, sources] += coupling.transpose(0, 2, 1) @ (
@@ -562,11 +555,8 @@ class DiscretizedNlp:
         return 0.5 * (K + K.transpose(0, 2, 1)), 0.5 * (k_end + k_end.T)
 
     def hessian_times(self, hess, v: Array) -> Array:
-        """H v in physical variables for a vector ``v``; ``hess`` as in
-        :meth:`newton_system`."""
-        col = self._col_scale
-        if isinstance(hess, np.ndarray):  # H = I in stored variables
-            return v if col is None else v / (col * col)
+        """H v in physical variables for a vector ``v``, ``hess`` as
+        :meth:`lagrangian_hessian` returns it."""
         K, k_end = hess
         m, n = self.n_nodes, self.n_x
         xu = np.concatenate(
@@ -580,120 +570,131 @@ class DiscretizedNlp:
 
     # --- condensed Newton step -----------------------------------------------------
 
-    def newton_system(self, jac: NodeJacobian):
-        """The solver's Newton-KKT system at the iterate whose Jacobian is
-        ``jac``: a step solver ``step(hess, g, r, working) -> (dz, mu_w) |
-        None`` for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], where
-        ``hess`` is :meth:`lagrangian_hessian`'s node blocks, or any 1-D
-        array for the estimate call, H = I in stored variables.
+    def newton_system(self, jac: NodeJacobian, r: Array) -> NewtonSystem | None:
+        """The solver's Newton-KKT system at the iterate with Jacobian ``jac``
+        and constraint values ``r``, or None when M has an exactly zero pivot.
 
         The system is condensed through the identity blocks of the rows.  The
         dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation rows
         M dX = 1 dx_anchor + (B (x) I)(F_u dU - r2) - r1 and the equivalency
         rows the other endpoint, so dz = T p + t in the free unknowns
-        p = (dU, dx_anchor).  M and T depend on ``jac`` only through its
-        F_x/F_u blocks, so they are built here, once per iterate: M is
-        factored by :meth:`AnchoredBlock.factor`, which LU-factors only the
-        diagonal blocks of the groups of states F_x couples, and T's columns
-        come from one elimination, :meth:`AnchoredBlock.condense`, in which
-        the dU columns enter as outer products.  T keeps the rows of X, V,
-        x_a and x_b; its dU rows are the unit columns.  Each step adds t, the
-        step at p = 0 (one more solve with that factor), and factors the
-        reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the working
-        endpoint rows E by :func:`solver.regularized_solve`, shifted +d on p
-        and -d on the endpoint rows only when it is singular.  T^T H T is
-        built from the rows of T that H touches: those of X and x_a, x_b for
-        the node blocks, with the dU rows added as units, and all of T, as
-        one symmetric product T^T D T, for the estimate's diagonal D.  The
-        eliminated multipliers come by back-substitution in the columns of
-        x_other, X and V.  Works in physical variables, since the solution
-        does not depend on the row and column scaling.  Every step is None
-        when M has an exactly zero pivot; otherwise a step is None when no
-        shift makes the reduced KKT solvable or a result is not finite.
+        p = (dU, dx_anchor), t the step at p = 0.  One call of
+        :meth:`AnchoredBlock.condense` factors M and solves T's columns (dU's
+        as outer products) and t's, where r enters, over the rows of X, V,
+        x_a and x_b.  Works in physical variables: the scaling cancels.
         """
         m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
-        mn, n_p = m * n, n_u + n
-        # a unit step in each free unknown (the dU columns, then dx_anchor),
-        # solved in place in T's rows X, V, x_a, x_b; dx_anchor moves no V
-        T = np.empty((2 * mn + 2 * n, n_p))
-        X, V = T[:mn].reshape(m, n, n_p), T[mn:2 * mn].reshape(m, n, n_p)
-        V[..., n_u:] = 0.0
-        ends = T[2 * mn:].reshape(2, n, n_p)  # x_a, x_b
-        anchor, other = ends if self.state.anchored_left else ends[::-1]
-        anchor[...] = np.eye(n, n_p, n_u)
-        factor = self.state.condense(
-            jac.fx, jac.fu, X, V, anchor, other, np.zeros(mn), np.zeros(n)
-        )
-        if factor is None:
-            return lambda hess, g, r, working: None
-        return partial(self._newton_step, jac, factor, T)
-
-    def _newton_step(self, jac, factor, T, hess, g, r, working):
-        """One step of :meth:`newton_system`'s system, with T's rows
-        :attr:`_t_rows`."""
-        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
-        mn, n_p = m * n, T.shape[1]
-        rows, col = self.rows, self._col_scale
+        mn, c = m * n, n_u + n + 1
         r = r / self._row_scale
-        if col is not None:
-            g = g / col
-        r1, r2, r3 = (r[rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
-        e_work = working[rows["endpoint"]]
-        ends = rows["endpoint"].start + np.flatnonzero(e_work)
-        e_rows = np.hstack([jac.e_xa, jac.e_xb])[e_work]  # over (x_a, x_b)
-        B, w, fx = self.state.B, self._w, jac.fx
-        # the endpoint opposite the anchor, within (x_a, x_b)
-        sign, other = (1.0, slice(n, 2 * n)) if self.state.anchored_left else (-1.0, slice(n))
+        r1, r2, r3 = (r[self.rows[k]] for k in ("state_interpolation", "dynamics",
+                                                "grid_equivalency"))
+        # a unit step in each free unknown (the dU columns, then dx_anchor),
+        # then t, solved in place in T's rows X, V, x_a, x_b; dx_anchor moves no V
+        T = np.empty((2 * mn + 2 * n, c))
+        X, V = T[:mn].reshape(m, n, c), T[mn:2 * mn].reshape(m, n, c)
+        V[..., n_u:-1], V[..., -1] = 0.0, -r2.reshape(m, n)
+        ends = T[2 * mn:].reshape(2, n, c)  # x_a, x_b
+        anchor, other = ends if self.state.anchored_left else ends[::-1]
+        anchor[...] = np.eye(n, c, n_u)
+        factor = self.state.condense(jac.fx, jac.fu, X, V, anchor, other, r1, r3)
+        return None if factor is None else NewtonSystem(self, jac, factor, T, r)
 
-        # t, the step at p = 0: the one column of the condensation that r enters
-        t_x, t_v, t_other = np.empty((m, n, 1)), -r2.reshape(m, n, 1), np.empty((n, 1))
-        self.state.condense(
-            fx, np.zeros((m, n, 0)), t_x, t_v, np.zeros((n, 1)), t_other, r1, r3, factor
-        )
-        t = np.zeros(self.n_z)
-        t[self.slice_x], t[self.slice_v] = t_x.ravel(), t_v.ravel()
-        t[self._ab][other] = t_other[:, 0]
 
-        t_end = T[2 * mn:]
-        if isinstance(hess, np.ndarray):  # D = 1 / col^2 in physical variables
-            Ts = T if col is None else T / np.abs(col[self._t_rows])[:, None]
-            tht = Ts.T @ Ts
-            u = np.arange(n_u)
-            tht[u, u] += 1.0 if col is None else 1.0 / (col[self.slice_u] * col[self.slice_u])
-        else:  # K over each node's (x, u), k_end over (x_a, x_b); zero on V
-            K, k_end = hess
-            tx = T[:mn].reshape(m, n, n_p)
+@dataclass(frozen=True, eq=False)
+class NewtonSystem:
+    """One iterate's condensed Newton-KKT system, from
+    :meth:`DiscretizedNlp.newton_system`: the factor of M, ``T`` with t as
+    its last column and the unweighted constraint values ``r``.  It does not
+    change after it is built, so it serves any number of calls, from any
+    thread.  :meth:`estimate` and :meth:`step` are one :meth:`_solve`."""
+
+    nlp: DiscretizedNlp
+    jac: NodeJacobian
+    factor: CondensingFactor
+    T: Array
+    r: Array
+
+    def estimate(self, g: Array, working: Array) -> Array | None:
+        """The least-squares multipliers argmin ||g + J_w^T mu|| of the
+        optimality test: mu_w of the system with H = I in stored variables,
+        D = 1 / col^2 in physical ones, and r = 0, so t = 0.  T^T D T is one
+        symmetric product (T sqrt(D))^T (T sqrt(D)) plus the unit dU rows."""
+        nlp, col, T = self.nlp, self.nlp._col_scale, self.T[:, :-1]
+
+        def gram(out):
+            Ts = T if col is None else T / np.abs(col[nlp._t_rows])[:, None]
+            np.matmul(Ts.T, Ts, out=out)
+            u = np.arange(nlp.n_nodes * nlp.n_u)
+            out[u, u] += 1.0 if col is None else 1.0 / (col[nlp.slice_u] * col[nlp.slice_u])
+
+        solved = self._solve(gram, (lambda v: v) if col is None else (lambda v: v / (col * col)),
+                             g, working, 0.0, np.zeros(nlp.n_rows))
+        return None if solved is None else solved[1]
+
+    def step(self, hess, g: Array, working: Array):
+        """(dz, mu_w) of [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], or
+        None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
+        returns it: K over each node's (x, u), k_end over (x_a, x_b)."""
+        nlp, (K, k_end) = self.nlp, hess
+        m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
+        mn, T, n_p = m * n, self.T[:, :-1], self.T.shape[1] - 1
+
+        def curvature(out):  # T_X^T (H T)_X + (H T)_U + T_end^T k_end T_end
+            tx, t_end = T[:mn].reshape(m, n, n_p), T[2 * mn:]
             ht_x = add_unit_columns(K[:, :n, :n] @ tx, K[:, :n, n:])
             ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
-            tht = T[:mn].T @ ht_x.reshape(mn, n_p) + t_end.T @ (k_end @ t_end)
-            tht[:n_u] += ht_u.reshape(n_u, n_p)
-        s = self.hessian_times(hess, t) + g  # H t + g
-        t_s = T.T @ s[self._t_rows]
-        t_s[:n_u] += s[self.slice_u]
-        e_t = e_rows @ t_end
-        kkt = np.block([[tht, e_t.T], [e_t, np.zeros((ends.size, ends.size))]])
-        rhs = -np.concatenate([t_s, r[ends] + e_rows @ t[self._ab]])
-        sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(ends.size)]))
+            np.matmul(T[:mn].T, ht_x.reshape(mn, n_p), out=out)
+            out += t_end.T @ (k_end @ t_end)
+            out[:n_u] += ht_u.reshape(n_u, n_p)
+
+        return self._solve(curvature, partial(nlp.hessian_times, hess), g, working,
+                           self.T[:, -1], self.r)
+
+    def _solve(self, fill, times, g: Array, working: Array, t: Array, r: Array):
+        """(dz, mu_w) for the H whose T^T H T ``fill(out)`` writes and whose
+        products are ``times``, t (over T's rows) and r: the reduced KKT
+        [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint rows E
+        in one array, by :func:`solver.regularized_solve`, then the other
+        multipliers by back-substitution in the columns of x_other, X and V.
+        None if no shift makes it solvable or a result is not finite."""
+        nlp, T, fx, col = self.nlp, self.T[:, :-1], self.jac.fx, self.nlp._col_scale
+        m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
+        mn, n_p, t_rows = m * n, T.shape[1], nlp._t_rows
+        if col is not None:
+            g = g / col
+        e_work = working[nlp.rows["endpoint"]]
+        e_rows = np.hstack([self.jac.e_xa, self.jac.e_xb])[e_work]  # over (x_a, x_b)
+        # the endpoint opposite the anchor, within (x_a, x_b)
+        sign, other = (1.0, slice(n, 2 * n)) if nlp.state.anchored_left else (-1.0, slice(n))
+
+        kkt = np.zeros((n_p + len(e_rows),) * 2)
+        fill(kkt[:n_p, :n_p])
+        kkt[n_p:, :n_p] = e_rows @ T[2 * mn:]
+        kkt[:n_p, n_p:] = kkt[n_p:, :n_p].T
+        dz = np.zeros(nlp.n_z)  # t, until p is solved
+        dz[t_rows] = t
+        s = times(dz) + g  # H t + g
+        t_s = T.T @ s[t_rows]
+        t_s[:n_u] += s[nlp.slice_u]
+        rhs = -np.concatenate([t_s, r[nlp.rows["endpoint"]][e_work] + e_rows @ dz[nlp._ab]])
+        sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(len(e_rows))]))
         if sol is None:
             return None
         p, mu4 = sol[:n_p], sol[n_p:]
-        dz = t
-        dz[self._t_rows] += T @ p
-        dz[self.slice_u] = p[:n_u]
+        dz[t_rows] += T @ p
+        dz[nlp.slice_u] = p[:n_u]
 
-        s = self.hessian_times(hess, dz) + g  # H dz + g
-        mu3 = -sign * (s[self._ab][other] + e_rows[:, other].T @ mu4)
-        s_x, s_v = s[self.slice_x].reshape(m, n), s[self.slice_v].reshape(m, n)
-        w_mu3 = np.outer(w, mu3)
+        s = times(dz) + g  # H dz + g
+        mu3 = -sign * (s[nlp._ab][other] + e_rows[:, other].T @ mu4)
+        s_x, s_v = s[nlp.slice_x].reshape(m, n), s[nlp.slice_v].reshape(m, n)
+        w_mu3 = np.outer(nlp._w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1 = factor.solve(y[:, :, None], trans=True).ravel()
-        mu2 = (-s_v + B.T @ mu1.reshape(m, n) + w_mu3).ravel()
-        mu = np.concatenate([mu1, mu2, mu3, mu4]) / self._row_scale[working]
+        mu1 = self.factor.solve(y[:, :, None], trans=True).ravel()
+        mu2 = (-s_v + nlp.state.B.T @ mu1.reshape(m, n) + w_mu3).ravel()
+        mu = np.concatenate([mu1, mu2, mu3, mu4]) / nlp._row_scale[working]
         if col is not None:
             dz = dz / col
-        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(mu))):
-            return None
-        return dz, mu
+        return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
 
 
 def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:

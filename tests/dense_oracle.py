@@ -1,7 +1,8 @@
 """The dense oracle: whole-matrix counterparts of what the package does by
 node blocks, for the tests to compare against.
 
-* :class:`SimpleNlp`, an ad-hoc NLP with a dense Jacobian, solved by
+* :class:`SimpleNlp`, an ad-hoc NLP with a dense Jacobian, whose
+  :class:`DenseSystem` takes :func:`dense_estimate` by pivoted QR and
   :func:`dense_newton_step` on the full KKT matrix;
 * :func:`fd_lagrangian_hessian`, the Hessian of the Lagrangian by central
   differences of its gradient;
@@ -44,8 +45,23 @@ class SimpleNlp:
     def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
         return fd_lagrangian_hessian(self, z, mu)
 
-    def newton_system(self, jac: Array):
-        return lambda hess, g, r, working: dense_newton_step(hess, jac, g, r, working)
+    def newton_system(self, jac: Array, r: Array):
+        return DenseSystem(jac, r)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseSystem:
+    """The Newton-KKT system of a dense Jacobian ``jac`` and constraint
+    values ``r``, with the two solves of ``DiscretizedNlp.newton_system``."""
+
+    jac: Array
+    r: Array
+
+    def estimate(self, g: Array, working: Array) -> Array:
+        return dense_estimate(self.jac, g, working)
+
+    def step(self, hess: Array, g: Array, working: Array):
+        return dense_newton_step(hess, self.jac, g, self.r, working)
 
 
 def fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
@@ -60,16 +76,19 @@ def fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:
     return 0.5 * (hess + hess.T)
 
 
-def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Array):
-    """The Newton-KKT step on the full matrices by ``regularized_solve``;
-    the estimate call takes mu_w by rank-revealing pivoted QR (LAPACK gelsy),
-    minimum-norm on dependent rows, and dz = -(g + J_w^T mu_w).  Returns
-    (dz, mu_w), or None when no shift makes the matrix solvable."""
+def dense_estimate(jac: Array, g: Array, working: Array) -> Array:
+    """The least-squares multipliers argmin ||g + J_w^T mu|| by
+    rank-revealing pivoted QR (LAPACK gelsy), minimum-norm on dependent
+    rows."""
     jac_w = jac[working]
-    if hess.ndim == 1:
-        cutoff = np.finfo(float).eps * max(jac_w.shape)
-        mu = lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
-        return -(g + jac_w.T @ mu), mu
+    cutoff = np.finfo(float).eps * max(jac_w.shape)
+    return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
+
+
+def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Array):
+    """The Newton-KKT step on the full matrices by ``regularized_solve``.
+    Returns (dz, mu_w), or None when no shift makes the matrix solvable."""
+    jac_w = jac[working]
     m, n = jac_w.shape
     kkt = np.block([[hess, jac_w.T], [jac_w, np.zeros((m, m))]])
     signs = np.concatenate([np.ones(n), -np.ones(m)])

@@ -10,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from birktraj import cli, dual
+from birktraj import (
+    DualVariant,
+    UnsupportedProblemError,
+    build_birkhoff,
+    cli,
+    dual,
+    load_problem,
+    make_grid,
+)
 from birktraj.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -369,6 +377,24 @@ def test_indirect_singular_newton_matrix_exits_1(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
     assert "singular Newton matrix" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_indirect_irregular_hamiltonian_exits_64(tmp_path, capsys):
+    # x' = u with no running cost and the endpoint cost x_b^2 - 2 x_b: H_u =
+    # lam does not depend on u, so no control makes the Hamiltonian
+    # stationary
+    problem = {**_STEER, "constraints": [{"a": [1.0], "rhs": 0.0}],
+               "endpoint_cost": {"terms": [{"coef": 1, "xb": [2]}, {"coef": -2, "xb": [1]}]}}
+    ocp = load_problem(problem)
+    system = build_birkhoff(make_grid("lgl", 8, ocp.horizon))
+    with pytest.raises(UnsupportedProblemError, match="Hamiltonian is not regular"):
+        dual.solve_indirect(ocp, system, DualVariant("a", "b_star"))
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    assert run("indirect", "--problem", str(path), "--N", "8",
+               "--out", str(tmp_path / "out")) == EXIT_BAD_CONFIG
+    assert "Hamiltonian is not regular" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- bench / grids ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from birktraj import (
     verify_pontryagin,
     write_iteration_log,
 )
+from birktraj.transcription import AnchoredBlock, DiscretizedNlp, NewtonSystem
 import dense_oracle
 from dense_oracle import SimpleNlp
 
@@ -38,8 +41,12 @@ FORMS = [("a", False), ("b", False), ("a_star", False), ("b_star", False),
 FORM_IDS = [f"{f}{'+scaled' * s}" for f, s in FORMS]
 
 
+def prepared_registry(name):
+    return prepared(registry(name))
+
+
 def make_nlp(name, N=8, form="a", scaled=False, kind="lgl"):
-    ocp = prepared(registry(name))
+    ocp = prepared_registry(name)
     sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
     return transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
 
@@ -214,7 +221,7 @@ def estimate_error(nlp) -> float:
     jac, eq = nlp.jacobian(z), nlp.equality_mask
     g = nlp.objective_gradient(z)
     ref = np.linalg.lstsq((jac @ np.eye(nlp.n_z))[eq].T, -g, rcond=None)[0]
-    _, mu = nlp.newton_system(jac)(np.ones(nlp.n_z), g, np.zeros(eq.size), eq)
+    mu = nlp.newton_system(jac, nlp.constraints(z)).estimate(g, eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
@@ -276,15 +283,13 @@ def test_nearly_dependent_rows_take_pivoted_qr_without_a_structured_step():
     jac[4] = jac[0] + 1e-7 * rng.standard_normal(9)
     g = rng.standard_normal(9)
     ref = np.linalg.lstsq(jac.T, -g, rcond=None)[0]
-    _, mu = dense_oracle.dense_newton_step(
-        np.ones(9), jac, g, np.zeros(5), np.ones(5, dtype=bool)
-    )
+    mu = dense_oracle.dense_estimate(jac, g, np.ones(5, dtype=bool))
     assert np.linalg.norm(mu - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
 def test_corrected_multipliers_reach_closed_form_costates():
-    # the multipliers come from the condensed step with H = I, whose LU
-    # solves are refined once; the costates then match the closed form to
+    # the multipliers come from the condensed estimate, whose LU solves are
+    # refined once; the costates then match the closed form to
     # within the discretization error
     nlp = make_nlp("double-integrator-energy", N=128)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
@@ -379,17 +384,15 @@ def test_double_integrator_matches_analytic_solution():
     assert np.max(np.abs(lam[:, 2] - 1.0)) <= 1e-5
 
 
-def dense_system(nlp, jac):
-    """``nlp``'s Newton system solved by the dense oracle's Newton step on
-    the assembled Hessian and Jacobian."""
-    dense_jac = jac @ np.eye(nlp.n_z)
+def dense_system(nlp, jac, r):
+    """``nlp``'s Newton system solved by the dense oracle on the assembled
+    Jacobian, and on the assembled Hessian of the step's node blocks."""
+    system = dense_oracle.DenseSystem(jac @ np.eye(nlp.n_z), r)
 
-    def step(hess, g, r, working):
-        if not isinstance(hess, np.ndarray):
-            hess = dense_oracle.assembled_hessian(nlp, hess)
-        return dense_oracle.dense_newton_step(hess, dense_jac, g, r, working)
+    def step(hess, g, working):
+        return system.step(dense_oracle.assembled_hessian(nlp, hess), g, working)
 
-    return step
+    return SimpleNamespace(estimate=system.estimate, step=step)
 
 
 class DenseOnly:
@@ -399,29 +402,30 @@ class DenseOnly:
     def __init__(self, nlp):
         self._nlp = nlp
 
-    def newton_system(self, jac):
-        return dense_system(self._nlp, jac)
+    def newton_system(self, jac, r):
+        return dense_system(self._nlp, jac, r)
 
     def __getattr__(self, name):
         return getattr(self._nlp, name)
 
 
-def counting_dense_steps(monkeypatch):
+def counting_dense_solves(monkeypatch):
+    """The list that gets an entry on each dense estimate and step."""
     calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return dense(*args)
-
-    dense = dense_oracle.dense_newton_step
-    monkeypatch.setattr(dense_oracle, "dense_newton_step", counted)
+    for name in ("dense_estimate", "dense_newton_step"):
+        dense = getattr(dense_oracle, name)
+        monkeypatch.setattr(dense_oracle, name,
+                            lambda *args, dense=dense: calls.append(1) or dense(*args))
     return calls
 
 
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
 @pytest.mark.parametrize("name", registry_names())
-def test_condensed_and_dense_steps_take_the_same_iteration(name, monkeypatch):
-    dense_calls = counting_dense_steps(monkeypatch)
-    nlp = make_nlp(name, N=32)
+def test_condensed_and_dense_steps_take_the_same_iteration(name, staging, monkeypatch):
+    # as defined is the problem that `birktraj solve` transcribes
+    dense_calls = counting_dense_solves(monkeypatch)
+    ocp = staging(name)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 32, ocp.horizon)), PrimalForm("a"))
     z0 = initial_guess(nlp, "linear-endpoint-interpolation")
     condensed = solve(nlp, z0)
     assert condensed.converged and not dense_calls  # every step was condensed
@@ -435,7 +439,7 @@ def test_condensed_and_dense_steps_take_the_same_iteration(name, monkeypatch):
 
 
 def test_solve_converges_with_the_dense_step(monkeypatch):
-    dense_calls = counting_dense_steps(monkeypatch)
+    dense_calls = counting_dense_solves(monkeypatch)
     nlp = make_nlp("double-integrator-energy", N=16)
     monkeypatch.setattr(type(nlp), "newton_system", dense_system)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
@@ -444,11 +448,10 @@ def test_solve_converges_with_the_dense_step(monkeypatch):
     assert res.kkt_residual <= SolverOptions().tol_feas
 
 
-def test_released_row_reuses_the_iterates_linearization(monkeypatch):
-    # x(0) = 0, x' = u, cost int u^2 + (x_b - 1)^2 and the bound x_b >= 0.2:
-    # the guess violates the bound, the first step lands on it, and there its
-    # multiplier is negative, so the row is released; the estimate is then
-    # taken again on the same linearization, with no new Jacobian
+def released_row_nlp():
+    """x(0) = 0, x' = u, cost int u^2 + (x_b - 1)^2 and the bound x_b >= 0.2:
+    the guess violates the bound, the first step lands on it, and there its
+    multiplier is negative, so the row is released."""
     ocp = prepared(load_problem({
         "n_x": 1, "n_u": 1, "horizon": [0, 1],
         "dynamics": {"A": [[0]], "B": [[1]]},
@@ -456,31 +459,58 @@ def test_released_row_reuses_the_iterates_linearization(monkeypatch):
         "endpoint_cost": {"terms": [{"coef": 1, "xb": [2]}, {"coef": -2, "xb": [1]}]},
         "constraints": [{"a": [1], "rhs": 0}, {"kind": "inequality", "b": [-1], "rhs": -0.2}],
     }))
-    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), PrimalForm("a"))
-    calls = {"jacobian": 0, "estimate": 0}
-    jacobian, newton_system = nlp.jacobian, nlp.newton_system
+    return transcribe(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), PrimalForm("a"))
 
-    def counted_jacobian(z):
-        calls["jacobian"] += 1
-        return jacobian(z)
 
-    def counted_system(jac):
-        system = newton_system(jac)
+def counting(monkeypatch, owner, name, calls):
+    """Count ``owner.name`` calls in the Counter ``calls[name]``, and the
+    condense calls made within them in ``calls["condense in " + name]``."""
+    method = getattr(owner, name)
 
-        def step(hess, *args):
-            calls["estimate"] += isinstance(hess, np.ndarray)
-            return system(hess, *args)
+    def counted(*args):
+        calls[name] += 1
+        before = calls["condense"]
+        out = method(*args)
+        calls["condense in " + name] += calls["condense"] - before
+        return out
 
-        return step
+    monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(nlp, "jacobian", counted_jacobian)
-    monkeypatch.setattr(nlp, "newton_system", counted_system)
+
+def test_released_row_reuses_the_iterates_linearization(monkeypatch):
+    # after the release the estimate is taken again on the same
+    # linearization, with no new Jacobian
+    nlp = released_row_nlp()
+    calls = Counter()
+    counting(monkeypatch, nlp, "jacobian", calls)
+    counting(monkeypatch, NewtonSystem, "estimate", calls)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.converged, res.status
     assert nlp.unpack(res.z)[4][0] == pytest.approx(0.5, abs=1e-8)
     assert res.multipliers[nlp.rows["endpoint"]][1] == 0.0  # released for good
     assert calls["jacobian"] == res.iterations + 1
     assert calls["estimate"] == calls["jacobian"] + 1  # one release
+
+
+@pytest.mark.parametrize("name", ["released-row", "nonlinear-scalar", "double-integrator-energy"])
+def test_one_elimination_per_linearization(monkeypatch, name):
+    # newton_system eliminates T's columns and t in one condense call; the
+    # estimates and the step on its iterate eliminate nothing
+    if name == "released-row":
+        nlp = released_row_nlp()
+    else:
+        ocp = registry(name)
+        nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 16, ocp.horizon)), PrimalForm("a"))
+    calls = Counter()
+    for owner, method in ((AnchoredBlock, "condense"), (DiscretizedNlp, "newton_system"),
+                          (NewtonSystem, "estimate"), (NewtonSystem, "step")):
+        counting(monkeypatch, owner, method, calls)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert calls["newton_system"] == res.iterations + 1 and calls["step"] == res.iterations
+    assert calls["estimate"] == calls["newton_system"] + (name == "released-row")
+    assert calls["condense"] == calls["condense in newton_system"] == calls["newton_system"]
+    assert calls["condense in estimate"] == calls["condense in step"] == 0
 
 
 def test_non_finite_dynamics_in_the_line_search_end_the_solve_infeasible():

@@ -483,7 +483,7 @@ def assert_step_matches_dense(nlp, seed=0):
     dz_ref, mu_ref = dense_newton_step(
         assembled_hessian(nlp, hess), assembled_jacobian(nlp, z), g, r, working
     )
-    dz, mu_w = nlp.newton_system(jac)(hess, g, r, working)
+    dz, mu_w = nlp.newton_system(jac, r).step(hess, g, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
     return working
@@ -524,24 +524,24 @@ def test_quadrature_cost_newton_step_with_a_working_inequality_row(form, scaled)
 
 
 def step_args(nlp, z, mu):
-    """The Jacobian at z and the solver's arguments to its step solver there:
-    (jac, step, multiplier estimate)."""
+    """The Jacobian and the constraint values at z and the solver's
+    arguments to its system's solves there: (jac, r, step, estimate)."""
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
     working = nlp.equality_mask | (r > 0.0)
-    return jac, (hess, g, r, working), (np.ones(nlp.n_z), g, np.zeros(r.size), working)
+    return jac, r, (hess, g, working), (g, working)
 
 
 def test_hessian_and_newton_steps_build_no_square_matrix():
     nlp = make_nlp("nonlinear-scalar", N=128)
     z = initial_guess(nlp, "linear-endpoint-interpolation")
-    jac, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
-    system = nlp.newton_system(jac)
+    jac, r, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
     tracemalloc.start()
     try:
+        system = nlp.newton_system(jac, r)
         hess = nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
-        system(*estimate)
-        system(hess, *step[1:])
+        system.estimate(*estimate)
+        system.step(hess, *step[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -592,14 +592,12 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     # problems' M factors none
     nlp = make_nlp("nonlinear-scalar", N=8)
     z = initial_guess(nlp, "constant-midpoint")
-    jac, step, estimate = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
+    jac, r, step, _ = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
     orders = singular_blocks(monkeypatch)
-    system = nlp.newton_system(jac)
+    assert nlp.newton_system(jac, r) is None
     assert orders == [9]
-    assert system(*step) is None
-    assert system(*estimate) is None
     monkeypatch.undo()
-    assert nlp.newton_system(jac)(*step) is not None  # the failed factor was not kept
+    assert nlp.newton_system(jac, r).step(*step) is not None  # the failed factor was not kept
 
 
 def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
@@ -608,7 +606,7 @@ def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
     orders = singular_blocks(monkeypatch)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert orders
-    assert res.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert res.status is SolveStatus.LINE_SEARCH_FAILURE and res.kkt_residual == np.inf
     assert res.iterations == 0 and not res.log
 
 
@@ -652,7 +650,7 @@ def test_one_condensation_per_dynamics_jacobian(monkeypatch, name, form):
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
 def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, form, scaled):
     # the estimate and the step share one condensation, and each has the
-    # bits of the same call on a fresh NLP's system
+    # bits of the same call on a fresh NLP's system, also when called twice
     def fresh():
         return make_nlp("nonlinear-scalar", N=12, form=form, scaled=scaled, kind=kind)
 
@@ -665,10 +663,11 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
     z3[nlp.slice_u] += 0.1  # z1's F_x with another F_u
     mu = rng.normal(size=nlp.n_rows)
     for z in (z1, z2, z1, z3):
-        jac, *args = step_args(nlp, z, mu)
-        system = nlp.newton_system(jac)
-        for call in args:
-            got, want = system(*call), fresh().newton_system(jac)(*call)
+        jac, r, step, estimate = step_args(nlp, z, mu)
+        system, other = nlp.newton_system(jac, r), fresh().newton_system(jac, r)
+        for _ in range(2):
+            assert np.array_equal(system.estimate(*estimate), other.estimate(*estimate))
+            got, want = system.step(*step), other.step(*step)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     assert len(calls) == 4
 
@@ -710,11 +709,29 @@ def test_concurrent_steps_read_a_consistent_condensation():
     nlp = make_nlp("nonlinear-scalar", N=12)
     rng = np.random.default_rng(4)
     z0 = initial_guess(nlp, "linear-endpoint-interpolation")
-    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[:2]
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[:3]
              for _ in range(2)]
-    want = [make_nlp("nonlinear-scalar", N=12).newton_system(jac)(*step) for jac, step in calls]
+    want = [make_nlp("nonlinear-scalar", N=12).newton_system(jac, r).step(*step)
+            for jac, r, step in calls]
     assert_threads_get_single_threaded_bits(
-        lambda j: nlp.newton_system(calls[j][0])(*calls[j][1]), want
+        lambda j: nlp.newton_system(*calls[j][:2]).step(*calls[j][2]), want
+    )
+
+
+def test_concurrent_steps_share_one_system():
+    # threads that alternate between the systems of two iterates, built
+    # once, must each get a single-threaded solve's bits: a solve changes
+    # nothing it shares, the pivots of the factor of M included
+    nlp = make_nlp("nonlinear-scalar", N=12)
+    rng = np.random.default_rng(9)
+    z0 = initial_guess(nlp, "linear-endpoint-interpolation")
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))
+             for _ in range(2)]
+    systems = [nlp.newton_system(jac, r) for jac, r, *_ in calls]
+    want = [(*system.step(*call[2]), system.estimate(*call[3]))
+            for system, call in zip(systems, calls)]
+    assert_threads_get_single_threaded_bits(
+        lambda j: (*systems[j].step(*calls[j][2]), systems[j].estimate(*calls[j][3])), want
     )
 
 
