@@ -47,10 +47,8 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .ocp import (
-    FD_STEP,
     ConstraintKind,
     OcpDefinition,
-    _central_jacobian,
     complementarity_violation,
     constraint_violation,
 )
@@ -283,26 +281,23 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     = 0 (L the staged running cost, if any), from u = 0, on every node at
     once; a node leaves once its gradient is at most 1e-12.
 
-    The second derivative is probed by finite differences; a singular one at
-    the seed point means the stationarity condition cannot be solved for u.
+    H_u and its curvature H_uu are the u-parts of
+    :meth:`~birktraj.ocp.OcpDefinition.hamiltonian_gradient` and
+    :meth:`~birktraj.ocp.OcpDefinition.hamiltonian_curvatures` on the live
+    nodes; a singular H_uu means the stationarity condition cannot be solved
+    for u.
     """
-    U = np.zeros((len(X), ocp.n_u))
+    n, U = ocp.n_x, np.zeros((len(X), ocp.n_u))
     if ocp.n_u == 0:
         return U
-    grad_u = None if ocp.running_cost is None else ocp.running_cost.gradients()[1]
-
-    def grad(nodes, U_nodes):  # H_u at the given nodes
-        g = (lam[nodes, None, :] @ ocp.jac_fu(X[nodes], U_nodes))[:, 0]
-        return g if grad_u is None else g + grad_u(X[nodes], U_nodes)
-
     live = np.arange(len(X))
     for _ in range(25):
-        g = grad(live, U[live])
+        g = ocp.hamiltonian_gradient(X[live], U[live], lam[live])[:, n:]
         keep = np.max(np.abs(g), axis=1) > 1e-12
         live, g = live[keep], g[keep]
         if not live.size:
             break
-        curv = _central_jacobian(lambda U_live: grad(live, U_live), U[live], FD_STEP)
+        curv = ocp.hamiltonian_curvatures(X[live], U[live], lam[live])[:, n:, n:]
         try:
             step = np.linalg.solve(curv, -g[:, :, None])
         except np.linalg.LinAlgError:

@@ -6,10 +6,10 @@ running cost L(x, u) staged on the definition.  Every consumer reads L in one
 Hamiltonian H = L + lam . f (:meth:`OcpDefinition.hamiltonian_gradient` and
 its curvatures): the NLP, with L weighted per node by the quadrature weights
 in its objective E + w^T L (:meth:`OcpDefinition.quadrature_cost`), the
-indirect solve and the verification.  :func:`augment_running_cost`, the Mayer
-transform into an extra state y' = L, is kept as a reference path.  All
-derivative information is supplied as callbacks and can be checked against
-central finite differences with :func:`validate`.
+indirect solve and the verification.  :func:`prepared`, the Mayer transform
+into an extra state y' = L, is kept as a reference path.  All derivative
+information is supplied as callbacks, L's two gradients included, and can be
+checked against central finite differences with :func:`validate`.
 
 Node tables are the callback convention for the dynamics and the running
 cost: ``X`` (m, n_x) and ``U`` (m, n_u) hold one node per row, and every
@@ -112,18 +112,17 @@ def pinned_endpoints(
 @dataclass(frozen=True)
 class RunningCost:
     """Integrand L(x, u) on node tables: ``fun`` returns (m,), ``grad_x``
-    (m, n_x), ``grad_u`` (m, n_u).  The Hamiltonian H = L + lam . f and the
-    Mayer reduction both need the two gradients (:meth:`gradients`)."""
+    (m, n_x), ``grad_u`` (m, n_u).  Both gradients are required, since the
+    Hamiltonian H = L + lam . f reads them: a cost built without one raises
+    IncompleteDerivativesError."""
 
     fun: Callable[[Array, Array], Array]
     grad_x: Callable[[Array, Array], Array] | None = None
     grad_u: Callable[[Array, Array], Array] | None = None
 
-    def gradients(self):
-        """(grad_x, grad_u); IncompleteDerivativesError when either is missing."""
+    def __post_init__(self):
         if self.grad_x is None or self.grad_u is None:
             raise IncompleteDerivativesError("running-cost gradients are required")
-        return self.grad_x, self.grad_u
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,12 @@ class OcpDefinition:
         lam_rows = lam[:, None, :]
         gx = (lam_rows @ self.jac_fx(X, U))[:, 0]
         gu = (lam_rows @ self.jac_fu(X, U))[:, 0] if self.n_u else None
-        if self.running_cost is not None:
-            grad_x, grad_u = self.running_cost.gradients()
+        rc = self.running_cost
+        if rc is not None:
             # 1.0 * a is a bit for bit: the indirect solve's H = L + lam . f is unchanged
             c = 1.0 if cost_weight is None else cost_weight[:, None]
-            gx = gx + c * grad_x(X, U)
-            gu = None if gu is None else gu + c * grad_u(X, U)
+            gx = gx + c * rc.grad_x(X, U)
+            gu = None if gu is None else gu + c * rc.grad_u(X, U)
         return gx if gu is None else np.concatenate([gx, gu], axis=1)
 
     def hamiltonian_curvatures(
@@ -219,16 +218,18 @@ class OcpDefinition:
         )[0]
 
 
-def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
-    """Mayer reduction: append a state integrating L, add it to the endpoint cost.
+def prepared(ocp: OcpDefinition) -> OcpDefinition:
+    """The Mayer transform: absorb a staged running cost L into a cost state.
 
     The new state starts at zero (appended equality row) and obeys
-    xdot_{n_x} = L(x, u); the endpoint cost gains x_b[n_x].
+    xdot_{n_x} = L(x, u); the endpoint cost gains x_b[n_x].  A problem
+    without L is returned unchanged.  Nothing in the package calls it: the
+    perfbench harness prepares its problems, and the tests use the prepared
+    problem as the reference path for the quadrature cost.
     """
     running = ocp.running_cost
     if running is None:
-        raise IncompleteDerivativesError(f"problem {ocp.name!r} has no running cost to absorb")
-    grad_x, grad_u = running.gradients()
+        return ocp
     n = ocp.n_x
 
     def dynamics(X, U):
@@ -237,13 +238,13 @@ def augment_running_cost(ocp: OcpDefinition) -> OcpDefinition:
     def jac_fx(X, U):
         out = np.zeros((len(X), n + 1, n + 1))
         out[:, :n, :n] = ocp.jac_fx(X[:, :n], U)
-        out[:, n, :n] = grad_x(X[:, :n], U)
+        out[:, n, :n] = running.grad_x(X[:, :n], U)
         return out
 
     def jac_fu(X, U):
         out = np.empty((len(X), n + 1, ocp.n_u))
         out[:, :n] = ocp.jac_fu(X[:, :n], U)
-        out[:, n] = grad_u(X[:, :n], U)
+        out[:, n] = running.grad_u(X[:, :n], U)
         return out
 
     def endpoint_cost(x_a, x_b):
@@ -375,7 +376,7 @@ def validate(ocp: OcpDefinition) -> ValidationReport:
         check(f"{name}/x_a", jac_xa(XA, XB), lambda Y: fun(Y, XB), XA)
         check(f"{name}/x_b", jac_xb(XA, XB), lambda Y: fun(XA, Y), XB)
     rc = ocp.running_cost
-    if rc is not None and rc.grad_x is not None:
+    if rc is not None:
         check("running_cost/x", rc.grad_x(X, U)[:, None], lambda Y: rc.fun(Y, U)[:, None], X)
         if k:
             check("running_cost/u", rc.grad_u(X, U)[:, None], lambda Y: rc.fun(X, Y)[:, None], U)
@@ -489,18 +490,16 @@ def registry_names() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """Closed-form optimum in original (pre-augmentation) coordinates.
+    """Closed-form optimum of the problem as defined.
 
     ``state``/``costate`` map a time array to an (n_x, len(t)) table;
-    ``control`` to (n_u, len(t)); ``cost_state`` is the running-cost integral
-    along the optimum, for comparisons on augmented problems.
+    ``control`` to (n_u, len(t)).
     """
 
     cost: float
     state: Callable[[Array], Array]
     control: Callable[[Array], Array] | None
     costate: Callable[[Array], Array] | None
-    cost_state: Callable[[Array], Array] | None = None
 
 
 def _double_integrator_solution() -> AnalyticSolution:
@@ -509,7 +508,6 @@ def _double_integrator_solution() -> AnalyticSolution:
         state=lambda t: np.vstack([3 * t**2 - 2 * t**3, 6 * t - 6 * t**2]),
         control=lambda t: np.vstack([6.0 - 12.0 * t]),
         costate=lambda t: np.vstack([-12.0 * np.ones_like(t), 12.0 * t - 6.0]),
-        cost_state=lambda t: 18 * t - 36 * t**2 + 24 * t**3,
     )
 
 
@@ -519,7 +517,6 @@ def _scalar_lq_solution() -> AnalyticSolution:
         state=lambda t: np.vstack([t]),
         control=lambda t: np.vstack([np.ones_like(t)]),
         costate=lambda t: np.vstack([-2.0 * np.ones_like(t)]),
-        cost_state=lambda t: np.asarray(t, dtype=float).copy(),
     )
 
 
@@ -737,16 +734,6 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
         ),
         running_cost=running,
     )
-
-
-def prepared(ocp: OcpDefinition) -> OcpDefinition:
-    """Absorb any staged running cost into a Mayer cost state
-    (:func:`augment_running_cost`); idempotent otherwise.
-
-    Nothing in the package calls it: the perfbench harness prepares its
-    problems, and the tests use the prepared problem as the reference path
-    for the quadrature cost."""
-    return augment_running_cost(ocp) if ocp.running_cost is not None else ocp
 
 
 def constraint_violation(r: Array, eq: Array) -> Array:

@@ -481,11 +481,11 @@ class DiscretizedNlp:
         g = np.zeros(self.n_z)
         g[self.slice_xa] = self.ocp.grad_cost_xa(x_a, x_b)
         g[self.slice_xb] = self.ocp.grad_cost_xb(x_a, x_b)
-        if self.ocp.running_cost is not None:
-            grad_x, grad_u = self.ocp.running_cost.gradients()
-            g[self.slice_x] = (self._w[:, None] * grad_x(X, U)).ravel()
+        rc = self.ocp.running_cost
+        if rc is not None:
+            g[self.slice_x] = (self._w[:, None] * rc.grad_x(X, U)).ravel()
             if self.n_u:
-                g[self.slice_u] = (self._w[:, None] * grad_u(X, U)).ravel()
+                g[self.slice_u] = (self._w[:, None] * rc.grad_u(X, U)).ravel()
             if self._col_scale is not None:
                 g *= self._col_scale
         return g
@@ -708,8 +708,6 @@ def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> Dis
         raise DomainMismatchError(
             f"grid domain {tuple(dom)} does not match problem horizon {ocp.horizon}"
         )
-    if ocp.running_cost is not None:
-        ocp.running_cost.gradients()  # IncompleteDerivativesError before any solve
     return DiscretizedNlp(ocp, sys, form)
 
 

@@ -411,6 +411,39 @@ def test_indirect_rejects_irregular_hamiltonian():
         solve_indirect(ocp, sys, DualVariant("a", "b_star"))
 
 
+# the endpoint cost seeds a nonzero costate and L is quartic in the second
+# control, so control recovery takes Newton steps
+CUBIC_TWO_CONTROLS = {
+    "name": "cubic-two-controls", "n_x": 2, "n_u": 2, "horizon": [0.0, 1.3],
+    "dynamics": {"terms": [
+        [{"coef": -0.7, "x": [3, 0], "u": [0, 0]}, {"coef": 0.5, "x": [0, 0], "u": [1, 0]}],
+        [{"coef": -1.1, "x": [0, 3], "u": [0, 0]}, {"coef": 0.8, "x": [0, 0], "u": [0, 1]}],
+    ]},
+    "running_cost": {"terms": [
+        {"coef": 0.5, "x": [2, 0], "u": [0, 0]}, {"coef": 0.7, "x": [0, 0], "u": [2, 0]},
+        {"coef": 0.3, "x": [0, 0], "u": [0, 4]}, {"coef": 0.9, "x": [0, 0], "u": [0, 2]},
+    ]},
+    "endpoint_cost": {"terms": [{"coef": 2.0, "xb": [2, 0]}, {"coef": -1.5, "xb": [0, 1]}]},
+    "constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 0.5},
+                    {"kind": "equality", "a": [0.0, 1.0], "rhs": -0.4}],
+}
+
+
+def test_control_recovery_iterates_to_hamiltonian_stationarity(monkeypatch):
+    ocp = load_problem(CUBIC_TWO_CONTROLS)
+    sys = build_birkhoff(make_grid("lgl", 32, ocp.horizon))
+    steps, curvatures = [], OcpDefinition.hamiltonian_curvatures
+    monkeypatch.setattr(  # one curvature per Newton iteration of the recovery
+        OcpDefinition, "hamiltonian_curvatures",
+        lambda self, *args: steps.append(1) or curvatures(self, *args),
+    )
+    system = _IndirectSystem(ocp, sys, DualVariant("a", "b_star"))
+    X, U, _, lam, *_ = system.split(_default_indirect_init(system))
+    assert len(steps) > 1
+    h_u = ocp.hamiltonian_gradient(X, U, lam)[:, ocp.n_x :]
+    assert np.all(np.max(np.abs(h_u), axis=1) <= 1e-12)
+
+
 def test_indirect_singular_newton_matrix_raises(monkeypatch):
     monkeypatch.setattr(dual_module, "regularized_solve", lambda *args: None)
     _, sys = system_for("scalar-lq", 8)
@@ -532,11 +565,10 @@ def test_hamiltonian_constancy_counts_the_running_cost(name, form, scaled):
 
 
 def test_indirect_solve_needs_the_running_cost_gradients():
+    # refused when the cost is built, before any problem or solve
     ocp = registry("scalar-lq")
-    ocp = dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
-    sys = build_birkhoff(make_grid("lgl", 8, ocp.horizon))
     with pytest.raises(IncompleteDerivativesError):
-        solve_indirect(ocp, sys, DualVariant("a", "b_star"))
+        dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
 
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):
@@ -664,8 +696,10 @@ def test_callbacks_take_whole_node_tables():
         before_step = calls["jac_fx"]
         system.newton_step(y, r)
         jac_fx_calls[N] = (after_hessian, calls["jac_fx"] - before_step)
-    n_cols = ocp.n_x + ocp.n_u  # two Hamiltonian gradients per column
-    assert jac_fx_calls[8] == jac_fx_calls[64] == (2 * n_cols, 1 + 2 * n_cols)
+    # two Hamiltonian gradients per column, and one more: the control
+    # recovery's H_u in the first count, the step's own F_x in the second
+    n_cols = ocp.n_x + ocp.n_u
+    assert jac_fx_calls[8] == jac_fx_calls[64] == (1 + 2 * n_cols, 1 + 2 * n_cols)
 
 
 @pytest.mark.parametrize("form", ["a", "a_star"])

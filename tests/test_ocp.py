@@ -12,7 +12,6 @@ from birktraj import (
     NotFoundError,
     RunningCost,
     UnsupportedProblemError,
-    augment_running_cost,
     load_problem,
     prepared,
     registry,
@@ -108,12 +107,10 @@ def test_augmentation_shapes_and_cost_state():
 )
 def test_augmented_endpoint_cost_recovers_objective(name, cost):
     aug = prepared(registry(name))
-    sol = registry_solution(name)
-    t = np.array([0.0, 1.0])
-    states = sol.state(t)
-    cost_state = sol.cost_state(t)
-    x_a = np.concatenate([states[:, 0], [cost_state[0]]])
-    x_b = np.concatenate([states[:, 1], [cost_state[1]]])
+    states = registry_solution(name).state(np.array([0.0, 1.0]))
+    # the cost state runs from 0 to the optimal cost
+    x_a = np.concatenate([states[:, 0], [0.0]])
+    x_b = np.concatenate([states[:, 1], [cost]])
     assert aug.endpoint_cost(x_a, x_b) == pytest.approx(cost, abs=1e-12)
     # the analytic optimum stays feasible after augmentation
     assert np.max(np.abs(aug.constraints.fun(x_a, x_b))) < 1e-12
@@ -121,14 +118,12 @@ def test_augmented_endpoint_cost_recovers_objective(name, cost):
 
 
 def test_augmentation_requires_gradients():
-    ocp = registry("zero-dynamics")
+    # a running cost is complete when it is built: no gradient, or one alone, is refused
+    fun = lambda X, U: np.zeros(len(X))  # noqa: E731
     with pytest.raises(IncompleteDerivativesError):
-        augment_running_cost(ocp)  # nothing staged
-    halfdone = RunningCost(
-        fun=lambda X, U: np.zeros(len(X)), grad_x=lambda X, U: np.zeros((len(X), 1))
-    )
+        RunningCost(fun)
     with pytest.raises(IncompleteDerivativesError):
-        augment_running_cost(dataclasses.replace(ocp, running_cost=halfdone))
+        RunningCost(fun, grad_x=lambda X, U: np.zeros((len(X), 1)))
 
 
 def test_zero_running_cost_appends_inert_state():
@@ -138,7 +133,7 @@ def test_zero_running_cost_appends_inert_state():
         grad_x=lambda X, U: np.zeros((len(X), 1)),
         grad_u=lambda X, U: np.zeros((len(X), 0)),
     )
-    aug = augment_running_cost(dataclasses.replace(ocp, running_cost=zero))
+    aug = prepared(dataclasses.replace(ocp, running_cost=zero))
     x = np.array([1.7, 0.0])
     u = np.zeros(0)
     assert np.all(aug.dynamics(x[None], u[None]) == 0.0)
@@ -201,10 +196,8 @@ def test_hamiltonian_of_a_staged_running_cost_is_the_augmented_one_at_unit_cost_
 
 def test_hamiltonian_needs_the_running_cost_gradients():
     ocp = registry("scalar-lq")
-    halfdone = dataclasses.replace(ocp.running_cost, grad_u=None)
-    X = np.zeros((3, 1))
-    with pytest.raises(IncompleteDerivativesError):
-        dataclasses.replace(ocp, running_cost=halfdone).hamiltonian_gradient(X, X, X)
+    with pytest.raises(IncompleteDerivativesError):  # when the cost is built
+        dataclasses.replace(ocp.running_cost, grad_u=None)
 
 
 # --- analytic solutions -------------------------------------------------------

@@ -332,10 +332,10 @@ def test_quadrature_cost_derivatives_match_finite_differences(name, form, scaled
 
 
 def test_transcribe_needs_the_running_cost_gradients():
+    # refused when the cost is built, before any transcription
     ocp = registry("scalar-lq")
-    ocp = dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
     with pytest.raises(IncompleteDerivativesError):
-        transcribe(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), PrimalForm("a"))
+        dataclasses.replace(ocp, running_cost=RunningCost(ocp.running_cost.fun))
 
 
 @pytest.mark.parametrize("form", ["a", "b"])
@@ -521,6 +521,37 @@ def test_quadrature_cost_newton_step_with_a_working_inequality_row(form, scaled)
                      PrimalForm(form, scaled=scaled))
     working = assert_step_matches_dense(nlp)
     assert working[nlp.rows["endpoint"]].all()
+
+
+BACKWARD_FORMS = [("a", False), ("a", True), ("b", True), ("b_star", False)]
+
+
+@pytest.mark.parametrize("form, scaled", BACKWARD_FORMS,
+                         ids=[f"{f}{'+scaled' * s}" for f, s in BACKWARD_FORMS])
+@pytest.mark.parametrize("N", [12, 24, 48])
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
+def test_newton_step_is_backward_stable_on_the_dense_kkt_matrix(name, kind, N, form, scaled):
+    # the forward check of assert_step_matches_dense is bounded by cond(K),
+    # which grows with N; the normwise backward error of x = (dz, mu_w) on
+    # K = [[H, J_w^T], [J_w, 0]] is not
+    ocp = registry(name)
+    nlp = transcribe(ocp, build_birkhoff(make_grid(kind, N, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    rng = np.random.default_rng(0)  # the iterate of assert_step_matches_dense
+    z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
+    mu = rng.normal(size=nlp.n_rows)
+    hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
+    g, r = nlp.objective_gradient(z), nlp.constraints(z)
+    working = nlp.equality_mask | (r > 0.0)
+    jac_w = assembled_jacobian(nlp, z)[working]
+    m = jac_w.shape[0]
+    kkt = np.block([[assembled_hessian(nlp, hess), jac_w.T], [jac_w, np.zeros((m, m))]])
+    rhs = np.concatenate([-g, -r[working]])
+    x = np.concatenate(nlp.newton_system(jac, r).step(hess, g, working))
+    residual = np.max(np.abs(kkt @ x - rhs))
+    scale = np.max(np.abs(kkt)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert residual <= 1e-13 * scale
 
 
 def step_args(nlp, z, mu):
