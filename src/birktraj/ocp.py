@@ -554,6 +554,8 @@ def registry_solution(name: str) -> AnalyticSolution | None:
 #   endpoint_cost: {"terms": [{"coef", "xa": [powers], "xb": [powers]}]}  (optional)
 #   constraints: [{"kind": "equality"|"inequality", "a": [..], "b": [..], "rhs": f}]
 #     meaning  a . x_a + b . x_b - rhs  (=0 or <=0)
+# Every number in A, B, c, Q, R, a coef, a, b and rhs is finite (JSON's NaN
+# and Infinity are refused), and every power is a whole number >= 0.
 
 
 def _term_value(coef, powers: Array, values: Array):
@@ -601,18 +603,45 @@ def _quadratic(mat: Array, Y: Array) -> Array:
     return (Y[:, None, :] @ mat @ Y[:, :, None])[:, 0, 0]
 
 
+def _whole(value) -> bool:
+    """An integer, never a float or a bool that reads as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(value, what: str):
+    """``value``, a float or a float array, refused if it holds a NaN or an
+    infinity."""
+    if not np.isfinite(value).all():
+        raise UnsupportedProblemError(
+            f"{what} must hold finite numbers, got {np.asarray(value).tolist()!r}"
+        )
+    return value
+
+
+def _finite_array(value, what: str) -> Array:
+    """``value`` as a float array, refused as :func:`_finite` refuses it."""
+    return _finite(np.asarray(value, dtype=float), what)
+
+
+def _powers(entry: dict, key: str, n: int) -> Array:
+    powers = entry.get(key, [0] * n)
+    if not all(_whole(p) and p >= 0 for p in powers):
+        raise UnsupportedProblemError(f"term powers {key!r} must be whole numbers >= 0, "
+                                      f"got {powers!r}")
+    return np.asarray(powers, dtype=int)
+
+
 def _parse_terms(raw, n_x: int, n_u: int, keys=("x", "u")):
     terms = []
     for entry in raw:
         if "coef" not in entry:
             raise UnsupportedProblemError(f"term {entry} has no 'coef'")
-        px = np.asarray(entry.get(keys[0], [0] * n_x), dtype=int)
-        pu = np.asarray(entry.get(keys[1], [0] * n_u), dtype=int)
+        px, pu = _powers(entry, keys[0], n_x), _powers(entry, keys[1], n_u)
         if px.shape != (n_x,) or pu.shape != (n_u,):
             raise UnsupportedProblemError(
                 f"term power lists {keys[0]!r}/{keys[1]!r} need {n_x}/{n_u} entries"
             )
-        terms.append((float(entry["coef"]), px, pu))
+        terms.append((_finite(float(entry["coef"]), "a term's coef"), px, pu))
     return terms
 
 
@@ -642,7 +671,7 @@ def load_problem(source) -> OcpDefinition:
 
 def _count(data: dict, key: str) -> int:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _whole(value):
         raise UnsupportedProblemError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -657,9 +686,9 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
     horizon = tuple(float(t) for t in horizon)
 
     if "A" in dyn:
-        a_mat = np.asarray(dyn["A"], dtype=float).reshape(n_x, n_x)
-        b_mat = np.asarray(dyn.get("B", np.zeros((n_x, n_u))), dtype=float).reshape(n_x, n_u)
-        c_vec = np.asarray(dyn.get("c", np.zeros(n_x)), dtype=float).reshape(n_x)
+        a_mat = _finite_array(dyn["A"], "A").reshape(n_x, n_x)
+        b_mat = _finite_array(dyn.get("B", np.zeros((n_x, n_u))), "B").reshape(n_x, n_u)
+        c_vec = _finite_array(dyn.get("c", np.zeros(n_x)), "c").reshape(n_x)
         dynamics = lambda X, U: _rowwise(a_mat, X) + _rowwise(b_mat, U) + c_vec  # noqa: E731
         jac_fx = lambda X, U: np.broadcast_to(a_mat, (len(X), n_x, n_x))  # noqa: E731
         jac_fu = lambda X, U: np.broadcast_to(b_mat, (len(X), n_x, n_u))  # noqa: E731
@@ -677,8 +706,8 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
     rc = data.get("running_cost")
     if rc is not None:
         if "Q" in rc or "R" in rc:
-            q_mat = np.asarray(rc.get("Q", np.zeros((n_x, n_x))), dtype=float).reshape(n_x, n_x)
-            r_mat = np.asarray(rc.get("R", np.zeros((n_u, n_u))), dtype=float).reshape(n_u, n_u)
+            q_mat = _finite_array(rc.get("Q", np.zeros((n_x, n_x))), "Q").reshape(n_x, n_x)
+            r_mat = _finite_array(rc.get("R", np.zeros((n_u, n_u))), "R").reshape(n_u, n_u)
             q_sym, r_sym = q_mat + q_mat.T, r_mat + r_mat.T
             running = RunningCost(
                 fun=lambda X, U: _quadratic(q_mat, X) + _quadratic(r_mat, U),
@@ -706,11 +735,11 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
             kinds.append(ConstraintKind(kind))
         except ValueError:
             raise UnsupportedProblemError(f"unknown constraint kind {kind!r}") from None
-        a_rows.append(np.asarray(row.get("a", [0.0] * n_x), dtype=float))
-        b_rows.append(np.asarray(row.get("b", [0.0] * n_x), dtype=float))
+        a_rows.append(_finite_array(row.get("a", [0.0] * n_x), "a constraint's 'a'"))
+        b_rows.append(_finite_array(row.get("b", [0.0] * n_x), "a constraint's 'b'"))
         if a_rows[-1].shape != (n_x,) or b_rows[-1].shape != (n_x,):
             raise UnsupportedProblemError(f"constraint 'a'/'b' need {n_x} entries each")
-        rhs.append(float(row.get("rhs", 0.0)))
+        rhs.append(_finite(float(row.get("rhs", 0.0)), "a constraint's 'rhs'"))
     a_mat_c = np.array(a_rows).reshape(len(kinds), n_x)
     b_mat_c = np.array(b_rows).reshape(len(kinds), n_x)
     rhs_v = np.array(rhs)

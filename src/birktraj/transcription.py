@@ -30,7 +30,9 @@ in ``dual`` calls for both of its sides too: it factors M = I - (B (x) I)
 F_x, conditioned like the O(1)-norm Birkhoff matrix B, LU-factoring only the
 diagonal blocks of the groups of states that F_x couples.  The estimate and
 the step then solve one reduced KKT over (U, x_anchor) and the working
-endpoint rows (the condensing of multiple shooting, Bock and Plitt 1984).
+endpoint rows (the condensing of multiple shooting, Bock and Plitt 1984),
+whose T^T H T both fill from node blocks of H: the step's Hessian of the
+Lagrangian, the estimate's d_i (I + C_i^T C_i) with C_i = [F_x F_u].
 The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
 Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
 in a solve.
@@ -52,6 +54,7 @@ from .errors import (
     DegenerateWeightError,
     DomainMismatchError,
     EvaluationError,
+    NoConvergenceError,
     NotFoundError,
     ShapeError,
     UnsupportedGridError,
@@ -606,7 +609,8 @@ class NewtonSystem:
     :meth:`DiscretizedNlp.newton_system`: the factor of M, ``T`` with t as
     its last column and the unweighted constraint values ``r``.  It does not
     change after it is built, so it serves any number of calls, from any
-    thread.  :meth:`estimate` and :meth:`step` are one :meth:`_solve`."""
+    thread.  :meth:`estimate` and :meth:`step` are one :meth:`_solve`, which
+    fills T^T H T from node blocks of H."""
 
     nlp: DiscretizedNlp
     jac: NodeJacobian
@@ -617,17 +621,16 @@ class NewtonSystem:
     def estimate(self, g: Array, working: Array) -> Array | None:
         """The least-squares multipliers argmin ||g + J_w^T mu|| of the
         optimality test: mu_w of the system with H = I in stored variables,
-        D = 1 / col^2 in physical ones, and r = 0, so t = 0.  T^T D T is one
-        symmetric product (T sqrt(D))^T (T sqrt(D)) plus the unit dU rows."""
-        nlp, col, T = self.nlp, self.nlp._col_scale, self.T[:, :-1]
-
-        def gram(out):
-            Ts = T if col is None else T / np.abs(col[nlp._t_rows])[:, None]
-            np.matmul(Ts.T, Ts, out=out)
-            u = np.arange(nlp.n_nodes * nlp.n_u)
-            out[u, u] += 1.0 if col is None else 1.0 / (col[nlp.slice_u] * col[nlp.slice_u])
-
-        solved = self._solve(gram, (lambda v: v) if col is None else (lambda v: v / (col * col)),
+        D = 1 / col^2 in physical ones, and r = 0, so t = 0.  T's columns
+        satisfy dV = C_i (dX, dU) at node i, C_i = [F_x F_u], so T^T D T is
+        the fill of node blocks d_i (I + C_i^T C_i) and k_end = I, d_i = w_i^2
+        on the scaled forms and 1 elsewhere."""
+        nlp, col = self.nlp, self.nlp._col_scale
+        C = np.concatenate([self.jac.fx, self.jac.fu], axis=2)
+        d = 1.0 if col is None else (nlp._w * nlp._w)[:, None, None]
+        K = d * (np.eye(C.shape[2]) + C.transpose(0, 2, 1) @ C)
+        solved = self._solve((K, np.eye(2 * nlp.n_x)),
+                             (lambda v: v) if col is None else (lambda v: v / (col * col)),
                              g, working, 0.0, np.zeros(nlp.n_rows))
         return None if solved is None else solved[1]
 
@@ -635,26 +638,15 @@ class NewtonSystem:
         """(dz, mu_w) of [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], or
         None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
         returns it: K over each node's (x, u), k_end over (x_a, x_b)."""
-        nlp, (K, k_end) = self.nlp, hess
-        m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
-        mn, T, n_p = m * n, self.T[:, :-1], self.T.shape[1] - 1
-
-        def curvature(out):  # T_X^T (H T)_X + (H T)_U + T_end^T k_end T_end
-            tx, t_end = T[:mn].reshape(m, n, n_p), T[2 * mn:]
-            ht_x = add_unit_columns(K[:, :n, :n] @ tx, K[:, :n, n:])
-            ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
-            np.matmul(T[:mn].T, ht_x.reshape(mn, n_p), out=out)
-            out += t_end.T @ (k_end @ t_end)
-            out[:n_u] += ht_u.reshape(n_u, n_p)
-
-        return self._solve(curvature, partial(nlp.hessian_times, hess), g, working,
+        return self._solve(hess, partial(self.nlp.hessian_times, hess), g, working,
                            self.T[:, -1], self.r)
 
-    def _solve(self, fill, times, g: Array, working: Array, t: Array, r: Array):
-        """(dz, mu_w) for the H whose T^T H T ``fill(out)`` writes and whose
-        products are ``times``, t (over T's rows) and r: the reduced KKT
+    def _solve(self, hess, times, g: Array, working: Array, t: Array, r: Array):
+        """(dz, mu_w) for the H with node blocks ``hess`` = (K, k_end) and
+        products ``times``, t (over T's rows) and r: the reduced KKT
         [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint rows E
-        in one array, by :func:`solver.regularized_solve`, then the other
+        in one array, with T^T H T = T_X^T (H T)_X + (H T)_U + T_end^T k_end
+        T_end, by :func:`solver.regularized_solve`, then the other
         multipliers by back-substitution in the columns of x_other, X and V.
         None if no shift makes it solvable or a result is not finite."""
         nlp, T, fx, col = self.nlp, self.T[:, :-1], self.jac.fx, self.nlp._col_scale
@@ -667,9 +659,15 @@ class NewtonSystem:
         # the endpoint opposite the anchor, within (x_a, x_b)
         sign, other = (1.0, slice(n, 2 * n)) if nlp.state.anchored_left else (-1.0, slice(n))
 
+        K, k_end = hess
         kkt = np.zeros((n_p + len(e_rows),) * 2)
-        fill(kkt[:n_p, :n_p])
-        kkt[n_p:, :n_p] = e_rows @ T[2 * mn:]
+        tht, tx, t_end = kkt[:n_p, :n_p], T[:mn].reshape(m, n, n_p), T[2 * mn:]
+        ht_x = add_unit_columns(K[:, :n, :n] @ tx, K[:, :n, n:])
+        ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
+        np.matmul(T[:mn].T, ht_x.reshape(mn, n_p), out=tht)
+        tht += t_end.T @ (k_end @ t_end)
+        tht[:n_u] += ht_u.reshape(n_u, n_p)
+        kkt[n_p:, :n_p] = e_rows @ t_end
         kkt[:n_p, n_p:] = kkt[n_p:, :n_p].T
         dz = np.zeros(nlp.n_z)  # t, until p is solved
         dz[t_rows] = t
@@ -718,7 +716,8 @@ GUESS_STRATEGIES = ("constant-midpoint", "linear-endpoint-interpolation")
 
 def endpoint_seed(con, n: int):
     """Gauss-Newton on the equality endpoint rows from the origin; gives the
-    pinned values exactly for linear boundary conditions."""
+    pinned values exactly for linear boundary conditions.  Raises
+    NoConvergenceError when a step leaves the finite numbers."""
     x_a, x_b = np.zeros(n), np.zeros(n)
     eq = con.equality_mask()
     if not eq.any():
@@ -727,15 +726,12 @@ def endpoint_seed(con, n: int):
         r = np.asarray(con.fun(x_a, x_b), dtype=float)[eq]
         if np.max(np.abs(r)) < 1e-12:
             break
-        jac = np.hstack(
-            [
-                np.asarray(con.jac_xa(x_a, x_b), dtype=float)[eq],
-                np.asarray(con.jac_xb(x_a, x_b), dtype=float)[eq],
-            ]
-        )
+        jac = np.hstack([np.asarray(con.jac_xa(x_a, x_b), dtype=float)[eq],
+                         np.asarray(con.jac_xb(x_a, x_b), dtype=float)[eq]])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        x_a = x_a + step[:n]
-        x_b = x_b + step[n:]
+        x_a, x_b = x_a + step[:n], x_b + step[n:]
+        if not (np.isfinite(x_a).all() and np.isfinite(x_b).all()):
+            raise NoConvergenceError("the endpoint seed overflowed: no finite initial guess")
     return x_a, x_b
 
 
@@ -758,9 +754,7 @@ def initial_guess(nlp: DiscretizedNlp, strategy: str = "constant-midpoint") -> A
     if strategy == "constant-midpoint":
         X = np.tile(0.5 * (x_a + x_b), (m, 1))
         V = np.zeros((m, nlp.n_x))
-    z = nlp.pack(X, np.zeros((m, nlp.n_u)), V, x_a, x_b)
-    assert np.all(np.isfinite(z))
-    return z
+    return nlp.pack(X, np.zeros((m, nlp.n_u)), V, x_a, x_b)
 
 
 def extract_primal(nlp: DiscretizedNlp, z: Array) -> PrimalSolution:

@@ -302,16 +302,34 @@ def test_files_open_with_an_explicit_encoding(tmp_path, argv):
         {"n_x": None},
         {"constraints": [5]},
         {"endpoint_cost": [1]},
+        {"constraints": [{"a": [1.0], "rhs": float("nan")}]},
+        {"dynamics": {"A": [[float("inf")]], "B": [[1.0]]}},
+        {"running_cost": {"Q": [[float("-inf")]]}},
+        {"dynamics": {"terms": [[{"coef": 1.0, "x": [-1], "u": [0]}]]}},
+        {"dynamics": {"terms": [[{"coef": 1.0, "x": [1.7], "u": [0]}]]}},
     ],
     ids=["constraint-row-too-long", "running-cost-without-terms", "scalar-horizon",
-         "null-state-count", "constraint-not-an-object", "endpoint-cost-not-an-object"],
+         "null-state-count", "constraint-not-an-object", "endpoint-cost-not-an-object",
+         "nan-rhs", "infinite-A", "infinite-Q", "negative-power", "fractional-power"],
 )
 def test_solve_malformed_json_problem_exits_64(tmp_path, bad):
-    # a malformed problem is refused on loading, not in the solve
+    # a malformed problem is refused on loading, not in the solve; json
+    # writes a non-finite float as NaN or Infinity, which it also reads
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_STEER, **bad}))
     code = run("solve", "--problem", str(path), "--N", "8", "--out", str(tmp_path))
     assert code == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "indirect"])
+def test_overflowing_endpoint_seed_is_a_failure_not_a_traceback(tmp_path, capsys, command):
+    # finite numbers whose endpoint seed x_a = rhs / a overflows
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**_STEER, "running_cost": {"R": [[1.0]]},
+                                "constraints": [{"a": [1e-300], "rhs": 1e300}]}))
+    code = run(command, "--problem", str(path), "--N", "8", "--out", str(tmp_path))
+    assert code == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.startswith("failed: the endpoint seed overflowed")
 
 
 # --- verify / indirect -----------------------------------------------------------

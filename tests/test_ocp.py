@@ -310,6 +310,23 @@ def test_load_problem_rejects_bad_schema():
         {**good, "n_u": True},
         {**good, "constraints": [5]},
         {**good, "endpoint_cost": [1]},
+        # JSON reads NaN and Infinity: every number must be finite
+        {**good, "constraints": [{"a": [1.0], "rhs": float("nan")}]},
+        {**good, "constraints": [{"a": [float("inf")], "rhs": 0.0}]},
+        {**good, "constraints": [{"b": [float("nan")], "rhs": 0.0}]},
+        {**good, "dynamics": {"A": [[float("inf")]], "B": [[1.0]]}},
+        {**good, "dynamics": {"A": [[0.0]], "B": [[float("nan")]]}},
+        {**good, "dynamics": {"A": [[0.0]], "B": [[1.0]], "c": [float("-inf")]}},
+        {**good, "running_cost": {"Q": [[float("nan")]]}},
+        {**good, "running_cost": {"R": [[float("inf")]]}},
+        {**good, "dynamics": {"terms": [[{"coef": float("nan"), "u": [1]}]]}},
+        {**good, "endpoint_cost": {"terms": [{"coef": float("inf"), "xb": [2]}]}},
+        # a power is a whole number >= 0, never truncated
+        {**good, "dynamics": {"terms": [[{"coef": 1.0, "x": [1.7], "u": [0]}]]}},
+        {**good, "dynamics": {"terms": [[{"coef": 1.0, "x": [-1], "u": [0]}]]}},
+        {**good, "dynamics": {"terms": [[{"coef": 1.0, "x": [1.0], "u": [0]}]]}},
+        {**good, "running_cost": {"terms": [{"coef": 1.0, "x": [0], "u": [True]}]}},
+        {**good, "endpoint_cost": {"terms": [{"coef": 1.0, "xa": [-2]}]}},
     ):
         with pytest.raises(UnsupportedProblemError):
             load_problem(bad)

@@ -27,6 +27,7 @@ from birktraj import (
     solve_with_fallback,
     solver,
     transcribe,
+    transcription,
     verified_variant,
     verify_pontryagin,
     write_iteration_log,
@@ -45,8 +46,12 @@ def prepared_registry(name):
     return prepared(registry(name))
 
 
-def make_nlp(name, N=8, form="a", scaled=False, kind="lgl"):
-    ocp = prepared_registry(name)
+STAGINGS = pytest.mark.parametrize("staging", [registry, prepared_registry],
+                                   ids=["as-defined", "prepared"])
+
+
+def make_nlp(name, N=8, form="a", scaled=False, kind="lgl", staging=prepared_registry):
+    ocp = staging(name)
     sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
     return transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
 
@@ -225,17 +230,49 @@ def estimate_error(nlp) -> float:
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
-def test_multiplier_estimate_matches_svd_least_squares(monkeypatch):
+@STAGINGS
+def test_multiplier_estimate_matches_svd_least_squares(monkeypatch, staging):
     structured_estimate_only(monkeypatch)
-    assert estimate_error(make_nlp("double-integrator-energy", N=64)) <= 1e-12
+    nlp = make_nlp("double-integrator-energy", N=64, staging=staging)
+    assert estimate_error(nlp) <= 1e-12
 
 
+@STAGINGS
 @pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
 @pytest.mark.parametrize("name", registry_names())
-def test_structured_multiplier_estimate_on_every_form(monkeypatch, name, kind, form, scaled):
+def test_structured_multiplier_estimate_on_every_form(monkeypatch, name, kind, form, scaled,
+                                                      staging):
     structured_estimate_only(monkeypatch)
-    assert estimate_error(make_nlp(name, N=12, form=form, scaled=scaled, kind=kind)) <= 1e-10
+    nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
+    assert estimate_error(nlp) <= 1e-10
+
+
+@STAGINGS
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("name", registry_names())
+def test_estimate_reduced_hessian_is_the_diagonal_gram_product(monkeypatch, name, kind, form,
+                                                               scaled, staging):
+    # the estimate's T^T H T, filled from node blocks, is T^T D T with
+    # D = 1 / col^2, the H = I of stored variables in physical ones
+    handed = []
+    monkeypatch.setattr(transcription, "regularized_solve",
+                        lambda matrix, *args: handed.append(matrix.copy()))
+    nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
+    z = initial_guess(nlp, "constant-midpoint")
+    system = nlp.newton_system(nlp.jacobian(z), nlp.constraints(z))
+    system.estimate(nlp.objective_gradient(z), nlp.equality_mask)
+    n_p = system.T.shape[1] - 1
+    T = np.zeros((nlp.n_z, n_p))
+    T[np.r_[nlp.slice_x, nlp.slice_v.start:nlp.n_z]] = system.T[:, :-1]  # all rows but U's
+    n_u = nlp.n_nodes * nlp.n_u
+    T[nlp.slice_u, :n_u] = np.eye(n_u)
+    col = dense_oracle.stored_column_scale(nlp)
+    D = np.ones(nlp.n_z) if col is None else 1.0 / (col * col)
+    want = T.T @ (D[:, None] * T)
+    got = handed[0][:n_p, :n_p]
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
@@ -419,7 +456,7 @@ def counting_dense_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
+@STAGINGS
 @pytest.mark.parametrize("name", registry_names())
 def test_condensed_and_dense_steps_take_the_same_iteration(name, staging, monkeypatch):
     # as defined is the problem that `birktraj solve` transcribes
