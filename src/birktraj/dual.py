@@ -347,12 +347,9 @@ class _IndirectSystem:
 
         self.state = AnchoredBlock(sys, variant.state_form)
         self.costate = AnchoredBlock(sys, variant.costate_form)
-
-        def ends(block, left, right):  # (anchor, opposite endpoint)
-            return (left, right) if block.anchored_left else (right, left)
-
-        self._state_ends = ends(self.state, "x_a", "x_b")
-        self._costate_ends = ends(self.costate, "lam_a", "lam_b")
+        # (anchor, opposite endpoint) of each side, by name
+        self._state_ends = self.state.ends("x_a", "x_b")
+        self._costate_ends = self.costate.ends("lam_a", "lam_b")
         # what the condensed step leaves: the unknowns p = (U, x_anchor,
         # lam_anchor, nu) and the rows that no side eliminates
         self._free = np.r_[

@@ -6,7 +6,9 @@ same rows premultiplied by the quadrature weights (Galerkin weighting), which
 is implemented as a row scaling of the plain residuals so the two code paths
 agree bit for bit.  Independently of the form tag, ``scaled=True`` replaces
 the node variables by their weight-scaled counterparts (w o X, w o U, w o V)
-while keeping the constraint set unchanged.
+while keeping the constraint set unchanged.  Every form stores s o (X, U, V)
+for a node scale s, w when scaled and ones otherwise, so the six forms share
+one code path and the unscaled ones keep their bits (x * 1.0 = x / 1.0 = x).
 
 Decision vector layout (stored order):
     [X.ravel()  (node-major), U.ravel(), V.ravel(), x_a, x_b]
@@ -149,20 +151,30 @@ class AnchoredBlock:
     side and both sides of the indirect system use it; Galerkin weighting is
     the caller's row scaling.
 
+    The anchor side is data: ``sign`` is +1 anchored left and -1 anchored
+    right (the equivalency row gives other - anchor = sign w^T D), and
+    :meth:`ends` orders a (left, right) pair as (anchor, other).
+
     :meth:`condense` is the one elimination of these rows for both Newton
     solvers.  A block does not change after it is built.
     """
 
     def __init__(self, sys: BirkhoffSystem, tag: FormTag):
-        self.anchored_left = FormTag(tag).anchored_left
-        self.B = sys.B_a if self.anchored_left else sys.B_b
+        anchored_left = FormTag(tag).anchored_left
+        self.B = sys.B_a if anchored_left else sys.B_b
         self.w = sys.w_B
+        self.sign = 1.0 if anchored_left else -1.0
+
+    def ends(self, left, right) -> tuple:
+        """(anchor, other) of a (left, right) pair, and (left, right) of an
+        (anchor, other) pair: the swap is its own inverse."""
+        return (left, right) if self.sign > 0 else (right, left)
 
     def residual(self, values: Array, derivs: Array, left: Array, right: Array):
         """(interpolation rows, equivalency rows), the first flat; a trailing
         axis of columns stays trailing.  The rows are linear, so at a
         direction they are also the Jacobian times it."""
-        anchor = left if self.anchored_left else right
+        anchor, _ = self.ends(left, right)
         D = derivs.reshape(len(derivs), -1)  # one row per node, its columns side by side
         interp = values - anchor[None] - (self.B @ D).reshape(derivs.shape)
         return (
@@ -174,12 +186,11 @@ class AnchoredBlock:
         """The transpose of :meth:`residual`'s rows applied to multipliers
         ``interp`` (N+1, n) and ``equiv`` (n): their gradients wrt (values,
         derivs, left, right)."""
-        anchor = -interp.sum(axis=0)
+        d_anchor, d_other = self.ends(-equiv, equiv)  # from the equivalency rows
         return (
             interp,
             -(self.B.T @ interp) - np.outer(self.w, equiv),
-            -equiv + anchor if self.anchored_left else -equiv,
-            equiv if self.anchored_left else equiv + anchor,
+            *self.ends(d_anchor - interp.sum(axis=0), d_other),
         )
 
     def condensing_matrix(self, blocks: Array) -> Array:
@@ -230,8 +241,7 @@ class AnchoredBlock:
             return None
         m, n, c = values.shape
         k = controls.shape[2]
-        mk = m * k
-        sign = 1.0 if self.anchored_left else -1.0  # the equivalency row gives other - anchor
+        mk, sign = m * k, self.sign
         # the right-hand side, built in values and solved there; B[i, j]
         # controls[j, a, l] at column j k + l, with that axis innermost
         np.multiply(
@@ -374,7 +384,7 @@ class NodeJacobian(LinearOperator):
             x_a + self.e_xa.T @ end,
             x_b + self.e_xb.T @ end,
         ])
-        return out if nlp._col_scale is None else out * nlp._col_scale
+        return out * nlp._col_scale
 
 
 class DiscretizedNlp:
@@ -416,24 +426,22 @@ class DiscretizedNlp:
                 f"zero quadrature weight; form {form} divides by the weights"
             )
         self._w = w
-        self._w_rep = np.repeat(w, n)  # node-major broadcast per state
         # Galerkin row weighting for the starred forms; ones elsewhere so the
-        # scaled path multiplies by exactly 1.0 and stays bit-identical
+        # other forms multiply by exactly 1.0 and stay bit-identical
         scale = np.ones(self.n_rows)
-        if form.tag.starred:
-            scale[rows["state_interpolation"]] = self._w_rep
-            scale[rows["dynamics"]] = self._w_rep
+        if form.tag.starred:  # node-major, one weight per state
+            scale[rows["state_interpolation"]] = scale[rows["dynamics"]] = np.repeat(w, n)
         self._row_scale = scale
 
-        # stored variables are w o (X, U, V) when scaled: derivatives wrt them
-        # carry the inverse weights
-        self._col_scale = None
-        if form.scaled:
-            col = np.ones(self.n_z)
-            col[self.slice_x] = 1.0 / self._w_rep
-            col[self.slice_v] = 1.0 / self._w_rep
-            col[self.slice_u] = np.repeat(1.0 / w, self.n_u)
-            self._col_scale = col
+        # stored variables are s o (X, U, V) with the node scale s = w on the
+        # scaled forms, ones elsewhere: derivatives wrt them carry the column
+        # scale 1/s, and the unscaled forms multiply and divide by exactly 1.0
+        s = w if form.scaled else np.ones(m)
+        self._node_scale = s
+        col = np.ones(self.n_z)
+        col[self.slice_x] = col[self.slice_v] = np.repeat(1.0 / s, n)
+        col[self.slice_u] = np.repeat(1.0 / s, self.n_u)
+        self._col_scale = col
 
         self.state = AnchoredBlock(sys, form.tag)
         self._ab = slice(self.slice_xa.start, self.n_z)  # (x_a, x_b)
@@ -447,25 +455,18 @@ class DiscretizedNlp:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n_z,):
             raise ShapeError(f"expected decision vector of length {self.n_z}")
-        m, n = self.n_nodes, self.n_x
-        X = z[self.slice_x].reshape(m, n)
-        U = z[self.slice_u].reshape(m, self.n_u)
-        V = z[self.slice_v].reshape(m, n)
-        if self.form.scaled:
-            X = X / self._w[:, None]
-            U = U / self._w[:, None]
-            V = V / self._w[:, None]
-        else:
-            X, U, V = X.copy(), U.copy(), V.copy()
-        return X, U, V, z[self.slice_xa].copy(), z[self.slice_xb].copy()
+        m, n, s = self.n_nodes, self.n_x, self._node_scale[:, None]
+        return (
+            z[self.slice_x].reshape(m, n) / s,
+            z[self.slice_u].reshape(m, self.n_u) / s,
+            z[self.slice_v].reshape(m, n) / s,
+            z[self.slice_xa].copy(),
+            z[self.slice_xb].copy(),
+        )
 
     def pack(self, X, U, V, x_a, x_b) -> Array:
-        """Physical matrices -> stored vector (applies variable scaling)."""
-        X, U, V = (np.asarray(a, dtype=float) for a in (X, U, V))
-        if self.form.scaled:
-            X = X * self._w[:, None]
-            U = U * self._w[:, None]
-            V = V * self._w[:, None]
+        """Physical matrices -> stored vector (applies the node scale)."""
+        X, U, V = (np.asarray(a, dtype=float) * self._node_scale[:, None] for a in (X, U, V))
         return np.concatenate(
             [X.ravel(), U.ravel(), V.ravel(), np.asarray(x_a, float), np.asarray(x_b, float)]
         )
@@ -489,8 +490,7 @@ class DiscretizedNlp:
             g[self.slice_x] = (self._w[:, None] * rc.grad_x(X, U)).ravel()
             if self.n_u:
                 g[self.slice_u] = (self._w[:, None] * rc.grad_u(X, U)).ravel()
-            if self._col_scale is not None:
-                g *= self._col_scale
+            g *= self._col_scale
         return g
 
     # --- constraints --------------------------------------------------------------
@@ -597,7 +597,7 @@ class DiscretizedNlp:
         X, V = T[:mn].reshape(m, n, c), T[mn:2 * mn].reshape(m, n, c)
         V[..., n_u:-1], V[..., -1] = 0.0, -r2.reshape(m, n)
         ends = T[2 * mn:].reshape(2, n, c)  # x_a, x_b
-        anchor, other = ends if self.state.anchored_left else ends[::-1]
+        anchor, other = self.state.ends(*ends)
         anchor[...] = np.eye(n, c, n_u)
         factor = self.state.condense(jac.fx, jac.fu, X, V, anchor, other, r1, r3)
         return None if factor is None else NewtonSystem(self, jac, factor, T, r)
@@ -623,14 +623,12 @@ class NewtonSystem:
         optimality test: mu_w of the system with H = I in stored variables,
         D = 1 / col^2 in physical ones, and r = 0, so t = 0.  T's columns
         satisfy dV = C_i (dX, dU) at node i, C_i = [F_x F_u], so T^T D T is
-        the fill of node blocks d_i (I + C_i^T C_i) and k_end = I, d_i = w_i^2
-        on the scaled forms and 1 elsewhere."""
-        nlp, col = self.nlp, self.nlp._col_scale
+        the fill of node blocks d_i (I + C_i^T C_i) and k_end = I, d_i = s_i^2
+        for the node scale s (w on the scaled forms, ones elsewhere)."""
+        nlp, col, s = self.nlp, self.nlp._col_scale, self.nlp._node_scale
         C = np.concatenate([self.jac.fx, self.jac.fu], axis=2)
-        d = 1.0 if col is None else (nlp._w * nlp._w)[:, None, None]
-        K = d * (np.eye(C.shape[2]) + C.transpose(0, 2, 1) @ C)
-        solved = self._solve((K, np.eye(2 * nlp.n_x)),
-                             (lambda v: v) if col is None else (lambda v: v / (col * col)),
+        K = (s * s)[:, None, None] * (np.eye(C.shape[2]) + C.transpose(0, 2, 1) @ C)
+        solved = self._solve((K, np.eye(2 * nlp.n_x)), lambda v: v / (col * col),
                              g, working, 0.0, np.zeros(nlp.n_rows))
         return None if solved is None else solved[1]
 
@@ -652,12 +650,11 @@ class NewtonSystem:
         nlp, T, fx, col = self.nlp, self.T[:, :-1], self.jac.fx, self.nlp._col_scale
         m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
         mn, n_p, t_rows = m * n, T.shape[1], nlp._t_rows
-        if col is not None:
-            g = g / col
+        g = g / col
         e_work = working[nlp.rows["endpoint"]]
         e_rows = np.hstack([self.jac.e_xa, self.jac.e_xb])[e_work]  # over (x_a, x_b)
         # the endpoint opposite the anchor, within (x_a, x_b)
-        sign, other = (1.0, slice(n, 2 * n)) if nlp.state.anchored_left else (-1.0, slice(n))
+        sign, (_, other) = nlp.state.sign, nlp.state.ends(slice(n), slice(n, 2 * n))
 
         K, k_end = hess
         kkt = np.zeros((n_p + len(e_rows),) * 2)
@@ -690,8 +687,7 @@ class NewtonSystem:
         mu1 = self.factor.solve(y[:, :, None], trans=True).ravel()
         mu2 = (-s_v + nlp.state.B.T @ mu1.reshape(m, n) + w_mu3).ravel()
         mu = np.concatenate([mu1, mu2, mu3, mu4]) / nlp._row_scale[working]
-        if col is not None:
-            dz = dz / col
+        dz = dz / col
         return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
 
 
@@ -737,12 +733,16 @@ def endpoint_seed(con, n: int):
 
 def straight_line(ocp: OcpDefinition, nodes: Array):
     """The straight line between the endpoint seed values over ``nodes``:
-    (X, V, x_a, x_b), with the node table X and its constant slope V."""
+    (X, V, x_a, x_b), with the node table X and its constant slope V.
+    Raises NoConvergenceError when the line leaves the finite numbers."""
     x_a, x_b = endpoint_seed(ocp.constraints, ocp.n_x)
     t0, tf = ocp.horizon
     theta = (nodes - t0) / (tf - t0)
-    X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
-    V = np.tile((x_b - x_a) / (tf - t0), (len(nodes), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = x_a[None, :] + theta[:, None] * (x_b - x_a)[None, :]
+        V = np.tile((x_b - x_a) / (tf - t0), (len(nodes), 1))
+    if not (np.isfinite(X).all() and np.isfinite(V).all()):
+        raise NoConvergenceError("the straight-line seed overflowed: no finite initial guess")
     return X, V, x_a, x_b
 
 

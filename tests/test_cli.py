@@ -332,6 +332,18 @@ def test_overflowing_endpoint_seed_is_a_failure_not_a_traceback(tmp_path, capsys
     assert capsys.readouterr().err.startswith("failed: the endpoint seed overflowed")
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "indirect"])
+def test_overflowing_straight_line_is_a_failure_not_a_bad_config(tmp_path, capsys, command):
+    # the endpoint seed is finite, but x_b - x_a, the line's rise, overflows;
+    # RuntimeWarnings are errors under the test settings, so none may be raised
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**_STEER, "running_cost": {"R": [[1.0]]}, "constraints": [
+        {"a": [1.0], "rhs": 1.5e308}, {"b": [1.0], "rhs": -1.5e308}]}))
+    code = run(command, "--problem", str(path), "--N", "8", "--out", str(tmp_path))
+    assert code == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.startswith("failed: the straight-line seed overflowed")
+
+
 # --- verify / indirect -----------------------------------------------------------
 
 

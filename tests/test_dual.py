@@ -473,6 +473,30 @@ def test_indirect_zero_pivot_of_the_condensing_matrix_raises(monkeypatch):
     assert np.all(np.isfinite(system.newton_step(y, r)))  # the failed factor was not kept
 
 
+def test_indirect_zero_pivot_on_the_costate_side_raises(monkeypatch):
+    # F_x is zero but at one node j, where it is -g with b g = 1 exactly for
+    # b = B_a[j, j]: M_s = I - (B_a (x) I) F_x has 1 + b g = 2 there, but
+    # M_c = I + (B_a (x) I) F_x^T has 1 - b g = 0 and a zero row j
+    ocp, sys = system_for("scalar-lq", 8, prepare=False)
+    j = int(np.argmax(np.abs(np.diag(sys.B_a))))
+    b = sys.B_a[j, j]
+    g = next(g for g in 1.0 / b * (1.0 + 2.0**-52 * np.arange(-4, 5)) if b * g == 1.0)
+
+    def jac_fx(X, U):
+        out = np.zeros((len(X), 1, 1))
+        out[j] = -g
+        return out
+
+    factors, factor = [], AnchoredBlock.factor
+    monkeypatch.setattr(AnchoredBlock, "factor",
+                        lambda self, G: factors.append(factor(self, G)) or factors[-1])
+    system = _IndirectSystem(dataclasses.replace(ocp, jac_fx=jac_fx), sys, DualVariant("a", "a"))
+    y = _default_indirect_init(system)
+    with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
+        system.newton_step(y, system.residual(y))
+    assert [f is None for f in factors] == [False, True]  # the state side, then the costate side
+
+
 def factored_orders(monkeypatch, name, variant, N=32):
     """Solve ``name`` indirectly on LGL N; returns (Newton steps, the orders
     of the blocks each condensing factor LU-factored, one list per factor)."""

@@ -570,6 +570,45 @@ def test_non_finite_dynamics_in_the_line_search_end_the_solve_infeasible():
     assert np.max(np.abs(nlp.unpack(res.z)[1])) <= 5.0
 
 
+# --- every early exit of the solve, with its status -----------------------------
+
+
+@pytest.mark.parametrize("field, value", [("objective", lambda z: np.nan),
+                                          ("constraints", lambda z: np.array([np.inf]))])
+def test_non_finite_value_without_an_evaluation_error_ends_infeasible(field, value):
+    # the NLP returns a non-finite number where it could have raised
+    res = solve(dataclasses.replace(equality_qp(), **{field: value}), np.zeros(2))
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.iterations == 0 and res.kkt_residual == np.inf
+
+
+@pytest.mark.parametrize("method", ["estimate", "step"])
+def test_newton_system_without_a_solution_ends_in_line_search_failure(monkeypatch, method):
+    # the estimate's failure leaves no optimality test (inf); the step's
+    # comes after the test, whose residual the result keeps
+    monkeypatch.setattr(NewtonSystem, method, lambda self, *args: None)
+    nlp = make_nlp("scalar-lq")
+    res = solve(nlp, initial_guess(nlp))
+    assert res.status is SolveStatus.LINE_SEARCH_FAILURE and res.iterations == 0
+    if method == "estimate":
+        assert res.kkt_residual == np.inf
+    else:
+        assert SolverOptions().tol_stat < res.kkt_residual < np.inf
+
+
+def test_exhausted_line_search_at_a_feasible_iterate_is_a_line_search_failure():
+    # the gradient has the wrong sign, so the step climbs f = -z^2: every
+    # trial is rejected, and with no rows the iterate is feasible
+    nlp = SimpleNlp(
+        n_z=1,
+        objective=lambda z: float(-z[0] ** 2),
+        objective_gradient=lambda z: 2.0 * z,
+    )
+    res = solve(nlp, np.ones(1))
+    assert res.status is SolveStatus.LINE_SEARCH_FAILURE
+    assert res.iterations == 0 and res.kkt_residual == 2.0
+
+
 def test_scaled_form_reaches_same_objective():
     plain = make_nlp("scalar-lq", N=10)
     scaled = make_nlp("scalar-lq", N=10, scaled=True)

@@ -64,8 +64,13 @@ def scalar_mayer():
     )
 
 
-def make_nlp(name="double-integrator-energy", N=8, form="a", scaled=False, kind="lgl"):
-    ocp = prepared(registry(name))
+def prepared_registry(name):
+    return prepared(registry(name))
+
+
+def make_nlp(name="double-integrator-energy", N=8, form="a", scaled=False, kind="lgl",
+             staging=prepared_registry):
+    ocp = staging(name)
     sys = build_birkhoff(make_grid(kind, N, ocp.horizon))
     return transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
 
@@ -187,11 +192,13 @@ def test_scaled_and_plain_impose_identical_constraints():
     assert np.max(np.abs(r_p - r_s)) < 1e-12
 
 
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
 @pytest.mark.parametrize(
-    "form, scaled", [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True)]
+    "form, scaled",
+    [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True), ("b", True)],
 )
-def test_jacobian_matches_finite_differences(form, scaled):
-    nlp = make_nlp(form=form, scaled=scaled, N=5)
+def test_jacobian_matches_finite_differences(form, scaled, staging):
+    nlp = make_nlp(form=form, scaled=scaled, N=5, staging=staging)
     rng = np.random.default_rng(11)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
     jac = nlp.jacobian(z) @ np.eye(nlp.n_z)
@@ -807,12 +814,16 @@ def coupling_pattern(name, n):
     elif name == "two-cycle":  # 0 and 1 read each other, not themselves; the rest read 1
         pattern[0, 1] = pattern[1, 0] = True
         pattern[2:, 1] = True
+    elif name == "interleaved":  # 0 and 2 read each other, 1 reads both: no group is a slice
+        pattern[0, 2] = pattern[2, 0] = True
+        pattern[1, [0, 2]] = True
     elif name == "dense":
         pattern[:] = True
     return pattern
 
 
-COUPLINGS = ["zero", "triangular", "group-feeds-cost", "two-cycle", "dense"]
+COUPLINGS = ["zero", "triangular", "group-feeds-cost", "two-cycle", "interleaved", "dense"]
+MIN_STATES = {"two-cycle": 2, "interleaved": 3}
 
 
 def random_blocks(draw, name):
@@ -820,7 +831,7 @@ def random_blocks(draw, name):
     on the named pattern, scaled so that |(B (x) I) G| <= 1/2 and M stays
     well conditioned (|B| = 1 in the infinity norm on (0, 1))."""
     N = draw(st.integers(min_value=1, max_value=12))
-    n = draw(st.integers(min_value=2 if name == "two-cycle" else 1, max_value=4))
+    n = draw(st.integers(min_value=MIN_STATES.get(name, 1), max_value=4))
     block = AnchoredBlock(unit_system(N), draw(st.sampled_from(["a", "b"])))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     return block, rng.uniform(-0.5 / n, 0.5 / n, (N + 1, n, n)) * coupling_pattern(name, n)
@@ -846,6 +857,8 @@ def test_block_solve_is_the_full_solve(name, data):
         assert groups == {tuple(range(n - 1)): True, (n - 1,): False}
     elif name == "two-cycle":
         assert groups[(0, 1)]  # one group, factored, though G_00 = G_11 = 0
+    elif name == "interleaved":  # the states and sources are index arrays
+        assert groups == {(0, 2): True, (1,): False}
     elif name == "dense":
         assert groups == {tuple(range(n)): True}
 
