@@ -13,6 +13,11 @@ matrix lookups.  No node family needs an O(N^3) solve for those coefficients
 but the uniform one: CGL inverts its Vandermonde by a DCT, and LGL takes them in
 closed form from discrete Legendre orthogonality and the Legendre-to-Chebyshev
 connection coefficients.
+
+Every node family is antisymmetric on the reference interval, and
+``T_k(-s) = (-1)^k T_k(s)`` holds bit for bit, so the build evaluates
+Chebyshev series only on the left half of the nodes: row ``N - i`` of a
+product is the even-degree sum minus the odd-degree sum of row ``i``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from scipy.fft import dct
 from scipy.linalg import lu_factor, lu_solve
+from scipy.special import legendre_p_all
 
 from .errors import (
     DomainError,
@@ -31,12 +37,16 @@ from .errors import (
     ShapeError,
     UnsupportedGridError,
 )
-from .grid import Grid, GridKind, MAX_ORDER, to_reference
+from .grid import AffineMap, Grid, GridKind, MAX_ORDER, to_reference
 
 # residual ceiling on the cardinal property |T c - I| of the modal transform
 MODAL_RESIDUAL_TOL = 1e-10
 # agreement required between the two independent quadrature-weight routes
 WEIGHT_CROSSCHECK_TOL = 1e-12
+# mirror defect |s_i + s_(N-i)| / 2 allowed after to_reference, in units of
+# eps * (1 + |center| / scale): the roundoff of mapping a symmetric grid out
+# to its domain and back (make_grid's grids stay below 1)
+SYMMETRY_ULPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,51 @@ class BirkhoffSystem:
         }
 
 
+def _reference_nodes(grid: Grid) -> tuple[np.ndarray, AffineMap]:
+    """Reference nodes of ``grid``, made exactly antisymmetric, and its map.
+
+    The mirrored build reads row ``N - i`` off row ``i``, which is right only
+    for nodes symmetric about the midpoint; a grid further from symmetry than
+    the roundoff of its affine map is refused.
+    """
+    ref, amap = to_reference(grid)
+    s = ref.nodes
+    mirrored = 0.5 * (s - s[::-1])
+    gap = float(np.max(np.abs(s - mirrored)))
+    tol = SYMMETRY_ULPS * np.finfo(float).eps * (1.0 + abs(amap.center) / amap.scale)
+    if gap > tol:
+        raise UnsupportedGridError(
+            f"{grid.kind.value} grid nodes are not symmetric about the domain "
+            f"midpoint (reference-interval defect {gap:.3e} > {tol:.1e}); "
+            "the Birkhoff build mirrors the left half of the nodes"
+        )
+    return mirrored, amap
+
+
+def _half_vandermonde(s: np.ndarray) -> np.ndarray:
+    """Chebyshev Vandermonde of degree N+1 on the left half of the nodes."""
+    n = s.size - 1
+    return cheb.chebvander(s[: n // 2 + 1], n + 1)
+
+
+def _mirrored_product(vander: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``chebvander(s, deg) @ coeffs`` at all N+1 antisymmetric nodes ``s``.
+
+    ``vander`` holds the rows of the left half (``_half_vandermonde``) and
+    ``deg + 1 = coeffs.shape[0]``.  With E and O the products over the even
+    and odd degrees, row i is ``E_i + O_i`` and row ``N - i`` is
+    ``E_i - O_i``; the middle row of an even N has ``O = 0`` exactly.
+    """
+    deg = coeffs.shape[0]
+    m = vander.shape[0]
+    even = vander[:, 0:deg:2] @ coeffs[0::2]
+    odd = vander[:, 1:deg:2] @ coeffs[1::2]
+    out = np.empty((n + 1,) + coeffs.shape[1:])
+    np.subtract(even, odd, out=out[n + 1 - m :][::-1])
+    np.add(even, odd, out=out[:m])
+    return out
+
+
 def _modal_from_cgl_values(vals: np.ndarray) -> np.ndarray:
     """Node values at ascending CGL nodes -> Chebyshev coefficients (DCT-I)."""
     n = vals.shape[0] - 1
@@ -109,13 +164,30 @@ def _modal_from_cgl_values(vals: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _cgl_cardinal_coeffs(s: np.ndarray, t_mat: np.ndarray) -> np.ndarray:
+def _mirror_columns(left: np.ndarray, n: int) -> np.ndarray:
+    """All N+1 cardinal columns from the left ones.
+
+    On antisymmetric nodes cardinal function ``N - j`` is cardinal function
+    j reflected, ``l_{N-j}(s) = l_j(-s)``, and ``T_k(-s) = (-1)^k T_k(s)``,
+    so ``coef[k, N - j] = (-1)^k coef[k, j]``.
+    """
+    m = left.shape[1]
+    coef = np.empty((left.shape[0], n + 1))
+    coef[:, n + 1 - m :] = left[:, ::-1]
+    coef[1::2, n + 1 - m :] *= -1.0
+    coef[:, :m] = left
+    return coef
+
+
+def _cgl_cardinal_coeffs(vander: np.ndarray, n: int) -> np.ndarray:
     # The DCT inverts the Vandermonde at exact cosine nodes; one refinement
     # step re-targets the stored floating-point nodes.
-    n = s.size - 1
-    coef = _modal_from_cgl_values(np.eye(n + 1))
-    coef += _modal_from_cgl_values(np.eye(n + 1) - t_mat @ coef)
-    return coef
+    unit = np.eye(n + 1, vander.shape[0])
+    left = _modal_from_cgl_values(unit)
+    defect = _mirrored_product(vander, left, n)
+    np.subtract(unit, defect, out=defect)
+    left += _modal_from_cgl_values(defect)
+    return _mirror_columns(left, n)
 
 
 def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
@@ -128,13 +200,13 @@ def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
     Chebyshev basis: ``A[m, k] = (2 - delta_m0) lam[(k-m)/2] lam[(k+m)/2]``
     for even ``k - m >= 0``, with ``lam[i] = prod_{l=1..i} (2l-1)/(2l)``, the
     form in which the 1/pi of the Gamma-function expression cancels.
+
+    Only the left half of the nodes and columns is computed; the rest is
+    their mirror (``_mirror_columns``).
     """
     n = s.size - 1
-    p = np.empty((n + 1, n + 1))
-    p[0] = 1.0
-    p[1] = s
-    for k in range(1, n):
-        p[k + 1] = ((2 * k + 1) * s * p[k] - k * p[k - 1]) / (k + 1)
+    half = s[: n // 2 + 1]
+    p = legendre_p_all(n, half)[0]
     w = 2.0 / (n * (n + 1) * p[n] ** 2)
     k = np.arange(n + 1)
     gamma = 2.0 / (2 * k + 1.0)
@@ -143,14 +215,14 @@ def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
     lam = np.ones(n + 1)
     lam[1:] = np.cumprod((2 * k[1:] - 1.0) / (2 * k[1:]))
     legendre = p * (w[None, :] / gamma[:, None])
-    coef = np.empty((n + 1, n + 1))
+    left = np.empty((n + 1, half.size))
     for parity in (0, 1):  # A couples only degrees of equal parity
         m = k[parity::2, None]
         kk = k[None, parity::2]
         a = np.where(kk >= m, lam[np.abs(kk - m) // 2] * lam[(kk + m) // 2], 0.0)
-        coef[parity::2] = a @ legendre[parity::2]
-    coef[1:] *= 2.0
-    return coef
+        left[parity::2] = a @ legendre[parity::2]
+    left[1:] *= 2.0
+    return _mirror_columns(left, n)
 
 
 def _solved_cardinal_coeffs(t_mat: np.ndarray) -> np.ndarray:
@@ -183,6 +255,27 @@ def _cheb_moments(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 2.0 / den, 0.0)
 
 
+def _antiderivative_coeffs(coef: np.ndarray) -> np.ndarray:
+    """Antiderivative coefficients of each column, vanishing at s = -1.
+
+    Row r >= 1 is ``c[r-1] / (2r) - c[r+1] / (2r)``, with ``c[0]`` rather
+    than ``c[0] / 2`` in row 1 and no ``c[r+1]`` past the degree; these are
+    the operations of ``chebint`` in its order, so the rows agree bit for
+    bit.  Row 0 is ``sum_{r>=1} (-1)^(r+1) a_r`` over those rows ``a_r``,
+    which makes each series vanish at -1, since ``T_r(-1) = (-1)^r``.
+    """
+    n = coef.shape[0] - 1
+    anti = np.empty((n + 2,) + coef.shape[1:])
+    two_r = 2.0 * np.arange(1, n + 2)[:, None]
+    anti[1] = coef[0]
+    np.divide(coef[1:], two_r[1:], out=anti[2:])
+    anti[1:n] -= coef[2:] / two_r[: n - 1]
+    signs = np.ones(n + 1)
+    signs[1::2] = -1.0
+    anti[0] = signs @ anti[1:]
+    return anti
+
+
 def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
     """L_j(s) for every cardinal antiderivative j, as one Vandermonde product.
 
@@ -194,35 +287,72 @@ def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
     return (vander @ coeffs).reshape(s.shape + (coeffs.shape[1],))
 
 
+def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> ModalBasis:
+    n = s.size - 1
+    if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
+        coef = _cgl_cardinal_coeffs(vander, n)
+    elif kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
+        coef = _lgl_cardinal_coeffs(s)
+    else:
+        # the full Vandermonde, exactly, in chebvander's column-major layout:
+        # the refinement's BLAS rounding, which the solve amplifies to 1e-10
+        # on equispaced nodes, depends on it
+        t_mat = _mirrored_product(vander, np.eye(n + 1), n)
+        coef = _solved_cardinal_coeffs(np.asfortranarray(t_mat))
+    defect = _mirrored_product(vander, coef, n)
+    defect.flat[:: n + 2] -= 1.0
+    resid = float(np.linalg.norm(defect)) / (n + 1)
+    if resid > MODAL_RESIDUAL_TOL:
+        raise IllConditionedBasisError(
+            f"modal transform residual {resid:.3e} exceeds {MODAL_RESIDUAL_TOL:.1e} "
+            f"on {kind.value} grid with N = {n}"
+        )
+    return ModalBasis(
+        cardinal_coeffs=coef, antiderivative_coeffs=_antiderivative_coeffs(coef), residual=resid
+    )
+
+
 def build_modal_basis(grid: Grid) -> ModalBasis:
     """Transform node space to Chebyshev coefficient space for ``grid``.
 
     CGL coefficients come from a DCT, LGL ones in closed form, uniform ones
     from a refined Vandermonde solve.  The stored residual is the
     root-mean-square defect of the interpolation conditions over all
-    (N+1)^2 node/column pairs; construction fails above
+    (N+1)^2 node/column pairs, each evaluated by the mirrored product on the
+    left half of the nodes (``_mirrored_product``); construction fails above
     ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the per-entry defect sits at
     roundoff; equispaced grids cross the gate near N = 40 because the
     cardinal functions' coefficients outgrow what float64 storage resolves.
     """
-    ref, _ = to_reference(grid)
-    s = ref.nodes
-    n = ref.N
-    t_mat = cheb.chebvander(s, n)
-    if grid.kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
-        coef = _cgl_cardinal_coeffs(s, t_mat)
-    elif grid.kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
-        coef = _lgl_cardinal_coeffs(s)
-    else:
-        coef = _solved_cardinal_coeffs(t_mat)
-    resid = float(np.sqrt(np.mean((t_mat @ coef - np.eye(n + 1)) ** 2)))
-    if resid > MODAL_RESIDUAL_TOL:
-        raise IllConditionedBasisError(
-            f"modal transform residual {resid:.3e} exceeds {MODAL_RESIDUAL_TOL:.1e} "
-            f"on {grid.kind.value} grid with N = {n}"
-        )
-    anti = cheb.chebint(coef, m=1, k=0, lbnd=-1.0, axis=0)
-    return ModalBasis(cardinal_coeffs=coef, antiderivative_coeffs=anti, residual=resid)
+    s, _ = _reference_nodes(grid)
+    return _modal_basis(grid.kind, s, _half_vandermonde(s))
+
+
+def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:
+    n = s.size - 1
+    m = n // 2 + 1
+    diff = 2.0 * (s[:m, None] - s[None, :])
+    diff.flat[:: n + 2] = 1.0
+    log_half = np.sum(np.log(np.abs(diff)), axis=1)
+    # on antisymmetric nodes row N - i has the differences of row i, negated
+    # and reversed, so the same log-product
+    log_prod = np.concatenate([log_half, log_half[n - m :: -1]])
+    # d_ij = (prod_i / prod_j) / (s_i - s_j), built in place; the nodes
+    # ascend, so prod_i has the sign (-1)^(N - i), and (-1)^N cancels
+    sign = (-1.0) ** np.arange(s.size)
+    d = np.subtract.outer(log_half, log_prod)
+    np.exp(d, out=d)
+    d *= sign[:m, None]
+    d *= sign[None, :]
+    d *= 2.0  # diff holds 2 (s_i - s_j), and 1 on the diagonal
+    d /= diff
+    d.flat[:: n + 2] = 0.0
+    d.flat[:: n + 2] = -np.sum(d, axis=1)
+    d /= scale
+    out = np.empty((n + 1, n + 1))
+    np.negative(d[::-1, ::-1], out=out[n + 1 - m :])
+    out[:m] = d
+    return out
 
 
 def build_diff_matrix(grid: Grid) -> np.ndarray:
@@ -231,26 +361,11 @@ def build_diff_matrix(grid: Grid) -> np.ndarray:
     Pairwise differences are capacity-scaled, and the weight products are
     taken as sums of logarithms: the products themselves stay moderate, but
     their partial products overflow from N ~ 1000.  The diagonal uses the
-    negative row-sum trick.
+    negative row-sum trick.  Only the upper half of the rows is computed;
+    the rest is the mirror ``D[N-i, N-j] = -D[i, j]``.
     """
-    ref, amap = to_reference(grid)
-    s = ref.nodes
-    diff = 2.0 * (s[:, None] - s[None, :])
-    np.fill_diagonal(diff, 1.0)
-    log_prod = np.sum(np.log(np.abs(diff)), axis=1)
-    # d_ij = (prod_i / prod_j) / (s_i - s_j), built in place; the nodes
-    # ascend, so prod_i has the sign (-1)^(N - i), and (-1)^N cancels
-    sign = (-1.0) ** np.arange(s.size)
-    d = np.subtract.outer(log_prod, log_prod)
-    np.exp(d, out=d)
-    d *= sign[:, None]
-    d *= sign[None, :]
-    d *= 2.0  # diff holds 2 (s_i - s_j), and 1 on the diagonal
-    d /= diff
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -np.sum(d, axis=1))
-    d /= amap.scale
-    return d
+    s, amap = _reference_nodes(grid)
+    return _diff_matrix(s, amap.scale)
 
 
 def build_birkhoff(grid: Grid) -> BirkhoffSystem:
@@ -261,16 +376,19 @@ def build_birkhoff(grid: Grid) -> BirkhoffSystem:
         raise UnsupportedGridError(
             "Birkhoff transcription requires a grid containing both endpoints"
         )
-    modal = build_modal_basis(grid)
-    ref, amap = to_reference(grid)
-    s = ref.nodes
+    s, amap = _reference_nodes(grid)
     h = amap.scale
+    vander = _half_vandermonde(s)
+    modal = _modal_basis(grid.kind, s, vander)
 
-    b_a_ref = _antiderivative_basis(modal, s)
-    b_a_ref[0, :] = 0.0  # L_j(-1) = 0 by construction; pin the anchor row
+    anti = modal.antiderivative_coeffs
+    b_a = _mirrored_product(vander, anti, grid.N)  # on [-1, 1] until scaled
+    b_a[0, :] = 0.0  # L_j(-1) = 0 by construction; pin the anchor row
     # s[-1] is exactly 1.0 and T_k(1) = 1 exactly, so the last row is the
-    # endpoint sum L_j(1), the integral of each cardinal function
-    w_ref = b_a_ref[-1]
+    # endpoint sum L_j(1), the integral of each cardinal function: the
+    # column sums of the antiderivative coefficients
+    w_ref = np.ones(anti.shape[0]) @ anti
+    b_a[-1] = w_ref
 
     # independent route: weights as Chebyshev moments of the cardinal series,
     # which never pass through the antiderivative coefficients.  Both routes
@@ -285,11 +403,11 @@ def build_birkhoff(grid: Grid) -> BirkhoffSystem:
             f"disagree by {moment_gap:.3e}"
         )
 
-    b_a = h * b_a_ref
+    b_a *= h
     w = h * w_ref
     b_b = b_a - w[None, :]
     return BirkhoffSystem(
-        grid=grid, B_a=b_a, B_b=b_b, w_B=w, D=build_diff_matrix(grid), modal=modal
+        grid=grid, B_a=b_a, B_b=b_b, w_B=w, D=_diff_matrix(s, h), modal=modal
     )
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import eval_legendre
 
 from .errors import InvalidDomainError, InvalidOrderError, UnsupportedGridError
 
@@ -95,20 +96,28 @@ def _cgl_reference_nodes(n: int) -> np.ndarray:
 
 
 def _lgl_reference_nodes(n: int) -> np.ndarray:
-    """Roots of (1 - s^2) P'_n(s) by Newton iteration from Chebyshev seeds."""
-    if n == 1:
-        return np.array([-1.0, 1.0])
-    s = -np.cos(np.pi * np.arange(n + 1) / n)
+    """Roots of (1 - s^2) P'_n(s) by Newton iteration on the left half.
+
+    The interior roots are the zeros of the Jacobi polynomial P^(1,1)_{n-1};
+    the Gatteschi-Pittaluga approximation of their angles seeds Newton within
+    1e-4 at n = 3 and 1e-9 at n = 1024, so at most three passes run.  P_n and
+    P_{n-1} come from ``scipy.special.eval_legendre``, whose degree recurrence
+    is a C loop.  The right half is the exact mirror of the left one.
+    """
+    # theta_k = phi_k - 3 cot(phi_k) / (8 rho^2), phi_k = (k + 1/4) pi / rho,
+    # rho = n + 1/2: the angle of the k-th interior node from s = -1
+    k = np.arange(1, (n - 1) // 2 + 1)
+    rho = n + 0.5
+    phi = (k + 0.25) * np.pi / rho
+    s = -np.cos(phi - 3.0 / (8.0 * rho**2) / np.tan(phi))
     for _ in range(100):
-        # P_{n-1} and P_n by the three-term recurrence, keeping two rows
-        p_prev, p = np.ones_like(s), s
-        for k in range(1, n):
-            p_prev, p = p, ((2 * k + 1) * s * p - k * p_prev) / (k + 1)
+        p, p_prev = eval_legendre(n, s), eval_legendre(n - 1, s)
         step = (s * p - p_prev) / ((n + 1) * p)
         s = s - step
-        if np.max(np.abs(step)) <= 1e-15:
+        if np.max(np.abs(step), initial=0.0) <= 1e-15:
             break
-    return s
+    middle = [0.0] if n % 2 == 0 else []
+    return np.concatenate([[-1.0], s, middle, -s[::-1], [1.0]])
 
 
 def make_grid(kind, N: int, domain=(-1.0, 1.0)) -> Grid:

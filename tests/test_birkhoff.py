@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from birktraj import (
 from birktraj.grid import Grid, GridKind
 
 KINDS = ("cgl", "lgl")
+EPS = np.finfo(float).eps
 ORDERS = (4, 8, 16, 32, 64, 128)
 
 
@@ -127,13 +130,14 @@ def _clenshaw_reference(sys):
     return b_a, b_a - w[None, :], w
 
 
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 1.7)])
 @pytest.mark.parametrize(
     "kind, n, rel",
     [(k, n, False) for k in KINDS for n in (1, 4, 16, 64, 256)]
     + [("uniform", n, True) for n in (8, 16, 24, 32)],
 )
-def test_vandermonde_matches_clenshaw(kind, n, rel):
-    sys = build_birkhoff(make_grid(kind, n))
+def test_vandermonde_matches_clenshaw(kind, n, rel, domain):
+    sys = build_birkhoff(make_grid(kind, n, domain))
     b_a, b_b, w = _clenshaw_reference(sys)
     tol = 1e-15 * (np.max(np.abs(w)) if rel else 1.0)
     assert np.max(np.abs(sys.B_a - b_a)) <= tol
@@ -141,17 +145,136 @@ def test_vandermonde_matches_clenshaw(kind, n, rel):
     assert np.max(np.abs(sys.w_B - w)) <= tol
 
 
-def test_moment_crosscheck_fires_on_corrupted_antiderivative(monkeypatch):
-    chebint = cheb.chebint
+# --- the mirrored build against the plain products it replaces ----------------
 
-    def corrupted(*args, **kwargs):
-        anti = chebint(*args, **kwargs)
+MIRROR_CASES = (
+    [(k, n) for k in KINDS for n in (1, 2, 3, 16, 17, 256, 257)]
+    + [("uniform", n) for n in (1, 2, 8, 15, 32)]
+)
+
+
+def _product_bound(a, b):
+    # two evaluations of each inner product of length K differ by at most
+    # 2 gamma_K |a| |b| <= 2 K eps |a| |b| entrywise
+    return 2 * a.shape[1] * EPS * (np.abs(a) @ np.abs(b))
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 1.7)])
+@pytest.mark.parametrize("kind, n", MIRROR_CASES)
+def test_mirrored_products_match_the_plain_products(kind, n, domain):
+    grid = make_grid(kind, n, domain)
+    sys = build_birkhoff(grid)
+    s, _ = birkhoff._reference_nodes(grid)
+    assert np.array_equal(s, -s[::-1])
+    half = birkhoff._half_vandermonde(s)
+    vander = cheb.chebvander(s, n + 1)
+    assert np.array_equal(birkhoff._mirrored_product(half, np.eye(n + 2), n), vander)
+
+    # B_a: every row but the pinned ends is the mirrored product, scaled
+    anti = sys.modal.antiderivative_coeffs
+    mirrored = birkhoff._mirrored_product(half, anti, n)
+    assert np.all(np.abs(mirrored - vander @ anti) <= _product_bound(vander, anti))
+    assert np.array_equal(sys.B_a[1:-1], sys.scale * mirrored[1:-1])
+    assert np.all(np.abs(sys.w_B / sys.scale - (vander @ anti)[-1])
+                  <= _product_bound(vander, anti)[-1])
+
+    # the residual: every entry of T c - I, and its root mean square
+    coef, t_mat = sys.modal.cardinal_coeffs, vander[:, : n + 1]
+    plain = t_mat @ coef - np.eye(n + 1)
+    got = birkhoff._mirrored_product(half, coef, n) - np.eye(n + 1)
+    bound = _product_bound(t_mat, coef)
+    assert np.all(np.abs(got - plain) <= bound)
+    rms = float(np.sqrt(np.mean(plain**2)))
+    assert abs(sys.modal.residual - rms) <= float(np.sqrt(np.mean(bound**2))) + 4 * EPS * rms
+
+
+@pytest.mark.parametrize("kind, n", MIRROR_CASES + [("lgl", 1024), ("cgl", 513)])
+def test_antiderivative_coeffs_are_chebint(kind, n):
+    coef = build_birkhoff(make_grid(kind, n)).modal.cardinal_coeffs
+    got = birkhoff._antiderivative_coeffs(coef)
+    want = cheb.chebint(coef, m=1, k=0, lbnd=-1.0, axis=0)
+    assert np.array_equal(got[1:], want[1:])
+    # the constant row -sum_r T_r(-1) a_r: a dot product of n+1 terms here,
+    # within 2 gamma_(n+1) sum|a| of the exact sum, and a Clenshaw sum at
+    # s = -1 in chebint, whose error grows like n^2
+    terms = (-1.0) ** np.arange(2, n + 3)[:, None] * got[1:]
+    size = np.sum(np.abs(terms), axis=0)
+    exact = np.array([math.fsum(col) for col in terms.T])
+    assert np.all(np.abs(got[0] - exact) <= (n + 1) * EPS * size)
+    assert np.all(np.abs(got[0] - want[0]) <= (n + 2) ** 2 * EPS * size)
+
+
+def _plain_diff_matrix(s):
+    # the barycentric formula on every row, weights as sums of logarithms
+    diff = s[:, None] - s[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logs = np.log(np.abs(diff))
+    log_prod = np.sum(logs, axis=1)
+    sign = (-1.0) ** np.arange(s.size)
+    d = np.exp(np.subtract.outer(log_prod, log_prod)) * np.outer(sign, sign) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
+    return d, np.max(np.sum(np.abs(logs), axis=1))
+
+
+@pytest.mark.parametrize("kind, n", MIRROR_CASES)
+def test_mirrored_diff_matrix_matches_the_plain_formula(kind, n):
+    grid = make_grid(kind, n)
+    d = build_diff_matrix(grid)
+    # exact mirror, but for the middle diagonal entry of an even N: there
+    # the row sum of an antisymmetric row is rounding, not 0
+    mirror = np.ones((n + 1, n + 1), dtype=bool)
+    mirror[n // 2, n // 2] = n % 2 == 1
+    assert np.array_equal(d[::-1, ::-1][mirror], -d[mirror])
+    want, log_size = _plain_diff_matrix(birkhoff._reference_nodes(grid)[0])
+    # each log-sum is within (n+1) eps log_size of exact, so each
+    # off-diagonal entry within twice that, relative, plus a few roundings
+    rel = (2 * (n + 1) * log_size + 8) * EPS
+    off = ~np.eye(n + 1, dtype=bool)
+    assert np.all(np.abs(d - want)[off] <= rel * np.abs(want)[off])
+    row = np.sum(np.abs(want) * off, axis=1)
+    assert np.all(np.abs(np.diag(d) - np.diag(want)) <= (rel + (n + 1) * EPS) * row)
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_asymmetric_grid_is_refused(kind):
+    # only a hand-made grid can be asymmetric; make_grid's never are
+    grid = Grid(kind, np.array([0.0, 0.3, 0.55, 1.0]), (0.0, 1.0))
+    for build in (build_birkhoff, build_diff_matrix, birkhoff.build_modal_basis):
+        with pytest.raises(UnsupportedGridError, match="not symmetric"):
+            build(grid)
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+def test_symmetric_grid_made_by_hand_builds(kind):
+    # the nodes of make_grid mapped by hand onto a far-off domain are
+    # symmetric only up to the roundoff of the map; they build, and the
+    # same as make_grid's own nodes there, while one node moved by 1e-9
+    # breaks the symmetry
+    n, domain = 12, (1000.0, 1000.5)
+    s = make_grid(kind, n).nodes
+    tau = 1000.25 + 0.25 * s
+    tau[0], tau[-1] = domain
+    ref = build_birkhoff(make_grid(kind, n, domain))
+    sys = build_birkhoff(Grid(GridKind(kind), tau, domain))
+    assert np.max(np.abs(sys.B_a - ref.B_a)) <= 1e-12
+    moved = tau.copy()
+    moved[3] += 1e-9
+    with pytest.raises(UnsupportedGridError, match="not symmetric"):
+        build_birkhoff(Grid(GridKind(kind), moved, domain))
+
+
+def test_moment_crosscheck_fires_on_corrupted_antiderivative(monkeypatch):
+    antiderivative = birkhoff._antiderivative_coeffs
+
+    def corrupted(coef):
+        anti = antiderivative(coef)
         anti[3, 2] += 1e-9
         return anti
 
     grid = make_grid("lgl", 16)
     build_birkhoff(grid)
-    monkeypatch.setattr(birkhoff.cheb, "chebint", corrupted)
+    monkeypatch.setattr(birkhoff, "_antiderivative_coeffs", corrupted)
     with pytest.raises(IllConditionedBasisError, match="cross-check"):
         build_birkhoff(grid)
 

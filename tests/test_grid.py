@@ -14,7 +14,10 @@ from birktraj import (
     make_grid,
     to_reference,
 )
-from birktraj.grid import MAX_ORDER
+from birktraj import grid as grid_module
+from birktraj.grid import MAX_ORDER, _lgl_reference_nodes
+
+EPS = np.finfo(float).eps
 
 
 def test_lgl_closed_forms():
@@ -32,6 +35,43 @@ def test_lgl_n4_interior_nodes():
     np.testing.assert_allclose(
         make_grid("lgl", 4).nodes, [-1.0, -r, 0.0, r, 1.0], atol=1e-15
     )
+
+
+def recurrence_newton_lgl_nodes(n):
+    """Reference: Newton on all nodes from Chebyshev seeds, P_n and P_{n-1}
+    by the three-term recurrence in Python."""
+    if n == 1:
+        return np.array([-1.0, 1.0])
+    s = -np.cos(np.pi * np.arange(n + 1) / n)
+    for _ in range(100):
+        p_prev, p = np.ones_like(s), s
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * s * p - k * p_prev) / (k + 1)
+        step = (s * p - p_prev) / ((n + 1) * p)
+        s = s - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 255, 256, 1023, 1024, 4096])
+def test_lgl_nodes_match_the_recurrence_newton(n):
+    got = _lgl_reference_nodes(n)
+    assert np.array_equal(got, -got[::-1])  # the right half is the exact mirror
+    assert np.max(np.abs(got - recurrence_newton_lgl_nodes(n))) <= 2 * EPS
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 255, 256, 1023, 1024, 4095, 4096])
+def test_lgl_newton_takes_at_most_three_passes(n, monkeypatch):
+    calls, eval_legendre = [], grid_module.eval_legendre
+
+    def counted(degree, s):
+        calls.append(degree)
+        return eval_legendre(degree, s)
+
+    monkeypatch.setattr(grid_module, "eval_legendre", counted)
+    _lgl_reference_nodes(n)
+    assert 2 <= len(calls) <= 6  # P_n and P_{n-1} once per pass
 
 
 def test_cgl_closed_forms():

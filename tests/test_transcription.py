@@ -297,13 +297,14 @@ def test_non_finite_jacobian_blocks_raise_in_jacobian():
         assert solve(nlp, z).status is SolveStatus.INFEASIBLE
 
 
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
 @pytest.mark.parametrize(
     "form, scaled",
     [("a", False), ("b", False), ("a_star", False), ("b_star", False), ("a", True), ("b", True)],
 )
-def test_lagrangian_hessian_matches_finite_differences(name, form, scaled):
-    nlp = make_nlp(name, form=form, scaled=scaled, N=5)
+def test_lagrangian_hessian_matches_finite_differences(name, form, scaled, staging):
+    nlp = make_nlp(name, form=form, scaled=scaled, N=5, staging=staging)
     rng = np.random.default_rng(13)
     z = rng.normal(size=nlp.n_z) * 0.5 + 0.1
     mu = rng.normal(size=nlp.n_rows)
@@ -496,11 +497,14 @@ def assert_step_matches_dense(nlp, seed=0):
     return working
 
 
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
 @pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
 @pytest.mark.parametrize("name", registry_names())
-def test_newton_step_is_the_dense_kkt_step(name, kind, form, scaled):
-    assert_step_matches_dense(make_nlp(name, N=12, form=form, scaled=scaled, kind=kind))
+def test_newton_step_is_the_dense_kkt_step(name, kind, form, scaled, staging):
+    assert_step_matches_dense(
+        make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
+    )
 
 
 @pytest.mark.parametrize("form, scaled", FORMS, ids=[f"{f}{'+scaled' * s}" for f, s in FORMS])
@@ -871,7 +875,8 @@ def test_singular_diagonal_block_gives_no_factor(name, data):
     block, G = random_blocks(data.draw, name)
     j = int(np.argmax(np.abs(np.diag(block.B))))
     b = block.B[j, j]
-    g = next(g for g in 1.0 / b * (1.0 + 2.0**-52 * np.arange(-4, 5)) if b * g == 1.0)
+    # the floats within 4 ulps of 1/b: steps of 2**-52 relative skip some
+    g = next(g for g in 1.0 / b + np.spacing(1.0 / b) * np.arange(-4, 5) if b * g == 1.0)
     G[:, -1] = 0.0
     G[j, -1, -1] = g
     assert block.factor(G) is None
