@@ -288,6 +288,18 @@ def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
 
 
 def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> ModalBasis:
+    """Transform node space to Chebyshev coefficient space on the reference
+    nodes ``s``, with ``vander`` their :func:`_half_vandermonde`.
+
+    CGL coefficients come from a DCT, LGL ones in closed form, uniform ones
+    from a refined Vandermonde solve.  The stored residual is the
+    root-mean-square defect of the interpolation conditions over all
+    (N+1)^2 node/column pairs, each evaluated by the mirrored product on the
+    left half of the nodes (``_mirrored_product``); construction fails above
+    ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the per-entry defect sits at
+    roundoff; equispaced grids cross the gate near N = 40 because the
+    cardinal functions' coefficients outgrow what float64 storage resolves.
+    """
     n = s.size - 1
     if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
         coef = _cgl_cardinal_coeffs(vander, n)
@@ -310,22 +322,6 @@ def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> ModalBasi
     return ModalBasis(
         cardinal_coeffs=coef, antiderivative_coeffs=_antiderivative_coeffs(coef), residual=resid
     )
-
-
-def build_modal_basis(grid: Grid) -> ModalBasis:
-    """Transform node space to Chebyshev coefficient space for ``grid``.
-
-    CGL coefficients come from a DCT, LGL ones in closed form, uniform ones
-    from a refined Vandermonde solve.  The stored residual is the
-    root-mean-square defect of the interpolation conditions over all
-    (N+1)^2 node/column pairs, each evaluated by the mirrored product on the
-    left half of the nodes (``_mirrored_product``); construction fails above
-    ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the per-entry defect sits at
-    roundoff; equispaced grids cross the gate near N = 40 because the
-    cardinal functions' coefficients outgrow what float64 storage resolves.
-    """
-    s, _ = _reference_nodes(grid)
-    return _modal_basis(grid.kind, s, _half_vandermonde(s))
 
 
 def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:

@@ -230,7 +230,7 @@ def default_tolerance(sys: BirkhoffSystem) -> float:
 
 
 def _inf_norm(a: Array) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def verify_pontryagin(
@@ -288,12 +288,10 @@ def _recover_controls(ocp: OcpDefinition, X: Array, lam: Array) -> Array:
     for u.
     """
     n, U = ocp.n_x, np.zeros((len(X), ocp.n_u))
-    if ocp.n_u == 0:
-        return U
     live = np.arange(len(X))
     for _ in range(25):
         g = ocp.hamiltonian_gradient(X[live], U[live], lam[live])[:, n:]
-        keep = np.max(np.abs(g), axis=1) > 1e-12
+        keep = np.max(np.abs(g), axis=1, initial=0.0) > 1e-12
         live, g = live[keep], g[keep]
         if not live.size:
             break
@@ -383,10 +381,7 @@ class _IndirectSystem:
 
     def pack(self, *blocks) -> Array:
         """Inverse of :meth:`split`: the ten blocks, in its order, as one vector."""
-        y = np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
-        if y.shape != (self.n_y,):
-            raise ShapeError(f"unknowns have {y.size} entries, expected {self.n_y}")
-        return y
+        return np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
 
     def pack_solution(self, primal: PrimalSolution, dual: DualTrajectory) -> Array:
         """The unknowns at (primal, dual); ShapeError names a block of
@@ -434,7 +429,7 @@ class _IndirectSystem:
         p, con = self.ocp, self.ocp.constraints
         return (
             p.jac_fx(X, U),
-            p.jac_fu(X, U) if p.n_u else np.zeros((self.m, self.n, 0)),
+            p.jac_fu(X, U),
             p.hamiltonian_curvatures(X, U, lam),
             np.asarray(con.jac_xa(x_a, x_b), dtype=float),
             np.asarray(con.jac_xb(x_a, x_b), dtype=float),

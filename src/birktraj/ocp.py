@@ -81,32 +81,26 @@ class EndpointConstraints:
         return np.array([k is ConstraintKind.EQUALITY for k in self.kinds], dtype=bool)
 
 
+def _affine_rows(a: Array, b: Array, rhs: Array, kinds) -> EndpointConstraints:
+    """The rows a . x_a + b . x_b - rhs, ``a`` and ``b`` (n_e, n_x)."""
+    return EndpointConstraints(
+        fun=lambda x_a, x_b: a @ x_a + b @ x_b - rhs,
+        jac_xa=lambda x_a, x_b: a,
+        jac_xb=lambda x_a, x_b: b,
+        kinds=tuple(kinds),
+    )
+
+
 def pinned_endpoints(
     n_x: int, x_a_fixed: Array | None = None, x_b_fixed: Array | None = None
 ) -> EndpointConstraints:
     """Equality rows x_a = given and/or x_b = given (row per state)."""
-    x_a_fixed = None if x_a_fixed is None else np.asarray(x_a_fixed, dtype=float)
-    x_b_fixed = None if x_b_fixed is None else np.asarray(x_b_fixed, dtype=float)
-    n_a = 0 if x_a_fixed is None else n_x
-    n_b = 0 if x_b_fixed is None else n_x
-    eye, zero = np.eye(n_x), np.zeros((n_x, n_x))
-
-    def fun(x_a, x_b):
-        parts = []
-        if x_a_fixed is not None:
-            parts.append(x_a - x_a_fixed)
-        if x_b_fixed is not None:
-            parts.append(x_b - x_b_fixed)
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    ja = np.vstack([eye] * (n_a > 0) + [zero] * (n_b > 0)) if n_a + n_b else np.zeros((0, n_x))
-    jb = np.vstack([zero] * (n_a > 0) + [eye] * (n_b > 0)) if n_a + n_b else np.zeros((0, n_x))
-    return EndpointConstraints(
-        fun=fun,
-        jac_xa=lambda x_a, x_b: ja,
-        jac_xb=lambda x_a, x_b: jb,
-        kinds=(ConstraintKind.EQUALITY,) * (n_a + n_b),
-    )
+    pins = [(side, fixed) for side, fixed in enumerate((x_a_fixed, x_b_fixed))
+            if fixed is not None]
+    # each pin's rows are the identity on its own side, zero on the other
+    jac = np.kron(np.eye(2)[[side for side, _ in pins]], np.eye(n_x))
+    rhs = np.array([np.asarray(fixed, dtype=float) for _, fixed in pins]).reshape(-1)
+    return _affine_rows(jac[:, :n_x], jac[:, n_x:], rhs, [ConstraintKind.EQUALITY] * len(jac))
 
 
 @dataclass(frozen=True)
@@ -172,18 +166,20 @@ class OcpDefinition:
         H = c L + lam . f(x, u) with respect to (x, u) at every node, shaped
         (m, n_x + n_u).  L is the staged running cost (none on a prepared
         problem) and c its weight at each node, ``cost_weight`` (m,), or 1
-        when None: the NLP's Lagrangian weighs L by the quadrature weights."""
+        when None: the NLP's Lagrangian weighs L by the quadrature weights.
+        Every callback is called whatever the shape: with n_u = 0, ``jac_fu``
+        and L's ``grad_u`` return empty (m, n_x, 0) and (m, 0) tables."""
         # stacked matmul repeats the single-node f_x^T lam arithmetic exactly
         lam_rows = lam[:, None, :]
         gx = (lam_rows @ self.jac_fx(X, U))[:, 0]
-        gu = (lam_rows @ self.jac_fu(X, U))[:, 0] if self.n_u else None
+        gu = (lam_rows @ self.jac_fu(X, U))[:, 0]
         rc = self.running_cost
         if rc is not None:
             # 1.0 * a is a bit for bit: the indirect solve's H = L + lam . f is unchanged
             c = 1.0 if cost_weight is None else cost_weight[:, None]
             gx = gx + c * rc.grad_x(X, U)
-            gu = None if gu is None else gu + c * rc.grad_u(X, U)
-        return gx if gu is None else np.concatenate([gx, gu], axis=1)
+            gu = gu + c * rc.grad_u(X, U)
+        return np.concatenate([gx, gu], axis=1)
 
     def hamiltonian_curvatures(
         self, X: Array, U: Array, lam: Array, cost_weight: Array | None = None
@@ -201,10 +197,9 @@ class OcpDefinition:
         """Gradient [grad_xa; grad_xb] of E(x_a, x_b) + nu . e(x_a, x_b)."""
         g_xa = np.asarray(self.grad_cost_xa(x_a, x_b), dtype=float)
         g_xb = np.asarray(self.grad_cost_xb(x_a, x_b), dtype=float)
-        if self.n_e:
-            con = self.constraints
-            g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b), dtype=float).T @ nu
-            g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
+        con = self.constraints
+        g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b), dtype=float).T @ nu
+        g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
         return np.concatenate([g_xa, g_xb])
 
     def endpoint_lagrangian_curvature(self, x_a: Array, x_b: Array, nu: Array) -> Array:
@@ -755,12 +750,7 @@ def _problem_from_dict(data: dict) -> OcpDefinition:
         endpoint_cost=lambda x_a, x_b: float(_poly_eval(eterms, x_a, x_b)),
         grad_cost_xa=lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "x"),
         grad_cost_xb=lambda x_a, x_b: _poly_grad(eterms, x_a, x_b, "u"),
-        constraints=EndpointConstraints(
-            fun=lambda x_a, x_b: a_mat_c @ x_a + b_mat_c @ x_b - rhs_v,
-            jac_xa=lambda x_a, x_b: a_mat_c,
-            jac_xb=lambda x_a, x_b: b_mat_c,
-            kinds=tuple(kinds),
-        ),
+        constraints=_affine_rows(a_mat_c, b_mat_c, rhs_v, kinds),
         running_cost=running,
     )
 

@@ -107,8 +107,8 @@ class NlpResult:
 
 def _kkt_measures(g: Array, jac: Array, r: Array, mu: Array, eq: Array):
     """(stationarity, feasibility, complementarity) infinity norms."""
-    stat = float(np.max(np.abs(g + jac.T @ mu))) if mu.size else float(np.max(np.abs(g)))
-    feas = float(np.max(constraint_violation(r, eq))) if r.size else 0.0
+    stat = float(np.max(np.abs(g + jac.T @ mu)))
+    feas = float(np.max(constraint_violation(r, eq), initial=0.0))
     return stat, feas, complementarity_violation(mu, r, eq)
 
 
@@ -121,8 +121,6 @@ def kkt_residual(nlp, z: Array, multipliers: Array) -> float:
 
 
 def _merit(f: float, r: Array, eq: Array, rho: float) -> float:
-    if not r.size:
-        return f
     return f + rho * float(np.sum(constraint_violation(r, eq)))
 
 
@@ -170,7 +168,6 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
 
     eq = np.asarray(nlp.equality_mask, dtype=bool)
     n_rows = eq.size
-    ineq_idx = np.flatnonzero(~eq)
     active = np.zeros(n_rows, dtype=bool)  # over all rows; only ineq entries used
     mu_full = np.zeros(n_rows)
     log: list[dict] = []
@@ -205,21 +202,19 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
 
         # refresh the working set: violated inequality rows join it
-        if ineq_idx.size:
-            active[ineq_idx] |= r[ineq_idx] > opts.tol_feas
+        active |= ~eq & (r > opts.tol_feas)
         while True:
             working = eq | active
             # least-squares multipliers for the optimality test
             mu_full = np.zeros(n_rows)
-            if working.any():
-                estimate = system.estimate(g, working)
-                if estimate is None:
-                    return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
-                mu_full[working] = estimate
+            estimate = system.estimate(g, working)
+            if estimate is None:
+                return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
+            mu_full[working] = estimate
             stat, feas, comp = _kkt_measures(g, jac, r, mu_full, eq)
             converged = (stat <= opts.tol_stat and feas <= opts.tol_feas
                          and comp <= COMPLEMENTARITY_TOL)
-            if converged or not (ineq_idx.size and active.any() and drops <= 2 * n_rows + 10):
+            if converged or not (active.any() and drops <= 2 * n_rows + 10):
                 break
             # release an active row whose multiplier went negative, and
             # estimate again on the same linearization
@@ -242,8 +237,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
         dz, mu_w_new = step
 
-        if mu_w_new.size:
-            rho = max(rho, 2.0 * float(np.max(np.abs(mu_w_new))) + 1.0)
+        rho = max(rho, 2.0 * float(np.max(np.abs(mu_w_new), initial=0.0)) + 1.0)
         merit0 = _merit(f, r, eq, rho)
         descent = float(g @ dz) - rho * float(np.sum(np.abs(r[working])))
         alpha = 1.0

@@ -488,8 +488,7 @@ class DiscretizedNlp:
         rc = self.ocp.running_cost
         if rc is not None:
             g[self.slice_x] = (self._w[:, None] * rc.grad_x(X, U)).ravel()
-            if self.n_u:
-                g[self.slice_u] = (self._w[:, None] * rc.grad_u(X, U)).ravel()
+            g[self.slice_u] = (self._w[:, None] * rc.grad_u(X, U)).ravel()
             g *= self._col_scale
         return g
 
@@ -523,7 +522,7 @@ class DiscretizedNlp:
         EvaluationError when a block is not finite."""
         X, U, _, x_a, x_b = self.unpack(z)
         fx = self.ocp.jac_fx(X, U)
-        fu = self.ocp.jac_fu(X, U) if self.n_u else np.zeros((self.n_nodes, self.n_x, 0))
+        fu = self.ocp.jac_fu(X, U)
         bad = ~(np.isfinite(fx).all(axis=(1, 2)) & np.isfinite(fu).all(axis=(1, 2)))
         if bad.any():
             raise EvaluationError(
@@ -716,11 +715,9 @@ def endpoint_seed(con, n: int):
     NoConvergenceError when a step leaves the finite numbers."""
     x_a, x_b = np.zeros(n), np.zeros(n)
     eq = con.equality_mask()
-    if not eq.any():
-        return x_a, x_b
     for _ in range(8):
         r = np.asarray(con.fun(x_a, x_b), dtype=float)[eq]
-        if np.max(np.abs(r)) < 1e-12:
+        if np.max(np.abs(r), initial=0.0) < 1e-12:
             break
         jac = np.hstack([np.asarray(con.jac_xa(x_a, x_b), dtype=float)[eq],
                          np.asarray(con.jac_xb(x_a, x_b), dtype=float)[eq]])
@@ -770,5 +767,5 @@ def extract_primal(nlp: DiscretizedNlp, z: Array) -> PrimalSolution:
         x_a=x_a,
         x_b=x_b,
         objective=nlp.objective(z),
-        feasibility=float(np.max(viol)) if viol.size else 0.0,
+        feasibility=float(np.max(viol, initial=0.0)),
     )

@@ -13,7 +13,7 @@ from birktraj.bench import (
     write_convergence_gnuplot,
 )
 from birktraj import bench, build_birkhoff, make_grid
-from birktraj.solver import SolverOptions, solve
+from birktraj.solver import NlpResult, SolveStatus, SolverOptions, solve
 
 
 # --- conditioning ----------------------------------------------------------------
@@ -109,6 +109,15 @@ def test_cond_unbuildable_orders_get_skip_notes():
     assert "skipped" in rows[1].note
 
 
+def test_cond_kkt_column_of_a_failed_solve_gets_a_note(monkeypatch):
+    failed = NlpResult(z=np.zeros(1), status=SolveStatus.MAX_ITER, iterations=0,
+                       kkt_residual=np.inf, multipliers=np.zeros(0))
+    monkeypatch.setattr(bench, "solve_with_fallback", lambda nlp: failed)
+    (row,) = cond_study("lgl", [8], include_kkt=True)
+    assert row.note == "kkt skipped: LQ solve for the KKT column ended max-iter"
+    assert np.isnan(row.cond_kkt) and np.isfinite(row.cond_B_a) and np.isfinite(row.cond_D)
+
+
 def test_loglog_slope_fits_powerlaw_and_drops_nan():
     orders = [4, 8, 16, 32]
     assert loglog_slope(orders, [3.0 * n**2 for n in orders]) == pytest.approx(2.0, abs=1e-12)
@@ -171,6 +180,14 @@ def test_convergence_uniform_grid_degrades_at_moderate_order():
     assert (not u.converged) or (u.state_error > l.state_error)
     if not u.converged:
         assert u.note != "" and np.isnan(u.state_error)
+
+
+def test_convergence_unbuildable_order_gets_a_skipped_row():
+    # the uniform basis fails its residual gate from N ~ 40
+    (row,) = convergence_study("scalar-lq", "a", "uniform", [64])
+    assert not row.converged
+    assert row.note.startswith("skipped: modal transform residual")
+    assert np.isnan(row.cost_error) and np.isnan(row.state_error)
 
 
 def test_convergence_solver_failure_recorded_not_raised(monkeypatch):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from birktraj import (
     DomainError,
     IllConditionedBasisError,
+    InvalidOrderError,
     ShapeError,
     UnsupportedGridError,
     birkhoff,
@@ -22,7 +23,7 @@ from birktraj import (
     make_grid,
     quadrature,
 )
-from birktraj.grid import Grid, GridKind
+from birktraj.grid import MAX_ORDER, Grid, GridKind
 
 KINDS = ("cgl", "lgl")
 EPS = np.finfo(float).eps
@@ -240,9 +241,17 @@ def test_mirrored_diff_matrix_matches_the_plain_formula(kind, n):
 def test_asymmetric_grid_is_refused(kind):
     # only a hand-made grid can be asymmetric; make_grid's never are
     grid = Grid(kind, np.array([0.0, 0.3, 0.55, 1.0]), (0.0, 1.0))
-    for build in (build_birkhoff, build_diff_matrix, birkhoff.build_modal_basis):
+    for build in (build_birkhoff, build_diff_matrix):
         with pytest.raises(UnsupportedGridError, match="not symmetric"):
             build(grid)
+
+
+def test_hand_made_grid_past_the_order_cap_is_refused():
+    # make_grid refuses such an order itself; a hand-made grid reaches the build
+    n = MAX_ORDER + 1
+    grid = Grid(GridKind.UNIFORM, np.linspace(-1.0, 1.0, n + 1), (-1.0, 1.0))
+    with pytest.raises(InvalidOrderError, match=f"N = {n} exceeds the build cap"):
+        build_birkhoff(grid)
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
@@ -296,6 +305,14 @@ def test_interpolants_keep_the_shape_of_tau(shape):
     np.testing.assert_allclose(
         np.ravel(lam), [eval_costate_interpolant(-0.5, v, sys, t) for t in flat], atol=1e-14
     )
+
+
+def test_interpolants_refuse_node_values_of_another_shape():
+    sys = build_birkhoff(make_grid("lgl", 4))
+    with pytest.raises(ShapeError, match=r"V must have shape \(5,\)"):
+        eval_state_interpolant(0.0, np.zeros(4), sys, 0.5)
+    with pytest.raises(ShapeError, match=r"Omega must have shape \(5,\)"):
+        eval_costate_interpolant(0.0, np.zeros((5, 1)), sys, 0.5)
 
 
 # --- quadrature -----------------------------------------------------------

@@ -160,6 +160,21 @@ def test_unknown_config_key_is_bad_config(tmp_path):
     assert run("solve", "--config", str(path)) == EXIT_BAD_CONFIG
 
 
+def test_config_file_holding_a_list_exits_64(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps([{"N": 8}]))
+    assert run("solve", "--problem", "scalar-lq", "--config", str(path),
+               "--out", str(tmp_path / "out")) == EXIT_BAD_CONFIG
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grids_domain_of_three_numbers_exits_64(tmp_path, capsys):
+    assert exit_code("grids", "--domain", "0,1,2", "--out", str(tmp_path)) == EXIT_BAD_CONFIG
+    assert "argument --domain: invalid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unparseable_flags_exit_64():
     with pytest.raises(SystemExit) as err:
         run("solve", "--grid", "weird")
@@ -354,6 +369,14 @@ def test_verify_reports_blocks(tmp_path, capsys):
     assert report["passed"] is True and len(report["blocks"]) == 11
     text = capsys.readouterr().out
     assert "PASS" in text and "costate_interpolation" in text
+
+
+def test_verify_iteration_starved_solver_exits_1(tmp_path, capsys):
+    code = run("verify", "--problem", "nonlinear-scalar", "--N", "8",
+               "--max-iter", "0", "--out", str(tmp_path))
+    assert code == EXIT_SOLVER_FAILURE
+    assert "solver failed: max-iter" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_without_route_is_config_error(tmp_path):

@@ -35,6 +35,7 @@ from birktraj import (
     registry_solution,
     solve,
     solve_indirect,
+    solve_with_fallback,
     transcribe,
     verified_variant,
     verify_pontryagin,
@@ -444,6 +445,23 @@ def test_control_recovery_iterates_to_hamiltonian_stationarity(monkeypatch):
     assert np.all(np.max(np.abs(h_u), axis=1) <= 1e-12)
 
 
+def test_indirect_line_search_without_progress_raises(monkeypatch):
+    # -dy raises |r| to first order, so no step length is accepted
+    step = _IndirectSystem.newton_step
+    monkeypatch.setattr(_IndirectSystem, "newton_step", lambda self, y, r: -step(self, y, r))
+    _, sys = system_for("nonlinear-scalar", 8)
+    with pytest.raises(NoConvergenceError, match="line search made no progress"):
+        solve_indirect(registry("nonlinear-scalar"), sys, DualVariant("a", "b_star"))
+
+
+def test_indirect_iteration_cap_raises(monkeypatch):
+    # nonlinear-scalar takes four Newton steps from the default start
+    monkeypatch.setattr(dual_module, "INDIRECT_MAX_ITER", 1)
+    _, sys = system_for("nonlinear-scalar", 8)
+    with pytest.raises(NoConvergenceError, match="did not reach 1e-10 in 1 iterations"):
+        solve_indirect(registry("nonlinear-scalar"), sys, DualVariant("a", "b_star"))
+
+
 def test_indirect_singular_newton_matrix_raises(monkeypatch):
     monkeypatch.setattr(dual_module, "regularized_solve", lambda *args: None)
     _, sys = system_for("scalar-lq", 8)
@@ -757,3 +775,69 @@ def test_verification_meets_inequality_endpoint_rows(form):
     assert report.passed, report.blocks
     active, inactive = dual.endpoint[1], dual.endpoint[2]
     assert active > 0.0 and inactive == 0.0
+
+
+# --- problem shapes: no controls, no endpoint rows, one inequality row -----------
+
+SHAPES = {
+    # x_a[1] is free, so the endpoint cost and L decide it
+    "no-controls": {
+        "name": "no-controls", "n_x": 2, "n_u": 0, "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.0, 1.0], [-1.0, -0.5]]},
+        "running_cost": {"Q": [[1.0, 0.0], [0.0, 0.5]]},
+        "endpoint_cost": {"terms": [{"coef": 1.0, "xb": [2, 0]}]},
+        "constraints": [{"kind": "equality", "a": [1.0, 0.0], "rhs": 1.0}],
+    },
+    # both ends free: E = (x_a - 1)^2 + 2 (x_b + 1/2)^2, up to a constant
+    "free-ends": {
+        "name": "free-ends", "n_x": 1, "n_u": 1, "horizon": [0.0, 1.0],
+        "dynamics": {"terms": [[{"coef": -0.5, "x": [3]}, {"coef": 1.0, "u": [1]}]]},
+        "running_cost": {"Q": [[0.5]], "R": [[1.0]]},
+        "endpoint_cost": {"terms": [
+            {"coef": 1.0, "xa": [2]}, {"coef": -2.0, "xa": [1]},
+            {"coef": 2.0, "xb": [2]}, {"coef": 2.0, "xb": [1]},
+        ]},
+    },
+    # x_a >= 1 is active: x = cosh(1 - t) / cosh(1), cost tanh(1)
+    "one-inequality": {
+        "name": "one-inequality", "n_x": 1, "n_u": 1, "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.0]], "B": [[1.0]]},
+        "running_cost": {"Q": [[1.0]], "R": [[1.0]]},
+        "constraints": [{"kind": "inequality", "a": [-1.0], "rhs": -1.0}],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("form,scaled", [("a", False), ("a_star", False), ("a", True)])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_problem_shapes_solve_map_and_verify(shape, form, scaled, kind):
+    ocp = load_problem(SHAPES[shape])
+    sys = build_birkhoff(make_grid(kind, 16, ocp.horizon))
+    nlp = transcribe(ocp, sys, PrimalForm(form, scaled=scaled))
+    res = solve_with_fallback(nlp)
+    assert res.converged, res.status
+    primal = nlp_extract(nlp, res)
+    dual = map_covectors(res, nlp.form, sys)
+    assert primal.U.shape == (17, ocp.n_u) and dual.endpoint.shape == (ocp.n_e,)
+    report = verify_pontryagin(ocp, primal, dual, sys, verified_variant(nlp.form))
+    assert report.passed, report.blocks
+    if shape == "one-inequality":
+        # within the CGL quadrature error at N = 16 (1.5e-9 and 3.0e-9; LGL's is 0)
+        assert primal.objective == pytest.approx(np.tanh(1.0), abs=1e-8)
+        # lam_a = nu for the row 1 - x_a <= 0, and lam(0) = -2 u(0) = 2 tanh(1)
+        assert dual.endpoint[0] == pytest.approx(2.0 * np.tanh(1.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("shape", ["no-controls", "free-ends"])
+def test_indirect_solves_problem_shapes(shape):
+    ocp = load_problem(SHAPES[shape])
+    sys = build_birkhoff(make_grid("lgl", 16, ocp.horizon))
+    variant = DualVariant("a", "b_star")
+    primal, dual = solve_indirect(ocp, sys, variant)
+    assert primal.U.shape == (17, ocp.n_u) and dual.endpoint.shape == (ocp.n_e,)
+    assert verify_pontryagin(ocp, primal, dual, sys, variant).passed
+    nlp = transcribe(ocp, sys, PrimalForm("a"))
+    direct = nlp_extract(nlp, solve_with_fallback(nlp))
+    assert primal.objective == pytest.approx(direct.objective, abs=1e-9)
+    assert np.max(np.abs(primal.X - direct.X)) <= 1e-8

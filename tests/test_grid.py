@@ -144,6 +144,12 @@ def test_explicit_grid_validation():
         Grid(GridKind.UNIFORM, np.array([0.0, 0.5, 0.25]), (0.0, 1.0))
     with pytest.raises(InvalidDomainError):
         Grid(GridKind.UNIFORM, np.array([0.0, 2.0]), (0.0, 1.0))
+    with pytest.raises(InvalidDomainError, match="must be finite with a < b"):
+        Grid(GridKind.UNIFORM, np.array([0.0, 1.0]), (1.0, 0.0))
+    with pytest.raises(InvalidOrderError, match="at least two nodes"):
+        Grid(GridKind.UNIFORM, np.array([0.5]), (0.0, 1.0))
+    with pytest.raises(InvalidDomainError, match="nodes must be finite"):
+        Grid(GridKind.UNIFORM, np.array([0.0, np.nan, 1.0]), (0.0, 1.0))
     # strictly interior nodes are constructible (transcription rejects later)
     g = Grid(GridKind.UNIFORM, np.array([0.25, 0.5, 0.75]), (0.0, 1.0))
     assert not g.endpoint_inclusive

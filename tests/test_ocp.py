@@ -19,7 +19,13 @@ from birktraj import (
     registry_solution,
     validate,
 )
-from birktraj.ocp import _central_jacobian, _poly_eval, _poly_grad, complementarity_violation
+from birktraj.ocp import (
+    _central_jacobian,
+    _poly_eval,
+    _poly_grad,
+    complementarity_violation,
+    pinned_endpoints,
+)
 
 
 def test_registry_names():
@@ -330,6 +336,38 @@ def test_load_problem_rejects_bad_schema():
     ):
         with pytest.raises(UnsupportedProblemError):
             load_problem(bad)
+    for bad, message in (
+        ({**good, "dynamics": {"terms": [[{"coef": 1.0, "u": [1]}]] * 2}},
+         "one term list per state"),
+        ({**good, "n_x": 0, "dynamics": {"terms": []}}, "need n_x >= 1"),
+    ):
+        with pytest.raises(UnsupportedProblemError, match=message):
+            load_problem(bad)
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3])
+@pytest.mark.parametrize("pins", ["none", "x_a", "x_b", "both"])
+def test_pinned_endpoints_are_the_hand_written_rows(pins, n_x):
+    fixed_a, fixed_b, x_a, x_b = np.random.default_rng(n_x).normal(size=(4, n_x))
+    con = pinned_endpoints(
+        n_x,
+        x_a_fixed=fixed_a if pins in ("x_a", "both") else None,
+        x_b_fixed=fixed_b if pins in ("x_b", "both") else None,
+    )
+    eye, zero = np.eye(n_x), np.zeros((n_x, n_x))
+    value, jac_xa, jac_xb = {
+        "none": (np.zeros(0), np.zeros((0, n_x)), np.zeros((0, n_x))),
+        "x_a": (x_a - fixed_a, eye, zero),
+        "x_b": (x_b - fixed_b, zero, eye),
+        "both": (np.concatenate([x_a - fixed_a, x_b - fixed_b]),
+                 np.vstack([eye, zero]), np.vstack([zero, eye])),
+    }[pins]
+    for got, want in ((con.fun(x_a, x_b), value), (con.jac_xa(x_a, x_b), jac_xa),
+                      (con.jac_xb(x_a, x_b), jac_xb)):
+        assert got.shape == want.shape and got.dtype == float
+        np.testing.assert_array_equal(got, want)
+    assert con.kinds == (ConstraintKind.EQUALITY,) * len(value)
+    assert con.equality_mask().shape == (len(value),) and con.equality_mask().all()
 
 
 def test_load_problem_missing_path_is_not_found(tmp_path):

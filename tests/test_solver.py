@@ -208,6 +208,13 @@ def test_regularized_solve_gives_up_when_no_shift_helps():
     assert solver.regularized_solve(matrix, ones, ones) is None
 
 
+def test_lu_solve_refuses_a_non_finite_first_solution():
+    # the pivot 1e-300 is no zero pivot, but the solution overflows
+    matrix = np.array([[1e-300, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        assert solver._lu_solve(matrix, np.array([1e300, 1.0])) is None
+
+
 # --- multiplier estimate ---------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from birktraj import (
     OcpDefinition,
     PrimalForm,
     RunningCost,
+    ShapeError,
     SolverOptions,
     SolveStatus,
     UnsupportedGridError,
@@ -37,7 +38,7 @@ from birktraj import (
     transcribe,
 )
 from birktraj.ocp import FD_STEP, _central_jacobian, pinned_endpoints
-from birktraj.transcription import AnchoredBlock, add_unit_columns
+from birktraj.transcription import AnchoredBlock, add_unit_columns, endpoint_seed
 from dense_oracle import (
     assembled_hessian,
     assembled_jacobian,
@@ -297,6 +298,20 @@ def test_non_finite_jacobian_blocks_raise_in_jacobian():
         assert solve(nlp, z).status is SolveStatus.INFEASIBLE
 
 
+def test_non_finite_endpoint_jacobian_ends_the_solve_infeasible():
+    ocp = registry("scalar-lq")
+    con = ocp.constraints
+    bad = dataclasses.replace(ocp, constraints=dataclasses.replace(
+        con, jac_xb=lambda x_a, x_b: np.full((con.n_e, 1), np.nan)))
+    sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
+    nlp = transcribe(bad, sys, PrimalForm("a"))
+    z = initial_guess(transcribe(ocp, sys, PrimalForm("a")))  # the seed reads the Jacobian
+    with pytest.raises(EvaluationError, match="endpoint constraint Jacobian"):
+        nlp.jacobian(z)
+    res = solve(nlp, z)
+    assert res.status is SolveStatus.INFEASIBLE and res.kkt_residual == np.inf
+
+
 @pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
 @pytest.mark.parametrize(
@@ -438,6 +453,23 @@ def test_pack_unpack_roundtrip_scaled():
     X2, U2, V2, xa2, xb2 = nlp.unpack(nlp.pack(X, U, V, x_a, x_b))
     assert np.allclose(X2, X) and np.allclose(U2, U) and np.allclose(V2, V)
     assert np.array_equal(xa2, x_a) and np.array_equal(xb2, x_b)
+
+
+def test_unpack_refuses_a_vector_of_another_length():
+    nlp = make_nlp(N=4)
+    with pytest.raises(ShapeError, match=f"decision vector of length {nlp.n_z}"):
+        nlp.unpack(np.zeros(nlp.n_z + 1))
+
+
+def test_endpoint_seed_is_the_origin_without_equality_rows():
+    one_inequality = load_problem({
+        "n_x": 2, "n_u": 1, "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0], [1.0]]},
+        "constraints": [{"kind": "inequality", "a": [-1.0, 0.0], "rhs": -1.0}],
+    }).constraints
+    for con in (pinned_endpoints(2), one_inequality):
+        x_a, x_b = endpoint_seed(con, 2)
+        assert np.array_equal(x_a, np.zeros(2)) and np.array_equal(x_b, np.zeros(2))
 
 
 def test_extract_primal_feasibility_and_gap():
