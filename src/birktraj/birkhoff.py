@@ -51,22 +51,22 @@ SYMMETRY_ULPS = 8.0
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Chebyshev representation of the cardinal functions and antiderivatives.
+    """Chebyshev representation of the cardinal functions' antiderivatives.
+
+    The cardinal functions' own coefficients are released once the build has
+    cross-checked the quadrature weights with them (``build_birkhoff``).
 
     Attributes
     ----------
-    cardinal_coeffs : (N+1, N+1) array
-        Column j holds the Chebyshev coefficients of the j-th Lagrange
-        cardinal function on the reference interval.
     antiderivative_coeffs : (N+2, N+1) array
-        Column j holds the coefficients of its antiderivative L_j, normalized
-        so L_j(-1) = 0.
+        Column j holds the Chebyshev coefficients of the antiderivative L_j
+        of the j-th Lagrange cardinal function on the reference interval,
+        normalized so L_j(-1) = 0.
     residual : float
-        Max abs deviation from the cardinal property (node values vs. the
-        identity) actually achieved by the transform.
+        Root-mean-square deviation from the cardinal property (node values
+        vs. the identity) actually achieved by the transform.
     """
 
-    cardinal_coeffs: np.ndarray
     antiderivative_coeffs: np.ndarray
     residual: float
 
@@ -78,15 +78,23 @@ class BirkhoffSystem:
     All matrices act on the physical domain of ``grid``.  Row i of ``B_a``
     holds B_j^a(tau_i); ``w_B`` holds the integrals of the cardinal functions,
     which on an endpoint-inclusive grid coincide with the last row of ``B_a``.
-    ``B_b = B_a - 1 w_B^T`` exactly.
+    Only ``B_a`` and ``w_B`` are stored: ``B_b = B_a - 1 w_B^T`` and the
+    differentiation matrix ``D`` are computed on each read and not cached, so
+    a reader that drops them frees them.
     """
 
     grid: Grid
     B_a: np.ndarray
-    B_b: np.ndarray
     w_B: np.ndarray
-    D: np.ndarray
     modal: ModalBasis
+
+    @property
+    def B_b(self) -> np.ndarray:
+        return self.B_a - self.w_B[None, :]
+
+    @property
+    def D(self) -> np.ndarray:
+        return build_diff_matrix(self.grid)
 
     @property
     def N(self) -> int:
@@ -287,18 +295,20 @@ def _antiderivative_basis(modal: ModalBasis, s) -> np.ndarray:
     return (vander @ coeffs).reshape(s.shape + (coeffs.shape[1],))
 
 
-def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> ModalBasis:
-    """Transform node space to Chebyshev coefficient space on the reference
-    nodes ``s``, with ``vander`` their :func:`_half_vandermonde`.
+def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cardinal coefficients on the reference nodes ``s`` and their residual,
+    with ``vander`` the nodes' :func:`_half_vandermonde`.
 
-    CGL coefficients come from a DCT, LGL ones in closed form, uniform ones
-    from a refined Vandermonde solve.  The stored residual is the
-    root-mean-square defect of the interpolation conditions over all
-    (N+1)^2 node/column pairs, each evaluated by the mirrored product on the
-    left half of the nodes (``_mirrored_product``); construction fails above
-    ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the per-entry defect sits at
-    roundoff; equispaced grids cross the gate near N = 40 because the
-    cardinal functions' coefficients outgrow what float64 storage resolves.
+    Column j of the (N+1, N+1) coefficients holds the Chebyshev coefficients
+    of the j-th Lagrange cardinal function.  CGL coefficients come from a
+    DCT, LGL ones in closed form, uniform ones from a refined Vandermonde
+    solve.  The residual is the root-mean-square defect of the interpolation
+    conditions over all (N+1)^2 node/column pairs, each evaluated by the
+    mirrored product on the left half of the nodes (``_mirrored_product``);
+    construction fails above ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the
+    per-entry defect sits at roundoff; equispaced grids cross the gate near
+    N = 40 because the cardinal functions' coefficients outgrow what float64
+    storage resolves.
     """
     n = s.size - 1
     if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
@@ -319,9 +329,7 @@ def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> ModalBasi
             f"modal transform residual {resid:.3e} exceeds {MODAL_RESIDUAL_TOL:.1e} "
             f"on {kind.value} grid with N = {n}"
         )
-    return ModalBasis(
-        cardinal_coeffs=coef, antiderivative_coeffs=_antiderivative_coeffs(coef), residual=resid
-    )
+    return coef, resid
 
 
 def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:
@@ -329,14 +337,19 @@ def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:
     m = n // 2 + 1
     diff = 2.0 * (s[:m, None] - s[None, :])
     diff.flat[:: n + 2] = 1.0
-    log_half = np.sum(np.log(np.abs(diff)), axis=1)
+    logs = np.abs(diff)
+    np.log(logs, out=logs)
+    log_half = np.sum(logs, axis=1)
+    del logs
     # on antisymmetric nodes row N - i has the differences of row i, negated
     # and reversed, so the same log-product
     log_prod = np.concatenate([log_half, log_half[n - m :: -1]])
-    # d_ij = (prod_i / prod_j) / (s_i - s_j), built in place; the nodes
-    # ascend, so prod_i has the sign (-1)^(N - i), and (-1)^N cancels
+    # d_ij = (prod_i / prod_j) / (s_i - s_j), built in place in the upper
+    # rows; the nodes ascend, so prod_i has the sign (-1)^(N - i), and
+    # (-1)^N cancels
     sign = (-1.0) ** np.arange(s.size)
-    d = np.subtract.outer(log_half, log_prod)
+    out = np.empty((n + 1, n + 1))
+    d = np.subtract.outer(log_half, log_prod, out=out[:m])
     np.exp(d, out=d)
     d *= sign[:m, None]
     d *= sign[None, :]
@@ -345,9 +358,8 @@ def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:
     d.flat[:: n + 2] = 0.0
     d.flat[:: n + 2] = -np.sum(d, axis=1)
     d /= scale
-    out = np.empty((n + 1, n + 1))
-    np.negative(d[::-1, ::-1], out=out[n + 1 - m :])
-    out[:m] = d
+    # the lower rows mirror the upper ones; an even N's middle row stays
+    np.negative(out[: n + 1 - m][::-1, ::-1], out=out[m:])
     return out
 
 
@@ -357,8 +369,10 @@ def build_diff_matrix(grid: Grid) -> np.ndarray:
     Pairwise differences are capacity-scaled, and the weight products are
     taken as sums of logarithms: the products themselves stay moderate, but
     their partial products overflow from N ~ 1000.  The diagonal uses the
-    negative row-sum trick.  Only the upper half of the rows is computed;
-    the rest is the mirror ``D[N-i, N-j] = -D[i, j]``.
+    negative row-sum trick.  Only the upper half of the rows is computed,
+    in place in the result; the rest is the mirror ``D[N-i, N-j] = -D[i, j]``.
+    This is the one code path for D: ``BirkhoffSystem.D`` calls it on each
+    read.
     """
     s, amap = _reference_nodes(grid)
     return _diff_matrix(s, amap.scale)
@@ -375,23 +389,21 @@ def build_birkhoff(grid: Grid) -> BirkhoffSystem:
     s, amap = _reference_nodes(grid)
     h = amap.scale
     vander = _half_vandermonde(s)
-    modal = _modal_basis(grid.kind, s, vander)
-
-    anti = modal.antiderivative_coeffs
-    b_a = _mirrored_product(vander, anti, grid.N)  # on [-1, 1] until scaled
-    b_a[0, :] = 0.0  # L_j(-1) = 0 by construction; pin the anchor row
-    # s[-1] is exactly 1.0 and T_k(1) = 1 exactly, so the last row is the
-    # endpoint sum L_j(1), the integral of each cardinal function: the
-    # column sums of the antiderivative coefficients
+    coef, resid = _modal_basis(grid.kind, s, vander)
+    anti = _antiderivative_coeffs(coef)
+    # s[-1] is exactly 1.0 and T_k(1) = 1 exactly, so the endpoint sums
+    # L_j(1), the integrals of the cardinal functions, are the column sums
+    # of the antiderivative coefficients
     w_ref = np.ones(anti.shape[0]) @ anti
-    b_a[-1] = w_ref
 
     # independent route: weights as Chebyshev moments of the cardinal series,
     # which never pass through the antiderivative coefficients.  Both routes
     # are linear in the coefficients, so the budget scales with the basis
-    # residual (storage roundoff dominates on equispaced grids).
-    w_alt = _cheb_moments(grid.N) @ modal.cardinal_coeffs
-    moment_tol = max(WEIGHT_CROSSCHECK_TOL, (grid.N + 1.0) * modal.residual)
+    # residual (storage roundoff dominates on equispaced grids).  The
+    # cardinal coefficients have no other reader and are released here.
+    w_alt = _cheb_moments(grid.N) @ coef
+    del coef
+    moment_tol = max(WEIGHT_CROSSCHECK_TOL, (grid.N + 1.0) * resid)
     moment_gap = float(np.max(np.abs(w_alt - w_ref)))
     if moment_gap > moment_tol:
         raise IllConditionedBasisError(
@@ -399,11 +411,12 @@ def build_birkhoff(grid: Grid) -> BirkhoffSystem:
             f"disagree by {moment_gap:.3e}"
         )
 
+    b_a = _mirrored_product(vander, anti, grid.N)  # on [-1, 1] until scaled
+    b_a[0, :] = 0.0  # L_j(-1) = 0 by construction; pin the anchor row
+    b_a[-1] = w_ref  # the last row is the endpoint sum
     b_a *= h
-    w = h * w_ref
-    b_b = b_a - w[None, :]
     return BirkhoffSystem(
-        grid=grid, B_a=b_a, B_b=b_b, w_B=w, D=_diff_matrix(s, h), modal=modal
+        grid=grid, B_a=b_a, w_B=h * w_ref, modal=ModalBasis(anti, resid)
     )
 
 

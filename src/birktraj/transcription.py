@@ -712,6 +712,7 @@ GUESS_STRATEGIES = ("constant-midpoint", "linear-endpoint-interpolation")
 def endpoint_seed(con, n: int):
     """Gauss-Newton on the equality endpoint rows from the origin; gives the
     pinned values exactly for linear boundary conditions.  Raises
+    EvaluationError when the rows or their Jacobian are not finite, and
     NoConvergenceError when a step leaves the finite numbers."""
     x_a, x_b = np.zeros(n), np.zeros(n)
     eq = con.equality_mask()
@@ -721,6 +722,10 @@ def endpoint_seed(con, n: int):
             break
         jac = np.hstack([np.asarray(con.jac_xa(x_a, x_b), dtype=float)[eq],
                          np.asarray(con.jac_xb(x_a, x_b), dtype=float)[eq]])
+        if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+            raise EvaluationError(
+                "endpoint constraints or their Jacobian returned non-finite values"
+            )
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         x_a, x_b = x_a + step[:n], x_b + step[n:]
         if not (np.isfinite(x_a).all() and np.isfinite(x_b).all()):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,7 +182,10 @@ def test_mirrored_products_match_the_plain_products(kind, n, domain):
                   <= _product_bound(vander, anti)[-1])
 
     # the residual: every entry of T c - I, and its root mean square
-    coef, t_mat = sys.modal.cardinal_coeffs, vander[:, : n + 1]
+    coef, resid = birkhoff._modal_basis(grid.kind, s, half)
+    assert resid == sys.modal.residual
+    assert np.array_equal(anti, birkhoff._antiderivative_coeffs(coef))
+    t_mat = vander[:, : n + 1]
     plain = t_mat @ coef - np.eye(n + 1)
     got = birkhoff._mirrored_product(half, coef, n) - np.eye(n + 1)
     bound = _product_bound(t_mat, coef)
@@ -191,8 +196,11 @@ def test_mirrored_products_match_the_plain_products(kind, n, domain):
 
 @pytest.mark.parametrize("kind, n", MIRROR_CASES + [("lgl", 1024), ("cgl", 513)])
 def test_antiderivative_coeffs_are_chebint(kind, n):
-    coef = build_birkhoff(make_grid(kind, n)).modal.cardinal_coeffs
+    grid = make_grid(kind, n)
+    s, _ = birkhoff._reference_nodes(grid)
+    coef, _ = birkhoff._modal_basis(grid.kind, s, birkhoff._half_vandermonde(s))
     got = birkhoff._antiderivative_coeffs(coef)
+    assert np.array_equal(build_birkhoff(grid).modal.antiderivative_coeffs, got)
     want = cheb.chebint(coef, m=1, k=0, lbnd=-1.0, axis=0)
     assert np.array_equal(got[1:], want[1:])
     # the constant row -sum_r T_r(-1) a_r: a dot product of n+1 terms here,
@@ -203,6 +211,42 @@ def test_antiderivative_coeffs_are_chebint(kind, n):
     exact = np.array([math.fsum(col) for col in terms.T])
     assert np.all(np.abs(got[0] - exact) <= (n + 1) * EPS * size)
     assert np.all(np.abs(got[0] - want[0]) <= (n + 2) ** 2 * EPS * size)
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+def test_b_form_and_diff_matrix_are_derived_on_read(kind):
+    sys = build_birkhoff(make_grid(kind, 16, (0.0, 1.7)))
+    assert [f.name for f in dataclasses.fields(sys)] == ["grid", "B_a", "w_B", "modal"]
+    assert [f.name for f in dataclasses.fields(sys.modal)] == ["antiderivative_coeffs", "residual"]
+    assert np.array_equal(sys.B_b, sys.B_a - sys.w_B[None, :])
+    assert np.array_equal(sys.D, build_diff_matrix(sys.grid))
+    w2 = np.linspace(0.5, 1.5, sys.N + 1)
+    assert np.array_equal(dataclasses.replace(sys, w_B=w2).B_b, sys.B_a - w2[None, :])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_build_keeps_two_matrices_and_d_is_built_in_place(kind):
+    n = 512
+    grid = make_grid(kind, n, (0.0, 1.7))
+    build_birkhoff(make_grid(kind, 8))  # lazy imports stay out of the trace
+    unit = 8 * (n + 1) ** 2  # one (N+1)^2 float64 matrix
+    tracemalloc.start()
+    try:
+        sys = build_birkhoff(grid)
+        live, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        d = sys.D
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # B_a and the antiderivative coefficients stay; at the build's peak one
+    # mirrored product's even and odd halves, its result and the half
+    # Vandermonde are live besides the coefficients
+    assert peak <= 4 * unit
+    assert live <= 2.1 * unit
+    # D itself, the half-row differences and a few vectors
+    assert read_peak - live <= 2 * unit
+    assert d.shape == (n + 1, n + 1)
 
 
 def _plain_diff_matrix(s):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from birktraj import (
     DegenerateWeightError,
     DomainMismatchError,
+    DualVariant,
     EvaluationError,
     IncompleteDerivativesError,
     NotFoundError,
@@ -34,6 +35,7 @@ from birktraj import (
     registry,
     registry_names,
     solve,
+    solve_indirect,
     solve_with_fallback,
     transcribe,
 )
@@ -310,6 +312,22 @@ def test_non_finite_endpoint_jacobian_ends_the_solve_infeasible():
         nlp.jacobian(z)
     res = solve(nlp, z)
     assert res.status is SolveStatus.INFEASIBLE and res.kkt_residual == np.inf
+
+
+@pytest.mark.parametrize("entry", ["initial_guess", "solve_indirect"])
+def test_non_finite_endpoint_jacobian_stops_the_seed(capfd, entry):
+    ocp = registry("scalar-lq")
+    con = ocp.constraints
+    bad = dataclasses.replace(ocp, constraints=dataclasses.replace(
+        con, jac_xb=lambda x_a, x_b: np.full((con.n_e, 1), np.nan)))
+    sys = build_birkhoff(make_grid("lgl", 6, ocp.horizon))
+    with pytest.raises(EvaluationError, match="endpoint constraints or their Jacobian"):
+        if entry == "initial_guess":
+            initial_guess(transcribe(bad, sys, PrimalForm("a")))
+        else:
+            solve_indirect(bad, sys, DualVariant("a", "a"))
+    # LAPACK reports a non-finite least-squares input on stdout
+    assert capfd.readouterr().out == ""
 
 
 @pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
