@@ -17,7 +17,9 @@ connection coefficients.
 Every node family is antisymmetric on the reference interval, and
 ``T_k(-s) = (-1)^k T_k(s)`` holds bit for bit, so the build evaluates
 Chebyshev series only on the left half of the nodes: row ``N - i`` of a
-product is the even-degree sum minus the odd-degree sum of row ``i``.
+product is the even-degree sum minus the odd-degree sum of row ``i``.  For
+the same reason it computes the cardinal coefficients, and checks their
+residual, only on the left half of the columns.
 """
 
 from __future__ import annotations
@@ -151,15 +153,19 @@ def _mirrored_product(vander: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndar
     ``vander`` holds the rows of the left half (``_half_vandermonde``) and
     ``deg + 1 = coeffs.shape[0]``.  With E and O the products over the even
     and odd degrees, row i is ``E_i + O_i`` and row ``N - i`` is
-    ``E_i - O_i``; the middle row of an even N has ``O = 0`` exactly.
+    ``E_i - O_i``; the middle row of an even N has ``O = 0`` exactly.  E is
+    formed in place in the upper rows of the result, so one product is the
+    only temporary.
     """
     deg = coeffs.shape[0]
     m = vander.shape[0]
-    even = vander[:, 0:deg:2] @ coeffs[0::2]
-    odd = vander[:, 1:deg:2] @ coeffs[1::2]
     out = np.empty((n + 1,) + coeffs.shape[1:])
-    np.subtract(even, odd, out=out[n + 1 - m :][::-1])
-    np.add(even, odd, out=out[:m])
+    even = np.matmul(vander[:, 0:deg:2], coeffs[0::2], out=out[:m])
+    odd = vander[:, 1:deg:2] @ coeffs[1::2]
+    # the lower rows first, while the upper ones still hold E; an even N's
+    # middle row is in both halves, so it is left to the upper rows' E + O
+    np.subtract(even[: n + 1 - m], odd[: n + 1 - m], out=out[m:][::-1])
+    even += odd
     return out
 
 
@@ -173,7 +179,7 @@ def _modal_from_cgl_values(vals: np.ndarray) -> np.ndarray:
 
 
 def _mirror_columns(left: np.ndarray, n: int) -> np.ndarray:
-    """All N+1 cardinal columns from the left ones.
+    """All N+1 cardinal columns from the left ``N//2 + 1``.
 
     On antisymmetric nodes cardinal function ``N - j`` is cardinal function
     j reflected, ``l_{N-j}(s) = l_j(-s)``, and ``T_k(-s) = (-1)^k T_k(s)``,
@@ -188,18 +194,20 @@ def _mirror_columns(left: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cgl_cardinal_coeffs(vander: np.ndarray, n: int) -> np.ndarray:
-    # The DCT inverts the Vandermonde at exact cosine nodes; one refinement
-    # step re-targets the stored floating-point nodes.
+    """Left cardinal columns on CGL nodes by a DCT.
+
+    The DCT inverts the Vandermonde at exact cosine nodes; one refinement
+    step re-targets the stored floating-point nodes.
+    """
     unit = np.eye(n + 1, vander.shape[0])
     left = _modal_from_cgl_values(unit)
-    defect = _mirrored_product(vander, left, n)
-    np.subtract(unit, defect, out=defect)
+    defect = np.subtract(unit, _mirrored_product(vander, left, n), out=unit)
     left += _modal_from_cgl_values(defect)
-    return _mirror_columns(left, n)
+    return left
 
 
 def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
-    """Cardinal coefficients on LGL nodes in closed form, without a solve.
+    """Left cardinal columns on LGL nodes in closed form, without a solve.
 
     LGL quadrature is exact to degree 2N-1, so the Legendre coefficients of
     cardinal function j are ``w_j P_k(s_j) / gamma_k`` with
@@ -207,44 +215,57 @@ def _lgl_cardinal_coeffs(s: np.ndarray) -> np.ndarray:
     Legendre-to-Chebyshev connection matrix ``A`` carries them into the
     Chebyshev basis: ``A[m, k] = (2 - delta_m0) lam[(k-m)/2] lam[(k+m)/2]``
     for even ``k - m >= 0``, with ``lam[i] = prod_{l=1..i} (2l-1)/(2l)``, the
-    form in which the 1/pi of the Gamma-function expression cancels.
-
-    Only the left half of the nodes and columns is computed; the rest is
-    their mirror (``_mirror_columns``).
+    form in which the 1/pi of the Gamma-function expression cancels.  On
+    the degrees of one parity the first factor is a Toeplitz matrix and the
+    second a Hankel one, so both are strided views of ``lam``; no index
+    array is gathered.
     """
     n = s.size - 1
     half = s[: n // 2 + 1]
-    p = legendre_p_all(n, half)[0]
-    w = 2.0 / (n * (n + 1) * p[n] ** 2)
+    legendre = legendre_p_all(n, half)[0]
+    w = 2.0 / (n * (n + 1) * legendre[n] ** 2)
     k = np.arange(n + 1)
     gamma = 2.0 / (2 * k + 1.0)
     gamma[n] = 2.0 / n
+    legendre *= w[None, :] / gamma[:, None]
 
-    lam = np.ones(n + 1)
+    # lam behind N//2 zeros: with k = parity + 2b and m = parity + 2a,
+    # A[m, k] / (2 - delta_m0) is lam[b - a] (zero for b < a) times
+    # lam[parity + a + b], and the Toeplitz factor is a flipped Hankel view
+    pad = n // 2
+    padded = np.zeros(pad + n + 1)
+    lam = padded[pad:]
+    lam[0] = 1.0
     lam[1:] = np.cumprod((2 * k[1:] - 1.0) / (2 * k[1:]))
-    legendre = p * (w[None, :] / gamma[:, None])
     left = np.empty((n + 1, half.size))
     for parity in (0, 1):  # A couples only degrees of equal parity
-        m = k[parity::2, None]
-        kk = k[None, parity::2]
-        a = np.where(kk >= m, lam[np.abs(kk - m) // 2] * lam[(kk + m) // 2], 0.0)
-        left[parity::2] = a @ legendre[parity::2]
+        r = (n + 2 - parity) // 2  # the degrees parity, parity + 2, .. <= N
+        toeplitz = _hankel_view(padded, pad + 1 - r, r)[::-1]
+        hankel = _hankel_view(padded, pad + parity, r)
+        left[parity::2] = (toeplitz * hankel) @ legendre[parity::2]
     left[1:] *= 2.0
-    return _mirror_columns(left, n)
+    return left
 
 
-def _solved_cardinal_coeffs(t_mat: np.ndarray) -> np.ndarray:
-    """Cardinal coefficients on uniform nodes by a Vandermonde solve.
+def _hankel_view(buf: np.ndarray, start: int, r: int) -> np.ndarray:
+    """The r x r view ``H[a, b] = buf[start + a + b]`` of a contiguous array."""
+    step = buf.itemsize
+    return np.ndarray((r, r), buf.dtype, buf, start * step, (step, step))
+
+
+def _solved_cardinal_coeffs(t_mat: np.ndarray, m: int) -> np.ndarray:
+    """Left ``m`` cardinal columns on uniform nodes by a Vandermonde solve.
 
     Iterative refinement keeps the cardinal-property residual near roundoff
-    while the solve contracts.
+    while the solve contracts.  The columns right of them are their mirror,
+    as on the Lobatto grids (``_mirror_columns``), so they are not solved.
     """
-    n = t_mat.shape[0] - 1
+    unit = np.eye(t_mat.shape[0], m)
     lu = lu_factor(t_mat)
-    coef = lu_solve(lu, np.eye(n + 1))
+    coef = lu_solve(lu, unit)
     best, best_err = coef, np.inf
     for _ in range(5):
-        resid = np.eye(n + 1) - t_mat @ coef
+        resid = unit - t_mat @ coef
         err = float(np.max(np.abs(resid)))
         if not err < best_err:
             break
@@ -277,7 +298,11 @@ def _antiderivative_coeffs(coef: np.ndarray) -> np.ndarray:
     two_r = 2.0 * np.arange(1, n + 2)[:, None]
     anti[1] = coef[0]
     np.divide(coef[1:], two_r[1:], out=anti[2:])
-    anti[1:n] -= coef[2:] / two_r[: n - 1]
+    # the c[r+1] / (2r) in two blocks of rows, so that the temporary is
+    # half a matrix
+    mid = n // 2 + 1
+    for lo, hi in ((1, mid), (mid, n)):
+        anti[lo:hi] -= coef[lo + 1 : hi + 1] / two_r[lo - 1 : hi - 1]
     signs = np.ones(n + 1)
     signs[1::2] = -1.0
     anti[0] = signs @ anti[1:]
@@ -302,34 +327,43 @@ def _modal_basis(kind: GridKind, s: np.ndarray, vander: np.ndarray) -> tuple[np.
     Column j of the (N+1, N+1) coefficients holds the Chebyshev coefficients
     of the j-th Lagrange cardinal function.  CGL coefficients come from a
     DCT, LGL ones in closed form, uniform ones from a refined Vandermonde
-    solve.  The residual is the root-mean-square defect of the interpolation
-    conditions over all (N+1)^2 node/column pairs, each evaluated by the
-    mirrored product on the left half of the nodes (``_mirrored_product``);
-    construction fails above ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the
+    solve; each route yields the left ``N//2 + 1`` columns, and the rest are
+    their mirror ``coef[k, N-j] = (-1)^k coef[k, j]`` (``_mirror_columns``).
+    The residual is the root-mean-square defect of the interpolation
+    conditions over all (N+1)^2 node/column pairs.  The defect of column
+    ``N - j`` is that of column j with its rows reversed, so only the left
+    columns are evaluated, by the mirrored product on the left half of the
+    nodes (``_mirrored_product``), and each stands for its mirror too.
+    Construction fails above ``MODAL_RESIDUAL_TOL``.  On Lobatto grids the
     per-entry defect sits at roundoff; equispaced grids cross the gate near
     N = 40 because the cardinal functions' coefficients outgrow what float64
     storage resolves.
     """
     n = s.size - 1
+    m = n // 2 + 1
     if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
-        coef = _cgl_cardinal_coeffs(vander, n)
+        left = _cgl_cardinal_coeffs(vander, n)
     elif kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
-        coef = _lgl_cardinal_coeffs(s)
+        left = _lgl_cardinal_coeffs(s)
     else:
         # the full Vandermonde, exactly, in chebvander's column-major layout:
         # the refinement's BLAS rounding, which the solve amplifies to 1e-10
         # on equispaced nodes, depends on it
         t_mat = _mirrored_product(vander, np.eye(n + 1), n)
-        coef = _solved_cardinal_coeffs(np.asfortranarray(t_mat))
-    defect = _mirrored_product(vander, coef, n)
-    defect.flat[:: n + 2] -= 1.0
-    resid = float(np.linalg.norm(defect)) / (n + 1)
-    if resid > MODAL_RESIDUAL_TOL:
+        left = _solved_cardinal_coeffs(np.asfortranarray(t_mat), m)
+    defect = _mirrored_product(vander, left, n)
+    defect.ravel()[:: m + 1][:m] -= 1.0
+    # each column stands for its mirror too, but for an even N's middle
+    # column, which is its own mirror
+    middle = defect[:, n + 1 - m :]
+    squares = 2.0 * np.vdot(defect, defect) - np.vdot(middle, middle)
+    resid = float(np.sqrt(squares)) / (n + 1)
+    if not resid <= MODAL_RESIDUAL_TOL:
         raise IllConditionedBasisError(
             f"modal transform residual {resid:.3e} exceeds {MODAL_RESIDUAL_TOL:.1e} "
             f"on {kind.value} grid with N = {n}"
         )
-    return coef, resid
+    return _mirror_columns(left, n), resid
 
 
 def _diff_matrix(s: np.ndarray, scale: float) -> np.ndarray:

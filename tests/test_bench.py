@@ -1,5 +1,7 @@
 """Conditioning and convergence harness checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,15 @@ def test_cond_core_convention_matches_hand_svd():
     assert row.note == ""
 
 
-@pytest.mark.parametrize("kind", ["lgl", "cgl"])
-@pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+SIGMA_CASES = (
+    [(k, n) for k in ("lgl", "cgl") for n in list(range(1, 13)) + [16, 64, 256]]
+    + [("uniform", n) for n in range(8, 33)]
+)
+
+
+@pytest.mark.parametrize("kind, n", SIGMA_CASES)
 def test_sigma_max_matches_dense_svd(kind, n):
+    # orders 1..12 cross the dense/Lanczos boundary of both operators
     sys = build_birkhoff(make_grid(kind, n))
     for a in (sys.B_a[1:, :], sys.D):
         dense = np.linalg.svd(a, compute_uv=False)[0]
@@ -57,6 +65,23 @@ def test_sigma_max_with_constants_in_the_null_space():
     assert bench._sigma_max(d1) == pytest.approx(1.0, rel=1e-14)
     laplacian = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     assert bench._sigma_max(laplacian) == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+def test_conditioning_point_never_holds_the_system_and_d_together(kind):
+    n = 512
+    cond_study(kind, [8])  # lazy imports stay out of the trace
+    unit = 8 * (n + 1) ** 2  # one (N+1)^2 float64 matrix
+    tracemalloc.start()
+    try:
+        (row,) = cond_study(kind, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.note == ""
+    # the build's peak (3.04 units measured); B_a, its antiderivative
+    # coefficients and D live together would be 3.5
+    assert peak <= 3.1 * unit
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
