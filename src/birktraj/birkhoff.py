@@ -32,23 +32,13 @@ from scipy.fft import dct
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import legendre_p_all
 
-from .errors import (
-    DomainError,
-    IllConditionedBasisError,
-    InvalidOrderError,
-    ShapeError,
-    UnsupportedGridError,
-)
-from .grid import AffineMap, Grid, GridKind, MAX_ORDER, to_reference
+from .errors import DomainError, IllConditionedBasisError, ShapeError
+from .grid import AffineMap, Grid, GridKind
 
 # residual ceiling on the cardinal property |T c - I| of the modal transform
 MODAL_RESIDUAL_TOL = 1e-10
 # agreement required between the two independent quadrature-weight routes
 WEIGHT_CROSSCHECK_TOL = 1e-12
-# mirror defect |s_i + s_(N-i)| / 2 allowed after to_reference, in units of
-# eps * (1 + |center| / scale): the roundoff of mapping a symmetric grid out
-# to its domain and back (make_grid's grids stay below 1)
-SYMMETRY_ULPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ class BirkhoffSystem:
 
     All matrices act on the physical domain of ``grid``.  Row i of ``B_a``
     holds B_j^a(tau_i); ``w_B`` holds the integrals of the cardinal functions,
-    which on an endpoint-inclusive grid coincide with the last row of ``B_a``.
+    which coincide with the last row of ``B_a``.
     Only ``B_a`` and ``w_B`` are stored: ``B_b = B_a - 1 w_B^T`` and the
     differentiation matrix ``D`` are computed on each read and not cached, so
     a reader that drops them frees them.
@@ -108,7 +98,8 @@ class BirkhoffSystem:
         return 0.5 * (b - a)
 
     def to_reference_coord(self, tau):
-        return self.grid.affine_map().to_reference(tau)
+        amap = self.grid.affine_map()
+        return (np.asarray(tau, dtype=float) - amap.center) / amap.scale
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,24 +112,16 @@ class BirkhoffSystem:
 
 
 def _reference_nodes(grid: Grid) -> tuple[np.ndarray, AffineMap]:
-    """Reference nodes of ``grid``, made exactly antisymmetric, and its map.
+    """The nodes of ``grid`` mapped back onto [-1, 1], and its affine map.
 
-    The mirrored build reads row ``N - i`` off row ``i``, which is right only
-    for nodes symmetric about the midpoint; a grid further from symmetry than
-    the roundoff of its affine map is refused.
+    The ends are exactly -1 and 1, and the nodes exactly antisymmetric: the
+    mirrored build reads row ``N - i`` off row ``i``, and the roundoff of the
+    map out to the domain and back would otherwise break the symmetry.
     """
-    ref, amap = to_reference(grid)
-    s = ref.nodes
-    mirrored = 0.5 * (s - s[::-1])
-    gap = float(np.max(np.abs(s - mirrored)))
-    tol = SYMMETRY_ULPS * np.finfo(float).eps * (1.0 + abs(amap.center) / amap.scale)
-    if gap > tol:
-        raise UnsupportedGridError(
-            f"{grid.kind.value} grid nodes are not symmetric about the domain "
-            f"midpoint (reference-interval defect {gap:.3e} > {tol:.1e}); "
-            "the Birkhoff build mirrors the left half of the nodes"
-        )
-    return mirrored, amap
+    amap = grid.affine_map()
+    s = (grid.nodes - amap.center) / amap.scale
+    s[0], s[-1] = -1.0, 1.0
+    return 0.5 * (s - s[::-1]), amap
 
 
 def _half_vandermonde(s: np.ndarray) -> np.ndarray:
@@ -413,13 +396,13 @@ def build_diff_matrix(grid: Grid) -> np.ndarray:
 
 
 def build_birkhoff(grid: Grid) -> BirkhoffSystem:
-    """Construct the full Birkhoff system for an endpoint-inclusive grid."""
-    if grid.N > MAX_ORDER:
-        raise InvalidOrderError(f"N = {grid.N} exceeds the build cap {MAX_ORDER}")
-    if not grid.endpoint_inclusive:
-        raise UnsupportedGridError(
-            "Birkhoff transcription requires a grid containing both endpoints"
-        )
+    """Construct the full Birkhoff system on ``grid``.
+
+    Every grid holds both ends of its domain and is capped at ``MAX_ORDER``
+    (:class:`~birktraj.grid.Grid`); the build raises
+    :class:`~birktraj.errors.IllConditionedBasisError` where the basis cannot
+    be trusted, as on uniform grids from N ~ 40.
+    """
     s, amap = _reference_nodes(grid)
     h = amap.scale
     vander = _half_vandermonde(s)

@@ -58,6 +58,7 @@ from .transcription import (
     FormTag,
     PrimalForm,
     PrimalSolution,
+    check_horizon,
     consecutive_slices,
     straight_line,
 )
@@ -323,6 +324,7 @@ class _IndirectSystem:
     """
 
     def __init__(self, ocp: OcpDefinition, sys: BirkhoffSystem, variant: DualVariant):
+        check_horizon(ocp, sys)
         self.ocp = ocp
         self.sys = sys
         m, n, k, n_e = sys.N + 1, ocp.n_x, ocp.n_u, ocp.n_e

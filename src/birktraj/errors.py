@@ -14,7 +14,7 @@ class InvalidDomainError(BirktrajError, ValueError):
 
 
 class UnsupportedGridError(BirktrajError, ValueError):
-    """Grid lacks a property the operation requires (e.g. endpoint inclusion)."""
+    """Unknown grid family."""
 
 
 class IllConditionedBasisError(BirktrajError, ArithmeticError):

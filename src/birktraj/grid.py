@@ -8,7 +8,7 @@ accuracy degrades on them as N grows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,41 +41,50 @@ class AffineMap:
     center: float
     scale: float
 
-    def to_reference(self, tau):
-        return (np.asarray(tau, dtype=float) - self.center) / self.scale
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing nodes tau_0 < ... < tau_N on a finite domain."""
+    """The N-th order grid of one node family on a finite domain.
+
+    A grid is the triple ``(kind, N, domain)``; its N + 1 ``nodes`` are
+    derived from it, so two grids with the same triple compare and hash
+    equal.  The nodes are generated on [-1, 1], symmetrized so the family's
+    node symmetry holds to machine precision, then mapped affinely onto the
+    domain with the endpoints assigned exactly.
+    """
 
     kind: GridKind
-    nodes: np.ndarray
+    N: int
     domain: tuple[float, float]
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        a, b = self.domain
+        kind, N, domain = _as_kind(self.kind), self.N, self.domain
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+            raise InvalidOrderError(f"N must be an integer >= 1, got {N!r}")
+        if N > MAX_ORDER:
+            raise InvalidOrderError(f"N = {N} exceeds the build cap {MAX_ORDER}")
+        a, b = float(domain[0]), float(domain[1])
         if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
-            raise InvalidDomainError(f"domain {self.domain} must be finite with a < b")
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise InvalidOrderError("a grid needs at least two nodes (N >= 1)")
-        if not np.all(np.isfinite(nodes)):
-            raise InvalidDomainError("grid nodes must be finite")
-        if not np.all(np.diff(nodes) > 0):
-            raise InvalidDomainError("grid nodes must be strictly increasing")
-        if nodes[0] < a or nodes[-1] > b:
-            raise InvalidDomainError("grid nodes must lie inside the domain")
+            raise InvalidDomainError(f"domain {domain!r} must be finite with a < b")
 
-    @property
-    def N(self) -> int:
-        return self.nodes.size - 1
+        if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
+            s = _cgl_reference_nodes(N)
+        elif kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
+            s = _lgl_reference_nodes(N)
+        else:
+            s = np.linspace(-1.0, 1.0, N + 1)
+        # enforce exact antisymmetry and exact endpoints on the reference interval
+        s = 0.5 * (s - s[::-1])
+        s[0], s[-1] = -1.0, 1.0
 
-    @property
-    def endpoint_inclusive(self) -> bool:
-        return self.nodes[0] == self.domain[0] and self.nodes[-1] == self.domain[1]
+        tau = 0.5 * (a + b) + 0.5 * (b - a) * s
+        tau[0], tau[-1] = a, b
+        tau.setflags(write=False)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "domain", (a, b))
+        object.__setattr__(self, "nodes", tau)
 
     def affine_map(self) -> AffineMap:
         a, b = self.domain
@@ -121,41 +130,5 @@ def _lgl_reference_nodes(n: int) -> np.ndarray:
 
 
 def make_grid(kind, N: int, domain=(-1.0, 1.0)) -> Grid:
-    """Build an N-th order grid (N + 1 nodes) of the given family.
-
-    Nodes are generated on [-1, 1], symmetrized so the family's node symmetry
-    holds to machine precision, then mapped affinely onto the domain with the
-    endpoints assigned exactly.
-    """
-    kind = _as_kind(kind)
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidOrderError(f"N must be an integer >= 1, got {N!r}")
-    if N > MAX_ORDER:
-        raise InvalidOrderError(f"N = {N} exceeds the build cap {MAX_ORDER}")
-    a, b = float(domain[0]), float(domain[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
-        raise InvalidDomainError(f"domain {domain!r} must be finite with a < b")
-
-    if kind is GridKind.CHEBYSHEV_GAUSS_LOBATTO:
-        s = _cgl_reference_nodes(N)
-    elif kind is GridKind.LEGENDRE_GAUSS_LOBATTO:
-        s = _lgl_reference_nodes(N)
-    else:
-        s = np.linspace(-1.0, 1.0, N + 1)
-    # enforce exact antisymmetry and exact endpoints on the reference interval
-    s = 0.5 * (s - s[::-1])
-    s[0], s[-1] = -1.0, 1.0
-
-    tau = 0.5 * (a + b) + 0.5 * (b - a) * s
-    tau[0], tau[-1] = a, b
-    return Grid(kind=kind, nodes=tau, domain=(a, b))
-
-
-def to_reference(grid: Grid) -> tuple[Grid, AffineMap]:
-    """Map a grid onto [-1, 1]; returns the mapped grid and the affine map."""
-    amap = grid.affine_map()
-    s = amap.to_reference(grid.nodes)
-    if grid.endpoint_inclusive:
-        s = s.copy()
-        s[0], s[-1] = -1.0, 1.0
-    return Grid(kind=grid.kind, nodes=s, domain=(-1.0, 1.0)), amap
+    """The N-th order grid (N + 1 nodes) of the given family on ``domain``."""
+    return Grid(kind, N, domain)

@@ -34,8 +34,9 @@ REGULARIZATION_FLOOR (the primal-dual shift of Waechter and Biegler 2006,
 whose -dI block makes dependent working rows solvable), and the shifted
 solution is refined once against the unshifted matrix:
 :func:`regularized_solve`, which the indirect solver shares, with +dI
-throughout, for the reduced system of its condensed Newton step.  Every LU
-solve is refined once with its own factor.
+throughout, for the reduced system of its condensed Newton step.  Every
+solve through :func:`regularized_solve` is refined once with its own factor;
+the diagonal-block solves of ``CondensingFactor.solve`` are not refined.
 """
 
 from __future__ import annotations

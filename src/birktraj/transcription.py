@@ -59,7 +59,6 @@ from .errors import (
     NoConvergenceError,
     NotFoundError,
     ShapeError,
-    UnsupportedGridError,
     UnsupportedProblemError,
 )
 from .ocp import OcpDefinition, constraint_violation
@@ -73,6 +72,11 @@ class FormTag(str, Enum):
     B = "b"
     A_STAR = "a_star"
     B_STAR = "b_star"
+
+    @classmethod
+    def _missing_(cls, value):
+        tags = ", ".join(tag.value for tag in cls)
+        raise UnsupportedProblemError(f"unknown form tag {value!r} (expected one of {tags})")
 
     @property
     def starred(self) -> bool:
@@ -690,17 +694,18 @@ class NewtonSystem:
         return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
 
 
+def check_horizon(ocp: OcpDefinition, sys: BirkhoffSystem) -> None:
+    """Raise DomainMismatchError unless the grid spans the problem's horizon."""
+    dom = sys.grid.domain
+    if not np.allclose(dom, ocp.horizon, rtol=1e-12, atol=1e-12):
+        raise DomainMismatchError(f"grid domain {dom} does not match problem horizon {ocp.horizon}")
+
+
 def transcribe(ocp: OcpDefinition, sys: BirkhoffSystem, form: PrimalForm) -> DiscretizedNlp:
     """Discretize the problem as given; a staged running cost L enters the
     objective as the quadrature w^T L(X, U) (:meth:`DiscretizedNlp.objective`),
     so an LQ problem is a QP."""
-    if not sys.grid.endpoint_inclusive:
-        raise UnsupportedGridError("transcription requires an endpoint-inclusive grid")
-    dom = sys.grid.domain
-    if not np.allclose(dom, ocp.horizon, rtol=1e-12, atol=1e-12):
-        raise DomainMismatchError(
-            f"grid domain {tuple(dom)} does not match problem horizon {ocp.horizon}"
-        )
+    check_horizon(ocp, sys)
     return DiscretizedNlp(ocp, sys, form)
 
 

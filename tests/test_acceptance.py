@@ -232,15 +232,21 @@ def test_criterion_9_deterministic_outputs(tmp_path):
                          "scalar-lq", "--orders", "4,8", "--out", str(out)]) == 0
         assert cli_main(["grids", "--grid", "cgl", "--N", "8",
                          "--out", str(out)]) == 0
+        assert cli_main(["verify", "--problem", "double-integrator-energy",
+                         "--N", "16", "--out", str(out)]) == 0
+        # no analytic solution: the errors are read against the indirect oracle
+        assert cli_main(["bench", "--study", "convergence", "--problem",
+                         "nonlinear-scalar", "--orders", "4,8",
+                         "--out", str(out / "oracle")]) == 0
 
     a, b = tmp_path / "a", tmp_path / "b"
     produce(a)
     produce(b)
-    files = sorted(p.name for p in a.iterdir())
+    files = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
     diffs = [
         name for name in files if (a / name).read_bytes() != (b / name).read_bytes()
     ]
-    ok = not diffs and len(files) >= 7
+    ok = not diffs and len(files) >= 10
     assert _line(
         9, "deterministic outputs", ok,
         f"{len(files)} files byte-compared across two runs"

@@ -14,7 +14,6 @@ from birktraj import (
     IllConditionedBasisError,
     InvalidOrderError,
     ShapeError,
-    UnsupportedGridError,
     birkhoff,
     build_birkhoff,
     build_diff_matrix,
@@ -328,40 +327,30 @@ def test_mirrored_diff_matrix_matches_the_plain_formula(kind, n):
     assert np.all(np.abs(np.diag(d) - np.diag(want)) <= (rel + (n + 1) * EPS) * row)
 
 
-@pytest.mark.parametrize("kind", list(GridKind))
-def test_asymmetric_grid_is_refused(kind):
-    # only a hand-made grid can be asymmetric; make_grid's never are
-    grid = Grid(kind, np.array([0.0, 0.3, 0.55, 1.0]), (0.0, 1.0))
-    for build in (build_birkhoff, build_diff_matrix):
-        with pytest.raises(UnsupportedGridError, match="not symmetric"):
-            build(grid)
-
-
 def test_hand_made_grid_past_the_order_cap_is_refused():
-    # make_grid refuses such an order itself; a hand-made grid reaches the build
+    # the order cap lives in Grid, so no grid past it reaches the build
     n = MAX_ORDER + 1
-    grid = Grid(GridKind.UNIFORM, np.linspace(-1.0, 1.0, n + 1), (-1.0, 1.0))
-    with pytest.raises(InvalidOrderError, match=f"N = {n} exceeds the build cap"):
-        build_birkhoff(grid)
+    for kind in GridKind:
+        with pytest.raises(InvalidOrderError, match=f"N = {n} exceeds the build cap"):
+            Grid(kind, n, (-1.0, 1.0))
+        with pytest.raises(InvalidOrderError, match=f"N = {n} exceeds the build cap"):
+            dataclasses.replace(make_grid(kind, 4), N=n)
 
 
 @pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
 def test_symmetric_grid_made_by_hand_builds(kind):
-    # the nodes of make_grid mapped by hand onto a far-off domain are
-    # symmetric only up to the roundoff of the map; they build, and the
-    # same as make_grid's own nodes there, while one node moved by 1e-9
-    # breaks the symmetry
+    # far from the origin the map out to the domain and back rounds the
+    # nodes, by up to eps (1 + |center| / scale) each; the build still sees
+    # exactly antisymmetric reference nodes with exact ends
     n, domain = 12, (1000.0, 1000.5)
-    s = make_grid(kind, n).nodes
-    tau = 1000.25 + 0.25 * s
-    tau[0], tau[-1] = domain
-    ref = build_birkhoff(make_grid(kind, n, domain))
-    sys = build_birkhoff(Grid(GridKind(kind), tau, domain))
-    assert np.max(np.abs(sys.B_a - ref.B_a)) <= 1e-12
-    moved = tau.copy()
-    moved[3] += 1e-9
-    with pytest.raises(UnsupportedGridError, match="not symmetric"):
-        build_birkhoff(Grid(GridKind(kind), moved, domain))
+    grid = make_grid(kind, n, domain)
+    s, amap = birkhoff._reference_nodes(grid)
+    assert s[0] == -1.0 and s[-1] == 1.0
+    assert np.array_equal(s, -s[::-1])
+    roundoff = 8.0 * EPS * (1.0 + amap.center / amap.scale)
+    assert np.max(np.abs(s - make_grid(kind, n).nodes)) <= roundoff
+    sys = build_birkhoff(grid)
+    assert abs(np.sum(sys.w_B) - 0.5) <= 1e-12
 
 
 def test_moment_crosscheck_fires_on_corrupted_antiderivative(monkeypatch):
@@ -540,12 +529,6 @@ def test_uniform_builds_then_fails():
     for n in (40, 48, 64):
         with pytest.raises(IllConditionedBasisError):
             build_birkhoff(make_grid("uniform", n))
-
-
-def test_interior_grid_rejected():
-    g = Grid(GridKind.UNIFORM, np.array([-0.5, 0.0, 0.5]), (-1.0, 1.0))
-    with pytest.raises(UnsupportedGridError):
-        build_birkhoff(g)
 
 
 # --- physical-domain scaling -------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from birktraj import (
     ConstraintKind,
     DegenerateWeightError,
+    DomainMismatchError,
     DualTrajectory,
     DualVariant,
     FormTag,
@@ -92,6 +93,28 @@ def test_variant_parse_and_flags():
         DualVariant.parse("a")
     with pytest.raises(ValueError):
         DualVariant.parse("a,c")
+
+
+def test_unknown_variant_tag_is_a_package_error():
+    with pytest.raises(UnsupportedProblemError, match="unknown form tag 'zz'"):
+        DualVariant("a", "zz")
+    with pytest.raises(UnsupportedProblemError, match="unknown form tag 'zz'"):
+        DualVariant.parse("a,zz")
+
+
+def test_indirect_solve_refuses_a_grid_off_the_horizon():
+    ocp = registry("scalar-lq")
+    sys = build_birkhoff(make_grid("lgl", 8, (0.0, 2.0)))
+    with pytest.raises(DomainMismatchError):
+        solve_indirect(ocp, sys, DualVariant("a", "b_star"))
+
+
+def test_verification_refuses_a_grid_off_the_horizon():
+    ocp, variant = registry("scalar-lq"), DualVariant("a", "b_star")
+    primal, dual = solve_indirect(ocp, build_birkhoff(make_grid("lgl", 8, ocp.horizon)), variant)
+    sys = build_birkhoff(make_grid("lgl", 8, (0.0, 2.0)))
+    with pytest.raises(DomainMismatchError):
+        verify_pontryagin(ocp, primal, dual, sys, variant)
 
 
 def test_verified_variant_per_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,8 +12,8 @@ from birktraj import (
     InvalidDomainError,
     InvalidOrderError,
     UnsupportedGridError,
+    birkhoff,
     make_grid,
-    to_reference,
 )
 from birktraj import grid as grid_module
 from birktraj.grid import MAX_ORDER, _lgl_reference_nodes
@@ -107,7 +108,6 @@ def test_nodes_strictly_increasing_and_inside(kind, n, a, width):
     g = make_grid(kind, n, domain=(a, a + width))
     assert np.all(np.diff(g.nodes) > 0)
     assert g.nodes[0] == a and g.nodes[-1] == a + width
-    assert g.endpoint_inclusive
 
 
 @settings(max_examples=30, deadline=None)
@@ -140,19 +140,43 @@ def test_domain_validation():
 
 
 def test_explicit_grid_validation():
-    with pytest.raises(InvalidDomainError):
-        Grid(GridKind.UNIFORM, np.array([0.0, 0.5, 0.25]), (0.0, 1.0))
-    with pytest.raises(InvalidDomainError):
-        Grid(GridKind.UNIFORM, np.array([0.0, 2.0]), (0.0, 1.0))
-    with pytest.raises(InvalidDomainError, match="must be finite with a < b"):
-        Grid(GridKind.UNIFORM, np.array([0.0, 1.0]), (1.0, 0.0))
-    with pytest.raises(InvalidOrderError, match="at least two nodes"):
-        Grid(GridKind.UNIFORM, np.array([0.5]), (0.0, 1.0))
-    with pytest.raises(InvalidDomainError, match="nodes must be finite"):
-        Grid(GridKind.UNIFORM, np.array([0.0, np.nan, 1.0]), (0.0, 1.0))
-    # strictly interior nodes are constructible (transcription rejects later)
-    g = Grid(GridKind.UNIFORM, np.array([0.25, 0.5, 0.75]), (0.0, 1.0))
-    assert not g.endpoint_inclusive
+    for kind in GridKind:
+        for n in (0, True, MAX_ORDER + 1):
+            with pytest.raises(InvalidOrderError):
+                Grid(kind, n, (0.0, 1.0))
+        for domain in ((1.0, 0.0), (1.0, 1.0), (0.0, np.nan), (-np.inf, 1.0)):
+            with pytest.raises(InvalidDomainError, match="must be finite with a < b"):
+                Grid(kind, 4, domain)
+    with pytest.raises(UnsupportedGridError):
+        Grid("radau", 4, (0.0, 1.0))
+
+
+SWEEP_ORDERS = (*range(1, 257), 511, 512, 1023, 1024, 2047, 2048, 4095, 4096)
+
+
+def test_every_family_gives_finite_increasing_symmetric_nodes_with_exact_ends():
+    a, b = 0.0, 1.7
+    for kind in GridKind:
+        for n in SWEEP_ORDERS:
+            tau = make_grid(kind, n, (a, b)).nodes
+            assert tau.shape == (n + 1,)
+            assert np.all(np.isfinite(tau))
+            assert np.all(np.diff(tau) > 0)
+            assert tau[0] == a and tau[-1] == b
+            # the mirror pairs sum to a + b within the rounding of the map
+            assert np.max(np.abs(tau + tau[::-1] - (a + b))) <= 2 * np.spacing(a + b)
+
+
+def test_grids_are_values():
+    for kind in GridKind:
+        g = make_grid(kind, 8, (0.0, 1.7))
+        same = make_grid(kind.value, np.int64(8), [0, 1.7])
+        assert g == same and hash(g) == hash(same)
+        assert g != make_grid(kind, 8, (0.0, 1.6)) and g != make_grid(kind, 9, (0.0, 1.7))
+        assert len({g, same, Grid(kind, 8, (0.0, 1.7))}) == 1
+        assert type(same.N) is int and same.domain == (0.0, 1.7)
+        wider = dataclasses.replace(g, N=9)
+        assert np.array_equal(wider.nodes, make_grid(kind, 9, (0.0, 1.7)).nodes)
 
 
 def test_nodes_read_only():
@@ -172,7 +196,7 @@ def test_json_round_trip():
 
 def test_to_reference_exact_endpoints():
     g = make_grid("lgl", 7, domain=(0.1, 2.7))
-    ref, amap = to_reference(g)
-    assert ref.nodes[0] == -1.0 and ref.nodes[-1] == 1.0
-    np.testing.assert_allclose(amap.center + amap.scale * ref.nodes, g.nodes, atol=1e-14)
-    np.testing.assert_allclose(amap.to_reference(g.nodes)[1:-1], ref.nodes[1:-1], atol=1e-15)
+    s, amap = birkhoff._reference_nodes(g)
+    assert s[0] == -1.0 and s[-1] == 1.0
+    np.testing.assert_allclose(amap.center + amap.scale * s, g.nodes, atol=1e-14)
+    np.testing.assert_allclose(s, make_grid("lgl", 7).nodes, atol=1e-15)

@@ -22,7 +22,6 @@ from birktraj import (
     ShapeError,
     SolverOptions,
     SolveStatus,
-    UnsupportedGridError,
     UnsupportedProblemError,
     build_birkhoff,
     extract_primal,
@@ -99,15 +98,14 @@ def test_form_validation():
 
 
 def test_domain_and_grid_preconditions():
-    from birktraj import Grid
-
     ocp = registry("zero-dynamics")
     with pytest.raises(DomainMismatchError):
         transcribe(ocp, build_birkhoff(make_grid("lgl", 8, (0.0, 2.0))), PrimalForm("a"))
-    sys = build_birkhoff(make_grid("lgl", 8, (0.0, 1.0)))
-    interior = Grid(kind=sys.grid.kind, nodes=0.25 + 0.5 * sys.grid.nodes, domain=(0.0, 1.0))
-    with pytest.raises(UnsupportedGridError):
-        transcribe(ocp, dataclasses.replace(sys, grid=interior), PrimalForm("a"))
+
+
+def test_unknown_form_tag_is_a_package_error():
+    with pytest.raises(UnsupportedProblemError, match="unknown form tag 'x'"):
+        PrimalForm("x")
 
 
 @pytest.mark.parametrize("form, scaled", [("a_star", False), ("b_star", False), ("a", True),
