@@ -63,7 +63,7 @@ class ModalBasis:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BirkhoffSystem:
     """Birkhoff matrices, quadrature weights and differentiation matrix.
 
@@ -72,7 +72,8 @@ class BirkhoffSystem:
     which coincide with the last row of ``B_a``.
     Only ``B_a`` and ``w_B`` are stored: ``B_b = B_a - 1 w_B^T`` and the
     differentiation matrix ``D`` are computed on each read and not cached, so
-    a reader that drops them frees them.
+    a reader that drops them frees them.  Compared and hashed by identity,
+    as arrays have no single truth value.
     """
 
     grid: Grid

@@ -107,13 +107,14 @@ class DualVariant:
         return f"{self.state_form.value},{self.costate_form.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualTrajectory:
     """Discrete costate estimates at the nodes.
 
     ``costates`` and ``costate_derivs`` are (N+1, n_x) node tables; the
     interpolant anchored at ``costate_final`` with derivative values
     ``costate_derivs`` reproduces ``costates`` up to the reported residuals.
+    Compared and hashed by identity, as arrays have no single truth value.
     """
 
     costates: Array

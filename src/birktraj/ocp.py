@@ -11,6 +11,12 @@ into an extra state y' = L, is kept as a reference path.  All derivative
 information is supplied as callbacks, L's two gradients included, and can be
 checked against central finite differences with :func:`validate`.
 
+Second derivatives are complex steps of the gradient-type callbacks
+(``jac_fx``, ``jac_fu``, L's gradients, ``grad_cost_xa``/``grad_cost_xb``
+and the constraint Jacobians): each must accept complex arguments and carry
+their imaginary parts through, as numpy arithmetic does (no float buffers,
+``float()`` or ``.real``).  :func:`validate` refuses one that does not.
+
 Node tables are the callback convention for the dynamics and the running
 cost: ``X`` (m, n_x) and ``U`` (m, n_u) hold one node per row, and every
 result has one row per node.  Endpoint callbacks take single points.  Steering
@@ -44,6 +50,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import (
     BirktrajError,
@@ -55,7 +62,25 @@ from .errors import (
 
 Array = np.ndarray
 
-FD_STEP = 1e-6  # relative step of every central difference the package takes
+COMPLEX_STEP = 1e-30  # imaginary step of every curvature the package takes
+
+
+def _complex_jacobian(fun: Callable[[Array], Array], Y: Array) -> Array:
+    """Row-batched complex step (Squire and Trapp 1998).
+
+    ``fun`` maps an (r, p) table to an (r, q) table row by row, and keeps
+    the imaginary parts of complex rows; the result is the (m, q, p) stack
+    of row Jacobians at the real (m, p) table ``Y``, column j the imaginary
+    part of ``fun`` at Y + i h e_j over h = COMPLEX_STEP.  Nothing is
+    subtracted, so the columns are exact to rounding for any h this small.
+    ``fun`` is called once, on the p stepped copies of ``Y`` stacked into
+    one (p m, p) table: row j m + i is row i stepped in column j, so
+    whatever else ``fun`` reads per row repeats p times.
+    """
+    m, p = Y.shape
+    stepped = (Y[None] + 1j * COMPLEX_STEP * np.eye(p)[:, None, :]).reshape(p * m, p)
+    G = np.asarray(fun(stepped)).imag
+    return G.reshape(p, m, G.shape[1]).transpose(1, 2, 0) / COMPLEX_STEP
 
 
 class ConstraintKind(str, Enum):
@@ -184,32 +209,38 @@ class OcpDefinition:
     def hamiltonian_curvatures(
         self, X: Array, U: Array, lam: Array, cost_weight: Array | None = None
     ) -> Array:
-        """Central-difference Jacobians of :meth:`hamiltonian_gradient` at every
-        node, shaped (m, n_x + n_u, n_x + n_u): H's curvature, L's included."""
-        n = self.n_x
-        return _central_jacobian(
-            lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], lam, cost_weight),
+        """Jacobians of :meth:`hamiltonian_gradient` at every node, shaped
+        (m, n_x + n_u, n_x + n_u): H's curvature, L's included.  They are
+        complex steps, exact to rounding (:func:`_complex_jacobian`): the
+        n_x + n_u stepped copies of the node tables go to the callbacks as
+        one complex table of (n_x + n_u) m rows, with ``lam`` and
+        ``cost_weight`` repeated to match, so one Hessian is one call of
+        :meth:`hamiltonian_gradient` at any m."""
+        n, reps = self.n_x, self.n_x + self.n_u
+        c = None if cost_weight is None else np.tile(cost_weight, reps)
+        return _complex_jacobian(
+            lambda Y: self.hamiltonian_gradient(Y[:, :n], Y[:, n:], np.tile(lam, (reps, 1)), c),
             np.concatenate([X, U], axis=1),
-            FD_STEP,
         )
 
     def endpoint_lagrangian_gradient(self, x_a: Array, x_b: Array, nu: Array) -> Array:
-        """Gradient [grad_xa; grad_xb] of E(x_a, x_b) + nu . e(x_a, x_b)."""
-        g_xa = np.asarray(self.grad_cost_xa(x_a, x_b), dtype=float)
-        g_xb = np.asarray(self.grad_cost_xb(x_a, x_b), dtype=float)
+        """Gradient [grad_xa; grad_xb] of E(x_a, x_b) + nu . e(x_a, x_b),
+        complex where (x_a, x_b) is."""
+        g_xa = np.asarray(self.grad_cost_xa(x_a, x_b))
+        g_xb = np.asarray(self.grad_cost_xb(x_a, x_b))
         con = self.constraints
-        g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b), dtype=float).T @ nu
-        g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b), dtype=float).T @ nu
+        g_xa = g_xa + np.asarray(con.jac_xa(x_a, x_b)).T @ nu
+        g_xb = g_xb + np.asarray(con.jac_xb(x_a, x_b)).T @ nu
         return np.concatenate([g_xa, g_xb])
 
     def endpoint_lagrangian_curvature(self, x_a: Array, x_b: Array, nu: Array) -> Array:
-        """Central-difference Jacobian of :meth:`endpoint_lagrangian_gradient`
-        with respect to (x_a, x_b)."""
+        """Jacobian of :meth:`endpoint_lagrangian_gradient` with respect to
+        (x_a, x_b), by complex steps (:func:`_complex_jacobian`): one
+        single-point evaluation per column, 2 n_x in all."""
         n = self.n_x
-        return _central_jacobian(
-            lambda Y: self.endpoint_lagrangian_gradient(Y[0, :n], Y[0, n:], nu)[None],
+        return _complex_jacobian(
+            lambda Y: np.array([self.endpoint_lagrangian_gradient(y[:n], y[n:], nu) for y in Y]),
             np.concatenate([x_a, x_b])[None],
-            FD_STEP,
         )[0]
 
 
@@ -230,14 +261,15 @@ def prepared(ocp: OcpDefinition) -> OcpDefinition:
     def dynamics(X, U):
         return np.column_stack([ocp.dynamics(X[:, :n], U), running.fun(X[:, :n], U)])
 
+    # buffers of the arguments' type, so that complex steps pass through
     def jac_fx(X, U):
-        out = np.zeros((len(X), n + 1, n + 1))
+        out = np.zeros((len(X), n + 1, n + 1), dtype=np.result_type(X, U, float))
         out[:, :n, :n] = ocp.jac_fx(X[:, :n], U)
         out[:, n, :n] = running.grad_x(X[:, :n], U)
         return out
 
     def jac_fu(X, U):
-        out = np.empty((len(X), n + 1, ocp.n_u))
+        out = np.empty((len(X), n + 1, ocp.n_u), dtype=np.result_type(X, U, float))
         out[:, :n] = ocp.jac_fu(X[:, :n], U)
         out[:, n] = running.grad_u(X[:, :n], U)
         return out
@@ -257,13 +289,13 @@ def prepared(ocp: OcpDefinition) -> OcpDefinition:
         return np.concatenate([base.fun(x_a[:n], x_b[:n]), [x_a[n]]])
 
     def con_jac_xa(x_a, x_b):
-        out = np.zeros((base.n_e + 1, n + 1))
+        out = np.zeros((base.n_e + 1, n + 1), dtype=np.result_type(x_a, x_b, float))
         out[: base.n_e, :n] = base.jac_xa(x_a[:n], x_b[:n])
         out[base.n_e, n] = 1.0
         return out
 
     def con_jac_xb(x_a, x_b):
-        out = np.zeros((base.n_e + 1, n + 1))
+        out = np.zeros((base.n_e + 1, n + 1), dtype=np.result_type(x_a, x_b, float))
         out[: base.n_e, :n] = base.jac_xb(x_a[:n], x_b[:n])
         return out
 
@@ -290,6 +322,8 @@ def prepared(ocp: OcpDefinition) -> OcpDefinition:
 
 
 # --- finite-difference validation -------------------------------------------
+
+FD_STEP = 1e-6  # relative step of validate's central differences
 
 
 def _central_jacobian(fun: Callable[[Array], Array], Y: Array, step: float) -> Array:
@@ -332,6 +366,13 @@ def validate(ocp: OcpDefinition) -> ValidationReport:
     Relative errors are max|analytic - FD| / max(1, max|FD|) over
     VALIDATION_POINTS random evaluation points from VALIDATION_SEED, so the
     report is deterministic; a derivative passes within VALIDATION_TOL.
+
+    The curvatures are complex steps of the gradient-type callbacks, so each
+    of those is also stepped into the complex plane at the same points, in
+    all of its arguments at once, and compared with its own central
+    differences.  One that fails on complex arguments or whose complex step
+    is off by more than VALIDATION_TOL, as when it writes into a float
+    buffer, raises UnsupportedProblemError.
     """
     rng = np.random.default_rng(VALIDATION_SEED)
     n, k = ocp.n_x, ocp.n_u
@@ -364,7 +405,7 @@ def validate(ocp: OcpDefinition) -> ValidationReport:
 
     def by_point(cb):
         # a single-point endpoint callback mapped over the rows of (x_a, x_b)
-        return lambda A, B: np.array([np.asarray(cb(a, b), dtype=float) for a, b in zip(A, B)])
+        return lambda A, B: np.array([np.asarray(cb(a, b)) for a, b in zip(A, B)])
 
     for name, *callbacks in endpoint:
         fun, jac_xa, jac_xb = map(by_point, callbacks)
@@ -375,6 +416,35 @@ def validate(ocp: OcpDefinition) -> ValidationReport:
         check("running_cost/x", rc.grad_x(X, U)[:, None], lambda Y: rc.fun(Y, U)[:, None], X)
         if k:
             check("running_cost/u", rc.grad_u(X, U)[:, None], lambda Y: rc.fun(X, Y)[:, None], U)
+
+    def complex_safe(name: str, cb, at: Array):
+        # cb maps (points, p) to any table of one row per point, flattened here
+        def fun(Y):
+            G = np.asarray(cb(Y[:, :n], Y[:, n:]))
+            return G.reshape(len(Y), G.size // len(Y))
+
+        try:
+            stepped = _complex_jacobian(fun, at)
+        except (TypeError, ComplexWarning) as exc:
+            raise UnsupportedProblemError(f"{name} fails on complex arguments: {exc}") from None
+        fd = _central_jacobian(fun, at, FD_STEP)
+        err = np.max(np.abs(stepped - fd), initial=0.0) / max(1.0, np.max(np.abs(fd), initial=0.0))
+        if not err <= VALIDATION_TOL:
+            raise UnsupportedProblemError(
+                f"{name} drops the imaginary part of complex arguments: its complex step "
+                f"is off its central differences by {err:.2e} (relative)"
+            )
+
+    node_gradients = {"jac_fx": ocp.jac_fx, "jac_fu": ocp.jac_fu}
+    if rc is not None:
+        node_gradients.update({"running_cost.grad_x": rc.grad_x, "running_cost.grad_u": rc.grad_u})
+    for name, cb in node_gradients.items():
+        complex_safe(name, cb, np.concatenate([X, U], axis=1))
+    end_gradients = {"grad_cost_xa": ocp.grad_cost_xa, "grad_cost_xb": ocp.grad_cost_xb}
+    if ocp.n_e:
+        end_gradients.update({"constraints.jac_xa": con.jac_xa, "constraints.jac_xb": con.jac_xb})
+    for name, cb in end_gradients.items():
+        complex_safe(name, by_point(cb), np.concatenate([XA, XB], axis=1))
     return ValidationReport(tolerance=VALIDATION_TOL, worst=worst)
 
 
@@ -575,7 +645,7 @@ def _poly_eval(terms, x: Array, u: Array) -> Array:
 
 def _poly_grad(terms, x: Array, u: Array, wrt: str) -> Array:
     target, other_val = (x, u) if wrt == "x" else (u, x)
-    grad = np.zeros(target.shape)
+    grad = np.zeros(target.shape, dtype=np.result_type(x, u, float))  # complex steps pass
     for coef, px, pu in terms:
         p_t, p_o = (px, pu) if wrt == "x" else (pu, px)
         base = _term_value(coef, p_o, other_val)

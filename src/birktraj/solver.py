@@ -7,7 +7,9 @@ and ``rows``, a name -> slice map of the constraint row blocks that the
 result carries along with its multipliers.  ``jacobian(z)`` is called once
 per iterate and may return any linear operator J (a matrix, or
 DiscretizedNlp's node blocks): the solver takes only ``J.T @ mu`` from it
-and hands it to ``newton_system``.  ``constraints`` and ``jacobian`` raise
+and hands it to ``newton_system``.  ``constraints`` and ``objective`` are
+called once per point the solve tries: an accepted line-search trial's
+values serve the next iterate.  ``constraints`` and ``jacobian`` raise
 EvaluationError where a callback gives non-finite values, and the solve
 then ends ``infeasible``.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
@@ -188,15 +190,18 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             log=log,
         )
 
+    # later iterates take r and f from their accepted line-search trial
+    try:
+        r, f = nlp.constraints(z), nlp.objective(z)
+    except EvaluationError:
+        return finish(SolveStatus.INFEASIBLE, np.inf)
+    if not (np.isfinite(f) and np.all(np.isfinite(r))):
+        return finish(SolveStatus.INFEASIBLE, np.inf)
     while True:
         try:
-            r = nlp.constraints(z)
             jac = nlp.jacobian(z)
-            f = nlp.objective(z)
             g = nlp.objective_gradient(z)
         except EvaluationError:
-            return finish(SolveStatus.INFEASIBLE, np.inf)
-        if not (np.isfinite(f) and np.all(np.isfinite(r))):
             return finish(SolveStatus.INFEASIBLE, np.inf)
         system = nlp.newton_system(jac, r)
         if system is None:
@@ -261,7 +266,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
                 return finish(SolveStatus.INFEASIBLE, max(stat, feas, comp))
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))
 
-        z = z + alpha * dz
+        z, f, r = z_try, f_try, r_try
         iters += 1
         log.append(
             {

@@ -49,7 +49,6 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator
 
 from .birkhoff import BirkhoffSystem
 from .errors import (
@@ -104,8 +103,11 @@ class PrimalForm:
         return self.tag.value + ("+scaled" if self.scaled else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalSolution:
+    """A solved NLP's node tables, endpoints, objective and feasibility;
+    compared and hashed by identity, as arrays have no single truth value."""
+
     X: Array
     U: Array
     V: Array
@@ -344,20 +346,27 @@ class CondensingFactor:
         return rhs
 
 
-class NodeJacobian(LinearOperator):
+class NodeJacobian:
     """The constraint Jacobian of a :class:`DiscretizedNlp` at one iterate, as
     node blocks: ``fx`` (N+1, n_x, n_x) and ``fu`` (N+1, n_x, n_u), F_x and
     F_u in physical variables, and ``e_xa``, ``e_xb`` (n_e, n_x), the
-    endpoint rows; the other rows are constant.  As a linear operator it is
-    the matrix wrt stored variables, with the row and column scaling of the
-    form: ``J @ v`` and ``J.T @ mu`` are node-block products, so the matrix,
-    where one is wanted, is ``J @ np.eye(n_z)``.  Not changed after it is
-    built.
+    endpoint rows; the other rows are constant.  It acts as the matrix wrt
+    stored variables, with the row and column scaling of the form: ``J @ v``
+    and ``J.T @ mu`` are node-block products, of a vector or of each column
+    of a matrix, so the matrix, where one is wanted, is ``J @ np.eye(n_z)``.
+    Not changed after it is built.
     """
 
     def __init__(self, nlp: "DiscretizedNlp", fx: Array, fu: Array, e_xa: Array, e_xb: Array):
-        super().__init__(float, (nlp.n_rows, nlp.n_z))
         self.nlp, self.fx, self.fu, self.e_xa, self.e_xb = nlp, fx, fu, e_xa, e_xb
+        self.shape = (nlp.n_rows, nlp.n_z)
+
+    def __matmul__(self, v: Array) -> Array:
+        return _by_columns(self._matvec, v)
+
+    @property
+    def T(self) -> "_TransposedJacobian":
+        return _TransposedJacobian(self)
 
     def _matvec(self, v: Array) -> Array:
         nlp = self.nlp
@@ -389,6 +398,24 @@ class NodeJacobian(LinearOperator):
             x_b + self.e_xb.T @ end,
         ])
         return out * nlp._col_scale
+
+
+def _by_columns(product, v: Array) -> Array:
+    """``product`` of the vector ``v``, or of each column of the matrix ``v``."""
+    v = np.asarray(v)
+    return product(v) if v.ndim == 1 else np.column_stack([product(col) for col in v.T])
+
+
+class _TransposedJacobian:
+    """``J.T`` of a :class:`NodeJacobian` ``J``: its ``@`` is J's transposed
+    node-block product."""
+
+    def __init__(self, jac: NodeJacobian):
+        self.jac = jac
+        self.shape = jac.shape[::-1]
+
+    def __matmul__(self, mu: Array) -> Array:
+        return _by_columns(self.jac._rmatvec, mu)
 
 
 class DiscretizedNlp:
@@ -548,9 +575,11 @@ class DiscretizedNlp:
 
         Interpolation and equivalency rows are linear and drop out; K is
         the curvature of w_i L + mu_dyn . f at each node (the running cost
-        and the dynamics rows), obtained by central differences of the
-        analytic gradients, and K_end that of the endpoint terms.
-        :meth:`hessian_times` applies them to a vector.
+        and the dynamics rows) and K_end that of the endpoint terms, both
+        complex steps of the analytic gradients, exact to rounding: one
+        call of :meth:`~birktraj.ocp.OcpDefinition.hamiltonian_gradient`
+        for every node and column, and 2 n_x single-point endpoint
+        gradients.  :meth:`hessian_times` applies them to a vector.
         """
         X, U, _, x_a, x_b = self.unpack(z)
         # dynamics rows carry -f

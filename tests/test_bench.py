@@ -1,5 +1,6 @@
 """Conditioning and convergence harness checks."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -120,8 +121,25 @@ def test_cond_kkt_column_optional_and_growing():
 def test_cond_kkt_column_values_are_pinned():
     # frozen values: building the KKT matrix another way must not move them
     rows = cond_study("lgl", [8, 16, 32], include_kkt=True)
-    want = [253.86240457879984, 1227.7586941054788, 6367.3261296881956]
+    want = [253.86240457729122, 1227.7586941109917, 6367.326129850022]
     assert [r.cond_kkt for r in rows] == pytest.approx(want, rel=1e-12)
+
+
+def test_cond_kkt_moves_far_less_than_its_pin_under_a_one_ulp_nudge(monkeypatch):
+    # the pin above is only meaningful if the value is stable below it: with
+    # exact curvatures one ulp of the solved z moves cond_kkt by < 1e-13
+    # (central-difference curvatures moved it by up to 6e-11)
+    orders = (8, 16, 32)
+    at_z = [bench._kkt_condition("lgl", N) for N in orders]
+    solved = bench.solve_with_fallback
+
+    def nudged(nlp):
+        res = solved(nlp)
+        return dataclasses.replace(res, z=np.nextafter(res.z, np.inf))
+
+    monkeypatch.setattr(bench, "solve_with_fallback", nudged)
+    for N, value in zip(orders, at_z):
+        assert abs(bench._kkt_condition("lgl", N) - value) < 1e-13 * value
 
 
 def test_cond_unbuildable_orders_get_skip_notes():

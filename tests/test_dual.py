@@ -25,6 +25,7 @@ from birktraj import (
     UnsupportedProblemError,
     build_birkhoff,
     default_tolerance,
+    extract_primal,
     ibp_defect_norm,
     initial_guess,
     load_problem,
@@ -317,8 +318,6 @@ def test_double_integrator_verified_route_passes_at_1e6():
 
 
 def nlp_extract(nlp, res):
-    from birktraj import extract_primal
-
     return extract_primal(nlp, res.z)
 
 
@@ -761,10 +760,10 @@ def test_callbacks_take_whole_node_tables():
         before_step = calls["jac_fx"]
         system.newton_step(y, r)
         jac_fx_calls[N] = (after_hessian, calls["jac_fx"] - before_step)
-    # two Hamiltonian gradients per column, and one more: the control
-    # recovery's H_u in the first count, the step's own F_x in the second
-    n_cols = ocp.n_x + ocp.n_u
-    assert jac_fx_calls[8] == jac_fx_calls[64] == (1 + 2 * n_cols, 1 + 2 * n_cols)
+    # one Hamiltonian gradient per curvature, a complex step of every column
+    # at once, and one more: the control recovery's H_u in the first count,
+    # the step's own F_x in the second
+    assert jac_fx_calls[8] == jac_fx_calls[64] == (2, 2)
 
 
 @pytest.mark.parametrize("form", ["a", "a_star"])
@@ -864,3 +863,15 @@ def test_indirect_solves_problem_shapes(shape):
     direct = nlp_extract(nlp, solve_with_fallback(nlp))
     assert primal.objective == pytest.approx(direct.objective, abs=1e-9)
     assert np.max(np.abs(primal.X - direct.X)) <= 1e-8
+
+
+def test_solution_records_compare_and_hash_by_identity():
+    # frozen records of arrays: == is identity and hash works, where a field
+    # by field comparison would ask an array for its single truth value
+    nlp, sys, res = solved("scalar-lq")
+    twin_sys = build_birkhoff(sys.grid)
+    primal, twin_primal = (extract_primal(nlp, res.z) for _ in range(2))
+    dual, twin_dual = (map_covectors(res, PrimalForm("a"), sys) for _ in range(2))
+    for record, twin in ((sys, twin_sys), (primal, twin_primal), (dual, twin_dual)):
+        assert record == record and record != twin
+        assert len({record, twin, record}) == 2

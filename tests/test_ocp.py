@@ -20,7 +20,9 @@ from birktraj import (
     validate,
 )
 from birktraj.ocp import (
+    COMPLEX_STEP,
     _central_jacobian,
+    _complex_jacobian,
     _poly_eval,
     _poly_grad,
     complementarity_violation,
@@ -80,6 +82,52 @@ def test_validate_report_json_shape():
         "running_cost/x",
         "running_cost/u",
     }
+
+
+def _float_buffer_jac_fx(X, U):
+    # nonlinear-scalar's F_x, written into a float buffer: a complex X loses
+    # its imaginary part with a ComplexWarning
+    out = np.zeros((len(X), 1, 1))
+    out[:, 0, 0] = -3.0 * X[:, 0] ** 2
+    return out
+
+
+def test_validate_refuses_a_callback_that_writes_into_a_float_buffer():
+    ocp = dataclasses.replace(registry("nonlinear-scalar"), jac_fx=_float_buffer_jac_fx)
+    # its real values are right, and under the test suite's warning filter
+    # the ComplexWarning is raised
+    assert np.array_equal(ocp.jac_fx(np.ones((3, 1)), np.ones((3, 1))), -3.0 * np.ones((3, 1, 1)))
+    with pytest.raises(UnsupportedProblemError, match="jac_fx fails on complex arguments"):
+        validate(ocp)
+    # where the warning is only a warning, the dropped part shows in the values
+    with pytest.warns(np.exceptions.ComplexWarning):
+        with pytest.raises(UnsupportedProblemError, match="jac_fx drops the imaginary part"):
+            validate(ocp)
+
+
+@pytest.mark.parametrize("field", ["grad_cost_xb", "running_cost"])
+def test_validate_refuses_a_callback_that_drops_the_imaginary_part(field):
+    ocp = registry("zero-dynamics")
+    if field == "grad_cost_xb":  # float() of a complex number raises TypeError
+        ocp = dataclasses.replace(ocp, grad_cost_xb=lambda x_a, x_b: np.array([2.0 * float(x_b[0])]))
+        match = "grad_cost_xb fails on complex arguments"
+    else:  # .real drops it silently
+        ocp = dataclasses.replace(ocp, running_cost=RunningCost(
+            fun=lambda X, U: X[:, 0] ** 2,
+            grad_x=lambda X, U: 2.0 * X.real,
+            grad_u=lambda X, U: np.zeros((len(X), 0)),
+        ))
+        match = "running_cost.grad_x drops the imaginary part"
+    with pytest.raises(UnsupportedProblemError, match=match):
+        validate(ocp)
+
+
+@pytest.mark.parametrize("staging", [lambda ocp: ocp, prepared], ids=["as-defined", "prepared"])
+@pytest.mark.parametrize("source", ["qr", "terms"])
+def test_json_problems_take_complex_steps(source, staging):
+    # polynomial and Q/R callbacks, and the Mayer transform's buffers, carry
+    # the imaginary part: validate's complex-step check passes
+    assert validate(staging(load_problem(_JSON_RUNNING_COSTS[source]))).passed
 
 
 def test_horizon_must_be_finite_and_ordered():
@@ -198,6 +246,72 @@ def test_hamiltonian_of_a_staged_running_cost_is_the_augmented_one_at_unit_cost_
     )
     curv_aug = aug.hamiltonian_curvatures(X_aug, U, lam_aug)[:, base][:, :, base]
     assert close(ocp.hamiltonian_curvatures(X, U, lam), curv_aug)
+
+
+# d^2/d(x, u)^2 of H = c L + lam . f at every node and d^2/d(x_a, x_b)^2 of
+# E + nu . e, by hand: every registry problem's curvature is diagonal
+_CLOSED_FORM_NODE_DIAGONAL = {
+    "double-integrator-energy": lambda X, U, lam, c: np.column_stack([0 * X, c]),
+    "scalar-lq": lambda X, U, lam, c: np.column_stack([0 * X, 2 * c]),
+    "nonlinear-scalar": lambda X, U, lam, c: np.column_stack([c - 6 * lam[:, 0] * X[:, 0], c]),
+    "zero-dynamics": lambda X, U, lam, c: 0 * X,
+}
+_CLOSED_FORM_ENDPOINT_DIAGONAL = {
+    "double-integrator-energy": np.zeros(4),
+    "scalar-lq": np.zeros(2),
+    "nonlinear-scalar": np.zeros(2),
+    "zero-dynamics": np.array([0.0, 2.0]),  # E = x_b^2
+}
+
+
+@pytest.mark.parametrize("staging", ["as-defined", "prepared"])
+@pytest.mark.parametrize("name", registry_names())
+def test_curvatures_match_closed_forms(name, staging):
+    ocp = registry(name)
+    n, k, m = ocp.n_x, ocp.n_u, 23
+    rng = np.random.default_rng(11)
+    X, U, lam = rng.normal(size=(m, n)), rng.normal(size=(m, k)), 3 * rng.normal(size=(m, n))
+    c = rng.uniform(0.1, 2.0, m)
+    x_a, x_b, nu = rng.normal(size=n), rng.normal(size=n), rng.normal(size=ocp.n_e)
+    node = _CLOSED_FORM_NODE_DIAGONAL[name](X, U, lam, c)
+    end = _CLOSED_FORM_ENDPOINT_DIAGONAL[name]
+    if staging == "prepared" and ocp.running_cost is not None:
+        # the cost state y follows x and its costate weighs L; y' = L, the
+        # extra cost y_b and the extra row y_a = 0 are all linear in y
+        ocp = prepared(ocp)
+        X, lam, c = np.column_stack([X, rng.normal(size=m)]), np.column_stack([lam, c]), None
+        x_a, x_b, nu = np.r_[x_a, 0.5], np.r_[x_b, -2.0], np.r_[nu, 0.7]
+        node, end = np.insert(node, n, 0.0, axis=1), np.insert(end, [n, 2 * n], 0.0)
+
+    def exact(got, diagonal):
+        want = diagonal[..., None] * np.eye(diagonal.shape[-1])
+        assert got.shape == want.shape
+        return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    assert exact(ocp.hamiltonian_curvatures(X, U, lam, c), node)
+    assert exact(ocp.endpoint_lagrangian_curvature(x_a, x_b, nu), end)
+
+
+def test_complex_jacobian_is_one_call_on_the_stacked_table():
+    # a cubic with a parameter per row: exact columns, where a central
+    # difference would carry truncation error h^2 f''' and rounding eps/h
+    calls = []
+    a_mat = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0]])
+    scale = np.array([1.0, -2.0, 0.25, 4.0])
+
+    def fun(Y):
+        calls.append(Y.copy())
+        return np.tile(scale, 3)[:, None] * (Y**3 @ a_mat.T)
+
+    Y = np.array([[0.3, -2.0, 4.0], [-30.0, 0.1, 2.5], [0.0, 0.0, 0.0], [1e3, -1e-3, 7.0]])
+    jac = _complex_jacobian(fun, Y)
+    want = scale[:, None, None] * a_mat * 3 * Y[:, None, :] ** 2
+    assert jac.shape == want.shape == (4, 2, 3)
+    # rounding, and at 0 the h^2 term of the cubic's step: 3e-60 at most
+    assert np.all(np.abs(jac - want) <= 4e-16 * np.abs(want) + 1e-59)
+    (table,) = calls  # row j m + i is row i stepped in column j
+    assert np.array_equal(table.real, np.tile(Y, (3, 1)))
+    assert np.array_equal(table.imag, np.repeat(COMPLEX_STEP * np.eye(3), 4, axis=0))
 
 
 def test_hamiltonian_needs_the_running_cost_gradients():

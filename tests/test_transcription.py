@@ -664,6 +664,48 @@ def test_solve_takes_one_jacobian_per_iterate(monkeypatch, name, form, scaled):
     assert len(calls) == res.iterations + 1
 
 
+@pytest.mark.parametrize("name", ["double-integrator-energy", "nonlinear-scalar"])
+def test_solve_evaluates_each_trial_point_once(monkeypatch, name):
+    # the first iterate, then one evaluation per line-search trial: an
+    # accepted trial's values serve the next iterate
+    nlp = make_nlp(name, N=16)
+    points = {"constraints": [], "objective": []}
+    for field, seen in points.items():
+        fn = getattr(nlp, field)
+        monkeypatch.setattr(nlp, field, lambda z, fn=fn, seen=seen: seen.append(z.copy()) or fn(z))
+    res = solve(nlp, initial_guess(nlp))
+    assert res.converged and res.iterations > 1
+    trials = sum(1 + round(-np.log2(row["step"])) for row in res.log)
+    assert len(points["constraints"]) == len(points["objective"]) == 1 + trials
+    assert len({z.tobytes() for z in points["constraints"]}) == 1 + trials
+
+
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
+@pytest.mark.parametrize("name", registry_names())
+def test_hessian_is_one_hamiltonian_gradient_call_at_every_order(monkeypatch, name, staging):
+    # the node curvatures step every column at once; the endpoint's take one
+    # single-point evaluation per column of (x_a, x_b)
+    calls = {}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(OcpDefinition, "hamiltonian_gradient",
+                        counting("hamiltonian_gradient", OcpDefinition.hamiltonian_gradient))
+    for N in (4, 32, 256):
+        nlp = make_nlp(name, N=N, staging=staging)
+        nlp.ocp = dataclasses.replace(
+            nlp.ocp, grad_cost_xa=counting("grad_cost_xa", nlp.ocp.grad_cost_xa)
+        )
+        calls.update(hamiltonian_gradient=0, grad_cost_xa=0)
+        nlp.lagrangian_hessian(initial_guess(nlp), np.ones(nlp.n_rows))
+        assert calls == {"hamiltonian_gradient": 1, "grad_cost_xa": 2 * nlp.n_x}
+
+
 def singular_blocks(monkeypatch):
     """Make every diagonal block a condensing factor LU-factors the zero
     matrix; returns the list of their orders, which grows on each."""
