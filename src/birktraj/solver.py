@@ -26,9 +26,12 @@ is one iterate's linearization, or None where it has no Newton step.  Over
 the working rows it answers ``step(hess, g, working) -> (dz, mu_w) | None``
 for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], ``hess`` as
 ``lagrangian_hessian`` returns it, and ``estimate(g, working) -> mu_w |
-None``, the least-squares multipliers argmin ||g + J_w^T mu|| of the
-optimality test.  A None ends the solve ``line-search-failure``.  ``solve``
-releases an iterate's system before the next Jacobian is built.
+None``, the multipliers of the optimality test, chosen by the system:
+DiscretizedNlp's are coordinate-basis multipliers, and a dense system may
+take the least-squares ones argmin ||g + J_w^T mu||; wherever some
+multipliers make g + J_w^T mu vanish, both do.  A None ends the solve
+``line-search-failure``.  ``solve`` releases an iterate's system before
+the next Jacobian is built.
 DiscretizedNlp condenses the system through the identity blocks of its
 rows; a problem with a dense Jacobian can solve it whole.  A singular
 system is shifted to [[H + dI, J_w^T], [J_w, -dI]], d doubling from
@@ -211,7 +214,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
         active |= ~eq & (r > opts.tol_feas)
         while True:
             working = eq | active
-            # least-squares multipliers for the optimality test
+            # the system's multipliers for the optimality test
             mu_full = np.zeros(n_rows)
             estimate = system.estimate(g, working)
             if estimate is None:

@@ -30,11 +30,14 @@ system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables
 once per iterate by :meth:`AnchoredBlock.condense`, which the indirect solver
 in ``dual`` calls for both of its sides too: it factors M = I - (B (x) I)
 F_x, conditioned like the O(1)-norm Birkhoff matrix B, LU-factoring only the
-diagonal blocks of the groups of states that F_x couples.  The estimate and
-the step then solve one reduced KKT over (U, x_anchor) and the working
-endpoint rows (the condensing of multiple shooting, Bock and Plitt 1984),
-whose T^T H T both fill from node blocks of H: the step's Hessian of the
-Lagrangian, the estimate's d_i (I + C_i^T C_i) with C_i = [F_x F_u].
+diagonal blocks of the groups of states that F_x couples.  The step then
+solves one reduced KKT over (U, x_anchor) and the working endpoint rows
+(the condensing of multiple shooting, Bock and Plitt 1984), whose T^T H T
+fills from node blocks of the Hessian of the Lagrangian.  The multiplier
+estimate fills and factors nothing: it takes the coordinate-basis
+multipliers of reduced SQP (Biegler, Nocedal and Schmid 1995), the
+endpoint rows' by a least-squares solve over their n_e columns and the
+others by the back-substitution that ends the step.
 The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
 Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
 in a solve.
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -641,8 +644,9 @@ class NewtonSystem:
     :meth:`DiscretizedNlp.newton_system`: the factor of M, ``T`` with t as
     its last column and the unweighted constraint values ``r``.  It does not
     change after it is built, so it serves any number of calls, from any
-    thread.  :meth:`estimate` and :meth:`step` are one :meth:`_solve`, which
-    fills T^T H T from node blocks of H."""
+    thread.  :meth:`step` fills and solves the one reduced KKT of the
+    iterate; it and :meth:`estimate` share the back-substitution of the
+    eliminated multipliers, :meth:`_multipliers`."""
 
     nlp: DiscretizedNlp
     jac: NodeJacobian
@@ -651,42 +655,43 @@ class NewtonSystem:
     r: Array
 
     def estimate(self, g: Array, working: Array) -> Array | None:
-        """The least-squares multipliers argmin ||g + J_w^T mu|| of the
-        optimality test: mu_w of the system with H = I in stored variables,
-        D = 1 / col^2 in physical ones, and r = 0, so t = 0.  T's columns
-        satisfy dV = C_i (dX, dU) at node i, C_i = [F_x F_u], so T^T D T is
-        the fill of node blocks d_i (I + C_i^T C_i) and k_end = I, d_i = s_i^2
-        for the node scale s (w on the scaled forms, ones elsewhere)."""
-        nlp, col, s = self.nlp, self.nlp._col_scale, self.nlp._node_scale
-        C = np.concatenate([self.jac.fx, self.jac.fu], axis=2)
-        K = (s * s)[:, None, None] * (np.eye(C.shape[2]) + C.transpose(0, 2, 1) @ C)
-        solved = self._solve((K, np.eye(2 * nlp.n_x)), lambda v: v / (col * col),
-                             g, working, 0.0, np.zeros(nlp.n_rows))
-        return None if solved is None else solved[1]
+        """The coordinate-basis multipliers of the optimality test (reduced
+        SQP with a coordinate basis; Biegler, Nocedal and Schmid 1995).
+        mu_4 over the working endpoint rows E is the minimum-norm
+        least-squares solution of (E T)^T mu_4 = -T^T g over p = (U,
+        x_anchor), and the other multipliers zero g + J^T mu in X, V and
+        x_other.  In physical variables, so the stored-variable metric does
+        not enter; wherever some multipliers make g + J_w^T mu vanish, these
+        do.  No reduced KKT is filled or factored.  None if a result is not
+        finite."""
+        nlp = self.nlp
+        g = g / nlp._col_scale
+        e_rows = self._endpoint_rows(working)
+        et = e_rows @ self.T[2 * nlp.n_nodes * nlp.n_x:, :-1]
+        rhs = -self._reduced(g)
+        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(rhs))):
+            return None
+        mu4 = np.linalg.lstsq(et.T, rhs, rcond=None)[0]
+        mu = self._multipliers(g, e_rows, mu4, working)
+        return mu if np.all(np.isfinite(mu)) else None
 
     def step(self, hess, g: Array, working: Array):
         """(dz, mu_w) of [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], or
         None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
-        returns it: K over each node's (x, u), k_end over (x_a, x_b)."""
-        return self._solve(hess, partial(self.nlp.hessian_times, hess), g, working,
-                           self.T[:, -1], self.r)
+        returns it: K over each node's (x, u), k_end over (x_a, x_b).
 
-    def _solve(self, hess, times, g: Array, working: Array, t: Array, r: Array):
-        """(dz, mu_w) for the H with node blocks ``hess`` = (K, k_end) and
-        products ``times``, t (over T's rows) and r: the reduced KKT
-        [[T^T H T, (E T)^T], [E T, 0]] over p and the working endpoint rows E
-        in one array, with T^T H T = T_X^T (H T)_X + (H T)_U + T_end^T k_end
-        T_end, by :func:`solver.regularized_solve`, then the other
-        multipliers by back-substitution in the columns of x_other, X and V.
-        None if no shift makes it solvable or a result is not finite."""
-        nlp, T, fx, col = self.nlp, self.T[:, :-1], self.jac.fx, self.nlp._col_scale
+        The reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the
+        working endpoint rows E is filled into one array, with T^T H T =
+        T_X^T (H T)_X + (H T)_U + T_end^T k_end T_end, and solved by
+        :func:`solver.regularized_solve`; the other multipliers come from
+        :meth:`_multipliers` at H dz + g.  None if no shift makes it
+        solvable or a result is not finite."""
+        nlp, T, col = self.nlp, self.T[:, :-1], self.nlp._col_scale
         m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
-        mn, n_p, t_rows = m * n, T.shape[1], nlp._t_rows
+        mn, n_p = m * n, T.shape[1]
         g = g / col
         e_work = working[nlp.rows["endpoint"]]
-        e_rows = np.hstack([self.jac.e_xa, self.jac.e_xb])[e_work]  # over (x_a, x_b)
-        # the endpoint opposite the anchor, within (x_a, x_b)
-        sign, (_, other) = nlp.state.sign, nlp.state.ends(slice(n), slice(n, 2 * n))
+        e_rows = self._endpoint_rows(working)
 
         K, k_end = hess
         kkt = np.zeros((n_p + len(e_rows),) * 2)
@@ -699,28 +704,49 @@ class NewtonSystem:
         kkt[n_p:, :n_p] = e_rows @ t_end
         kkt[:n_p, n_p:] = kkt[n_p:, :n_p].T
         dz = np.zeros(nlp.n_z)  # t, until p is solved
-        dz[t_rows] = t
-        s = times(dz) + g  # H t + g
-        t_s = T.T @ s[t_rows]
-        t_s[:n_u] += s[nlp.slice_u]
-        rhs = -np.concatenate([t_s, r[nlp.rows["endpoint"]][e_work] + e_rows @ dz[nlp._ab]])
+        dz[nlp._t_rows] = self.T[:, -1]
+        rhs = -np.concatenate([self._reduced(nlp.hessian_times(hess, dz) + g),
+                               self.r[nlp.rows["endpoint"]][e_work] + e_rows @ dz[nlp._ab]])
         sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(len(e_rows))]))
         if sol is None:
             return None
         p, mu4 = sol[:n_p], sol[n_p:]
-        dz[t_rows] += T @ p
+        dz[nlp._t_rows] += T @ p
         dz[nlp.slice_u] = p[:n_u]
+        mu = self._multipliers(nlp.hessian_times(hess, dz) + g, e_rows, mu4, working)
+        dz = dz / col
+        return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
 
-        s = times(dz) + g  # H dz + g
+    def _endpoint_rows(self, working: Array) -> Array:
+        """The working endpoint rows E over (x_a, x_b)."""
+        e_work = working[self.nlp.rows["endpoint"]]
+        return np.hstack([self.jac.e_xa, self.jac.e_xb])[e_work]
+
+    def _reduced(self, s: Array) -> Array:
+        """T^T s over p = (dU, dx_anchor) for a physical vector ``s``: T's
+        U rows are units."""
+        nlp = self.nlp
+        out = self.T[:, :-1].T @ s[nlp._t_rows]
+        out[:nlp.n_nodes * nlp.n_u] += s[nlp.slice_u]
+        return out
+
+    def _multipliers(self, s: Array, e_rows: Array, mu4: Array, working: Array) -> Array:
+        """mu_w, in the rows of the form, given mu4 over the working endpoint
+        rows ``e_rows``: the interpolation, dynamics and equivalency
+        multipliers that zero s + J^T mu in the columns of x_other, X and V
+        for a physical vector ``s``, by back-substitution through the
+        identity blocks of those rows and one transposed solve with M."""
+        nlp, fx = self.nlp, self.jac.fx
+        m, n = nlp.n_nodes, nlp.n_x
+        # the endpoint opposite the anchor, within (x_a, x_b)
+        sign, (_, other) = nlp.state.sign, nlp.state.ends(slice(n), slice(n, 2 * n))
         mu3 = -sign * (s[nlp._ab][other] + e_rows[:, other].T @ mu4)
         s_x, s_v = s[nlp.slice_x].reshape(m, n), s[nlp.slice_v].reshape(m, n)
         w_mu3 = np.outer(nlp._w, mu3)
         y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
         mu1 = self.factor.solve(y[:, :, None], trans=True).ravel()
         mu2 = (-s_v + nlp.state.B.T @ mu1.reshape(m, n) + w_mu3).ravel()
-        mu = np.concatenate([mu1, mu2, mu3, mu4]) / nlp._row_scale[working]
-        dz = dz / col
-        return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
+        return np.concatenate([mu1, mu2, mu3, mu4]) / nlp._row_scale[working]
 
 
 def check_horizon(ocp: OcpDefinition, sys: BirkhoffSystem) -> None:

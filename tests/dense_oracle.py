@@ -4,6 +4,8 @@ node blocks, for the tests to compare against.
 * :class:`SimpleNlp`, an ad-hoc NLP with a dense Jacobian, whose
   :class:`DenseSystem` takes :func:`dense_estimate` by pivoted QR and
   :func:`dense_newton_step` on the full KKT matrix;
+* :func:`dense_coordinate_estimate`, a DiscretizedNlp's coordinate-basis
+  multipliers from its whole Jacobian by a dense LU and pivoted QR;
 * :func:`fd_lagrangian_hessian`, the Hessian of the Lagrangian by central
   differences of its gradient;
 * :func:`assembled_jacobian`, a DiscretizedNlp's constraint Jacobian built
@@ -18,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, lstsq
+from scipy.linalg import block_diag, lstsq, lu_factor, lu_solve
 
 from birktraj.ocp import FD_STEP, _central_jacobian
 from birktraj.solver import regularized_solve
@@ -83,6 +85,34 @@ def dense_estimate(jac: Array, g: Array, working: Array) -> Array:
     jac_w = jac[working]
     cutoff = np.finfo(float).eps * max(jac_w.shape)
     return lstsq(jac_w.T, -g, cond=cutoff, lapack_driver="gelsy")[0]
+
+
+def dense_coordinate_estimate(nlp, jac: Array, g: Array, working: Array) -> Array:
+    """The coordinate-basis multipliers of a DiscretizedNlp from its whole
+    constraint Jacobian ``jac`` wrt stored variables (as
+    :func:`assembled_jacobian` builds it) and gradient ``g``.  With the
+    interpolation, dynamics and equivalency rows A and the working endpoint
+    rows E, A's columns of X, V and the endpoint opposite the anchor
+    (subscript e) are square: mu_A = -A_e^-T (g_e + E_e^T mu_E) by a dense
+    LU zeroes those components of g + J_w^T mu, and mu_E is the
+    minimum-norm least-squares solution of the rest, over U and the anchor,
+    by pivoted QR (LAPACK gelsy) in physical variables: the stored rows
+    divided by their column scale."""
+    n_a = nlp.rows["grid_equivalency"].stop
+    other = nlp.slice_xb if nlp.form.tag.anchored_left else nlp.slice_xa
+    elim = np.r_[nlp.slice_x, nlp.slice_v, other]
+    free = np.setdiff1d(np.arange(nlp.n_z), elim)
+    jac_w = np.asarray(jac)[working]
+    A, E = jac_w[:n_a], jac_w[n_a:]
+    factor = lu_factor(A[:, elim])
+    # A_e^-T [g_e, E_e^T]: mu_A as an affine function of mu_E
+    y = lu_solve(factor, np.column_stack([g[elim], E[:, elim].T]), trans=1)
+    col = stored_column_scale(nlp)
+    col = np.ones(nlp.n_z) if col is None else col
+    reduced = (np.column_stack([g[free], E[:, free].T]) - A[:, free].T @ y) / col[free, None]
+    cutoff = np.finfo(float).eps * max(reduced.shape)
+    mu_e = lstsq(reduced[:, 1:], -reduced[:, 0], cond=cutoff, lapack_driver="gelsy")[0]
+    return np.concatenate([-(y[:, 0] + y[:, 1:] @ mu_e), mu_e])
 
 
 def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Array):

@@ -225,23 +225,26 @@ def structured_estimate_only(monkeypatch):
     monkeypatch.setattr(dense_oracle, "lstsq", no_qr)
 
 
-def estimate_error(nlp) -> float:
-    """Distance of the structured least-squares multipliers at the
-    constant-midpoint guess from the SVD solution, relative to it (absolute
-    where it is zero)."""
+def estimate_error(nlp, monkeypatch) -> float:
+    """Distance of the structured coordinate-basis multipliers at the
+    constant-midpoint guess from the dense oracle's, relative to them
+    (absolute where they are zero); the structured estimate runs with the
+    oracle's pivoted QR forbidden."""
     z = initial_guess(nlp, "constant-midpoint")
     jac, eq = nlp.jacobian(z), nlp.equality_mask
     g = nlp.objective_gradient(z)
-    ref = np.linalg.lstsq((jac @ np.eye(nlp.n_z))[eq].T, -g, rcond=None)[0]
+    ref = dense_oracle.dense_coordinate_estimate(
+        nlp, dense_oracle.assembled_jacobian(nlp, z), g, eq
+    )
+    structured_estimate_only(monkeypatch)
     mu = nlp.newton_system(jac, nlp.constraints(z)).estimate(g, eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
 @STAGINGS
-def test_multiplier_estimate_matches_svd_least_squares(monkeypatch, staging):
-    structured_estimate_only(monkeypatch)
+def test_multiplier_estimate_matches_the_dense_coordinate_estimate(monkeypatch, staging):
     nlp = make_nlp("double-integrator-energy", N=64, staging=staging)
-    assert estimate_error(nlp) <= 1e-12
+    assert estimate_error(nlp, monkeypatch) <= 1e-12
 
 
 @STAGINGS
@@ -250,36 +253,32 @@ def test_multiplier_estimate_matches_svd_least_squares(monkeypatch, staging):
 @pytest.mark.parametrize("name", registry_names())
 def test_structured_multiplier_estimate_on_every_form(monkeypatch, name, kind, form, scaled,
                                                       staging):
-    structured_estimate_only(monkeypatch)
     nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
-    assert estimate_error(nlp) <= 1e-10
+    assert estimate_error(nlp, monkeypatch) <= 1e-10
 
 
 @STAGINGS
 @pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
 @pytest.mark.parametrize("name", registry_names())
-def test_estimate_reduced_hessian_is_the_diagonal_gram_product(monkeypatch, name, kind, form,
-                                                               scaled, staging):
-    # the estimate's T^T H T, filled from node blocks, is T^T D T with
-    # D = 1 / col^2, the H = I of stored variables in physical ones
+def test_estimate_zeroes_the_eliminated_gradient_without_a_reduced_kkt(monkeypatch, name, kind,
+                                                                       form, scaled, staging):
+    # g + J^T mu vanishes in X, V and the endpoint opposite the anchor, and
+    # no reduced KKT is solved: the eliminated multipliers are one
+    # back-substitution
     handed = []
-    monkeypatch.setattr(transcription, "regularized_solve",
-                        lambda matrix, *args: handed.append(matrix.copy()))
+    monkeypatch.setattr(transcription, "regularized_solve", lambda *args: handed.append(1))
     nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
     z = initial_guess(nlp, "constant-midpoint")
-    system = nlp.newton_system(nlp.jacobian(z), nlp.constraints(z))
-    system.estimate(nlp.objective_gradient(z), nlp.equality_mask)
-    n_p = system.T.shape[1] - 1
-    T = np.zeros((nlp.n_z, n_p))
-    T[np.r_[nlp.slice_x, nlp.slice_v.start:nlp.n_z]] = system.T[:, :-1]  # all rows but U's
-    n_u = nlp.n_nodes * nlp.n_u
-    T[nlp.slice_u, :n_u] = np.eye(n_u)
-    col = dense_oracle.stored_column_scale(nlp)
-    D = np.ones(nlp.n_z) if col is None else 1.0 / (col * col)
-    want = T.T @ (D[:, None] * T)
-    got = handed[0][:n_p, :n_p]
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    jac, g = nlp.jacobian(z), nlp.objective_gradient(z)
+    eq = nlp.equality_mask
+    mu = np.zeros(nlp.n_rows)
+    mu[eq] = nlp.newton_system(jac, nlp.constraints(z)).estimate(g, eq)
+    assert not handed
+    other = nlp.slice_xb if nlp.form.tag.anchored_left else nlp.slice_xa
+    eliminated = np.r_[nlp.slice_x, nlp.slice_v, other]
+    stationarity = g + jac.T @ mu
+    assert np.max(np.abs(stationarity[eliminated])) <= 1e-12 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
@@ -401,6 +400,18 @@ def test_lq_problems_as_defined_take_one_newton_iteration(name, form, scaled, N)
     assert res.iterations == 1
 
 
+@pytest.mark.parametrize("form", ["a", "b"])
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+def test_prepared_nonlinear_problem_on_scaled_forms_takes_four_newton_iterations(kind, form):
+    # the coordinate-basis multipliers of the optimality test do not depend
+    # on the stored-variable metric; least-squares multipliers in the
+    # w-scaled variables took 19 (LGL) and 20 (CGL) iterations here
+    nlp = make_nlp("nonlinear-scalar", N=256, form=form, scaled=True, kind=kind)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert res.iterations == 4
+
+
 def test_nonlinear_problem_converges():
     nlp = make_nlp("nonlinear-scalar", N=12)
     res = solve(nlp, initial_guess(nlp, "linear-endpoint-interpolation"))
@@ -430,13 +441,18 @@ def test_double_integrator_matches_analytic_solution():
 
 def dense_system(nlp, jac, r):
     """``nlp``'s Newton system solved by the dense oracle on the assembled
-    Jacobian, and on the assembled Hessian of the step's node blocks."""
-    system = dense_oracle.DenseSystem(jac @ np.eye(nlp.n_z), r)
+    Jacobian, and on the assembled Hessian of the step's node blocks: the
+    coordinate-basis estimate and the full KKT step."""
+    dense = jac @ np.eye(nlp.n_z)
+
+    def estimate(g, working):
+        return dense_oracle.dense_coordinate_estimate(nlp, dense, g, working)
 
     def step(hess, g, working):
-        return system.step(dense_oracle.assembled_hessian(nlp, hess), g, working)
+        hess = dense_oracle.assembled_hessian(nlp, hess)
+        return dense_oracle.dense_newton_step(hess, dense, g, r, working)
 
-    return SimpleNamespace(estimate=system.estimate, step=step)
+    return SimpleNamespace(estimate=estimate, step=step)
 
 
 class DenseOnly:
@@ -456,7 +472,7 @@ class DenseOnly:
 def counting_dense_solves(monkeypatch):
     """The list that gets an entry on each dense estimate and step."""
     calls = []
-    for name in ("dense_estimate", "dense_newton_step"):
+    for name in ("dense_coordinate_estimate", "dense_newton_step"):
         dense = getattr(dense_oracle, name)
         monkeypatch.setattr(dense_oracle, name,
                             lambda *args, dense=dense: calls.append(1) or dense(*args))
@@ -508,14 +524,18 @@ def released_row_nlp():
 
 def counting(monkeypatch, owner, name, calls):
     """Count ``owner.name`` calls in the Counter ``calls[name]``, and the
-    condense calls made within them in ``calls["condense in " + name]``."""
+    condense and regularized_solve calls made within them in
+    ``calls["condense in " + name]`` and ``calls["regularized_solve in " +
+    name]``."""
     method = getattr(owner, name)
+    inner = ("condense", "regularized_solve")
 
     def counted(*args):
         calls[name] += 1
-        before = calls["condense"]
+        before = [calls[k] for k in inner]
         out = method(*args)
-        calls["condense in " + name] += calls["condense"] - before
+        for k, n in zip(inner, before):
+            calls[f"{k} in {name}"] += calls[k] - n
         return out
 
     monkeypatch.setattr(owner, name, counted)
@@ -536,15 +556,24 @@ def test_released_row_reuses_the_iterates_linearization(monkeypatch):
     assert calls["estimate"] == calls["jacobian"] + 1  # one release
 
 
-@pytest.mark.parametrize("name", ["released-row", "nonlinear-scalar", "double-integrator-energy"])
+LINEARIZED = pytest.mark.parametrize(
+    "name", ["released-row", "nonlinear-scalar", "double-integrator-energy"]
+)
+
+
+def linearized_nlp(name):
+    """The released-row problem, or a registry problem as defined on LGL N = 16."""
+    if name == "released-row":
+        return released_row_nlp()
+    ocp = registry(name)
+    return transcribe(ocp, build_birkhoff(make_grid("lgl", 16, ocp.horizon)), PrimalForm("a"))
+
+
+@LINEARIZED
 def test_one_elimination_per_linearization(monkeypatch, name):
     # newton_system eliminates T's columns and t in one condense call; the
     # estimates and the step on its iterate eliminate nothing
-    if name == "released-row":
-        nlp = released_row_nlp()
-    else:
-        ocp = registry(name)
-        nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 16, ocp.horizon)), PrimalForm("a"))
+    nlp = linearized_nlp(name)
     calls = Counter()
     for owner, method in ((AnchoredBlock, "condense"), (DiscretizedNlp, "newton_system"),
                           (NewtonSystem, "estimate"), (NewtonSystem, "step")):
@@ -555,6 +584,23 @@ def test_one_elimination_per_linearization(monkeypatch, name):
     assert calls["estimate"] == calls["newton_system"] + (name == "released-row")
     assert calls["condense"] == calls["condense in newton_system"] == calls["newton_system"]
     assert calls["condense in estimate"] == calls["condense in step"] == 0
+
+
+@LINEARIZED
+def test_one_reduced_kkt_solve_per_step_and_none_per_estimate(monkeypatch, name):
+    # the step fills and solves the iterate's one reduced KKT; the estimate
+    # takes its multipliers by back-substitution and a least-squares solve
+    # over the working endpoint rows alone
+    nlp = linearized_nlp(name)
+    calls = Counter()
+    for owner, method in ((transcription, "regularized_solve"), (NewtonSystem, "estimate"),
+                          (NewtonSystem, "step")):
+        counting(monkeypatch, owner, method, calls)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert calls["step"] == res.iterations > 0
+    assert calls["regularized_solve"] == calls["regularized_solve in step"] == calls["step"]
+    assert calls["estimate"] > calls["step"] and calls["regularized_solve in estimate"] == 0
 
 
 def test_non_finite_dynamics_in_the_line_search_end_the_solve_infeasible():
@@ -682,9 +728,11 @@ def test_duplicated_endpoint_row_converges_at_every_order(N):
     }
     primal, dual = solve_and_verify(problem, "lgl", N)
     assert primal.objective == pytest.approx(1.0, abs=1e-8)
-    # the split between the copies is arbitrary; their sum is the one row's
+    # the estimate's multipliers of the endpoint rows are minimum-norm, so
+    # each copy carries half of the one row's multiplier
     _, single = solve_and_verify({**problem, "constraints": problem["constraints"][:2]}, "lgl", N)
-    assert dual.endpoint[1] + dual.endpoint[2] == pytest.approx(single.endpoint[1], abs=1e-8)
+    assert dual.endpoint[1] == pytest.approx(0.5 * single.endpoint[1], abs=1e-8)
+    assert dual.endpoint[2] == pytest.approx(0.5 * single.endpoint[1], abs=1e-8)
 
 
 @pytest.mark.parametrize("N", [16, 64])
