@@ -26,18 +26,24 @@ Constraint rows, in order:
 
 Each row block but the endpoint rows is the identity in one variable block
 (X, V and the endpoint opposite the anchor), so the solver's Newton-KKT
-system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables
-once per iterate by :meth:`AnchoredBlock.condense`, which the indirect solver
-in ``dual`` calls for both of its sides too: it factors M = I - (B (x) I)
-F_x, conditioned like the O(1)-norm Birkhoff matrix B, LU-factoring only the
-diagonal blocks of the groups of states that F_x couples.  The step then
-solves one reduced KKT over (U, x_anchor) and the working endpoint rows
-(the condensing of multiple shooting, Bock and Plitt 1984), whose T^T H T
-fills from node blocks of the Hessian of the Lagrangian.  The multiplier
-estimate fills and factors nothing: it takes the coordinate-basis
-multipliers of reduced SQP (Biegler, Nocedal and Schmid 1995), the
-endpoint rows' by a least-squares solve over their n_e columns and the
-others by the back-substitution that ends the step.
+system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables:
+dz = t + Z p over the free unknowns p = (U, x_anchor), Z = [T; I_U] the
+coordinate basis of reduced SQP (Biegler, Nocedal and Schmid 1995).  It
+factors M = I - (B (x) I) F_x once per iterate by
+:meth:`AnchoredBlock.factor`, which the indirect solver in ``dual`` reaches
+for both of its sides too, through :meth:`AnchoredBlock.condense`; M is
+conditioned like the O(1)-norm Birkhoff
+matrix B, and only the diagonal blocks of the groups of states that F_x
+couples are LU-factored.  T is an operator, not a matrix: Z P and Z^T S
+are one solve with that factor each, over a few columns.  The step solves
+one reduced KKT over (U, x_anchor) and the working endpoint rows (the
+condensing of multiple shooting, Bock and Plitt 1984); its Z^T H Z needs
+T's rows over every p column only for the states where the Hessian of the
+Lagrangian curves (and those they read), so a problem whose states carry
+no curvature solves none of them.  The multiplier estimate fills and
+factors nothing: it takes the coordinate-basis multipliers, the endpoint
+rows' by a least-squares solve over their n_e columns and the others from
+the same adjoint solve that gives Z^T g.
 The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
 Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
 in a solve.
@@ -164,8 +170,9 @@ class AnchoredBlock:
     right (the equivalency row gives other - anchor = sign w^T D), and
     :meth:`ends` orders a (left, right) pair as (anchor, other).
 
-    :meth:`condense` is the one elimination of these rows for both Newton
-    solvers.  A block does not change after it is built.
+    :meth:`factor` and :meth:`eliminate`, together :meth:`condense`, are
+    the one elimination of these rows for both Newton solvers.  A block
+    does not change after it is built.
     """
 
     def __init__(self, sys: BirkhoffSystem, tag: FormTag):
@@ -220,15 +227,15 @@ class AnchoredBlock:
         earlier ones (Duff and Reid 1978).  Only the diagonal blocks
         I - (B (x) I) G_SS of order (N+1) |S| are LU-factored, and none where
         G_SS is zero; a fully coupled G is one group, one LU of M."""
-        groups = []
-        for rows, coupled, cols in _solve_order(G.any(axis=0).tobytes(), G.shape[1]):
+        groups, pattern = [], G.any(axis=0).tobytes()
+        for rows, coupled, cols in _solve_order(pattern, G.shape[1]):
             lu = piv = None
             if coupled:
                 lu, piv, info = lapack.dgetrf(self.condensing_matrix(G[:, rows][:, :, rows]))
                 if info != 0:
                     return None
             groups.append((rows, lu, piv, cols, None if cols is None else G[:, rows][:, :, cols]))
-        return CondensingFactor(self.B, tuple(groups))
+        return CondensingFactor(self.B, tuple(groups), pattern)
 
     def condense(self, G, controls, values, derivs, anchor, other, r_interp, r_equiv):
         """Solve the interpolation and equivalency rows in every column of the
@@ -239,35 +246,48 @@ class AnchoredBlock:
         The first (N+1) k columns are unit control columns, k =
         ``controls.shape[2]``: their derivs on entry are ``controls`` (node
         blocks) times those units, written here by :func:`add_unit_columns`,
-        so B takes them as the outer products B[:, j] (x) controls[j] and
+        so B takes them as the outer products of :meth:`control_columns` and
         multiplies only the other columns.  Fills ``values``, completes
         ``derivs`` and sets ``other``, the endpoint opposite the anchor;
-        ``r_interp`` and ``r_equiv`` enter the last column.  One solve with
-        :meth:`factor` of G.  Returns that factor, or None on an exactly zero
-        pivot."""
+        ``r_interp`` and ``r_equiv`` enter the last column.  :meth:`factor`
+        of G, then one :meth:`eliminate` with it.  Returns that factor, or
+        None on an exactly zero pivot."""
         factor = self.factor(G)
         if factor is None:
             return None
+        mk = len(values) * controls.shape[2]
+        self.control_columns(controls, values[..., :mk])
+        derivs[..., :mk] = 0.0
+        add_unit_columns(derivs, controls)
+        self.eliminate(factor, G, values, derivs, anchor, other, r_interp, r_equiv, mk)
+        return factor
+
+    def control_columns(self, controls: Array, out: Array) -> Array:
+        """(B (x) I) times ``controls`` (N+1, n, k node blocks) at the unit
+        control columns, written into the (N+1, n, (N+1) k) table ``out``:
+        B[i, j] controls[j, a, l] at node i, state a, column j k + l, the
+        outer products B[:, j] (x) controls[j], with no B multiply."""
+        m, n, k = controls.shape
+        # splitting out's column axis into (node, control) takes a view
+        np.multiply(self.B[:, None, :, None], controls.transpose(1, 0, 2),
+                    out=out.reshape(m, n, m, k))
+        return out
+
+    def eliminate(self, factor, G, values, derivs, anchor, other, r_interp, r_equiv, built=0):
+        """:meth:`condense`'s solve with ``factor``, the :meth:`factor` of G,
+        in every column of ``values``, ``derivs``, ``anchor`` and ``other``;
+        the first ``built`` columns of ``values`` already hold their
+        (B (x) I) derivs."""
         m, n, c = values.shape
-        k = controls.shape[2]
-        mk, sign = m * k, self.sign
-        # the right-hand side, built in values and solved there; B[i, j]
-        # controls[j, a, l] at column j k + l, with that axis innermost
-        np.multiply(
-            np.repeat(self.B, k, axis=1)[:, None, :],
-            controls.transpose(1, 0, 2).reshape(n, mk),
-            out=values[..., :mk],
+        values[..., built:] = (self.B @ derivs[..., built:].reshape(m, -1)).reshape(
+            m, n, c - built
         )
-        values[..., mk:] = (self.B @ derivs[..., mk:].reshape(m, -1)).reshape(m, n, c - mk)
         values += anchor
         values[..., -1] -= r_interp.reshape(m, n)
         factor.solve(values)
-        derivs[..., :mk] = 0.0
-        add_unit_columns(derivs, controls)
         derivs += G @ values
-        other[...] = anchor + sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
-        other[:, -1] -= sign * r_equiv
-        return factor
+        other[...] = anchor + self.sign * (self.w @ derivs.reshape(m, -1)).reshape(n, c)
+        other[:, -1] -= self.sign * r_equiv
 
 
 def _span(indices: list):
@@ -311,6 +331,32 @@ def _solve_order(pattern: bytes, n: int) -> tuple:
     return tuple(order)
 
 
+@lru_cache(maxsize=256)
+def _through_plan(pattern: bytes, curved: bytes) -> tuple:
+    """:meth:`CondensingFactor.through` for the coupling ``pattern`` of
+    :func:`_solve_order` and the boolean mask ``curved`` over its n states,
+    as (states, ((group index, its states, its sources), ...)): the kept
+    groups in solve order, their state sets as places among ``states``.
+    Cached, since it depends on the two patterns alone."""
+    need = np.frombuffer(curved, dtype=bool).copy()
+    order, kept = _solve_order(pattern, need.size), []
+    for i in reversed(range(len(order))):
+        rows, _, sources = order[i]
+        if need[rows].any():  # a group's states read each other
+            need[rows] = True
+            if sources is not None:
+                need[sources] = True
+            kept.append(i)
+    place = np.cumsum(need) - 1  # a needed state's place among them
+
+    def placed(sel):
+        return None if sel is None else _span(place[sel].tolist())
+
+    states = np.flatnonzero(need)
+    states.flags.writeable = False
+    return states, tuple((i, placed(order[i][0]), placed(order[i][2])) for i in kept[::-1])
+
+
 class CondensingFactor:
     """LU factor of M = I - (B (x) I) blockdiag(G), block lower triangular
     over the groups of states that G couples; built by
@@ -320,12 +366,29 @@ class CondensingFactor:
     for every group that is not the identity: its states, the LU of its
     diagonal block (None where G_SS is zero), the earlier states it reads
     (None if none) and G at (states, sources).  A set of states is a slice
-    where they are consecutive, else an index array.
+    where they are consecutive, else an index array.  ``pattern`` is G's
+    coupling pattern, which :meth:`through` reads; the factor it returns
+    has none.
     """
 
-    def __init__(self, B: Array, groups: tuple):
+    def __init__(self, B: Array, groups: tuple, pattern: bytes):
         self.B = B
         self.groups = groups
+        self.pattern = pattern
+
+    def through(self, curved: Array) -> tuple:
+        """(states, factor) for a boolean mask ``curved`` over the n states:
+        ``states`` are those and every state they read, directly or through
+        others, as sorted indices, and ``factor`` solves M's rows of those
+        states alone, for a node table over them in that order.  It keeps
+        the groups of those states and skips the rest, so no state is no
+        group and no solve."""
+        states, plan = _through_plan(self.pattern, curved.tobytes())
+        groups = self.groups
+        return states, CondensingFactor(self.B, tuple(
+            (rows, groups[i][1], groups[i][2], sources, groups[i][4])
+            for i, rows, sources in plan
+        ), None)
 
     def solve(self, rhs: Array, trans: bool = False) -> Array:
         """M^-1 rhs, or M^-T rhs when ``trans``, for an (N+1, n, c) node
@@ -479,8 +542,15 @@ class DiscretizedNlp:
 
         self.state = AnchoredBlock(sys, form.tag)
         self._ab = slice(self.slice_xa.start, self.n_z)  # (x_a, x_b)
-        # the rows of the condensing T: all but those of U, which are units
-        self._t_rows = np.r_[self.slice_x, self.slice_v.start:self.n_z]
+        # each node's (x, u) in z, the rows and columns of its K
+        self._xu = np.hstack([np.arange(self.slice_x.start, self.slice_x.stop).reshape(m, n),
+                              np.arange(self.slice_u.start, self.slice_u.stop).reshape(m, self.n_u)])
+        # the condensing T has the columns p = (dU, dx_anchor); its x_anchor
+        # rows are units, and x_other is this slice of (x_a, x_b)
+        self._n_p = m * self.n_u + n
+        self._t_anchor = np.eye(n, self._n_p, m * self.n_u)
+        self._ab_other = self.state.ends(slice(n), slice(n, 2 * n))[1]
+        self._z_ends = self.state.ends(self.slice_xa, self.slice_xb)  # (x_anchor, x_other)
 
     # --- variable packing -----------------------------------------------------
 
@@ -596,13 +666,8 @@ class DiscretizedNlp:
         """H v in physical variables for a vector ``v``, ``hess`` as
         :meth:`lagrangian_hessian` returns it."""
         K, k_end = hess
-        m, n = self.n_nodes, self.n_x
-        xu = np.concatenate(
-            [v[self.slice_x].reshape(m, n), v[self.slice_u].reshape(m, self.n_u)], axis=1
-        )
-        kv = np.einsum("iab,ib->ia", K, xu)
         out = np.zeros(self.n_z)
-        out[self.slice_x], out[self.slice_u] = kv[:, :n].ravel(), kv[:, n:].ravel()
+        out[self._xu] = np.einsum("iab,ib->ia", K, v[self._xu])
         out[self._ab] = k_end @ v[self._ab]
         return out
 
@@ -615,64 +680,111 @@ class DiscretizedNlp:
         The system is condensed through the identity blocks of the rows.  The
         dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation rows
         M dX = 1 dx_anchor + (B (x) I)(F_u dU - r2) - r1 and the equivalency
-        rows the other endpoint, so dz = T p + t in the free unknowns
-        p = (dU, dx_anchor), t the step at p = 0.  One call of
-        :meth:`AnchoredBlock.condense` factors M and solves T's columns (dU's
-        as outer products) and t's, where r enters, over the rows of X, V,
-        x_a and x_b.  Works in physical variables: the scaling cancels.
+        rows the other endpoint, so dz = Z p + t in the free unknowns
+        p = (dU, dx_anchor), t the step at p = 0; Z is T over X, V, x_a and
+        x_b and the identity over U.  This factors M once
+        (:meth:`AnchoredBlock.factor`) and solves t alone, where r enters; Z
+        is the operator of :meth:`NewtonSystem.forward` and
+        :meth:`NewtonSystem.adjoint`, one solve with that factor each.
+        Works in physical variables: the scaling cancels.
         """
-        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
-        mn, c = m * n, n_u + n + 1
+        factor = self.state.factor(jac.fx)
+        if factor is None:
+            return None
         r = r / self._row_scale
-        r1, r2, r3 = (r[self.rows[k]] for k in ("state_interpolation", "dynamics",
-                                                "grid_equivalency"))
-        # a unit step in each free unknown (the dU columns, then dx_anchor),
-        # then t, solved in place in T's rows X, V, x_a, x_b; dx_anchor moves no V
-        T = np.empty((2 * mn + 2 * n, c))
-        X, V = T[:mn].reshape(m, n, c), T[mn:2 * mn].reshape(m, n, c)
-        V[..., n_u:-1], V[..., -1] = 0.0, -r2.reshape(m, n)
-        ends = T[2 * mn:].reshape(2, n, c)  # x_a, x_b
-        anchor, other = self.state.ends(*ends)
-        anchor[...] = np.eye(n, c, n_u)
-        factor = self.state.condense(jac.fx, jac.fu, X, V, anchor, other, r1, r3)
-        return None if factor is None else NewtonSystem(self, jac, factor, T, r)
+        t = self._eliminated(factor, jac, np.zeros((self._n_p, 1)), r)[:, 0]
+        return NewtonSystem(self, jac, factor, r, np.hstack([jac.e_xa, jac.e_xb]), t)
+
+    def _eliminated(self, factor, jac: NodeJacobian, P: Array, r: Array) -> Array:
+        """Z P, physical, for (n_p, k) columns ``P``, with the step at p = 0
+        for the unweighted constraint values ``r`` added to the last column
+        (t for the iterate's, nothing for r = 0): one
+        :meth:`AnchoredBlock.eliminate` with ``factor``."""
+        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
+        k = P.shape[1]
+        out = np.empty((self.n_z, k))
+        out[self.slice_u] = P[:n_u]
+        X, V = out[self.slice_x].reshape(m, n, k), out[self.slice_v].reshape(m, n, k)
+        np.matmul(jac.fu, P[:n_u].reshape(m, self.n_u, k), out=V)
+        V[..., -1] -= r[self.rows["dynamics"]].reshape(m, n)
+        anchor, other = out[self._z_ends[0]], out[self._z_ends[1]]
+        anchor[...] = P[n_u:]
+        self.state.eliminate(factor, jac.fx, X, V, anchor, other,
+                             r[self.rows["state_interpolation"]], r[self.rows["grid_equivalency"]])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class NewtonSystem:
     """One iterate's condensed Newton-KKT system, from
-    :meth:`DiscretizedNlp.newton_system`: the factor of M, ``T`` with t as
-    its last column and the unweighted constraint values ``r``.  It does not
-    change after it is built, so it serves any number of calls, from any
-    thread.  :meth:`step` fills and solves the one reduced KKT of the
-    iterate; it and :meth:`estimate` share the back-substitution of the
-    eliminated multipliers, :meth:`_multipliers`."""
+    :meth:`DiscretizedNlp.newton_system`: the factor of M, the unweighted
+    constraint values ``r``, the endpoint rows ``e_ab`` over (x_a, x_b) and
+    ``t``, the step at p = 0 in physical variables.  Z = [T; I_U] is an
+    operator, :meth:`forward` Z P and :meth:`adjoint` Z^T S, one solve with
+    the factor each, and is stored nowhere; :meth:`step` solves T's X rows
+    over every p column only for the states where the Hessian curves.  It
+    does not change after it is built, so it serves any number of calls,
+    from any thread."""
 
     nlp: DiscretizedNlp
     jac: NodeJacobian
     factor: CondensingFactor
-    T: Array
     r: Array
+    e_ab: Array
+    t: Array
+
+    def forward(self, P: Array) -> Array:
+        """Z P, physical, for (n_p, k) columns ``P`` over p = (dU,
+        dx_anchor): T P in the rows of X, V, x_a and x_b and P's dU in
+        those of U.  One solve with the factor of M."""
+        nlp = self.nlp
+        return nlp._eliminated(self.factor, self.jac, P, np.zeros(nlp.n_rows))
+
+    def adjoint(self, S: Array):
+        """(Z^T S, mu) for physical (n_z, k) columns ``S``: Z^T S = T^T S +
+        S's U rows, over p = (dU, dx_anchor), and the unweighted
+        interpolation, dynamics and equivalency multipliers mu that zero
+        S + J^T mu in X, V and x_other, whose rest over p Z^T S is (reduced
+        SQP with a coordinate basis).  Back-substitution through the
+        identity blocks of those rows and one transposed solve with the
+        factor of M."""
+        nlp, jac = self.nlp, self.jac
+        m, n, k = nlp.n_nodes, nlp.n_x, S.shape[1]
+        mn, n_u = m * n, m * nlp.n_u
+        anchor, other = S[nlp._z_ends[0]], S[nlp._z_ends[1]]
+        mu = np.empty((2 * mn + n, k))
+        mu3 = np.multiply(other, -nlp.state.sign, out=mu[2 * mn:])
+        v = nlp._w[:, None, None] * mu3 - S[nlp.slice_v].reshape(m, n, k)  # w mu3 - s_V
+        mu1 = np.matmul(jac.fx.transpose(0, 2, 1), v, out=mu[:mn].reshape(m, n, k))
+        mu1 -= S[nlp.slice_x].reshape(m, n, k)
+        self.factor.solve(mu1, trans=True)
+        mu2 = mu[mn:2 * mn].reshape(m, n, k)
+        np.matmul(nlp.state.B.T, mu1.reshape(m, -1), out=mu2.reshape(m, -1))
+        mu2 += v
+        zts = np.empty((nlp._n_p, k))
+        zts[:n_u] = S[nlp.slice_u] - (jac.fu.transpose(0, 2, 1) @ mu2).reshape(n_u, k)
+        zts[n_u:] = anchor + other - mu1.sum(axis=0)
+        return zts, mu
 
     def estimate(self, g: Array, working: Array) -> Array | None:
         """The coordinate-basis multipliers of the optimality test (reduced
         SQP with a coordinate basis; Biegler, Nocedal and Schmid 1995).
         mu_4 over the working endpoint rows E is the minimum-norm
-        least-squares solution of (E T)^T mu_4 = -T^T g over p = (U,
+        least-squares solution of (E T)^T mu_4 = -Z^T g over p = (U,
         x_anchor), and the other multipliers zero g + J^T mu in X, V and
         x_other.  In physical variables, so the stored-variable metric does
         not enter; wherever some multipliers make g + J_w^T mu vanish, these
-        do.  No reduced KKT is filled or factored.  None if a result is not
-        finite."""
+        do.  One :meth:`adjoint` gives Z^T g, E T and, by linearity, those
+        multipliers; no reduced KKT is filled or factored.  None if a result
+        is not finite."""
         nlp = self.nlp
-        g = g / nlp._col_scale
-        e_rows = self._endpoint_rows(working)
-        et = e_rows @ self.T[2 * nlp.n_nodes * nlp.n_x:, :-1]
-        rhs = -self._reduced(g)
-        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(rhs))):
+        e_rows = self.e_ab[working[nlp.rows["endpoint"]]]
+        red, t_end, mu, mu_other = self._reduced(g / nlp._col_scale)
+        et = e_rows @ t_end
+        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(red))):
             return None
-        mu4 = np.linalg.lstsq(et.T, rhs, rcond=None)[0]
-        mu = self._multipliers(g, e_rows, mu4, working)
+        mu4 = np.linalg.lstsq(et.T, -red, rcond=None)[0]
+        mu = self._multipliers(mu + mu_other @ (e_rows[:, nlp._ab_other].T @ mu4), mu4, working)
         return mu if np.all(np.isfinite(mu)) else None
 
     def step(self, hess, g: Array, working: Array):
@@ -680,73 +792,79 @@ class NewtonSystem:
         None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
         returns it: K over each node's (x, u), k_end over (x_a, x_b).
 
-        The reduced KKT [[T^T H T, (E T)^T], [E T, 0]] over p and the
-        working endpoint rows E is filled into one array, with T^T H T =
-        T_X^T (H T)_X + (H T)_U + T_end^T k_end T_end, and solved by
-        :func:`solver.regularized_solve`; the other multipliers come from
-        :meth:`_multipliers` at H dz + g.  None if no shift makes it
-        solvable or a result is not finite."""
-        nlp, T, col = self.nlp, self.T[:, :-1], self.nlp._col_scale
-        m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
-        mn, n_p = m * n, T.shape[1]
+        The reduced KKT [[Z^T H Z, (E T)^T], [E T, 0]] over p and the
+        working endpoint rows E is filled into one array and solved by
+        :func:`solver.regularized_solve`.  Only the states C whose rows of K
+        are not all zero, and the states they read, have their T rows
+        solved over every p column (:meth:`CondensingFactor.through`), so a
+        problem without curvature in its states solves none; with T_end,
+        Z^T H Z = T_C^T (H Z)_C + T_end^T k_end T_end + (H Z)_U, one GEMM
+        and the control rows.  T_end and the reduced right-hand side come
+        from one :meth:`adjoint`, dz = t + Z p from one :meth:`forward`,
+        and the other multipliers from one more :meth:`adjoint` at
+        H dz + g.  None if no shift makes it solvable or a result is not
+        finite."""
+        nlp, col = self.nlp, self.nlp._col_scale
+        m, n, n_p, n_u = nlp.n_nodes, nlp.n_x, nlp._n_p, nlp.n_nodes * nlp.n_u
         g = g / col
         e_work = working[nlp.rows["endpoint"]]
-        e_rows = self._endpoint_rows(working)
+        e_rows = self.e_ab[e_work]
+        red, t_end, *_ = self._reduced(nlp.hessian_times(hess, self.t) + g)
 
         K, k_end = hess
+        states, upto = self.factor.through(K[:, :n].any(axis=(0, 2)))
+        mc = m * states.size
+        # T's rows of those states and of (x_a, x_b) over every p column, and H Z there
+        t_c, ht_c = np.empty((2, mc + 2 * n, n_p))
+        tx, hx = (a[:mc].reshape(m, states.size, n_p) for a in (t_c, ht_c))
+        nlp.state.control_columns(self.jac.fu[:, states], tx[..., :n_u])
+        tx[..., n_u:] = np.eye(n)[states]
+        upto.solve(tx)
+        k_s = K[:, states]
+        add_unit_columns(np.matmul(k_s[:, :, states], tx, out=hx), k_s[:, :, n:])
+        t_c[mc:] = t_end
+        np.matmul(k_end, t_end, out=ht_c[mc:])
         kkt = np.zeros((n_p + len(e_rows),) * 2)
-        tht, tx, t_end = kkt[:n_p, :n_p], T[:mn].reshape(m, n, n_p), T[2 * mn:]
-        ht_x = add_unit_columns(K[:, :n, :n] @ tx, K[:, :n, n:])
-        ht_u = add_unit_columns(K[:, n:, :n] @ tx, K[:, n:, n:])
-        np.matmul(T[:mn].T, ht_x.reshape(mn, n_p), out=tht)
-        tht += t_end.T @ (k_end @ t_end)
-        tht[:n_u] += ht_u.reshape(n_u, n_p)
+        tht = kkt[:n_p, :n_p]
+        np.matmul(t_c.T, ht_c, out=tht)
+        tht_u = tht[:n_u].reshape(m, nlp.n_u, n_p)  # a view: it splits tht's row axis
+        tht_u += K[:, n:][:, :, states] @ tx
+        add_unit_columns(tht_u, K[:, n:, n:])
         kkt[n_p:, :n_p] = e_rows @ t_end
         kkt[:n_p, n_p:] = kkt[n_p:, :n_p].T
-        dz = np.zeros(nlp.n_z)  # t, until p is solved
-        dz[nlp._t_rows] = self.T[:, -1]
-        rhs = -np.concatenate([self._reduced(nlp.hessian_times(hess, dz) + g),
-                               self.r[nlp.rows["endpoint"]][e_work] + e_rows @ dz[nlp._ab]])
+        rhs = -np.concatenate([red, self.r[nlp.rows["endpoint"]][e_work]
+                               + e_rows @ self.t[nlp._ab]])
         sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(len(e_rows))]))
         if sol is None:
             return None
         p, mu4 = sol[:n_p], sol[n_p:]
-        dz[nlp._t_rows] += T @ p
-        dz[nlp.slice_u] = p[:n_u]
-        mu = self._multipliers(nlp.hessian_times(hess, dz) + g, e_rows, mu4, working)
+        dz = self.t + self.forward(p[:, None])[:, 0]
+        s = nlp.hessian_times(hess, dz) + g
+        s[nlp._z_ends[1]] += e_rows[:, nlp._ab_other].T @ mu4
+        mu = self._multipliers(self.adjoint(s[:, None])[1][:, 0], mu4, working)
         dz = dz / col
         return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
 
-    def _endpoint_rows(self, working: Array) -> Array:
-        """The working endpoint rows E over (x_a, x_b)."""
-        e_work = working[self.nlp.rows["endpoint"]]
-        return np.hstack([self.jac.e_xa, self.jac.e_xb])[e_work]
-
-    def _reduced(self, s: Array) -> Array:
-        """T^T s over p = (dU, dx_anchor) for a physical vector ``s``: T's
-        U rows are units."""
+    def _reduced(self, s: Array):
+        """(Z^T s, T_end, mu, mu_other) for a physical vector ``s``: Z^T s
+        over p = (dU, dx_anchor), T_end over (x_a, x_b), and
+        :meth:`adjoint`'s multipliers at s and at each unit vector in
+        x_other, from one adjoint over n + 1 columns: T's x_anchor rows are
+        units and its x_other rows that adjoint at those unit vectors."""
         nlp = self.nlp
-        out = self.T[:, :-1].T @ s[nlp._t_rows]
-        out[:nlp.n_nodes * nlp.n_u] += s[nlp.slice_u]
-        return out
+        n = nlp.n_x
+        cols = np.zeros((nlp.n_z, n + 1))
+        cols[:, 0] = s
+        cols[nlp._z_ends[1], 1:] = np.eye(n)
+        zts, mu = self.adjoint(cols)
+        t_end = np.concatenate(nlp.state.ends(nlp._t_anchor, zts[:, 1:].T))
+        return zts[:, 0], t_end, mu[:, 0], mu[:, 1:]
 
-    def _multipliers(self, s: Array, e_rows: Array, mu4: Array, working: Array) -> Array:
-        """mu_w, in the rows of the form, given mu4 over the working endpoint
-        rows ``e_rows``: the interpolation, dynamics and equivalency
-        multipliers that zero s + J^T mu in the columns of x_other, X and V
-        for a physical vector ``s``, by back-substitution through the
-        identity blocks of those rows and one transposed solve with M."""
-        nlp, fx = self.nlp, self.jac.fx
-        m, n = nlp.n_nodes, nlp.n_x
-        # the endpoint opposite the anchor, within (x_a, x_b)
-        sign, (_, other) = nlp.state.sign, nlp.state.ends(slice(n), slice(n, 2 * n))
-        mu3 = -sign * (s[nlp._ab][other] + e_rows[:, other].T @ mu4)
-        s_x, s_v = s[nlp.slice_x].reshape(m, n), s[nlp.slice_v].reshape(m, n)
-        w_mu3 = np.outer(nlp._w, mu3)
-        y = -s_x + np.einsum("iba,ib->ia", fx, w_mu3 - s_v)
-        mu1 = self.factor.solve(y[:, :, None], trans=True).ravel()
-        mu2 = (-s_v + nlp.state.B.T @ mu1.reshape(m, n) + w_mu3).ravel()
-        return np.concatenate([mu1, mu2, mu3, mu4]) / nlp._row_scale[working]
+    def _multipliers(self, mu: Array, mu4: Array, working: Array) -> Array:
+        """mu_w, in the rows of the form, from the unweighted interpolation,
+        dynamics and equivalency multipliers ``mu`` and ``mu4`` over the
+        working endpoint rows."""
+        return np.concatenate([mu, mu4]) / self.nlp._row_scale[working]
 
 
 def check_horizon(ocp: OcpDefinition, sys: BirkhoffSystem) -> None:

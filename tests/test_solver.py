@@ -524,11 +524,11 @@ def released_row_nlp():
 
 def counting(monkeypatch, owner, name, calls):
     """Count ``owner.name`` calls in the Counter ``calls[name]``, and the
-    condense and regularized_solve calls made within them in
-    ``calls["condense in " + name]`` and ``calls["regularized_solve in " +
+    factor and regularized_solve calls made within them in
+    ``calls["factor in " + name]`` and ``calls["regularized_solve in " +
     name]``."""
     method = getattr(owner, name)
-    inner = ("condense", "regularized_solve")
+    inner = ("factor", "regularized_solve")
 
     def counted(*args):
         calls[name] += 1
@@ -570,20 +570,20 @@ def linearized_nlp(name):
 
 
 @LINEARIZED
-def test_one_elimination_per_linearization(monkeypatch, name):
-    # newton_system eliminates T's columns and t in one condense call; the
-    # estimates and the step on its iterate eliminate nothing
+def test_one_factor_of_m_per_linearization(monkeypatch, name):
+    # newton_system factors M once; the estimates and the step on its
+    # iterate solve with that factor and factor nothing
     nlp = linearized_nlp(name)
     calls = Counter()
-    for owner, method in ((AnchoredBlock, "condense"), (DiscretizedNlp, "newton_system"),
+    for owner, method in ((AnchoredBlock, "factor"), (DiscretizedNlp, "newton_system"),
                           (NewtonSystem, "estimate"), (NewtonSystem, "step")):
         counting(monkeypatch, owner, method, calls)
     res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
     assert res.converged, res.status
     assert calls["newton_system"] == res.iterations + 1 and calls["step"] == res.iterations
     assert calls["estimate"] == calls["newton_system"] + (name == "released-row")
-    assert calls["condense"] == calls["condense in newton_system"] == calls["newton_system"]
-    assert calls["condense in estimate"] == calls["condense in step"] == 0
+    assert calls["factor"] == calls["factor in newton_system"] == calls["newton_system"]
+    assert calls["factor in estimate"] == calls["factor in step"] == 0
 
 
 @LINEARIZED

@@ -582,6 +582,31 @@ def test_quadrature_cost_newton_step_with_a_working_inequality_row(form, scaled)
     assert working[nlp.rows["endpoint"]].all()
 
 
+def quartic_chain(power):
+    """x1' = x2, x2' = u with the running cost x^power + u^2 over the states
+    (a list of two exponents): only the states with an exponent of 4 curve,
+    and x1 reads x2."""
+    return load_problem({
+        "name": "quartic-chain", "n_x": 2, "n_u": 1, "horizon": [0.0, 1.0],
+        "dynamics": {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+        "running_cost": {"terms": [{"coef": 1.0, "x": power, "u": [0]},
+                                   {"coef": 1.0, "x": [0, 0], "u": [2]}]},
+        "constraints": [{"a": [1.0, 0.0], "rhs": 1.0}, {"a": [0.0, 1.0], "rhs": 0.0},
+                        {"b": [1.0, 0.0], "rhs": 0.0}],
+    })
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("power", [[4, 0], [0, 4]], ids=["x1-curves", "x2-curves"])
+def test_newton_step_where_some_states_curve_is_the_dense_kkt_step(power, form, scaled):
+    # x1 curving needs T's rows of x2, which it reads, too; x2 curving needs
+    # its own rows alone
+    ocp = quartic_chain(power)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 12, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    assert_step_matches_dense(nlp)
+
+
 BACKWARD_FORMS = [("a", False), ("a", True), ("b", True), ("b_star", False)]
 
 
@@ -637,6 +662,98 @@ def test_hessian_and_newton_steps_build_no_square_matrix():
         tracemalloc.stop()
     # one dense n_z x n_z Hessian alone would take 8 n_z^2 bytes
     assert peak < 8 * nlp.n_z**2 / 2
+
+
+def dense_condensation(nlp, jac, r):
+    """Z = [T; I] over p = (dU, dx_anchor) as a dense n_z x n_p matrix, and
+    t, built the way one condensation of every unit column does it: one
+    :meth:`AnchoredBlock.condense` of T's unit columns and t over the rows
+    X, V, x_a and x_b, in physical variables."""
+    m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
+    mn, c = m * n, n_u + n + 1
+    r = r / nlp._row_scale
+    r1, r2, r3 = (r[nlp.rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
+    T = np.empty((2 * mn + 2 * n, c))
+    X, V = T[:mn].reshape(m, n, c), T[mn:2 * mn].reshape(m, n, c)
+    V[..., n_u:-1], V[..., -1] = 0.0, -r2.reshape(m, n)
+    anchor, other = nlp.state.ends(*T[2 * mn:].reshape(2, n, c))
+    anchor[...] = np.eye(n, c, n_u)
+    assert nlp.state.condense(jac.fx, jac.fu, X, V, anchor, other, r1, r3) is not None
+    Z = np.zeros((nlp.n_z, c))
+    Z[nlp.slice_x], Z[nlp.slice_v], Z[nlp.slice_xa.start:] = T[:mn], T[mn:2 * mn], T[2 * mn:]
+    Z[nlp.slice_u, :n_u] = np.eye(n_u)
+    return Z[:, :-1], Z[:, -1]
+
+
+def condensation_case(name, kind, form, scaled, staging):
+    """An NLP at a random iterate, its Newton system there, the dense Z and
+    t of :func:`dense_condensation`, and random columns P over p and S over
+    z."""
+    nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
+    rng = np.random.default_rng(5)
+    z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
+    jac, r = nlp.jacobian(z), nlp.constraints(z)
+    Z, t = dense_condensation(nlp, jac, r)
+    return (nlp.newton_system(jac, r), Z, t,
+            rng.normal(size=(Z.shape[1], 3)), rng.normal(size=(nlp.n_z, 3)))
+
+
+def condensation_cases(test):
+    """Parametrize ``test`` over the problems as defined and prepared, the
+    six forms, LGL and CGL, and the registry problems."""
+    for mark in (
+        pytest.mark.parametrize("staging", [registry, prepared_registry],
+                                ids=["as-defined", "prepared"]),
+        pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS),
+        pytest.mark.parametrize("kind", ["lgl", "cgl"]),
+        pytest.mark.parametrize("name", registry_names()),
+    ):
+        test = mark(test)
+    return test
+
+
+@condensation_cases
+def test_forward_and_adjoint_products_are_the_dense_condensation(name, kind, form, scaled,
+                                                                 staging):
+    # Z P and Z^T S with one solve each, against Z and t from every unit column
+    system, Z, t, P, S = condensation_case(name, kind, form, scaled, staging)
+    for got, want in ((system.forward(P), Z @ P), (system.adjoint(S)[0], Z.T @ S),
+                      (system.t, t)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@condensation_cases
+def test_adjoint_product_is_the_transpose_of_the_forward_product(name, kind, form, scaled,
+                                                                 staging):
+    # <Z p, s> = <p, Z^T s>, column by column
+    system, _, _, P, S = condensation_case(name, kind, form, scaled, staging)
+    zp, zts = system.forward(P), system.adjoint(S)[0]
+    for j in range(P.shape[1]):
+        scale = np.linalg.norm(zp[:, j]) * np.linalg.norm(S[:, j])
+        assert abs(zp[:, j] @ S[:, j] - P[:, j] @ zts[:, j]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["double-integrator-energy", "scalar-lq"])
+def test_zero_curvature_newton_system_builds_no_condensing_matrix(name):
+    # neither problem curves in its states, as defined: its system, estimate
+    # and step hold, beyond the reduced KKT and its LU factor, less than half
+    # of what T over every p column, n_p columns over T's rows, would take
+    nlp = make_nlp(name, N=256, staging=registry)
+    z = initial_guess(nlp, "linear-endpoint-interpolation")
+    jac, r, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
+    hess = nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
+    assert not hess[0][:, :nlp.n_x].any()
+    tracemalloc.start()
+    try:
+        system = nlp.newton_system(jac, r)
+        system.estimate(*estimate)
+        system.step(hess, *step[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_p, t_rows = nlp.n_nodes * nlp.n_u + nlp.n_x, nlp.n_z - nlp.n_nodes * nlp.n_u
+    n_kkt = n_p + np.count_nonzero(estimate[1][nlp.rows["endpoint"]])
+    assert peak < 8 * (2 * n_kkt**2 + t_rows * n_p / 2)
 
 
 def test_solve_builds_no_dense_jacobian():
