@@ -7,11 +7,12 @@ holds all of them: each side's anchored rows come from the same
 :class:`~birktraj.transcription.AnchoredBlock` the primal NLP uses, and the
 Galerkin weighting is one row-scale vector.  :func:`solve_indirect` finds its
 root by Newton steps condensed through the identity blocks of both sides'
-anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.condense`, the
-elimination the primal NLP uses, so it never builds the square Jacobian;
-each Newton step factors each side's condensing matrix once, LU-factoring
-only the diagonal blocks of the states that F_x couples.  Both solve and
-verification take the problem as defined, a staged running cost L read in
+anchored rows by :meth:`~birktraj.transcription.AnchoredBlock.factor` and
+:meth:`~birktraj.transcription.AnchoredBlock.eliminate`, the elimination the
+primal NLP uses, so it never builds the square Jacobian; each Newton step
+factors each side's condensing matrix once, LU-factoring only the diagonal
+blocks of the states that F_x couples.  Both solve and verification take
+the problem as defined, a staged running cost L read in
 the Hamiltonian H = L + lam . f, so an LQ problem's system is linear, and
 the (primal, dual) pairs carry the problem's own n_x states.
 :func:`verify_pontryagin` evaluates the residual once at a given
@@ -58,8 +59,10 @@ from .transcription import (
     FormTag,
     PrimalForm,
     PrimalSolution,
+    add_unit_columns,
     check_horizon,
     consecutive_slices,
+    require_finite,
     straight_line,
 )
 
@@ -427,16 +430,20 @@ class _IndirectSystem:
         """The blocks of the Jacobian at ``y`` that depend on it: F_x, F_u, the
         Hamiltonian curvatures (node blocks), the endpoint rows' Jacobians
         and the endpoint Lagrangian's curvature.  Every callback the
-        Jacobian needs, called once."""
+        Jacobian needs, called once.  Raises EvaluationError, naming the
+        block and the node, where a block is not finite."""
         X, U, _, lam, _, x_a, x_b, _, _, nu = self.split(y)
         p, con = self.ocp, self.ocp.constraints
         return (
-            p.jac_fx(X, U),
-            p.jac_fu(X, U),
-            p.hamiltonian_curvatures(X, U, lam),
-            np.asarray(con.jac_xa(x_a, x_b), dtype=float),
-            np.asarray(con.jac_xb(x_a, x_b), dtype=float),
-            p.endpoint_lagrangian_curvature(x_a, x_b, nu),
+            require_finite("dynamics Jacobian F_x", p.jac_fx(X, U)),
+            require_finite("dynamics Jacobian F_u", p.jac_fu(X, U)),
+            require_finite("Hamiltonian curvature", p.hamiltonian_curvatures(X, U, lam)),
+            require_finite("endpoint constraint Jacobian in x_a",
+                           np.asarray(con.jac_xa(x_a, x_b), dtype=float), at_nodes=False),
+            require_finite("endpoint constraint Jacobian in x_b",
+                           np.asarray(con.jac_xb(x_a, x_b), dtype=float), at_nodes=False),
+            require_finite("endpoint Lagrangian curvature",
+                           p.endpoint_lagrangian_curvature(x_a, x_b, nu), at_nodes=False),
         )
 
     def jvp(self, blocks, dy: Array) -> Array:
@@ -491,13 +498,15 @@ class _IndirectSystem:
         solves with the factor of M_s = I - (B_s (x) I) F_x for dX, the
         costate side with that of M_c = I + (B_c (x) I) F_x^T for dlam, and
         each side's equivalency rows give its endpoint opposite the anchor.
-        Both sides are :meth:`AnchoredBlock.condense`, one factor each, block
-        lower triangular over the groups of states F_x couples; the state
-        side takes the unit dU columns as F_u outer products.  What is
-        left is square in p = (dU, x_anchor, lam_anchor, nu) over the control
-        stationarity, endpoint and transversality rows, of order
-        (N+1) n_u + 2 n_x + n_e, is evaluated on those rows alone and is
-        solved by
+        Each side is one :meth:`AnchoredBlock.factor`, block lower
+        triangular over the groups of states F_x couples, and one
+        :meth:`AnchoredBlock.eliminate`, the state side's first, so a zero
+        pivot of M_s raises before M_c is factored; the state side takes the
+        unit dU columns as the F_u outer products of
+        :meth:`AnchoredBlock.control_columns`.  What is left is square in
+        p = (dU, x_anchor, lam_anchor, nu) over the control stationarity,
+        endpoint and transversality rows, of order (N+1) n_u + 2 n_x + n_e,
+        is evaluated on those rows alone and is solved by
         :func:`solver.regularized_solve` (+d where singular).  The step must
         meet |J dy + r| <= 1e-8 (1 + |r|) on the row-scaled rows.  Raises
         NoConvergenceError on a zero pivot of M_s or M_c, an unsolvable
@@ -514,21 +523,25 @@ class _IndirectSystem:
         part = dict(zip(self._shapes, self.split(cols)))
         X, U, V, lam, om = (part[nm] for nm in ("X", "U", "V", "lam", "om"))
 
-        V[..., -1] -= r_of["dynamics"].reshape(m, n)  # F_u dU: the unit dU columns
-        anchor, other = self._state_ends
-        if self.state.condense(
-            fx, fu, X, V, part[anchor], part[other],
-            r_of["state_interpolation"], r_of["state_equivalency"],
-        ) is None:
+        G = -fx.transpose(0, 2, 1)
+        # the state side first: a zero pivot of M_s leaves M_c unfactored
+        state = self.state.factor(fx)
+        costate = None if state is None else self.costate.factor(G)
+        if costate is None:
             raise NoConvergenceError("singular Newton matrix in indirect solve")
+        # F_u dU at the unit dU columns, as outer products with B
+        mk = m * fu.shape[2]
+        self.state.control_columns(fu, X[..., :mk])
+        add_unit_columns(V, fu)
+        V[..., -1] -= r_of["dynamics"].reshape(m, n)
+        anchor, other = self._state_ends
+        self.state.eliminate(state, fx, X, V, part[anchor], part[other],
+                             r_of["state_interpolation"], r_of["state_equivalency"], mk)
         om[...] = -(curv[:, :n] @ np.concatenate([X, U], axis=1))
         om[..., -1] -= r_of["adjoint"].reshape(m, n)
         anchor, other = self._costate_ends
-        if self.costate.condense(
-            -fx.transpose(0, 2, 1), np.zeros((m, n, 0)), lam, om, part[anchor], part[other],
-            r_of["costate_interpolation"], r_of["costate_equivalency"],
-        ) is None:
-            raise NoConvergenceError("singular Newton matrix in indirect solve")
+        self.costate.eliminate(costate, G, lam, om, part[anchor], part[other],
+                               r_of["costate_interpolation"], r_of["costate_equivalency"])
 
         reduced = self._reduced_jvp(blocks, cols)
         reduced[:, -1] += unweighted[self._reduced_rows]

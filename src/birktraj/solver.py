@@ -21,12 +21,13 @@ l1-merit backtracking line search and an active-set treatment of the (few)
 endpoint inequality rows.  Everything is deterministic: identical inputs
 produce bit-identical iterates.
 
-Each problem owns its whole Newton-KKT solve.  ``newton_system(jac, r)``
-is one iterate's linearization, or None where it has no Newton step.  Over
-the working rows it answers ``step(hess, g, working) -> (dz, mu_w) | None``
-for [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], ``hess`` as
-``lagrangian_hessian`` returns it, and ``estimate(g, working) -> mu_w |
-None``, the multipliers of the optimality test, chosen by the system:
+Each problem owns its whole Newton-KKT solve.  ``newton_system(jac, r, g)``
+is one iterate's linearization with its objective gradient g, or None where
+it has no Newton step.  Over the working rows it answers ``step(hess,
+working) -> (dz, mu_w) | None`` for [[H, J_w^T], [J_w, 0]] [dz, mu_w] =
+[-g, -r_w], ``hess`` as ``lagrangian_hessian`` returns it, and
+``estimate(working) -> mu_w | None``, the multipliers of the optimality
+test, chosen by the system:
 DiscretizedNlp's are coordinate-basis multipliers, and a dense system may
 take the least-squares ones argmin ||g + J_w^T mu||; wherever some
 multipliers make g + J_w^T mu vanish, both do.  A None ends the solve
@@ -206,7 +207,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             g = nlp.objective_gradient(z)
         except EvaluationError:
             return finish(SolveStatus.INFEASIBLE, np.inf)
-        system = nlp.newton_system(jac, r)
+        system = nlp.newton_system(jac, r, g)
         if system is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
 
@@ -216,7 +217,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             working = eq | active
             # the system's multipliers for the optimality test
             mu_full = np.zeros(n_rows)
-            estimate = system.estimate(g, working)
+            estimate = system.estimate(working)
             if estimate is None:
                 return finish(SolveStatus.LINE_SEARCH_FAILURE, np.inf)
             mu_full[working] = estimate
@@ -240,7 +241,7 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        step = system.step(nlp.lagrangian_hessian(z, mu_full), g, working)
+        step = system.step(nlp.lagrangian_hessian(z, mu_full), working)
         del system  # so the next linearization is built without this one alive
         if step is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))

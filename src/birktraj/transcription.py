@@ -30,20 +30,20 @@ system, :meth:`DiscretizedNlp.newton_system`, eliminates those variables:
 dz = t + Z p over the free unknowns p = (U, x_anchor), Z = [T; I_U] the
 coordinate basis of reduced SQP (Biegler, Nocedal and Schmid 1995).  It
 factors M = I - (B (x) I) F_x once per iterate by
-:meth:`AnchoredBlock.factor`, which the indirect solver in ``dual`` reaches
-for both of its sides too, through :meth:`AnchoredBlock.condense`; M is
+:meth:`AnchoredBlock.factor`, which, with :meth:`AnchoredBlock.eliminate`,
+the indirect solver in ``dual`` calls for both of its sides too; M is
 conditioned like the O(1)-norm Birkhoff
 matrix B, and only the diagonal blocks of the groups of states that F_x
-couples are LU-factored.  T is an operator, not a matrix: Z P and Z^T S
-are one solve with that factor each, over a few columns.  The step solves
-one reduced KKT over (U, x_anchor) and the working endpoint rows (the
-condensing of multiple shooting, Bock and Plitt 1984); its Z^T H Z needs
-T's rows over every p column only for the states where the Hessian of the
-Lagrangian curves (and those they read), so a problem whose states carry
-no curvature solves none of them.  The multiplier estimate fills and
-factors nothing: it takes the coordinate-basis multipliers, the endpoint
-rows' by a least-squares solve over their n_e columns and the others from
-the same adjoint solve that gives Z^T g.
+couple are LU-factored.  T is an operator, not a matrix: Z P and Z^T S
+are one solve with that factor each, over a few columns.  The system binds
+its iterate's gradient g: t and one adjoint over n + 1 columns (Z^T g, T's
+endpoint rows and their multipliers) are solved once, so the multiplier
+estimate solves only a least-squares problem over the n_e columns of the
+working endpoint rows.  The step solves one reduced KKT over (U, x_anchor)
+and the working endpoint rows (the condensing of multiple shooting, Bock
+and Plitt 1984); its Z^T H Z needs T's rows over every p column only for
+the states where the Hessian of the Lagrangian curves (and those they
+read), so a problem whose states carry no curvature solves none of them.
 The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
 Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
 in a solve.
@@ -143,6 +143,18 @@ def consecutive_slices(sizes: dict) -> dict:
     return {nm: slice(a, b) for nm, a, b in zip(sizes, edges, edges[1:])}
 
 
+def require_finite(what: str, table, at_nodes: bool = True) -> Array:
+    """``table`` as an array, or EvaluationError if it holds a non-finite
+    value, naming ``what`` and, for a node table (``at_nodes``: one row per
+    node), the first such node."""
+    table = np.asarray(table)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        at = f" at node {int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))}" if at_nodes else ""
+        raise EvaluationError(f"{what} returned non-finite values{at}")
+    return table
+
+
 def add_unit_columns(table: Array, blocks: Array) -> Array:
     """Add (m, p, k) node ``blocks`` to an (m, p, c) node ``table`` at each
     node's own unit control columns: ``blocks[j]`` at columns j k .. j k +
@@ -170,9 +182,9 @@ class AnchoredBlock:
     right (the equivalency row gives other - anchor = sign w^T D), and
     :meth:`ends` orders a (left, right) pair as (anchor, other).
 
-    :meth:`factor` and :meth:`eliminate`, together :meth:`condense`, are
-    the one elimination of these rows for both Newton solvers.  A block
-    does not change after it is built.
+    :meth:`factor`, :meth:`control_columns` and :meth:`eliminate` are the
+    one elimination of these rows for both Newton solvers.  A block does
+    not change after it is built.
     """
 
     def __init__(self, sys: BirkhoffSystem, tag: FormTag):
@@ -237,31 +249,6 @@ class AnchoredBlock:
             groups.append((rows, lu, piv, cols, None if cols is None else G[:, rows][:, :, cols]))
         return CondensingFactor(self.B, tuple(groups), pattern)
 
-    def condense(self, G, controls, values, derivs, anchor, other, r_interp, r_equiv):
-        """Solve the interpolation and equivalency rows in every column of the
-        (N+1, n, c) node tables ``values`` and ``derivs`` and the (n, c)
-        endpoint tables ``anchor`` and ``other``, given the anchor and the
-        derivatives as G values + the ``derivs`` on entry (G: node blocks).
-
-        The first (N+1) k columns are unit control columns, k =
-        ``controls.shape[2]``: their derivs on entry are ``controls`` (node
-        blocks) times those units, written here by :func:`add_unit_columns`,
-        so B takes them as the outer products of :meth:`control_columns` and
-        multiplies only the other columns.  Fills ``values``, completes
-        ``derivs`` and sets ``other``, the endpoint opposite the anchor;
-        ``r_interp`` and ``r_equiv`` enter the last column.  :meth:`factor`
-        of G, then one :meth:`eliminate` with it.  Returns that factor, or
-        None on an exactly zero pivot."""
-        factor = self.factor(G)
-        if factor is None:
-            return None
-        mk = len(values) * controls.shape[2]
-        self.control_columns(controls, values[..., :mk])
-        derivs[..., :mk] = 0.0
-        add_unit_columns(derivs, controls)
-        self.eliminate(factor, G, values, derivs, anchor, other, r_interp, r_equiv, mk)
-        return factor
-
     def control_columns(self, controls: Array, out: Array) -> Array:
         """(B (x) I) times ``controls`` (N+1, n, k node blocks) at the unit
         control columns, written into the (N+1, n, (N+1) k) table ``out``:
@@ -274,10 +261,15 @@ class AnchoredBlock:
         return out
 
     def eliminate(self, factor, G, values, derivs, anchor, other, r_interp, r_equiv, built=0):
-        """:meth:`condense`'s solve with ``factor``, the :meth:`factor` of G,
-        in every column of ``values``, ``derivs``, ``anchor`` and ``other``;
-        the first ``built`` columns of ``values`` already hold their
-        (B (x) I) derivs."""
+        """Solve the interpolation and equivalency rows with ``factor``, the
+        :meth:`factor` of the node blocks G, in every column of the (N+1, n,
+        c) node tables ``values`` and ``derivs`` and the (n, c) endpoint
+        tables ``anchor`` and ``other``, given the anchor and the derivatives
+        as G values + the ``derivs`` on entry: fills ``values``, completes
+        ``derivs`` and sets ``other``, the endpoint opposite the anchor;
+        ``r_interp`` and ``r_equiv`` enter the last column.  The first
+        ``built`` columns of ``values`` already hold their (B (x) I) derivs,
+        as :meth:`control_columns` writes them for unit control columns."""
         m, n, c = values.shape
         values[..., built:] = (self.B @ derivs[..., built:].reshape(m, -1)).reshape(
             m, n, c - built
@@ -605,12 +597,7 @@ class DiscretizedNlp:
         """The constraint rows before the Galerkin weighting of the starred
         forms: the same residuals on every form."""
         X, U, V, x_a, x_b = self.unpack(z)
-        f = self.ocp.dynamics(X, U)
-        bad = ~np.isfinite(f).all(axis=1)
-        if bad.any():
-            raise EvaluationError(
-                f"dynamics returned non-finite values at node {int(np.argmax(bad))}"
-            )
+        f = require_finite("dynamics", self.ocp.dynamics(X, U))
         rows = self.rows
         r = np.empty(self.n_rows)
         r[rows["state_interpolation"]], r[rows["grid_equivalency"]] = self.state.residual(
@@ -625,19 +612,16 @@ class DiscretizedNlp:
         as the node blocks of a :class:`NodeJacobian`.  Raises
         EvaluationError when a block is not finite."""
         X, U, _, x_a, x_b = self.unpack(z)
-        fx = self.ocp.jac_fx(X, U)
-        fu = self.ocp.jac_fu(X, U)
-        bad = ~(np.isfinite(fx).all(axis=(1, 2)) & np.isfinite(fu).all(axis=(1, 2)))
-        if bad.any():
-            raise EvaluationError(
-                f"dynamics Jacobian returned non-finite values at node {int(np.argmax(bad))}"
-            )
         con = self.ocp.constraints
-        e_xa = np.asarray(con.jac_xa(x_a, x_b), dtype=float)
-        e_xb = np.asarray(con.jac_xb(x_a, x_b), dtype=float)
-        if not (np.isfinite(e_xa).all() and np.isfinite(e_xb).all()):
-            raise EvaluationError("endpoint constraint Jacobian returned non-finite values")
-        return NodeJacobian(self, fx, fu, e_xa, e_xb)
+        return NodeJacobian(
+            self,
+            require_finite("dynamics Jacobian F_x", self.ocp.jac_fx(X, U)),
+            require_finite("dynamics Jacobian F_u", self.ocp.jac_fu(X, U)),
+            require_finite("endpoint constraint Jacobian in x_a",
+                           np.asarray(con.jac_xa(x_a, x_b), dtype=float), at_nodes=False),
+            require_finite("endpoint constraint Jacobian in x_b",
+                           np.asarray(con.jac_xb(x_a, x_b), dtype=float), at_nodes=False),
+        )
 
     # --- Lagrangian pieces used by the solver ------------------------------------
 
@@ -673,9 +657,10 @@ class DiscretizedNlp:
 
     # --- condensed Newton step -----------------------------------------------------
 
-    def newton_system(self, jac: NodeJacobian, r: Array) -> NewtonSystem | None:
-        """The solver's Newton-KKT system at the iterate with Jacobian ``jac``
-        and constraint values ``r``, or None when M has an exactly zero pivot.
+    def newton_system(self, jac: NodeJacobian, r: Array, g: Array) -> NewtonSystem | None:
+        """The solver's Newton-KKT system at the iterate with Jacobian ``jac``,
+        constraint values ``r`` and objective gradient ``g``, or None when M
+        has an exactly zero pivot.
 
         The system is condensed through the identity blocks of the rows.  The
         dynamics rows give dV = F_x dX + F_u dU - r2, the interpolation rows
@@ -683,62 +668,69 @@ class DiscretizedNlp:
         rows the other endpoint, so dz = Z p + t in the free unknowns
         p = (dU, dx_anchor), t the step at p = 0; Z is T over X, V, x_a and
         x_b and the identity over U.  This factors M once
-        (:meth:`AnchoredBlock.factor`) and solves t alone, where r enters; Z
-        is the operator of :meth:`NewtonSystem.forward` and
-        :meth:`NewtonSystem.adjoint`, one solve with that factor each.
-        Works in physical variables: the scaling cancels.
+        (:meth:`AnchoredBlock.factor`) and builds the :class:`NewtonSystem`,
+        which solves with that factor twice.  Works in physical variables:
+        the scaling cancels.
         """
         factor = self.state.factor(jac.fx)
         if factor is None:
             return None
-        r = r / self._row_scale
-        t = self._eliminated(factor, jac, np.zeros((self._n_p, 1)), r)[:, 0]
-        return NewtonSystem(self, jac, factor, r, np.hstack([jac.e_xa, jac.e_xb]), t)
+        return NewtonSystem(self, jac, factor, r / self._row_scale, g / self._col_scale)
 
-    def _eliminated(self, factor, jac: NodeJacobian, P: Array, r: Array) -> Array:
+
+class NewtonSystem:
+    """One iterate's condensed Newton-KKT system, from
+    :meth:`DiscretizedNlp.newton_system`, in physical variables: the factor
+    of M, the unweighted constraint values ``r``, the objective gradient
+    ``g``, the endpoint rows ``e_ab`` over (x_a, x_b) and what the iterate
+    fixes, computed once here by two solves with the factor: ``t``, the
+    step at p = 0, and, from one :meth:`adjoint` over n + 1 columns,
+    ``ztg`` = Z^T g, ``t_end``, T over (x_a, x_b), and the multipliers
+    ``mu_g`` at g and ``mu_other`` at each unit vector in x_other (T's
+    x_anchor rows are units and its x_other rows that adjoint at those
+    unit vectors).  Z = [T; I_U] is an operator, :meth:`forward` Z P and
+    :meth:`adjoint` Z^T S, one solve with the factor each, and is stored
+    nowhere; :meth:`step` solves T's X rows over every p column only for
+    the states where the Hessian curves.  It does not change after it is
+    built, so it serves any number of calls, from any thread."""
+
+    def __init__(self, nlp: DiscretizedNlp, jac: NodeJacobian, factor: CondensingFactor,
+                 r: Array, g: Array):
+        self.nlp, self.jac, self.factor, self.r, self.g = nlp, jac, factor, r, g
+        self.e_ab = np.hstack([jac.e_xa, jac.e_xb])
+        self.t = self._eliminated(np.zeros((nlp._n_p, 1)), r)[:, 0]
+        n = nlp.n_x
+        cols = np.zeros((nlp.n_z, n + 1))
+        cols[:, 0] = g
+        cols[nlp._z_ends[1], 1:] = np.eye(n)
+        zts, mu = self.adjoint(cols)
+        self.ztg, self.mu_g, self.mu_other = zts[:, 0], mu[:, 0], mu[:, 1:]
+        self.t_end = np.concatenate(nlp.state.ends(nlp._t_anchor, zts[:, 1:].T))
+
+    def _eliminated(self, P: Array, r: Array) -> Array:
         """Z P, physical, for (n_p, k) columns ``P``, with the step at p = 0
         for the unweighted constraint values ``r`` added to the last column
         (t for the iterate's, nothing for r = 0): one
-        :meth:`AnchoredBlock.eliminate` with ``factor``."""
-        m, n, n_u = self.n_nodes, self.n_x, self.n_nodes * self.n_u
+        :meth:`AnchoredBlock.eliminate` with the factor of M."""
+        nlp, jac = self.nlp, self.jac
+        m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
         k = P.shape[1]
-        out = np.empty((self.n_z, k))
-        out[self.slice_u] = P[:n_u]
-        X, V = out[self.slice_x].reshape(m, n, k), out[self.slice_v].reshape(m, n, k)
-        np.matmul(jac.fu, P[:n_u].reshape(m, self.n_u, k), out=V)
-        V[..., -1] -= r[self.rows["dynamics"]].reshape(m, n)
-        anchor, other = out[self._z_ends[0]], out[self._z_ends[1]]
+        out = np.empty((nlp.n_z, k))
+        out[nlp.slice_u] = P[:n_u]
+        X, V = out[nlp.slice_x].reshape(m, n, k), out[nlp.slice_v].reshape(m, n, k)
+        np.matmul(jac.fu, P[:n_u].reshape(m, nlp.n_u, k), out=V)
+        V[..., -1] -= r[nlp.rows["dynamics"]].reshape(m, n)
+        anchor, other = out[nlp._z_ends[0]], out[nlp._z_ends[1]]
         anchor[...] = P[n_u:]
-        self.state.eliminate(factor, jac.fx, X, V, anchor, other,
-                             r[self.rows["state_interpolation"]], r[self.rows["grid_equivalency"]])
+        nlp.state.eliminate(self.factor, jac.fx, X, V, anchor, other,
+                            r[nlp.rows["state_interpolation"]], r[nlp.rows["grid_equivalency"]])
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class NewtonSystem:
-    """One iterate's condensed Newton-KKT system, from
-    :meth:`DiscretizedNlp.newton_system`: the factor of M, the unweighted
-    constraint values ``r``, the endpoint rows ``e_ab`` over (x_a, x_b) and
-    ``t``, the step at p = 0 in physical variables.  Z = [T; I_U] is an
-    operator, :meth:`forward` Z P and :meth:`adjoint` Z^T S, one solve with
-    the factor each, and is stored nowhere; :meth:`step` solves T's X rows
-    over every p column only for the states where the Hessian curves.  It
-    does not change after it is built, so it serves any number of calls,
-    from any thread."""
-
-    nlp: DiscretizedNlp
-    jac: NodeJacobian
-    factor: CondensingFactor
-    r: Array
-    e_ab: Array
-    t: Array
 
     def forward(self, P: Array) -> Array:
         """Z P, physical, for (n_p, k) columns ``P`` over p = (dU,
         dx_anchor): T P in the rows of X, V, x_a and x_b and P's dU in
         those of U.  One solve with the factor of M."""
-        nlp = self.nlp
-        return nlp._eliminated(self.factor, self.jac, P, np.zeros(nlp.n_rows))
+        return self._eliminated(P, np.zeros(self.nlp.n_rows))
 
     def adjoint(self, S: Array):
         """(Z^T S, mu) for physical (n_z, k) columns ``S``: Z^T S = T^T S +
@@ -766,7 +758,7 @@ class NewtonSystem:
         zts[n_u:] = anchor + other - mu1.sum(axis=0)
         return zts, mu
 
-    def estimate(self, g: Array, working: Array) -> Array | None:
+    def estimate(self, working: Array) -> Array | None:
         """The coordinate-basis multipliers of the optimality test (reduced
         SQP with a coordinate basis; Biegler, Nocedal and Schmid 1995).
         mu_4 over the working endpoint rows E is the minimum-norm
@@ -774,20 +766,21 @@ class NewtonSystem:
         x_anchor), and the other multipliers zero g + J^T mu in X, V and
         x_other.  In physical variables, so the stored-variable metric does
         not enter; wherever some multipliers make g + J_w^T mu vanish, these
-        do.  One :meth:`adjoint` gives Z^T g, E T and, by linearity, those
-        multipliers; no reduced KKT is filled or factored.  None if a result
-        is not finite."""
+        do.  It solves nothing with the factor of M: Z^T g, T_end and, by
+        linearity, those multipliers are the system's.  None if a result is
+        not finite."""
         nlp = self.nlp
         e_rows = self.e_ab[working[nlp.rows["endpoint"]]]
-        red, t_end, mu, mu_other = self._reduced(g / nlp._col_scale)
-        et = e_rows @ t_end
-        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(red))):
+        et = e_rows @ self.t_end
+        if not (np.all(np.isfinite(et)) and np.all(np.isfinite(self.ztg))):
             return None
-        mu4 = np.linalg.lstsq(et.T, -red, rcond=None)[0]
-        mu = self._multipliers(mu + mu_other @ (e_rows[:, nlp._ab_other].T @ mu4), mu4, working)
+        mu4 = np.linalg.lstsq(et.T, -self.ztg, rcond=None)[0]
+        mu = self._multipliers(
+            self.mu_g + self.mu_other @ (e_rows[:, nlp._ab_other].T @ mu4), mu4, working
+        )
         return mu if np.all(np.isfinite(mu)) else None
 
-    def step(self, hess, g: Array, working: Array):
+    def step(self, hess, working: Array):
         """(dz, mu_w) of [[H, J_w^T], [J_w, 0]] [dz, mu_w] = [-g, -r_w], or
         None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
         returns it: K over each node's (x, u), k_end over (x_a, x_b).
@@ -797,19 +790,18 @@ class NewtonSystem:
         :func:`solver.regularized_solve`.  Only the states C whose rows of K
         are not all zero, and the states they read, have their T rows
         solved over every p column (:meth:`CondensingFactor.through`), so a
-        problem without curvature in its states solves none; with T_end,
-        Z^T H Z = T_C^T (H Z)_C + T_end^T k_end T_end + (H Z)_U, one GEMM
-        and the control rows.  T_end and the reduced right-hand side come
-        from one :meth:`adjoint`, dz = t + Z p from one :meth:`forward`,
-        and the other multipliers from one more :meth:`adjoint` at
-        H dz + g.  None if no shift makes it solvable or a result is not
-        finite."""
-        nlp, col = self.nlp, self.nlp._col_scale
+        problem without curvature in its states solves none; with the
+        system's T_end, Z^T H Z = T_C^T (H Z)_C + T_end^T k_end T_end +
+        (H Z)_U, one GEMM and the control rows.  The reduced right-hand side
+        Z^T (H t + g) comes from one single-column :meth:`adjoint`, dz = t +
+        Z p from one :meth:`forward`, and the other multipliers from one
+        more :meth:`adjoint` at H dz + g.  None if no shift makes it
+        solvable or a result is not finite."""
+        nlp, t_end = self.nlp, self.t_end
         m, n, n_p, n_u = nlp.n_nodes, nlp.n_x, nlp._n_p, nlp.n_nodes * nlp.n_u
-        g = g / col
         e_work = working[nlp.rows["endpoint"]]
         e_rows = self.e_ab[e_work]
-        red, t_end, *_ = self._reduced(nlp.hessian_times(hess, self.t) + g)
+        red = self.adjoint((nlp.hessian_times(hess, self.t) + self.g)[:, None])[0][:, 0]
 
         K, k_end = hess
         states, upto = self.factor.through(K[:, :n].any(axis=(0, 2)))
@@ -839,26 +831,11 @@ class NewtonSystem:
             return None
         p, mu4 = sol[:n_p], sol[n_p:]
         dz = self.t + self.forward(p[:, None])[:, 0]
-        s = nlp.hessian_times(hess, dz) + g
+        s = nlp.hessian_times(hess, dz) + self.g
         s[nlp._z_ends[1]] += e_rows[:, nlp._ab_other].T @ mu4
         mu = self._multipliers(self.adjoint(s[:, None])[1][:, 0], mu4, working)
-        dz = dz / col
+        dz = dz / nlp._col_scale
         return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
-
-    def _reduced(self, s: Array):
-        """(Z^T s, T_end, mu, mu_other) for a physical vector ``s``: Z^T s
-        over p = (dU, dx_anchor), T_end over (x_a, x_b), and
-        :meth:`adjoint`'s multipliers at s and at each unit vector in
-        x_other, from one adjoint over n + 1 columns: T's x_anchor rows are
-        units and its x_other rows that adjoint at those unit vectors."""
-        nlp = self.nlp
-        n = nlp.n_x
-        cols = np.zeros((nlp.n_z, n + 1))
-        cols[:, 0] = s
-        cols[nlp._z_ends[1], 1:] = np.eye(n)
-        zts, mu = self.adjoint(cols)
-        t_end = np.concatenate(nlp.state.ends(nlp._t_anchor, zts[:, 1:].T))
-        return zts[:, 0], t_end, mu[:, 0], mu[:, 1:]
 
     def _multipliers(self, mu: Array, mu4: Array, working: Array) -> Array:
         """mu_w, in the rows of the form, from the unweighted interpolation,

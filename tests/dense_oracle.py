@@ -47,23 +47,25 @@ class SimpleNlp:
     def lagrangian_hessian(self, z: Array, mu: Array) -> Array:
         return fd_lagrangian_hessian(self, z, mu)
 
-    def newton_system(self, jac: Array, r: Array):
-        return DenseSystem(jac, r)
+    def newton_system(self, jac: Array, r: Array, g: Array):
+        return DenseSystem(jac, r, g)
 
 
 @dataclass(frozen=True, eq=False)
 class DenseSystem:
-    """The Newton-KKT system of a dense Jacobian ``jac`` and constraint
-    values ``r``, with the two solves of ``DiscretizedNlp.newton_system``."""
+    """The Newton-KKT system of a dense Jacobian ``jac``, constraint values
+    ``r`` and objective gradient ``g``, with the two solves of
+    ``DiscretizedNlp.newton_system``."""
 
     jac: Array
     r: Array
+    g: Array
 
-    def estimate(self, g: Array, working: Array) -> Array:
-        return dense_estimate(self.jac, g, working)
+    def estimate(self, working: Array) -> Array:
+        return dense_estimate(self.jac, self.g, working)
 
-    def step(self, hess: Array, g: Array, working: Array):
-        return dense_newton_step(hess, self.jac, g, self.r, working)
+    def step(self, hess: Array, working: Array):
+        return dense_newton_step(hess, self.jac, self.g, self.r, working)
 
 
 def fd_lagrangian_hessian(nlp, z: Array, mu: Array) -> Array:

@@ -1,6 +1,7 @@
 """Command-line behavior: config resolution, exit codes, output files."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,12 +13,14 @@ import pytest
 
 from birktraj import (
     DualVariant,
+    EvaluationError,
     UnsupportedProblemError,
     build_birkhoff,
     cli,
     dual,
     load_problem,
     make_grid,
+    registry,
 )
 from birktraj.cli import (
     EXIT_BAD_CONFIG,
@@ -429,6 +432,29 @@ def test_indirect_singular_newton_matrix_exits_1(tmp_path, monkeypatch, capsys):
     assert run("indirect", "--problem", "scalar-lq", "--N", "8",
                "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
     assert "singular Newton matrix" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_indirect_non_finite_dynamics_jacobian_exits_1(tmp_path, monkeypatch, capsys):
+    # F_x turns NaN where x > 0.5, as at node 0 of the straight-line start:
+    # the indirect solve names the callback and the node, as the NLP's
+    # Jacobian does, where it read the NaN as a singular Newton matrix
+    ocp = registry("nonlinear-scalar")
+
+    def jac_fx(X, U):
+        out = np.array(ocp.jac_fx(X, U))
+        out[np.real(X[:, 0]) > 0.5] = np.nan
+        return out
+
+    bad = dataclasses.replace(ocp, jac_fx=jac_fx)
+    system = build_birkhoff(make_grid("lgl", 16, ocp.horizon))
+    with pytest.raises(EvaluationError, match="dynamics Jacobian F_x returned non-finite "
+                                              "values at node 0"):
+        dual.solve_indirect(bad, system, DualVariant("a", "b_star"))
+    monkeypatch.setattr(cli, "registry", lambda name: bad)
+    assert run("indirect", "--problem", "nonlinear-scalar", "--N", "16", "--variant", "a,b_star",
+               "--out", str(tmp_path)) == EXIT_SOLVER_FAILURE
+    assert "dynamics Jacobian F_x returned non-finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -32,7 +32,7 @@ from birktraj import (
     verify_pontryagin,
     write_iteration_log,
 )
-from birktraj.transcription import AnchoredBlock, DiscretizedNlp, NewtonSystem
+from birktraj.transcription import AnchoredBlock, CondensingFactor, DiscretizedNlp, NewtonSystem
 import dense_oracle
 from dense_oracle import SimpleNlp
 
@@ -237,7 +237,7 @@ def estimate_error(nlp, monkeypatch) -> float:
         nlp, dense_oracle.assembled_jacobian(nlp, z), g, eq
     )
     structured_estimate_only(monkeypatch)
-    mu = nlp.newton_system(jac, nlp.constraints(z)).estimate(g, eq)
+    mu = nlp.newton_system(jac, nlp.constraints(z), g).estimate(eq)
     return float(np.linalg.norm(mu - ref) / (np.linalg.norm(ref) or 1.0))
 
 
@@ -273,7 +273,7 @@ def test_estimate_zeroes_the_eliminated_gradient_without_a_reduced_kkt(monkeypat
     jac, g = nlp.jacobian(z), nlp.objective_gradient(z)
     eq = nlp.equality_mask
     mu = np.zeros(nlp.n_rows)
-    mu[eq] = nlp.newton_system(jac, nlp.constraints(z)).estimate(g, eq)
+    mu[eq] = nlp.newton_system(jac, nlp.constraints(z), g).estimate(eq)
     assert not handed
     other = nlp.slice_xb if nlp.form.tag.anchored_left else nlp.slice_xa
     eliminated = np.r_[nlp.slice_x, nlp.slice_v, other]
@@ -439,16 +439,16 @@ def test_double_integrator_matches_analytic_solution():
     assert np.max(np.abs(lam[:, 2] - 1.0)) <= 1e-5
 
 
-def dense_system(nlp, jac, r):
+def dense_system(nlp, jac, r, g):
     """``nlp``'s Newton system solved by the dense oracle on the assembled
     Jacobian, and on the assembled Hessian of the step's node blocks: the
     coordinate-basis estimate and the full KKT step."""
     dense = jac @ np.eye(nlp.n_z)
 
-    def estimate(g, working):
+    def estimate(working):
         return dense_oracle.dense_coordinate_estimate(nlp, dense, g, working)
 
-    def step(hess, g, working):
+    def step(hess, working):
         hess = dense_oracle.assembled_hessian(nlp, hess)
         return dense_oracle.dense_newton_step(hess, dense, g, r, working)
 
@@ -462,8 +462,8 @@ class DenseOnly:
     def __init__(self, nlp):
         self._nlp = nlp
 
-    def newton_system(self, jac, r):
-        return dense_system(self._nlp, jac, r)
+    def newton_system(self, jac, r, g):
+        return dense_system(self._nlp, jac, r, g)
 
     def __getattr__(self, name):
         return getattr(self._nlp, name)
@@ -524,16 +524,16 @@ def released_row_nlp():
 
 def counting(monkeypatch, owner, name, calls):
     """Count ``owner.name`` calls in the Counter ``calls[name]``, and the
-    factor and regularized_solve calls made within them in
-    ``calls["factor in " + name]`` and ``calls["regularized_solve in " +
-    name]``."""
+    factor, regularized_solve and solve calls made within them in
+    ``calls["factor in " + name]``, ``calls["regularized_solve in " +
+    name]`` and ``calls["solve in " + name]``."""
     method = getattr(owner, name)
-    inner = ("factor", "regularized_solve")
+    inner = ("factor", "regularized_solve", "solve")
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[name] += 1
         before = [calls[k] for k in inner]
-        out = method(*args)
+        out = method(*args, **kwargs)
         for k, n in zip(inner, before):
             calls[f"{k} in {name}"] += calls[k] - n
         return out
@@ -584,6 +584,22 @@ def test_one_factor_of_m_per_linearization(monkeypatch, name):
     assert calls["estimate"] == calls["newton_system"] + (name == "released-row")
     assert calls["factor"] == calls["factor in newton_system"] == calls["newton_system"]
     assert calls["factor in estimate"] == calls["factor in step"] == 0
+
+
+@LINEARIZED
+def test_newton_system_solves_with_the_factor_twice_and_the_estimate_never(monkeypatch, name):
+    # newton_system binds what its iterate fixes: t by one solve with the
+    # factor of M, and Z^T g, T's endpoint rows and their multipliers by one
+    # adjoint over n + 1 columns; the estimates on its iterate reuse them
+    nlp = linearized_nlp(name)
+    calls = Counter()
+    for owner, method in ((CondensingFactor, "solve"), (DiscretizedNlp, "newton_system"),
+                          (NewtonSystem, "estimate")):
+        counting(monkeypatch, owner, method, calls)
+    res = solve(nlp, initial_guess(nlp, "constant-midpoint"))
+    assert res.converged, res.status
+    assert calls["solve in newton_system"] == 2 * calls["newton_system"] > 0
+    assert calls["estimate"] >= calls["newton_system"] and calls["solve in estimate"] == 0
 
 
 @LINEARIZED

@@ -539,7 +539,7 @@ def assert_step_matches_dense(nlp, seed=0):
     dz_ref, mu_ref = dense_newton_step(
         assembled_hessian(nlp, hess), assembled_jacobian(nlp, z), g, r, working
     )
-    dz, mu_w = nlp.newton_system(jac, r).step(hess, g, working)
+    dz, mu_w = nlp.newton_system(jac, r, g).step(hess, working)
     assert np.max(np.abs(dz - dz_ref)) <= 1e-9 * np.max(np.abs(dz_ref))
     assert np.max(np.abs(mu_w - mu_ref)) <= 1e-9 * np.max(np.abs(mu_ref))
     return working
@@ -632,31 +632,33 @@ def test_newton_step_is_backward_stable_on_the_dense_kkt_matrix(name, kind, N, f
     m = jac_w.shape[0]
     kkt = np.block([[assembled_hessian(nlp, hess), jac_w.T], [jac_w, np.zeros((m, m))]])
     rhs = np.concatenate([-g, -r[working]])
-    x = np.concatenate(nlp.newton_system(jac, r).step(hess, g, working))
+    x = np.concatenate(nlp.newton_system(jac, r, g).step(hess, working))
     residual = np.max(np.abs(kkt @ x - rhs))
     scale = np.max(np.abs(kkt)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert residual <= 1e-13 * scale
 
 
 def step_args(nlp, z, mu):
-    """The Jacobian and the constraint values at z and the solver's
-    arguments to its system's solves there: (jac, r, step, estimate)."""
+    """The solver's arguments at z to ``newton_system`` and to its system's
+    step, ((jac, r, g), (hess, working)); the estimate takes the working
+    rows alone."""
     hess, jac = nlp.lagrangian_hessian(z, mu), nlp.jacobian(z)
     g, r = nlp.objective_gradient(z), nlp.constraints(z)
-    working = nlp.equality_mask | (r > 0.0)
-    return jac, r, (hess, g, working), (g, working)
+    return (jac, r, g), (hess, nlp.equality_mask | (r > 0.0))
 
 
 def test_hessian_and_newton_steps_build_no_square_matrix():
     nlp = make_nlp("nonlinear-scalar", N=128)
     z = initial_guess(nlp, "linear-endpoint-interpolation")
-    jac, r, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
+    linearization, (_, working) = step_args(
+        nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows)
+    )
     tracemalloc.start()
     try:
-        system = nlp.newton_system(jac, r)
+        system = nlp.newton_system(*linearization)
         hess = nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
-        system.estimate(*estimate)
-        system.step(hess, *step[1:])
+        system.estimate(working)
+        system.step(hess, working)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -667,18 +669,23 @@ def test_hessian_and_newton_steps_build_no_square_matrix():
 def dense_condensation(nlp, jac, r):
     """Z = [T; I] over p = (dU, dx_anchor) as a dense n_z x n_p matrix, and
     t, built the way one condensation of every unit column does it: one
-    :meth:`AnchoredBlock.condense` of T's unit columns and t over the rows
-    X, V, x_a and x_b, in physical variables."""
+    :meth:`AnchoredBlock.factor` of F_x and one :meth:`AnchoredBlock.eliminate`
+    of T's unit columns, the dU ones as :meth:`AnchoredBlock.control_columns`,
+    and t over the rows X, V, x_a and x_b, in physical variables."""
     m, n, n_u = nlp.n_nodes, nlp.n_x, nlp.n_nodes * nlp.n_u
     mn, c = m * n, n_u + n + 1
     r = r / nlp._row_scale
     r1, r2, r3 = (r[nlp.rows[k]] for k in ("state_interpolation", "dynamics", "grid_equivalency"))
     T = np.empty((2 * mn + 2 * n, c))
     X, V = T[:mn].reshape(m, n, c), T[mn:2 * mn].reshape(m, n, c)
-    V[..., n_u:-1], V[..., -1] = 0.0, -r2.reshape(m, n)
+    V[..., :-1], V[..., -1] = 0.0, -r2.reshape(m, n)
     anchor, other = nlp.state.ends(*T[2 * mn:].reshape(2, n, c))
     anchor[...] = np.eye(n, c, n_u)
-    assert nlp.state.condense(jac.fx, jac.fu, X, V, anchor, other, r1, r3) is not None
+    factor = nlp.state.factor(jac.fx)
+    assert factor is not None
+    nlp.state.control_columns(jac.fu, X[..., :n_u])
+    add_unit_columns(V, jac.fu)
+    nlp.state.eliminate(factor, jac.fx, X, V, anchor, other, r1, r3, n_u)
     Z = np.zeros((nlp.n_z, c))
     Z[nlp.slice_x], Z[nlp.slice_v], Z[nlp.slice_xa.start:] = T[:mn], T[mn:2 * mn], T[2 * mn:]
     Z[nlp.slice_u, :n_u] = np.eye(n_u)
@@ -687,15 +694,15 @@ def dense_condensation(nlp, jac, r):
 
 def condensation_case(name, kind, form, scaled, staging):
     """An NLP at a random iterate, its Newton system there, the dense Z and
-    t of :func:`dense_condensation`, and random columns P over p and S over
-    z."""
+    t of :func:`dense_condensation`, random columns P over p and S over z,
+    and the objective gradient in physical variables."""
     nlp = make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
     rng = np.random.default_rng(5)
     z = initial_guess(nlp, "linear-endpoint-interpolation") + 0.1 * rng.normal(size=nlp.n_z)
-    jac, r = nlp.jacobian(z), nlp.constraints(z)
+    jac, r, g = nlp.jacobian(z), nlp.constraints(z), nlp.objective_gradient(z)
     Z, t = dense_condensation(nlp, jac, r)
-    return (nlp.newton_system(jac, r), Z, t,
-            rng.normal(size=(Z.shape[1], 3)), rng.normal(size=(nlp.n_z, 3)))
+    return (nlp.newton_system(jac, r, g), Z, t,
+            rng.normal(size=(Z.shape[1], 3)), rng.normal(size=(nlp.n_z, 3)), g / nlp._col_scale)
 
 
 def condensation_cases(test):
@@ -715,10 +722,12 @@ def condensation_cases(test):
 @condensation_cases
 def test_forward_and_adjoint_products_are_the_dense_condensation(name, kind, form, scaled,
                                                                  staging):
-    # Z P and Z^T S with one solve each, against Z and t from every unit column
-    system, Z, t, P, S = condensation_case(name, kind, form, scaled, staging)
+    # Z P and Z^T S with one solve each, and what the system binds at its
+    # iterate, against Z and t from every unit column
+    system, Z, t, P, S, g = condensation_case(name, kind, form, scaled, staging)
     for got, want in ((system.forward(P), Z @ P), (system.adjoint(S)[0], Z.T @ S),
-                      (system.t, t)):
+                      (system.t, t), (system.t_end, Z[system.nlp.slice_xa.start:]),
+                      (system.ztg, Z.T @ g)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -726,7 +735,7 @@ def test_forward_and_adjoint_products_are_the_dense_condensation(name, kind, for
 def test_adjoint_product_is_the_transpose_of_the_forward_product(name, kind, form, scaled,
                                                                  staging):
     # <Z p, s> = <p, Z^T s>, column by column
-    system, _, _, P, S = condensation_case(name, kind, form, scaled, staging)
+    system, _, _, P, S, _ = condensation_case(name, kind, form, scaled, staging)
     zp, zts = system.forward(P), system.adjoint(S)[0]
     for j in range(P.shape[1]):
         scale = np.linalg.norm(zp[:, j]) * np.linalg.norm(S[:, j])
@@ -740,19 +749,21 @@ def test_zero_curvature_newton_system_builds_no_condensing_matrix(name):
     # of what T over every p column, n_p columns over T's rows, would take
     nlp = make_nlp(name, N=256, staging=registry)
     z = initial_guess(nlp, "linear-endpoint-interpolation")
-    jac, r, step, estimate = step_args(nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows))
+    linearization, (_, working) = step_args(
+        nlp, z, np.random.default_rng(6).normal(size=nlp.n_rows)
+    )
     hess = nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
     assert not hess[0][:, :nlp.n_x].any()
     tracemalloc.start()
     try:
-        system = nlp.newton_system(jac, r)
-        system.estimate(*estimate)
-        system.step(hess, *step[1:])
+        system = nlp.newton_system(*linearization)
+        system.estimate(working)
+        system.step(hess, working)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n_p, t_rows = nlp.n_nodes * nlp.n_u + nlp.n_x, nlp.n_z - nlp.n_nodes * nlp.n_u
-    n_kkt = n_p + np.count_nonzero(estimate[1][nlp.rows["endpoint"]])
+    n_kkt = n_p + np.count_nonzero(working[nlp.rows["endpoint"]])
     assert peak < 8 * (2 * n_kkt**2 + t_rows * n_p / 2)
 
 
@@ -841,12 +852,12 @@ def test_singular_condensing_matrix_gives_no_step(monkeypatch):
     # problems' M factors none
     nlp = make_nlp("nonlinear-scalar", N=8)
     z = initial_guess(nlp, "constant-midpoint")
-    jac, r, step, _ = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
+    linearization, step = step_args(nlp, z, np.random.default_rng(1).normal(size=nlp.n_rows))
     orders = singular_blocks(monkeypatch)
-    assert nlp.newton_system(jac, r) is None
+    assert nlp.newton_system(*linearization) is None
     assert orders == [9]
     monkeypatch.undo()
-    assert nlp.newton_system(jac, r).step(*step) is not None  # the failed factor was not kept
+    assert nlp.newton_system(*linearization).step(*step) is not None  # the failed factor was not kept
 
 
 def test_singular_condensing_matrix_ends_the_solve(monkeypatch):
@@ -912,10 +923,10 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
     z3[nlp.slice_u] += 0.1  # z1's F_x with another F_u
     mu = rng.normal(size=nlp.n_rows)
     for z in (z1, z2, z1, z3):
-        jac, r, step, estimate = step_args(nlp, z, mu)
-        system, other = nlp.newton_system(jac, r), fresh().newton_system(jac, r)
+        linearization, step = step_args(nlp, z, mu)
+        system, other = nlp.newton_system(*linearization), fresh().newton_system(*linearization)
         for _ in range(2):
-            assert np.array_equal(system.estimate(*estimate), other.estimate(*estimate))
+            assert np.array_equal(system.estimate(step[1]), other.estimate(step[1]))
             got, want = system.step(*step), other.step(*step)
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
     assert len(calls) == 4
@@ -958,12 +969,12 @@ def test_concurrent_steps_read_a_consistent_condensation():
     nlp = make_nlp("nonlinear-scalar", N=12)
     rng = np.random.default_rng(4)
     z0 = initial_guess(nlp, "linear-endpoint-interpolation")
-    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))[:3]
+    calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))
              for _ in range(2)]
-    want = [make_nlp("nonlinear-scalar", N=12).newton_system(jac, r).step(*step)
-            for jac, r, step in calls]
+    want = [make_nlp("nonlinear-scalar", N=12).newton_system(*linearization).step(*step)
+            for linearization, step in calls]
     assert_threads_get_single_threaded_bits(
-        lambda j: nlp.newton_system(*calls[j][:2]).step(*calls[j][2]), want
+        lambda j: nlp.newton_system(*calls[j][0]).step(*calls[j][1]), want
     )
 
 
@@ -976,22 +987,21 @@ def test_concurrent_steps_share_one_system():
     z0 = initial_guess(nlp, "linear-endpoint-interpolation")
     calls = [step_args(nlp, z0 + 0.1 * rng.normal(size=nlp.n_z), rng.normal(size=nlp.n_rows))
              for _ in range(2)]
-    systems = [nlp.newton_system(jac, r) for jac, r, *_ in calls]
-    want = [(*system.step(*call[2]), system.estimate(*call[3]))
-            for system, call in zip(systems, calls)]
+    systems = [nlp.newton_system(*linearization) for linearization, _ in calls]
+    want = [(*system.step(*step), system.estimate(step[1]))
+            for system, (_, step) in zip(systems, calls)]
     assert_threads_get_single_threaded_bits(
-        lambda j: (*systems[j].step(*calls[j][2]), systems[j].estimate(*calls[j][3])), want
+        lambda j: (*systems[j].step(*calls[j][1]), systems[j].estimate(calls[j][1][1])), want
     )
 
 
 def condensed_side(block, G, derivs, r):
-    """``block.condense`` on fresh tables: (values, derivs, other) and every
-    array of the factor's groups."""
+    """``block.factor`` of G and ``block.eliminate`` with it on fresh tables:
+    (values, derivs, other) and every array of the factor's groups."""
     m, n, c = derivs.shape
     values, derivs, other = np.zeros(derivs.shape), derivs.copy(), np.zeros((n, c))
-    factor = block.condense(
-        G, np.zeros((m, n, 0)), values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:]
-    )
+    factor = block.factor(G)
+    block.eliminate(factor, G, values, derivs, np.ones((n, c)), other, r[:m * n], r[-n:])
     return values, derivs, other, *(a for group in factor.groups for a in group)
 
 
@@ -1104,12 +1114,13 @@ def test_control_columns_condense_like_their_written_out_units(tag, name, k):
     derivs = rng.normal(size=(m, n, c))
     derivs[..., :m * k] = 0.0
     anchor, r = rng.normal(size=(n, c)), rng.normal(size=m * n + n)
-    tables = []
-    for blocks, entry in ((controls, derivs), (np.zeros((m, n, 0)), derivs.copy())):
-        if not blocks.size:
-            add_unit_columns(entry, controls)
+    factor, tables = block.factor(G), []
+    for built, entry in ((m * k, derivs), (0, derivs.copy())):
         values, other = np.empty((m, n, c)), np.empty((n, c))
-        block.condense(G, blocks, values, entry, anchor, other, r[:m * n], r[-n:])
+        if built:
+            block.control_columns(controls, values[..., :built])
+        add_unit_columns(entry, controls)
+        block.eliminate(factor, G, values, entry, anchor, other, r[:m * n], r[-n:], built)
         tables.append((values, entry, other))
     for got, want in zip(*tables):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
