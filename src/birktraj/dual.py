@@ -545,10 +545,10 @@ class _IndirectSystem:
 
         reduced = self._reduced_jvp(blocks, cols)
         reduced[:, -1] += unweighted[self._reduced_rows]
-        p = regularized_solve(reduced[:, :-1], -reduced[:, -1], np.ones(n_p))
-        if p is None:
+        solved = regularized_solve(reduced[:, :-1], -reduced[:, -1], np.ones(n_p))
+        if solved is None:
             raise NoConvergenceError("singular Newton matrix in indirect solve")
-        dy = cols[:, :-1] @ p + cols[:, -1]
+        dy = cols[:, :-1] @ solved[0] + cols[:, -1]
         # a non-finite dy fails the test too
         backward = np.max(np.abs(self.jvp(blocks, dy) * self.row_scale + r))
         if not backward <= 1e-8 * (1.0 + np.max(np.abs(r))):

@@ -9,9 +9,9 @@ per iterate and may return any linear operator J (a matrix, or
 DiscretizedNlp's node blocks): the solver takes only ``J.T @ mu`` from it
 and hands it to ``newton_system``.  ``constraints`` and ``objective`` are
 called once per point the solve tries: an accepted line-search trial's
-values serve the next iterate.  ``constraints`` and ``jacobian`` raise
-EvaluationError where a callback gives non-finite values, and the solve
-then ends ``infeasible``.
+values serve the next iterate.  ``constraints``, ``jacobian`` and
+``lagrangian_hessian`` raise EvaluationError where a callback gives
+non-finite values, and the solve then ends ``infeasible``.
 The multiplier convention is L = F + mu^T c over the constraint rows exactly
 as the problem emits them; inequality rows are c <= 0 with mu >= 0 at a
 solution.
@@ -149,19 +149,20 @@ def _lu_solve(matrix: Array, rhs: Array):
     return None
 
 
-def regularized_solve(matrix: Array, rhs: Array, signs: Array) -> Array | None:
+def regularized_solve(matrix: Array, rhs: Array, signs: Array):
     """:func:`_lu_solve`'s x, and only when that fails retry with
     ``matrix + d diag(signs)``, d = REGULARIZATION_FLOOR doubling at most
     REGULARIZATION_SHIFTS times.  A shifted solution, O(d |x|) off the
     system asked for, is refined once against ``matrix`` with the shifted
-    factor.  Returns x, or None if every try fails."""
+    factor.  Returns (x, (lu, piv)), the factor that solved it, for a
+    caller to refine with later, or None if every try fails."""
     for shift in (0.0, *REGULARIZATION_FLOOR * 2.0 ** np.arange(REGULARIZATION_SHIFTS)):
         solved = _lu_solve(matrix + np.diag(shift * signs) if shift else matrix, rhs)
         if solved is not None:
             sol, (lu, piv) = solved
             if shift:
                 sol += lapack.dgetrs(lu, piv, rhs - matrix @ sol)[0]
-            return sol
+            return solved
     return None
 
 
@@ -241,7 +242,11 @@ def solve(nlp, z0: Array, options: SolverOptions | None = None) -> NlpResult:
             status = SolveStatus.MAX_ITER
             break
 
-        step = system.step(nlp.lagrangian_hessian(z, mu_full), working)
+        try:
+            hess = nlp.lagrangian_hessian(z, mu_full)
+        except EvaluationError:
+            return finish(SolveStatus.INFEASIBLE, max(stat, feas, comp))
+        step = system.step(hess, working)
         del system  # so the next linearization is built without this one alive
         if step is None:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, max(stat, feas, comp))

@@ -41,9 +41,14 @@ endpoint rows and their multipliers) are solved once, so the multiplier
 estimate solves only a least-squares problem over the n_e columns of the
 working endpoint rows.  The step solves one reduced KKT over (U, x_anchor)
 and the working endpoint rows (the condensing of multiple shooting, Bock
-and Plitt 1984); its Z^T H Z needs T's rows over every p column only for
-the states where the Hessian of the Lagrangian curves (and those they
-read), so a problem whose states carry no curvature solves none of them.
+and Plitt 1984); its Z^T H Z reads T's rows only for the states where the
+Hessian of the Lagrangian curves (and those they read), so a problem whose
+states carry no curvature solves none of them.  A small system fills
+Z^T H Z, solving those rows over every p column, and factors the whole
+reduced KKT; a large one never forms it: block preconditioned conjugate
+gradients on its control block (Gould, Hribar and Nocedal 2001), which take
+as many iterations at N = 1024 as at N = 16, and a Schur complement over
+x_anchor and the endpoint rows.
 The constraint Jacobian (:class:`NodeJacobian`) and the Hessian of the
 Lagrangian are node blocks, so no n_rows x n_z or n_z x n_z matrix is built
 in a solve.
@@ -73,6 +78,18 @@ from .ocp import OcpDefinition, constraint_violation
 from .solver import regularized_solve
 
 Array = np.ndarray
+
+# NewtonSystem.step solves its reduced KKT matrix-free where it has at least
+# KRYLOV_MIN_ORDER unknowns p, plus one for every KRYLOV_ROWS_PER_ORDER rows
+# of T that the Hessian curves, and fills and factors it below that: the
+# crossover of the two step times on the registry problems, prepared, on
+# LGL grids at N = 32 to 512
+KRYLOV_MIN_ORDER = 128
+KRYLOV_ROWS_PER_ORDER = 4
+# the conjugate gradients of that solve stop at this relative residual, and
+# give up after this many iterations
+KRYLOV_TOL = 1e-13
+KRYLOV_MAX_ITER = 40
 
 
 class FormTag(str, Enum):
@@ -636,14 +653,20 @@ class DiscretizedNlp:
         complex steps of the analytic gradients, exact to rounding: one
         call of :meth:`~birktraj.ocp.OcpDefinition.hamiltonian_gradient`
         for every node and column, and 2 n_x single-point endpoint
-        gradients.  :meth:`hessian_times` applies them to a vector.
+        gradients.  :meth:`hessian_times` applies them to a vector.  Raises
+        EvaluationError when a table is not finite.
         """
         X, U, _, x_a, x_b = self.unpack(z)
         # dynamics rows carry -f
         dyn = self.rows["dynamics"]
         mu_dyn = -(mu[dyn] * self._row_scale[dyn]).reshape(X.shape)
-        K = self.ocp.hamiltonian_curvatures(X, U, mu_dyn, self._w)
-        k_end = self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]])
+        K = require_finite("Hamiltonian curvature",
+                           self.ocp.hamiltonian_curvatures(X, U, mu_dyn, self._w))
+        k_end = require_finite(
+            "endpoint Lagrangian curvature",
+            self.ocp.endpoint_lagrangian_curvature(x_a, x_b, mu[self.rows["endpoint"]]),
+            at_nodes=False,
+        )
         return 0.5 * (K + K.transpose(0, 2, 1)), 0.5 * (k_end + k_end.T)
 
     def hessian_times(self, hess, v: Array) -> Array:
@@ -690,8 +713,9 @@ class NewtonSystem:
     x_anchor rows are units and its x_other rows that adjoint at those
     unit vectors).  Z = [T; I_U] is an operator, :meth:`forward` Z P and
     :meth:`adjoint` Z^T S, one solve with the factor each, and is stored
-    nowhere; :meth:`step` solves T's X rows over every p column only for
-    the states where the Hessian curves.  It does not change after it is
+    nowhere; :meth:`step`, on a small system, solves T's X rows over
+    every p column only for the states where the Hessian curves, and on a
+    large one applies them to a few columns.  It does not change after it is
     built, so it serves any number of calls, from any thread."""
 
     def __init__(self, nlp: DiscretizedNlp, jac: NodeJacobian, factor: CondensingFactor,
@@ -785,63 +809,248 @@ class NewtonSystem:
         None, for ``hess`` as :meth:`DiscretizedNlp.lagrangian_hessian`
         returns it: K over each node's (x, u), k_end over (x_a, x_b).
 
-        The reduced KKT [[Z^T H Z, (E T)^T], [E T, 0]] over p and the
-        working endpoint rows E is filled into one array and solved by
-        :func:`solver.regularized_solve`.  Only the states C whose rows of K
-        are not all zero, and the states they read, have their T rows
-        solved over every p column (:meth:`CondensingFactor.through`), so a
-        problem without curvature in its states solves none; with the
-        system's T_end, Z^T H Z = T_C^T (H Z)_C + T_end^T k_end T_end +
-        (H Z)_U, one GEMM and the control rows.  The reduced right-hand side
-        Z^T (H t + g) comes from one single-column :meth:`adjoint`, dz = t +
-        Z p from one :meth:`forward`, and the other multipliers from one
-        more :meth:`adjoint` at H dz + g.  None if no shift makes it
-        solvable or a result is not finite."""
-        nlp, t_end = self.nlp, self.t_end
-        m, n, n_p, n_u = nlp.n_nodes, nlp.n_x, nlp._n_p, nlp.n_nodes * nlp.n_u
+        What is left is the reduced KKT [[A, C^T], [C, 0]] over p and the
+        working endpoint rows E, A = Z^T H Z and C = E T_end, with the
+        right-hand side -(Z^T (H t + g), r_E + E t), Z^T (H t + g) from one
+        single-column :meth:`adjoint`.  Only the states whose rows of K are
+        not all zero, and the states they read, enter A through T's rows
+        (:meth:`CondensingFactor.through`).  A system of at least
+        KRYLOV_MIN_ORDER unknowns p, plus one for every KRYLOV_ROWS_PER_ORDER
+        such rows of T, solves it matrix-free (:meth:`_ReducedKkt.krylov`),
+        refined once where its residual is not KRYLOV_TOL of the
+        right-hand side; a smaller one, or one where the conjugate gradients
+        give up, fills it (:meth:`_ReducedKkt.dense`).  Then
+        dz = t + Z p comes from one :meth:`forward` and the other
+        multipliers from one more :meth:`adjoint` at H dz + g + E^T mu_E,
+        which is also the residual of A's rows.  None if no shift makes the
+        system solvable or a result is not finite."""
+        nlp = self.nlp
         e_work = working[nlp.rows["endpoint"]]
-        e_rows = self.e_ab[e_work]
-        red = self.adjoint((nlp.hessian_times(hess, self.t) + self.g)[:, None])[0][:, 0]
-
-        K, k_end = hess
-        states, upto = self.factor.through(K[:, :n].any(axis=(0, 2)))
-        mc = m * states.size
-        # T's rows of those states and of (x_a, x_b) over every p column, and H Z there
-        t_c, ht_c = np.empty((2, mc + 2 * n, n_p))
-        tx, hx = (a[:mc].reshape(m, states.size, n_p) for a in (t_c, ht_c))
-        nlp.state.control_columns(self.jac.fu[:, states], tx[..., :n_u])
-        tx[..., n_u:] = np.eye(n)[states]
-        upto.solve(tx)
-        k_s = K[:, states]
-        add_unit_columns(np.matmul(k_s[:, :, states], tx, out=hx), k_s[:, :, n:])
-        t_c[mc:] = t_end
-        np.matmul(k_end, t_end, out=ht_c[mc:])
-        kkt = np.zeros((n_p + len(e_rows),) * 2)
-        tht = kkt[:n_p, :n_p]
-        np.matmul(t_c.T, ht_c, out=tht)
-        tht_u = tht[:n_u].reshape(m, nlp.n_u, n_p)  # a view: it splits tht's row axis
-        tht_u += K[:, n:][:, :, states] @ tx
-        add_unit_columns(tht_u, K[:, n:, n:])
-        kkt[n_p:, :n_p] = e_rows @ t_end
-        kkt[:n_p, n_p:] = kkt[n_p:, :n_p].T
-        rhs = -np.concatenate([red, self.r[nlp.rows["endpoint"]][e_work]
-                               + e_rows @ self.t[nlp._ab]])
-        sol = regularized_solve(kkt, rhs, np.concatenate([np.ones(n_p), -np.ones(len(e_rows))]))
+        e_rows, r_e = self.e_ab[e_work], self.r[nlp.rows["endpoint"]][e_work]
+        reduced = _ReducedKkt(self, hess, e_rows, -np.concatenate([
+            self.adjoint((nlp.hessian_times(hess, self.t) + self.g)[:, None])[0][:, 0],
+            r_e + e_rows @ self.t[nlp._ab],
+        ]))
+        sol = None
+        if nlp._n_p >= KRYLOV_MIN_ORDER + reduced.curved_rows // KRYLOV_ROWS_PER_ORDER:
+            solved = reduced.krylov()
+            if solved is not None:
+                sol, correct = solved
+                dz, zts, mu = self._recovered(hess, sol, e_rows)
+                residual = -np.concatenate([zts, r_e + e_rows @ dz[nlp._ab]])
+                # refine once where the residual is not at rounding level
+                if np.max(np.abs(residual)) > KRYLOV_TOL * np.max(np.abs(reduced.rhs)):
+                    delta = correct(residual)
+                    sol = None if delta is None else sol + delta
+                    if sol is not None:
+                        dz, _, mu = self._recovered(hess, sol, e_rows)
         if sol is None:
-            return None
-        p, mu4 = sol[:n_p], sol[n_p:]
-        dz = self.t + self.forward(p[:, None])[:, 0]
-        s = nlp.hessian_times(hess, dz) + self.g
-        s[nlp._z_ends[1]] += e_rows[:, nlp._ab_other].T @ mu4
-        mu = self._multipliers(self.adjoint(s[:, None])[1][:, 0], mu4, working)
+            sol = reduced.dense()
+            if sol is None:
+                return None
+            dz, _, mu = self._recovered(hess, sol, e_rows)
+        mu = self._multipliers(mu, sol[nlp._n_p:], working)
         dz = dz / nlp._col_scale
         return (dz, mu) if np.all(np.isfinite(dz)) and np.all(np.isfinite(mu)) else None
+
+    def _recovered(self, hess, sol: Array, e_rows: Array):
+        """(dz, Z^T s, mu) for the reduced KKT's solution ``sol`` = (p,
+        mu_E): dz = t + Z p and the :meth:`adjoint` of s = H dz + g + E^T
+        mu_E, whose Z^T s is A p + Z^T (H t + g) + C^T mu_E, the residual
+        of A's rows, and whose mu are the other multipliers (the endpoint
+        rows' x_anchor part enters Z^T s alone)."""
+        nlp = self.nlp
+        p, mu4 = sol[:nlp._n_p], sol[nlp._n_p:]
+        dz = self.t + self.forward(p[:, None])[:, 0]
+        s = nlp.hessian_times(hess, dz) + self.g
+        s[nlp._ab] += e_rows.T @ mu4
+        zts, mu = self.adjoint(s[:, None])
+        return dz, zts[:, 0], mu[:, 0]
 
     def _multipliers(self, mu: Array, mu4: Array, working: Array) -> Array:
         """mu_w, in the rows of the form, from the unweighted interpolation,
         dynamics and equivalency multipliers ``mu`` and ``mu4`` over the
         working endpoint rows."""
         return np.concatenate([mu, mu4]) / self.nlp._row_scale[working]
+
+
+def _node_product(blocks: Array, table: Array, out: Array) -> Array:
+    """``out`` += ``blocks`` @ ``table`` for (m, a, b) node blocks and an (m,
+    b, k) node table, returned: no product where b is 0, and where b is 1 a
+    broadcast product, which numpy runs about twice as fast as the stack of
+    (a, 1) @ (1, k) matrix products (and slower than the stack for b >
+    1)."""
+    if blocks.shape[2] == 1:
+        out += blocks * table
+    elif blocks.shape[2]:
+        out += blocks @ table
+    return out
+
+
+def _pcg(times, rhs: Array, diag: Array):
+    """(X, iterations) with ``times(X)`` = ``rhs``, (n, k) columns, by
+    conjugate gradients preconditioned by the positive ``diag``, every
+    column at once with its own step lengths, each until its residual is
+    KRYLOV_TOL of its right-hand side in norm; ``times`` maps (n, j)
+    columns to (n, j).  None where some p^T A p <= 0 or after
+    KRYLOV_MAX_ITER iterations: A is not positive definite, or the column
+    has not converged."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    stop = KRYLOV_TOL**2 * np.einsum("ij,ij->j", rhs, rhs)
+    z = r / diag[:, None]
+    d, rz = z.copy(), np.einsum("ij,ij->j", r, z)
+    for it in range(KRYLOV_MAX_ITER + 1):
+        live = np.flatnonzero(np.einsum("ij,ij->j", r, r) > stop)
+        if not live.size:
+            return x, it
+        if it == KRYLOV_MAX_ITER:
+            return None
+        dl = d[:, live]
+        q = times(dl)
+        dq = np.einsum("ij,ij->j", dl, q)
+        if not np.all(dq > 0.0):
+            return None
+        alpha = rz[live] / dq
+        x[:, live] += alpha * dl
+        r[:, live] -= alpha * q
+        z = r[:, live] / diag[:, None]
+        rz_new = np.einsum("ij,ij->j", r[:, live], z)
+        d[:, live] = z + (rz_new / rz[live]) * dl
+        rz[live] = rz_new
+
+
+class _ReducedKkt:
+    """The reduced KKT [[A, C^T], [C, 0]] sol = ``rhs`` of one
+    :meth:`NewtonSystem.step` over p = (dU, dx_anchor) and the working
+    endpoint rows ``e_rows`` E: A = Z^T H Z and C = E T_end.  H curves in
+    T's rows only through the states C, those whose rows of K are not all
+    zero, and the states they read (:meth:`CondensingFactor.through`), and
+    T's rows of those states are T_C P = M_C^-1 [(B (x) I) F_u,C P_U + 1
+    (x) P_a,C], with M_C^-1 their part of M's factor.
+
+    :meth:`dense` solves T_C over every p column, fills A and factors the
+    whole matrix; :meth:`krylov` only applies A (:meth:`times`), to block
+    conjugate gradients on A's U block, and factors a Schur complement over
+    x_anchor and E."""
+
+    def __init__(self, system: NewtonSystem, hess, e_rows: Array, rhs: Array):
+        nlp = system.nlp
+        self.system, self.rhs = system, rhs
+        self.K, self.k_end = hess
+        n = nlp.n_x
+        self.states, self.upto = system.factor.through(self.K[:, :n].any(axis=(0, 2)))
+        self.curved_rows = nlp.n_nodes * self.states.size
+        self.c_end = e_rows @ system.t_end  # C
+        # the node blocks of K and F_u at those states, which A P reads
+        k_c = self.K[:, self.states]
+        self.k_cc, self.k_cu = k_c[:, :, self.states], k_c[:, :, n:]
+        self.k_uc = self.K[:, n:][:, :, self.states]
+        self.fu_c = system.jac.fu[:, self.states]
+
+    def dense(self) -> Array | None:
+        """The solution by one fill and :func:`solver.regularized_solve`, or
+        None: T_C over every p column, then Z^T H Z = T_C^T (H Z)_C +
+        T_end^T k_end T_end + (H Z)_U, one GEMM and the control rows."""
+        system, K, states = self.system, self.K, self.states
+        nlp, t_end = system.nlp, system.t_end
+        m, n, n_p, n_u = nlp.n_nodes, nlp.n_x, nlp._n_p, nlp.n_nodes * nlp.n_u
+        mc, n_w = self.curved_rows, len(self.c_end)
+        # T's rows of those states and of (x_a, x_b) over every p column, and H Z there
+        t_c, ht_c = np.empty((2, mc + 2 * n, n_p))
+        tx, hx = (a[:mc].reshape(m, states.size, n_p) for a in (t_c, ht_c))
+        nlp.state.control_columns(self.fu_c, tx[..., :n_u])
+        tx[..., n_u:] = np.eye(n)[states]
+        self.upto.solve(tx)
+        hx[...] = 0.0
+        add_unit_columns(_node_product(self.k_cc, tx, hx), self.k_cu)
+        t_c[mc:] = t_end
+        np.matmul(self.k_end, t_end, out=ht_c[mc:])
+        kkt = np.zeros((n_p + n_w,) * 2)
+        tht = kkt[:n_p, :n_p]
+        np.matmul(t_c.T, ht_c, out=tht)
+        tht_u = tht[:n_u].reshape(m, nlp.n_u, n_p)  # a view: it splits tht's row axis
+        add_unit_columns(_node_product(self.k_uc, tx, tht_u), K[:, n:, n:])
+        kkt[n_p:, :n_p] = self.c_end
+        kkt[:n_p, n_p:] = self.c_end.T
+        solved = regularized_solve(kkt, self.rhs, np.concatenate([np.ones(n_p), -np.ones(n_w)]))
+        return None if solved is None else solved[0]
+
+    def times(self, PU: Array, Pa: Array | None = None) -> Array:
+        """A P for the (n_p, k) columns P = (``PU``, ``Pa``), Pa zero where
+        None: T_C P, H there, and T_C^T Y = [F_u,C^T (B^T (x) I) M_C^-T Y;
+        sum_i (M_C^-T Y)_i at the states C], with T_end for the endpoint
+        rows.  Two solves with M_C's factor, none where no state curves."""
+        nlp, K, B = self.system.nlp, self.K, self.system.nlp.state.B
+        m, n, n_u, k = nlp.n_nodes, nlp.n_x, nlp.n_u, PU.shape[1]
+        pu = PU.reshape(m, n_u, k)
+        out = np.zeros((nlp._n_p, k))
+        out_u = out[:m * n_u].reshape(m, n_u, k)  # a view
+        _node_product(K[:, n:, n:], pu, out_u)
+        if self.curved_rows:
+            c = self.states.size
+            X = _node_product(self.fu_c, pu, np.zeros((m, c, k)))
+            X = (B @ X.reshape(m, -1)).reshape(m, c, k)
+            if Pa is not None:
+                X += Pa[self.states]
+            self.upto.solve(X)
+            _node_product(self.k_uc, X, out_u)
+            Y = _node_product(self.k_cu, pu, _node_product(self.k_cc, X, np.zeros((m, c, k))))
+            self.upto.solve(Y, trans=True)
+            _node_product(self.fu_c.transpose(0, 2, 1),
+                          (B.T @ Y.reshape(m, -1)).reshape(m, c, k), out_u)
+            out[m * n_u:][self.states] += Y.sum(axis=0)
+        if self.k_end.any():
+            t_end = self.system.t_end
+            ends = t_end[:, :m * n_u] @ PU
+            if Pa is not None:
+                ends += t_end[:, m * n_u:] @ Pa
+            out += t_end.T @ (self.k_end @ ends)
+        return out
+
+    def krylov(self):
+        """(solution, correct), or None where the conjugate gradients give
+        up.  Block PCG on A's U block A_UU, preconditioned by |diag K_uu|,
+        solves the right-hand side's U rows and the columns L = [A_Ua,
+        C_U^T] together, the Schur complement S = D - L^T A_UU^-1 L of
+        order n_x + n_E is factored by :func:`solver.regularized_solve`,
+        D = [[A_aa, C_a^T], [C_a, 0]], and p_U is back-substituted.
+        ``correct(residual)`` is the solution's change for a residual of
+        the whole system, by one single-column PCG and that factor, or
+        None."""
+        system, K = self.system, self.K
+        nlp, n = system.nlp, system.nlp.n_x
+        n_u = nlp.n_nodes * nlp.n_u
+        diag = np.abs(np.diagonal(K[:, n:, n:], axis1=1, axis2=2)).ravel()
+        if not np.all(diag > 0.0):
+            return None
+
+        def a_uu(Y):
+            return self.times(Y)[:n_u]
+
+        anchor_cols = self.times(np.zeros((n_u, n)), np.eye(n))  # A's x_anchor columns
+        c_u, c_a = self.c_end[:, :n_u], self.c_end[:, n_u:]
+        L = np.hstack([anchor_cols[:n_u], c_u.T])
+        solved = _pcg(a_uu, np.column_stack([self.rhs[:n_u], L]), diag)
+        if solved is None:
+            return None
+        y0, Y = solved[0][:, 0], solved[0][:, 1:]
+        schur = np.block([[anchor_cols[n_u:], c_a.T],
+                          [c_a, np.zeros((len(c_a),) * 2)]]) - L.T @ Y
+        q_solved = regularized_solve(schur, self.rhs[n_u:] - L.T @ y0,
+                                     np.concatenate([np.ones(n), -np.ones(len(c_a))]))
+        if q_solved is None:
+            return None
+        q, (lu, piv) = q_solved
+
+        def correct(residual):
+            got = _pcg(a_uu, residual[:n_u, None], diag)
+            if got is None:
+                return None
+            y = got[0][:, 0]
+            dq = lapack.dgetrs(lu, piv, residual[n_u:] - L.T @ y)[0]
+            return np.concatenate([y - Y @ dq, dq])
+
+        return np.concatenate([y0 - Y @ q, q]), correct
 
 
 def check_horizon(ocp: OcpDefinition, sys: BirkhoffSystem) -> None:

@@ -11,17 +11,22 @@ node blocks, for the tests to compare against.
 * :func:`assembled_jacobian`, a DiscretizedNlp's constraint Jacobian built
   whole from its callbacks with Kronecker products;
 * :func:`assembled_hessian`, its Hessian of the Lagrangian placed whole from
-  the node blocks of ``lagrangian_hessian``.
+  the node blocks of ``lagrangian_hessian``;
+* :func:`step_path`, which makes a NewtonSystem's step take its dense path,
+  the one that fills and factors the whole reduced KKT, or its Krylov path
+  at any size.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag, lstsq, lu_factor, lu_solve
 
+from birktraj import transcription
 from birktraj.ocp import FD_STEP, _central_jacobian
 from birktraj.solver import regularized_solve
 
@@ -124,8 +129,8 @@ def dense_newton_step(hess: Array, jac: Array, g: Array, r: Array, working: Arra
     m, n = jac_w.shape
     kkt = np.block([[hess, jac_w.T], [jac_w, np.zeros((m, m))]])
     signs = np.concatenate([np.ones(n), -np.ones(m)])
-    sol = regularized_solve(kkt, np.concatenate([-g, -r[working]]), signs)
-    return None if sol is None else (sol[:n], sol[n:])
+    solved = regularized_solve(kkt, np.concatenate([-g, -r[working]]), signs)
+    return None if solved is None else (solved[0][:n], solved[0][n:])
 
 
 def stored_column_scale(nlp) -> Array | None:
@@ -192,3 +197,18 @@ def assembled_hessian(nlp, hess) -> Array:
         out *= col[:, None]
         out *= col[None, :]
     return out
+
+
+def step_path(monkeypatch, path: str) -> list:
+    """Make every ``NewtonSystem.step`` take ``path``, "krylov" or "dense",
+    whatever its size, and return a list that gains an entry for each dense
+    fill and factor, the Krylov path's fallback included."""
+    if path == "krylov":
+        monkeypatch.setattr(transcription, "KRYLOV_MIN_ORDER", 0)
+        monkeypatch.setattr(transcription, "KRYLOV_ROWS_PER_ORDER", sys.maxsize)
+    else:
+        monkeypatch.setattr(transcription, "KRYLOV_MIN_ORDER", sys.maxsize)
+    filled, dense = [], transcription._ReducedKkt.dense
+    monkeypatch.setattr(transcription._ReducedKkt, "dense",
+                        lambda self: filled.append(1) or dense(self))
+    return filled

@@ -637,7 +637,7 @@ def test_indirect_solve_needs_the_running_cost_gradients():
 
 def test_indirect_step_failing_the_backward_error_test_raises(monkeypatch):
     # a reduced solution that is not one leaves the rows it should meet unmet
-    monkeypatch.setattr(dual_module, "regularized_solve", lambda m, rhs, signs: np.ones(rhs.size))
+    monkeypatch.setattr(dual_module, "regularized_solve", lambda m, rhs, signs: (np.ones(rhs.size), None))
     _, sys = system_for("scalar-lq", 8)
     with pytest.raises(NoConvergenceError, match="singular Newton matrix"):
         solve_indirect(registry("scalar-lq"), sys, DualVariant("a", "b_star"))

@@ -195,9 +195,9 @@ def test_duplicated_constraint_row_solves_only_through_the_shift():
     # a shift on the H block alone leaves the two equal rows singular
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(kkt + np.diag([1.0, 1.0, 0.0, 0.0]), rhs)
-    sol = solver.regularized_solve(kkt, rhs, np.array([1.0, 1.0, -1.0, -1.0]))
-    assert sol is not None
-    assert np.allclose(sol, [0.5, 0.5, -0.5, -0.5], atol=1e-7)
+    solved = solver.regularized_solve(kkt, rhs, np.array([1.0, 1.0, -1.0, -1.0]))
+    assert solved is not None
+    assert np.allclose(solved[0], [0.5, 0.5, -0.5, -0.5], atol=1e-7)
 
 
 def test_regularized_solve_gives_up_when_no_shift_helps():
@@ -751,21 +751,37 @@ def test_duplicated_endpoint_row_converges_at_every_order(N):
     assert dual.endpoint[2] == pytest.approx(0.5 * single.endpoint[1], abs=1e-8)
 
 
+NEARLY_DEPENDENT = {
+    "n_x": 2, "n_u": 1, "horizon": [0, 1],
+    "dynamics": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]},
+    "running_cost": {"R": [[0.5]]},
+    "constraints": [
+        {"a": [1, 0], "rhs": 0}, {"a": [0, 1], "rhs": 0},
+        {"b": [1, 0], "rhs": 1}, {"b": [1, 1e-4], "rhs": 1},
+    ],
+}
+
+
 @pytest.mark.parametrize("N", [16, 64])
 @pytest.mark.parametrize("kind", ["lgl", "cgl"])
 def test_nearly_dependent_endpoint_rows_converge_and_verify(kind, N):
     # (1, 0) x_b = 1 and (1, 1e-4) x_b = 1 pin x_b = (1, 0) through rows
     # 1e-4 apart; the refinement in every LU solve keeps the estimate and
     # the step accurate
-    problem = {
-        "n_x": 2, "n_u": 1, "horizon": [0, 1],
-        "dynamics": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]},
-        "running_cost": {"R": [[0.5]]},
-        "constraints": [
-            {"a": [1, 0], "rhs": 0}, {"a": [0, 1], "rhs": 0},
-            {"b": [1, 0], "rhs": 1}, {"b": [1, 1e-4], "rhs": 1},
-        ],
-    }
-    primal, dual = solve_and_verify(problem, kind, N)
+    primal, dual = solve_and_verify(NEARLY_DEPENDENT, kind, N)
+    assert primal.objective == pytest.approx(6.0, rel=1e-8)
+    assert np.allclose(dual.endpoint, [12.0, 6.0, -60012.0, 60000.0, -1.0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+def test_nearly_dependent_endpoint_rows_converge_on_the_krylov_step(monkeypatch, kind, N):
+    # the Krylov step's Schur complement carries the nearly dependent rows;
+    # its solution's residual is ~1e-12 of the right-hand side, and the one
+    # refinement against the whole reduced KKT brings the objective from
+    # 2.4e-7 off to rounding
+    filled = dense_oracle.step_path(monkeypatch, "krylov")
+    primal, dual = solve_and_verify(NEARLY_DEPENDENT, kind, N)
+    assert not filled
     assert primal.objective == pytest.approx(6.0, rel=1e-8)
     assert np.allclose(dual.endpoint, [12.0, 6.0, -60012.0, 60000.0, -1.0], rtol=1e-6)

@@ -37,6 +37,7 @@ from birktraj import (
     solve_indirect,
     solve_with_fallback,
     transcribe,
+    transcription,
 )
 from birktraj.ocp import FD_STEP, _central_jacobian, pinned_endpoints
 from birktraj.transcription import AnchoredBlock, add_unit_columns, endpoint_seed
@@ -45,6 +46,7 @@ from dense_oracle import (
     assembled_jacobian,
     dense_newton_step,
     fd_lagrangian_hessian,
+    step_path,
     stored_column_scale,
 )
 
@@ -296,6 +298,35 @@ def test_non_finite_jacobian_blocks_raise_in_jacobian():
         with pytest.raises(EvaluationError, match="node 3"):
             nlp.jacobian(z)
         assert solve(nlp, z).status is SolveStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("name, what", [("jac_fx", "Hamiltonian curvature"),
+                                        ("grad_cost_xb", "endpoint Lagrangian curvature")])
+def test_non_finite_curvature_raises_and_ends_the_solve_infeasible(name, what):
+    # finite at real arguments, NaN at the complex steps of the curvature:
+    # the Jacobian and gradient are finite, the Hessian of the Lagrangian
+    # is not
+    ocp = registry("nonlinear-scalar")
+    fn = getattr(ocp, name)
+
+    nan = complex(np.nan, np.nan)
+
+    def stepped_nan(*args):
+        out = fn(*args)
+        if not any(np.imag(a).any() for a in args):
+            return out
+        if name == "jac_fx":  # the stepped nodes
+            return np.where((np.imag(args[0]) != 0).any(axis=1)[:, None, None], nan, out)
+        return np.full(np.shape(out), nan)
+
+    nlp = transcribe(dataclasses.replace(ocp, **{name: stepped_nan}),
+                     build_birkhoff(make_grid("lgl", 16, ocp.horizon)), PrimalForm("a"))
+    z = initial_guess(nlp)
+    nlp.jacobian(z), nlp.objective_gradient(z)  # finite
+    with pytest.raises(EvaluationError, match=what):
+        nlp.lagrangian_hessian(z, np.ones(nlp.n_rows))
+    res = solve(nlp, z)
+    assert res.status is SolveStatus.INFEASIBLE and res.iterations == 0
 
 
 def test_non_finite_endpoint_jacobian_ends_the_solve_infeasible():
@@ -619,6 +650,21 @@ def test_newton_step_is_backward_stable_on_the_dense_kkt_matrix(name, kind, N, f
     # the forward check of assert_step_matches_dense is bounded by cond(K),
     # which grows with N; the normwise backward error of x = (dz, mu_w) on
     # K = [[H, J_w^T], [J_w, 0]] is not
+    assert_step_is_backward_stable(name, kind, N, form, scaled)
+
+
+@pytest.mark.parametrize("form, scaled", BACKWARD_FORMS,
+                         ids=[f"{f}{'+scaled' * s}" for f, s in BACKWARD_FORMS])
+@pytest.mark.parametrize("N", [12, 24, 48])
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy"])
+def test_krylov_newton_step_is_backward_stable_on_the_dense_kkt_matrix(monkeypatch, name, kind,
+                                                                       N, form, scaled):
+    step_path(monkeypatch, "krylov")
+    assert_step_is_backward_stable(name, kind, N, form, scaled)
+
+
+def assert_step_is_backward_stable(name, kind, N, form, scaled):
     ocp = registry(name)
     nlp = transcribe(ocp, build_birkhoff(make_grid(kind, N, ocp.horizon)),
                      PrimalForm(form, scaled=scaled))
@@ -636,6 +682,120 @@ def test_newton_step_is_backward_stable_on_the_dense_kkt_matrix(name, kind, N, f
     residual = np.max(np.abs(kkt @ x - rhs))
     scale = np.max(np.abs(kkt)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert residual <= 1e-13 * scale
+
+
+def first_iterate(nlp):
+    """The solver's first iterate: the constant-midpoint guess, its
+    linearization, the system's multiplier estimate there, and the Hessian
+    and working rows at that estimate, as (system, hess, working)."""
+    z = initial_guess(nlp)
+    jac, r, g = nlp.jacobian(z), nlp.constraints(z), nlp.objective_gradient(z)
+    working = nlp.equality_mask | (r > 0.0)
+    system = nlp.newton_system(jac, r, g)
+    mu = np.zeros(nlp.n_rows)
+    mu[working] = system.estimate(working)
+    return system, nlp.lagrangian_hessian(z, mu), working
+
+
+def both_steps(monkeypatch, system, hess, working):
+    """The step by the Krylov path, which must not fall back, and by the
+    dense path, on one system."""
+    filled = step_path(monkeypatch, "krylov")
+    krylov = system.step(hess, working)
+    assert not filled
+    step_path(monkeypatch, "dense")
+    return krylov, system.step(hess, working)
+
+
+def assert_steps_agree(got, want, tol):
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("kind", ["lgl", "cgl"])
+@pytest.mark.parametrize("name", registry_names())
+def test_krylov_step_is_the_dense_step_at_n_256(monkeypatch, name, kind, form, scaled, staging):
+    # at the solver's first iterate, where the reduced Hessian is positive
+    # definite on every registry problem, so no step falls back
+    nlp = make_nlp(name, N=256, form=form, scaled=scaled, kind=kind, staging=staging)
+    assert_steps_agree(*both_steps(monkeypatch, *first_iterate(nlp)), 1e-10)
+
+
+@pytest.mark.parametrize("staging", [registry, prepared_registry], ids=["as-defined", "prepared"])
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+@pytest.mark.parametrize("kind", ["lgl", "cgl", "uniform"])
+@pytest.mark.parametrize("name", registry_names())
+def test_krylov_newton_step_is_the_dense_kkt_step(monkeypatch, name, kind, form, scaled,
+                                                  staging):
+    # the matrix of test_newton_step_is_the_dense_kkt_step, at a random
+    # iterate: where its reduced Hessian is not positive definite the
+    # Krylov path falls back to the dense one
+    step_path(monkeypatch, "krylov")
+    assert_step_matches_dense(
+        make_nlp(name, N=12, form=form, scaled=scaled, kind=kind, staging=staging)
+    )
+
+
+# x' = -x^3/2 + u with Q, R and an endpoint cost quadratic in x_a and x_b:
+# the Hessian curves in the state and at both endpoints
+FREE_ENDS = {
+    "name": "free-ends", "n_x": 1, "n_u": 1, "horizon": [0.0, 1.0],
+    "dynamics": {"terms": [[{"coef": -0.5, "x": [3]}, {"coef": 1.0, "u": [1]}]]},
+    "running_cost": {"Q": [[0.5]], "R": [[1.0]]},
+    "endpoint_cost": {"terms": [{"coef": 1.0, "xa": [2]}, {"coef": -2.0, "xa": [1]},
+                                {"coef": 2.0, "xb": [2]}, {"coef": 2.0, "xb": [1]}]},
+}
+
+
+@pytest.mark.parametrize("form, scaled", FORMS, ids=FORM_IDS)
+def test_krylov_step_with_endpoint_curvature_is_the_dense_step(monkeypatch, form, scaled):
+    # K_end enters A through T_end on the Krylov path
+    ocp = load_problem(FREE_ENDS)
+    nlp = transcribe(ocp, build_birkhoff(make_grid("lgl", 64, ocp.horizon)),
+                     PrimalForm(form, scaled=scaled))
+    system, hess, working = first_iterate(nlp)
+    assert hess[1].any()
+    assert_steps_agree(*both_steps(monkeypatch, system, hess, working), 1e-10)
+
+
+@pytest.mark.parametrize("N", [16, 1024])
+def test_krylov_iterations_stay_few_at_every_order(monkeypatch, N):
+    # the conjugate gradients take no more iterations at N = 1024 than at
+    # N = 16 (6 on every step of both solves)
+    filled = step_path(monkeypatch, "krylov")
+    iterations, pcg = [], transcription._pcg
+
+    def counted(*args):
+        out = pcg(*args)
+        iterations.append(out[1])
+        return out
+
+    monkeypatch.setattr(transcription, "_pcg", counted)
+    nlp = make_nlp("nonlinear-scalar", N=N, staging=registry)
+    res = solve(nlp, initial_guess(nlp))
+    assert res.converged and res.iterations == 4
+    assert not filled and len(iterations) >= res.iterations
+    assert 0 < max(iterations) <= 9
+
+
+@pytest.mark.parametrize("why", ["negative-curvature", "iteration-cap"])
+def test_krylov_fallback_is_the_dense_step(monkeypatch, why):
+    # p^T A p <= 0 on the negated Hessian, and no column converges in one
+    # iteration where the Hessian curves: the step is the dense path's,
+    # bit for bit
+    system, (K, k_end), working = first_iterate(make_nlp("nonlinear-scalar", N=64,
+                                                         staging=registry))
+    hess = (-K, -k_end) if why == "negative-curvature" else (K, k_end)
+    if why == "iteration-cap":
+        monkeypatch.setattr(transcription, "KRYLOV_MAX_ITER", 1)
+    filled = step_path(monkeypatch, "krylov")
+    got = system.step(hess, working)
+    assert filled == [1]
+    step_path(monkeypatch, "dense")
+    for a, b in zip(got, system.step(hess, working)):
+        assert np.array_equal(a, b)
 
 
 def step_args(nlp, z, mu):
@@ -765,6 +925,26 @@ def test_zero_curvature_newton_system_builds_no_condensing_matrix(name):
     n_p, t_rows = nlp.n_nodes * nlp.n_u + nlp.n_x, nlp.n_z - nlp.n_nodes * nlp.n_u
     n_kkt = n_p + np.count_nonzero(working[nlp.rows["endpoint"]])
     assert peak < 8 * (2 * n_kkt**2 + t_rows * n_p / 2)
+
+
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "double-integrator-energy", "scalar-lq"])
+def test_krylov_step_builds_no_condensing_matrix(monkeypatch, name):
+    # the Krylov path holds no T over every p column, not even over the
+    # curved states' rows alone, and no matrix of order n_p: its step holds
+    # less than half of one n_p x n_p table (the factor of M, which the
+    # system holds, is of order N + 1 where a state curves)
+    filled = step_path(monkeypatch, "krylov")
+    system, hess, working = first_iterate(make_nlp(name, N=256, staging=registry))
+    nlp = system.nlp
+    tracemalloc.start()
+    try:
+        system.step(hess, working)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not filled
+    n_p = nlp.n_nodes * nlp.n_u + nlp.n_x
+    assert peak < 8 * n_p**2 / 2
 
 
 def test_solve_builds_no_dense_jacobian():
@@ -932,14 +1112,14 @@ def test_reused_condensation_gives_the_bits_of_a_fresh_nlp(monkeypatch, kind, fo
     assert len(calls) == 4
 
 
-def assert_threads_get_single_threaded_bits(call, want):
-    """Four threads call ``call(j)`` 200 times each, alternating j between 0
-    and 1 at a tiny switch interval; every result must have the bits of
-    ``want[j]``, array by array."""
+def assert_threads_get_single_threaded_bits(call, want, rounds=200):
+    """Four threads call ``call(j)`` ``rounds`` times each, alternating j
+    between 0 and 1 at a tiny switch interval; every result must have the
+    bits of ``want[j]``, array by array."""
     bad = []
 
     def worker(k):
-        for i in range(200):
+        for i in range(rounds):
             j = (i + k) % 2
             try:
                 got = call(j)
@@ -993,6 +1173,28 @@ def test_concurrent_steps_share_one_system():
     assert_threads_get_single_threaded_bits(
         lambda j: (*systems[j].step(*calls[j][1]), systems[j].estimate(calls[j][1][1])), want
     )
+
+
+def test_concurrent_krylov_steps_share_one_system(monkeypatch):
+    # the same on the Krylov path, whose operator solves with the curved
+    # groups of the system's factor
+    filled = step_path(monkeypatch, "krylov")
+    nlp = make_nlp("nonlinear-scalar", N=12, staging=registry)
+    rng = np.random.default_rng(9)
+    calls = []
+    for scale in (0.0, 0.05):
+        z = initial_guess(nlp) + scale * rng.normal(size=nlp.n_z)
+        jac, r, g = nlp.jacobian(z), nlp.constraints(z), nlp.objective_gradient(z)
+        system, working = nlp.newton_system(jac, r, g), nlp.equality_mask | (r > 0.0)
+        mu = np.zeros(nlp.n_rows)
+        mu[working] = system.estimate(working)
+        calls.append((system, nlp.lagrangian_hessian(z, mu), working))
+    want = [system.step(hess, working) for system, hess, working in calls]
+    assert not filled
+    # a Krylov step makes many more numpy calls than a dense one
+    assert_threads_get_single_threaded_bits(lambda j: calls[j][0].step(*calls[j][1:]), want,
+                                            rounds=50)
+    assert not filled
 
 
 def condensed_side(block, G, derivs, r):
